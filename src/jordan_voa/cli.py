@@ -128,6 +128,8 @@ def _common_flags(parser: argparse.ArgumentParser, r_default=GENERIC):
 
 def _check_guard(args) -> None:
     if args.max_degree > DEGREE_GUARD and not args.no_degree_guard:
+        print(f"error: --max-degree {args.max_degree} exceeds {DEGREE_GUARD}; "
+              "pass --no-degree-guard", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -190,7 +192,7 @@ def _cmd_weight_basis(args) -> int:
 
 
 def _cmd_singular_check(args) -> int:
-    spec = DetSpec(args.p, args.nu, args.r)
+    spec = DetSpec(args.p, args.nu)
     r0 = spec.certification_r() if args.r is None else args.r
     state = spec.state()
     ok, witness = is_singular(state, r0=r0, d=args.d, full_algebra=args.full_algebra,
@@ -286,7 +288,7 @@ def _cmd_virasoro_check(args) -> int:
 def _cmd_paper_suite(args) -> int:
     _check_guard(args)
     config = SuiteConfig(d=args.d if args.d > 1 else 2, max_degree=args.max_degree,
-                         seed=args.seed, samples=args.samples, workers=args.workers)
+                         seed=args.seed, samples=args.samples)
     results = run_paper_suite(config)
     if args.output == "json":
         print(json.dumps([

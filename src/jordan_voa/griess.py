@@ -223,12 +223,13 @@ def jordan_verify(d: int) -> dict:
         raise GriessVerificationError("diagonal square has no diagonal component")
     c_diag = gamma
     # Off-diagonal scale: w[1,2].w[1,2] = beta (w[1,1]+w[2,2]) forces
-    # c_off^2 = beta * c_diag.
-    pair = table.basis.index((1, 2))
-    beta = table.products[((1, 2), (1, 2))][first]
-    c_off = _exact_sqrt(beta * c_diag)
-    if c_off is None or not c_off:
-        raise GriessVerificationError("no rational off-diagonal scaling exists")
+    # c_off^2 = beta * c_diag.  For d = 1 there is no off-diagonal element.
+    c_off = None
+    if d > 1:
+        beta = table.products[((1, 2), (1, 2))][first]
+        c_off = _exact_sqrt(beta * c_diag)
+        if c_off is None or not c_off:
+            raise GriessVerificationError("no rational off-diagonal scaling exists")
 
     matrices = _sym_matrices(d, c_diag, c_off)
     for left in table.basis:

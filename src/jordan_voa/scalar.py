@@ -4,7 +4,9 @@ Every structure constant the engine produces is a polynomial in r with
 rational coefficients, so identities are certified once for a generic
 parameter and specialised to rational values only when asked.  All
 arithmetic is arbitrary-precision and exact; no floating point is used
-anywhere in the package.
+anywhere in the package.  The module also holds the package's one exact
+eliminator, fraction_free_rref, behind the kernels over Q and Q(r) and the
+transfer determinants.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "evaluate_at",
     "poly_exact_div",
     "poly_gcd",
+    "fraction_free_rref",
 ]
 
 
@@ -237,12 +240,8 @@ def parse_scalar(text: str) -> Scalar:
     return Scalar(out)
 
 
-def poly_exact_div(a: Scalar, b: Scalar) -> Scalar:
-    """Divide a by b in Q[r], requiring a zero remainder."""
-    a = Scalar.of(a)
-    b = Scalar.of(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _poly_divmod(a: Scalar, b: Scalar):
+    """Quotient and remainder of a by a nonzero b in Q[r]."""
     rem = list(a)
     quot = [0] * max(len(a) - len(b) + 1, 0)
     lead = Fraction(b[-1])
@@ -251,12 +250,24 @@ def poly_exact_div(a: Scalar, b: Scalar) -> Scalar:
         if not top:
             continue
         factor = Fraction(top) / lead
-        quot[k] = int(factor) if factor.denominator == 1 else factor
+        if factor.denominator == 1:
+            factor = factor.numerator
+        quot[k] = factor
         for t, c in enumerate(b):
             rem[k + t] -= factor * c
-    if any(rem):
+    return Scalar(quot), Scalar(rem)
+
+
+def poly_exact_div(a: Scalar, b: Scalar) -> Scalar:
+    """Divide a by b in Q[r], requiring a zero remainder."""
+    a = Scalar.of(a)
+    b = Scalar.of(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot, rem = _poly_divmod(a, b)
+    if rem:
         raise ValueError(f"{a} is not divisible by {b} in Q[r]")
-    return Scalar(quot)
+    return quot
 
 
 def poly_gcd(a: Scalar, b: Scalar) -> Scalar:
@@ -264,21 +275,52 @@ def poly_gcd(a: Scalar, b: Scalar) -> Scalar:
     a = Scalar.of(a)
     b = Scalar.of(b)
     while b:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     if not a:
         return ZERO
     lead = Fraction(a[-1])
     return Scalar(tuple(Fraction(c) / lead for c in a))
 
 
-def _poly_mod(a: Scalar, b: Scalar) -> Scalar:
-    rem = list(a)
-    lead = Fraction(b[-1])
-    for k in range(len(rem) - len(b), -1, -1):
-        top = rem[k + len(b) - 1]
-        if not top:
+def fraction_free_rref(rows, ncols: int, exact_div):
+    """Fraction-free Gauss-Jordan elimination over an integral domain.
+
+    Bareiss's scheme (Math. Comp. 22 (1968) 565-578) carried through to
+    reduced form: pivoting on column col updates every other row to
+    (piv*x - c*y) / prev, where piv is the new pivot, c the row's entry in
+    column col, y the pivot row's entry, and prev the previous pivot (1 at
+    the start).  Every entry stays a minor of the input, so exact_div(a, b)
+    only ever divides exactly.  Returns (mat, pivots, sign): every pivot row
+    k holds the same value D, the last pivot, in column pivots[k] and 0 in
+    the other pivot columns; rows beyond len(pivots) are zero; sign is the
+    parity of the row swaps, so a square matrix of full rank has
+    determinant sign * D.
+    """
+    mat = [list(row) for row in rows]
+    pivots = []
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot_row is None:
             continue
-        factor = Fraction(top) / lead
-        for t, c in enumerate(b):
-            rem[k + t] -= factor * c
-    return Scalar(rem)
+        if pivot_row != rank:
+            mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+            sign = -sign
+        prow = mat[rank]
+        piv = prow[col]
+        for r, row in enumerate(mat):
+            if r == rank:
+                continue
+            c = row[col]
+            if c:
+                row = [piv * x - c * y for x, y in zip(row, prow)]
+            else:
+                row = [piv * x for x in row]
+            if prev != 1:
+                row = [exact_div(x, prev) if x else x for x in row]
+            mat[r] = row
+        pivots.append(col)
+        prev = piv
+    return mat, pivots, sign

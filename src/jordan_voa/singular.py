@@ -19,12 +19,18 @@ pass strict=True to include them and observe the failure.
 Kernel search runs over one weight space at a time: stack the raising
 actions on the weight-space basis into an exact matrix and return its
 nullspace, over Q for a rational parameter value or over Q(r) for the
-generic parameter.
+generic parameter.  Both kernels come from one fraction-free (Bareiss)
+elimination, scalar.fraction_free_rref, and never divide inexactly: over Q
+each row is cleared of denominators and eliminated over Z; over Q(r) the
+matrix is eliminated over Q[r], so the kernel vectors are polynomial from
+the start and only their content is divided out.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,7 +43,7 @@ from .fock import (
     weight_space_basis,
 )
 from .liealg import Generator
-from .scalar import ONE, R, ZERO, Scalar, poly_gcd, poly_exact_div
+from .scalar import ONE, R, ZERO, Scalar, fraction_free_rref, poly_exact_div, poly_gcd
 
 __all__ = [
     "DetSpec",
@@ -61,11 +67,10 @@ GENERIC = "generic"
 
 @dataclass(frozen=True)
 class DetSpec:
-    """A determinant power: matrix size p, exponent nu, parameter value."""
+    """A determinant power: matrix size p and exponent nu."""
 
     p: int
     nu: int
-    r0: object = GENERIC
 
     def certification_r(self) -> int:
         """The parameter value at which the vector is expected singular."""
@@ -178,7 +183,7 @@ def raising_generators(
 
 
 def _state_is_zero_at(u: State, r0) -> bool:
-    if r0 == GENERIC or r0 is None:
+    if r0 == GENERIC:
         return u.is_zero()
     return all(not c.evaluate(r0) for c in u.terms.values())
 
@@ -203,7 +208,7 @@ def is_singular(
     for gen in raising_generators(bound, d=d, full_algebra=full_algebra, strict=strict):
         image = act(gen, u)
         if not _state_is_zero_at(image, r0):
-            witness = image if r0 in (GENERIC, None) else image.specialize(r0)
+            witness = image if r0 == GENERIC else image.specialize(r0)
             return False, (gen, witness)
     return True, None
 
@@ -211,127 +216,58 @@ def is_singular(
 # -- exact nullspace ----------------------------------------------------
 
 
-def _kernel_over_field(rows, ncols, zero, one):
-    """Nullspace basis via Gauss-Jordan over any exact field."""
-    mat = [list(row) for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = one / mat[rank][col]
-        mat[rank] = [inv * x for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != zero:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -mat[row_idx][free]
-        basis.append(vec)
-    return basis
-
-
 def kernel_basis(rows, ncols: int | None = None) -> list:
-    """Exact rational nullspace of a rectangular matrix."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("pass ncols explicitly for an empty row list")
-        ncols = len(rows[0])
-    frac_rows = [[Fraction(x) for x in row] for row in rows]
-    return _kernel_over_field(frac_rows, ncols, Fraction(0), Fraction(1))
+    """Exact rational nullspace of a rectangular matrix of ints and Fractions.
 
-
-class _RatFunc:
-    """Minimal rational function num/den over Q[r], for generic kernels."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Scalar, den: Scalar = ONE):
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            num, den = ZERO, ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = poly_exact_div(num, g)
-                den = poly_exact_div(den, g)
-            lead = Fraction(den[-1])
-            num = num / lead
-            den = den / lead
-        self.num = num
-        self.den = den
-
-    def __eq__(self, other):
-        if isinstance(other, _RatFunc):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __add__(self, other):
-        return _RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return _RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return _RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        return _RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if not other.num:
-            raise ZeroDivisionError("division by the zero rational function")
-        return _RatFunc(self.num * other.den, self.den * other.num)
-
-
-def kernel_basis_poly(rows, ncols: int | None = None) -> list:
-    """Nullspace over the field Q(r), returned as vectors of polynomials.
-
-    Each vector is cleared of denominators and divided by the polynomial
-    content, so the entries are coprime elements of Q[r].
+    Vector k has coefficient 1 on the k-th free column and 0 on the other
+    free columns: the reduced-row-echelon basis.
     """
     if ncols is None:
         if not rows:
             raise ValueError("pass ncols explicitly for an empty row list")
         ncols = len(rows[0])
-    rf_rows = [[_RatFunc(Scalar.of(x)) for x in row] for row in rows]
-    basis = _kernel_over_field(rf_rows, ncols, _RatFunc(ZERO), _RatFunc(ONE))
-    cleared = []
-    for vec in basis:
-        denominator = ONE
-        for entry in vec:
-            g = poly_gcd(denominator, entry.den)
-            denominator = poly_exact_div(denominator * entry.den, g) if g else entry.den
-        poly_vec = [
-            entry.num * poly_exact_div(denominator, entry.den) for entry in vec
-        ]
+    int_rows = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        int_rows.append([x.numerator * (scale // x.denominator) for x in row])
+    mat, pivots, _ = fraction_free_rref(int_rows, ncols, operator.floordiv)
+    last = mat[0][pivots[0]] if pivots else 1
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for k, col in enumerate(pivots):
+            vec[col] = Fraction(-mat[k][free], last)
+        basis.append(vec)
+    return basis
+
+
+def kernel_basis_poly(rows, ncols: int | None = None) -> list:
+    """Nullspace over the field Q(r), returned as vectors of polynomials.
+
+    Elimination runs fraction-free over Q[r].  Each vector is divided by its
+    polynomial content, so the entries are coprime elements of Q[r], and
+    scaled so that its entry on its free column is monic.
+    """
+    if ncols is None:
+        if not rows:
+            raise ValueError("pass ncols explicitly for an empty row list")
+        ncols = len(rows[0])
+    poly_rows = [[Scalar.of(x) for x in row] for row in rows]
+    mat, pivots, _ = fraction_free_rref(poly_rows, ncols, poly_exact_div)
+    last = mat[0][pivots[0]] if pivots else ONE
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [ZERO] * ncols
+        vec[free] = last
+        for k, col in enumerate(pivots):
+            vec[col] = -mat[k][free]
         content = ZERO
-        for entry in poly_vec:
+        for entry in vec:
             content = poly_gcd(content, entry)
-        if content.degree() > 0:
-            poly_vec = [poly_exact_div(entry, content) for entry in poly_vec]
-        cleared.append(poly_vec)
-    return cleared
+        content = content * last[-1]
+        basis.append([poly_exact_div(entry, content) for entry in vec])
+    return basis
 
 
 # -- weight-space search --------------------------------------------------
@@ -373,9 +309,8 @@ def singular_search(lam: Weight, r0) -> KernelReport:
     basis, rows = _search_matrix(lam)
     if not basis:
         return KernelReport(lam, r0, 0, 0, [])
-    if r0 == GENERIC or r0 is None:
+    if r0 == GENERIC:
         vectors = kernel_basis_poly(rows, len(basis))
-        r0 = GENERIC
     else:
         r0 = Fraction(r0)
         rational_rows = [[c.evaluate(r0) for c in row] for row in rows]

@@ -49,7 +49,6 @@ class SuiteConfig:
     max_degree: int = 6
     seed: int = 0
     samples: int = 10000
-    workers: int = 1
 
     lie_index_bound: int = 3
     sample_index_bound: int = 6

@@ -20,11 +20,12 @@ which the probe below measures directly.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .fock import MIXED, State, act, degree_of
 from .liealg import canonicalize
-from .scalar import R
+from .scalar import R, fraction_free_rref
 
 __all__ = [
     "act_L",
@@ -158,25 +159,11 @@ def binomial_matrix_det(L: int, M: int) -> Fraction:
     """Exact determinant of the M x M matrix with entries C(L+p-N, p-1)."""
     if M < 1:
         raise ValueError("matrix size must be at least 1")
-    rows = [
-        [Fraction(binom(L + p - N, p - 1)) for N in range(1, M + 1)]
-        for p in range(1, M + 1)
-    ]
-    det = Fraction(1)
-    for col in range(M):
-        pivot_row = next((r for r in range(col, M) if rows[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det *= pivot
-        for r in range(col + 1, M):
-            factor = rows[r][col] / pivot
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
+    rows = [[binom(L + p - N, p - 1) for N in range(1, M + 1)] for p in range(1, M + 1)]
+    mat, pivots, sign = fraction_free_rref(rows, M, operator.floordiv)
+    if len(pivots) < M:
+        return Fraction(0)
+    return Fraction(sign * mat[-1][-1])
 
 
 def virasoro_bracket_probe(m: int, n: int, u: State, d: int, window=None) -> State:

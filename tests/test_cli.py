@@ -107,6 +107,13 @@ def test_griess_table_command(capsys):
     assert payload["verdict"]["isomorphic_to_symmetric_matrices"] == "True"
 
 
+def test_griess_table_one_dimensional(capsys):
+    code, out = run_cli(capsys, "griess-table", "--d", "1")
+    assert code == 0
+    assert "w[1, 1] . w[1, 1] = 2*w[1, 1]" in out
+    assert "'off_diagonal_scale': None" in out
+
+
 def test_virasoro_check_command(capsys):
     code, out = run_cli(capsys, "virasoro-check", "--d", "2", "--max-degree", "3")
     assert code == 0 and "PASS" in out
@@ -123,11 +130,14 @@ def test_invalid_generator_is_reported(capsys):
     assert code == 2
 
 
-def test_degree_guard():
+def test_degree_guard(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["singular-sweep", "--rmin", "0", "--rmax", "0",
                   "--max-degree", "11"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: --max-degree 11 exceeds 10; pass --no-degree-guard\n"
+    )
 
 
 def test_env_override(monkeypatch, capsys):

@@ -68,3 +68,12 @@ def test_jordan_verify_small_sizes():
         assert report["dimension"] == d * (d + 1) // 2
         assert report["diagonal_scale"] == 2
         assert report["off_diagonal_scale"] == 1
+
+
+def test_jordan_verify_one_dimensional():
+    report = jordan_verify(1)
+    assert report["dimension"] == 1
+    assert report["jordan_identity"]
+    assert report["isomorphic_to_symmetric_matrices"]
+    assert report["diagonal_scale"] == 2
+    assert report["off_diagonal_scale"] is None

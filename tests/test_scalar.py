@@ -1,5 +1,6 @@
 """Ring arithmetic, evaluation, and parsing for polynomials in r."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from jordan_voa.scalar import (
     ZERO,
     Scalar,
     evaluate_at,
+    fraction_free_rref,
     parse_scalar,
     poly_exact_div,
     poly_gcd,
@@ -107,3 +109,21 @@ def test_truediv_by_rationals():
     assert (2 * R) / 2 == R
     with pytest.raises(ZeroDivisionError):
         (2 * R) / 0
+
+
+def test_fraction_free_rref_determinant_and_shape():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(565)
+    for _ in range(200):
+        size = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(size)]
+                for _ in range(size)]
+        mat, pivots, sign = fraction_free_rref(rows, size, operator.floordiv)
+        last = mat[len(pivots) - 1][pivots[-1]] if pivots else 1
+        for k, row in enumerate(mat):
+            for j, col in enumerate(pivots):
+                assert row[col] == (last if j == k else 0)
+            if k >= len(pivots):
+                assert not any(row)
+        det = sign * last if len(pivots) == size else 0
+        assert det == sympy.Matrix(rows).det(), rows

@@ -1,12 +1,13 @@
 """Determinant vectors, kernel search, and singularity certification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from jordan_voa.fock import State, Weight, act, monomial
 from jordan_voa.liealg import Generator, canonicalize
-from jordan_voa.scalar import ONE, R, Scalar
+from jordan_voa.scalar import ONE, R, ZERO, Scalar
 from jordan_voa.singular import (
     GENERIC,
     DetSpec,
@@ -158,6 +159,67 @@ def test_kernel_basis_poly_generic():
     assert (R * x + R * R * y).is_zero()
     assert kernel_basis_poly([[ONE, R], [R, R * R]], 2)  # rank 1, kernel dim 1
     assert kernel_basis_poly([[ONE, R], [R, ONE]], 2) == []  # generically full rank
+
+
+def _random_low_rank(rng, entry, zero, size):
+    """A random (rows, ncols) of at most size x size, as a product of an m x k
+    and a k x n factor, so its rank is at most a random k."""
+    m, n = rng.randint(1, size), rng.randint(1, size)
+    k = rng.randint(0, min(m, n))
+    left = [[entry() for _ in range(k)] for _ in range(m)]
+    right = [[entry() for _ in range(n)] for _ in range(k)]
+    return [
+        [sum((left[i][t] * right[t][j] for t in range(k)), zero) for j in range(n)]
+        for i in range(m)
+    ], n
+
+
+def test_kernel_basis_matches_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2009)
+
+    def entry():
+        return 0 if rng.random() < 0.3 else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    for _ in range(200):
+        rows, ncols = _random_low_rank(rng, entry, Fraction(0), 6)
+        expected = [
+            [Fraction(int(x.p), int(x.q)) for x in vec]
+            for vec in sympy.Matrix(rows).nullspace()
+        ]
+        assert kernel_basis(rows, ncols) == expected, rows
+
+
+def test_kernel_basis_poly_against_sympy_rank():
+    sympy = pytest.importorskip("sympy")
+    r = sympy.Symbol("r")
+    rng = random.Random(1968)
+
+    def entry():
+        return Scalar([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in range(rng.randint(0, 3))])
+
+    def to_sympy(poly):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * r**k
+             for k, c in enumerate(poly)),
+            sympy.Integer(0),
+        )
+
+    for _ in range(60):
+        rows, ncols = _random_low_rank(rng, entry, ZERO, 4)
+        vectors = kernel_basis_poly(rows, ncols)
+        for vec in vectors:
+            assert any(vec)
+            for row in rows:
+                assert sum((a * b for a, b in zip(row, vec)), ZERO) == ZERO
+        rank = sympy.Matrix([[to_sympy(x) for x in row] for row in rows]).rank(simplify=True)
+        assert len(vectors) == ncols - rank, rows
+        if vectors:
+            # independent at one rational point, hence independent over Q(r)
+            point = sympy.Matrix([[to_sympy(x).subs(r, sympy.Rational(7, 3)) for x in vec]
+                                  for vec in vectors])
+            assert point.rank() == len(vectors)
 
 
 def test_singular_search_spec_examples():

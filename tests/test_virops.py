@@ -209,6 +209,14 @@ def test_binomial_matrix_det_permutation_oracle():
             assert binomial_matrix_det(L, M) == expansion
 
 
+def test_binomial_matrix_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for M in range(1, 7):
+        for L in range(-3, 4):
+            matrix = sympy.Matrix(M, M, lambda p, N: sympy.binomial(L + p - N, p))
+            assert binomial_matrix_det(L, M) == int(matrix.det()), (L, M)
+
+
 def test_virasoro_probe_vacuum_examples():
     for d in (2, 3):
         assert virasoro_bracket_probe(2, -2, VAC, d) == VAC.scale(R * Fraction(d, 2))
