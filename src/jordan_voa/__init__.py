@@ -19,7 +19,6 @@ from .fock import (
     degree_of,
     weight_of,
     weight_space_basis,
-    theta,
 )
 from .virops import (
     act_L,

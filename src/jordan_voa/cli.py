@@ -6,10 +6,13 @@ degree-2 algebra table, Virasoro probes, and the one-shot verification
 battery.  Reports are deterministic for a fixed configuration and seed;
 timings go to stderr so stdout stays byte-stable.
 
-Every flag can also be set through an environment variable with the
-JORDAN_VOA_ prefix (JORDAN_VOA_D, JORDAN_VOA_R, JORDAN_VOA_MAX_DEGREE,
+Each subcommand accepts only the flags it reads.  Where a subcommand has
+one of these flags, an environment variable with the JORDAN_VOA_ prefix
+sets its default (JORDAN_VOA_D, JORDAN_VOA_R, JORDAN_VOA_MAX_DEGREE,
 JORDAN_VOA_OUTPUT, JORDAN_VOA_SEED, JORDAN_VOA_WORKERS,
-JORDAN_VOA_WINDOW_OVERRIDE).
+JORDAN_VOA_WINDOW_OVERRIDE).  Such a value is validated like the flag,
+except that an --output value the subcommand lacks falls back to its
+first format.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error.
 """
@@ -102,28 +105,44 @@ def _emit_state(state: State, output: str):
         print(str(state))
 
 
-def _common_flags(parser: argparse.ArgumentParser, r_default=GENERIC):
-    parser.add_argument("--d", type=int, default=int(_env_default("D", 2)),
-                        help="number of oscillators (default 2)")
-    if r_default is None:
-        parser.add_argument("--r", type=_parse_r, default=None,
-                            help="parameter value (default: the certification value 1-2*nu+p)")
-    else:
-        parser.add_argument("--r", type=_parse_r,
-                            default=_parse_r(str(_env_default("R", r_default))),
-                            help='parameter value: a rational like 1/2, or "generic"')
-    parser.add_argument("--max-degree", type=int,
-                        default=int(_env_default("MAX_DEGREE", 4)),
-                        help="degree bound for sweeps and suites (default 4)")
-    parser.add_argument("--output", choices=("text", "json", "csv"),
-                        default=_env_default("OUTPUT", "text"))
-    parser.add_argument("--seed", type=int, default=int(_env_default("SEED", 0)))
-    parser.add_argument("--workers", type=int, default=int(_env_default("WORKERS", 1)))
-    parser.add_argument("--window-override", type=_parse_window,
-                        default=_parse_window(_env_default("WINDOW_OVERRIDE", "")),
-                        help="explicit truncation window lo:hi (must contain the sufficient range)")
-    parser.add_argument("--no-degree-guard", action="store_true",
-                        help=f"allow --max-degree beyond {DEGREE_GUARD}")
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _flags(parser, *names, formats=("text", "json"), d_min: int = 1, fallback=None):
+    """Add the named shared flags and --output; JORDAN_VOA_<NAME> overrides each default.
+
+    Defaults stay strings, so argparse validates an environment value like a flag.
+    """
+    specs = {  # name -> (type, default, help)
+        "d": (_int_at_least(d_min), 2, "number of oscillators (default %(default)s)"),
+        "r": (_parse_r, GENERIC,
+              'parameter value: a rational like 1/2, or "generic" (default %(default)s)'),
+        "max-degree": (_int_at_least(0), 4, "degree bound (default %(default)s)"),
+        "seed": (int, 0, None),
+        "workers": (int, 1, None),
+        "window-override": (_parse_window, "",
+                            "explicit truncation window lo:hi (must contain the sufficient range)"),
+    }
+    fallback = fallback or {}
+    for name in names:
+        if name == "no-degree-guard":
+            parser.add_argument("--no-degree-guard", action="store_true",
+                                help=f"allow --max-degree beyond {DEGREE_GUARD}")
+            continue
+        kind, default, text = specs[name]
+        default = _env_default(name.upper().replace("-", "_"), str(fallback.get(name, default)))
+        parser.add_argument(f"--{name}", type=kind, default=default, help=text)
+    parser.add_argument("--output", choices=formats, default=_env_default("OUTPUT", formats[0]))
 
 
 def _check_guard(args) -> None:
@@ -235,7 +254,8 @@ def _cmd_singular_sweep(args) -> int:
 
 
 def _cmd_verify_det(args) -> int:
-    report = verify_det_lemmas(args.p, args.index_bound)
+    index_bound = args.p + 2 if args.index_bound is None else args.index_bound
+    report = verify_det_lemmas(args.p, index_bound)
     if args.output == "json":
         print(json.dumps(report))
     else:
@@ -287,7 +307,7 @@ def _cmd_virasoro_check(args) -> int:
 
 def _cmd_paper_suite(args) -> int:
     _check_guard(args)
-    config = SuiteConfig(d=args.d if args.d > 1 else 2, max_degree=args.max_degree,
+    config = SuiteConfig(d=args.d, max_degree=args.max_degree,
                          seed=args.seed, samples=args.samples)
     results = run_paper_suite(config)
     if args.output == "json":
@@ -317,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bracket", help="deformed bracket of two generators")
     p.add_argument("left")
     p.add_argument("right")
-    _common_flags(p)
+    _flags(p, "d", "r")
     p.set_defaults(func=_cmd_bracket)
 
     p = sub.add_parser("act", help="act by a word of generators on a state")
     p.add_argument("element", nargs="+", help='generator literals "v[i,j](m,n)"')
     p.add_argument("--state", default="1", help='state literal or JSON (default vacuum "1")')
-    _common_flags(p)
+    _flags(p, "d", "r")
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser("act-L", help="apply a mode-sum operator L[i,j](m)")
@@ -331,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--state", default="1")
-    _common_flags(p)
+    _flags(p, "d", "r", "window-override")
     p.set_defaults(func=_cmd_act_l)
 
     p = sub.add_parser("vertex-mode", help="apply a closed-form vertex mode")
@@ -341,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--state", default="1")
-    _common_flags(p)
+    _flags(p, "d", "r", "window-override")
     p.set_defaults(func=_cmd_vertex_mode)
 
     p = sub.add_parser("weight-basis", help="enumerate a weight-space basis")
     p.add_argument("--weight", required=True, help='e.g. "2*Lam[1,-1] + 2*Lam[1,-2]"')
     p.add_argument("--restricted", action="store_true",
                    help="restrict factors to the first oscillator")
-    _common_flags(p)
+    _flags(p, "d")
     p.set_defaults(func=_cmd_weight_basis)
 
     p = sub.add_parser("singular-check", help="certify a determinant power")
@@ -358,33 +378,38 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also require annihilation by certifiable mixed-index generators")
     p.add_argument("--strict-mixed", action="store_true",
                    help="include reversed-order mixed generators (fails for p >= 2)")
-    _common_flags(p, r_default=None)
+    p.add_argument("--r", type=_parse_r, default=None,
+                   help="parameter value (default: the certification value 1-2*nu+p)")
+    _flags(p, "d")
     p.set_defaults(func=_cmd_singular_check)
 
     p = sub.add_parser("singular-sweep", help="kernel search over all weights")
     p.add_argument("--rmin", type=int, required=True)
     p.add_argument("--rmax", type=int, required=True)
-    _common_flags(p)
+    _flags(p, "max-degree", "no-degree-guard", "workers", formats=("csv", "json"))
     p.set_defaults(func=_cmd_singular_sweep)
 
     p = sub.add_parser("verify-det", help="determinant commutation identities")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--index-bound", type=int, default=None)
-    _common_flags(p)
+    p.add_argument("--index-bound", type=int, default=None,
+                   help="largest exchange mode (default p + 2)")
+    _flags(p)
     p.set_defaults(func=_cmd_verify_det)
 
     p = sub.add_parser("griess-table", help="degree-2 structure constants")
-    _common_flags(p)
+    _flags(p, "d")
     p.set_defaults(func=_cmd_griess_table)
 
     p = sub.add_parser("virasoro-check", help="Virasoro relation on the vacuum")
-    _common_flags(p)
+    _flags(p, "d", "max-degree")
     p.set_defaults(func=_cmd_virasoro_check)
 
     p = sub.add_parser("paper-suite", help="run the full verification battery")
-    p.add_argument("--samples", type=int, default=10000,
-                   help="sampled bracket triples (default 10000)")
-    _common_flags(p)
+    suite = SuiteConfig()
+    p.add_argument("--samples", type=int, default=suite.samples,
+                   help="sampled bracket triples (default %(default)s)")
+    _flags(p, "d", "max-degree", "no-degree-guard", "seed", d_min=2,
+           fallback={"d": suite.d, "max-degree": suite.max_degree, "seed": suite.seed})
     p.set_defaults(func=_cmd_paper_suite)
 
     return parser
@@ -393,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "index_bound", "skip") is None:
-        args.index_bound = args.p + 2
     try:
         return args.func(args)
     except (ValueError, GriessVerificationError) as exc:

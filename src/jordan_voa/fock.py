@@ -22,8 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Mapping
 
-from .liealg import Generator, LieElement, _join_signed, _pair_bracket
-from .scalar import ONE, R, ZERO, Scalar, parse_scalar
+from .liealg import Generator, _operator_parts, _pair_bracket
+from .scalar import ONE, R, ZERO, Combination, add_into, parse_scalar
 
 __all__ = [
     "MIXED",
@@ -38,7 +38,6 @@ __all__ = [
     "degree_of",
     "weight_of",
     "weight_space_basis",
-    "theta",
     "clear_action_cache",
 ]
 
@@ -151,28 +150,10 @@ class Weight(object):
         return f"Weight({str(self)!r})"
 
 
-def theta(lam: Weight) -> int:
-    """Multiplicity of a weight outside the first oscillator."""
-    return lam.theta()
-
-
-class State(object):
+class State(Combination):
     """A finite Q[r]-linear combination of basis monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping | None = None):
-        tidy = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Scalar.of(coeff)
-                if coeff:
-                    tidy[mono] = coeff
-        self.terms = tidy
-
-    @classmethod
-    def zero(cls) -> "State":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def vacuum(cls) -> "State":
@@ -180,52 +161,7 @@ class State(object):
 
     @classmethod
     def from_monomial(cls, mono: PBWMonomial, coeff=ONE) -> "State":
-        return cls({mono: Scalar.of(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mono: PBWMonomial) -> Scalar:
-        return self.terms.get(mono, ZERO)
-
-    def scale(self, factor) -> "State":
-        factor = Scalar.of(factor)
-        if not factor:
-            return State()
-        out = State()
-        out.terms = {m: c * factor for m, c in self.terms.items()}
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, State):
-            return NotImplemented
-        acc = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total = acc.get(mono, ZERO) + coeff
-            if total:
-                acc[mono] = total
-            else:
-                acc.pop(mono, None)
-        out = State()
-        out.terms = acc
-        return out
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, State):
-            return NotImplemented
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, State):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def specialize(self, r0) -> "State":
-        """Evaluate every coefficient at a rational parameter value."""
-        return State({m: Scalar.of(c.evaluate(r0)) for m, c in self.terms.items()})
+        return cls({mono: coeff})
 
     def degree(self):
         return degree_of(self)
@@ -249,23 +185,10 @@ class State(object):
         return cls(terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
-            body = "*".join(str(g) for g in mono) if mono else "1"
-            if coeff == ONE:
-                pieces.append(body)
-            else:
-                text = str(coeff)
-                if len(coeff.coeffs) > 1:
-                    text = f"({text})"
-                pieces.append(f"{text}*{body}")
-        return _join_signed(pieces)
-
-    def __repr__(self):
-        return f"State({str(self)!r})"
+        return self._signed_sum(
+            ("*".join(map(str, mono)) or "1", coeff)
+            for mono, coeff in sorted(self.terms.items())
+        )
 
 
 def degree_of(u: State):
@@ -298,18 +221,6 @@ def _insert(mono: PBWMonomial, gen: Generator) -> PBWMonomial:
     return mono[:pos] + (gen,) + mono[pos:]
 
 
-def _add_into(acc: dict, mono: PBWMonomial, coeff: Scalar):
-    cur = acc.get(mono)
-    if cur is None:
-        acc[mono] = coeff
-    else:
-        total = cur + coeff
-        if total:
-            acc[mono] = total
-        else:
-            del acc[mono]
-
-
 def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
     """Action of one canonical generator on one basis monomial (memoised).
 
@@ -332,35 +243,32 @@ def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
         terms, const = _pair_bracket(gen, head)
         for g2, c2 in terms:
             for m2, s2 in _act_gen(g2, rest).items():
-                _add_into(acc, m2, s2 * c2)
+                add_into(acc, m2, s2 * c2)
         if const:
-            _add_into(acc, rest, R * const)
+            add_into(acc, rest, R * const)
         for m2, s2 in _act_gen(gen, rest).items():
-            _add_into(acc, _insert(m2, head), s2)
+            add_into(acc, _insert(m2, head), s2)
         result = acc
     _ACT_CACHE[key] = result
     return result
 
 
 def act(x, u: State) -> State:
-    """Module action of a Generator or LieElement on a state."""
-    if isinstance(x, Generator):
-        if not x.is_canonical():
-            raise ValueError(f"{x} is not in canonical form")
-        x = LieElement.from_generator(x)
-    elif not isinstance(x, LieElement):
-        raise TypeError(f"cannot act by {type(x).__name__}")
+    """Module action of an operator on a state.
+
+    A Generator acts as a one-term operator; a LieElement acts term by
+    term, its constant as a scalar.
+    """
+    ops, const = _operator_parts(x)
     acc: dict = {}
     for mono, cu in u.terms.items():
-        for gen, cg in x.terms.items():
+        for gen, cg in ops:
             coeff = cu * cg
             for m2, s2 in _act_gen(gen, mono).items():
-                _add_into(acc, m2, s2 * coeff)
-        if x.const:
-            _add_into(acc, mono, cu * x.const)
-    out = State()
-    out.terms = acc
-    return out
+                add_into(acc, m2, s2 * coeff)
+        if const:
+            add_into(acc, mono, cu * const)
+    return State._from_tidy(acc)
 
 
 def act_word(xs: Iterable, u: State) -> State:

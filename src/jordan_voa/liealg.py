@@ -20,11 +20,12 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .scalar import ONE, R, ZERO, Scalar
+from .scalar import ONE, R, ZERO, Combination, Scalar, add_into
 
 __all__ = [
     "Generator",
     "LieElement",
+    "canonical_generators",
     "canonicalize",
     "bracket",
     "bracket_r",
@@ -54,21 +55,23 @@ class Generator(NamedTuple):
         return f"v[{self.i},{self.j}]({self.m},{self.n})"
 
 
+def canonical_generators(bound: int, d: int) -> list:
+    """All canonical generators over d oscillators with both modes in [-bound, bound]."""
+    out = []
+    for i in range(1, d + 1):
+        for j in range(i, d + 1):
+            for m in range(-bound, bound + 1):
+                for n in range(-bound, bound + 1):
+                    if i == j and m > n:
+                        continue
+                    out.append(Generator(i, j, m, n))
+    return sorted(out)
+
+
 def _validate_index(value: int, d: int | None):
     if not isinstance(value, int) or value < 1 or (d is not None and value > d):
         top = d if d is not None else "d"
         raise ValueError(f"oscillator index {value} out of range 1..{top}")
-
-
-def _join_signed(pieces) -> str:
-    """Join formatted terms, folding a leading minus into the separator."""
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += f" - {piece[1:]}"
-        else:
-            out += f" + {piece}"
-    return out
 
 
 def _straighten(word, coeff, out):
@@ -89,108 +92,65 @@ def _straighten(word, coeff, out):
     out[word] = out.get(word, 0) + coeff
 
 
-class LieElement:
-    """A finite Q[r]-combination of canonical generators plus a constant."""
+class LieElement(Combination):
+    """A finite Q[r]-combination of canonical generators plus a constant.
 
-    __slots__ = ("terms", "const")
+    terms holds the generators only; the constant rides beside them in
+    const, so the methods below extend the Combination ones to carry it.
+    """
+
+    __slots__ = ("const",)
 
     def __init__(self, terms=None, const=ZERO):
-        tidy = {}
-        if terms:
-            for gen, coeff in terms.items():
-                coeff = Scalar.of(coeff)
-                if coeff:
-                    if not gen.is_canonical():
-                        raise ValueError(f"{gen} is not in canonical form")
-                    tidy[gen] = coeff
-        self.terms = tidy
+        super().__init__(terms)
         self.const = Scalar.of(const)
 
+    def _check_key(self, gen):
+        if not gen.is_canonical():
+            raise ValueError(f"{gen} is not in canonical form")
+
     @classmethod
-    def zero(cls) -> "LieElement":
-        return cls()
+    def _from_tidy(cls, terms: dict, const=ZERO):
+        out = super()._from_tidy(terms)
+        out.const = const
+        return out
 
     @classmethod
     def from_generator(cls, gen: Generator, coeff=ONE) -> "LieElement":
-        return cls({gen: Scalar.of(coeff)})
+        return cls({gen: coeff})
 
     @classmethod
     def constant(cls, value) -> "LieElement":
-        return cls(None, Scalar.of(value))
+        return cls(None, value)
 
     def is_zero(self) -> bool:
         return not self.terms and not self.const
 
     def scale(self, factor) -> "LieElement":
-        factor = Scalar.of(factor)
-        if not factor:
-            return LieElement()
-        out = LieElement()
-        out.terms = {g: c * factor for g, c in self.terms.items()}
-        out.const = self.const * factor
+        out = super().scale(factor)
+        out.const = self.const * Scalar.of(factor)
         return out
 
     def __add__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        acc = dict(self.terms)
-        for gen, coeff in other.terms.items():
-            total = acc.get(gen, ZERO) + coeff
-            if total:
-                acc[gen] = total
-            else:
-                acc.pop(gen, None)
-        out = LieElement()
-        out.terms = acc
-        out.const = self.const + other.const
+        out = super().__add__(other)
+        if out is not NotImplemented:
+            out.const = self.const + other.const
         return out
 
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self + (-other)
-
     def __eq__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self.terms == other.terms and self.const == other.const
+        eq = super().__eq__(other)
+        return self.const == other.const if eq is True else eq
 
     def specialize(self, r0) -> "LieElement":
-        """Evaluate every coefficient at a rational parameter value."""
-        out = LieElement()
-        out.terms = {
-            g: Scalar.of(value)
-            for g, c in self.terms.items()
-            if (value := c.evaluate(r0))
-        }
+        out = super().specialize(r0)
         out.const = Scalar.of(self.const.evaluate(r0))
         return out
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        pieces = []
-        for gen in sorted(self.terms, reverse=True):
-            coeff = self.terms[gen]
-            if coeff == ONE:
-                pieces.append(str(gen))
-            else:
-                text = str(coeff)
-                if len(coeff.coeffs) > 1:
-                    text = f"({text})"
-                pieces.append(f"{text}*{gen}")
+        items = [(str(g), self.terms[g]) for g in sorted(self.terms, reverse=True)]
         if self.const:
-            text = str(self.const)
-            if len(self.const.coeffs) > 1:
-                text = f"({text})"
-            pieces.append(text)
-        return _join_signed(pieces)
-
-    def __repr__(self):
-        return f"LieElement({str(self)!r})"
+            items.append((None, self.const))
+        return self._signed_sum(items)
 
 
 def canonicalize(i: int, j: int, m: int, n: int, d: int | None = None) -> LieElement:
@@ -248,34 +208,34 @@ def _pair_bracket(g: Generator, h: Generator):
     return tuple(terms), const
 
 
-def _as_element(x) -> LieElement:
-    if isinstance(x, LieElement):
-        return x
+def _operator_parts(x):
+    """The (generator, coefficient) pairs and the constant of an operator.
+
+    A Generator is a one-term operator; it is not wrapped in a LieElement.
+    """
     if isinstance(x, Generator):
         if not x.is_canonical():
             raise ValueError(f"{x} is not in canonical form")
-        return LieElement.from_generator(x)
+        return ((x, ONE),), ZERO
+    if isinstance(x, LieElement):
+        return x.terms.items(), x.const
     raise TypeError(f"expected a Generator or LieElement, got {type(x).__name__}")
 
 
 def _bracket_impl(x, y, deform: bool) -> LieElement:
-    x = _as_element(x)
-    y = _as_element(y)
+    xs, _ = _operator_parts(x)  # constants are central and drop out
+    ys, _ = _operator_parts(y)
     acc: dict = {}
-    const_weight = 0 * ONE
-    for g1, c1 in x.terms.items():
-        for g2, c2 in y.terms.items():
+    const_weight = ZERO
+    for g1, c1 in xs:
+        for g2, c2 in ys:
             coeff = c1 * c2
             terms, const = _pair_bracket(g1, g2)
             for gen, ct in terms:
-                total = acc.get(gen, ZERO) + coeff * ct
-                if total:
-                    acc[gen] = total
-                else:
-                    acc.pop(gen, None)
+                add_into(acc, gen, coeff * ct)
             if const:
                 const_weight = const_weight + coeff * const
-    return LieElement(acc, const_weight * (R if deform else ONE))
+    return LieElement._from_tidy(acc, const_weight * (R if deform else ONE))
 
 
 def bracket(x, y) -> LieElement:

@@ -4,9 +4,10 @@ Every structure constant the engine produces is a polynomial in r with
 rational coefficients, so identities are certified once for a generic
 parameter and specialised to rational values only when asked.  All
 arithmetic is arbitrary-precision and exact; no floating point is used
-anywhere in the package.  The module also holds the package's one exact
-eliminator, fraction_free_rref, behind the kernels over Q and Q(r) and the
-transfer determinants.
+anywhere in the package.  The module also holds the package's one sparse
+linear-combination type, Combination, which states and Lie elements are
+built on, and its one exact eliminator, fraction_free_rref, behind the
+kernels over Q and Q(r) and the transfer determinants.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ __all__ = [
     "ZERO",
     "ONE",
     "R",
-    "scalar",
+    "Combination",
+    "add_into",
     "parse_scalar",
     "evaluate_at",
     "poly_exact_div",
@@ -199,9 +201,121 @@ ONE = Scalar((1,))
 R = Scalar((0, 1))
 
 
-def scalar(value) -> Scalar:
-    """Coerce an int, Fraction, or Scalar into the ring Q[r]."""
-    return Scalar.of(value)
+def add_into(acc: dict, key, coeff: Scalar):
+    """Add a nonzero coeff to acc[key] in place, dropping the key if it cancels."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = coeff
+    else:
+        total = cur + coeff
+        if total:
+            acc[key] = total
+        else:
+            del acc[key]
+
+
+class Combination:
+    """A finite Q[r]-linear combination: terms maps each key to a nonzero Scalar.
+
+    Subclasses name the keys (basis monomials, canonical generators) and add
+    what is specific to them; every operation here returns an instance of
+    the operand's own class.  Instances are never mutated once returned.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        tidy = {}
+        if terms:
+            for key, coeff in terms.items():
+                coeff = Scalar.of(coeff)
+                if coeff:
+                    self._check_key(key)
+                    tidy[key] = coeff
+        self.terms = tidy
+
+    def _check_key(self, key):
+        """Reject a key that is not a basis element; subclasses override."""
+
+    @classmethod
+    def _from_tidy(cls, terms: dict):
+        """Wrap a dict whose coefficients are already nonzero Scalars."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, key) -> Scalar:
+        return self.terms.get(key, ZERO)
+
+    def scale(self, factor):
+        factor = Scalar.of(factor)
+        if not factor:
+            return self._from_tidy({})
+        return self._from_tidy({k: c * factor for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        acc = dict(self.terms)
+        for key, coeff in other.terms.items():
+            add_into(acc, key, coeff)
+        return self._from_tidy(acc)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def specialize(self, r0):
+        """Evaluate every coefficient at a rational parameter value."""
+        return self._from_tidy({
+            k: Scalar.of(value)
+            for k, c in self.terms.items()
+            if (value := c.evaluate(r0))
+        })
+
+    @staticmethod
+    def _signed_sum(items) -> str:
+        """Print (body, coeff) pairs as a signed sum; a None body prints the bare coeff."""
+        out = ""
+        for body, coeff in items:
+            text = str(coeff)
+            if len(coeff.coeffs) > 1:
+                text = f"({text})"
+            if body is None:
+                piece = text
+            elif coeff == ONE:
+                piece = body
+            else:
+                piece = f"{text}*{body}"
+            if not out:
+                out = piece
+            elif piece.startswith("-"):
+                out += f" - {piece[1:]}"
+            else:
+                out += f" + {piece}"
+        return out or "0"
+
+    def __str__(self):
+        return self._signed_sum((str(k), c) for k, c in sorted(self.terms.items()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
 
 
 def evaluate_at(p, r0) -> Fraction:

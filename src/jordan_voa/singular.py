@@ -42,8 +42,8 @@ from .fock import (
     degree_of,
     weight_space_basis,
 )
-from .liealg import Generator
-from .scalar import ONE, R, ZERO, Scalar, fraction_free_rref, poly_exact_div, poly_gcd
+from .liealg import Generator, canonical_generators
+from .scalar import ONE, R, ZERO, Scalar, add_into, fraction_free_rref, poly_exact_div, poly_gcd
 
 __all__ = [
     "DetSpec",
@@ -127,7 +127,7 @@ def det_state(p: int, indices=None) -> State:
             factors.append(Generator(1, 1, -max(s, t), -min(s, t)))
         mono = tuple(sorted(factors))
         acc[mono] = acc.get(mono, 0) + sign
-    return State({mono: Scalar.of(c) for mono, c in acc.items() if c})
+    return State(acc)
 
 
 def multiply_lowering(a: State, b: State) -> State:
@@ -135,16 +135,8 @@ def multiply_lowering(a: State, b: State) -> State:
     acc: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            merged = tuple(sorted(ma + mb))
-            cur = acc.get(merged)
-            total = ca * cb if cur is None else cur + ca * cb
-            if total:
-                acc[merged] = total
-            elif cur is not None:
-                del acc[merged]
-    out = State()
-    out.terms = acc
-    return out
+            add_into(acc, tuple(sorted(ma + mb)), ca * cb)
+    return State(acc)
 
 
 def det_power_state(p: int, nu: int) -> State:
@@ -163,23 +155,13 @@ def raising_generators(
 ) -> list:
     """Canonical generators with positive mode sum and modes within the bound.
 
-    The default family takes m <= n for every index pair; for i < j that is
-    the annihilation-certifiable slot order (second mode >= 1).  With
-    strict=True the reversed-order mixed generators are included as well.
+    The family runs over the first oscillator, or over every index pair up
+    to d with full_algebra=True, and takes m <= n for every index pair; for
+    i < j that is the annihilation-certifiable slot order (second mode >= 1).
+    With strict=True the reversed-order mixed generators are included as well.
     """
-    pairs = [(1, 1)]
-    if full_algebra:
-        pairs = [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
-    out = []
-    for i, j in pairs:
-        for m in range(-bound, bound + 1):
-            for n in range(-bound, bound + 1):
-                if m + n <= 0:
-                    continue
-                if m > n and (i == j or not strict):
-                    continue
-                out.append(Generator(i, j, m, n))
-    return sorted(out)
+    gens = canonical_generators(bound, d if full_algebra else 1)
+    return [g for g in gens if g.m + g.n > 0 and (strict or g.m <= g.n)]
 
 
 def _state_is_zero_at(u: State, r0) -> bool:
@@ -193,10 +175,12 @@ def is_singular(
     r0=GENERIC,
     d: int = 1,
     full_algebra: bool = False,
-    index_bound: int | None = None,
     strict: bool = False,
 ):
     """Certify annihilation by the raising generators; returns (ok, witness).
+
+    The modes range over [-D, D] for the state's degree D: a smaller bound
+    would leave raising generators unchecked and could certify falsely.
 
     The witness on failure is the first violating generator together with
     its nonzero image (specialised when r0 is rational).
@@ -204,8 +188,7 @@ def is_singular(
     deg = degree_of(u)
     if deg == MIXED:
         raise ValueError("singularity is only defined for homogeneous states")
-    bound = deg if index_bound is None else index_bound
-    for gen in raising_generators(bound, d=d, full_algebra=full_algebra, strict=strict):
+    for gen in raising_generators(deg, d=d, full_algebra=full_algebra, strict=strict):
         image = act(gen, u)
         if not _state_is_zero_at(image, r0):
             witness = image if r0 == GENERIC else image.specialize(r0)
@@ -322,7 +305,7 @@ def singular_search(lam: Weight, r0) -> KernelReport:
             normalised = [entry / Fraction(lead[-1]) for entry in vec]
         else:
             normalised = [entry / lead for entry in vec]
-        state = State({mono: Scalar.of(c) for mono, c in zip(basis, normalised) if c})
+        state = State(dict(zip(basis, normalised)))
         ok, witness = is_singular(state, r0=r0, d=1, full_algebra=False)
         if not ok:
             raise RuntimeError(

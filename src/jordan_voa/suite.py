@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fock import State, act
-from .liealg import Generator, LieElement, bracket_r, canonicalize, _pair_bracket
+from .liealg import (
+    Generator,
+    LieElement,
+    _pair_bracket,
+    bracket_r,
+    canonical_generators,
+    canonicalize,
+)
 from .scalar import ONE, R, Scalar, poly_exact_div
 from .singular import (
     GENERIC,
@@ -99,19 +106,6 @@ class CheckResult:
         for failure in self.failures[:MAX_REPORTED_FAILURES]:
             line += f"\n      - {failure}"
         return line
-
-
-def canonical_generators(bound: int, d: int) -> list:
-    """All canonical generators with both modes in [-bound, bound]."""
-    out = []
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            for m in range(-bound, bound + 1):
-                for n in range(-bound, bound + 1):
-                    if i == j and m > n:
-                        continue
-                    out.append(Generator(i, j, m, n))
-    return sorted(out)
 
 
 def all_basis_monomials(max_degree: int, d: int) -> list:

@@ -16,6 +16,13 @@ for the mode of weight l; a recursive construction of the same mode through
 commutators with L[i,i](-1) is provided as an independent cross-check.  The
 diagonal mode sums satisfy the Virasoro relation with central charge d*r,
 which the probe below measures directly.
+
+Mode sums and closed-form vertex modes are elements of the Lie algebra of
+quadratic elements, and they are built as such: each operator, truncated to
+its window, becomes one LieElement and reaches the state through a single
+fock.act call, the only place where an operator touches a state.  The
+recursion oracle only ever calls act_L, so it stays independent of the
+binomial formula.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ import operator
 from fractions import Fraction
 
 from .fock import MIXED, State, act, degree_of
-from .liealg import canonicalize
-from .scalar import R, fraction_free_rref
+from .liealg import LieElement, canonicalize
+from .scalar import R, ZERO, add_into, fraction_free_rref
 
 __all__ = [
     "act_L",
@@ -60,30 +67,45 @@ def _window(center: int, depth: int, override):
     return olo, ohi
 
 
+def _lie_sum(summands, d) -> LieElement:
+    """The operator sum of weight * v[i,j](m,n) over (weight, (i, j, m, n)) summands."""
+    terms: dict = {}
+    const = ZERO
+    for weight, quad in summands:
+        elem = canonicalize(*quad, d)
+        for gen, coeff in elem.terms.items():
+            add_into(terms, gen, coeff * weight)
+        if elem.const:
+            const += elem.const * weight
+    return LieElement(terms, const)
+
+
+def _mode_sum(pairs, m: int, u: State, window, d) -> LieElement:
+    """The sum of L[i,j](m) over the index pairs, truncated for u, as one operator."""
+    lo, hi = _window(m, _homogeneous_degree(u), window)
+    summands = []
+    for i, j in pairs:
+        if i == j and m == 0:
+            summands.append((HALF, (i, i, 0, 0)))
+            summands += [(1, (i, i, -h, h)) for h in range(max(lo, 1), hi + 1)]
+        else:
+            summands += [(HALF, (i, j, m - h, h)) for h in range(lo, hi + 1)]
+    return _lie_sum(summands, d)
+
+
 def act_L(i: int, j: int, m: int, u: State, window=None, d: int | None = None) -> State:
     """Apply the mode-sum operator L[i,j](m) to a homogeneous state."""
     if u.is_zero():
         return u
-    depth = _homogeneous_degree(u)
-    acc = State.zero()
-    if i == j and m == 0:
-        lo, hi = _window(0, depth, window)
-        acc = acc + act(canonicalize(i, i, 0, 0, d), u).scale(HALF)
-        for h in range(max(lo, 1), hi + 1):
-            acc = acc + act(canonicalize(i, i, -h, h, d), u)
-        return acc
-    lo, hi = _window(m, depth, window)
-    for h in range(lo, hi + 1):
-        acc = acc + act(canonicalize(i, j, m - h, h, d), u)
-    return acc.scale(HALF)
+    return act(_mode_sum([(i, j)], m, u, window, d), u)
 
 
 def act_L_total(m: int, u: State, d: int, window=None) -> State:
     """Sum of the diagonal mode operators: the full Virasoro mode of weight m."""
-    acc = State.zero()
-    for i in range(1, d + 1):
-        acc = acc + act_L(i, i, m, u, window=window, d=d)
-    return acc
+    if u.is_zero():
+        return u
+    pairs = [(i, i) for i in range(1, d + 1)]
+    return act(_mode_sum(pairs, m, u, window, d), u)
 
 
 def binom(a: int, k: int) -> int:
@@ -110,23 +132,14 @@ def vertex_mode(
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
     if u.is_zero():
         return u
-    depth = _homogeneous_degree(u)
-    lo, hi = l + m + n + 1 - depth, depth
-    if window is not None:
-        olo, ohi = window
-        if olo > lo or ohi < hi:
-            raise ValueError(
-                f"truncation window [{olo},{ohi}] must contain the sufficient range [{lo},{hi}]"
-            )
-        lo, hi = olo, ohi
-    acc = State.zero()
+    lo, hi = _window(l + m + n + 1, _homogeneous_degree(u), window)
+    sign = 1 if (m + n) % 2 == 0 else -1
+    summands = []
     for k in range(lo, hi + 1):
         weight = binom(l + n - k, -m - 1) * binom(k - n - 1, -n - 1)
-        if not weight:
-            continue
-        acc = acc + act(canonicalize(i, j, l + m + n + 1 - k, k, d), u).scale(weight)
-    sign = 1 if (m + n) % 2 == 0 else -1
-    return acc.scale(sign)
+        if weight:
+            summands.append((sign * weight, (i, j, l + m + n + 1 - k, k)))
+    return act(_lie_sum(summands, d), u)
 
 
 def vertex_mode_by_recursion(i: int, j: int, m: int, n: int, l: int, u: State) -> State:

@@ -149,6 +149,56 @@ def test_env_override(monkeypatch, capsys):
     assert code == 2  # index 3 beyond the default d=2
 
 
+@pytest.mark.parametrize("argv", [
+    ["virasoro-check", "--d", "0"],
+    ["singular-check", "--p", "2", "--nu", "1", "--d", "0", "--full-algebra"],
+    ["paper-suite", "--d", "1"],
+    ["weight-basis", "--weight", "2*Lam[1,-1]", "--d", "two"],
+])
+def test_bad_d_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "argument --d" in capsys.readouterr().err
+
+
+def test_bad_env_d_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("JORDAN_VOA_D", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["weight-basis", "--weight", "2*Lam[1,-1]"])
+    assert exc.value.code == 2
+    assert "argument --d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["griess-table", "--r", "1"],
+    ["griess-table", "--max-degree", "3"],
+    ["verify-det", "--p", "2", "--d", "3"],
+    ["singular-sweep", "--rmin", "0", "--rmax", "0", "--r", "1"],
+    ["paper-suite", "--window-override=-5:5"],
+    ["bracket", "v[1,1](1,2)", "v[1,1](-2,-1)", "--output", "csv"],
+])
+def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_paper_suite_defaults_are_the_certification_scale():
+    from jordan_voa.suite import SuiteConfig
+
+    args = cli.build_parser().parse_args(["paper-suite"])
+    default = SuiteConfig()
+    assert (args.d, args.max_degree, args.seed, args.samples) == (
+        default.d, default.max_degree, default.seed, default.samples
+    )
+
+
+def test_verify_det_index_bound_defaults_to_p_plus_two(capsys):
+    code, out = run_cli(capsys, "verify-det", "--p", "1", "--output", "json")
+    assert code == 0 and json.loads(out)["index_bound"] == 3
+
+
 def test_paper_suite_small(capsys):
     code, out = run_cli(
         capsys, "paper-suite", "--d", "2", "--max-degree", "2", "--samples", "20",

@@ -17,7 +17,6 @@ from jordan_voa.fock import (
     monomial,
     monomial_degree,
     monomial_weight,
-    theta,
     weight_of,
     weight_space_basis,
 )
@@ -69,6 +68,12 @@ def test_constants_act_as_scalars():
     assert act(LieElement.constant(R + 2), u) == u.scale(R + 2)
 
 
+def test_state_formatting():
+    u = VAC.scale(-2) - lowering_state((1, 1, -2, -1)) + lowering_state((1, 1, -1, -1)).scale(R + 1)
+    assert str(u) == "-2*1 - 1*v[1,1](-2,-1) + (r + 1)*v[1,1](-1,-1)"
+    assert repr(State.zero()) == "State('0')"
+
+
 def test_degree_examples():
     assert degree_of(VAC) == 0
     assert degree_of(lowering_state((1, 2, -2, -1))) == 3
@@ -85,9 +90,9 @@ def test_weight_examples():
 
 
 def test_theta_examples():
-    assert theta(Weight({(1, -1): 2})) == 0
-    assert theta(Weight({(1, -2): 1, (2, -1): 1})) == 1
-    assert theta(Weight({(2, -1): 2, (3, -2): 1})) == 3
+    assert Weight({(1, -1): 2}).theta() == 0
+    assert Weight({(1, -2): 1, (2, -1): 1}).theta() == 1
+    assert Weight({(2, -1): 2, (3, -2): 1}).theta() == 3
 
 
 def test_weight_space_basis_frozen_examples():

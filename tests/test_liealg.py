@@ -162,6 +162,7 @@ def test_generator_literal_parsing():
 def test_element_formatting():
     elem = bracket_r(gen_elem(1, 1, 1, 2), gen_elem(1, 1, -2, -1))
     assert str(elem) == "2*v[1,1](-1,1) + v[1,1](-2,2) + 2*r"
+    assert str(-elem) == "-2*v[1,1](-1,1) - 1*v[1,1](-2,2) - 2*r"
     assert str(LieElement.zero()) == "0"
 
 

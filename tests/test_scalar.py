@@ -127,3 +127,23 @@ def test_fraction_free_rref_determinant_and_shape():
                 assert not any(row)
         det = sign * last if len(pivots) == size else 0
         assert det == sympy.Matrix(rows).det(), rows
+
+
+def test_poly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    r = sympy.Symbol("r")
+    rng = random.Random(4)
+
+    def to_sympy(poly):
+        return sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)] or [0],
+            r, domain="QQ",
+        )
+
+    for _ in range(150):
+        common = _random_poly(rng)
+        a = common * _random_poly(rng)
+        b = common * _random_poly(rng) if rng.random() < 0.9 else ZERO
+        expected = to_sympy(a).gcd(to_sympy(b))
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
+        assert poly_gcd(a, b) == Scalar(coeffs), (a, b)

@@ -93,6 +93,15 @@ def test_is_singular_counterexample_with_witness():
     assert image == VAC.scale(2)
 
 
+def test_is_singular_checks_every_mode_up_to_the_degree():
+    # a mode bound below the degree used to certify this vector vacuously
+    u = det_power_state(2, 1)
+    ok, witness = is_singular(u, r0=Fraction(0))
+    assert not ok and witness is not None
+    with pytest.raises(TypeError):
+        is_singular(u, r0=Fraction(0), index_bound=0)
+
+
 def test_is_singular_at_matching_parameter():
     ok, _ = is_singular(lowering_state((1, 1, -1, -1)), r0=Fraction(0))
     assert ok
