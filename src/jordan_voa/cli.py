@@ -9,10 +9,9 @@ timings go to stderr so stdout stays byte-stable.
 Each subcommand accepts only the flags it reads.  Where a subcommand has
 one of these flags, an environment variable with the JORDAN_VOA_ prefix
 sets its default (JORDAN_VOA_D, JORDAN_VOA_R, JORDAN_VOA_MAX_DEGREE,
-JORDAN_VOA_OUTPUT, JORDAN_VOA_SEED, JORDAN_VOA_WORKERS,
-JORDAN_VOA_WINDOW_OVERRIDE).  Such a value is validated like the flag,
-except that an --output value the subcommand lacks falls back to its
-first format.
+JORDAN_VOA_OUTPUT, JORDAN_VOA_SEED, JORDAN_VOA_WORKERS).  Such a value is
+validated like the flag, except that an --output value the subcommand
+lacks falls back to its first format.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error.
 """
@@ -36,7 +35,7 @@ from .singular import (
     singular_sweep,
     verify_det_lemmas,
 )
-from .suite import SuiteConfig, run_paper_suite
+from .suite import MAX_D, MAX_DEGREE, MIN_D, SuiteConfig, run_paper_suite
 from .virops import act_L, vertex_mode, virasoro_bracket_probe, virasoro_central_term
 
 ENV_PREFIX = "JORDAN_VOA_"
@@ -54,18 +53,6 @@ def _parse_r(text: str):
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse parameter value {text!r}") from exc
-
-
-def _parse_window(text: str):
-    if not text:
-        return None
-    try:
-        lo, hi = (int(part) for part in text.split(":"))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"window {text!r} must look like lo:hi"
-        ) from exc
-    return lo, hi
 
 
 def _parse_weight(text: str) -> Weight:
@@ -105,33 +92,36 @@ def _emit_state(state: State, output: str):
         print(str(state))
 
 
-def _int_at_least(low: int):
+def _int_in(low: int, high: int | None = None):
+    """An argparse type for integers in [low, high] (no upper end when high is None)."""
+    expected = f">= {low}" if high is None else f"in {low}..{high}"
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected an integer {expected}, got {text!r}")
         return value
 
     return parse
 
 
-def _flags(parser, *names, formats=("text", "json"), d_min: int = 1, fallback=None):
+def _flags(parser, *names, formats=("text", "json"), ranges=None, fallback=None):
     """Add the named shared flags and --output; JORDAN_VOA_<NAME> overrides each default.
 
-    Defaults stay strings, so argparse validates an environment value like a flag.
+    ranges maps "d" or "max-degree" to an allowed (low, high) range.  Defaults
+    stay strings, so argparse validates an environment value like a flag.
     """
+    ranges = {"d": (1, None), "max-degree": (0, None), **(ranges or {})}
     specs = {  # name -> (type, default, help)
-        "d": (_int_at_least(d_min), 2, "number of oscillators (default %(default)s)"),
+        "d": (_int_in(*ranges["d"]), 2, "number of oscillators (default %(default)s)"),
         "r": (_parse_r, GENERIC,
               'parameter value: a rational like 1/2, or "generic" (default %(default)s)'),
-        "max-degree": (_int_at_least(0), 4, "degree bound (default %(default)s)"),
+        "max-degree": (_int_in(*ranges["max-degree"]), 4, "degree bound (default %(default)s)"),
         "seed": (int, 0, None),
         "workers": (int, 1, None),
-        "window-override": (_parse_window, "",
-                            "explicit truncation window lo:hi (must contain the sufficient range)"),
     }
     fallback = fallback or {}
     for name in names:
@@ -181,7 +171,7 @@ def _cmd_act(args) -> int:
 
 def _cmd_act_l(args) -> int:
     state = _parse_state(args.state, args.d)
-    result = act_L(args.i, args.j, args.m, state, window=args.window_override, d=args.d)
+    result = act_L(args.i, args.j, args.m, state, d=args.d)
     if args.r != GENERIC:
         result = result.specialize(args.r)
     _emit_state(result, args.output)
@@ -190,8 +180,7 @@ def _cmd_act_l(args) -> int:
 
 def _cmd_vertex_mode(args) -> int:
     state = _parse_state(args.state, args.d)
-    result = vertex_mode(args.i, args.j, args.m, args.n, args.l, state,
-                         window=args.window_override, d=args.d)
+    result = vertex_mode(args.i, args.j, args.m, args.n, args.l, state, d=args.d)
     if args.r != GENERIC:
         result = result.specialize(args.r)
     _emit_state(result, args.output)
@@ -231,6 +220,8 @@ def _cmd_singular_check(args) -> int:
 
 def _cmd_singular_sweep(args) -> int:
     _check_guard(args)
+    if args.rmin > args.rmax:
+        raise ValueError(f"empty parameter range: --rmin {args.rmin} exceeds --rmax {args.rmax}")
     r_values = [Fraction(r) for r in range(args.rmin, args.rmax + 1)]
     reports = singular_sweep(r_values, args.max_degree, workers=args.workers)
     if args.output == "json":
@@ -306,7 +297,6 @@ def _cmd_virasoro_check(args) -> int:
 
 
 def _cmd_paper_suite(args) -> int:
-    _check_guard(args)
     config = SuiteConfig(d=args.d, max_degree=args.max_degree,
                          seed=args.seed, samples=args.samples)
     results = run_paper_suite(config)
@@ -351,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--state", default="1")
-    _flags(p, "d", "r", "window-override")
+    _flags(p, "d", "r")
     p.set_defaults(func=_cmd_act_l)
 
     p = sub.add_parser("vertex-mode", help="apply a closed-form vertex mode")
@@ -361,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--state", default="1")
-    _flags(p, "d", "r", "window-override")
+    _flags(p, "d", "r")
     p.set_defaults(func=_cmd_vertex_mode)
 
     p = sub.add_parser("weight-basis", help="enumerate a weight-space basis")
@@ -406,9 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-suite", help="run the full verification battery")
     suite = SuiteConfig()
-    p.add_argument("--samples", type=int, default=suite.samples,
+    p.add_argument("--samples", type=_int_in(0), default=suite.samples,
                    help="sampled bracket triples (default %(default)s)")
-    _flags(p, "d", "max-degree", "no-degree-guard", "seed", d_min=2,
+    _flags(p, "d", "max-degree", "seed",
+           ranges={"d": (MIN_D, MAX_D), "max-degree": (0, MAX_DEGREE)},
            fallback={"d": suite.d, "max-degree": suite.max_degree, "seed": suite.seed})
     p.set_defaults(func=_cmd_paper_suite)
 

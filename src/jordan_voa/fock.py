@@ -37,6 +37,7 @@ __all__ = [
     "act_word",
     "degree_of",
     "weight_of",
+    "weights",
     "weight_space_basis",
     "clear_action_cache",
 ]
@@ -280,6 +281,30 @@ def act_word(xs: Iterable, u: State) -> State:
 
 
 # -- weight space enumeration -------------------------------------------
+
+
+def weights(max_degree: int, d: int = 1) -> list:
+    """Every nonzero weight over oscillators 1..d of total degree <= max_degree.
+
+    Ordered by total degree, then by text.
+    """
+    modes = [(k, level) for k in range(1, d + 1) for level in range(1, max_degree + 1)]
+    out = []
+
+    def collect(pos: int, counts: dict, budget: int):
+        if pos == len(modes):
+            if counts:
+                out.append(Weight(counts))
+            return
+        k, level = modes[pos]
+        for count in range(budget // level + 1):
+            if count:
+                counts[(k, -level)] = count
+            collect(pos + 1, counts, budget - level * count)
+            counts.pop((k, -level), None)
+
+    collect(0, {}, max_degree)
+    return sorted(out, key=lambda w: (w.total_degree(), str(w)))
 
 
 def _pairings(symbols: tuple):

@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from .fock import State, Weight, weight_space_basis
+from .fock import State, weight_space_basis, weights
 from .liealg import Generator
 from .virops import act_L
 
@@ -178,11 +178,12 @@ def jordan_verify(d: int) -> dict:
     table = build_griess_table(d)
     dim = len(table.basis)
 
-    degree_two = []
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            lam = Weight({(i, -1): 2}) if i == j else Weight({(i, -1): 1, (j, -1): 1})
-            degree_two.extend(weight_space_basis(lam, d=d))
+    degree_two = [
+        mono
+        for lam in weights(2, d)
+        if lam.total_degree() == 2
+        for mono in weight_space_basis(lam, d=d)
+    ]
     if len(degree_two) != dim:
         raise GriessVerificationError(
             f"degree-2 dimension {len(degree_two)} != d(d+1)/2 = {dim}"

@@ -41,6 +41,7 @@ from .fock import (
     act,
     degree_of,
     weight_space_basis,
+    weights,
 )
 from .liealg import Generator, canonical_generators
 from .scalar import ONE, R, ZERO, Scalar, add_into, fraction_free_rref, poly_exact_div, poly_gcd
@@ -56,7 +57,6 @@ __all__ = [
     "kernel_basis",
     "kernel_basis_poly",
     "singular_search",
-    "restricted_weights",
     "expected_singular_pairs",
     "singular_sweep",
     "verify_det_lemmas",
@@ -315,25 +315,6 @@ def singular_search(lam: Weight, r0) -> KernelReport:
     return KernelReport(lam, r0, len(basis), len(states), states)
 
 
-def restricted_weights(max_degree: int) -> list:
-    """All nonzero first-oscillator weights of total degree <= max_degree."""
-    out = []
-
-    def collect(level: int, counts: dict, budget: int):
-        if level > max_degree:
-            if counts:
-                out.append(Weight({(1, -l): c for l, c in counts.items()}))
-            return
-        for count in range(budget // level + 1):
-            if count:
-                counts[level] = count
-            collect(level + 1, counts, budget - level * count)
-            counts.pop(level, None)
-
-    collect(1, {}, max_degree)
-    return sorted(set(out), key=lambda w: (w.total_degree(), str(w)))
-
-
 def expected_singular_pairs(r0: int, max_degree: int) -> dict:
     """Map weight -> (p, nu) for determinant powers certified at integer r0."""
     out = {}
@@ -357,10 +338,8 @@ def _sweep_task(args):
 
 def singular_sweep(r_values, max_degree: int, workers: int = 1) -> list:
     """Run the kernel search over every restricted weight for each parameter."""
-    weights = restricted_weights(max_degree)
-    tasks = [
-        (tuple(sorted(lam.counts.items())), r0) for r0 in r_values for lam in weights
-    ]
+    lams = weights(max_degree)
+    tasks = [(tuple(sorted(lam.counts.items())), r0) for r0 in r_values for lam in lams]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -393,7 +372,7 @@ def verify_det_lemmas(p: int, index_bound: int, state_degree: int = 4) -> dict:
     failures = []
     det = det_state(p)
     spanning = [()]
-    for lam in restricted_weights(state_degree):
+    for lam in weights(state_degree):
         spanning.extend(weight_space_basis(lam, restricted=True))
     for m in range(1, p + 1):
         for n in range(0, index_bound + 1):

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fock import State, act
+from .fock import State, act, weight_space_basis, weights
 from .liealg import (
     Generator,
     LieElement,
@@ -29,7 +29,6 @@ from .singular import (
     det_power_state,
     expected_singular_pairs,
     is_singular,
-    restricted_weights,
     singular_search,
     verify_det_lemmas,
 )
@@ -48,48 +47,42 @@ __all__ = ["SuiteConfig", "CheckResult", "run_paper_suite", "ALL_CHECKS"]
 MAX_REPORTED_FAILURES = 5
 
 
+# Fixed bounds of the battery: each check runs at exactly these values.
+LIE_INDEX_BOUND = 3
+SAMPLE_INDEX_BOUND = 6
+REP_INDEX_BOUND = 4
+RECURSION_DEPTH = 4
+VERTEX_INDEX_DEPTH = 3
+VERTEX_MODE_BOUND = 4
+DET_SIZE_BOUND = 6
+DET_SHIFT_BOUND = 3
+VMM_MODE_BOUND = 3
+VMM_POWER_BOUND = 4
+VIRASORO_INDEX_BOUND = 3
+CERTIFICATION_CASES = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
+INTEGER_SWEEP = (-2, -1, 0, 1, 2, 3)
+
+# The certification scale; smaller d and max_degree only scale the battery down.
+MIN_D, MAX_D = 2, 3
+MAX_DEGREE = 6
+
+
 @dataclass
 class SuiteConfig:
-    """Bounds for the battery; the defaults are the full certification scale."""
+    """Scale of the battery; the defaults are the full certification scale."""
 
-    d: int = 3
-    max_degree: int = 6
+    d: int = MAX_D
+    max_degree: int = MAX_DEGREE
     seed: int = 0
     samples: int = 10000
 
-    lie_index_bound: int = 3
-    sample_index_bound: int = 6
-    rep_index_bound: int = 4
-    recursion_depth: int = 4
-    vertex_index_depth: int = 3
-    vertex_mode_bound: int = 4
-    det_size_bound: int = 6
-    det_shift_bound: int = 3
-    vmm_mode_bound: int = 3
-    vmm_power_bound: int = 4
-    virasoro_index_bound: int = 3
-    certification_cases: tuple = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
-    integer_sweep: tuple = (-2, -1, 0, 1, 2, 3)
-
-    @property
-    def rep_degree_bound(self) -> int:
-        return min(5, self.max_degree)
-
-    @property
-    def vertex_state_degree(self) -> int:
-        return min(4, self.max_degree)
-
-    @property
-    def virasoro_state_degree(self) -> int:
-        return min(4, self.max_degree)
-
-    @property
-    def sweep_degree(self) -> int:
-        return min(6, self.max_degree)
-
-    @property
-    def d_levels(self) -> tuple:
-        return tuple(sorted({min(2, self.d), min(3, self.d)}))
+    def __post_init__(self):
+        if not MIN_D <= self.d <= MAX_D:
+            raise ValueError(f"d must be in {MIN_D}..{MAX_D}, got {self.d}")
+        if not 0 <= self.max_degree <= MAX_DEGREE:
+            raise ValueError(f"max_degree must be in 0..{MAX_DEGREE}, got {self.max_degree}")
+        if self.samples < 0:
+            raise ValueError(f"samples must be nonnegative, got {self.samples}")
 
 
 @dataclass
@@ -108,27 +101,10 @@ class CheckResult:
         return line
 
 
-def all_basis_monomials(max_degree: int, d: int) -> list:
-    """Every basis monomial of degree <= max_degree over d oscillators."""
-    gens = [
-        g
-        for g in canonical_generators(max_degree - 1, d)
-        if g.is_lowering() and g.degree() <= max_degree
-    ]
-    gens.sort()
-    out = []
-
-    def grow(start: int, current: list, budget: int):
-        out.append(tuple(current))
-        for pos in range(start, len(gens)):
-            gen = gens[pos]
-            if gen.degree() <= budget:
-                current.append(gen)
-                grow(pos, current, budget - gen.degree())
-                current.pop()
-
-    grow(0, [], max_degree)
-    return out
+def _basis_states(max_degree: int, d: int) -> list:
+    """The vacuum and every basis monomial of degree <= max_degree over d oscillators."""
+    monos = [()] + [m for lam in weights(max_degree, d) for m in weight_space_basis(lam, d=d)]
+    return [State.from_monomial(m) for m in monos]
 
 
 def _int_bracket_table(gens: list):
@@ -154,7 +130,7 @@ def check_lie_axioms(config: SuiteConfig) -> CheckResult:
     then randomly sampled over a larger bound with the generic parameter.
     """
     failures = []
-    gens = canonical_generators(config.lie_index_bound, min(config.d, 3))
+    gens = canonical_generators(LIE_INDEX_BOUND, config.d)
     count = len(gens)
     table = _int_bracket_table(gens)
 
@@ -189,7 +165,7 @@ def check_lie_axioms(config: SuiteConfig) -> CheckResult:
                 break
 
     rng = random.Random(config.seed)
-    wide = canonical_generators(config.sample_index_bound, min(config.d, 3))
+    wide = canonical_generators(SAMPLE_INDEX_BOUND, config.d)
     sampled = 0
     for _ in range(config.samples):
         x, y, z = (rng.choice(wide) for _ in range(3))
@@ -204,8 +180,8 @@ def check_lie_axioms(config: SuiteConfig) -> CheckResult:
             break
     details = (
         f"{anti_checked} antisymmetry pairs, {jacobi_checked} exhaustive triples "
-        f"(bound {config.lie_index_bound}), {sampled} sampled triples "
-        f"(bound {config.sample_index_bound})"
+        f"(bound {LIE_INDEX_BOUND}), {sampled} sampled triples "
+        f"(bound {SAMPLE_INDEX_BOUND})"
     )
     return CheckResult("bracket-antisymmetry-jacobi", not failures, details, failures)
 
@@ -246,9 +222,9 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     every basis monomial of bounded degree (d = 2).
     """
     failures = []
-    d = 2
-    gens = canonical_generators(config.rep_index_bound, d)
-    states = [State.from_monomial(m) for m in all_basis_monomials(config.rep_degree_bound, d)]
+    degree_bound = min(5, config.max_degree)
+    gens = canonical_generators(REP_INDEX_BOUND, 2)
+    states = _basis_states(degree_bound, 2)
     checked = 0
     for u in states:
         images = [act(g, u) for g in gens]
@@ -267,8 +243,8 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
                             "action-respects-bracket", False, "aborted early", failures
                         )
     details = (
-        f"{checked} generator pairs x states (index bound {config.rep_index_bound}, "
-        f"degree bound {config.rep_degree_bound})"
+        f"{checked} generator pairs x states (index bound {REP_INDEX_BOUND}, "
+        f"degree bound {degree_bound})"
     )
     return CheckResult("action-respects-bracket", not failures, details, failures)
 
@@ -294,7 +270,7 @@ def check_lowering_recursions(config: SuiteConfig) -> CheckResult:
     failures = []
     vac = State.vacuum()
     checked = 0
-    lo = -config.recursion_depth
+    lo = -RECURSION_DEPTH
 
     for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
         checked += 1
@@ -353,14 +329,14 @@ def check_lowering_recursions(config: SuiteConfig) -> CheckResult:
 def check_vertex_mode_formula(config: SuiteConfig) -> CheckResult:
     """Closed binomial vertex modes match the recursive commutator oracle."""
     failures = []
-    d = 2
-    states = [State.from_monomial(m) for m in all_basis_monomials(config.vertex_state_degree, d)]
-    lo = -config.vertex_index_depth
+    state_degree = min(4, config.max_degree)
+    states = _basis_states(state_degree, 2)
+    lo = -VERTEX_INDEX_DEPTH
     checked = 0
     for i, j in ((1, 2), (2, 1)):
         for m in range(lo, 0):
             for n in range(lo, 0):
-                for l in range(-config.vertex_mode_bound, config.vertex_mode_bound + 1):
+                for l in range(-VERTEX_MODE_BOUND, VERTEX_MODE_BOUND + 1):
                     for u in states:
                         checked += 1
                         direct = vertex_mode(i, j, m, n, l, u)
@@ -378,7 +354,7 @@ def check_vertex_mode_formula(config: SuiteConfig) -> CheckResult:
                                 )
     details = (
         f"{checked} mode evaluations (modes in [{lo},-1], |l| <= "
-        f"{config.vertex_mode_bound}, states of degree <= {config.vertex_state_degree})"
+        f"{VERTEX_MODE_BOUND}, states of degree <= {state_degree})"
     )
     return CheckResult("vertex-mode-binomial-formula", not failures, details, failures)
 
@@ -387,14 +363,14 @@ def check_binomial_determinants(config: SuiteConfig) -> CheckResult:
     """The binomial transfer matrices are invertible throughout the range."""
     failures = []
     checked = 0
-    for size in range(1, config.det_size_bound + 1):
-        for shift in range(-config.det_shift_bound, config.det_shift_bound + 1):
+    for size in range(1, DET_SIZE_BOUND + 1):
+        for shift in range(-DET_SHIFT_BOUND, DET_SHIFT_BOUND + 1):
             checked += 1
             if not binomial_matrix_det(shift, size):
                 failures.append(f"singular transfer matrix at L={shift}, M={size}")
     details = (
-        f"{checked} determinants (M <= {config.det_size_bound}, "
-        f"|L| <= {config.det_shift_bound})"
+        f"{checked} determinants (M <= {DET_SIZE_BOUND}, "
+        f"|L| <= {DET_SHIFT_BOUND})"
     )
     return CheckResult("mode-transfer-determinants", not failures, details, failures)
 
@@ -403,10 +379,10 @@ def check_diagonal_raising_eigenvalue(config: SuiteConfig) -> CheckResult:
     """v(m,m) on v(-m,-m)^nu vacuum gives 2 m^2 nu (r + 2 nu - 2) times the rest."""
     failures = []
     checked = 0
-    for m in range(1, config.vmm_mode_bound + 1):
+    for m in range(1, VMM_MODE_BOUND + 1):
         power = State.vacuum()
         lower = Generator(1, 1, -m, -m)
-        for nu in range(1, config.vmm_power_bound + 1):
+        for nu in range(1, VMM_POWER_BOUND + 1):
             prev = power
             power = State(
                 {tuple(sorted(mono + (lower,))): c for mono, c in power.terms.items()}
@@ -417,8 +393,8 @@ def check_diagonal_raising_eigenvalue(config: SuiteConfig) -> CheckResult:
             if lhs != rhs:
                 failures.append(f"eigenvalue form fails for m={m}, nu={nu}")
     details = (
-        f"{checked} (m, nu) pairs with m <= {config.vmm_mode_bound}, "
-        f"nu <= {config.vmm_power_bound}"
+        f"{checked} (m, nu) pairs with m <= {VMM_MODE_BOUND}, "
+        f"nu <= {VMM_POWER_BOUND}"
     )
     return CheckResult("diagonal-raising-eigenvalue", not failures, details, failures)
 
@@ -427,7 +403,7 @@ def check_determinant_power_singular(config: SuiteConfig) -> CheckResult:
     """Determinant powers are singular at r = 1 - 2 nu + p, full index range."""
     failures = []
     checked = 0
-    for p, nu in config.certification_cases:
+    for p, nu in CERTIFICATION_CASES:
         r0 = 1 - 2 * nu + p
         state = det_power_state(p, nu)
         ok, witness = is_singular(state, r0=Fraction(r0), d=2, full_algebra=True)
@@ -436,7 +412,7 @@ def check_determinant_power_singular(config: SuiteConfig) -> CheckResult:
             failures.append(
                 f"(p={p}, nu={nu}) fails at r={r0}: witness {witness[0]}"
             )
-    details = f"{checked} determinant powers {config.certification_cases}"
+    details = f"{checked} determinant powers {CERTIFICATION_CASES}"
     return CheckResult("determinant-power-singular", not failures, details, failures)
 
 
@@ -481,17 +457,17 @@ def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
     determinant-power weights, whose vectors carry the predicted structure.
     """
     failures = []
-    weights = restricted_weights(config.sweep_degree)
+    lams = weights(config.max_degree)
     checked = 0
     for r0 in (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), GENERIC):
-        for lam in weights:
+        for lam in lams:
             report = singular_search(lam, r0)
             checked += 1
             if report.kernel_dim:
                 failures.append(f"unexpected kernel at weight {lam}, r={r0}")
-    for r0 in config.integer_sweep:
-        expected = expected_singular_pairs(r0, config.sweep_degree)
-        for lam in weights:
+    for r0 in INTEGER_SWEEP:
+        expected = expected_singular_pairs(r0, config.max_degree)
+        for lam in lams:
             report = singular_search(lam, Fraction(r0))
             checked += 1
             if lam in expected:
@@ -506,8 +482,8 @@ def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
             elif report.kernel_dim:
                 failures.append(f"unexpected kernel at weight {lam}, r={r0}")
     details = (
-        f"{checked} weight-space searches over {len(weights)} weights "
-        f"(degree <= {config.sweep_degree})"
+        f"{checked} weight-space searches over {len(lams)} weights "
+        f"(degree <= {config.max_degree})"
     )
     return CheckResult("singular-kernel-sweep", not failures, details, failures)
 
@@ -531,16 +507,15 @@ def check_virasoro_central_charge(config: SuiteConfig) -> CheckResult:
     """The diagonal mode sums close a Virasoro algebra of central charge d*r."""
     failures = []
     checked = 0
-    bound = config.virasoro_index_bound
-    for d in config.d_levels:
+    bound = VIRASORO_INDEX_BOUND
+    state_degree = min(4, config.max_degree)
+    d_levels = range(2, config.d + 1)
+    for d in d_levels:
         vac = State.vacuum()
         expected = vac.scale(R * Fraction(d, 2))
         if virasoro_bracket_probe(2, -2, vac, d) != expected:
             failures.append(f"vacuum central term wrong for d={d}")
-        states = [
-            State.from_monomial(m)
-            for m in all_basis_monomials(config.virasoro_state_degree, d)
-        ]
+        states = _basis_states(state_degree, d)
         for m in range(-bound, bound + 1):
             for n in range(-bound, bound + 1):
                 for u in states:
@@ -554,7 +529,7 @@ def check_virasoro_central_charge(config: SuiteConfig) -> CheckResult:
                             )
     details = (
         f"{checked} probes (|m|,|n| <= {bound}, states of degree <= "
-        f"{config.virasoro_state_degree}, d in {list(config.d_levels)})"
+        f"{state_degree}, d in {list(d_levels)})"
     )
     return CheckResult("virasoro-central-charge", not failures, details, failures)
 
@@ -563,7 +538,7 @@ def check_griess_jordan(config: SuiteConfig) -> CheckResult:
     """Degree-2 algebra: dimension, commutativity, Jordan identity, isomorphism."""
     failures = []
     reports = []
-    for d in config.d_levels:
+    for d in range(2, config.d + 1):
         try:
             report = jordan_verify(d)
             reports.append(

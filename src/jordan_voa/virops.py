@@ -4,8 +4,8 @@ The operator L[i,j](m) is the half-sum over h of v[i,j](m-h, h); for i = j
 and m = 0 the normally ordered variant (1/2) v[i,i](0,0) + sum_{h>0}
 v[i,i](-h,h) is used instead.  On a homogeneous state of degree D every
 summand with a raising mode larger than D acts as zero, so the sum
-truncates to h in [m - D, D]; callers may enlarge that window but never
-shrink it, and results are window-independent.
+truncates to h in [m - D, D].  The window is always derived from the
+state's degree, and a wider one would only add summands that act as zero.
 
 Vertex modes of a mixed lowering pair v[i,j](m,n) (i != j, m, n < 0) applied
 to the vacuum admit the closed binomial form
@@ -31,7 +31,7 @@ import operator
 from fractions import Fraction
 
 from .fock import MIXED, State, act, degree_of
-from .liealg import LieElement, canonicalize
+from .liealg import LieElement, _validate_index, canonicalize
 from .scalar import R, ZERO, add_into, fraction_free_rref
 
 __all__ = [
@@ -48,23 +48,12 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 
-def _homogeneous_degree(u: State) -> int:
-    deg = degree_of(u)
-    if deg == MIXED:
+def _window(center: int, u: State):
+    """Summation range of a mode sum centred at center, sufficient for u."""
+    depth = degree_of(u)
+    if depth == MIXED:
         raise ValueError("operator sums need a homogeneous input state")
-    return deg
-
-
-def _window(center: int, depth: int, override):
-    lo, hi = center - depth, depth
-    if override is None:
-        return lo, hi
-    olo, ohi = override
-    if olo > lo or ohi < hi:
-        raise ValueError(
-            f"truncation window [{olo},{ohi}] must contain the sufficient range [{lo},{hi}]"
-        )
-    return olo, ohi
+    return center - depth, depth
 
 
 def _lie_sum(summands, d) -> LieElement:
@@ -80,9 +69,9 @@ def _lie_sum(summands, d) -> LieElement:
     return LieElement(terms, const)
 
 
-def _mode_sum(pairs, m: int, u: State, window, d) -> LieElement:
+def _mode_sum(pairs, m: int, u: State, d) -> LieElement:
     """The sum of L[i,j](m) over the index pairs, truncated for u, as one operator."""
-    lo, hi = _window(m, _homogeneous_degree(u), window)
+    lo, hi = _window(m, u)
     summands = []
     for i, j in pairs:
         if i == j and m == 0:
@@ -93,19 +82,21 @@ def _mode_sum(pairs, m: int, u: State, window, d) -> LieElement:
     return _lie_sum(summands, d)
 
 
-def act_L(i: int, j: int, m: int, u: State, window=None, d: int | None = None) -> State:
+def act_L(i: int, j: int, m: int, u: State, d: int | None = None) -> State:
     """Apply the mode-sum operator L[i,j](m) to a homogeneous state."""
+    _validate_index(i, d)
+    _validate_index(j, d)
     if u.is_zero():
         return u
-    return act(_mode_sum([(i, j)], m, u, window, d), u)
+    return act(_mode_sum([(i, j)], m, u, d), u)
 
 
-def act_L_total(m: int, u: State, d: int, window=None) -> State:
+def act_L_total(m: int, u: State, d: int) -> State:
     """Sum of the diagonal mode operators: the full Virasoro mode of weight m."""
     if u.is_zero():
         return u
     pairs = [(i, i) for i in range(1, d + 1)]
-    return act(_mode_sum(pairs, m, u, window, d), u)
+    return act(_mode_sum(pairs, m, u, d), u)
 
 
 def binom(a: int, k: int) -> int:
@@ -118,21 +109,21 @@ def binom(a: int, k: int) -> int:
     return out
 
 
-def vertex_mode(
-    i: int, j: int, m: int, n: int, l: int, u: State, window=None, d: int | None = None
-) -> State:
+def vertex_mode(i: int, j: int, m: int, n: int, l: int, u: State, d: int | None = None) -> State:
     """The weight-l vertex mode of v[i,j](m,n) applied to a homogeneous state.
 
     Uses the closed binomial formula, which holds for distinct oscillator
     indices and a lowering pair; other inputs are rejected.
     """
+    _validate_index(i, d)
+    _validate_index(j, d)
     if i == j:
         raise ValueError("the closed vertex-mode formula needs distinct oscillator indices")
     if m >= 0 or n >= 0:
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
     if u.is_zero():
         return u
-    lo, hi = _window(l + m + n + 1, _homogeneous_degree(u), window)
+    lo, hi = _window(l + m + n + 1, u)
     sign = 1 if (m + n) % 2 == 0 else -1
     summands = []
     for k in range(lo, hi + 1):
@@ -179,15 +170,15 @@ def binomial_matrix_det(L: int, M: int) -> Fraction:
     return Fraction(sign * mat[-1][-1])
 
 
-def virasoro_bracket_probe(m: int, n: int, u: State, d: int, window=None) -> State:
+def virasoro_bracket_probe(m: int, n: int, u: State, d: int) -> State:
     """Measure [L(m), L(n)] - (m - n) L(m+n) on a homogeneous state.
 
     By the Virasoro relation with central charge d*r this must equal
     delta_{m+n,0} (m^3 - m)/12 * d*r times the input.
     """
-    left = act_L_total(m, act_L_total(n, u, d, window=window), d, window=window)
-    right = act_L_total(n, act_L_total(m, u, d, window=window), d, window=window)
-    linear = act_L_total(m + n, u, d, window=window)
+    left = act_L_total(m, act_L_total(n, u, d), d)
+    right = act_L_total(n, act_L_total(m, u, d), d)
+    linear = act_L_total(m + n, u, d)
     return left - right - linear.scale(m - n)
 
 

@@ -154,6 +154,7 @@ def test_env_override(monkeypatch, capsys):
     ["singular-check", "--p", "2", "--nu", "1", "--d", "0", "--full-algebra"],
     ["paper-suite", "--d", "1"],
     ["weight-basis", "--weight", "2*Lam[1,-1]", "--d", "two"],
+    ["paper-suite", "--d", "4"],
 ])
 def test_bad_d_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -177,11 +178,49 @@ def test_bad_env_d_is_a_usage_error(monkeypatch, capsys):
     ["singular-sweep", "--rmin", "0", "--rmax", "0", "--r", "1"],
     ["paper-suite", "--window-override=-5:5"],
     ["bracket", "v[1,1](1,2)", "v[1,1](-2,-1)", "--output", "csv"],
+    ["paper-suite", "--no-degree-guard"],
+    ["act-L", "--i", "1", "--j", "2", "--m", "-2", "--window-override=-5:5"],
+    ["vertex-mode", "--i", "1", "--j", "2", "--m", "-1", "--n", "-1", "--l", "-1",
+     "--window-override=-5:5"],
 ])
 def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["paper-suite", "--max-degree", "7"], "--max-degree"),
+    (["paper-suite", "--samples", "-1"], "--samples"),
+])
+def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"d": 4}, {"d": 1}, {"max_degree": 7}, {"max_degree": -1}, {"samples": -1},
+])
+def test_suite_config_rejects_out_of_range_scale(kwargs):
+    from jordan_voa.suite import SuiteConfig
+
+    with pytest.raises(ValueError):
+        SuiteConfig(**kwargs)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["act-L", "--i", "1", "--j", "7", "--m", "3", "--d", "2"], "oscillator index 7"),
+    (["vertex-mode", "--i", "1", "--j", "5", "--m", "-1", "--n", "-1", "--l", "10",
+      "--d", "2"], "oscillator index 5"),
+    (["singular-sweep", "--rmin", "3", "--rmax", "0"], "empty parameter range"),
+])
+def test_inputs_with_nothing_to_compute_are_usage_errors(argv, message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_paper_suite_defaults_are_the_certification_scale():

@@ -8,10 +8,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from jordan_voa.fock import State, act  # noqa: E402
+from jordan_voa.fock import (  # noqa: E402
+    State,
+    act,
+    monomial_degree,
+    monomial_weight,
+    weight_space_basis,
+    weights,
+)
 from jordan_voa.liealg import LieElement, canonical_generators  # noqa: E402
 from jordan_voa.scalar import Scalar, parse_scalar  # noqa: E402
-from jordan_voa.suite import all_basis_monomials  # noqa: E402
 
 # derandomized and without an example database, so every run checks the same cases
 PROFILE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -22,8 +28,15 @@ generators = st.sampled_from(canonical_generators(3, 2))
 elements = st.builds(
     LieElement, st.dictionaries(generators, scalars, max_size=3), scalars
 )
+
+
+def basis_monomials(max_degree, d):
+    """The vacuum and every basis monomial of degree <= max_degree over d oscillators."""
+    return [()] + [m for lam in weights(max_degree, d) for m in weight_space_basis(lam, d=d)]
+
+
 states = st.dictionaries(
-    st.sampled_from(all_basis_monomials(4, 2)), scalars, max_size=3
+    st.sampled_from(basis_monomials(4, 2)), scalars, max_size=3
 ).map(State)
 points = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -69,3 +82,32 @@ def test_parse_scalar_inverts_str(p):
 def test_state_json_round_trip(u):
     text = json.dumps(u.to_json_obj())
     assert State.from_json_obj(json.loads(text)) == u
+
+
+def _mode_shift(g):
+    """Weight change of g: +1 per created mode v_k(l), -1 per annihilated v_k(-l)."""
+    shift = {}
+    for k, mode in ((g.i, g.m), (g.j, g.n)):
+        if mode:
+            key = (k, mode) if mode < 0 else (k, -mode)
+            shift[key] = shift.get(key, 0) + (1 if mode < 0 else -1)
+    return shift
+
+
+@PROFILE
+@given(st.sampled_from(canonical_generators(4, 3)), st.sampled_from(basis_monomials(5, 3)))
+def test_act_shifts_degree_and_weight_by_the_generator(g, u):
+    expected = monomial_weight(u).shifted(_mode_shift(g))
+    for mono in act(g, State.from_monomial(u)).terms:
+        assert monomial_degree(mono) == monomial_degree(u) + g.degree()
+        assert expected is not None and monomial_weight(mono) == expected
+
+
+@PROFILE
+@given(scalars, scalars, scalars)
+def test_scalar_ring_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordan_voa.fock import State, Weight, act, monomial
+from jordan_voa.fock import State, Weight, act, monomial, weights
 from jordan_voa.liealg import Generator, canonicalize
 from jordan_voa.scalar import ONE, R, ZERO, Scalar
 from jordan_voa.singular import (
@@ -19,7 +19,6 @@ from jordan_voa.singular import (
     kernel_basis_poly,
     multiply_lowering,
     raising_generators,
-    restricted_weights,
     singular_search,
     singular_sweep,
     verify_det_lemmas,
@@ -263,11 +262,11 @@ def test_singular_search_validates_weight():
 
 
 def test_restricted_weights_enumeration():
-    weights = restricted_weights(3)
-    assert len(weights) == 6  # partitions of 1, 2, 3
-    assert Weight({(1, -1): 1}) in weights
-    assert Weight({(1, -3): 1}) in weights
-    assert all(w.total_degree() <= 3 for w in weights)
+    lams = weights(3)
+    assert len(lams) == 6  # partitions of 1, 2, 3
+    assert Weight({(1, -1): 1}) in lams
+    assert Weight({(1, -3): 1}) in lams
+    assert all(w.total_degree() <= 3 for w in lams)
 
 
 def test_expected_singular_pairs():

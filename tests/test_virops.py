@@ -50,7 +50,34 @@ def test_zero_mode_measures_degree_on_restricted_states():
     assert act_L(1, 1, 0, u) == u.scale(3)
 
 
+def _wide_mode_sum(i, j, m, u, pad):
+    """L[i,j](m) u summed term by term over a window pad wider on each side."""
+    depth = u.degree()
+    if i == j and m == 0:
+        out = act(gen_elem(i, i, 0, 0), u).scale(Fraction(1, 2))
+        for h in range(1, depth + pad + 1):
+            out = out + act(gen_elem(i, i, -h, h), u)
+        return out
+    out = State.zero()
+    for h in range(m - depth - pad, depth + pad + 1):
+        out = out + act(gen_elem(i, j, m - h, h), u).scale(Fraction(1, 2))
+    return out
+
+
+def _wide_vertex_mode(i, j, m, n, l, u, pad):
+    """The closed binomial vertex mode summed over a window pad wider on each side."""
+    depth = u.degree()
+    center = l + m + n + 1
+    sign = -1 if (m + n) % 2 else 1
+    out = State.zero()
+    for k in range(center - depth - pad, depth + pad + 1):
+        weight = sign * binom(l + n - k, -m - 1) * binom(k - n - 1, -n - 1)
+        out = out + act(gen_elem(i, j, center - k, k), u).scale(weight)
+    return out
+
+
 def test_window_independence():
+    """The degree-derived window already holds every summand that acts nontrivially."""
     states = [
         VAC,
         lowering_state((1, 1, -1, -1)),
@@ -58,25 +85,20 @@ def test_window_independence():
         lowering_state((1, 2, -2, -1), (2, 2, -1, -1)),  # degree 5
     ]
     for u in states:
-        depth = u.degree()
         for m in (-3, -1, 0, 2):
-            base = act_L(1, 2, m, u)
-            widened = act_L(1, 2, m, u, window=(m - 2 * depth - 4, 2 * depth + 4))
-            assert base == widened
-            diag = act_L(1, 1, m, u)
-            assert diag == act_L(1, 1, m, u, window=(m - 2 * depth - 4, 2 * depth + 4))
+            assert act_L(1, 2, m, u) == _wide_mode_sum(1, 2, m, u, pad=4)
+            assert act_L(1, 1, m, u) == _wide_mode_sum(1, 1, m, u, pad=4)
     for u in states[1:]:
-        a = vertex_mode(1, 2, -2, -1, 1, u)
-        b = vertex_mode(1, 2, -2, -1, 1, u, window=(-20, 20))
-        assert a == b
+        for l in (-2, 1, 3):
+            assert vertex_mode(1, 2, -2, -1, l, u) == _wide_vertex_mode(1, 2, -2, -1, l, u, pad=6)
 
 
-def test_window_must_contain_sufficient_range():
-    u = lowering_state((1, 1, -1, -1))
-    with pytest.raises(ValueError):
-        act_L(1, 1, 0, u, window=(0, 1))
-    with pytest.raises(ValueError):
-        vertex_mode(1, 2, -1, -1, 0, u, window=(0, 0))
+def test_mode_operators_check_indices_against_d():
+    """An index beyond d is rejected even when the truncation window is empty."""
+    with pytest.raises(ValueError, match="oscillator index 7"):
+        act_L(1, 7, 3, VAC, d=2)
+    with pytest.raises(ValueError, match="oscillator index 5"):
+        vertex_mode(1, 5, -1, -1, 10, VAC, d=2)
 
 
 def test_first_slot_recursion_small():
