@@ -31,6 +31,7 @@ from .liealg import bracket_r, canonicalize, parse_generator_literal
 from .singular import (
     GENERIC,
     DetSpec,
+    SingularVerificationError,
     is_singular,
     singular_sweep,
     verify_det_lemmas,
@@ -414,6 +415,9 @@ def main(argv=None) -> int:
     except (ValueError, GriessVerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SingularVerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

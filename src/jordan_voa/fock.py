@@ -12,9 +12,13 @@ grading counts how many times each lowering mode v_k(l) occurs among the
 factors; the commuting operators h[k,l] = -(1/l) v[k,k](l,-l), l < 0, act
 diagonally with those counts as eigenvalues.
 
-The single-generator action is memoised.  Entries are computed from
-immutable inputs and never mutated afterwards, so concurrent readers are
-safe; at worst two threads briefly recompute the same value.
+One cache memoises every operator that acts monomial by monomial: the
+single-generator action under (generator, monomial), and any operator
+extended linearly by `apply` under (key, monomial), where the key is a
+tagged tuple such as ("L", i, j, m) that can never equal a Generator.
+`clear_action_cache` empties it.  Entries are computed from immutable
+inputs and never mutated afterwards, so concurrent readers are safe; at
+worst two threads briefly recompute the same value.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ __all__ = [
     "monomial_weight",
     "act",
     "act_word",
+    "apply",
+    "memo",
     "degree_of",
     "weight_of",
     "weights",
@@ -269,6 +275,28 @@ def act(x, u: State) -> State:
                 add_into(acc, m2, s2 * coeff)
         if const:
             add_into(acc, mono, cu * const)
+    return State._from_tidy(acc)
+
+
+def memo(key, compute, *args):
+    """The value cached under key, computed as compute(*args) on first use."""
+    value = _ACT_CACHE.get(key)
+    if value is None:
+        value = _ACT_CACHE[key] = compute(*args)
+    return value
+
+
+def apply(key, image, u: State) -> State:
+    """Extend a per-monomial operator linearly over a state.
+
+    image(mono) returns the operator's image of one basis monomial as a
+    dict from monomial to nonzero Scalar; it is memoised under (key, mono),
+    so key must name the operator uniquely and must not be a Generator.
+    """
+    acc: dict = {}
+    for mono, cu in u.terms.items():
+        for m2, s2 in memo((key, mono), image, mono).items():
+            add_into(acc, m2, s2 * cu)
     return State._from_tidy(acc)
 
 

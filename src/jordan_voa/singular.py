@@ -49,6 +49,7 @@ from .scalar import ONE, R, ZERO, Scalar, add_into, fraction_free_rref, poly_exa
 __all__ = [
     "DetSpec",
     "KernelReport",
+    "SingularVerificationError",
     "det_state",
     "det_power_state",
     "multiply_lowering",
@@ -63,6 +64,10 @@ __all__ = [
 ]
 
 GENERIC = "generic"
+
+
+class SingularVerificationError(RuntimeError):
+    """A kernel vector found by the search failed its singularity check."""
 
 
 @dataclass(frozen=True)
@@ -308,7 +313,7 @@ def singular_search(lam: Weight, r0) -> KernelReport:
         state = State(dict(zip(basis, normalised)))
         ok, witness = is_singular(state, r0=r0, d=1, full_algebra=False)
         if not ok:
-            raise RuntimeError(
+            raise SingularVerificationError(
                 f"search produced a non-singular vector at weight {lam}: witness {witness[0]}"
             )
         states.append(state)

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fock import State, act, weight_space_basis, weights
+from .fock import State, act, clear_action_cache, weight_space_basis, weights
 from .liealg import (
     Generator,
     LieElement,
@@ -225,16 +225,19 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     degree_bound = min(5, config.max_degree)
     gens = canonical_generators(REP_INDEX_BOUND, 2)
     states = _basis_states(degree_bound, 2)
+    brackets = [
+        [bracket_r(gens[a], gens[b]) for b in range(a, len(gens))] for a in range(len(gens))
+    ]
     checked = 0
     for u in states:
         images = [act(g, u) for g in gens]
         for a in range(len(gens)):
             img_a = images[a]
             for b in range(a, len(gens)):
-                commutator = act(gens[a], images[b]) - act(gens[b], img_a)
-                direct = act(bracket_r(gens[a], gens[b]), u)
+                # x(y u) - y(x u) = [x, y] u, with the subtraction moved across
+                direct = act(brackets[a][b - a], u)
                 checked += 1
-                if commutator != direct:
+                if act(gens[a], images[b]) != act(gens[b], img_a) + direct:
                     failures.append(
                         f"action disagrees with bracket for {gens[a]}, {gens[b]} on {u}"
                     )
@@ -569,10 +572,15 @@ ALL_CHECKS = (
 
 
 def run_paper_suite(config: SuiteConfig | None = None) -> list:
-    """Run every check; returns the list of CheckResults in criterion order."""
+    """Run every check; returns the list of CheckResults in criterion order.
+
+    The checks are independent, so the action cache is emptied before each
+    one: the memory held is that of the largest check, not of all of them.
+    """
     config = config or SuiteConfig()
     results = []
     for _, check in ALL_CHECKS:
+        clear_action_cache()
         start = time.perf_counter()
         try:
             result = check(config)

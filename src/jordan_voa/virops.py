@@ -2,10 +2,11 @@
 
 The operator L[i,j](m) is the half-sum over h of v[i,j](m-h, h); for i = j
 and m = 0 the normally ordered variant (1/2) v[i,i](0,0) + sum_{h>0}
-v[i,i](-h,h) is used instead.  On a homogeneous state of degree D every
-summand with a raising mode larger than D acts as zero, so the sum
-truncates to h in [m - D, D].  The window is always derived from the
-state's degree, and a wider one would only add summands that act as zero.
+v[i,i](-h,h) is used instead.  A basis monomial of degree D has no mode
+below -(D - 1), so every summand with a raising mode of D or more acts on
+it as zero, and the sum truncates to h in [m - D + 1, D - 1].  The window
+is always derived from the degree, and a wider one would only add
+summands that act as zero.
 
 Vertex modes of a mixed lowering pair v[i,j](m,n) (i != j, m, n < 0) applied
 to the vacuum admit the closed binomial form
@@ -19,10 +20,11 @@ which the probe below measures directly.
 
 Mode sums and closed-form vertex modes are elements of the Lie algebra of
 quadratic elements, and they are built as such: each operator, truncated to
-its window, becomes one LieElement and reaches the state through a single
-fock.act call, the only place where an operator touches a state.  The
-recursion oracle only ever calls act_L, so it stays independent of the
-binomial formula.
+its window, becomes one LieElement and reaches a state through fock.act.
+Mode sums and the recursion oracle act monomial by monomial through
+fock.apply, which memoises each image per monomial (the truncated mode-sum
+operator is memoised per degree beside them).  The recursion oracle only
+ever calls act_L, so it stays independent of the binomial formula.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .fock import MIXED, State, act, degree_of
+from .fock import MIXED, State, act, apply, degree_of, memo, monomial_degree
 from .liealg import LieElement, _validate_index, canonicalize
 from .scalar import R, ZERO, add_into, fraction_free_rref
 
@@ -48,20 +50,25 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 
-def _window(center: int, u: State):
-    """Summation range of a mode sum centred at center, sufficient for u."""
+def _degree(u: State) -> int:
+    """The degree of a nonzero homogeneous state; a mixed one is rejected."""
     depth = degree_of(u)
     if depth == MIXED:
         raise ValueError("operator sums need a homogeneous input state")
-    return center - depth, depth
+    return depth
 
 
-def _lie_sum(summands, d) -> LieElement:
+def _window(center: int, depth: int):
+    """Summation range of a mode sum centred at center, sufficient for degree depth."""
+    return center - depth + 1, depth - 1
+
+
+def _lie_sum(summands) -> LieElement:
     """The operator sum of weight * v[i,j](m,n) over (weight, (i, j, m, n)) summands."""
     terms: dict = {}
     const = ZERO
     for weight, quad in summands:
-        elem = canonicalize(*quad, d)
+        elem = canonicalize(*quad)
         for gen, coeff in elem.terms.items():
             add_into(terms, gen, coeff * weight)
         if elem.const:
@@ -69,9 +76,9 @@ def _lie_sum(summands, d) -> LieElement:
     return LieElement(terms, const)
 
 
-def _mode_sum(pairs, m: int, u: State, d) -> LieElement:
-    """The sum of L[i,j](m) over the index pairs, truncated for u, as one operator."""
-    lo, hi = _window(m, u)
+def _mode_sum(pairs, m: int, depth: int) -> LieElement:
+    """The sum of L[i,j](m) over the index pairs, truncated for degree depth, as one operator."""
+    lo, hi = _window(m, depth)
     summands = []
     for i, j in pairs:
         if i == j and m == 0:
@@ -79,24 +86,34 @@ def _mode_sum(pairs, m: int, u: State, d) -> LieElement:
             summands += [(1, (i, i, -h, h)) for h in range(max(lo, 1), hi + 1)]
         else:
             summands += [(HALF, (i, j, m - h, h)) for h in range(lo, hi + 1)]
-    return _lie_sum(summands, d)
+    return _lie_sum(summands)
+
+
+def _apply_mode_sum(key, pairs, m: int, u: State) -> State:
+    """Apply the sum of L[i,j](m) over the index pairs to a homogeneous state."""
+    if u.is_zero():
+        return u
+    _degree(u)
+
+    def image(mono):
+        depth = monomial_degree(mono)
+        op = memo(("Lop", pairs, m, depth), _mode_sum, pairs, m, depth)
+        return act(op, State.from_monomial(mono)).terms
+
+    return apply(key, image, u)
 
 
 def act_L(i: int, j: int, m: int, u: State, d: int | None = None) -> State:
     """Apply the mode-sum operator L[i,j](m) to a homogeneous state."""
     _validate_index(i, d)
     _validate_index(j, d)
-    if u.is_zero():
-        return u
-    return act(_mode_sum([(i, j)], m, u, d), u)
+    return _apply_mode_sum(("L", i, j, m), ((i, j),), m, u)
 
 
 def act_L_total(m: int, u: State, d: int) -> State:
     """Sum of the diagonal mode operators: the full Virasoro mode of weight m."""
-    if u.is_zero():
-        return u
-    pairs = [(i, i) for i in range(1, d + 1)]
-    return act(_mode_sum(pairs, m, u, d), u)
+    pairs = tuple((i, i) for i in range(1, d + 1))
+    return _apply_mode_sum(("Lsum", m, d), pairs, m, u)
 
 
 def binom(a: int, k: int) -> int:
@@ -123,14 +140,14 @@ def vertex_mode(i: int, j: int, m: int, n: int, l: int, u: State, d: int | None 
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
     if u.is_zero():
         return u
-    lo, hi = _window(l + m + n + 1, u)
+    lo, hi = _window(l + m + n + 1, _degree(u))
     sign = 1 if (m + n) % 2 == 0 else -1
     summands = []
     for k in range(lo, hi + 1):
         weight = binom(l + n - k, -m - 1) * binom(k - n - 1, -n - 1)
         if weight:
             summands.append((sign * weight, (i, j, l + m + n + 1 - k, k)))
-    return act(_lie_sum(summands, d), u)
+    return act(_lie_sum(summands), u)
 
 
 def vertex_mode_by_recursion(i: int, j: int, m: int, n: int, l: int, u: State) -> State:
@@ -139,24 +156,28 @@ def vertex_mode_by_recursion(i: int, j: int, m: int, n: int, l: int, u: State) -
     Base case: the mode of v[i,j](-1,-1) is twice the mode sum L[i,j](l-1).
     Each unit decrease of m costs one commutator with L[i,i](-1) and a
     factor 1/(-m-1); decreases of n are handled by swapping the two slots.
+    The recursion runs on one basis monomial at a time, and each image is
+    memoised through fock.apply, so no (mode, monomial) pair is expanded twice.
     """
     if i == j:
         raise ValueError("vertex modes are defined for distinct oscillator indices")
     if m >= 0 or n >= 0:
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
-    if (m, n) == (-1, -1):
-        return act_L(i, j, l - 1, u).scale(2)
-    if m == -1:
+    if m == -1 and n < -1:
         return vertex_mode_by_recursion(j, i, n, m, l, u)
-    inner = vertex_mode_by_recursion(i, j, m + 1, n, l, u)
-    left = act_L(i, i, -1, inner) if not inner.is_zero() else inner
-    lowered = act_L(i, i, -1, u)
-    right = (
-        vertex_mode_by_recursion(i, j, m + 1, n, l, lowered)
-        if not lowered.is_zero()
-        else lowered
-    )
-    return (left - right).scale(Fraction(1, -m - 1))
+    if u.is_zero():
+        return u
+    _degree(u)
+
+    def image(mono):
+        v = State.from_monomial(mono)
+        if m == -1:
+            return act_L(i, j, l - 1, v).scale(2).terms
+        inner = vertex_mode_by_recursion(i, j, m + 1, n, l, v)
+        right = vertex_mode_by_recursion(i, j, m + 1, n, l, act_L(i, i, -1, v))
+        return (act_L(i, i, -1, inner) - right).scale(Fraction(1, -m - 1)).terms
+
+    return apply(("V", i, j, m, n, l), image, u)
 
 
 def binomial_matrix_det(L: int, M: int) -> Fraction:

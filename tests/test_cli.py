@@ -245,3 +245,34 @@ def test_paper_suite_small(capsys):
     assert code == 0
     assert "PASS  bracket-antisymmetry-jacobi" in out
     assert "checks passed" in out
+
+
+def test_failed_sweep_verification_exits_one(monkeypatch, capsys):
+    """A kernel vector that fails its singularity check is exit 1, not a traceback."""
+    from jordan_voa import singular
+
+    monkeypatch.setattr(singular, "is_singular", lambda *args, **kwargs: (False, ["probe"]))
+    code = cli.main(["singular-sweep", "--rmin", "0", "--rmax", "0", "--max-degree", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: search produced a non-singular vector")
+    assert "witness probe" in err
+
+
+def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch):
+    from jordan_voa import fock, suite
+    from jordan_voa.liealg import Generator
+
+    seen = []
+
+    def probe(config):
+        seen.append(len(fock._ACT_CACHE))
+        fock.act(Generator(1, 1, 1, 1), fock.State.vacuum())  # leaves an entry behind
+        return suite.CheckResult("probe", True)
+
+    monkeypatch.setattr(suite, "ALL_CHECKS", (("a", probe), ("b", probe), ("c", probe)))
+    fock.act(Generator(1, 2, 1, 1), fock.State.vacuum())
+    results = suite.run_paper_suite(suite.SuiteConfig(d=2, max_degree=2, samples=0))
+    assert [res.passed for res in results] == [True] * 3
+    assert seen == [0, 0, 0]
+    assert fock._ACT_CACHE  # the probes did fill the cache, so the zeros come from clearing it

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from jordan_voa.fock import (  # noqa: E402
     State,
     act,
+    clear_action_cache,
     monomial_degree,
     monomial_weight,
     weight_space_basis,
@@ -18,6 +19,8 @@ from jordan_voa.fock import (  # noqa: E402
 )
 from jordan_voa.liealg import LieElement, canonical_generators  # noqa: E402
 from jordan_voa.scalar import Scalar, parse_scalar  # noqa: E402
+from jordan_voa.virops import act_L, act_L_total, vertex_mode_by_recursion  # noqa: E402
+from test_virops import _wide_mode_sum  # noqa: E402
 
 # derandomized and without an example database, so every run checks the same cases
 PROFILE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -111,3 +114,38 @@ def test_scalar_ring_axioms(a, b, c):
     assert a + b == b + a
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
+
+
+def _homogeneous_pairs(max_degree, d):
+    """Pairs of nonzero states sharing one degree <= max_degree over d oscillators."""
+    by_degree: dict = {}
+    for mono in basis_monomials(max_degree, d):
+        by_degree.setdefault(monomial_degree(mono), []).append(mono)
+
+    def of_degree(monos):
+        nonzero = st.dictionaries(st.sampled_from(monos), scalars, min_size=1, max_size=3)
+        return st.tuples(*[nonzero.map(State).filter(lambda u: not u.is_zero())] * 2)
+
+    return st.sampled_from(sorted(by_degree.values())).flatmap(of_degree)
+
+
+@PROFILE
+@given(_homogeneous_pairs(5, 2), st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+       st.integers(-3, 3))
+def test_memoised_mode_sums_match_the_wide_sum(pair, ij, m):
+    u = pair[0]
+    i, j = ij
+    clear_action_cache()
+    cold = act_L(i, j, m, u), act_L_total(m, u, 2)
+    warm = act_L(i, j, m, u), act_L_total(m, u, 2)
+    total = _wide_mode_sum(1, 1, m, u, pad=2) + _wide_mode_sum(2, 2, m, u, pad=2)
+    assert warm == cold == (_wide_mode_sum(i, j, m, u, pad=2), total)
+
+
+@PROFILE
+@given(_homogeneous_pairs(5, 2), st.sampled_from([(1, 2), (2, 1)]),
+       st.integers(-3, -1), st.integers(-3, -1), st.integers(-4, 4))
+def test_recursion_oracle_is_linear(pair, ij, m, n, l):
+    u1, u2 = pair
+    oracle = [vertex_mode_by_recursion(*ij, m, n, l, u) for u in (u1, u2)]
+    assert vertex_mode_by_recursion(*ij, m, n, l, u1 + u2) == oracle[0] + oracle[1]

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from jordan_voa.fock import State, act, monomial
+from jordan_voa import virops
+from jordan_voa.fock import State, act, clear_action_cache, monomial, weight_space_basis, weights
 from jordan_voa.liealg import Generator, canonicalize
 from jordan_voa.scalar import R
 from jordan_voa.virops import (
@@ -91,6 +92,24 @@ def test_window_independence():
     for u in states[1:]:
         for l in (-2, 1, 3):
             assert vertex_mode(1, 2, -2, -1, l, u) == _wide_vertex_mode(1, 2, -2, -1, l, u, pad=6)
+
+
+def test_window_ends_act_as_zero():
+    """The summands dropped at both ends of the window act as zero on every basis monomial.
+
+    For degree D the full range would be h in [m - D, D]; the window keeps
+    [m - D + 1, D - 1].  The closed vertex-mode sum has the same form with
+    centre l + m + n + 1 and i != j, so the off-diagonal cases cover it.
+    """
+    monos = [()] + [mono for lam in weights(5, 2) for mono in weight_space_basis(lam, d=2)]
+    for mono in monos:
+        u = State.from_monomial(mono)
+        depth = u.degree()
+        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for m in range(-9, 5):
+                ends = (depth,) if i == j and m == 0 else (m - depth, depth)
+                for h in ends:
+                    assert act(gen_elem(i, j, m - h, h), u).is_zero(), (i, j, m, h, mono)
 
 
 def test_mode_operators_check_indices_against_d():
@@ -193,6 +212,28 @@ def test_vertex_mode_matches_recursion_oracle_sample():
                 )
 
 
+def test_recursion_oracle_never_calls_the_closed_form(monkeypatch):
+    """With vertex_mode and binom disabled, the oracle still reproduces the closed form."""
+    states = [VAC, lowering_state((1, 1, -1, -1)), lowering_state((1, 2, -2, -1), (2, 2, -1, -1))]
+    cases = [
+        (i, j, m, n, l, u)
+        for i, j in ((1, 2), (2, 1))
+        for m, n in itertools.product(range(-3, 0), repeat=2)
+        for l in (-3, 0, 2)
+        for u in states
+    ]
+    expected = [vertex_mode(*case) for case in cases]
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the recursion oracle used the closed vertex-mode formula")
+
+    monkeypatch.setattr(virops, "vertex_mode", disabled)
+    monkeypatch.setattr(virops, "binom", disabled)
+    clear_action_cache()
+    for case, value in zip(cases, expected):
+        assert vertex_mode_by_recursion(*case) == value, case
+
+
 def test_binom_values():
     assert binom(5, 2) == 10
     assert binom(-1, 3) == -1
@@ -265,3 +306,21 @@ def test_act_l_rejects_mixed_degree_states():
     mixed = VAC + lowering_state((1, 1, -1, -1))
     with pytest.raises(ValueError):
         act_L(1, 1, 0, mixed)
+
+
+def test_memoised_operators_still_check_their_input():
+    """A warm cache skips neither the homogeneity guard nor the index check."""
+    low = lowering_state((1, 1, -1, -1))
+    mixed = VAC + low
+    for u in (VAC, low):  # every monomial of mixed now has a cached image
+        act_L(1, 2, -1, u)
+        act_L_total(0, u, 2)
+        vertex_mode_by_recursion(1, 2, -2, -1, 0, u)
+    with pytest.raises(ValueError, match="homogeneous"):
+        act_L(1, 2, -1, mixed)
+    with pytest.raises(ValueError, match="homogeneous"):
+        act_L_total(0, mixed, 2)
+    with pytest.raises(ValueError, match="homogeneous"):
+        vertex_mode_by_recursion(1, 2, -2, -1, 0, mixed)
+    with pytest.raises(ValueError, match="oscillator index 2"):
+        act_L(1, 2, -1, low, d=1)
