@@ -8,7 +8,7 @@ and certification, and the degree-2 Jordan-algebra verification, together
 with a command-line front end and a one-shot regression battery.
 """
 
-from .scalar import Scalar, ZERO, ONE, R, parse_scalar, evaluate_at
+from .scalar import Scalar, ZERO, ONE, R, parse_scalar
 from .liealg import Generator, LieElement, canonicalize, bracket, bracket_r
 from .fock import (
     MIXED,

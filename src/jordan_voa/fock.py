@@ -99,19 +99,9 @@ class Weight(object):
                 pairs.append(((k, l), count))
         self._pairs = tuple(sorted(pairs))
 
-    @classmethod
-    def zero(cls) -> "Weight":
-        return cls()
-
     @property
     def counts(self) -> dict:
         return dict(self._pairs)
-
-    def count(self, k: int, l: int) -> int:
-        for (pk, pl), c in self._pairs:
-            if (pk, pl) == (k, l):
-                return c
-        return 0
 
     def is_zero(self) -> bool:
         return not self._pairs
@@ -125,17 +115,6 @@ class Weight(object):
     def theta(self) -> int:
         """Total multiplicity carried by oscillators other than the first."""
         return sum(c for (k, _), c in self._pairs if k >= 2)
-
-    def shifted(self, deltas: Mapping) -> "Weight | None":
-        """Add signed multiplicities; None if any count would go negative."""
-        counts = self.counts
-        for key, delta in deltas.items():
-            counts[key] = counts.get(key, 0) + delta
-            if counts[key] < 0:
-                return None
-            if counts[key] == 0:
-                del counts[key]
-        return Weight(counts)
 
     def __eq__(self, other):
         if not isinstance(other, Weight):
@@ -279,7 +258,10 @@ def act(x, u: State) -> State:
 
 
 def memo(key, compute, *args):
-    """The value cached under key, computed as compute(*args) on first use."""
+    """The value cached under key, computed as compute(*args) on first use.
+
+    A cached None reads as a miss, so compute must never return None.
+    """
     value = _ACT_CACHE.get(key)
     if value is None:
         value = _ACT_CACHE[key] = compute(*args)

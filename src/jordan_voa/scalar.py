@@ -23,7 +23,6 @@ __all__ = [
     "Combination",
     "add_into",
     "parse_scalar",
-    "evaluate_at",
     "poly_exact_div",
     "poly_gcd",
     "fraction_free_rref",
@@ -316,11 +315,6 @@ class Combination:
 
     def __repr__(self):
         return f"{type(self).__name__}({str(self)!r})"
-
-
-def evaluate_at(p, r0) -> Fraction:
-    """Evaluate a polynomial at a rational point, exactly."""
-    return Scalar.of(p).evaluate(r0)
 
 
 _TERM_RE = re.compile(r"(-?)(?:(\d+(?:/\d+)?)\*?)?(r(?:\^(\d+))?)?$")

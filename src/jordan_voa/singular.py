@@ -19,11 +19,23 @@ pass strict=True to include them and observe the failure.
 Kernel search runs over one weight space at a time: stack the raising
 actions on the weight-space basis into an exact matrix and return its
 nullspace, over Q for a rational parameter value or over Q(r) for the
-generic parameter.  Both kernels come from one fraction-free (Bareiss)
-elimination, scalar.fraction_free_rref, and never divide inexactly: over Q
-each row is cleared of denominators and eliminated over Z; over Q(r) the
-matrix is eliminated over Q[r], so the kernel vectors are polynomial from
-the start and only their content is divided out.
+generic parameter.  Only generators that can act nonzero on the weight
+space are stacked: grading forces a raising generator to act as zero on a
+monomial when it has a zero mode (v_k(0) is central and kills the vacuum)
+or a positive mode x on an oscillator k whose mode -x the monomial lacks.
+The same support-driven family serves is_singular.  Both kernels come from
+one fraction-free elimination (E. H. Bareiss, Math. Comp. 22 (1968)),
+scalar.fraction_free_rref, and never divide inexactly: over Q each row is
+cleared of denominators and eliminated over Z; over Q(r) the matrix is
+eliminated over Q[r], so the kernel vectors are polynomial from the start
+and only their content is divided out.  The elimination over Q[r] also ends
+on a maximal minor D(r) of the weight's matrix (ZERO below full column
+rank).  Evaluation commutes with determinants, so D(r0) != 0 proves full
+column rank, hence a zero kernel, at r0 without specialising the matrix;
+only where D vanishes is the matrix eliminated over Q.  Every maximal minor
+is a multiple of the gcd of all of them, the last determinantal divisor
+(M. Newman, Integral Matrices, 1972), so the gcd of a few minors bounds the
+parameter values with a singular vector at that weight.
 """
 
 from __future__ import annotations
@@ -40,6 +52,8 @@ from .fock import (
     Weight,
     act,
     degree_of,
+    memo,
+    monomial_weight,
     weight_space_basis,
     weights,
 )
@@ -169,6 +183,33 @@ def raising_generators(
     return [g for g in gens if g.m + g.n > 0 and (strict or g.m <= g.n)]
 
 
+def _raising_family(support, d: int = 1, strict: bool = False) -> list:
+    """The raising generators that can act nonzero on states with this support.
+
+    support holds the lowering modes (k, l) of the states' monomials.  The
+    result is raising_generators(D, d, full_algebra=True, strict) for a
+    degree-D state, in the same order, less every generator that acts as
+    zero for grading reasons: one with a zero mode, and one with a positive
+    mode x on an oscillator k where (k, -x) is not in the support.  A kept
+    generator's other mode is positive too, or negative and above -x.
+    """
+    positive: dict = {}
+    for k, l in support:
+        positive.setdefault(k, []).append(-l)
+    out = []
+    for i in range(1, d + 1):
+        for j in range(i, d + 1):
+            reversed_ok = strict and i < j
+            for m in positive.get(i, ()):
+                out.extend(Generator(i, j, m, n) for n in positive.get(j, ())
+                           if m <= n or reversed_ok)
+                if reversed_ok:
+                    out.extend(Generator(i, j, m, n) for n in range(1 - m, 0))
+            for n in positive.get(j, ()):
+                out.extend(Generator(i, j, m, n) for m in range(1 - n, 0))
+    return sorted(out)
+
+
 def _state_is_zero_at(u: State, r0) -> bool:
     if r0 == GENERIC:
         return u.is_zero()
@@ -190,10 +231,10 @@ def is_singular(
     The witness on failure is the first violating generator together with
     its nonzero image (specialised when r0 is rational).
     """
-    deg = degree_of(u)
-    if deg == MIXED:
+    if degree_of(u) == MIXED:
         raise ValueError("singularity is only defined for homogeneous states")
-    for gen in raising_generators(deg, d=d, full_algebra=full_algebra, strict=strict):
+    support = set().union(*(monomial_weight(mono).support() for mono in u.terms))
+    for gen in _raising_family(support, d if full_algebra else 1, strict):
         image = act(gen, u)
         if not _state_is_zero_at(image, r0):
             witness = image if r0 == GENERIC else image.specialize(r0)
@@ -271,8 +312,7 @@ def _search_matrix(lam: Weight):
     basis = weight_space_basis(lam, restricted=True)
     rows = []
     if basis:
-        depth = lam.total_degree()
-        for gen in raising_generators(depth, d=1, full_algebra=False):
+        for gen in _raising_family(lam.support()):
             images = [act(gen, State.from_monomial(mono)) for mono in basis]
             targets = sorted({m for img in images for m in img.terms})
             for target in targets:
@@ -282,12 +322,24 @@ def _search_matrix(lam: Weight):
     return result
 
 
+def _generic_minor(rows, ncols: int) -> Scalar:
+    """A maximal minor of a matrix over Q[r]; ZERO below full column rank.
+
+    It is the last pivot of the fraction-free elimination: up to sign, the
+    determinant of the pivot rows.
+    """
+    mat, pivots, _ = fraction_free_rref(rows, ncols, poly_exact_div)
+    return mat[0][pivots[0]] if len(pivots) == ncols else ZERO
+
+
 def singular_search(lam: Weight, r0) -> KernelReport:
     """Exact kernel of the stacked raising actions on one weight space.
 
-    The weight must be supported on the first oscillator.  Kernel vectors
-    are normalised to coefficient 1 (leading coefficient 1 for generic r)
-    on their lexicographically smallest monomial, and each is re-certified
+    The weight must be supported on the first oscillator.  At a rational r0
+    the kernel is zero, with no elimination, wherever the weight's generic
+    maximal minor (memoised) does not vanish.  Kernel vectors are
+    normalised to coefficient 1 (leading coefficient 1 for generic r) on
+    their lexicographically smallest monomial, and each is re-certified
     through is_singular before being returned.
     """
     if any(k != 1 for (k, _) in lam.support()):
@@ -301,6 +353,8 @@ def singular_search(lam: Weight, r0) -> KernelReport:
         vectors = kernel_basis_poly(rows, len(basis))
     else:
         r0 = Fraction(r0)
+        if memo(("minor", lam), _generic_minor, rows, len(basis)).evaluate(r0):
+            return KernelReport(lam, r0, len(basis), 0, [])
         rational_rows = [[c.evaluate(r0) for c in row] for row in rows]
         vectors = kernel_basis(rational_rows, len(basis))
     states = []

@@ -19,7 +19,9 @@ from jordan_voa.fock import (  # noqa: E402
 )
 from jordan_voa.liealg import LieElement, canonical_generators  # noqa: E402
 from jordan_voa.scalar import Scalar, parse_scalar  # noqa: E402
+from jordan_voa.singular import GENERIC, singular_search  # noqa: E402
 from jordan_voa.virops import act_L, act_L_total, vertex_mode_by_recursion  # noqa: E402
+from test_fock import _shifted  # noqa: E402
 from test_virops import _wide_mode_sum  # noqa: E402
 
 # derandomized and without an example database, so every run checks the same cases
@@ -100,7 +102,7 @@ def _mode_shift(g):
 @PROFILE
 @given(st.sampled_from(canonical_generators(4, 3)), st.sampled_from(basis_monomials(5, 3)))
 def test_act_shifts_degree_and_weight_by_the_generator(g, u):
-    expected = monomial_weight(u).shifted(_mode_shift(g))
+    expected = _shifted(monomial_weight(u), _mode_shift(g))
     for mono in act(g, State.from_monomial(u)).terms:
         assert monomial_degree(mono) == monomial_degree(u) + g.degree()
         assert expected is not None and monomial_weight(mono) == expected
@@ -149,3 +151,13 @@ def test_recursion_oracle_is_linear(pair, ij, m, n, l):
     u1, u2 = pair
     oracle = [vertex_mode_by_recursion(*ij, m, n, l, u) for u in (u1, u2)]
     assert vertex_mode_by_recursion(*ij, m, n, l, u1 + u2) == oracle[0] + oracle[1]
+
+
+@PROFILE
+@given(st.sampled_from(weights(10)), st.one_of(st.integers(-5, 5), rationals))
+def test_specialising_never_shrinks_the_kernel(lam, r0):
+    """Specialising r can only lower the rank, so it can only enlarge the kernel."""
+    generic = singular_search(lam, GENERIC)
+    special = singular_search(lam, r0)
+    assert special.basis_dim == generic.basis_dim
+    assert special.kernel_dim >= generic.kernel_dim

@@ -10,7 +10,6 @@ from jordan_voa.scalar import (
     R,
     ZERO,
     Scalar,
-    evaluate_at,
     fraction_free_rref,
     parse_scalar,
     poly_exact_div,
@@ -34,10 +33,10 @@ def test_canonical_form():
 
 def test_evaluate_examples():
     nu = 1
-    assert evaluate_at(R + (2 * nu - 2), 0) == 0
-    assert evaluate_at(R, Fraction(1, 2)) == Fraction(1, 2)
+    assert (R + (2 * nu - 2)).evaluate(0) == 0
+    assert R.evaluate(Fraction(1, 2)) == Fraction(1, 2)
     # the coefficient m*n*(1 + delta_{m,n}) at m=1, n=2 is 2, so 2*r at r=3
-    assert evaluate_at(2 * R, 3) == 6
+    assert (2 * R).evaluate(3) == 6
 
 
 def _random_poly(rng):

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from jordan_voa.fock import State, Weight, act, monomial, weights
+from jordan_voa import fock, singular
+from jordan_voa.fock import State, Weight, act, degree_of, monomial, weight_space_basis, weights
 from jordan_voa.liealg import Generator, canonicalize
-from jordan_voa.scalar import ONE, R, ZERO, Scalar
+from jordan_voa.scalar import ONE, R, ZERO, Scalar, _poly_divmod, poly_gcd
 from jordan_voa.singular import (
     GENERIC,
+    _generic_minor,
+    _search_matrix,
     DetSpec,
     det_power_state,
     det_state,
@@ -258,7 +261,7 @@ def test_singular_search_validates_weight():
     with pytest.raises(ValueError):
         singular_search(Weight({(2, -1): 2}), Fraction(0))
     with pytest.raises(ValueError):
-        singular_search(Weight.zero(), Fraction(0))
+        singular_search(Weight(), Fraction(0))
 
 
 def test_restricted_weights_enumeration():
@@ -320,3 +323,154 @@ def test_singular_sweep_worker_pool_matches_serial():
     assert [(r.weight, r.basis_dim, r.kernel_dim) for r in serial] == [
         (r.weight, r.basis_dim, r.kernel_dim) for r in pooled
     ]
+
+
+# -- the support-driven raising family and the minor certificate ----------
+
+
+def _unpruned_search_matrix(lam):
+    """The search matrix built over every raising generator up to the degree."""
+    basis = weight_space_basis(lam, restricted=True)
+    rows = []
+    if basis:
+        for gen in raising_generators(lam.total_degree()):
+            images = [act(gen, State.from_monomial(mono)) for mono in basis]
+            for target in sorted({m for img in images for m in img.terms}):
+                rows.append([img.coefficient(target) for img in images])
+    return basis, rows
+
+
+def _unpruned_is_singular(u, r0=GENERIC, d=1, full_algebra=False, strict=False):
+    for gen in raising_generators(degree_of(u), d=d, full_algebra=full_algebra, strict=strict):
+        image = act(gen, u)
+        if r0 != GENERIC:
+            image = image.specialize(r0)
+        if not image.is_zero():
+            return False, (gen, image)
+    return True, None
+
+
+def test_pruned_search_matrix_equals_the_unpruned_build():
+    lams = weights(12)
+    assert sum(1 for lam in lams if _search_matrix(lam)[0]) == 136
+    for lam in lams:
+        assert _search_matrix(lam) == _unpruned_search_matrix(lam), lam
+
+
+def test_pruned_is_singular_matches_the_unpruned_reference():
+    cases = []
+    for p, nu in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2)):
+        r_cert = DetSpec(p, nu).certification_r()
+        for r0 in (Fraction(r_cert), Fraction(r_cert + 1), GENERIC):
+            cases.append((det_power_state(p, nu), r0, {}))
+    for lam in (Weight({(1, -1): 2, (1, -2): 2}), Weight({(1, -1): 1, (1, -3): 1}),
+                Weight({(1, -2): 2, (1, -3): 2})):
+        for mono in weight_space_basis(lam, restricted=True):
+            cases.append((State.from_monomial(mono), Fraction(0), {}))
+    mixed = lowering_state((1, 1, -1, -1), (1, 2, -2, -1)) + lowering_state((1, 2, -4, -1))
+    for u, r0 in ((det_state(2), Fraction(1)), (mixed, Fraction(1, 2)), (mixed, GENERIC)):
+        for strict in (True, False):
+            for d in (2, 3):
+                cases.append((u, r0, {"d": d, "full_algebra": True, "strict": strict}))
+    outcomes = set()
+    for u, r0, flags in cases:
+        got = is_singular(u, r0=r0, **flags)
+        assert got == _unpruned_is_singular(u, r0=r0, **flags), (u, r0, flags)
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
+    ok, witness = is_singular(det_state(2), r0=Fraction(1), d=2, full_algebra=True, strict=True)
+    assert not ok and witness[0] == Generator(1, 2, 2, -1)
+
+
+def _eliminated_search(lam, r0):
+    """basis_dim, kernel_dim and normalised vectors from eliminating at r0."""
+    basis, rows = _search_matrix(lam)
+    if not basis:
+        return 0, 0, []
+    vectors = kernel_basis([[c.evaluate(r0) for c in row] for row in rows], len(basis))
+    states = []
+    for vec in vectors:
+        lead = next(c for c in vec if c)
+        states.append(State(dict(zip(basis, [x / lead for x in vec]))))
+    return len(basis), len(states), states
+
+
+def test_singular_search_matches_elimination_at_every_rational():
+    r_values = [Fraction(r) for r in range(-3, 4)]
+    r_values += [Fraction(-3, 2), Fraction(1, 2), Fraction(5, 2)]
+    kernels = 0
+    for lam in weights(10):
+        for r0 in r_values:
+            report = singular_search(lam, r0)
+            got = (report.basis_dim, report.kernel_dim, report.kernel_vectors)
+            assert got == _eliminated_search(lam, r0), (lam, r0)
+            kernels += report.kernel_dim
+    assert kernels == 3  # the determinant powers (1,1) at r=0, (1,2) at r=-2, (2,1) at r=1
+
+
+def test_a_vanishing_minor_falls_back_to_elimination(monkeypatch):
+    lam = Weight({(1, -2): 2, (1, -1): 4})
+    basis, rows = _search_matrix(lam)
+    assert _generic_minor(rows, len(basis)) == Scalar((-24, -16))  # -16r - 24
+    calls = []
+
+    def counting_kernel_basis(rows, ncols=None):
+        calls.append(ncols)
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(singular, "kernel_basis", counting_kernel_basis)
+    fock.clear_action_cache()
+    assert singular_search(lam, Fraction(1, 2)).kernel_dim == 0
+    assert calls == []  # certified by the minor
+    assert fock._ACT_CACHE[("minor", lam)] == Scalar((-24, -16))
+    report = singular_search(lam, Fraction(-3, 2))
+    assert calls == [2]  # the minor vanishes at -3/2, so the matrix is eliminated
+    assert (report.basis_dim, report.kernel_dim, report.kernel_vectors) == (2, 0, [])
+
+
+def test_generic_minor_is_zero_below_full_rank():
+    assert _generic_minor([[ONE, R], [R, R * R]], 2) == ZERO
+    assert _generic_minor([], 1) == ZERO
+    assert _generic_minor([[ONE, R], [R, ONE]], 2) in (ONE - R * R, R * R - ONE)
+
+
+def _without_integer_roots(p):
+    """p divided by (r - k), with multiplicity, for each of its integer roots k."""
+    lead = Fraction(p[-1])
+    bound = 1 + max((abs(c / lead) for c in p[:-1]), default=0)  # Cauchy's root bound
+    for k in range(-int(bound), int(bound) + 1):
+        while True:
+            quot, rem = _poly_divmod(p, Scalar((-k, 1)))
+            if rem:
+                break
+            p = quot
+    return p
+
+
+def _two_minor_gcd(lam):
+    basis, rows = _search_matrix(lam)
+    return poly_gcd(_generic_minor(rows, len(basis)), _generic_minor(rows[::-1], len(basis)))
+
+
+def test_only_integer_parameters_have_singular_vectors_to_degree_12():
+    """The "only if" of the theorem in the restricted module, for every r in C.
+
+    Each maximal minor is a multiple of the gcd of all of them, so a
+    singular vector at r0 forces every minor, hence the gcd of two, to
+    vanish at r0.  That gcd has only integer roots at every weight.
+    """
+    searched = 0
+    for lam in weights(12):
+        if not _search_matrix(lam)[0]:
+            continue
+        searched += 1
+        common = _two_minor_gcd(lam)
+        assert common, lam  # full column rank over Q(r)
+        assert _without_integer_roots(common).is_constant(), (lam, common)
+    assert searched == 136
+    # one minor is not enough: each of these has a non-integer root
+    for count in (4, 6, 8):
+        lam = Weight({(1, -2): 2, (1, -1): count})
+        basis, rows = _search_matrix(lam)
+        assert not _without_integer_roots(_generic_minor(rows, len(basis))).is_constant()
+        assert _two_minor_gcd(lam) == ONE
