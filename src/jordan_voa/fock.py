@@ -246,15 +246,28 @@ def act(x, u: State) -> State:
     term, its constant as a scalar.
     """
     ops, const = _operator_parts(x)
-    acc: dict = {}
-    for mono, cu in u.terms.items():
+    return State._from_tidy(_act_terms(ops, const, u.terms))
+
+
+def _act_terms(ops, const, terms: dict, acc: dict | None = None) -> dict:
+    """Image of the operator sum(c * gen for gen, c in ops) + const on terms.
+
+    terms maps basis monomials to nonzero Scalars, as State.terms does.  The
+    image is added into acc (a fresh dict if None) and acc is returned; the
+    cached per-monomial images are only read.
+    """
+    if acc is None:
+        acc = {}
+    for mono, cu in terms.items():
         for gen, cg in ops:
-            coeff = cu * cg
-            for m2, s2 in _act_gen(gen, mono).items():
-                add_into(acc, m2, s2 * coeff)
+            image = _act_gen(gen, mono)
+            if image:
+                coeff = cu * cg
+                for m2, s2 in image.items():
+                    add_into(acc, m2, s2 * coeff)
         if const:
             add_into(acc, mono, cu * const)
-    return State._from_tidy(acc)
+    return acc
 
 
 def memo(key, compute, *args):

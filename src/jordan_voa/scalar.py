@@ -114,6 +114,12 @@ class Scalar(tuple):
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
+            if len(self) == 1 and len(other) == 1:
+                # constant times constant: both nonzero, so the product is too
+                c = self[0] * other[0]
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                return tuple.__new__(Scalar, (c,))
             if not self or not other:
                 return ZERO
             out = [0] * (len(self) + len(other) - 1)

@@ -7,12 +7,17 @@ and prints a pass/fail line.  Run with `pytest tests/test_acceptance.py -v -s`
 to see the per-criterion lines and timings.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from jordan_voa.liealg import bracket_r, _pair_bracket
 from jordan_voa.suite import SuiteConfig, canonical_generators, run_paper_suite
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +107,12 @@ def test_criterion_12_aggregate(suite_results, capsys):
     assert code == 0
     print(f"criterion 12 (aggregate): {len(suite_results)} checks, "
           f"{total:.1f}s total, failed: none")
+
+
+def test_summary_lines_are_the_certify_goldens(suite_results):
+    """Every summary line of the default battery is byte-identical to the goldens."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["certify"]
+    assert [res.summary_line() for res in suite_results.values()] == golden
 
 
 def test_fast_bracket_table_matches_public_api():

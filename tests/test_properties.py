@@ -1,6 +1,7 @@
 """Property tests for the linear-combination core and the module action."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from jordan_voa.fock import (  # noqa: E402
     weights,
 )
 from jordan_voa.liealg import LieElement, canonical_generators  # noqa: E402
-from jordan_voa.scalar import Scalar, parse_scalar  # noqa: E402
+from jordan_voa.scalar import R, Scalar, parse_scalar  # noqa: E402
 from jordan_voa.singular import GENERIC, singular_search  # noqa: E402
 from jordan_voa.virops import act_L, act_L_total, vertex_mode_by_recursion  # noqa: E402
 from test_fock import _shifted  # noqa: E402
@@ -116,6 +117,27 @@ def test_scalar_ring_axioms(a, b, c):
     assert a + b == b + a
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
+
+
+def _convolution(a, b):
+    """The product of two polynomials in r, coefficient by coefficient."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for k, c in enumerate(a):
+        for k2, c2 in enumerate(b):
+            out[k + k2] += c * c2
+    return Scalar(out)
+
+
+@PROFILE
+@given(rationals.filter(bool), rationals.filter(bool))
+def test_constant_product_is_the_convolution(a, b):
+    x, y = Scalar((a,)), Scalar((b,))
+    product = x * y
+    expected = _convolution(x, y)
+    assert product == expected
+    assert hash(product) == hash(expected) and str(product) == str(expected)
+    assert product == x * (y + R) - x * R  # through the general product
+    assert type(product[0]) is (int if product[0].denominator == 1 else Fraction)
 
 
 def _homogeneous_pairs(max_degree, d):

@@ -1,8 +1,10 @@
 """Ring arithmetic, evaluation, and parsing for polynomials in r."""
 
+import importlib.util
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,43 @@ def test_canonical_form():
     assert Scalar((0, Fraction(0), 1)).coeffs == {2: 1}
     assert not ZERO
     assert ZERO.degree() == -1
+
+
+def test_integral_constant_product_is_an_int():
+    for a, b in ((Fraction(1, 2), 4), (Fraction(3, 2), Fraction(2, 3)), (Fraction(-5), 7)):
+        product = Scalar((a,)) * Scalar((b,))
+        assert product == Scalar((a * b,))
+        assert type(product[0]) is int
+    assert type((Scalar((Fraction(1, 2),)) * Scalar((3,)))[0]) is Fraction
+
+
+def test_integral_fraction_and_int_coefficients_agree():
+    x, y = Scalar((Fraction(4, 2),)), Scalar((2,))
+    assert x == y
+    assert hash(x) == hash(y)
+    assert str(x) == str(y) == "2"
+
+
+def test_rmul_is_an_alias_of_mul():
+    assert Scalar.__rmul__ is Scalar.__mul__
+
+
+def test_tracer_refuses_a_broken_mul_alias():
+    """The bench tracer counts __mul__ and __rmul__ as one; a split alias is an error."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    class SplitAlias(Scalar):
+        __slots__ = ()
+        __mul__ = Scalar.__mul__
+
+        def __rmul__(self, other):
+            return Scalar.__mul__(self, other)
+
+    with pytest.raises(ValueError, match="not an alias"):
+        tracing.Tracer()._rebind_method(SplitAlias, ("__mul__", "__rmul__"), lambda fn: fn)
 
 
 def test_evaluate_examples():
