@@ -30,8 +30,8 @@ from .virops import (
     virasoro_central_term,
 )
 from .singular import (
-    DetSpec,
     KernelReport,
+    certification_r,
     det_state,
     det_power_state,
     is_singular,

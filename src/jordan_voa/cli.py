@@ -6,12 +6,10 @@ degree-2 algebra table, Virasoro probes, and the one-shot verification
 battery.  Reports are deterministic for a fixed configuration and seed;
 timings go to stderr so stdout stays byte-stable.
 
-Each subcommand accepts only the flags it reads.  Where a subcommand has
-one of these flags, an environment variable with the JORDAN_VOA_ prefix
-sets its default (JORDAN_VOA_D, JORDAN_VOA_R, JORDAN_VOA_MAX_DEGREE,
-JORDAN_VOA_OUTPUT, JORDAN_VOA_SEED, JORDAN_VOA_WORKERS).  Such a value is
-validated like the flag, except that an --output value the subcommand
-lacks falls back to its first format.
+Each subcommand accepts only the flags it reads, and every setting is a
+flag; nothing is read from the environment.  --d alone decides which
+oscillators a basis or a singularity check covers: --d 1 is the module on
+the first oscillator.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error.
 """
@@ -21,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -30,21 +27,17 @@ from .griess import GriessVerificationError, build_griess_table, jordan_verify
 from .liealg import bracket_r, canonicalize, parse_generator_literal
 from .singular import (
     GENERIC,
-    DetSpec,
     SingularVerificationError,
+    certification_r,
+    det_power_state,
     is_singular,
     singular_sweep,
     verify_det_lemmas,
 )
-from .suite import MAX_D, MAX_DEGREE, MIN_D, SuiteConfig, run_paper_suite
+from .suite import MAX_D, MAX_DEGREE, MIN_D, MIN_DEGREE, SuiteConfig, run_paper_suite
 from .virops import act_L, vertex_mode, virasoro_bracket_probe, virasoro_central_term
 
-ENV_PREFIX = "JORDAN_VOA_"
 DEGREE_GUARD = 10
-
-
-def _env_default(name: str, fallback):
-    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 def _parse_r(text: str):
@@ -109,11 +102,11 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
-def _flags(parser, *names, formats=("text", "json"), ranges=None, fallback=None):
-    """Add the named shared flags and --output; JORDAN_VOA_<NAME> overrides each default.
+def _flags(parser, *names, formats=("text", "json"), ranges=None):
+    """Add the named shared flags and --output.
 
-    ranges maps "d" or "max-degree" to an allowed (low, high) range.  Defaults
-    stay strings, so argparse validates an environment value like a flag.
+    ranges maps "d" or "max-degree" to an allowed (low, high) range.  A
+    subcommand with other defaults overrides them with set_defaults.
     """
     ranges = {"d": (1, None), "max-degree": (0, None), **(ranges or {})}
     specs = {  # name -> (type, default, help)
@@ -124,16 +117,14 @@ def _flags(parser, *names, formats=("text", "json"), ranges=None, fallback=None)
         "seed": (int, 0, None),
         "workers": (int, 1, None),
     }
-    fallback = fallback or {}
     for name in names:
         if name == "no-degree-guard":
             parser.add_argument("--no-degree-guard", action="store_true",
                                 help=f"allow --max-degree beyond {DEGREE_GUARD}")
             continue
         kind, default, text = specs[name]
-        default = _env_default(name.upper().replace("-", "_"), str(fallback.get(name, default)))
         parser.add_argument(f"--{name}", type=kind, default=default, help=text)
-    parser.add_argument("--output", choices=formats, default=_env_default("OUTPUT", formats[0]))
+    parser.add_argument("--output", choices=formats, default=formats[0])
 
 
 def _check_guard(args) -> None:
@@ -190,7 +181,7 @@ def _cmd_vertex_mode(args) -> int:
 
 def _cmd_weight_basis(args) -> int:
     lam = _parse_weight(args.weight)
-    basis = weight_space_basis(lam, d=args.d, restricted=args.restricted)
+    basis = weight_space_basis(lam, d=args.d)
     if args.output == "json":
         print(json.dumps([[list(g) for g in mono] for mono in basis]))
     else:
@@ -201,11 +192,11 @@ def _cmd_weight_basis(args) -> int:
 
 
 def _cmd_singular_check(args) -> int:
-    spec = DetSpec(args.p, args.nu)
-    r0 = spec.certification_r() if args.r is None else args.r
-    state = spec.state()
-    ok, witness = is_singular(state, r0=r0, d=args.d, full_algebra=args.full_algebra,
-                              strict=args.strict_mixed)
+    if args.strict_mixed and args.d == 1:
+        raise ValueError("--strict-mixed needs --d 2 or more: d = 1 has no mixed index pairs")
+    r0 = certification_r(args.p, args.nu) if args.r is None else args.r
+    state = det_power_state(args.p, args.nu)
+    ok, witness = is_singular(state, r0=r0, d=args.d, strict=args.strict_mixed)
     if args.output == "json":
         payload = {"p": args.p, "nu": args.nu, "r": str(r0), "singular": ok}
         if witness:
@@ -223,6 +214,8 @@ def _cmd_singular_sweep(args) -> int:
     _check_guard(args)
     if args.rmin > args.rmax:
         raise ValueError(f"empty parameter range: --rmin {args.rmin} exceeds --rmax {args.rmax}")
+    if args.max_degree < 1:
+        raise ValueError(f"no weight to search: --max-degree {args.max_degree} is below 1")
     r_values = [Fraction(r) for r in range(args.rmin, args.rmax + 1)]
     reports = singular_sweep(r_values, args.max_degree, workers=args.workers)
     if args.output == "json":
@@ -357,22 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weight-basis", help="enumerate a weight-space basis")
     p.add_argument("--weight", required=True, help='e.g. "2*Lam[1,-1] + 2*Lam[1,-2]"')
-    p.add_argument("--restricted", action="store_true",
-                   help="restrict factors to the first oscillator")
     _flags(p, "d")
     p.set_defaults(func=_cmd_weight_basis)
 
     p = sub.add_parser("singular-check", help="certify a determinant power")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--full-algebra", action="store_true",
-                   help="also require annihilation by certifiable mixed-index generators")
     p.add_argument("--strict-mixed", action="store_true",
-                   help="include reversed-order mixed generators (fails for p >= 2)")
+                   help="include reversed-order mixed generators (needs --d 2 or more; "
+                        "fails for p >= 2)")
     p.add_argument("--r", type=_parse_r, default=None,
                    help="parameter value (default: the certification value 1-2*nu+p)")
     _flags(p, "d")
-    p.set_defaults(func=_cmd_singular_check)
+    p.set_defaults(func=_cmd_singular_check, d=1)
 
     p = sub.add_parser("singular-sweep", help="kernel search over all weights")
     p.add_argument("--rmin", type=int, required=True)
@@ -400,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_in(0), default=suite.samples,
                    help="sampled bracket triples (default %(default)s)")
     _flags(p, "d", "max-degree", "seed",
-           ranges={"d": (MIN_D, MAX_D), "max-degree": (0, MAX_DEGREE)},
-           fallback={"d": suite.d, "max-degree": suite.max_degree, "seed": suite.seed})
-    p.set_defaults(func=_cmd_paper_suite)
+           ranges={"d": (MIN_D, MAX_D), "max-degree": (MIN_DEGREE, MAX_DEGREE)})
+    p.set_defaults(func=_cmd_paper_suite,
+                   d=suite.d, max_degree=suite.max_degree, seed=suite.seed)
 
     return parser
 

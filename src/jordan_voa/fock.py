@@ -45,6 +45,7 @@ __all__ = [
     "weight_of",
     "weights",
     "weight_space_basis",
+    "basis_monomials",
     "clear_action_cache",
 ]
 
@@ -347,22 +348,19 @@ def _pairings(symbols: tuple):
             yield ((first, partner),) + sub
 
 
-def weight_space_basis(
-    lam: Weight, d: int | None = None, restricted: bool = False
-) -> list:
+def weight_space_basis(lam: Weight, d: int | None = None) -> list:
     """All basis monomials of weight exactly lam.
 
     Pairs the required multiset of lowering modes v_k(l) into quadratic
-    factors in every possible way and deduplicates by canonical form.  With
-    restricted=True only first-oscillator factors qualify, so any weight
-    supported outside k=1 has an empty restricted basis.
+    factors in every possible way and deduplicates by canonical form.  The
+    factors use the oscillators of the weight, so d = 1 gives the basis of
+    the first-oscillator module; a weight with an index beyond d is a
+    ValueError.
     """
     symbols = []
     for (k, l), count in sorted(lam.counts.items()):
         if d is not None and k > d:
             raise ValueError(f"weight uses oscillator index {k} beyond d={d}")
-        if restricted and k != 1:
-            return []
         symbols.extend([(k, l)] * count)
     if len(symbols) % 2:
         return []
@@ -373,3 +371,8 @@ def weight_space_basis(
             factors.append(Generator(k1, k2, l1, l2))
         found.add(tuple(sorted(factors)))
     return sorted(found)
+
+
+def basis_monomials(max_degree: int, d: int) -> list:
+    """The vacuum and every basis monomial of degree <= max_degree over d oscillators."""
+    return [()] + [m for lam in weights(max_degree, d) for m in weight_space_basis(lam, d=d)]

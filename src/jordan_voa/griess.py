@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from .fock import State, weight_space_basis, weights
+from .fock import State, basis_monomials
 from .liealg import Generator
 from .virops import act_L
 
@@ -63,9 +63,6 @@ class GriessTable:
         self.index = {pair: pos for pos, pair in enumerate(self.basis)}
         self.products: dict = {}
 
-    def product_vector(self, left, right) -> tuple:
-        return self.products[(left, right)]
-
     def multiply(self, u: list, v: list) -> list:
         """Bilinear extension of the table to coordinate vectors."""
         out = [Fraction(0)] * len(self.basis)
@@ -97,10 +94,12 @@ class GriessTable:
         }
 
 
-def _omega_coordinates(state: State, d: int) -> list:
-    """Express a degree-2 state over the w basis; error if it leaves the span."""
-    basis = [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
-    coords = [Fraction(0)] * len(basis)
+def _omega_coordinates(state: State, index: dict) -> list:
+    """Express a degree-2 state over the w basis; error if it leaves the span.
+
+    index maps each pair (i, j) of the basis to its position.
+    """
+    coords = [Fraction(0)] * len(index)
     for mono, coeff in state.terms.items():
         if len(mono) != 1 or mono[0].m != -1 or mono[0].n != -1:
             raise GriessVerificationError(
@@ -111,7 +110,7 @@ def _omega_coordinates(state: State, d: int) -> list:
                 f"degree-2 structure constant depends on r: {coeff}"
             )
         pair = (mono[0].i, mono[0].j)
-        coords[basis.index(pair)] = Fraction(coeff.constant_value()) * 2
+        coords[index[pair]] = Fraction(coeff.constant_value()) * 2
     return coords
 
 
@@ -121,7 +120,7 @@ def build_griess_table(d: int) -> GriessTable:
     for left in table.basis:
         for right in table.basis:
             product = griess_product(left[0], left[1], right[0], right[1], d)
-            table.products[(left, right)] = tuple(_omega_coordinates(product, d))
+            table.products[(left, right)] = tuple(_omega_coordinates(product, table.index))
     return table
 
 
@@ -178,15 +177,10 @@ def jordan_verify(d: int) -> dict:
     table = build_griess_table(d)
     dim = len(table.basis)
 
-    degree_two = [
-        mono
-        for lam in weights(2, d)
-        if lam.total_degree() == 2
-        for mono in weight_space_basis(lam, d=d)
-    ]
-    if len(degree_two) != dim:
+    degree_two = len(basis_monomials(2, d)) - 1  # less the vacuum; degree 1 is empty
+    if degree_two != dim:
         raise GriessVerificationError(
-            f"degree-2 dimension {len(degree_two)} != d(d+1)/2 = {dim}"
+            f"degree-2 dimension {degree_two} != d(d+1)/2 = {dim}"
         )
 
     for left in table.basis:
@@ -218,7 +212,7 @@ def jordan_verify(d: int) -> dict:
                 )
 
     # Diagonal scale: w[1,1].w[1,1] = gamma w[1,1] forces c_diag = gamma.
-    first = table.basis.index((1, 1))
+    first = table.index[(1, 1)]
     gamma = table.products[((1, 1), (1, 1))][first]
     if not gamma:
         raise GriessVerificationError("diagonal square has no diagonal component")

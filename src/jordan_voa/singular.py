@@ -8,13 +8,14 @@ parameter value r = 1 - 2*nu + p.
 A homogeneous state u of degree D is certified singular when every raising
 generator (mode sum positive) with both modes in [-D, D] annihilates it.
 Raising generators with a mode beyond D annihilate any degree-D state for
-weight reasons, so the finite check is complete.  For the restricted
-first-oscillator family the two slot orders name the same generator; for
-mixed index pairs i < j the certified family keeps the slot order m <= n
-(equivalently a nonnegative second mode, the order that provably kills the
-restricted module).  The reversed-order mixed generators v[i,j](m,n) with
-m > n > -m generally do NOT annihilate determinant vectors of size p >= 2;
-pass strict=True to include them and observe the failure.
+weight reasons, so the finite check is complete.  The number of
+oscillators d decides the family: d = 1 is the first-oscillator module of
+the paper, where the two slot orders name the same generator; for d >= 2
+the mixed index pairs i < j join it in the slot order m <= n (equivalently
+a nonnegative second mode, the order that provably kills states built on
+the first oscillator).  The reversed-order mixed generators v[i,j](m,n)
+with m > n > -m generally do NOT annihilate determinant vectors of size
+p >= 2; strict=True adds them (d >= 2) to observe the failure.
 
 Kernel search runs over one weight space at a time: stack the raising
 actions on the weight-space basis into an exact matrix and return its
@@ -51,6 +52,7 @@ from .fock import (
     State,
     Weight,
     act,
+    basis_monomials,
     degree_of,
     memo,
     monomial_weight,
@@ -61,11 +63,11 @@ from .liealg import Generator, canonical_generators
 from .scalar import ONE, R, ZERO, Scalar, add_into, fraction_free_rref, poly_exact_div, poly_gcd
 
 __all__ = [
-    "DetSpec",
     "KernelReport",
     "SingularVerificationError",
     "det_state",
     "det_power_state",
+    "certification_r",
     "multiply_lowering",
     "raising_generators",
     "is_singular",
@@ -82,21 +84,6 @@ GENERIC = "generic"
 
 class SingularVerificationError(RuntimeError):
     """A kernel vector found by the search failed its singularity check."""
-
-
-@dataclass(frozen=True)
-class DetSpec:
-    """A determinant power: matrix size p and exponent nu."""
-
-    p: int
-    nu: int
-
-    def certification_r(self) -> int:
-        """The parameter value at which the vector is expected singular."""
-        return 1 - 2 * self.nu + self.p
-
-    def state(self) -> State:
-        return det_power_state(self.p, self.nu)
 
 
 @dataclass
@@ -149,6 +136,11 @@ def det_state(p: int, indices=None) -> State:
     return State(acc)
 
 
+def certification_r(p: int, nu: int) -> int:
+    """The parameter value r = 1 - 2*nu + p at which det^nu of size p is singular."""
+    return 1 - 2 * nu + p
+
+
 def multiply_lowering(a: State, b: State) -> State:
     """Product of two states whose factors are all lowering (they commute)."""
     acc: dict = {}
@@ -169,17 +161,15 @@ def det_power_state(p: int, nu: int) -> State:
     return out
 
 
-def raising_generators(
-    bound: int, d: int = 1, full_algebra: bool = False, strict: bool = False
-) -> list:
+def raising_generators(bound: int, d: int = 1, strict: bool = False) -> list:
     """Canonical generators with positive mode sum and modes within the bound.
 
-    The family runs over the first oscillator, or over every index pair up
-    to d with full_algebra=True, and takes m <= n for every index pair; for
-    i < j that is the annihilation-certifiable slot order (second mode >= 1).
-    With strict=True the reversed-order mixed generators are included as well.
+    The family runs over every index pair up to d and takes m <= n for
+    every index pair; for i < j that is the annihilation-certifiable slot
+    order (second mode >= 1).  With strict=True the reversed-order mixed
+    generators are included as well.
     """
-    gens = canonical_generators(bound, d if full_algebra else 1)
+    gens = canonical_generators(bound, d)
     return [g for g in gens if g.m + g.n > 0 and (strict or g.m <= g.n)]
 
 
@@ -187,11 +177,11 @@ def _raising_family(support, d: int = 1, strict: bool = False) -> list:
     """The raising generators that can act nonzero on states with this support.
 
     support holds the lowering modes (k, l) of the states' monomials.  The
-    result is raising_generators(D, d, full_algebra=True, strict) for a
-    degree-D state, in the same order, less every generator that acts as
-    zero for grading reasons: one with a zero mode, and one with a positive
-    mode x on an oscillator k where (k, -x) is not in the support.  A kept
-    generator's other mode is positive too, or negative and above -x.
+    result is raising_generators(D, d, strict) for a degree-D state, in the
+    same order, less every generator that acts as zero for grading reasons:
+    one with a zero mode, and one with a positive mode x on an oscillator k
+    where (k, -x) is not in the support.  A kept generator's other mode is
+    positive too, or negative and above -x.
     """
     positive: dict = {}
     for k, l in support:
@@ -216,13 +206,7 @@ def _state_is_zero_at(u: State, r0) -> bool:
     return all(not c.evaluate(r0) for c in u.terms.values())
 
 
-def is_singular(
-    u: State,
-    r0=GENERIC,
-    d: int = 1,
-    full_algebra: bool = False,
-    strict: bool = False,
-):
+def is_singular(u: State, r0=GENERIC, d: int = 1, strict: bool = False):
     """Certify annihilation by the raising generators; returns (ok, witness).
 
     The modes range over [-D, D] for the state's degree D: a smaller bound
@@ -234,7 +218,7 @@ def is_singular(
     if degree_of(u) == MIXED:
         raise ValueError("singularity is only defined for homogeneous states")
     support = set().union(*(monomial_weight(mono).support() for mono in u.terms))
-    for gen in _raising_family(support, d if full_algebra else 1, strict):
+    for gen in _raising_family(support, d, strict):
         image = act(gen, u)
         if not _state_is_zero_at(image, r0):
             witness = image if r0 == GENERIC else image.specialize(r0)
@@ -305,11 +289,11 @@ _MATRIX_CACHE: dict = {}
 
 
 def _search_matrix(lam: Weight):
-    """Symbolic raising-action matrix on the restricted weight-space basis."""
+    """Symbolic raising-action matrix on the first-oscillator weight-space basis."""
     cached = _MATRIX_CACHE.get(lam)
     if cached is not None:
         return cached
-    basis = weight_space_basis(lam, restricted=True)
+    basis = weight_space_basis(lam, d=1)
     rows = []
     if basis:
         for gen in _raising_family(lam.support()):
@@ -365,7 +349,7 @@ def singular_search(lam: Weight, r0) -> KernelReport:
         else:
             normalised = [entry / lead for entry in vec]
         state = State(dict(zip(basis, normalised)))
-        ok, witness = is_singular(state, r0=r0, d=1, full_algebra=False)
+        ok, witness = is_singular(state, r0=r0, d=1)
         if not ok:
             raise SingularVerificationError(
                 f"search produced a non-singular vector at weight {lam}: witness {witness[0]}"
@@ -379,7 +363,7 @@ def expected_singular_pairs(r0: int, max_degree: int) -> dict:
     out = {}
     for p in range(1, max_degree + 1):
         for nu in range(1, max_degree + 1):
-            if 1 - 2 * nu + p != r0:
+            if certification_r(p, nu) != r0:
                 continue
             degree = nu * p * (p + 1)
             if degree > max_degree:
@@ -396,7 +380,7 @@ def _sweep_task(args):
 
 
 def singular_sweep(r_values, max_degree: int, workers: int = 1) -> list:
-    """Run the kernel search over every restricted weight for each parameter."""
+    """Run the kernel search over every first-oscillator weight for each parameter."""
     lams = weights(max_degree)
     tasks = [(tuple(sorted(lam.counts.items())), r0) for r0 in r_values for lam in lams]
     if workers > 1:
@@ -417,7 +401,7 @@ def verify_det_lemmas(p: int, index_bound: int, state_degree: int = 4) -> dict:
 
     (a) v(-m, n) commutes with multiplication by the determinant for
         1 <= m <= p, 0 <= n <= index_bound, n != m, applied to every
-        restricted basis state of degree <= state_degree.
+        first-oscillator basis state of degree <= state_degree.
     (b) On u = det^nu1 applied to the vacuum (so the diagonal eigenvalue
         coefficient is alpha = 2*nu1),
 
@@ -430,9 +414,7 @@ def verify_det_lemmas(p: int, index_bound: int, state_degree: int = 4) -> dict:
         raise ValueError("index_bound must be at least the determinant size")
     failures = []
     det = det_state(p)
-    spanning = [()]
-    for lam in weights(state_degree):
-        spanning.extend(weight_space_basis(lam, restricted=True))
+    spanning = basis_monomials(state_degree, 1)
     for m in range(1, p + 1):
         for n in range(0, index_bound + 1):
             if n == m:

@@ -19,8 +19,8 @@ from .fock import (
     _act_gen,
     _act_terms,
     act,
+    basis_monomials,
     clear_action_cache,
-    weight_space_basis,
     weights,
 )
 from .liealg import (
@@ -34,6 +34,7 @@ from .liealg import (
 from .scalar import ONE, R, ZERO, Scalar, poly_exact_div
 from .singular import (
     GENERIC,
+    certification_r,
     det_power_state,
     expected_singular_pairs,
     is_singular,
@@ -71,8 +72,9 @@ CERTIFICATION_CASES = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
 INTEGER_SWEEP = (-2, -1, 0, 1, 2, 3)
 
 # The certification scale; smaller d and max_degree only scale the battery down.
+# Below degree 2 the kernel sweep would have no basis state to search.
 MIN_D, MAX_D = 2, 3
-MAX_DEGREE = 6
+MIN_DEGREE, MAX_DEGREE = 2, 6
 
 
 @dataclass
@@ -87,8 +89,10 @@ class SuiteConfig:
     def __post_init__(self):
         if not MIN_D <= self.d <= MAX_D:
             raise ValueError(f"d must be in {MIN_D}..{MAX_D}, got {self.d}")
-        if not 0 <= self.max_degree <= MAX_DEGREE:
-            raise ValueError(f"max_degree must be in 0..{MAX_DEGREE}, got {self.max_degree}")
+        if not MIN_DEGREE <= self.max_degree <= MAX_DEGREE:
+            raise ValueError(
+                f"max_degree must be in {MIN_DEGREE}..{MAX_DEGREE}, got {self.max_degree}"
+            )
         if self.samples < 0:
             raise ValueError(f"samples must be nonnegative, got {self.samples}")
 
@@ -109,14 +113,9 @@ class CheckResult:
         return line
 
 
-def _basis_monomials(max_degree: int, d: int) -> list:
-    """The vacuum and every basis monomial of degree <= max_degree over d oscillators."""
-    return [()] + [m for lam in weights(max_degree, d) for m in weight_space_basis(lam, d=d)]
-
-
 def _basis_states(max_degree: int, d: int) -> list:
-    """The states of _basis_monomials, each with coefficient one."""
-    return [State.from_monomial(m) for m in _basis_monomials(max_degree, d)]
+    """The states of basis_monomials, each with coefficient one."""
+    return [State.from_monomial(m) for m in basis_monomials(max_degree, d)]
 
 
 def _int_bracket_table(gens: list):
@@ -297,7 +296,7 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
         for a in range(len(gens))
     ]
     checked = 0
-    for mono in _basis_monomials(degree_bound, 2):
+    for mono in basis_monomials(degree_bound, 2):
         images = [_act_gen(g, mono) for g in gens]
         for a, x in enumerate(gens):
             for b in range(a, len(gens)):
@@ -475,9 +474,9 @@ def check_determinant_power_singular(config: SuiteConfig) -> CheckResult:
     failures = []
     checked = 0
     for p, nu in CERTIFICATION_CASES:
-        r0 = 1 - 2 * nu + p
+        r0 = certification_r(p, nu)
         state = det_power_state(p, nu)
-        ok, witness = is_singular(state, r0=Fraction(r0), d=2, full_algebra=True)
+        ok, witness = is_singular(state, r0=Fraction(r0), d=2)
         checked += 1
         if not ok:
             failures.append(
@@ -489,7 +488,7 @@ def check_determinant_power_singular(config: SuiteConfig) -> CheckResult:
 
 def _structure_checks(vector: State, p: int, nu: int, r0: int, failures: list):
     """Coefficient structure of a found kernel vector."""
-    if r0 != 1 + p - 2 * nu:
+    if r0 != certification_r(p, nu):
         failures.append(f"parameter relation fails for (p={p}, nu={nu}, r={r0})")
         return
     reference = det_power_state(p, nu)
@@ -521,7 +520,7 @@ def _structure_checks(vector: State, p: int, nu: int, r0: int, failures: list):
 
 
 def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
-    """Kernel dimensions across all restricted weights and parameter values.
+    """Kernel dimensions across all first-oscillator weights and parameter values.
 
     Non-integer and generic parameters must give empty kernels everywhere;
     integer parameters give one-dimensional kernels exactly at the

@@ -1,10 +1,14 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from jordan_voa import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -55,7 +59,7 @@ def test_vertex_mode_command(capsys):
 def test_weight_basis_command(capsys):
     code, out = run_cli(
         capsys, "weight-basis", "--weight", "2*Lam[1,-1] + 2*Lam[1,-2]",
-        "--restricted", "--output", "json",
+        "--d", "1", "--output", "json",
     )
     assert code == 0
     basis = json.loads(out)
@@ -70,12 +74,24 @@ def test_singular_check_exit_codes(capsys):
     # default parameter is the certification value 1 - 2 nu + p
     code, out = run_cli(capsys, "singular-check", "--p", "1", "--nu", "2")
     assert code == 0 and "SINGULAR: true" in out
+    # --d 2 adds the certifiable mixed-index generators, which also annihilate
+    code, out = run_cli(capsys, "singular-check", "--p", "2", "--nu", "1", "--d", "2")
+    assert code == 0 and out == "SINGULAR: true\n"
+
+
+def test_singular_check_covers_the_first_oscillator_by_default():
+    args = cli.build_parser().parse_args(["singular-check", "--p", "2", "--nu", "1"])
+    assert args.d == 1
 
 
 def test_singular_check_strict_mixed(capsys):
-    code, out = run_cli(capsys, "singular-check", "--p", "2", "--nu", "1",
-                        "--full-algebra", "--strict-mixed")
-    assert code == 1 and "v[1,2](2,-1)" in out
+    """The example in README's notes on the singular condition."""
+    argv = ["singular-check", "--p", "2", "--nu", "1", "--d", "2", "--strict-mixed"]
+    assert f"`{shlex.join(argv)}`" in README.read_text()
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[0] == "SINGULAR: false"
+    assert out.splitlines()[1].startswith("witness: v[1,2](2,-1) -> ")
 
 
 def test_sweep_csv_output_and_determinism(capsys):
@@ -140,18 +156,17 @@ def test_degree_guard(capsys):
     )
 
 
-def test_env_override(monkeypatch, capsys):
+def test_environment_sets_no_default(monkeypatch, capsys):
     monkeypatch.setenv("JORDAN_VOA_D", "3")
-    code, out = run_cli(capsys, "weight-basis", "--weight", "2*Lam[3,-1]")
-    assert code == 0
-    monkeypatch.delenv("JORDAN_VOA_D")
-    code = cli.main(["weight-basis", "--weight", "2*Lam[3,-1]"])
-    assert code == 2  # index 3 beyond the default d=2
+    monkeypatch.setenv("JORDAN_VOA_OUTPUT", "json")
+    code, out = run_cli(capsys, "bracket", "v[1,1](1,2)", "v[1,1](-2,-1)")
+    assert code == 0 and out == "2*v[1,1](-1,1) + v[1,1](-2,2) + 2*r\n"
+    assert cli.main(["weight-basis", "--weight", "2*Lam[3,-1]"]) == 2  # default d=2
 
 
 @pytest.mark.parametrize("argv", [
     ["virasoro-check", "--d", "0"],
-    ["singular-check", "--p", "2", "--nu", "1", "--d", "0", "--full-algebra"],
+    ["singular-check", "--p", "2", "--nu", "1", "--d", "0"],
     ["paper-suite", "--d", "1"],
     ["weight-basis", "--weight", "2*Lam[1,-1]", "--d", "two"],
     ["paper-suite", "--d", "4"],
@@ -159,14 +174,6 @@ def test_env_override(monkeypatch, capsys):
 def test_bad_d_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
-    assert exc.value.code == 2
-    assert "argument --d" in capsys.readouterr().err
-
-
-def test_bad_env_d_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("JORDAN_VOA_D", "abc")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["weight-basis", "--weight", "2*Lam[1,-1]"])
     assert exc.value.code == 2
     assert "argument --d" in capsys.readouterr().err
 
@@ -182,6 +189,8 @@ def test_bad_env_d_is_a_usage_error(monkeypatch, capsys):
     ["act-L", "--i", "1", "--j", "2", "--m", "-2", "--window-override=-5:5"],
     ["vertex-mode", "--i", "1", "--j", "2", "--m", "-1", "--n", "-1", "--l", "-1",
      "--window-override=-5:5"],
+    ["singular-check", "--p", "2", "--nu", "1", "--full-algebra"],
+    ["weight-basis", "--weight", "2*Lam[1,-1]", "--restricted"],
 ])
 def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -192,6 +201,8 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["paper-suite", "--max-degree", "7"], "--max-degree"),
     (["paper-suite", "--samples", "-1"], "--samples"),
+    (["paper-suite", "--max-degree", "0"], "--max-degree"),
+    (["paper-suite", "--max-degree", "1"], "--max-degree"),
 ])
 def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -202,6 +213,7 @@ def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
 
 @pytest.mark.parametrize("kwargs", [
     {"d": 4}, {"d": 1}, {"max_degree": 7}, {"max_degree": -1}, {"samples": -1},
+    {"max_degree": 0}, {"max_degree": 1},
 ])
 def test_suite_config_rejects_out_of_range_scale(kwargs):
     from jordan_voa.suite import SuiteConfig
@@ -215,6 +227,10 @@ def test_suite_config_rejects_out_of_range_scale(kwargs):
     (["vertex-mode", "--i", "1", "--j", "5", "--m", "-1", "--n", "-1", "--l", "10",
       "--d", "2"], "oscillator index 5"),
     (["singular-sweep", "--rmin", "3", "--rmax", "0"], "empty parameter range"),
+    (["singular-sweep", "--rmin", "0", "--rmax", "0", "--max-degree", "0"],
+     "no weight to search"),
+    (["singular-check", "--p", "2", "--nu", "1", "--strict-mixed"], "no mixed index pairs"),
+    (["weight-basis", "--weight", "2*Lam[2,-1]", "--d", "1"], "oscillator index 2 beyond d=1"),
 ])
 def test_inputs_with_nothing_to_compute_are_usage_errors(argv, message, capsys):
     assert cli.main(argv) == 2
@@ -276,3 +292,42 @@ def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch):
     assert [res.passed for res in results] == [True] * 3
     assert seen == [0, 0, 0]
     assert fock._ACT_CACHE  # the probes did fill the cache, so the zeros come from clearing it
+
+
+def _readme_examples():
+    """(argv, comment) for each jordan-voa line in README's sh blocks.
+
+    comment is the text of the "# " line right after the command, or None.
+    """
+    lines = README.read_text().splitlines()
+    examples = []
+    in_sh = False
+    for pos, line in enumerate(lines):
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("jordan-voa "):
+            following = lines[pos + 1]
+            comment = following[2:] if following.startswith("# ") else None
+            examples.append((shlex.split(line)[1:], comment))
+    return examples
+
+
+# paper-suite is left out: the acceptance fixture runs it
+README_EXAMPLES = [ex for ex in _readme_examples() if ex[0][0] != "paper-suite"]
+
+
+def test_readme_examples_are_found():
+    commands = [argv[0] for argv, _ in README_EXAMPLES]
+    assert {"bracket", "act", "weight-basis", "singular-check", "singular-sweep"} <= set(commands)
+    assert len(commands) == len(set(commands))
+
+
+@pytest.mark.parametrize("argv, comment", README_EXAMPLES,
+                         ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_example(argv, comment, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    if argv[0] in ("bracket", "act"):
+        assert out == comment + "\n"
+    if argv[0] == "singular-check":
+        assert out == "SINGULAR: true\n"

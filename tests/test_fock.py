@@ -96,9 +96,9 @@ def test_theta_examples():
 
 
 def test_weight_space_basis_frozen_examples():
-    basis = weight_space_basis(Weight({(1, -1): 2}), restricted=True)
+    basis = weight_space_basis(Weight({(1, -1): 2}), d=1)
     assert basis == [monomial([Generator(1, 1, -1, -1)])]
-    basis = weight_space_basis(Weight({(1, -1): 2, (1, -2): 2}), restricted=True)
+    basis = weight_space_basis(Weight({(1, -1): 2, (1, -2): 2}), d=1)
     assert sorted(basis) == sorted(
         [
             monomial([Generator(1, 1, -1, -1), Generator(1, 1, -2, -2)]),
@@ -114,7 +114,8 @@ def test_weight_space_basis_odd_multiplicity_is_empty():
 
 
 def test_restricted_basis_rejects_other_oscillators():
-    assert weight_space_basis(Weight({(2, -1): 2}), restricted=True) == []
+    with pytest.raises(ValueError, match="oscillator index 2 beyond d=1"):
+        weight_space_basis(Weight({(2, -1): 2}), d=1)
 
 
 def _lowering_generators(max_degree, d):
@@ -157,16 +158,16 @@ def test_weight_space_basis_against_enumeration_oracle():
         by_weight.setdefault(monomial_weight(mono), set()).add(mono)
     for lam, expected in by_weight.items():
         assert set(weight_space_basis(lam, d=d)) == expected
-    # restricted variant against the same oracle
+    # the first-oscillator module (d = 1) against the same oracle
     for lam, expected in by_weight.items():
         restricted = {
             m for m in expected if all(g.i == 1 and g.j == 1 for g in m)
         }
-        got = set(weight_space_basis(lam, d=d, restricted=True))
         if all(k == 1 for (k, _) in lam.support()):
-            assert got == restricted
+            assert set(weight_space_basis(lam, d=1)) == restricted
         else:
-            assert got == set()
+            with pytest.raises(ValueError):
+                weight_space_basis(lam, d=1)
 
 
 def test_diagonal_operators_act_with_weight_eigenvalues():

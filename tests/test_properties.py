@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from jordan_voa.fock import (  # noqa: E402
     State,
     act,
+    basis_monomials,
     clear_action_cache,
     monomial_degree,
     monomial_weight,
-    weight_space_basis,
     weights,
 )
 from jordan_voa.liealg import LieElement, canonical_generators  # noqa: E402
@@ -34,11 +34,6 @@ generators = st.sampled_from(canonical_generators(3, 2))
 elements = st.builds(
     LieElement, st.dictionaries(generators, scalars, max_size=3), scalars
 )
-
-
-def basis_monomials(max_degree, d):
-    """The vacuum and every basis monomial of degree <= max_degree over d oscillators."""
-    return [()] + [m for lam in weights(max_degree, d) for m in weight_space_basis(lam, d=d)]
 
 
 states = st.dictionaries(

@@ -13,7 +13,7 @@ from jordan_voa.singular import (
     GENERIC,
     _generic_minor,
     _search_matrix,
-    DetSpec,
+    certification_r,
     det_power_state,
     det_state,
     expected_singular_pairs,
@@ -75,14 +75,13 @@ def test_multiply_lowering_is_commutative_product():
     assert multiply_lowering(a, VAC) == a
 
 
-def test_det_spec():
-    spec = DetSpec(2, 1)
-    assert spec.certification_r() == 1
-    assert spec.state() == det_state(2)
+def test_certification_r():
+    assert certification_r(2, 1) == 1
+    assert [certification_r(p, nu) for p, nu in ((1, 1), (1, 2), (3, 1))] == [0, -2, 2]
 
 
 def test_is_singular_certification_example():
-    ok, witness = is_singular(det_state(2), r0=Fraction(1), d=2, full_algebra=True)
+    ok, witness = is_singular(det_state(2), r0=Fraction(1), d=2)
     assert ok and witness is None
 
 
@@ -119,7 +118,7 @@ def test_reversed_mixed_generators_break_strict_certification():
     size-2 determinant vector; the strict family therefore fails for p >= 2
     while the certifiable family passes.  Pins the engine-measured boundary."""
     u = det_state(2)
-    ok, witness = is_singular(u, r0=Fraction(1), d=2, full_algebra=True, strict=True)
+    ok, witness = is_singular(u, r0=Fraction(1), d=2, strict=True)
     assert not ok
     assert witness[0] == Generator(1, 2, 2, -1)
     image = act(Generator(1, 2, 2, -1), u)
@@ -128,14 +127,13 @@ def test_reversed_mixed_generators_break_strict_certification():
     ).scale(4)
     assert image == expected
     # size-1 determinant powers pass even the strict family
-    ok, _ = is_singular(det_power_state(1, 2), r0=Fraction(-2), d=2,
-                        full_algebra=True, strict=True)
+    ok, _ = is_singular(det_power_state(1, 2), r0=Fraction(-2), d=2, strict=True)
     assert ok
 
 
 def test_raising_generator_families():
-    default = raising_generators(2, d=2, full_algebra=True)
-    strict = raising_generators(2, d=2, full_algebra=True, strict=True)
+    default = raising_generators(2, d=2)
+    strict = raising_generators(2, d=2, strict=True)
     assert Generator(1, 2, 2, -1) in strict
     assert Generator(1, 2, 2, -1) not in default
     assert all(g.m + g.n > 0 for g in strict)
@@ -330,7 +328,7 @@ def test_singular_sweep_worker_pool_matches_serial():
 
 def _unpruned_search_matrix(lam):
     """The search matrix built over every raising generator up to the degree."""
-    basis = weight_space_basis(lam, restricted=True)
+    basis = weight_space_basis(lam, d=1)
     rows = []
     if basis:
         for gen in raising_generators(lam.total_degree()):
@@ -340,8 +338,8 @@ def _unpruned_search_matrix(lam):
     return basis, rows
 
 
-def _unpruned_is_singular(u, r0=GENERIC, d=1, full_algebra=False, strict=False):
-    for gen in raising_generators(degree_of(u), d=d, full_algebra=full_algebra, strict=strict):
+def _unpruned_is_singular(u, r0=GENERIC, d=1, strict=False):
+    for gen in raising_generators(degree_of(u), d=d, strict=strict):
         image = act(gen, u)
         if r0 != GENERIC:
             image = image.specialize(r0)
@@ -360,25 +358,25 @@ def test_pruned_search_matrix_equals_the_unpruned_build():
 def test_pruned_is_singular_matches_the_unpruned_reference():
     cases = []
     for p, nu in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2)):
-        r_cert = DetSpec(p, nu).certification_r()
+        r_cert = certification_r(p, nu)
         for r0 in (Fraction(r_cert), Fraction(r_cert + 1), GENERIC):
             cases.append((det_power_state(p, nu), r0, {}))
     for lam in (Weight({(1, -1): 2, (1, -2): 2}), Weight({(1, -1): 1, (1, -3): 1}),
                 Weight({(1, -2): 2, (1, -3): 2})):
-        for mono in weight_space_basis(lam, restricted=True):
+        for mono in weight_space_basis(lam, d=1):
             cases.append((State.from_monomial(mono), Fraction(0), {}))
     mixed = lowering_state((1, 1, -1, -1), (1, 2, -2, -1)) + lowering_state((1, 2, -4, -1))
     for u, r0 in ((det_state(2), Fraction(1)), (mixed, Fraction(1, 2)), (mixed, GENERIC)):
         for strict in (True, False):
             for d in (2, 3):
-                cases.append((u, r0, {"d": d, "full_algebra": True, "strict": strict}))
+                cases.append((u, r0, {"d": d, "strict": strict}))
     outcomes = set()
     for u, r0, flags in cases:
         got = is_singular(u, r0=r0, **flags)
         assert got == _unpruned_is_singular(u, r0=r0, **flags), (u, r0, flags)
         outcomes.add(got[0])
     assert outcomes == {True, False}
-    ok, witness = is_singular(det_state(2), r0=Fraction(1), d=2, full_algebra=True, strict=True)
+    ok, witness = is_singular(det_state(2), r0=Fraction(1), d=2, strict=True)
     assert not ok and witness[0] == Generator(1, 2, 2, -1)
 
 

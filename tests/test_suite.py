@@ -135,7 +135,7 @@ def test_check_1_stops_early_and_counts_the_triples_it_reached(monkeypatch):
 
 def test_representation_sides_match_the_state_action():
     gens = canonical_generators(3, 2)
-    for mono in suite._basis_monomials(3, 2):
+    for mono in fock.basis_monomials(3, 2):
         u = State.from_monomial(mono)
         images = [fock._act_gen(g, mono) for g in gens]
         for a, x in enumerate(gens):
