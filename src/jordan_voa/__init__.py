@@ -9,7 +9,7 @@ with a command-line front end and a one-shot regression battery.
 """
 
 from .scalar import Scalar, ZERO, ONE, R, parse_scalar
-from .liealg import Generator, LieElement, canonicalize, bracket, bracket_r
+from .liealg import Generator, LieElement, canonicalize, bracket_r
 from .fock import (
     MIXED,
     State,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -102,6 +103,13 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (os.sched_getaffinity is missing on macOS and Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _flags(parser, *names, formats=("text", "json"), ranges=None):
     """Add the named shared flags and --output.
 
@@ -115,7 +123,8 @@ def _flags(parser, *names, formats=("text", "json"), ranges=None):
               'parameter value: a rational like 1/2, or "generic" (default %(default)s)'),
         "max-degree": (_int_in(*ranges["max-degree"]), 4, "degree bound (default %(default)s)"),
         "seed": (int, 0, None),
-        "workers": (int, 1, None),
+        "workers": (_int_in(1, _usable_cpus()), 1,
+                    "worker processes, at most the usable CPUs (default %(default)s)"),
     }
     for name in names:
         if name == "no-degree-guard":

@@ -113,10 +113,6 @@ class Weight(object):
     def support(self) -> list:
         return [kl for kl, _ in self._pairs]
 
-    def theta(self) -> int:
-        """Total multiplicity carried by oscillators other than the first."""
-        return sum(c for (k, _), c in self._pairs if k >= 2)
-
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
@@ -149,12 +145,6 @@ class State(Combination):
     @classmethod
     def from_monomial(cls, mono: PBWMonomial, coeff=ONE) -> "State":
         return cls({mono: coeff})
-
-    def degree(self):
-        return degree_of(self)
-
-    def weight(self):
-        return weight_of(self)
 
     def to_json_obj(self) -> list:
         return [

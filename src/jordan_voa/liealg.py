@@ -10,8 +10,8 @@ v[i,i](m,-m) = v[i,i](-m,m) + m for m > 0.
 
 The span of the canonical generators plus constants is closed under the
 commutator.  Scaling the constant part of a commutator by the parameter r
-gives the deformed bracket; both versions are exposed here.  All values are
-immutable and all functions are pure, so everything is thread-safe.
+gives the deformed bracket, bracket_r.  All values are immutable and all
+functions are pure, so everything is thread-safe.
 """
 
 from __future__ import annotations
@@ -222,7 +222,8 @@ def _operator_parts(x):
     raise TypeError(f"expected a Generator or LieElement, got {type(x).__name__}")
 
 
-def _bracket_impl(x, y, deform: bool) -> LieElement:
+def bracket_r(x, y) -> LieElement:
+    """Deformed bracket: the commutator with its constant part scaled by r."""
     xs, _ = _operator_parts(x)  # constants are central and drop out
     ys, _ = _operator_parts(y)
     acc: dict = {}
@@ -235,17 +236,7 @@ def _bracket_impl(x, y, deform: bool) -> LieElement:
                 add_into(acc, gen, coeff * ct)
             if const:
                 const_weight = const_weight + coeff * const
-    return LieElement._from_tidy(acc, const_weight * (R if deform else ONE))
-
-
-def bracket(x, y) -> LieElement:
-    """Plain commutator [x, y] (constants are central and drop out)."""
-    return _bracket_impl(x, y, deform=False)
-
-
-def bracket_r(x, y) -> LieElement:
-    """Deformed bracket: the commutator with its constant part scaled by r."""
-    return _bracket_impl(x, y, deform=True)
+    return LieElement._from_tidy(acc, const_weight * R)
 
 
 _GEN_RE = re.compile(

@@ -146,14 +146,6 @@ class Scalar(tuple):
             return Scalar(tuple(c * inv for c in self))
         return NotImplemented
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = ONE
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, tuple):
             return tuple.__eq__(self, other)

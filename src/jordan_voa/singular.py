@@ -24,19 +24,26 @@ generic parameter.  Only generators that can act nonzero on the weight
 space are stacked: grading forces a raising generator to act as zero on a
 monomial when it has a zero mode (v_k(0) is central and kills the vacuum)
 or a positive mode x on an oscillator k whose mode -x the monomial lacks.
-The same support-driven family serves is_singular.  Both kernels come from
-one fraction-free elimination (E. H. Bareiss, Math. Comp. 22 (1968)),
-scalar.fraction_free_rref, and never divide inexactly: over Q each row is
-cleared of denominators and eliminated over Z; over Q(r) the matrix is
-eliminated over Q[r], so the kernel vectors are polynomial from the start
-and only their content is divided out.  The elimination over Q[r] also ends
-on a maximal minor D(r) of the weight's matrix (ZERO below full column
-rank).  Evaluation commutes with determinants, so D(r0) != 0 proves full
+The same support-driven family serves is_singular.  Both kernels and the
+minor below come from one nullspace builder, _nullspace, over one
+fraction-free elimination (E. H. Bareiss, Math. Comp. 22 (1968)),
+scalar.fraction_free_rref: it returns the free-column vectors, scaled by the
+last pivot D so that no entry is a fraction, together with D.  Nothing is
+divided inexactly: over Q each row is cleared of denominators, eliminated
+over Z and the vectors are divided by D; over Q(r) the matrix is eliminated
+over Q[r], so the kernel vectors are polynomial from the start and only
+their content is divided out.  The elimination over Q[r] also ends on a
+maximal minor D(r) of the weight's matrix (ZERO below full column rank).  Evaluation commutes with determinants, so D(r0) != 0 proves full
 column rank, hence a zero kernel, at r0 without specialising the matrix;
 only where D vanishes is the matrix eliminated over Q.  Every maximal minor
 is a multiple of the gcd of all of them, the last determinantal divisor
 (M. Newman, Integral Matrices, 1972), so the gcd of a few minors bounds the
 parameter values with a singular vector at that weight.
+
+singular_sweep maps singular_search over (weight, parameter) pairs, with
+the parameter in the outer loop, in this process or in a pool of worker
+processes; the Weight objects of fock.weights are passed and reported as
+they are.
 """
 
 from __future__ import annotations
@@ -200,12 +207,6 @@ def _raising_family(support, d: int = 1, strict: bool = False) -> list:
     return sorted(out)
 
 
-def _state_is_zero_at(u: State, r0) -> bool:
-    if r0 == GENERIC:
-        return u.is_zero()
-    return all(not c.evaluate(r0) for c in u.terms.values())
-
-
 def is_singular(u: State, r0=GENERIC, d: int = 1, strict: bool = False):
     """Certify annihilation by the raising generators; returns (ok, witness).
 
@@ -220,13 +221,37 @@ def is_singular(u: State, r0=GENERIC, d: int = 1, strict: bool = False):
     support = set().union(*(monomial_weight(mono).support() for mono in u.terms))
     for gen in _raising_family(support, d, strict):
         image = act(gen, u)
-        if not _state_is_zero_at(image, r0):
-            witness = image if r0 == GENERIC else image.specialize(r0)
-            return False, (gen, witness)
+        if r0 != GENERIC:
+            image = image.specialize(r0)
+        if not image.is_zero():
+            return False, (gen, image)
     return True, None
 
 
 # -- exact nullspace ----------------------------------------------------
+
+
+def _nullspace(rows, ncols, exact_div, one):
+    """Free-column nullspace of a matrix over an integral domain, and the last pivot D.
+
+    Vector k has D on the k-th free column, 0 on the other free columns and
+    -mat[k][free] on each pivot column of the fraction-free reduced form
+    (whose pivot rows all hold D on the diagonal).  D is one for a zero matrix.
+    """
+    if ncols is None:
+        if not rows:
+            raise ValueError("pass ncols explicitly for an empty row list")
+        ncols = len(rows[0])
+    mat, pivots, _ = fraction_free_rref(rows, ncols, exact_div)
+    last = mat[0][pivots[0]] if pivots else one
+    vectors = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [one - one] * ncols
+        vec[free] = last
+        for k, col in enumerate(pivots):
+            vec[col] = -mat[k][free]
+        vectors.append(vec)
+    return vectors, last
 
 
 def kernel_basis(rows, ncols: int | None = None) -> list:
@@ -235,24 +260,12 @@ def kernel_basis(rows, ncols: int | None = None) -> list:
     Vector k has coefficient 1 on the k-th free column and 0 on the other
     free columns: the reduced-row-echelon basis.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("pass ncols explicitly for an empty row list")
-        ncols = len(rows[0])
     int_rows = []
     for row in rows:
         scale = math.lcm(*(x.denominator for x in row))
         int_rows.append([x.numerator * (scale // x.denominator) for x in row])
-    mat, pivots, _ = fraction_free_rref(int_rows, ncols, operator.floordiv)
-    last = mat[0][pivots[0]] if pivots else 1
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for k, col in enumerate(pivots):
-            vec[col] = Fraction(-mat[k][free], last)
-        basis.append(vec)
-    return basis
+    vectors, last = _nullspace(int_rows, ncols, operator.floordiv, 1)
+    return [[Fraction(x, last) for x in vec] for vec in vectors]
 
 
 def kernel_basis_poly(rows, ncols: int | None = None) -> list:
@@ -262,19 +275,10 @@ def kernel_basis_poly(rows, ncols: int | None = None) -> list:
     polynomial content, so the entries are coprime elements of Q[r], and
     scaled so that its entry on its free column is monic.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("pass ncols explicitly for an empty row list")
-        ncols = len(rows[0])
     poly_rows = [[Scalar.of(x) for x in row] for row in rows]
-    mat, pivots, _ = fraction_free_rref(poly_rows, ncols, poly_exact_div)
-    last = mat[0][pivots[0]] if pivots else ONE
+    vectors, last = _nullspace(poly_rows, ncols, poly_exact_div, ONE)
     basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = [ZERO] * ncols
-        vec[free] = last
-        for k, col in enumerate(pivots):
-            vec[col] = -mat[k][free]
+    for vec in vectors:
         content = ZERO
         for entry in vec:
             content = poly_gcd(content, entry)
@@ -312,22 +316,21 @@ def _generic_minor(rows, ncols: int) -> Scalar:
     It is the last pivot of the fraction-free elimination: up to sign, the
     determinant of the pivot rows.
     """
-    mat, pivots, _ = fraction_free_rref(rows, ncols, poly_exact_div)
-    return mat[0][pivots[0]] if len(pivots) == ncols else ZERO
+    vectors, last = _nullspace(rows, ncols, poly_exact_div, ONE)
+    return ZERO if vectors else last
 
 
 def singular_search(lam: Weight, r0) -> KernelReport:
     """Exact kernel of the stacked raising actions on one weight space.
 
-    The weight must be supported on the first oscillator.  At a rational r0
+    The weight must be nonzero and supported on the first oscillator
+    (weight_space_basis raises ValueError otherwise).  At a rational r0
     the kernel is zero, with no elimination, wherever the weight's generic
     maximal minor (memoised) does not vanish.  Kernel vectors are
     normalised to coefficient 1 (leading coefficient 1 for generic r) on
     their lexicographically smallest monomial, and each is re-certified
     through is_singular before being returned.
     """
-    if any(k != 1 for (k, _) in lam.support()):
-        raise ValueError("the search runs in the restricted module: weight must live on k=1")
     if lam.is_zero():
         raise ValueError("the search needs a nonzero weight")
     basis, rows = _search_matrix(lam)
@@ -343,12 +346,9 @@ def singular_search(lam: Weight, r0) -> KernelReport:
         vectors = kernel_basis(rational_rows, len(basis))
     states = []
     for vec in vectors:
-        lead = next(c for c in vec if c)
-        if isinstance(lead, Scalar):
-            normalised = [entry / Fraction(lead[-1]) for entry in vec]
-        else:
-            normalised = [entry / lead for entry in vec]
-        state = State(dict(zip(basis, normalised)))
+        vec = [Scalar.of(entry) for entry in vec]
+        lead = next(c for c in vec if c)[-1]
+        state = State({mono: entry / lead for mono, entry in zip(basis, vec)})
         ok, witness = is_singular(state, r0=r0, d=1)
         if not ok:
             raise SingularVerificationError(
@@ -358,8 +358,12 @@ def singular_search(lam: Weight, r0) -> KernelReport:
     return KernelReport(lam, r0, len(basis), len(states), states)
 
 
-def expected_singular_pairs(r0: int, max_degree: int) -> dict:
-    """Map weight -> (p, nu) for determinant powers certified at integer r0."""
+def expected_singular_pairs(r0, max_degree: int) -> dict:
+    """Map weight -> (p, nu) for determinant powers certified at integer r0.
+
+    r0 may be an int, a Fraction or GENERIC; the map is empty unless r0 is
+    an integer, since r = 1 - 2*nu + p always is.
+    """
     out = {}
     for p in range(1, max_degree + 1):
         for nu in range(1, max_degree + 1):
@@ -373,24 +377,16 @@ def expected_singular_pairs(r0: int, max_degree: int) -> dict:
     return out
 
 
-def _sweep_task(args):
-    pairs, r0 = args
-    lam = Weight(dict(pairs))
-    return singular_search(lam, r0)
-
-
 def singular_sweep(r_values, max_degree: int, workers: int = 1) -> list:
     """Run the kernel search over every first-oscillator weight for each parameter."""
     lams = weights(max_degree)
-    tasks = [(tuple(sorted(lam.counts.items())), r0) for r0 in r_values for lam in lams]
+    tasks = [(lam, r0) for r0 in r_values for lam in lams]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_sweep_task, tasks))
-    else:
-        reports = [_sweep_task(task) for task in tasks]
-    return reports
+            return list(pool.map(singular_search, *zip(*tasks)))
+    return [singular_search(lam, r0) for lam, r0 in tasks]
 
 
 # -- determinant commutation identities -----------------------------------

@@ -21,7 +21,6 @@ from .fock import (
     act,
     basis_monomials,
     clear_action_cache,
-    weights,
 )
 from .liealg import (
     Generator,
@@ -38,7 +37,7 @@ from .singular import (
     det_power_state,
     expected_singular_pairs,
     is_singular,
-    singular_search,
+    singular_sweep,
     verify_det_lemmas,
 )
 from .griess import jordan_verify
@@ -69,6 +68,7 @@ VMM_MODE_BOUND = 3
 VMM_POWER_BOUND = 4
 VIRASORO_INDEX_BOUND = 3
 CERTIFICATION_CASES = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
+NON_INTEGER_SWEEP = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), GENERIC)
 INTEGER_SWEEP = (-2, -1, 0, 1, 2, 3)
 
 # The certification scale; smaller d and max_degree only scale the battery down.
@@ -522,38 +522,28 @@ def _structure_checks(vector: State, p: int, nu: int, r0: int, failures: list):
 def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
     """Kernel dimensions across all first-oscillator weights and parameter values.
 
-    Non-integer and generic parameters must give empty kernels everywhere;
-    integer parameters give one-dimensional kernels exactly at the
-    determinant-power weights, whose vectors carry the predicted structure.
+    One singular_sweep runs every search.  Non-integer and generic
+    parameters must give empty kernels everywhere; integer parameters give
+    one-dimensional kernels exactly at the determinant-power weights, whose
+    vectors carry the predicted structure.
     """
     failures = []
-    lams = weights(config.max_degree)
-    checked = 0
-    for r0 in (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), GENERIC):
-        for lam in lams:
-            report = singular_search(lam, r0)
-            checked += 1
+    reports = singular_sweep((*NON_INTEGER_SWEEP, *INTEGER_SWEEP), config.max_degree)
+    for report in reports:
+        lam, r0 = report.weight, report.r0
+        pair = expected_singular_pairs(r0, config.max_degree).get(lam)
+        if pair is None:
             if report.kernel_dim:
                 failures.append(f"unexpected kernel at weight {lam}, r={r0}")
-    for r0 in INTEGER_SWEEP:
-        expected = expected_singular_pairs(r0, config.max_degree)
-        for lam in lams:
-            report = singular_search(lam, Fraction(r0))
-            checked += 1
-            if lam in expected:
-                if report.kernel_dim != 1:
-                    failures.append(
-                        f"kernel at weight {lam}, r={r0} has dimension "
-                        f"{report.kernel_dim}, expected 1"
-                    )
-                else:
-                    p, nu = expected[lam]
-                    _structure_checks(report.kernel_vectors[0], p, nu, r0, failures)
-            elif report.kernel_dim:
-                failures.append(f"unexpected kernel at weight {lam}, r={r0}")
+        elif report.kernel_dim != 1:
+            failures.append(
+                f"kernel at weight {lam}, r={r0} has dimension {report.kernel_dim}, expected 1"
+            )
+        else:
+            _structure_checks(report.kernel_vectors[0], *pair, r0, failures)
     details = (
-        f"{checked} weight-space searches over {len(lams)} weights "
-        f"(degree <= {config.max_degree})"
+        f"{len(reports)} weight-space searches over {len({rep.weight for rep in reports})} "
+        f"weights (degree <= {config.max_degree})"
     )
     return CheckResult("singular-kernel-sweep", not failures, details, failures)
 

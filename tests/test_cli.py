@@ -203,10 +203,14 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     (["paper-suite", "--samples", "-1"], "--samples"),
     (["paper-suite", "--max-degree", "0"], "--max-degree"),
     (["paper-suite", "--max-degree", "1"], "--max-degree"),
+    (["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "0"], "--workers"),
+    (["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "-3"], "--workers"),
+    (["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "100000"], "--workers"),
 ])
 def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
+    # parse only: nothing runs, so no suite and no worker pool can start
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
+        cli.build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
 

@@ -89,12 +89,6 @@ def test_weight_examples():
     assert weight_of(lowering_state((1, 1, -1, -1)) + VAC) == MIXED
 
 
-def test_theta_examples():
-    assert Weight({(1, -1): 2}).theta() == 0
-    assert Weight({(1, -2): 1, (2, -1): 1}).theta() == 1
-    assert Weight({(2, -1): 2, (3, -2): 1}).theta() == 3
-
-
 def test_weight_space_basis_frozen_examples():
     basis = weight_space_basis(Weight({(1, -1): 2}), d=1)
     assert basis == [monomial([Generator(1, 1, -1, -1)])]

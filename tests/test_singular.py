@@ -280,6 +280,12 @@ def test_expected_singular_pairs():
     assert expected_singular_pairs(2, 6) == {}
 
 
+def test_expected_singular_pairs_off_the_integers():
+    assert expected_singular_pairs(Fraction(1, 2), 6) == {}
+    assert expected_singular_pairs(GENERIC, 6) == {}
+    assert expected_singular_pairs(Fraction(0), 6) == expected_singular_pairs(0, 6)
+
+
 def test_verify_det_lemmas():
     for p in (1, 2):
         report = verify_det_lemmas(p, index_bound=p + 2, state_degree=3)
@@ -316,11 +322,13 @@ def test_singular_sweep_rows():
 
 
 def test_singular_sweep_worker_pool_matches_serial():
-    serial = singular_sweep([Fraction(0)], 3, workers=1)
-    pooled = singular_sweep([Fraction(0)], 3, workers=2)
-    assert [(r.weight, r.basis_dim, r.kernel_dim) for r in serial] == [
-        (r.weight, r.basis_dim, r.kernel_dim) for r in pooled
-    ]
+    """Weights travel to the workers and back pickled as they are: whole reports agree."""
+    r_values = [Fraction(0), Fraction(-2)]
+    serial = singular_sweep(r_values, 4, workers=1)
+    pooled = singular_sweep(r_values, 4, workers=2)
+    assert pooled == serial
+    kernels = {(rep.r0, rep.weight) for rep in pooled if rep.kernel_vectors}
+    assert kernels == {(0, Weight({(1, -1): 2})), (-2, Weight({(1, -1): 4}))}
 
 
 # -- the support-driven raising family and the minor certificate ----------

@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 from jordan_voa import virops
-from jordan_voa.fock import State, act, clear_action_cache, monomial, weight_space_basis, weights
+from jordan_voa.fock import (
+    State,
+    act,
+    clear_action_cache,
+    degree_of,
+    monomial,
+    weight_space_basis,
+    weights,
+)
 from jordan_voa.liealg import Generator, canonicalize
 from jordan_voa.scalar import R
 from jordan_voa.virops import (
@@ -53,7 +61,7 @@ def test_zero_mode_measures_degree_on_restricted_states():
 
 def _wide_mode_sum(i, j, m, u, pad):
     """L[i,j](m) u summed term by term over a window pad wider on each side."""
-    depth = u.degree()
+    depth = degree_of(u)
     if i == j and m == 0:
         out = act(gen_elem(i, i, 0, 0), u).scale(Fraction(1, 2))
         for h in range(1, depth + pad + 1):
@@ -67,7 +75,7 @@ def _wide_mode_sum(i, j, m, u, pad):
 
 def _wide_vertex_mode(i, j, m, n, l, u, pad):
     """The closed binomial vertex mode summed over a window pad wider on each side."""
-    depth = u.degree()
+    depth = degree_of(u)
     center = l + m + n + 1
     sign = -1 if (m + n) % 2 else 1
     out = State.zero()
@@ -104,7 +112,7 @@ def test_window_ends_act_as_zero():
     monos = [()] + [mono for lam in weights(5, 2) for mono in weight_space_basis(lam, d=2)]
     for mono in monos:
         u = State.from_monomial(mono)
-        depth = u.degree()
+        depth = degree_of(u)
         for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
             for m in range(-9, 5):
                 ends = (depth,) if i == j and m == 0 else (m - depth, depth)
