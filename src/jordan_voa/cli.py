@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .fock import State, Weight, act_word, monomial, weight_space_basis
 from .griess import GriessVerificationError, build_griess_table, jordan_verify
-from .liealg import bracket_r, canonicalize, parse_generator_literal
+from .liealg import UNIT, bracket_r, canonicalize, parse_generator_literal
 from .singular import (
     GENERIC,
     SingularVerificationError,
@@ -74,7 +74,7 @@ def _parse_state(text: str, d: int | None) -> State:
     factors = [parse_generator_literal(part) for part in squeezed.split("*")]
     elems = [canonicalize(*quad, d=d) for quad in factors]
     for elem in elems:
-        if elem.const or len(elem.terms) != 1:
+        if len(elem.terms) != 1:
             raise ValueError(f"state literal {text!r} must be a product of lowering generators")
     gens = [next(iter(e.terms)) for e in elems]
     return State.from_monomial(monomial(gens, d=d))
@@ -143,17 +143,20 @@ def _check_guard(args) -> None:
         raise SystemExit(2)
 
 
+def _specialized(result, r):
+    """A Lie element or state evaluated at r, or unchanged when r is generic."""
+    return result if r == GENERIC else result.specialize(r)
+
+
 def _cmd_bracket(args) -> int:
     left = canonicalize(*parse_generator_literal(args.left), d=args.d)
     right = canonicalize(*parse_generator_literal(args.right), d=args.d)
-    result = bracket_r(left, right)
-    if args.r != GENERIC:
-        result = result.specialize(args.r)
+    result = _specialized(bracket_r(left, right), args.r)
     if args.output == "json":
         print(json.dumps({
             "terms": [{"generator": list(g), "coeff": str(c)}
-                      for g, c in sorted(result.terms.items())],
-            "const": str(result.const),
+                      for g, c in sorted(result.terms.items()) if g != UNIT],
+            "const": str(result.coefficient(UNIT)),
         }))
     else:
         print(str(result))
@@ -163,28 +166,21 @@ def _cmd_bracket(args) -> int:
 def _cmd_act(args) -> int:
     state = _parse_state(args.state, args.d)
     word = [canonicalize(*parse_generator_literal(text), d=args.d) for text in args.element]
-    result = act_word(word, state)
-    if args.r != GENERIC:
-        result = result.specialize(args.r)
-    _emit_state(result, args.output)
+    _emit_state(_specialized(act_word(word, state), args.r), args.output)
     return 0
 
 
 def _cmd_act_l(args) -> int:
     state = _parse_state(args.state, args.d)
     result = act_L(args.i, args.j, args.m, state, d=args.d)
-    if args.r != GENERIC:
-        result = result.specialize(args.r)
-    _emit_state(result, args.output)
+    _emit_state(_specialized(result, args.r), args.output)
     return 0
 
 
 def _cmd_vertex_mode(args) -> int:
     state = _parse_state(args.state, args.d)
     result = vertex_mode(args.i, args.j, args.m, args.n, args.l, state, d=args.d)
-    if args.r != GENERIC:
-        result = result.specialize(args.r)
-    _emit_state(result, args.output)
+    _emit_state(_specialized(result, args.r), args.output)
     return 0
 
 

@@ -5,7 +5,8 @@ applied to a vacuum vector.  Lowering generators commute with one another,
 so a basis monomial is a sorted multiset of canonical lowering generators
 (sorted by the fixed lexicographic order on (i, j, m, n)).  A generator with
 a nonnegative mode acts by commuting rightward past the factors with the
-deformed bracket and annihilating the vacuum; constants act as scalars.
+deformed bracket and annihilating the vacuum; _act_gen maps UNIT, the key
+of a LieElement's constant, to the identity, so constants act as scalars.
 
 Degree grades a monomial by minus the sum of its modes.  The finer weight
 grading counts how many times each lowering mode v_k(l) occurs among the
@@ -26,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Mapping
 
-from .liealg import Generator, _operator_parts, _pair_bracket
+from .liealg import UNIT, Generator, _operator_parts, _pair_bracket
 from .scalar import ONE, R, ZERO, Combination, add_into, parse_scalar
 
 __all__ = [
@@ -64,6 +65,8 @@ def monomial(factors: Iterable[Generator], d: int | None = None) -> PBWMonomial:
             raise ValueError(f"{gen} is not in canonical form")
         if not gen.is_lowering():
             raise ValueError(f"{gen} is not a lowering generator")
+        if gen.i < 1:
+            raise ValueError(f"{gen} uses an oscillator index below 1")
         if d is not None and gen.j > d:
             raise ValueError(f"{gen} uses an oscillator index beyond d={d}")
         out.append(gen)
@@ -133,6 +136,17 @@ class Weight(object):
         return f"Weight({str(self)!r})"
 
 
+def _is_json_term(entry) -> bool:
+    """Whether entry has the shape of one to_json_obj entry."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("coeff"), str)):
+        return False
+    factors = entry.get("monomial")
+    return isinstance(factors, list) and all(
+        isinstance(item, list) and len(item) == 4 and all(type(v) is int for v in item)
+        for item in factors
+    )
+
+
 class State(Combination):
     """A finite Q[r]-linear combination of basis monomials."""
 
@@ -154,8 +168,14 @@ class State(Combination):
 
     @classmethod
     def from_json_obj(cls, obj: list, d: int | None = None) -> "State":
+        """Read the to_json_obj form back; a malformed entry is a ValueError."""
         terms = {}
         for entry in obj:
+            if not _is_json_term(entry):
+                raise ValueError(
+                    f"state entry {entry!r} is not "
+                    '{"monomial": [[i, j, m, n], ...], "coeff": "<polynomial>"}'
+                )
             mono = monomial([Generator(*item) for item in entry["monomial"]], d=d)
             coeff = parse_scalar(entry["coeff"])
             terms[mono] = terms.get(mono, ZERO) + coeff
@@ -199,17 +219,19 @@ def _insert(mono: PBWMonomial, gen: Generator) -> PBWMonomial:
 
 
 def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
-    """Action of one canonical generator on one basis monomial (memoised).
+    """Action of one canonical generator, or UNIT, on one basis monomial (memoised).
 
-    Lowering generators multiply in; anything else is commuted rightward
-    with the deformed bracket and annihilates the vacuum.  Callers must not
-    mutate the returned dict.
+    UNIT acts as the identity.  Lowering generators multiply in; anything
+    else is commuted rightward with the deformed bracket and annihilates
+    the vacuum.  Callers must not mutate the returned dict.
     """
     key = (gen, mono)
     cached = _ACT_CACHE.get(key)
     if cached is not None:
         return cached
-    if gen.m < 0 and gen.n < 0:
+    if gen == UNIT:
+        result = {mono: ONE}
+    elif gen.m < 0 and gen.n < 0:
         result = {_insert(mono, gen): ONE}
     elif not mono:
         result = {}
@@ -236,12 +258,11 @@ def act(x, u: State) -> State:
     A Generator acts as a one-term operator; a LieElement acts term by
     term, its constant as a scalar.
     """
-    ops, const = _operator_parts(x)
-    return State._from_tidy(_act_terms(ops, const, u.terms))
+    return State._from_tidy(_act_terms(_operator_parts(x), u.terms))
 
 
-def _act_terms(ops, const, terms: dict, acc: dict | None = None) -> dict:
-    """Image of the operator sum(c * gen for gen, c in ops) + const on terms.
+def _act_terms(ops, terms: dict, acc: dict | None = None) -> dict:
+    """Image of the operator sum(c * gen for gen, c in ops) on terms.
 
     terms maps basis monomials to nonzero Scalars, as State.terms does.  The
     image is added into acc (a fresh dict if None) and acc is returned; the
@@ -256,8 +277,6 @@ def _act_terms(ops, const, terms: dict, acc: dict | None = None) -> dict:
                 coeff = cu * cg
                 for m2, s2 in image.items():
                     add_into(acc, m2, s2 * coeff)
-        if const:
-            add_into(acc, mono, cu * const)
     return acc
 
 

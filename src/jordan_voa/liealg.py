@@ -9,8 +9,10 @@ quadratic into that basis can emit an additive constant, e.g.
 v[i,i](m,-m) = v[i,i](-m,m) + m for m > 0.
 
 The span of the canonical generators plus constants is closed under the
-commutator.  Scaling the constant part of a commutator by the parameter r
-gives the deformed bracket, bracket_r.  All values are immutable and all
+commutator.  A LieElement is one such combination; its constant is the
+coefficient of UNIT, the empty word of modes, which acts as the identity.
+Scaling the constant part of a commutator by the parameter r gives the
+deformed bracket, bracket_r.  All values are immutable and all
 functions are pure, so everything is thread-safe.
 """
 
@@ -20,14 +22,14 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .scalar import ONE, R, ZERO, Combination, Scalar, add_into
+from .scalar import ONE, R, ZERO, Combination, add_into
 
 __all__ = [
     "Generator",
     "LieElement",
+    "UNIT",
     "canonical_generators",
     "canonicalize",
-    "bracket",
     "bracket_r",
     "parse_generator_literal",
 ]
@@ -92,28 +94,21 @@ def _straighten(word, coeff, out):
     out[word] = out.get(word, 0) + coeff
 
 
-class LieElement(Combination):
-    """A finite Q[r]-combination of canonical generators plus a constant.
+UNIT = ()  # the empty word of modes: the identity, sorting before every Generator
 
-    terms holds the generators only; the constant rides beside them in
-    const, so the methods below extend the Combination ones to carry it.
+
+class LieElement(Combination):
+    """A finite Q[r]-combination of canonical generators and UNIT.
+
+    The constant of an element is its coefficient of UNIT, so all the
+    arithmetic is the Combination one.
     """
 
-    __slots__ = ("const",)
+    __slots__ = ()
 
-    def __init__(self, terms=None, const=ZERO):
-        super().__init__(terms)
-        self.const = Scalar.of(const)
-
-    def _check_key(self, gen):
-        if not gen.is_canonical():
-            raise ValueError(f"{gen} is not in canonical form")
-
-    @classmethod
-    def _from_tidy(cls, terms: dict, const=ZERO):
-        out = super()._from_tidy(terms)
-        out.const = const
-        return out
+    def _check_key(self, key):
+        if key != UNIT and not key.is_canonical():
+            raise ValueError(f"{key} is not in canonical form")
 
     @classmethod
     def from_generator(cls, gen: Generator, coeff=ONE) -> "LieElement":
@@ -121,36 +116,13 @@ class LieElement(Combination):
 
     @classmethod
     def constant(cls, value) -> "LieElement":
-        return cls(None, value)
-
-    def is_zero(self) -> bool:
-        return not self.terms and not self.const
-
-    def scale(self, factor) -> "LieElement":
-        out = super().scale(factor)
-        out.const = self.const * Scalar.of(factor)
-        return out
-
-    def __add__(self, other):
-        out = super().__add__(other)
-        if out is not NotImplemented:
-            out.const = self.const + other.const
-        return out
-
-    def __eq__(self, other):
-        eq = super().__eq__(other)
-        return self.const == other.const if eq is True else eq
-
-    def specialize(self, r0) -> "LieElement":
-        out = super().specialize(r0)
-        out.const = Scalar.of(self.const.evaluate(r0))
-        return out
+        return cls({UNIT: value})
 
     def __str__(self):
-        items = [(str(g), self.terms[g]) for g in sorted(self.terms, reverse=True)]
-        if self.const:
-            items.append((None, self.const))
-        return self._signed_sum(items)
+        return self._signed_sum(
+            (str(key) if key != UNIT else None, self.terms[key])
+            for key in sorted(self.terms, reverse=True)
+        )
 
 
 def canonicalize(i: int, j: int, m: int, n: int, d: int | None = None) -> LieElement:
@@ -169,16 +141,12 @@ def _canonical_element(i: int, j: int, m: int, n: int) -> LieElement:
     out: dict = {}
     _straighten(((i, m), (j, n)), 1, out)
     terms = {}
-    const = 0
     for word, coeff in out.items():
-        if not coeff:
-            continue
         if word:
             (wi, wm), (wj, wn) = word
-            terms[Generator(wi, wj, wm, wn)] = Scalar.of(coeff)
-        else:
-            const += coeff
-    return LieElement(terms, Scalar.of(const))
+            word = Generator(wi, wj, wm, wn)
+        terms[word] = coeff
+    return LieElement(terms)
 
 
 @lru_cache(maxsize=None)
@@ -209,23 +177,24 @@ def _pair_bracket(g: Generator, h: Generator):
 
 
 def _operator_parts(x):
-    """The (generator, coefficient) pairs and the constant of an operator.
+    """The (key, coefficient) pairs of an operator.
 
     A Generator is a one-term operator; it is not wrapped in a LieElement.
     """
     if isinstance(x, Generator):
         if not x.is_canonical():
             raise ValueError(f"{x} is not in canonical form")
-        return ((x, ONE),), ZERO
+        return ((x, ONE),)
     if isinstance(x, LieElement):
-        return x.terms.items(), x.const
+        return x.terms.items()
     raise TypeError(f"expected a Generator or LieElement, got {type(x).__name__}")
 
 
 def bracket_r(x, y) -> LieElement:
     """Deformed bracket: the commutator with its constant part scaled by r."""
-    xs, _ = _operator_parts(x)  # constants are central and drop out
-    ys, _ = _operator_parts(y)
+    # constants are central and drop out
+    xs = [(g, c) for g, c in _operator_parts(x) if g != UNIT]
+    ys = [(g, c) for g, c in _operator_parts(y) if g != UNIT]
     acc: dict = {}
     const_weight = ZERO
     for g1, c1 in xs:
@@ -236,7 +205,9 @@ def bracket_r(x, y) -> LieElement:
                 add_into(acc, gen, coeff * ct)
             if const:
                 const_weight = const_weight + coeff * const
-    return LieElement._from_tidy(acc, const_weight * R)
+    if const_weight:
+        acc[UNIT] = const_weight * R
+    return LieElement._from_tidy(acc)
 
 
 _GEN_RE = re.compile(

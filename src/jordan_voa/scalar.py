@@ -315,7 +315,7 @@ class Combination:
         return f"{type(self).__name__}({str(self)!r})"
 
 
-_TERM_RE = re.compile(r"(-?)(?:(\d+(?:/\d+)?)\*?)?(r(?:\^(\d+))?)?$")
+_TERM_RE = re.compile(r"(-?)(?:(\d+(?:/0*[1-9]\d*)?)\*?)?(r(?:\^(\d+))?)?$")
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -30,7 +30,7 @@ from .liealg import (
     canonical_generators,
     canonicalize,
 )
-from .scalar import ONE, R, ZERO, Scalar, poly_exact_div
+from .scalar import ONE, R, Scalar, poly_exact_div
 from .singular import (
     GENERIC,
     certification_r,
@@ -260,8 +260,8 @@ def check_diagonal_pair_bracket(config: SuiteConfig) -> CheckResult:
 
 
 def _operator_or_none(x: LieElement):
-    """The (generator, coefficient) pairs and constant of x, or None if x is zero."""
-    return None if x.is_zero() else (tuple(x.terms.items()), x.const)
+    """The (key, coefficient) pairs of x, or None if x is zero."""
+    return None if x.is_zero() else tuple(x.terms.items())
 
 
 def _representation_sides(x, y, xy, mono, x_image: dict, y_image: dict):
@@ -270,10 +270,10 @@ def _representation_sides(x, y, xy, mono, x_image: dict, y_image: dict):
     xy is _operator_or_none(bracket_r(x, y)); x_image and y_image are the
     cached images x u and y u, which are read but never written.
     """
-    rhs = _act_terms(*xy, {mono: ONE}) if xy else {}
+    rhs = _act_terms(xy, {mono: ONE}) if xy else {}
     if x_image:
-        _act_terms(((y, ONE),), ZERO, x_image, rhs)
-    lhs = _act_terms(((x, ONE),), ZERO, y_image) if y_image else {}
+        _act_terms(((y, ONE),), x_image, rhs)
+    lhs = _act_terms(((x, ONE),), y_image) if y_image else {}
     return lhs, rhs
 
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .fock import MIXED, State, act, apply, degree_of, memo, monomial_degree
 from .liealg import LieElement, _validate_index, canonicalize
-from .scalar import R, ZERO, add_into, fraction_free_rref
+from .scalar import R, add_into, fraction_free_rref
 
 __all__ = [
     "act_L",
@@ -66,14 +66,10 @@ def _window(center: int, depth: int):
 def _lie_sum(summands) -> LieElement:
     """The operator sum of weight * v[i,j](m,n) over (weight, (i, j, m, n)) summands."""
     terms: dict = {}
-    const = ZERO
     for weight, quad in summands:
-        elem = canonicalize(*quad)
-        for gen, coeff in elem.terms.items():
-            add_into(terms, gen, coeff * weight)
-        if elem.const:
-            const += elem.const * weight
-    return LieElement(terms, const)
+        for key, coeff in canonicalize(*quad).terms.items():
+            add_into(terms, key, coeff * weight)
+    return LieElement(terms)
 
 
 def _mode_sum(pairs, m: int, depth: int) -> LieElement:

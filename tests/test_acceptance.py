@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from jordan_voa.liealg import bracket_r, _pair_bracket
+from jordan_voa.liealg import UNIT, bracket_r, _pair_bracket
 from jordan_voa.suite import SuiteConfig, canonical_generators, run_paper_suite
 
 
@@ -123,6 +123,6 @@ def test_fast_bracket_table_matches_public_api():
         x, y = rng.choice(gens), rng.choice(gens)
         terms, const = _pair_bracket(x, y)
         elem = bracket_r(x, y)
-        assert dict(terms) == {g: c.constant_value() for g, c in elem.terms.items()}
-        assert elem.const.coeffs.get(1, 0) == const
-        assert 0 not in elem.const.coeffs
+        assert dict(terms) == {g: c.constant_value() for g, c in elem.terms.items() if g}
+        assert elem.coefficient(UNIT).coeffs.get(1, 0) == const
+        assert 0 not in elem.coefficient(UNIT).coeffs

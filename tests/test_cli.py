@@ -243,6 +243,27 @@ def test_inputs_with_nothing_to_compute_are_usage_errors(argv, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("state", [
+    '[{"monomial": [[1,1,-1]], "coeff": "1"}]',
+    "[1]",
+    '[{"monomial": [[1,1,-1,-1]]}]',
+    '[{"monomial": [["a",1,-1,-1]], "coeff": "1"}]',
+    '[{"monomial": [[1,1,-1,-1]], "coeff": 2}]',
+    '[{"monomial": [[1,1,-1,-1]], "coeff": "1/0"}]',
+    '[{"monomial": [[0,1,-1,-1]], "coeff": "1"}]',
+])
+@pytest.mark.parametrize("argv", [
+    ["act", "v[1,1](1,1)"],
+    ["act-L", "--i", "1", "--j", "1", "--m", "0"],
+    ["vertex-mode", "--i", "1", "--j", "2", "--m", "-1", "--n", "-1", "--l", "-1"],
+])
+def test_malformed_state_json_is_a_usage_error(argv, state, capsys):
+    assert cli.main([*argv, "--state", state]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_paper_suite_defaults_are_the_certification_scale():
     from jordan_voa.suite import SuiteConfig
 

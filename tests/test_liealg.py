@@ -47,8 +47,7 @@ def test_bracket_diagonal_pair_example():
         LieElement.from_generator(Generator(1, 1, -1, 1), 2)
         + LieElement.from_generator(Generator(1, 1, -2, 2))
     )
-    assert deformed.const == 2 * R
-    assert deformed.terms == expected.terms
+    assert deformed == expected + LieElement.constant(2 * R)
 
 
 def test_bracket_self_and_disjoint():

@@ -18,7 +18,7 @@ from jordan_voa.fock import (  # noqa: E402
     monomial_weight,
     weights,
 )
-from jordan_voa.liealg import LieElement, canonical_generators  # noqa: E402
+from jordan_voa.liealg import UNIT, LieElement, bracket_r, canonical_generators  # noqa: E402
 from jordan_voa.scalar import R, Scalar, parse_scalar  # noqa: E402
 from jordan_voa.singular import GENERIC, singular_search  # noqa: E402
 from jordan_voa.virops import act_L, act_L_total, vertex_mode_by_recursion  # noqa: E402
@@ -32,7 +32,9 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 scalars = st.lists(rationals, max_size=4).map(Scalar)
 generators = st.sampled_from(canonical_generators(3, 2))
 elements = st.builds(
-    LieElement, st.dictionaries(generators, scalars, max_size=3), scalars
+    lambda terms, const: LieElement({**terms, UNIT: const}),
+    st.dictionaries(generators, scalars, max_size=3),
+    scalars,
 )
 
 
@@ -70,6 +72,18 @@ def test_state_specialize_commutes_with_addition(a, b, r0):
 @given(elements, elements, points)
 def test_element_specialize_commutes_with_addition(a, b, r0):
     assert (a + b).specialize(r0) == a.specialize(r0) + b.specialize(r0)
+
+
+@PROFILE
+@given(elements, elements)
+def test_bracket_is_antisymmetric(x, y):
+    assert bracket_r(x, y) == -bracket_r(y, x)
+
+
+@PROFILE
+@given(elements, elements, scalars)
+def test_bracket_ignores_constants(x, y, c):
+    assert bracket_r(x + LieElement.constant(c), y) == bracket_r(x, y)
 
 
 @PROFILE

@@ -1,6 +1,7 @@
-"""The engine imports nothing outside the standard library."""
+"""The engine imports nothing outside the standard library, and its exports exist."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -27,3 +28,15 @@ def test_engine_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert not outside
+
+
+def test_every_exported_name_resolves():
+    unresolved = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        module = importlib.import_module(f"jordan_voa.{path.stem}")
+        unresolved += [
+            (path.stem, name)
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert not unresolved
