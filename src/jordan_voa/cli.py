@@ -33,10 +33,10 @@ from .singular import (
     det_power_state,
     is_singular,
     singular_sweep,
-    verify_det_lemmas,
 )
-from .suite import MAX_D, MAX_DEGREE, MIN_D, MIN_DEGREE, SuiteConfig, run_paper_suite
-from .virops import act_L, vertex_mode, virasoro_bracket_probe, virasoro_central_term
+from .suite import (MAX_D, MAX_DEGREE, MIN_D, MIN_DEGREE, SuiteConfig, determinant_commutation,
+                    run_check, run_paper_suite, virasoro_central_charge)
+from .virops import act_L, vertex_mode
 
 DEGREE_GUARD = 10
 
@@ -244,16 +244,7 @@ def _cmd_singular_sweep(args) -> int:
 
 
 def _cmd_verify_det(args) -> int:
-    index_bound = args.p + 2 if args.index_bound is None else args.index_bound
-    report = verify_det_lemmas(args.p, index_bound)
-    if args.output == "json":
-        print(json.dumps(report))
-    else:
-        print(f"determinant identities (p={args.p}): "
-              f"{'PASS' if report['passed'] else 'FAIL'}")
-        for failure in report["failures"]:
-            print(f"  - {failure}")
-    return 0 if report["passed"] else 1
+    return _report([run_check(determinant_commutation, (args.p,))], args.output)
 
 
 def _cmd_griess_table(args) -> int:
@@ -279,30 +270,21 @@ def _cmd_griess_table(args) -> int:
 
 
 def _cmd_virasoro_check(args) -> int:
-    failures = []
-    vac = State.vacuum()
-    for m in range(-args.max_degree, args.max_degree + 1):
-        for n in range(-args.max_degree, args.max_degree + 1):
-            probe = virasoro_bracket_probe(m, n, vac, args.d)
-            if probe != virasoro_central_term(m, n, vac, args.d):
-                failures.append((m, n))
-    if args.output == "json":
-        print(json.dumps({"d": args.d, "passed": not failures,
-                          "failures": [list(f) for f in failures]}))
-    else:
-        print(f"virasoro check (d={args.d}, |m|,|n| <= {args.max_degree}): "
-              f"{'PASS' if not failures else 'FAIL'}")
-    return 0 if not failures else 1
+    return _report([run_check(virasoro_central_charge, (args.d,), args.max_degree)], args.output)
 
 
 def _cmd_paper_suite(args) -> int:
     config = SuiteConfig(d=args.d, max_degree=args.max_degree,
                          seed=args.seed, samples=args.samples)
-    results = run_paper_suite(config)
-    if args.output == "json":
+    return _report(run_paper_suite(config), args.output)
+
+
+def _report(results, output: str) -> int:
+    """Print CheckResults, their timings to stderr; exit 0 iff every check passed."""
+    if output == "json":
         print(json.dumps([
-            {"name": res.name, "passed": res.passed, "details": res.details,
-             "failures": res.failures}
+            {"name": res.name, "passed": res.passed, "checked": res.checked,
+             "details": res.details, "failures": res.failures}
             for res in results
         ]))
     else:
@@ -376,9 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_singular_sweep)
 
     p = sub.add_parser("verify-det", help="determinant commutation identities")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--index-bound", type=int, default=None,
-                   help="largest exchange mode (default p + 2)")
+    p.add_argument("--p", type=_int_in(1), required=True, help="determinant size")
     _flags(p)
     p.set_defaults(func=_cmd_verify_det)
 
@@ -386,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     _flags(p, "d")
     p.set_defaults(func=_cmd_griess_table)
 
-    p = sub.add_parser("virasoro-check", help="Virasoro relation on the vacuum")
-    _flags(p, "d", "max-degree")
+    p = sub.add_parser("virasoro-check",
+                       help="Virasoro relation on the basis states of bounded degree")
+    _flags(p, "d", "max-degree", ranges={"max-degree": (0, MAX_DEGREE)})
     p.set_defaults(func=_cmd_virasoro_check)
 
     p = sub.add_parser("paper-suite", help="run the full verification battery")
@@ -407,10 +388,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GriessVerificationError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SingularVerificationError as exc:
+    except (SingularVerificationError, GriessVerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

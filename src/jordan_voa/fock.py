@@ -6,7 +6,7 @@ so a basis monomial is a sorted multiset of canonical lowering generators
 (sorted by the fixed lexicographic order on (i, j, m, n)).  A generator with
 a nonnegative mode acts by commuting rightward past the factors with the
 deformed bracket and annihilating the vacuum; _act_gen maps UNIT, the key
-of a LieElement's constant, to the identity, so constants act as scalars.
+of every constant (a LieElement's, or a bracket's times r), to the identity.
 
 Degree grades a monomial by minus the sum of its modes.  The finer weight
 grading counts how many times each lowering mode v_k(l) occurs among the
@@ -28,7 +28,7 @@ from bisect import bisect_left
 from typing import Iterable, Mapping
 
 from .liealg import UNIT, Generator, _operator_parts, _pair_bracket
-from .scalar import ONE, R, ZERO, Combination, add_into, parse_scalar
+from .scalar import ONE, ZERO, Combination, add_into, parse_scalar
 
 __all__ = [
     "MIXED",
@@ -239,12 +239,9 @@ def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
         head = mono[0]
         rest = mono[1:]
         acc: dict = {}
-        terms, const = _pair_bracket(gen, head)
-        for g2, c2 in terms:
+        for g2, c2 in _pair_bracket(gen, head):
             for m2, s2 in _act_gen(g2, rest).items():
                 add_into(acc, m2, s2 * c2)
-        if const:
-            add_into(acc, rest, R * const)
         for m2, s2 in _act_gen(gen, rest).items():
             add_into(acc, _insert(m2, head), s2)
         result = acc

@@ -22,7 +22,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .scalar import ONE, R, ZERO, Combination, add_into
+from .scalar import ONE, R, Combination, add_into
 
 __all__ = [
     "Generator",
@@ -151,29 +151,29 @@ def _canonical_element(i: int, j: int, m: int, n: int) -> LieElement:
 
 @lru_cache(maxsize=None)
 def _pair_bracket(g: Generator, h: Generator):
-    """Commutator [g, h] of canonical generators via normal ordering.
+    """Deformed bracket [g, h]_r of canonical generators via normal ordering.
 
-    Returns (terms, const) with integer coefficients; the quartic parts of
-    g h and h g cancel identically, leaving a quadratic plus a constant.
+    Returns (key, coefficient) pairs: canonical generators with integer
+    coefficients, and r times the commutator's constant under UNIT.  The
+    quartic parts of g h and h g cancel, leaving a quadratic plus a constant.
     """
     out: dict = {}
     wg = ((g.i, g.m), (g.j, g.n))
     wh = ((h.i, h.m), (h.j, h.n))
     _straighten(wg + wh, 1, out)
     _straighten(wh + wg, -1, out)
-    terms = []
-    const = 0
+    pairs = []
     for word, coeff in out.items():
         if not coeff:
             continue
         if len(word) == 4:
             raise AssertionError("quartic terms must cancel in a commutator")
-        if len(word) == 2:
+        if word:
             (wi, wm), (wj, wn) = word
-            terms.append((Generator(wi, wj, wm, wn), coeff))
+            pairs.append((Generator(wi, wj, wm, wn), coeff))
         else:
-            const += coeff
-    return tuple(terms), const
+            pairs.append((UNIT, R * coeff))
+    return tuple(pairs)
 
 
 def _operator_parts(x):
@@ -196,17 +196,11 @@ def bracket_r(x, y) -> LieElement:
     xs = [(g, c) for g, c in _operator_parts(x) if g != UNIT]
     ys = [(g, c) for g, c in _operator_parts(y) if g != UNIT]
     acc: dict = {}
-    const_weight = ZERO
     for g1, c1 in xs:
         for g2, c2 in ys:
             coeff = c1 * c2
-            terms, const = _pair_bracket(g1, g2)
-            for gen, ct in terms:
-                add_into(acc, gen, coeff * ct)
-            if const:
-                const_weight = const_weight + coeff * const
-    if const_weight:
-        acc[UNIT] = const_weight * R
+            for key, ct in _pair_bracket(g1, g2):
+                add_into(acc, key, coeff * ct)
     return LieElement._from_tidy(acc)
 
 

@@ -33,12 +33,14 @@ divided inexactly: over Q each row is cleared of denominators, eliminated
 over Z and the vectors are divided by D; over Q(r) the matrix is eliminated
 over Q[r], so the kernel vectors are polynomial from the start and only
 their content is divided out.  The elimination over Q[r] also ends on a
-maximal minor D(r) of the weight's matrix (ZERO below full column rank).  Evaluation commutes with determinants, so D(r0) != 0 proves full
-column rank, hence a zero kernel, at r0 without specialising the matrix;
-only where D vanishes is the matrix eliminated over Q.  Every maximal minor
-is a multiple of the gcd of all of them, the last determinantal divisor
-(M. Newman, Integral Matrices, 1972), so the gcd of a few minors bounds the
-parameter values with a singular vector at that weight.
+maximal minor D(r) of the weight's matrix (ZERO below full column rank),
+which every search takes first.  D != 0 proves a zero kernel over Q(r),
+and as evaluation commutes with determinants, D(r0) != 0 proves one at r0
+without specialising the matrix.  Only where D vanishes is the matrix
+eliminated, over Q(r) or over Q.  Every maximal minor is a multiple of the
+gcd of all of them, the last determinantal divisor (M. Newman, Integral
+Matrices, 1972), so the gcd of a few minors bounds the parameter values
+with a singular vector at that weight.
 
 singular_sweep maps singular_search over (weight, parameter) pairs, with
 the parameter in the outer loop, in this process or in a pool of worker
@@ -324,26 +326,28 @@ def singular_search(lam: Weight, r0) -> KernelReport:
     """Exact kernel of the stacked raising actions on one weight space.
 
     The weight must be nonzero and supported on the first oscillator
-    (weight_space_basis raises ValueError otherwise).  At a rational r0
-    the kernel is zero, with no elimination, wherever the weight's generic
-    maximal minor (memoised) does not vanish.  Kernel vectors are
-    normalised to coefficient 1 (leading coefficient 1 for generic r) on
-    their lexicographically smallest monomial, and each is re-certified
-    through is_singular before being returned.
+    (weight_space_basis raises ValueError otherwise).  The kernel is zero,
+    with no elimination, wherever the weight's generic maximal minor
+    (memoised) does not vanish at r0, or as a polynomial for generic r.
+    Kernel vectors are normalised to coefficient 1 (leading coefficient 1
+    for generic r) on their lexicographically smallest monomial, and each
+    is re-certified through is_singular before being returned.
     """
     if lam.is_zero():
         raise ValueError("the search needs a nonzero weight")
     basis, rows = _search_matrix(lam)
     if not basis:
         return KernelReport(lam, r0, 0, 0, [])
+    minor = memo(("minor", lam), _generic_minor, rows, len(basis))
+    if r0 != GENERIC:
+        r0 = Fraction(r0)
+        minor = minor.evaluate(r0)
+    if minor:
+        return KernelReport(lam, r0, len(basis), 0, [])
     if r0 == GENERIC:
         vectors = kernel_basis_poly(rows, len(basis))
     else:
-        r0 = Fraction(r0)
-        if memo(("minor", lam), _generic_minor, rows, len(basis)).evaluate(r0):
-            return KernelReport(lam, r0, len(basis), 0, [])
-        rational_rows = [[c.evaluate(r0) for c in row] for row in rows]
-        vectors = kernel_basis(rational_rows, len(basis))
+        vectors = kernel_basis([[c.evaluate(r0) for c in row] for row in rows], len(basis))
     states = []
     for vec in vectors:
         vec = [Scalar.of(entry) for entry in vec]
@@ -392,12 +396,12 @@ def singular_sweep(r_values, max_degree: int, workers: int = 1) -> list:
 # -- determinant commutation identities -----------------------------------
 
 
-def verify_det_lemmas(p: int, index_bound: int, state_degree: int = 4) -> dict:
+def verify_det_lemmas(p: int) -> tuple:
     """Check the determinant commutation and eigenvalue identities.
 
     (a) v(-m, n) commutes with multiplication by the determinant for
-        1 <= m <= p, 0 <= n <= index_bound, n != m, applied to every
-        first-oscillator basis state of degree <= state_degree.
+        1 <= m <= p, 0 <= n <= p + 2, n != m, applied to every
+        first-oscillator basis state of degree <= 4.
     (b) On u = det^nu1 applied to the vacuum (so the diagonal eigenvalue
         coefficient is alpha = 2*nu1),
 
@@ -405,14 +409,15 @@ def verify_det_lemmas(p: int, index_bound: int, state_degree: int = 4) -> dict:
                        + det v(m,m) u
 
         symbolically in r, for 1 <= m <= p and nu1 <= 2.
+
+    Returns (count, failures): how many identities were tested, and each failure.
     """
-    if p > index_bound:
-        raise ValueError("index_bound must be at least the determinant size")
     failures = []
+    count = 0
     det = det_state(p)
-    spanning = basis_monomials(state_degree, 1)
+    spanning = basis_monomials(4, 1)
     for m in range(1, p + 1):
-        for n in range(0, index_bound + 1):
+        for n in range(0, p + 3):
             if n == m:
                 continue
             gen_elem = Generator(1, 1, -m, n)
@@ -420,10 +425,9 @@ def verify_det_lemmas(p: int, index_bound: int, state_degree: int = 4) -> dict:
                 u = State.from_monomial(mono)
                 lhs = act(gen_elem, multiply_lowering(det, u))
                 rhs = multiply_lowering(det, act(gen_elem, u))
+                count += 1
                 if lhs != rhs:
-                    failures.append(
-                        f"commutation fails for {gen_elem} on {State.from_monomial(mono)}"
-                    )
+                    failures.append(f"commutation fails for {gen_elem} on {u}")
     for nu1 in range(0, 3):
         u = State.vacuum() if nu1 == 0 else det_power_state(p, nu1)
         alpha = 2 * nu1
@@ -434,6 +438,7 @@ def verify_det_lemmas(p: int, index_bound: int, state_degree: int = 4) -> dict:
             rhs = multiply_lowering(minor, u).scale(scale) + multiply_lowering(
                 det, act(Generator(1, 1, m, m), u)
             )
+            count += 1
             if lhs != rhs:
                 failures.append(f"eigenvalue identity fails for m={m}, nu1={nu1}")
-    return {"p": p, "index_bound": index_bound, "passed": not failures, "failures": failures}
+    return count, failures

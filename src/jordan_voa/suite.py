@@ -23,6 +23,7 @@ from .fock import (
     clear_action_cache,
 )
 from .liealg import (
+    UNIT,
     Generator,
     LieElement,
     _pair_bracket,
@@ -30,7 +31,7 @@ from .liealg import (
     canonical_generators,
     canonicalize,
 )
-from .scalar import ONE, R, Scalar, poly_exact_div
+from .scalar import ONE, R, ZERO, Scalar, poly_exact_div
 from .singular import (
     GENERIC,
     certification_r,
@@ -50,7 +51,8 @@ from .virops import (
     virasoro_central_term,
 )
 
-__all__ = ["SuiteConfig", "CheckResult", "run_paper_suite", "ALL_CHECKS"]
+__all__ = ["SuiteConfig", "CheckResult", "run_check", "run_paper_suite", "ALL_CHECKS",
+           "determinant_commutation", "virasoro_central_charge"]
 
 MAX_REPORTED_FAILURES = 5
 
@@ -99,11 +101,17 @@ class SuiteConfig:
 
 @dataclass
 class CheckResult:
+    """A check's outcome; it passes if it tested something and nothing failed."""
+
     name: str
-    passed: bool
+    checked: int
     details: str = ""
     failures: list = field(default_factory=list)
     seconds: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.checked > 0 and not self.failures
 
     def summary_line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -122,15 +130,16 @@ def _int_bracket_table(gens: list):
     """Deformed brackets over an indexed generator list, in integer form.
 
     Entry (a, b) holds the generator part as (index, coefficient) pairs and
-    the coefficient of r in the constant part.  Both are integers because
+    the coefficient of r in the UNIT part.  Both are integers because
     elementary commutators have integer structure constants.
     """
     index = {g: pos for pos, g in enumerate(gens)}
     table = []
     for g in gens:
         for h in gens:
-            terms, const = _pair_bracket(g, h)
-            table.append((tuple((index[t], c) for t, c in terms), const))
+            bracket = dict(_pair_bracket(g, h))
+            const = bracket.pop(UNIT, ZERO).coeffs.get(1, 0)  # the UNIT part is const * r
+            table.append((tuple((index[t], c) for t, c in bracket.items()), const))
     return table
 
 
@@ -227,7 +236,8 @@ def check_lie_axioms(config: SuiteConfig) -> CheckResult:
         f"(bound {LIE_INDEX_BOUND}), {sampled} sampled triples "
         f"(bound {SAMPLE_INDEX_BOUND})"
     )
-    return CheckResult("bracket-antisymmetry-jacobi", not failures, details, failures)
+    checked = anti_checked + jacobi_checked + sampled
+    return CheckResult("bracket-antisymmetry-jacobi", checked, details, failures)
 
 
 def check_diagonal_pair_bracket(config: SuiteConfig) -> CheckResult:
@@ -253,7 +263,7 @@ def check_diagonal_pair_bracket(config: SuiteConfig) -> CheckResult:
                     failures.append(f"closed form fails for i={i}, m={m}, n={n}")
     return CheckResult(
         "diagonal-pair-bracket-closed-form",
-        not failures,
+        checked,
         f"{checked} (m, n) pairs with 1 <= m <= n <= 5",
         failures,
     )
@@ -310,13 +320,13 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
                     failures.append(f"action disagrees with bracket for {x}, {y} on {u}")
                     if len(failures) > MAX_REPORTED_FAILURES:
                         return CheckResult(
-                            "action-respects-bracket", False, "aborted early", failures
+                            "action-respects-bracket", checked, "aborted early", failures
                         )
     details = (
         f"{checked} generator pairs x states (index bound {REP_INDEX_BOUND}, "
         f"degree bound {degree_bound})"
     )
-    return CheckResult("action-respects-bracket", not failures, details, failures)
+    return CheckResult("action-respects-bracket", checked, details, failures)
 
 
 def _proportionality(a: State, b: State):
@@ -393,7 +403,7 @@ def check_lowering_recursions(config: SuiteConfig) -> CheckResult:
                 if ratio is None or not ratio:
                     failures.append(f"diagonal-pair word fails for ({i},{j},{m},{n})")
     details = f"{checked} recursion instances with modes in [{lo},-1]"
-    return CheckResult("lowering-recursions", not failures, details, failures)
+    return CheckResult("lowering-recursions", checked, details, failures)
 
 
 def check_vertex_mode_formula(config: SuiteConfig) -> CheckResult:
@@ -418,7 +428,7 @@ def check_vertex_mode_formula(config: SuiteConfig) -> CheckResult:
                             if len(failures) > MAX_REPORTED_FAILURES:
                                 return CheckResult(
                                     "vertex-mode-binomial-formula",
-                                    False,
+                                    checked,
                                     "aborted early",
                                     failures,
                                 )
@@ -426,7 +436,7 @@ def check_vertex_mode_formula(config: SuiteConfig) -> CheckResult:
         f"{checked} mode evaluations (modes in [{lo},-1], |l| <= "
         f"{VERTEX_MODE_BOUND}, states of degree <= {state_degree})"
     )
-    return CheckResult("vertex-mode-binomial-formula", not failures, details, failures)
+    return CheckResult("vertex-mode-binomial-formula", checked, details, failures)
 
 
 def check_binomial_determinants(config: SuiteConfig) -> CheckResult:
@@ -442,7 +452,7 @@ def check_binomial_determinants(config: SuiteConfig) -> CheckResult:
         f"{checked} determinants (M <= {DET_SIZE_BOUND}, "
         f"|L| <= {DET_SHIFT_BOUND})"
     )
-    return CheckResult("mode-transfer-determinants", not failures, details, failures)
+    return CheckResult("mode-transfer-determinants", checked, details, failures)
 
 
 def check_diagonal_raising_eigenvalue(config: SuiteConfig) -> CheckResult:
@@ -466,7 +476,7 @@ def check_diagonal_raising_eigenvalue(config: SuiteConfig) -> CheckResult:
         f"{checked} (m, nu) pairs with m <= {VMM_MODE_BOUND}, "
         f"nu <= {VMM_POWER_BOUND}"
     )
-    return CheckResult("diagonal-raising-eigenvalue", not failures, details, failures)
+    return CheckResult("diagonal-raising-eigenvalue", checked, details, failures)
 
 
 def check_determinant_power_singular(config: SuiteConfig) -> CheckResult:
@@ -483,7 +493,7 @@ def check_determinant_power_singular(config: SuiteConfig) -> CheckResult:
                 f"(p={p}, nu={nu}) fails at r={r0}: witness {witness[0]}"
             )
     details = f"{checked} determinant powers {CERTIFICATION_CASES}"
-    return CheckResult("determinant-power-singular", not failures, details, failures)
+    return CheckResult("determinant-power-singular", checked, details, failures)
 
 
 def _structure_checks(vector: State, p: int, nu: int, r0: int, failures: list):
@@ -545,31 +555,35 @@ def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
         f"{len(reports)} weight-space searches over {len({rep.weight for rep in reports})} "
         f"weights (degree <= {config.max_degree})"
     )
-    return CheckResult("singular-kernel-sweep", not failures, details, failures)
+    return CheckResult("singular-kernel-sweep", len(reports), details, failures)
+
+
+def determinant_commutation(sizes) -> CheckResult:
+    """Determinant commutation and eigenvalue identities for each size p, symbolically in r."""
+    failures = []
+    checked = 0
+    for p in sizes:
+        count, found = verify_det_lemmas(p)
+        checked += count
+        failures.extend(found)
+    sizes_text = ", ".join(map(str, sizes))
+    details = f"determinant sizes p in {{{sizes_text}}}, exchange modes up to p + 2"
+    return CheckResult("determinant-commutation", checked, details, failures)
 
 
 def check_determinant_commutation(config: SuiteConfig) -> CheckResult:
-    """Determinant commutation and eigenvalue identities, symbolically in r."""
-    failures = []
-    for p in (1, 2, 3):
-        report = verify_det_lemmas(p, index_bound=p + 2, state_degree=3)
-        if not report["passed"]:
-            failures.extend(report["failures"])
-    return CheckResult(
-        "determinant-commutation",
-        not failures,
-        "determinant sizes p in {1, 2, 3}, exchange modes up to p + 2",
-        failures,
-    )
+    """Check 9b: the determinant identities for p in {1, 2, 3}."""
+    return determinant_commutation((1, 2, 3))
 
 
-def check_virasoro_central_charge(config: SuiteConfig) -> CheckResult:
-    """The diagonal mode sums close a Virasoro algebra of central charge d*r."""
+def virasoro_central_charge(d_levels, state_degree: int) -> CheckResult:
+    """The diagonal mode sums close a Virasoro algebra of central charge d*r.
+
+    For each d in d_levels, on every basis state of degree <= state_degree.
+    """
     failures = []
     checked = 0
     bound = VIRASORO_INDEX_BOUND
-    state_degree = min(4, config.max_degree)
-    d_levels = range(2, config.d + 1)
     for d in d_levels:
         vac = State.vacuum()
         expected = vac.scale(R * Fraction(d, 2))
@@ -585,13 +599,18 @@ def check_virasoro_central_charge(config: SuiteConfig) -> CheckResult:
                         failures.append(f"Virasoro relation fails at ({m},{n}), d={d} on {u}")
                         if len(failures) > MAX_REPORTED_FAILURES:
                             return CheckResult(
-                                "virasoro-central-charge", False, "aborted early", failures
+                                "virasoro-central-charge", checked, "aborted early", failures
                             )
     details = (
         f"{checked} probes (|m|,|n| <= {bound}, states of degree <= "
         f"{state_degree}, d in {list(d_levels)})"
     )
-    return CheckResult("virasoro-central-charge", not failures, details, failures)
+    return CheckResult("virasoro-central-charge", checked, details, failures)
+
+
+def check_virasoro_central_charge(config: SuiteConfig) -> CheckResult:
+    """Check 10: the Virasoro relation for d in 2..config.d on states of degree <= 4."""
+    return virasoro_central_charge(range(2, config.d + 1), min(4, config.max_degree))
 
 
 def check_griess_jordan(config: SuiteConfig) -> CheckResult:
@@ -608,7 +627,7 @@ def check_griess_jordan(config: SuiteConfig) -> CheckResult:
         except Exception as exc:  # GriessVerificationError and friends
             failures.append(f"d={d}: {exc}")
     return CheckResult(
-        "griess-jordan-isomorphism", not failures, "; ".join(reports), failures
+        "griess-jordan-isomorphism", len(reports) + len(failures), "; ".join(reports), failures
     )
 
 
@@ -628,21 +647,23 @@ ALL_CHECKS = (
 )
 
 
-def run_paper_suite(config: SuiteConfig | None = None) -> list:
-    """Run every check; returns the list of CheckResults in criterion order.
+def run_check(check, *args) -> CheckResult:
+    """check(*args), timed; a check that raises fails with nothing checked.
 
-    The checks are independent, so the action cache is emptied before each
-    one: the memory held is that of the largest check, not of all of them.
+    Checks are independent, so the action cache is emptied first: the
+    memory held is that of the largest check, not of all of them.
     """
+    clear_action_cache()
+    start = time.perf_counter()
+    try:
+        result = check(*args)
+    except Exception as exc:
+        result = CheckResult(check.__name__, 0, f"raised {exc!r}")
+    result.seconds = time.perf_counter() - start
+    return result
+
+
+def run_paper_suite(config: SuiteConfig | None = None) -> list:
+    """Run every check; returns the list of CheckResults in criterion order."""
     config = config or SuiteConfig()
-    results = []
-    for _, check in ALL_CHECKS:
-        clear_action_cache()
-        start = time.perf_counter()
-        try:
-            result = check(config)
-        except Exception as exc:
-            result = CheckResult(check.__name__, False, f"raised {exc!r}")
-        result.seconds = time.perf_counter() - start
-        results.append(result)
-    return results
+    return [run_check(check, config) for _, check in ALL_CHECKS]

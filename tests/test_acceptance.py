@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from jordan_voa.liealg import UNIT, bracket_r, _pair_bracket
-from jordan_voa.suite import SuiteConfig, canonical_generators, run_paper_suite
+from jordan_voa.liealg import UNIT, LieElement, bracket_r, _pair_bracket
+from jordan_voa.scalar import R
+from jordan_voa.suite import SuiteConfig, _int_bracket_table, canonical_generators, run_paper_suite
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
@@ -121,8 +122,16 @@ def test_fast_bracket_table_matches_public_api():
     gens = canonical_generators(3, 3)
     for _ in range(300):
         x, y = rng.choice(gens), rng.choice(gens)
-        terms, const = _pair_bracket(x, y)
+        pairs = dict(_pair_bracket(x, y))
         elem = bracket_r(x, y)
-        assert dict(terms) == {g: c.constant_value() for g, c in elem.terms.items() if g}
-        assert elem.coefficient(UNIT).coeffs.get(1, 0) == const
+        assert LieElement(pairs) == elem
+        assert all(type(c) is int for g, c in pairs.items() if g != UNIT)
         assert 0 not in elem.coefficient(UNIT).coeffs
+    gens = canonical_generators(2, 2)
+    pairs = [(x, y) for x in gens for y in gens]
+    for (x, y), (terms, const) in zip(pairs, _int_bracket_table(gens)):
+        elem = bracket_r(x, y)
+        assert {gens[t]: c for t, c in terms} == {
+            g: c.constant_value() for g, c in elem.terms.items() if g != UNIT
+        }
+        assert elem.coefficient(UNIT) == R * const

@@ -1,12 +1,19 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
+import importlib
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from jordan_voa import cli
+from jordan_voa import cli, fock
+from jordan_voa.fock import State
+from jordan_voa.liealg import UNIT, _pair_bracket
+from jordan_voa.scalar import ONE, R
+from jordan_voa.virops import act_L
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -191,6 +198,7 @@ def test_bad_d_is_a_usage_error(argv, capsys):
      "--window-override=-5:5"],
     ["singular-check", "--p", "2", "--nu", "1", "--full-algebra"],
     ["weight-basis", "--weight", "2*Lam[1,-1]", "--restricted"],
+    ["verify-det", "--p", "2", "--index-bound", "3"],
 ])
 def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -206,6 +214,7 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     (["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "0"], "--workers"),
     (["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "-3"], "--workers"),
     (["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "100000"], "--workers"),
+    (["virasoro-check", "--max-degree", "7"], "--max-degree"),
 ])
 def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
     # parse only: nothing runs, so no suite and no worker pool can start
@@ -276,7 +285,9 @@ def test_paper_suite_defaults_are_the_certification_scale():
 
 def test_verify_det_index_bound_defaults_to_p_plus_two(capsys):
     code, out = run_cli(capsys, "verify-det", "--p", "1", "--output", "json")
-    assert code == 0 and json.loads(out)["index_bound"] == 3
+    [result] = json.loads(out)
+    assert code == 0 and result["details"].endswith("exchange modes up to p + 2")
+    assert result["checked"] == 3 * 6 + 3  # modes 0, 2 and 3 on 6 states, then 3 eigenvalues
 
 
 def test_paper_suite_small(capsys):
@@ -300,6 +311,57 @@ def test_failed_sweep_verification_exits_one(monkeypatch, capsys):
     assert "witness probe" in err
 
 
+def _constant_shifted_bracket(g, h):
+    """The pair bracket with one added to its constant: a wrong central term."""
+    return tuple((key, c + ONE if key == UNIT else c) for key, c in _pair_bracket(g, h))
+
+
+# argv at the smallest scale, and one fault in the code it runs: (module, attribute, fake)
+PLANTED_FAULTS = [
+    (["virasoro-check", "--d", "1", "--max-degree", "0"],
+     ("suite", "virasoro_central_term", lambda m, n, u, d: State())),
+    (["verify-det", "--p", "1"], ("singular", "R", R + ONE)),
+    (["singular-check", "--p", "1", "--nu", "1"],
+     ("fock", "_pair_bracket", _constant_shifted_bracket)),
+    (["griess-table", "--d", "1"],
+     ("griess", "act_L", lambda *args, **kwargs: act_L(*args, **kwargs).scale(R))),
+    (["paper-suite", "--d", "2", "--max-degree", "2", "--samples", "0"],
+     ("suite", "binomial_matrix_det", lambda shift, size: 0)),
+]
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
+@pytest.mark.parametrize("argv, fault", PLANTED_FAULTS,
+                         ids=[argv[0] for argv, _ in PLANTED_FAULTS])
+def test_verifying_subcommands_fail_on_a_planted_fault(argv, fault, planted, monkeypatch, capsys):
+    """Each verifying subcommand tests something at its smallest scale: a fault is exit 1."""
+    if planted:
+        module, attr, fake = fault
+        monkeypatch.setattr(importlib.import_module(f"jordan_voa.{module}"), attr, fake)
+    fock.clear_action_cache()
+    try:
+        code, _ = run_cli(capsys, *argv)
+    finally:
+        fock.clear_action_cache()
+    assert code == (1 if planted else 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["virasoro-check", "--d", "1", "--max-degree", "0", "--output", "json"],
+    ["verify-det", "--p", "1", "--output", "json"],
+], ids=lambda argv: argv[0])
+def test_check_reports_count_what_they_tested(argv, capsys):
+    """JSON reports carry "checked"; stderr has one real timing line per check."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    results = json.loads(captured.out)
+    assert code == 0
+    assert all(res["passed"] and res["checked"] > 0 for res in results)
+    timings = [re.fullmatch(r"\[ *(\d+\.\d\d)s\] (.+)", line)
+               for line in captured.err.splitlines()]
+    assert [m.group(2) for m in timings] == [res["name"] for res in results]
+
+
 def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch):
     from jordan_voa import fock, suite
     from jordan_voa.liealg import Generator
@@ -309,7 +371,7 @@ def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch):
     def probe(config):
         seen.append(len(fock._ACT_CACHE))
         fock.act(Generator(1, 1, 1, 1), fock.State.vacuum())  # leaves an entry behind
-        return suite.CheckResult("probe", True)
+        return suite.CheckResult("probe", 1)
 
     monkeypatch.setattr(suite, "ALL_CHECKS", (("a", probe), ("b", probe), ("c", probe)))
     fock.act(Generator(1, 2, 1, 1), fock.State.vacuum())
@@ -317,6 +379,47 @@ def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch):
     assert [res.passed for res in results] == [True] * 3
     assert seen == [0, 0, 0]
     assert fock._ACT_CACHE  # the probes did fill the cache, so the zeros come from clearing it
+
+
+def test_a_check_that_tests_nothing_or_raises_fails(monkeypatch):
+    from jordan_voa import suite
+
+    def empty(config):
+        return suite.CheckResult("empty", 0)
+
+    def broken(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(suite, "ALL_CHECKS", (("a", empty), ("b", broken)))
+    results = suite.run_paper_suite(suite.SuiteConfig(d=2, max_degree=2, samples=0))
+    assert [(res.name, res.checked, res.passed) for res in results] == [
+        ("empty", 0, False), ("broken", 0, False)
+    ]
+    assert results[1].summary_line() == "FAIL  broken: raised RuntimeError('boom')"
+
+
+def _readme_flag_table():
+    """subcommand -> the flags README's table lists for it."""
+    table = {}
+    for line in README.read_text().splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            flags = set(re.findall(r"`(--[a-z-]+)", cells[2]))
+            for name in re.findall(r"`([a-zA-Z-]+)`", cells[1]):
+                assert name not in table, f"{name} is listed twice"
+                table[name] = flags
+    return table
+
+
+def test_readme_flag_table_lists_each_subcommands_optional_flags():
+    [subparsers] = [action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    parsers = {
+        name: {flag for action in sub._actions if not action.required
+               for flag in action.option_strings if flag not in ("-h", "--help")}
+        for name, sub in subparsers.choices.items()
+    }
+    assert _readme_flag_table() == parsers
 
 
 def _readme_examples():

@@ -6,9 +6,12 @@ import random
 import pytest
 
 from jordan_voa.liealg import (
+    UNIT,
     Generator,
     LieElement,
+    _pair_bracket,
     bracket_r,
+    canonical_generators,
     canonicalize,
     parse_generator_literal,
 )
@@ -174,3 +177,39 @@ def test_scale_and_linearity():
     lhs = bracket_r(x.scale(3), y)
     assert lhs == bracket_r(x, y).scale(3)
     assert bracket_r(x + y, y) == bracket_r(x, y) + bracket_r(y, y)
+
+
+def _mode_commutator(x, y):
+    """[v_i(m), v_j(n)] = delta_{i,j} delta_{m+n,0} m for modes x = (i, m), y = (j, n)."""
+    return x[1] if x[0] == y[0] and x[1] + y[1] == 0 else 0
+
+
+def _leibniz_bracket(g, h):
+    """[ab, cd]_r from the Leibniz rule on the four modes, independent of normal ordering.
+
+    [ab, cd] = [b,c] ad + [b,d] ac + [a,c] db + [a,d] cb, each product
+    canonicalized; then the constant is scaled by r.
+    """
+    a, b, c, d = (g.i, g.m), (g.j, g.n), (h.i, h.m), (h.j, h.n)
+    total = LieElement()
+    for scalar, (x, y) in (
+        (_mode_commutator(b, c), (a, d)),
+        (_mode_commutator(b, d), (a, c)),
+        (_mode_commutator(a, c), (d, b)),
+        (_mode_commutator(a, d), (c, b)),
+    ):
+        if scalar:
+            total = total + canonicalize(x[0], y[0], x[1], y[1]).scale(scalar)
+    const = total.coefficient(UNIT)
+    return total + LieElement.constant(const * R - const)
+
+
+def test_pair_bracket_matches_the_leibniz_rule():
+    gens = canonical_generators(2, 2)
+    nonzero = 0
+    for g in gens:
+        for h in gens:
+            expected = _leibniz_bracket(g, h)
+            assert LieElement(dict(_pair_bracket(g, h))) == expected, (g, h)
+            nonzero += not expected.is_zero()
+    assert nonzero > len(gens)

@@ -288,10 +288,12 @@ def test_expected_singular_pairs_off_the_integers():
 
 def test_verify_det_lemmas():
     for p in (1, 2):
-        report = verify_det_lemmas(p, index_bound=p + 2, state_degree=3)
-        assert report["passed"], report["failures"]
+        count, failures = verify_det_lemmas(p)
+        assert not failures, failures
+        # p (p + 2) exchange generators on 6 basis states of degree <= 4, then 3 p eigenvalues
+        assert count == p * (p + 2) * 6 + 3 * p
     with pytest.raises(ValueError):
-        verify_det_lemmas(3, index_bound=2)
+        verify_det_lemmas(0)
 
 
 def test_det_eigenvalue_identity_frozen_instance():
@@ -480,3 +482,29 @@ def test_only_integer_parameters_have_singular_vectors_to_degree_12():
         basis, rows = _search_matrix(lam)
         assert not _without_integer_roots(_generic_minor(rows, len(basis))).is_constant()
         assert _two_minor_gcd(lam) == ONE
+
+
+def test_a_zero_minor_falls_back_to_elimination_at_every_parameter(monkeypatch):
+    """With every minor forced to zero, the eliminations alone give the same reports."""
+    cases = [(lam, r0) for lam in weights(6) for r0 in (GENERIC, Fraction(0))]
+    fock.clear_action_cache()
+    expected = [singular_search(lam, r0) for lam, r0 in cases]
+    calls = []
+
+    def counting(kernel):
+        def wrapper(rows, ncols=None):
+            calls.append(kernel.__name__)
+            return kernel(rows, ncols)
+        return wrapper
+
+    monkeypatch.setattr(singular, "_generic_minor", lambda rows, ncols: ZERO)
+    monkeypatch.setattr(singular, "kernel_basis", counting(kernel_basis))
+    monkeypatch.setattr(singular, "kernel_basis_poly", counting(kernel_basis_poly))
+    fock.clear_action_cache()
+    try:
+        assert [singular_search(lam, r0) for lam, r0 in cases] == expected
+    finally:
+        fock.clear_action_cache()
+    searched = sum(1 for rep in expected if rep.basis_dim) // 2
+    assert calls.count("kernel_basis_poly") == calls.count("kernel_basis") == searched > 0
+    assert [rep.kernel_dim for rep in expected if rep.r0 == 0].count(1) == 1
