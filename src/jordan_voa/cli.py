@@ -38,7 +38,7 @@ from .suite import (MAX_D, MAX_DEGREE, MIN_D, MIN_DEGREE, SuiteConfig, determina
                     run_check, run_paper_suite, virasoro_central_charge)
 from .virops import act_L, vertex_mode
 
-DEGREE_GUARD = 10
+DEGREE_GUARD = 18
 
 
 def _parse_r(text: str):

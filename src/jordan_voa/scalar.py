@@ -161,10 +161,18 @@ class Scalar(tuple):
 
     # -- evaluation and text ---------------------------------------------
 
-    def evaluate(self, r0) -> Fraction:
-        """Specialise the parameter: compute self(r0) exactly."""
-        r0 = Fraction(r0)
-        acc = Fraction(0)
+    def evaluate(self, r0):
+        """Specialise the parameter: compute self(r0) exactly.
+
+        An integral r0 (an int, or a Fraction with denominator 1) keeps int
+        arithmetic, so the value is an int when every coefficient is.  Any
+        other value is a Fraction, save 0 for the zero polynomial.
+        """
+        if not isinstance(r0, int):
+            r0 = Fraction(r0)
+            if r0.denominator == 1:
+                r0 = r0.numerator
+        acc = 0
         for c in reversed(self):
             acc = acc * r0 + c
         return acc

@@ -20,7 +20,8 @@ p >= 2; strict=True adds them (d >= 2) to observe the failure.
 Kernel search runs over one weight space at a time: stack the raising
 actions on the weight-space basis into an exact matrix and return its
 nullspace, over Q for a rational parameter value or over Q(r) for the
-generic parameter.  Only generators that can act nonzero on the weight
+generic parameter.  The matrix is read off the cached per-monomial images
+of fock._act_gen.  Only generators that can act nonzero on the weight
 space are stacked: grading forces a raising generator to act as zero on a
 monomial when it has a zero mode (v_k(0) is central and kills the vacuum)
 or a positive mode x on an oscillator k whose mode -x the monomial lacks.
@@ -32,10 +33,20 @@ last pivot D so that no entry is a fraction, together with D.  Nothing is
 divided inexactly: over Q each row is cleared of denominators, eliminated
 over Z and the vectors are divided by D; over Q(r) the matrix is eliminated
 over Q[r], so the kernel vectors are polynomial from the start and only
-their content is divided out.  The elimination over Q[r] also ends on a
-maximal minor D(r) of the weight's matrix (ZERO below full column rank),
-which every search takes first.  D != 0 proves a zero kernel over Q(r),
-and as evaluation commutes with determinants, D(r0) != 0 proves one at r0
+their content is divided out.
+
+Every search first takes a maximal minor D(r) of the weight's matrix
+(ZERO below full column rank).  Its rows are chosen at one integer point,
+R_STAR: the matrix is specialised there, cleared of denominators and its
+transpose eliminated over Z, whose pivot columns are the first ncols rows
+independent at R_STAR.  Only that square submatrix is eliminated over Q[r];
+its determinant is D, nonzero at R_STAR and so nonzero in Q[r].  The
+choice is exact, not sampled: the rank at a point is at most the rank over
+Q(r), so rows independent at R_STAR are independent over Q(r).  Where
+fewer than ncols rows are independent at R_STAR (the matrix is deficient
+over Q(r), or R_STAR is a root of every maximal minor) the whole matrix is
+eliminated over Q[r] instead.  D != 0 proves a zero kernel over Q(r), and
+as evaluation commutes with determinants, D(r0) != 0 proves one at r0
 without specialising the matrix.  Only where D vanishes is the matrix
 eliminated, over Q(r) or over Q.  Every maximal minor is a multiple of the
 gcd of all of them, the last determinantal divisor (M. Newman, Integral
@@ -60,6 +71,7 @@ from .fock import (
     MIXED,
     State,
     Weight,
+    _act_gen,
     act,
     basis_monomials,
     degree_of,
@@ -89,6 +101,10 @@ __all__ = [
 ]
 
 GENERIC = "generic"
+
+# The integer point at which _generic_minor chooses its rows.  Any point is
+# exact; a large one stays clear of the small integer roots of the minors.
+R_STAR = 1009
 
 
 class SingularVerificationError(RuntimeError):
@@ -256,17 +272,22 @@ def _nullspace(rows, ncols, exact_div, one):
     return vectors, last
 
 
+def _cleared(row) -> list:
+    """A row of ints and Fractions times the lcm of its denominators: ints.
+
+    Integer elimination divides with floordiv, which is exact only on ints.
+    """
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
 def kernel_basis(rows, ncols: int | None = None) -> list:
     """Exact rational nullspace of a rectangular matrix of ints and Fractions.
 
     Vector k has coefficient 1 on the k-th free column and 0 on the other
     free columns: the reduced-row-echelon basis.
     """
-    int_rows = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        int_rows.append([x.numerator * (scale // x.denominator) for x in row])
-    vectors, last = _nullspace(int_rows, ncols, operator.floordiv, 1)
+    vectors, last = _nullspace([_cleared(row) for row in rows], ncols, operator.floordiv, 1)
     return [[Fraction(x, last) for x in vec] for vec in vectors]
 
 
@@ -303,10 +324,9 @@ def _search_matrix(lam: Weight):
     rows = []
     if basis:
         for gen in _raising_family(lam.support()):
-            images = [act(gen, State.from_monomial(mono)) for mono in basis]
-            targets = sorted({m for img in images for m in img.terms})
-            for target in targets:
-                rows.append([img.coefficient(target) for img in images])
+            images = [_act_gen(gen, mono) for mono in basis]
+            for target in sorted({m for img in images for m in img}):
+                rows.append([img.get(target, ZERO) for img in images])
     result = (basis, rows)
     _MATRIX_CACHE[lam] = result
     return result
@@ -315,9 +335,19 @@ def _search_matrix(lam: Weight):
 def _generic_minor(rows, ncols: int) -> Scalar:
     """A maximal minor of a matrix over Q[r]; ZERO below full column rank.
 
-    It is the last pivot of the fraction-free elimination: up to sign, the
-    determinant of the pivot rows.
+    The rows are chosen at r = R_STAR: the first ncols rows independent
+    there, read off as the pivot columns of the specialised, cleared
+    transpose eliminated over Z.  A rank at a point is at most the rank
+    over Q(r), so if there are ncols of them their determinant is nonzero
+    in Q[r], and only that square submatrix is eliminated over Q[r].
+    Otherwise (deficient over Q(r), or R_STAR a root of every maximal
+    minor) the whole matrix is.  The minor is the last pivot of that
+    fraction-free elimination: up to sign, the determinant of its pivot rows.
     """
+    at_star = [_cleared([c.evaluate(R_STAR) for c in row]) for row in rows]
+    _, chosen, _ = fraction_free_rref(list(zip(*at_star)), len(rows), operator.floordiv)
+    if len(chosen) == ncols:
+        rows = [rows[k] for k in chosen]
     vectors, last = _nullspace(rows, ncols, poly_exact_div, ONE)
     return ZERO if vectors else last
 

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import argparse
+import hashlib
 import importlib
 import json
 import re
@@ -156,10 +157,20 @@ def test_invalid_generator_is_reported(capsys):
 def test_degree_guard(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["singular-sweep", "--rmin", "0", "--rmax", "0",
-                  "--max-degree", "11"])
+                  "--max-degree", "19"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == (
-        "error: --max-degree 11 exceeds 10; pass --no-degree-guard\n"
+        "error: --max-degree 19 exceeds 18; pass --no-degree-guard\n"
+    )
+
+
+def test_sweep_output_is_pinned_to_degree_14(capsys):
+    """The sweep's CSV bytes, with every kernel and basis dimension, stay as recorded."""
+    code, out = run_cli(capsys, "singular-sweep", "--rmin", "-3", "--rmax", "3",
+                        "--max-degree", "14", "--no-degree-guard")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4bd0ae8cc525c406f804ba31b4cd6addc1928e2e9273e78f0da441417d1057cb"
     )
 
 

@@ -92,6 +92,22 @@ def test_parse_scalar_inverts_str(p):
     assert parse_scalar(str(p)) == p
 
 
+integers = st.integers(min_value=-50, max_value=50)
+
+
+@PROFILE
+@given(st.lists(st.one_of(integers, rationals), max_size=5).map(Scalar), integers)
+def test_evaluate_at_an_int_equals_evaluate_at_its_fraction(p, k):
+    assert p.evaluate(k) == p.evaluate(Fraction(k))
+
+
+@PROFILE
+@given(st.lists(integers, max_size=5).map(Scalar), integers)
+def test_evaluate_keeps_int_coefficients_int_at_an_int(p, k):
+    value = p.evaluate(k)
+    assert type(value) is int and value == p.evaluate(Fraction(k))
+
+
 @PROFILE
 @given(states)
 def test_state_json_round_trip(u):

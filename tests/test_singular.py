@@ -1,5 +1,6 @@
 """Determinant vectors, kernel search, and singularity certification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ import pytest
 from jordan_voa import fock, singular
 from jordan_voa.fock import State, Weight, act, degree_of, monomial, weight_space_basis, weights
 from jordan_voa.liealg import Generator, canonicalize
-from jordan_voa.scalar import ONE, R, ZERO, Scalar, _poly_divmod, poly_gcd
+from jordan_voa.scalar import ONE, R, ZERO, Scalar, _poly_divmod, poly_exact_div, poly_gcd
 from jordan_voa.singular import (
     GENERIC,
+    R_STAR,
     _generic_minor,
     _search_matrix,
     certification_r,
@@ -440,6 +442,80 @@ def test_generic_minor_is_zero_below_full_rank():
     assert _generic_minor([[ONE, R], [R, R * R]], 2) == ZERO
     assert _generic_minor([], 1) == ZERO
     assert _generic_minor([[ONE, R], [R, ONE]], 2) in (ONE - R * R, R * R - ONE)
+
+
+def test_a_rank_drop_at_r_star_falls_back_to_the_whole_matrix():
+    rows = [[R - R_STAR, ZERO], [ZERO, ONE]]  # full rank over Q(r), rank 1 at R_STAR
+    assert _generic_minor(rows, 2) in (R - R_STAR, R_STAR - R)
+    # a third row restores full rank at R_STAR, and the minor avoids the root
+    assert _generic_minor(rows + [[ONE, ZERO]], 2) in (ONE, -ONE)
+
+
+def test_the_minor_eliminates_a_square_submatrix_at_every_weight_to_degree_12(monkeypatch):
+    shapes = []
+    nullspace = singular._nullspace
+
+    def recording(rows, ncols, exact_div, one):
+        shapes.append((len(rows), ncols))
+        return nullspace(rows, ncols, exact_div, one)
+
+    monkeypatch.setattr(singular, "_nullspace", recording)
+    tall = 0
+    for lam in weights(12):
+        basis, rows = _search_matrix(lam)
+        if basis:
+            tall += len(rows) > len(basis)
+            assert _generic_minor(rows, len(basis)).evaluate(R_STAR)
+    assert tall > 100
+    assert len(shapes) == 136 and all(nrows == ncols for nrows, ncols in shapes)
+
+
+def _cleared_rows(rows):
+    """Each row of Scalars times the lcm of its coefficients' denominators."""
+    out = []
+    for row in rows:
+        scale = math.lcm(*(Fraction(c).denominator for entry in row for c in entry))
+        out.append([entry * scale for entry in row])
+    return out
+
+
+def test_fraction_entries_give_the_verdict_of_the_cleared_matrix():
+    rng = random.Random(12)
+    coeff = lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+    verdicts = set()
+    for trial in range(60):
+        ncols = rng.randint(3, 4)
+        rows = [[Scalar((coeff(), coeff())) for _ in range(ncols)] for _ in range(ncols + 1)]
+        a, b, c = coeff(), coeff(), coeff()
+        # a combination of the first three rows: telling it apart at R_STAR
+        # takes two exact divisions, which floordiv on Fractions gets wrong
+        rows.insert(3, [a * x + b * y + c * z for x, y, z in zip(*rows[:3])])
+        if trial % 3 == 0:  # ncols rows, the last a multiple of the first
+            rows = rows[:ncols - 1] + [[entry * Fraction(2, 3) for entry in rows[0]]]
+        minor = _generic_minor(rows, ncols)
+        cleared = _generic_minor(_cleared_rows(rows), ncols)
+        assert bool(minor) == bool(cleared) == bool(kernel_basis_poly(rows, ncols) == []), rows
+        if minor:
+            assert poly_exact_div(cleared, minor).is_constant()
+        verdicts.add(bool(minor))
+    assert verdicts == {True, False}
+
+
+def test_a_singular_vector_at_r0_makes_the_minor_vanish_there():
+    """Soundness of the certificate: a nonzero kernel at r0 forces D(r0) = 0."""
+    r_values = [Fraction(r) for r in range(-3, 4)]
+    r_values += [Fraction(1, 2), Fraction(-1, 2), Fraction(5, 2)]
+    kernels = 0
+    for lam in weights(12):
+        basis, rows = _search_matrix(lam)
+        if not basis:
+            continue
+        minor = _generic_minor(rows, len(basis))
+        for r0 in r_values:
+            if kernel_basis([[c.evaluate(r0) for c in row] for row in rows], len(basis)):
+                kernels += 1
+                assert minor.evaluate(r0) == 0, (lam, r0, minor)
+    assert kernels == 5
 
 
 def _without_integer_roots(p):
