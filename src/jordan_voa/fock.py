@@ -263,7 +263,8 @@ def _act_terms(ops, terms: dict, acc: dict | None = None) -> dict:
 
     terms maps basis monomials to nonzero Scalars, as State.terms does.  The
     image is added into acc (a fresh dict if None) and acc is returned; the
-    cached per-monomial images are only read.
+    cached per-monomial images are only read.  An image whose combined
+    coefficient is ONE is added unscaled.
     """
     if acc is None:
         acc = {}
@@ -272,8 +273,12 @@ def _act_terms(ops, terms: dict, acc: dict | None = None) -> dict:
             image = _act_gen(gen, mono)
             if image:
                 coeff = cu * cg
-                for m2, s2 in image.items():
-                    add_into(acc, m2, s2 * coeff)
+                if coeff is ONE:
+                    for m2, s2 in image.items():
+                        add_into(acc, m2, s2)
+                else:
+                    for m2, s2 in image.items():
+                        add_into(acc, m2, s2 * coeff)
     return acc
 
 

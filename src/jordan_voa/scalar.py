@@ -88,6 +88,10 @@ class Scalar(tuple):
                 other = Scalar((other,))
             else:
                 return NotImplemented
+        if len(self) == 1 and len(other) == 1:
+            # constant plus constant: the sum is a constant or ZERO
+            c = self[0] + other[0]
+            return tuple.__new__(Scalar, (c,)) if c else ZERO
         a, b = (self, other) if len(self) >= len(other) else (other, self)
         if not b:
             return a
@@ -114,6 +118,11 @@ class Scalar(tuple):
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
+            if self is ONE or other is ONE:
+                x = other if self is ONE else self
+                # x itself, save an integral Fraction constant, which becomes an int below
+                if len(x) != 1 or type(x[0]) is int or x[0].denominator != 1:
+                    return x
             if len(self) == 1 and len(other) == 1:
                 # constant times constant: both nonzero, so the product is too
                 c = self[0] * other[0]
@@ -133,7 +142,8 @@ class Scalar(tuple):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return ZERO
-            return Scalar(tuple(c * other for c in self))
+            # a nonzero factor keeps the leading coefficient nonzero
+            return tuple.__new__(Scalar, tuple(c * other for c in self))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -358,14 +368,17 @@ def _poly_divmod(a: Scalar, b: Scalar):
     """Quotient and remainder of a by a nonzero b in Q[r]."""
     rem = list(a)
     quot = [0] * max(len(a) - len(b) + 1, 0)
-    lead = Fraction(b[-1])
+    lead = b[-1]
     for k in range(len(rem) - len(b), -1, -1):
         top = rem[k + len(b) - 1]
         if not top:
             continue
-        factor = Fraction(top) / lead
-        if factor.denominator == 1:
-            factor = factor.numerator
+        if type(top) is int and type(lead) is int and not top % lead:
+            factor = top // lead
+        else:
+            factor = Fraction(top) / lead
+            if factor.denominator == 1:
+                factor = factor.numerator
         quot[k] = factor
         for t, c in enumerate(b):
             rem[k + t] -= factor * c

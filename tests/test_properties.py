@@ -19,7 +19,9 @@ from jordan_voa.fock import (  # noqa: E402
     weights,
 )
 from jordan_voa.liealg import UNIT, LieElement, bracket_r, canonical_generators  # noqa: E402
-from jordan_voa.scalar import R, Scalar, parse_scalar  # noqa: E402
+from jordan_voa.scalar import (  # noqa: E402
+    ONE, R, ZERO, Scalar, _poly_divmod, parse_scalar, poly_exact_div,
+)
 from jordan_voa.singular import GENERIC, singular_search  # noqa: E402
 from jordan_voa.virops import act_L, act_L_total, vertex_mode_by_recursion  # noqa: E402
 from test_fock import _shifted  # noqa: E402
@@ -163,6 +165,60 @@ def test_constant_product_is_the_convolution(a, b):
     assert hash(product) == hash(expected) and str(product) == str(expected)
     assert product == x * (y + R) - x * R  # through the general product
     assert type(product[0]) is (int if product[0].denominator == 1 else Fraction)
+
+
+
+def _same_scalar(value, expected):
+    return value == expected and hash(value) == hash(expected) and str(value) == str(expected)
+
+
+def _constant_type_is_normalised(x):
+    """An integral constant is an int, any other a Fraction."""
+    return len(x) != 1 or type(x[0]) is (int if x[0].denominator == 1 else Fraction)
+
+
+@PROFILE
+@given(scalars, st.one_of(integers, rationals).filter(bool))
+def test_multiplying_by_one_or_a_bare_number_is_the_convolution(x, k):
+    expected = _convolution(x, ONE)
+    for product in (x * ONE, ONE * x):
+        assert _same_scalar(product, expected)
+        assert _constant_type_is_normalised(product)
+    for factor in (1, k):
+        for product in (x * factor, factor * x):
+            assert _same_scalar(product, _convolution(x, Scalar((factor,))))
+
+
+@PROFILE
+@given(rationals.filter(bool), rationals)
+def test_constants_that_cancel_add_to_zero(a, b):
+    assert _same_scalar(Scalar((a,)) + Scalar((-a,)), ZERO)
+    expected = Scalar((a + b,))
+    assert _same_scalar(Scalar((a,)) + Scalar((b,)), expected)
+    assert _same_scalar(Scalar((a,)) + b, expected)
+
+
+@PROFILE
+@given(st.lists(st.one_of(integers, rationals), max_size=4).map(Scalar),
+       st.lists(st.one_of(integers, rationals), min_size=1, max_size=4).map(Scalar)
+       .filter(bool))
+def test_exact_division_undoes_multiplication(a, b):
+    assert poly_exact_div(a * b, b) == a
+
+
+@PROFILE
+@given(st.lists(integers, max_size=5).map(Scalar), st.lists(integers, max_size=3),
+       integers.filter(bool))
+def test_division_of_int_polynomials(a, low, lead):
+    """Quotient and remainder satisfy a = q b + r; a monic divisor keeps them int."""
+    b, monic = Scalar((*low, lead)), Scalar((*low, 1))
+    for divisor in (b, monic):
+        quotient, remainder = _poly_divmod(a, divisor)
+        assert quotient * divisor + remainder == a
+        assert remainder.degree() < divisor.degree()
+    assert all(type(c) is int for c in (*quotient, *remainder))
+    quotient = poly_exact_div(a * monic, monic)
+    assert quotient == a and all(type(c) is int for c in quotient)
 
 
 def _homogeneous_pairs(max_degree, d):

@@ -1,9 +1,13 @@
 """The suite's fast paths for checks 1 and 3: oracles and planted faults.
 
-Check 1 sums the Jacobi identity only over triples with a nonempty inner
-bracket, and check 3 composes cached single-generator images as dicts.
-These tests compare each fast path with the plain computation it replaces
-and show that each check still fails when one of its inputs is wrong.
+Check 1 builds its integer bracket table only for pairs that share a
+contractible mode, sums Jacobi only over the triples where some outer
+bracket of an inner generator is nonzero, and compares antisymmetry only
+for pairs with a nonzero entry.  Check 3 composes cached single-generator
+images as dicts and counts, without composing, each pair and state where
+both images and the bracket are zero.  These tests compare each fast path
+with the plain computation it replaces and show that each check still
+fails when one of its inputs is wrong.
 """
 
 import math
@@ -14,7 +18,8 @@ import pytest
 
 from jordan_voa import fock, suite
 from jordan_voa.fock import State, act, clear_action_cache
-from jordan_voa.liealg import Generator, bracket_r, canonical_generators
+from jordan_voa.liealg import UNIT, Generator, _pair_bracket, bracket_r, canonical_generators
+from jordan_voa.scalar import ZERO
 from jordan_voa.suite import SuiteConfig
 
 SMALL = SuiteConfig(d=2, max_degree=2, samples=0)
@@ -30,32 +35,97 @@ def empty_action_cache():
 # -- check 1 ---------------------------------------------------------------
 
 
-def test_nontrivial_triples_are_the_combinations_with_a_nonempty_inner_bracket():
+def _jacobi_is_zero(x, y, z):
+    total = (
+        bracket_r(x, bracket_r(y, z))
+        + bracket_r(y, bracket_r(z, x))
+        + bracket_r(z, bracket_r(x, y))
+    )
+    return total.is_zero()
+
+
+def _skipped_triples(bound, d):
+    gens = canonical_generators(bound, d)
+    count = len(gens)
+    kept = set(suite._nontrivial_triples(suite._int_bracket_table(gens), count))
+    return gens, [t for t in combinations(range(count), 3) if t not in kept]
+
+
+def _triples_with_a_term(table, count):
+    """Brute force: the triples whose Jacobi sum in table has at least one term."""
+    return [
+        (a, b, c)
+        for a, b, c in combinations(range(count), 3)
+        if any(
+            table[x * count + w] != ((), 0)
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+            for w, _ in table[y * count + z][0]
+        )
+    ]
+
+
+def test_nontrivial_triples_are_those_whose_jacobi_sum_has_a_term():
     gens = canonical_generators(2, 2)
     count = len(gens)
     table = suite._int_bracket_table(gens)
-
-    def live(x, y):
-        return bool(table[x * count + y][0])
-
-    expected = [
-        (a, b, c)
-        for a, b, c in combinations(range(count), 3)
-        if live(b, c) or live(c, a) or live(a, b)
-    ]
-    assert list(suite._nontrivial_triples(table, count)) == expected
+    expected = _triples_with_a_term(table, count)
+    assert suite._nontrivial_triples(table, count) == expected
     assert 0 < len(expected) < math.comb(count, 3)
 
-    # the skipped triples satisfy Jacobi through the public bracket too
-    skipped = sorted(set(combinations(range(count), 3)) - set(expected))
-    for a, b, c in random.Random(7).sample(skipped, 200):
-        x, y, z = gens[a], gens[b], gens[c]
-        total = (
-            bracket_r(x, bracket_r(y, z))
-            + bracket_r(y, bracket_r(z, x))
-            + bracket_r(z, bracket_r(x, y))
-        )
-        assert total.is_zero(), (x, y, z)
+
+def test_nontrivial_triples_need_no_lie_structure_in_the_table():
+    """On random tables, with no antisymmetry or Jacobi, the same scan holds."""
+    rng = random.Random(11)
+    count = 10
+    for _ in range(20):
+        table = [
+            (tuple((rng.randrange(count), 1) for _ in range(rng.randrange(1, 3))), 0)
+            if rng.random() < 0.1
+            else ((), rng.choice((0, 0, 0, 1)))
+            for _ in range(count * count)
+        ]
+        assert suite._nontrivial_triples(table, count) == _triples_with_a_term(table, count)
+
+
+def test_every_skipped_triple_satisfies_jacobi_through_the_public_bracket():
+    gens, skipped = _skipped_triples(1, 2)
+    assert skipped
+    for a, b, c in skipped:
+        assert _jacobi_is_zero(gens[a], gens[b], gens[c]), (gens[a], gens[b], gens[c])
+    gens, skipped = _skipped_triples(2, 2)
+    for a, b, c in random.Random(7).sample(skipped, 500):
+        assert _jacobi_is_zero(gens[a], gens[b], gens[c]), (gens[a], gens[b], gens[c])
+
+
+@pytest.fixture(scope="module")
+def dense_table():
+    """The check-1 scale's generators and their table, every ordered pair through _pair_bracket."""
+    gens = canonical_generators(suite.LIE_INDEX_BOUND, 3)
+    index = {g: pos for pos, g in enumerate(gens)}
+    table = []
+    for g in gens:
+        for h in gens:
+            bracket = dict(_pair_bracket(g, h))
+            const = bracket.pop(UNIT, ZERO).coeffs.get(1, 0)
+            table.append((tuple((index[t], c) for t, c in bracket.items()), const))
+    return gens, table
+
+
+def test_sparse_bracket_table_equals_the_dense_build(dense_table):
+    gens, table = dense_table
+    assert suite._int_bracket_table(gens) == table
+
+
+def test_a_partner_filter_on_first_modes_misses_brackets(monkeypatch, dense_table):
+    def first_modes_only(gens):
+        holders: dict = {}
+        for pos, g in enumerate(gens):
+            holders.setdefault((g.i, g.m), set()).add(pos)
+        return [holders.get((g.i, -g.m), set()) for g in gens]
+
+    monkeypatch.setattr(suite, "_bracket_partners", first_modes_only)
+    gens, table = dense_table
+    assert suite._int_bracket_table(gens) != table
 
 
 def test_triples_through_is_the_lexicographic_position():
@@ -117,6 +187,26 @@ def test_check_1_fails_when_an_empty_bracket_entry_is_made_nonempty(monkeypatch)
     _assert_only_jacobi_fails(suite.check_lie_axioms(SMALL))
 
 
+def test_check_1_reports_each_antisymmetry_failure_once_in_pair_order(monkeypatch):
+    original = suite._int_bracket_table
+
+    def corrupted(gens):
+        table = original(gens)
+        count = len(gens)
+        table[5 * count + 2] = (table[5 * count + 2][0], table[5 * count + 2][1] + 1)
+        table[3 * count + 3] = ((3, 1),), 0
+        return table
+
+    monkeypatch.setattr(suite, "_int_bracket_table", corrupted)
+    res = suite.check_lie_axioms(SMALL)
+    gens = canonical_generators(suite.LIE_INDEX_BOUND, SMALL.d)
+    assert [f for f in res.failures if f.startswith("antisymmetry")] == [
+        f"antisymmetry fails for {gens[2]}, {gens[5]}",
+        f"antisymmetry fails for {gens[3]}, {gens[3]}",
+    ]
+    assert res.details.startswith(f"{math.comb(len(gens) + 1, 2)} antisymmetry pairs")
+
+
 def test_check_1_stops_early_and_counts_the_triples_it_reached(monkeypatch):
     def pick(table, count):
         x, y = _first_pair(table, count, nonempty=False)
@@ -147,6 +237,34 @@ def test_representation_sides_match_the_state_action():
                 )
                 assert lhs == act(x, act(y, u)).terms, (x, y, mono)
                 assert rhs == (act(y, act(x, u)) + act(xy, u)).terms, (x, y, mono)
+
+
+def test_check_3_composes_every_pair_with_a_nonzero_piece(monkeypatch):
+    """Only pairs with [x,y] = 0 and both images x u, y u empty go uncomposed."""
+    composed = []
+    original = suite._representation_sides
+
+    def spy(x, y, xy, mono, x_image, y_image):
+        composed.append((mono, x, y))
+        return original(x, y, xy, mono, x_image, y_image)
+
+    monkeypatch.setattr(suite, "_representation_sides", spy)
+    res = suite.check_representation_property(SMALL)
+    gens = canonical_generators(suite.REP_INDEX_BOUND, 2)
+    monos = fock.basis_monomials(SMALL.max_degree, 2)
+    zero_bracket = {(x, y) for a, x in enumerate(gens) for y in gens[a:] if bracket_r(x, y).is_zero()}
+    expected = []
+    for mono in monos:
+        u = State.from_monomial(mono)
+        empty = {g for g in gens if act(g, u).is_zero()}
+        expected += [
+            (mono, x, y)
+            for a, x in enumerate(gens)
+            for y in gens[a:]
+            if (x, y) not in zero_bracket or x not in empty or y not in empty
+        ]
+    assert composed == expected
+    assert len(expected) < res.checked == len(monos) * math.comb(len(gens) + 1, 2)
 
 
 def test_check_3_leaves_every_cached_image_unchanged():
