@@ -8,6 +8,13 @@ a nonnegative mode acts by commuting rightward past the factors with the
 deformed bracket and annihilating the vacuum; _act_gen maps UNIT, the key
 of every constant (a LieElement's, or a bracket's times r), to the identity.
 
+Grading settles most such actions before any recursion.  v_k(0) is central
+and kills the vacuum, and a positive mode v_k(x) commutes with every mode
+but v_k(-x).  So a generator with a zero mode, or with a positive mode v_k(x)
+that finds no v_k(-x) among the modes of the monomial's factors (both slots
+of each; v[i,i](x,x) needs two), acts as zero.  Every such action returns
+the one shared empty image _EMPTY, uncached; no caller may mutate it.
+
 Degree grades a monomial by minus the sum of its modes.  The finer weight
 grading counts how many times each lowering mode v_k(l) occurs among the
 factors; the commuting operators h[k,l] = -(1/l) v[k,k](l,-l), l < 0, act
@@ -218,13 +225,49 @@ def _insert(mono: PBWMonomial, gen: Generator) -> PBWMonomial:
     return mono[:pos] + (gen,) + mono[pos:]
 
 
+_EMPTY: dict = {}  # the one image of every action that grading kills; never mutated
+
+
+def _holds(mono: PBWMonomial, k: int, l: int, copies: int) -> bool:
+    """Whether at least copies factor slots of mono hold the mode v_k(l)."""
+    for fi, fj, fm, fn in mono:
+        copies -= (fm == l and fi == k) + (fn == l and fj == k)
+        if copies <= 0:
+            return True
+    return False
+
+
+def _grading_kills(gen: Generator, mono: PBWMonomial) -> bool:
+    """Whether grading alone makes gen act as zero on mono.
+
+    It does when gen has a zero mode, or a positive mode v_k(x) with no
+    v_k(-x) for it among the modes of mono's factors, both slots of each
+    counted; v[i,i](x,x) needs two copies.  A lowering gen is never killed.
+    """
+    i, j, m, n = gen
+    if not (m and n):
+        return True
+    copies = 2 if (i, m) == (j, n) else 1
+    return (m > 0 and not _holds(mono, i, -m, copies)) or (
+        n > 0 and not _holds(mono, j, -n, copies)
+    )
+
+
 def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
     """Action of one canonical generator, or UNIT, on one basis monomial (memoised).
 
     UNIT acts as the identity.  Lowering generators multiply in; anything
     else is commuted rightward with the deformed bracket and annihilates
-    the vacuum.  Callers must not mutate the returned dict.
+    the vacuum.  Before any lookup or recursion, a generator that grading
+    kills (_grading_kills) gets the shared empty image _EMPTY, which is not
+    cached: v_k(0) is central and kills the vacuum, and a positive mode
+    v_k(x) commutes past every mode but v_k(-x), so with no such partner
+    left it reaches the vacuum and kills it.  The recursion keeps its own
+    vacuum case, so it stays exact with the grading test switched off.
+    Callers must not mutate the returned dict.
     """
+    if gen != UNIT and _grading_kills(gen, mono):
+        return _EMPTY
     key = (gen, mono)
     cached = _ACT_CACHE.get(key)
     if cached is not None:
@@ -272,14 +315,18 @@ def _act_terms(ops, terms: dict, acc: dict | None = None) -> dict:
         for gen, cg in ops:
             image = _act_gen(gen, mono)
             if image:
-                coeff = cu * cg
-                if coeff is ONE:
-                    for m2, s2 in image.items():
-                        add_into(acc, m2, s2)
-                else:
-                    for m2, s2 in image.items():
-                        add_into(acc, m2, s2 * coeff)
+                _add_scaled(acc, image, cu * cg)
     return acc
+
+
+def _add_scaled(acc: dict, image: dict, coeff):
+    """Add coeff times image into acc; under coefficient ONE image goes in unscaled."""
+    if coeff is ONE:
+        for m2, s2 in image.items():
+            add_into(acc, m2, s2)
+    else:
+        for m2, s2 in image.items():
+            add_into(acc, m2, s2 * coeff)
 
 
 def memo(key, compute, *args):

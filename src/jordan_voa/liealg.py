@@ -149,6 +149,21 @@ def _canonical_element(i: int, j: int, m: int, n: int) -> LieElement:
     return LieElement(terms)
 
 
+def _partner_modes(g: Generator) -> list:
+    """The modes v_k(-x) that contract with a nonzero mode v_k(x) of g."""
+    return [(k, -x) for k, x in ((g.i, g.m), (g.j, g.n)) if x]
+
+
+def _contracts(g: Generator, h: Generator) -> bool:
+    """Whether a mode of h is a partner mode of g (_partner_modes).
+
+    Every other pair of modes commutes, so [g, h] = 0 when this is false.
+    The relation is symmetric.
+    """
+    h_modes = ((h.i, h.m), (h.j, h.n))
+    return any(mode in h_modes for mode in _partner_modes(g))
+
+
 @lru_cache(maxsize=None)
 def _pair_bracket(g: Generator, h: Generator):
     """Deformed bracket [g, h]_r of canonical generators via normal ordering.
@@ -156,7 +171,10 @@ def _pair_bracket(g: Generator, h: Generator):
     Returns (key, coefficient) pairs: canonical generators with integer
     coefficients, and r times the commutator's constant under UNIT.  The
     quartic parts of g h and h g cancel, leaving a quadratic plus a constant.
+    A pair that does not contract is () at once, without straightening.
     """
+    if not _contracts(g, h):
+        return ()
     out: dict = {}
     wg = ((g.i, g.m), (g.j, g.n))
     wh = ((h.i, h.m), (h.j, h.n))

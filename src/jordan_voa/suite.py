@@ -18,7 +18,7 @@ from fractions import Fraction
 from .fock import (
     State,
     _act_gen,
-    _act_terms,
+    _add_scaled,
     act,
     basis_monomials,
     clear_action_cache,
@@ -28,6 +28,7 @@ from .liealg import (
     Generator,
     LieElement,
     _pair_bracket,
+    _partner_modes,
     bracket_r,
     canonical_generators,
     canonicalize,
@@ -130,15 +131,14 @@ def _basis_states(max_degree: int, d: int) -> list:
 def _bracket_partners(gens: list) -> list:
     """For each generator, the positions of those it may not commute with.
 
-    Two quadratics can have a nonzero bracket only if a mode v_k(m), m != 0,
-    of one meets v_k(-m) in the other.
+    Two quadratics can have a nonzero bracket only if they contract: a mode
+    v_k(m), m != 0, of one meets v_k(-m) in the other (liealg._contracts).
     """
-    holders: dict = {}  # (oscillator, mode) -> positions of the generators carrying it
-    for pos, g in enumerate(gens):
-        for mode in ((g.i, g.m), (g.j, g.n)):
-            if mode[1]:
-                holders.setdefault(mode, set()).add(pos)
-    return [holders.get((g.i, -g.m), set()) | holders.get((g.j, -g.n), set()) for g in gens]
+    holders: dict = {}  # mode -> positions of the generators carrying it
+    for pos, h in enumerate(gens):
+        for mode in ((h.i, h.m), (h.j, h.n)):
+            holders.setdefault(mode, set()).add(pos)
+    return [set().union(*(holders.get(mode, ()) for mode in _partner_modes(g))) for g in gens]
 
 
 def _int_bracket_table(gens: list):
@@ -297,21 +297,42 @@ def check_diagonal_pair_bracket(config: SuiteConfig) -> CheckResult:
     )
 
 
-def _operator_or_none(x: LieElement):
-    """The (key, coefficient) pairs of x, or None if x is zero."""
-    return None if x.is_zero() else tuple(x.terms.items())
+def _action_rows(keys: list):
+    """mono -> mono's row [_act_gen(key, mono) for key in keys], each row built once."""
+    rows: dict = {}
+
+    def row_of(mono):
+        row = rows.get(mono)
+        if row is None:
+            row = rows[mono] = [_act_gen(key, mono) for key in keys]
+        return row
+
+    return row_of
 
 
-def _representation_sides(x, y, xy, mono, x_image: dict, y_image: dict):
-    """x(y u) and y(x u) + [x, y] u as image dicts, for u = mono with coefficient one.
+def _bracket_positions(x, y, index: dict):
+    """[x, y] as (index[key], coefficient) pairs, or None if it is zero."""
+    return tuple((index[key], c) for key, c in bracket_r(x, y).terms.items()) or None
 
-    xy is _operator_or_none(bracket_r(x, y)); x_image and y_image are the
-    cached images x u and y u, which are read but never written.
+
+def _representation_sides(a: int, b: int, xy, u_row: list, x_terms: list, y_terms: list):
+    """x(y u) and y(x u) + [x, y] u as image dicts, for the generators x, y at positions a, b.
+
+    u is one basis monomial with coefficient one and u_row is its row.
+    x_terms and y_terms are the images x u and y u as (row, coefficient)
+    pairs, one per term, each row that of the term's monomial.  xy is [x, y]
+    as (position, coefficient) pairs, or None.  Rows are only read.
     """
-    rhs = _act_terms(xy, {mono: ONE}) if xy else {}
-    if x_image:
-        _act_terms(((y, ONE),), x_image, rhs)
-    lhs = _act_terms(((x, ONE),), y_image) if y_image else {}
+    rhs: dict = {}
+    for pos, c in xy or ():
+        _add_scaled(rhs, u_row[pos], c)
+    for row, c in x_terms:
+        if row[b]:
+            _add_scaled(rhs, row[b], c)
+    lhs: dict = {}
+    for row, c in y_terms:
+        if row[a]:
+            _add_scaled(lhs, row[a], c)
     return lhs, rhs
 
 
@@ -320,42 +341,52 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
 
     Exhaustive over canonical generator pairs within the index bound and
     every basis monomial u of bounded degree (d = 2).  Each u is one
-    monomial with coefficient one, so x u is the cached single-generator
-    image itself and both sides are composed as image dicts.  Work that can
-    only give zero is skipped: a composition whose inner image is empty, and
-    [x,y] u when [x,y] = 0.  Each skipped piece is the zero dict, so the two
-    sides are still compared exactly for every pair and every u.  A pair
-    with [x,y] = 0 and both images x u and y u empty has both sides zero; it
-    is counted without composing anything.  [x,y] is computed only for the
-    pairs _bracket_partners names; the others commute.
+    monomial with coefficient one, and both sides are composed from rows: a
+    monomial's row lists its _act_gen image under each generator, by
+    position in the generator list, then under UNIT (at position
+    len(gens)).  One row is built for u and for each monomial that some
+    image of u reaches, so composing y after x u reads row[b] of each term
+    of x u, with no lookup per pair.  Work that can only give zero is
+    skipped: a composition whose inner image is empty, and [x,y] u when
+    [x,y] = 0.  Each skipped piece is the zero dict, so the two sides are
+    still compared exactly for every pair and every u.  A pair with [x,y] = 0
+    and both images x u and y u empty has both sides zero; it is counted
+    without composing anything.  [x,y] is computed only for the pairs
+    _bracket_partners names; the others commute.
     """
     failures = []
     degree_bound = min(5, config.max_degree)
     gens = canonical_generators(REP_INDEX_BOUND, 2)
+    count = len(gens)
+    keys = gens + [UNIT]
+    index = {key: pos for pos, key in enumerate(keys)}
     partners = _bracket_partners(gens)
     brackets = [
         [
-            _operator_or_none(bracket_r(gens[a], gens[b])) if b in partners[a] else None
-            for b in range(a, len(gens))
+            _bracket_positions(gens[a], gens[b], index) if b in partners[a] else None
+            for b in range(a, count)
         ]
-        for a in range(len(gens))
+        for a in range(count)
     ]
+    row_of = _action_rows(keys)
     checked = 0
     for mono in basis_monomials(degree_bound, 2):
-        images = [_act_gen(g, mono) for g in gens]
-        for a, x in enumerate(gens):
-            x_image = images[a]
-            row = brackets[a]
-            for b in range(a, len(gens)):
+        u_row = row_of(mono)
+        terms = [[(row_of(m2), c) for m2, c in image.items()] for image in u_row[:count]]
+        for a in range(count):
+            x_terms = terms[a]
+            x_brackets = brackets[a]
+            for b in range(a, count):
                 checked += 1
-                xy = row[b - a]
-                if xy is None and not x_image and not images[b]:
+                xy = x_brackets[b - a]
+                if xy is None and not x_terms and not terms[b]:
                     continue
-                y = gens[b]
-                lhs, rhs = _representation_sides(x, y, xy, mono, x_image, images[b])
+                lhs, rhs = _representation_sides(a, b, xy, u_row, x_terms, terms[b])
                 if lhs != rhs:
                     u = State.from_monomial(mono)
-                    failures.append(f"action disagrees with bracket for {x}, {y} on {u}")
+                    failures.append(
+                        f"action disagrees with bracket for {gens[a]}, {gens[b]} on {u}"
+                    )
                     if len(failures) > MAX_REPORTED_FAILURES:
                         return CheckResult(
                             "action-respects-bracket", checked, "aborted early", failures

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from jordan_voa import fock, suite
 from jordan_voa.fock import (
     MIXED,
     State,
@@ -17,10 +18,12 @@ from jordan_voa.fock import (
     monomial,
     monomial_degree,
     monomial_weight,
+    basis_monomials,
+    clear_action_cache,
     weight_of,
     weight_space_basis,
 )
-from jordan_voa.liealg import Generator, bracket_r, canonicalize
+from jordan_voa.liealg import Generator, bracket_r, canonical_generators, canonicalize
 from jordan_voa.scalar import R, Scalar
 
 VAC = State.vacuum()
@@ -231,6 +234,57 @@ def test_representation_property_small_exhaustive():
         direct = bracket_r(x, y)
         for u in states:
             assert act(direct, u) == act(x, act(y, u)) - act(y, act(x, u))
+
+
+@pytest.fixture
+def cold_cache():
+    """An empty action cache before and after the test, so no image leaks either way."""
+    clear_action_cache()
+    yield
+    clear_action_cache()
+
+
+def _images(gens, monos):
+    """Every _act_gen image of the generators on the monomials, from a cold cache."""
+    clear_action_cache()
+    return {(g, m): fock._act_gen(g, m) for m in monos for g in gens}
+
+
+def _without_grading(monkeypatch, gens, monos):
+    """The same images from the full head/rest recursion, the grading test disabled."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fock, "_grading_kills", lambda gen, mono: False)
+        return _images(gens, monos)
+
+
+@pytest.mark.parametrize(
+    "bound, max_degree, d, pairs, settled",
+    [(4, 6, 2, 15903, 10736), (3, 4, 3, 12012, 8694)],
+)
+def test_grading_settles_images_the_recursion_computes_as_zero(
+    monkeypatch, cold_cache, bound, max_degree, d, pairs, settled
+):
+    gens = canonical_generators(bound, d)
+    monos = basis_monomials(max_degree, d)
+    fast = _images(gens, monos)
+    assert len(fast) == pairs
+    killed = [key for key in fast if fock._grading_kills(*key)]
+    assert len(killed) == settled
+    assert all(fast[key] is fock._EMPTY for key in killed)
+    assert fast == _without_grading(monkeypatch, gens, monos)
+
+
+def test_a_grading_test_on_first_slots_fails_the_oracle_and_check_3(monkeypatch, cold_cache):
+    def first_slots_only(mono, k, l, copies):
+        return sum(fi == k and fm == l for fi, _, fm, _ in mono) >= copies
+
+    monkeypatch.setattr(fock, "_holds", first_slots_only)
+    res = suite.check_representation_property(suite.SuiteConfig(d=2, max_degree=2, samples=0))
+    assert not res.passed
+    assert res.failures and all(f.startswith("action disagrees") for f in res.failures)
+    gens = canonical_generators(4, 2)
+    monos = basis_monomials(6, 2)
+    assert _images(gens, monos) != _without_grading(monkeypatch, gens, monos)
 
 
 def test_cross_oscillator_generators_kill_restricted_module():

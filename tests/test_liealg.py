@@ -9,7 +9,9 @@ from jordan_voa.liealg import (
     UNIT,
     Generator,
     LieElement,
+    _contracts,
     _pair_bracket,
+    _straighten,
     bracket_r,
     canonical_generators,
     canonicalize,
@@ -213,3 +215,34 @@ def test_pair_bracket_matches_the_leibniz_rule():
             assert LieElement(dict(_pair_bracket(g, h))) == expected, (g, h)
             nonzero += not expected.is_zero()
     assert nonzero > len(gens)
+
+
+def _straightened_commutator(g, h):
+    """g h - h g in normal order by _straighten alone, zero terms dropped."""
+    out: dict = {}
+    wg = ((g.i, g.m), (g.j, g.n))
+    wh = ((h.i, h.m), (h.j, h.n))
+    _straighten(wg + wh, 1, out)
+    _straighten(wh + wg, -1, out)
+    return {word: c for word, c in out.items() if c}
+
+
+def _shortcut_misses(contracts, gens):
+    """The ordered pairs that contracts rules out although their commutator is nonzero."""
+    return [
+        (g, h) for g in gens for h in gens
+        if not contracts(g, h) and _straightened_commutator(g, h)
+    ]
+
+
+def test_pairs_that_do_not_contract_commute():
+    gens = canonical_generators(3, 3)
+    assert _shortcut_misses(_contracts, gens) == []
+
+    # a test on the first slots alone misses brackets, v[i,i](-x,x) ones among them
+    def first_slots_only(g, h):
+        return bool(g.m) and (g.i, -g.m) == (h.i, h.m)
+
+    missed = _shortcut_misses(first_slots_only, gens)
+    assert missed
+    assert any(g.i == g.j and g.m == -g.n != 0 for g, _ in missed)

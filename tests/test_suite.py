@@ -3,9 +3,9 @@
 Check 1 builds its integer bracket table only for pairs that share a
 contractible mode, sums Jacobi only over the triples where some outer
 bracket of an inner generator is nonzero, and compares antisymmetry only
-for pairs with a nonzero entry.  Check 3 composes cached single-generator
-images as dicts and counts, without composing, each pair and state where
-both images and the bracket are zero.  These tests compare each fast path
+for pairs with a nonzero entry.  Check 3 composes through per-monomial
+rows of single-generator images and counts, without composing, each pair
+and state where both images and the bracket are zero.  These tests compare each fast path
 with the plain computation it replaces and show that each check still
 fails when one of its inputs is wrong.
 """
@@ -223,17 +223,29 @@ def test_check_1_stops_early_and_counts_the_triples_it_reached(monkeypatch):
 # -- check 3 ---------------------------------------------------------------
 
 
+def _rows_and_terms(gens):
+    """Check 3's rows over gens and UNIT, and a monomial's images as (row, coefficient) terms."""
+    keys = gens + [UNIT]
+    row_of = suite._action_rows(keys)
+
+    def terms_of(mono):
+        return [[(row_of(m2), c) for m2, c in image.items()] for image in row_of(mono)[: len(gens)]]
+
+    return {key: pos for pos, key in enumerate(keys)}, row_of, terms_of
+
+
 def test_representation_sides_match_the_state_action():
-    gens = canonical_generators(3, 2)
-    for mono in fock.basis_monomials(3, 2):
+    gens = canonical_generators(2, 2)
+    index, row_of, terms_of = _rows_and_terms(gens)
+    for mono in fock.basis_monomials(4, 2):  # degree 4 has two-factor monomials
         u = State.from_monomial(mono)
-        images = [fock._act_gen(g, mono) for g in gens]
+        terms = terms_of(mono)
         for a, x in enumerate(gens):
             for b in range(a, len(gens)):
                 y = gens[b]
                 xy = bracket_r(x, y)
                 lhs, rhs = suite._representation_sides(
-                    x, y, suite._operator_or_none(xy), mono, images[a], images[b]
+                    a, b, suite._bracket_positions(x, y, index), row_of(mono), terms[a], terms[b]
                 )
                 assert lhs == act(x, act(y, u)).terms, (x, y, mono)
                 assert rhs == (act(y, act(x, u)) + act(xy, u)).terms, (x, y, mono)
@@ -243,14 +255,15 @@ def test_check_3_composes_every_pair_with_a_nonzero_piece(monkeypatch):
     """Only pairs with [x,y] = 0 and both images x u, y u empty go uncomposed."""
     composed = []
     original = suite._representation_sides
+    gens = canonical_generators(suite.REP_INDEX_BOUND, 2)
 
-    def spy(x, y, xy, mono, x_image, y_image):
-        composed.append((mono, x, y))
-        return original(x, y, xy, mono, x_image, y_image)
+    def spy(a, b, xy, u_row, x_terms, y_terms):
+        (mono,) = u_row[-1]  # the UNIT entry of u's row is {u: 1}
+        composed.append((mono, gens[a], gens[b]))
+        return original(a, b, xy, u_row, x_terms, y_terms)
 
     monkeypatch.setattr(suite, "_representation_sides", spy)
     res = suite.check_representation_property(SMALL)
-    gens = canonical_generators(suite.REP_INDEX_BOUND, 2)
     monos = fock.basis_monomials(SMALL.max_degree, 2)
     zero_bracket = {(x, y) for a, x in enumerate(gens) for y in gens[a:] if bracket_r(x, y).is_zero()}
     expected = []
@@ -265,6 +278,14 @@ def test_check_3_composes_every_pair_with_a_nonzero_piece(monkeypatch):
         ]
     assert composed == expected
     assert len(expected) < res.checked == len(monos) * math.comb(len(gens) + 1, 2)
+
+
+def test_the_shared_empty_image_stays_empty_through_the_suite():
+    killed = fock._act_gen(Generator(1, 1, 1, 1), ())
+    assert killed is fock._EMPTY and killed == {}
+    assert all(res.passed for res in suite.run_paper_suite(SMALL))
+    assert fock._EMPTY == {}
+    assert fock._act_gen(Generator(1, 2, 0, -1), (Generator(1, 2, -1, -1),)) is fock._EMPTY
 
 
 def test_check_3_leaves_every_cached_image_unchanged():
