@@ -349,8 +349,7 @@ def apply(key, image, u: State) -> State:
     """
     acc: dict = {}
     for mono, cu in u.terms.items():
-        for m2, s2 in memo((key, mono), image, mono).items():
-            add_into(acc, m2, s2 * cu)
+        _add_scaled(acc, memo((key, mono), image, mono), cu)
     return State._from_tidy(acc)
 
 

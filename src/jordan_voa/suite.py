@@ -33,7 +33,7 @@ from .liealg import (
     canonical_generators,
     canonicalize,
 )
-from .scalar import ONE, R, ZERO, Scalar, poly_exact_div
+from .scalar import ONE, R, ZERO, Scalar, add_into, poly_exact_div
 from .singular import (
     GENERIC,
     certification_r,
@@ -128,34 +128,28 @@ def _basis_states(max_degree: int, d: int) -> list:
     return [State.from_monomial(m) for m in basis_monomials(max_degree, d)]
 
 
-def _bracket_partners(gens: list) -> list:
-    """For each generator, the positions of those it may not commute with.
-
-    Two quadratics can have a nonzero bracket only if they contract: a mode
-    v_k(m), m != 0, of one meets v_k(-m) in the other (liealg._contracts).
-    """
-    holders: dict = {}  # mode -> positions of the generators carrying it
-    for pos, h in enumerate(gens):
-        for mode in ((h.i, h.m), (h.j, h.n)):
-            holders.setdefault(mode, set()).add(pos)
-    return [set().union(*(holders.get(mode, ()) for mode in _partner_modes(g))) for g in gens]
-
-
 def _int_bracket_table(gens: list):
     """Deformed brackets over an indexed generator list, in integer form.
 
     Entry (a, b) holds the generator part as (index, coefficient) pairs and
     the coefficient of r in the UNIT part.  Both are integers because
-    elementary commutators have integer structure constants.  _pair_bracket
-    runs only for the pairs _bracket_partners names; every other entry is
-    ((), 0).
+    elementary commutators have integer structure constants.  Two
+    quadratics can have a nonzero bracket only if they contract: a mode
+    v_k(x), x != 0, of one meets v_k(-x) in the other (liealg._contracts).
+    So _pair_bracket runs only for the pairs where the generator at b
+    carries one of _partner_modes(gens[a]); every other entry is ((), 0).
+    Checks 1 and 3 both read their brackets from this table.
     """
     index = {g: pos for pos, g in enumerate(gens)}
+    holders: dict = {}  # mode -> positions of the generators carrying it
+    for pos, h in enumerate(gens):
+        for mode in ((h.i, h.m), (h.j, h.n)):
+            holders.setdefault(mode, set()).add(pos)
     count = len(gens)
     table = [((), 0)] * (count * count)
-    for a, partners in enumerate(_bracket_partners(gens)):
-        for b in partners:
-            bracket = dict(_pair_bracket(gens[a], gens[b]))
+    for a, g in enumerate(gens):
+        for b in set().union(*(holders.get(mode, ()) for mode in _partner_modes(g))):
+            bracket = dict(_pair_bracket(g, gens[b]))
             const = bracket.pop(UNIT, ZERO).coeffs.get(1, 0)  # the UNIT part is const * r
             table[a * count + b] = (tuple((index[t], c) for t, c in bracket.items()), const)
     return table
@@ -297,35 +291,35 @@ def check_diagonal_pair_bracket(config: SuiteConfig) -> CheckResult:
     )
 
 
-def _action_rows(keys: list):
-    """mono -> mono's row [_act_gen(key, mono) for key in keys], each row built once."""
+def _action_rows(gens: list):
+    """mono -> mono's row [_act_gen(g, mono) for g in gens], each row built once."""
     rows: dict = {}
 
     def row_of(mono):
         row = rows.get(mono)
         if row is None:
-            row = rows[mono] = [_act_gen(key, mono) for key in keys]
+            row = rows[mono] = [_act_gen(g, mono) for g in gens]
         return row
 
     return row_of
 
 
-def _bracket_positions(x, y, index: dict):
-    """[x, y] as (index[key], coefficient) pairs, or None if it is zero."""
-    return tuple((index[key], c) for key, c in bracket_r(x, y).terms.items()) or None
-
-
-def _representation_sides(a: int, b: int, xy, u_row: list, x_terms: list, y_terms: list):
+def _representation_sides(a: int, b: int, xy, mono, u_row: list, x_terms: list, y_terms: list):
     """x(y u) and y(x u) + [x, y] u as image dicts, for the generators x, y at positions a, b.
 
-    u is one basis monomial with coefficient one and u_row is its row.
+    u is the basis monomial mono with coefficient one and u_row is its row.
     x_terms and y_terms are the images x u and y u as (row, coefficient)
-    pairs, one per term, each row that of the term's monomial.  xy is [x, y]
-    as (position, coefficient) pairs, or None.  Rows are only read.
+    pairs, one per term, each row that of the term's monomial.  xy is the
+    _int_bracket_table entry of [x, y]: its generator part as (position,
+    coefficient) pairs, and the coefficient of r in its constant, which
+    acts on u as a scalar.  Rows are only read.
     """
+    terms, const = xy
     rhs: dict = {}
-    for pos, c in xy or ():
+    for pos, c in terms:
         _add_scaled(rhs, u_row[pos], c)
+    if const:
+        add_into(rhs, mono, R * const)
     for row, c in x_terms:
         if row[b]:
             _add_scaled(rhs, row[b], c)
@@ -343,45 +337,36 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     every basis monomial u of bounded degree (d = 2).  Each u is one
     monomial with coefficient one, and both sides are composed from rows: a
     monomial's row lists its _act_gen image under each generator, by
-    position in the generator list, then under UNIT (at position
-    len(gens)).  One row is built for u and for each monomial that some
-    image of u reaches, so composing y after x u reads row[b] of each term
-    of x u, with no lookup per pair.  Work that can only give zero is
-    skipped: a composition whose inner image is empty, and [x,y] u when
-    [x,y] = 0.  Each skipped piece is the zero dict, so the two sides are
-    still compared exactly for every pair and every u.  A pair with [x,y] = 0
-    and both images x u and y u empty has both sides zero; it is counted
-    without composing anything.  [x,y] is computed only for the pairs
-    _bracket_partners names; the others commute.
+    position in the generator list.  One row is built for u and for each
+    monomial that some image of u reaches, so composing y after x u reads
+    row[b] of each term of x u, with no lookup per pair.  [x,y] comes from
+    _int_bracket_table, the table check 1 proves antisymmetric and Jacobi:
+    its generator part is composed through u's row and its constant r*c
+    adds r*c*u.  Work that can only give zero is skipped: a composition
+    whose inner image is empty, and [x,y] u when [x,y] = 0.  Each skipped
+    piece is the zero dict, so the two sides are still compared exactly for
+    every pair and every u.  A pair with [x,y] = 0 and both images x u and
+    y u empty has both sides zero; it is counted without composing anything.
     """
     failures = []
     degree_bound = min(5, config.max_degree)
     gens = canonical_generators(REP_INDEX_BOUND, 2)
     count = len(gens)
-    keys = gens + [UNIT]
-    index = {key: pos for pos, key in enumerate(keys)}
-    partners = _bracket_partners(gens)
-    brackets = [
-        [
-            _bracket_positions(gens[a], gens[b], index) if b in partners[a] else None
-            for b in range(a, count)
-        ]
-        for a in range(count)
-    ]
-    row_of = _action_rows(keys)
+    table = _int_bracket_table(gens)
+    row_of = _action_rows(gens)
     checked = 0
     for mono in basis_monomials(degree_bound, 2):
         u_row = row_of(mono)
-        terms = [[(row_of(m2), c) for m2, c in image.items()] for image in u_row[:count]]
+        terms = [[(row_of(m2), c) for m2, c in image.items()] for image in u_row]
         for a in range(count):
             x_terms = terms[a]
-            x_brackets = brackets[a]
+            base = a * count
             for b in range(a, count):
                 checked += 1
-                xy = x_brackets[b - a]
-                if xy is None and not x_terms and not terms[b]:
+                xy = table[base + b]
+                if not (x_terms or terms[b] or xy[0] or xy[1]):
                     continue
-                lhs, rhs = _representation_sides(a, b, xy, u_row, x_terms, terms[b])
+                lhs, rhs = _representation_sides(a, b, xy, mono, u_row, x_terms, terms[b])
                 if lhs != rhs:
                     u = State.from_monomial(mono)
                     failures.append(
@@ -529,15 +514,11 @@ def check_diagonal_raising_eigenvalue(config: SuiteConfig) -> CheckResult:
     failures = []
     checked = 0
     for m in range(1, VMM_MODE_BOUND + 1):
-        power = State.vacuum()
         lower = Generator(1, 1, -m, -m)
         for nu in range(1, VMM_POWER_BOUND + 1):
-            prev = power
-            power = State(
-                {tuple(sorted(mono + (lower,))): c for mono, c in power.terms.items()}
-            )
             checked += 1
-            lhs = act(Generator(1, 1, m, m), power)
+            lhs = act(Generator(1, 1, m, m), State.from_monomial((lower,) * nu))
+            prev = State.from_monomial((lower,) * (nu - 1))
             rhs = prev.scale(Scalar.of(2 * m * m * nu) * (R + Scalar.of(2 * nu - 2)))
             if lhs != rhs:
                 failures.append(f"eigenvalue form fails for m={m}, nu={nu}")
@@ -719,8 +700,12 @@ ALL_CHECKS = (
 def run_check(check, *args) -> CheckResult:
     """check(*args), timed; a check that raises fails with nothing checked.
 
-    Checks are independent, so the action cache is emptied first: the
-    memory held is that of the largest check, not of all of them.
+    Checks are independent, so the action cache (fock._ACT_CACHE, which also
+    holds every apply image) is emptied first and no check's images outlive
+    the next check.  Three caches persist from check to check: liealg's
+    _pair_bracket and _canonical_element and singular._MATRIX_CACHE.  The
+    battery's fixed scales bound them, and the benchmark reads their
+    counters and entries after a run, which emptying them would reset.
     """
     clear_action_cache()
     start = time.perf_counter()

@@ -117,7 +117,7 @@ def test_summary_lines_are_the_certify_goldens(suite_results):
 
 
 def test_fast_bracket_table_matches_public_api():
-    """The integer bracket table behind criterion 1 is the public bracket."""
+    """The integer bracket table behind criteria 1 and 3 is the public bracket."""
     rng = random.Random(5)
     gens = canonical_generators(3, 3)
     for _ in range(300):

@@ -1,13 +1,13 @@
 """The suite's fast paths for checks 1 and 3: oracles and planted faults.
 
-Check 1 builds its integer bracket table only for pairs that share a
-contractible mode, sums Jacobi only over the triples where some outer
-bracket of an inner generator is nonzero, and compares antisymmetry only
-for pairs with a nonzero entry.  Check 3 composes through per-monomial
-rows of single-generator images and counts, without composing, each pair
-and state where both images and the bracket are zero.  These tests compare each fast path
-with the plain computation it replaces and show that each check still
-fails when one of its inputs is wrong.
+Checks 1 and 3 read one integer bracket table, built only for pairs that
+share a contractible mode.  Check 1 sums Jacobi only over the triples where
+some outer bracket of an inner generator is nonzero, and compares
+antisymmetry only for pairs with a nonzero entry.  Check 3 composes through
+per-monomial rows of single-generator images and counts, without composing,
+each pair and state where both images and the bracket are zero.  These
+tests compare each fast path with the plain computation it replaces and
+show that each check still fails when one of its inputs is wrong.
 """
 
 import math
@@ -97,10 +97,14 @@ def test_every_skipped_triple_satisfies_jacobi_through_the_public_bracket():
         assert _jacobi_is_zero(gens[a], gens[b], gens[c]), (gens[a], gens[b], gens[c])
 
 
-@pytest.fixture(scope="module")
-def dense_table():
-    """The check-1 scale's generators and their table, every ordered pair through _pair_bracket."""
-    gens = canonical_generators(suite.LIE_INDEX_BOUND, 3)
+@pytest.fixture(
+    scope="module",
+    params=[(suite.LIE_INDEX_BOUND, 3), (suite.REP_INDEX_BOUND, 2)],
+    ids=["check-1", "check-3"],
+)
+def dense_table(request):
+    """A check's generators and their table, every ordered pair through _pair_bracket."""
+    gens = canonical_generators(*request.param)
     index = {g: pos for pos, g in enumerate(gens)}
     table = []
     for g in gens:
@@ -116,16 +120,25 @@ def test_sparse_bracket_table_equals_the_dense_build(dense_table):
     assert suite._int_bracket_table(gens) == table
 
 
-def test_a_partner_filter_on_first_modes_misses_brackets(monkeypatch, dense_table):
-    def first_modes_only(gens):
-        holders: dict = {}
-        for pos, g in enumerate(gens):
-            holders.setdefault((g.i, g.m), set()).add(pos)
-        return [holders.get((g.i, -g.m), set()) for g in gens]
+def _assert_only_action_fails(res):
+    assert not res.passed
+    assert res.failures and all(f.startswith("action disagrees") for f in res.failures)
 
-    monkeypatch.setattr(suite, "_bracket_partners", first_modes_only)
+
+def _first_mode_partners_only(monkeypatch):
+    """Make the table look for partners of each generator's first mode only."""
+    monkeypatch.setattr(suite, "_partner_modes", lambda g: [(g.i, -g.m)] if g.m else [])
+
+
+def test_a_partner_filter_on_first_modes_misses_brackets(monkeypatch, dense_table):
+    _first_mode_partners_only(monkeypatch)
     gens, table = dense_table
     assert suite._int_bracket_table(gens) != table
+
+
+def test_a_partner_filter_on_first_modes_fails_check_3(monkeypatch):
+    _first_mode_partners_only(monkeypatch)
+    _assert_only_action_fails(suite.check_representation_property(SMALL))
 
 
 def test_triples_through_is_the_lexicographic_position():
@@ -223,29 +236,21 @@ def test_check_1_stops_early_and_counts_the_triples_it_reached(monkeypatch):
 # -- check 3 ---------------------------------------------------------------
 
 
-def _rows_and_terms(gens):
-    """Check 3's rows over gens and UNIT, and a monomial's images as (row, coefficient) terms."""
-    keys = gens + [UNIT]
-    row_of = suite._action_rows(keys)
-
-    def terms_of(mono):
-        return [[(row_of(m2), c) for m2, c in image.items()] for image in row_of(mono)[: len(gens)]]
-
-    return {key: pos for pos, key in enumerate(keys)}, row_of, terms_of
-
-
 def test_representation_sides_match_the_state_action():
     gens = canonical_generators(2, 2)
-    index, row_of, terms_of = _rows_and_terms(gens)
+    count = len(gens)
+    table = suite._int_bracket_table(gens)
+    row_of = suite._action_rows(gens)
     for mono in fock.basis_monomials(4, 2):  # degree 4 has two-factor monomials
         u = State.from_monomial(mono)
-        terms = terms_of(mono)
+        u_row = row_of(mono)
+        terms = [[(row_of(m2), c) for m2, c in image.items()] for image in u_row]
         for a, x in enumerate(gens):
-            for b in range(a, len(gens)):
+            for b in range(a, count):
                 y = gens[b]
                 xy = bracket_r(x, y)
                 lhs, rhs = suite._representation_sides(
-                    a, b, suite._bracket_positions(x, y, index), row_of(mono), terms[a], terms[b]
+                    a, b, table[a * count + b], mono, u_row, terms[a], terms[b]
                 )
                 assert lhs == act(x, act(y, u)).terms, (x, y, mono)
                 assert rhs == (act(y, act(x, u)) + act(xy, u)).terms, (x, y, mono)
@@ -257,10 +262,9 @@ def test_check_3_composes_every_pair_with_a_nonzero_piece(monkeypatch):
     original = suite._representation_sides
     gens = canonical_generators(suite.REP_INDEX_BOUND, 2)
 
-    def spy(a, b, xy, u_row, x_terms, y_terms):
-        (mono,) = u_row[-1]  # the UNIT entry of u's row is {u: 1}
+    def spy(a, b, xy, mono, u_row, x_terms, y_terms):
         composed.append((mono, gens[a], gens[b]))
-        return original(a, b, xy, u_row, x_terms, y_terms)
+        return original(a, b, xy, mono, u_row, x_terms, y_terms)
 
     monkeypatch.setattr(suite, "_representation_sides", spy)
     res = suite.check_representation_property(SMALL)
@@ -278,6 +282,26 @@ def test_check_3_composes_every_pair_with_a_nonzero_piece(monkeypatch):
         ]
     assert composed == expected
     assert len(expected) < res.checked == len(monos) * math.comb(len(gens) + 1, 2)
+
+
+def test_check_3_fails_when_one_bracket_constant_is_wrong(monkeypatch):
+    def pick(table, count):
+        x, y = next(
+            (x, y) for x in range(count) for y in range(x + 1, count) if table[x * count + y][1]
+        )
+        terms, const = table[x * count + y]
+        return x, y, terms, const + 1
+
+    _corrupt_bracket_table(monkeypatch, pick)
+    _assert_only_action_fails(suite.check_representation_property(SMALL))
+
+
+def test_check_3_takes_its_brackets_from_the_table(monkeypatch):
+    def no_bracket(x, y):
+        raise AssertionError("check 3 called bracket_r")
+
+    monkeypatch.setattr(suite, "bracket_r", no_bracket)
+    assert suite.check_representation_property(SMALL).passed
 
 
 def test_the_shared_empty_image_stays_empty_through_the_suite():
@@ -312,6 +336,4 @@ def test_check_3_fails_when_one_cached_image_is_wrong(wrong):
     image = fock._act_gen(gen, mono)
     assert image
     fock._ACT_CACHE[(gen, mono)] = wrong(image)
-    res = suite.check_representation_property(SMALL)
-    assert not res.passed
-    assert res.failures and all(f.startswith("action disagrees") for f in res.failures)
+    _assert_only_action_fails(suite.check_representation_property(SMALL))
