@@ -296,27 +296,17 @@ def act(x, u: State) -> State:
     """Module action of an operator on a state.
 
     A Generator acts as a one-term operator; a LieElement acts term by
-    term, its constant as a scalar.
+    term, its constant as a scalar.  The cached per-monomial images are
+    only read; an image whose combined coefficient is ONE is added unscaled.
     """
-    return State._from_tidy(_act_terms(_operator_parts(x), u.terms))
-
-
-def _act_terms(ops, terms: dict, acc: dict | None = None) -> dict:
-    """Image of the operator sum(c * gen for gen, c in ops) on terms.
-
-    terms maps basis monomials to nonzero Scalars, as State.terms does.  The
-    image is added into acc (a fresh dict if None) and acc is returned; the
-    cached per-monomial images are only read.  An image whose combined
-    coefficient is ONE is added unscaled.
-    """
-    if acc is None:
-        acc = {}
-    for mono, cu in terms.items():
+    ops = _operator_parts(x)
+    acc: dict = {}
+    for mono, cu in u.terms.items():
         for gen, cg in ops:
             image = _act_gen(gen, mono)
             if image:
                 _add_scaled(acc, image, cu * cg)
-    return acc
+    return State._from_tidy(acc)
 
 
 def _add_scaled(acc: dict, image: dict, coeff):

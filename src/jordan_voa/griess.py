@@ -6,17 +6,18 @@ two of them is the zero-mode sum L[i,j](0) applied to the partner, which
 lands back in the span of the w basis with structure constants that are
 rational and independent of r.
 
-The resulting commutative algebra is isomorphic to the Jordan algebra of
-d x d symmetric matrices under A . B = (AB + BA)/2; the verifier exhibits
-the isomorphism through a diagonal rescaling of the natural basis
-(w[i,i] -> c_diag E_ii, w[i,j] -> c_off (E_ij + E_ji)) and checks the full
-polarized Jordan identity on basis quadruples, which in characteristic zero
-is equivalent to the identity itself.
+The resulting algebra is isomorphic to the Jordan algebra of d x d
+symmetric matrices under A . B = (AB + BA)/2; the verifier exhibits the
+isomorphism through a diagonal rescaling of the natural basis
+(w[i,i] -> c_diag E_ii, w[i,j] -> c_off (E_ij + E_ji)).  With both scales
+nonzero this map is a linear bijection onto Sym_d, so once it carries every
+ordered basis product to the matrix product, the table algebra is
+isomorphic to (Sym_d, .) and is therefore commutative and satisfies the
+Jordan identity; neither is checked separately.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import isqrt
 
@@ -62,22 +63,6 @@ class GriessTable:
         self.basis = [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
         self.index = {pair: pos for pos, pair in enumerate(self.basis)}
         self.products: dict = {}
-
-    def multiply(self, u: list, v: list) -> list:
-        """Bilinear extension of the table to coordinate vectors."""
-        out = [Fraction(0)] * len(self.basis)
-        for a, ca in enumerate(u):
-            if not ca:
-                continue
-            for b, cb in enumerate(v):
-                if not cb:
-                    continue
-                vec = self.products[(self.basis[a], self.basis[b])]
-                factor = ca * cb
-                for pos, entry in enumerate(vec):
-                    if entry:
-                        out[pos] += factor * entry
-        return out
 
     def to_json_obj(self) -> dict:
         return {
@@ -168,7 +153,14 @@ def _exact_sqrt(q: Fraction):
 
 
 def jordan_verify(d: int) -> dict:
-    """Verify commutativity, the Jordan identity, and the matrix isomorphism.
+    """Verify the degree-2 dimension and the isomorphism onto symmetric matrices.
+
+    The rescaling w[i,i] -> c_diag E_ii, w[i,j] -> c_off (E_ij + E_ji) with
+    c_diag and c_off nonzero is a linear bijection onto Sym_d.  If it maps
+    the product of every ordered basis pair to the Jordan product of the
+    images, the table algebra is isomorphic to (Sym_d, .), which is
+    commutative and satisfies the Jordan identity; the report's
+    "commutative" and "jordan_identity" entries follow from that.
 
     Returns a report with the scaling factors found.  Raises
     GriessVerificationError if any structural property fails, since the
@@ -182,34 +174,6 @@ def jordan_verify(d: int) -> dict:
         raise GriessVerificationError(
             f"degree-2 dimension {degree_two} != d(d+1)/2 = {dim}"
         )
-
-    for left in table.basis:
-        for right in table.basis:
-            if table.products[(left, right)] != table.products[(right, left)]:
-                raise GriessVerificationError(
-                    f"product of {left} and {right} is not commutative"
-                )
-
-    unit = [[Fraction(0)] * dim for _ in range(dim)]
-    for pos in range(dim):
-        unit[pos][pos] = Fraction(1)
-
-    def polarized_jordan_defect(x, y, z, b):
-        total = [Fraction(0)] * dim
-        for p1, p2, p3 in itertools.permutations((x, y, z)):
-            left = table.multiply(table.multiply(table.multiply(p1, p2), b), p3)
-            right = table.multiply(table.multiply(p1, p2), table.multiply(b, p3))
-            for pos in range(dim):
-                total[pos] += left[pos] - right[pos]
-        return total
-
-    for x, y, z in itertools.combinations_with_replacement(range(dim), 3):
-        for b in range(dim):
-            defect = polarized_jordan_defect(unit[x], unit[y], unit[z], unit[b])
-            if any(defect):
-                raise GriessVerificationError(
-                    f"Jordan identity fails on basis quadruple {(x, y, z, b)}"
-                )
 
     # Diagonal scale: w[1,1].w[1,1] = gamma w[1,1] forces c_diag = gamma.
     first = table.index[(1, 1)]

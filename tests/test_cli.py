@@ -6,15 +6,17 @@ import importlib
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from jordan_voa import cli, fock
 from jordan_voa.fock import State
+from jordan_voa.griess import griess_product, omega
 from jordan_voa.liealg import UNIT, _pair_bracket
 from jordan_voa.scalar import ONE, R
-from jordan_voa.virops import act_L
+from jordan_voa.virops import act_L, virasoro_bracket_probe
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -327,23 +329,47 @@ def _constant_shifted_bracket(g, h):
     return tuple((key, c + ONE if key == UNIT else c) for key, c in _pair_bracket(g, h))
 
 
-# argv at the smallest scale, and one fault in the code it runs: (module, attribute, fake)
-PLANTED_FAULTS = [
-    (["virasoro-check", "--d", "1", "--max-degree", "0"],
-     ("suite", "virasoro_central_term", lambda m, n, u, d: State())),
-    (["verify-det", "--p", "1"], ("singular", "R", R + ONE)),
-    (["singular-check", "--p", "1", "--nu", "1"],
-     ("fock", "_pair_bracket", _constant_shifted_bracket)),
-    (["griess-table", "--d", "1"],
-     ("griess", "act_L", lambda *args, **kwargs: act_L(*args, **kwargs).scale(R))),
-    (["paper-suite", "--d", "2", "--max-degree", "2", "--samples", "0"],
-     ("suite", "binomial_matrix_det", lambda shift, size: 0)),
-]
+def _griess_product_shifted(pairs):
+    """griess_product with w[2,2]/3 added to the product of each (left, right) in pairs."""
+    def product(i, j, k, l, d):
+        out = griess_product(i, j, k, l, d)
+        return out + omega(2, 2).scale(Fraction(1, 3)) if ((i, j), (k, l)) in pairs else out
+    return product
+
+
+def _vacuum_probe_dropped(m, n, u, d):
+    """The Virasoro probe with the vacuum's central term at (2, -2) lost."""
+    if (m, n) == (2, -2) and u == State.vacuum():
+        return State()
+    return virasoro_bracket_probe(m, n, u, d)
+
+
+# test id -> (argv at the smallest scale, one fault in the code it runs: (module, attribute, fake))
+PLANTED_FAULTS = {
+    "virasoro-check": (["virasoro-check", "--d", "1", "--max-degree", "0"],
+                       ("suite", "virasoro_central_term", lambda m, n, u, d: State())),
+    "virasoro-check-vacuum": (["virasoro-check", "--d", "2", "--max-degree", "0"],
+                              ("suite", "virasoro_bracket_probe", _vacuum_probe_dropped)),
+    "verify-det": (["verify-det", "--p", "1"], ("singular", "R", R + ONE)),
+    "singular-check": (["singular-check", "--p", "1", "--nu", "1"],
+                       ("fock", "_pair_bracket", _constant_shifted_bracket)),
+    "griess-table": (["griess-table", "--d", "1"],
+                     ("griess", "act_L", lambda *args, **kwargs: act_L(*args, **kwargs).scale(R))),
+    # one ordered product wrong: a non-commutative table
+    "griess-table-one-order": (["griess-table", "--d", "2"],
+                               ("griess", "griess_product",
+                                _griess_product_shifted({((1, 1), (1, 2))}))),
+    # both orders wrong alike: a commutative table that is not Sym_2
+    "griess-table-both-orders": (["griess-table", "--d", "2"],
+                                 ("griess", "griess_product",
+                                  _griess_product_shifted({((1, 1), (1, 2)), ((1, 2), (1, 1))}))),
+    "paper-suite": (["paper-suite", "--d", "2", "--max-degree", "2", "--samples", "0"],
+                    ("suite", "binomial_matrix_det", lambda shift, size: 0)),
+}
 
 
 @pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
-@pytest.mark.parametrize("argv, fault", PLANTED_FAULTS,
-                         ids=[argv[0] for argv, _ in PLANTED_FAULTS])
+@pytest.mark.parametrize("argv, fault", PLANTED_FAULTS.values(), ids=PLANTED_FAULTS.keys())
 def test_verifying_subcommands_fail_on_a_planted_fault(argv, fault, planted, monkeypatch, capsys):
     """Each verifying subcommand tests something at its smallest scale: a fault is exit 1."""
     if planted:

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from jordan_voa.fock import Weight, weight_space_basis
+from jordan_voa import griess
 from jordan_voa.griess import (
+    GriessVerificationError,
     build_griess_table,
     griess_product,
     jordan_verify,
@@ -77,3 +79,17 @@ def test_jordan_verify_one_dimensional():
     assert report["isomorphic_to_symmetric_matrices"]
     assert report["diagonal_scale"] == 2
     assert report["off_diagonal_scale"] is None
+
+
+@pytest.mark.parametrize("pairs", [
+    {((1, 1), (1, 2))},  # one ordered product wrong: a non-commutative table
+    {((1, 1), (1, 2)), ((1, 2), (1, 1))},  # both orders wrong alike: commutative, not Sym_3
+], ids=["one-order", "both-orders"])
+def test_jordan_verify_rejects_a_perturbed_product(pairs, monkeypatch):
+    def product(i, j, k, l, d):
+        out = griess_product(i, j, k, l, d)
+        return out + omega(2, 2).scale(Fraction(1, 3)) if ((i, j), (k, l)) in pairs else out
+
+    monkeypatch.setattr(griess, "griess_product", product)
+    with pytest.raises(GriessVerificationError):
+        jordan_verify(3)
