@@ -22,9 +22,10 @@ Mode sums and closed-form vertex modes are elements of the Lie algebra of
 quadratic elements, and they are built as such: each operator, truncated to
 its window, becomes one LieElement and reaches a state through fock.act.
 Mode sums and the recursion oracle act monomial by monomial through
-fock.apply, which memoises each image per monomial (the truncated mode-sum
-operator is memoised per degree beside them).  The recursion oracle only
-ever calls act_L, so it stays independent of the binomial formula.
+fock.apply, which memoises each image per monomial.  The truncated mode-sum
+and closed-form vertex operators are memoised per degree beside them,
+through fock.memo.  The recursion oracle only ever calls act_L, so it stays
+independent of the binomial formula.
 """
 
 from __future__ import annotations
@@ -136,14 +137,21 @@ def vertex_mode(i: int, j: int, m: int, n: int, l: int, u: State, d: int | None 
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
     if u.is_zero():
         return u
-    lo, hi = _window(l + m + n + 1, _degree(u))
+    depth = _degree(u)
+    op = memo(("Vop", i, j, m, n, l, depth), _vertex_operator, i, j, m, n, l, depth)
+    return act(op, u)
+
+
+def _vertex_operator(i: int, j: int, m: int, n: int, l: int, depth: int) -> LieElement:
+    """The closed binomial form of vertex_mode, truncated for degree depth, as one operator."""
+    lo, hi = _window(l + m + n + 1, depth)
     sign = 1 if (m + n) % 2 == 0 else -1
     summands = []
     for k in range(lo, hi + 1):
         weight = binom(l + n - k, -m - 1) * binom(k - n - 1, -n - 1)
         if weight:
             summands.append((sign * weight, (i, j, l + m + n + 1 - k, k)))
-    return act(_lie_sum(summands), u)
+    return _lie_sum(summands)
 
 
 def vertex_mode_by_recursion(i: int, j: int, m: int, n: int, l: int, u: State) -> State:

@@ -18,8 +18,15 @@ import pytest
 
 from jordan_voa import fock, suite
 from jordan_voa.fock import State, act, clear_action_cache
-from jordan_voa.liealg import UNIT, Generator, _pair_bracket, bracket_r, canonical_generators
-from jordan_voa.scalar import ZERO
+from jordan_voa.liealg import (
+    UNIT,
+    Generator,
+    LieElement,
+    _pair_bracket,
+    bracket_r,
+    canonical_generators,
+)
+from jordan_voa.scalar import R, ZERO, Scalar
 from jordan_voa.suite import SuiteConfig
 
 SMALL = SuiteConfig(d=2, max_degree=2, samples=0)
@@ -231,6 +238,38 @@ def test_check_1_stops_early_and_counts_the_triples_it_reached(monkeypatch):
     total = math.comb(len(canonical_generators(suite.LIE_INDEX_BOUND, SMALL.d)), 3)
     reached = int(res.details.split(" exhaustive triples")[0].split()[-1])
     assert 0 < reached < total
+
+
+def test_nested_int_bracket_is_the_public_nested_bracket():
+    """The sampled part's integer form of [x, [y, z]] is bracket_r(x, bracket_r(y, z))."""
+    wide = canonical_generators(suite.SAMPLE_INDEX_BOUND, 3)
+    rng = random.Random(5)
+    nonzero = 0
+    for _ in range(300):
+        x, y, z = (rng.choice(wide) for _ in range(3))
+        acc = {}
+        rconst = suite._add_nested_int_bracket(acc, x, y, z)
+        expected = bracket_r(x, bracket_r(y, z))
+        got = LieElement({t: Scalar.of(c) for t, c in acc.items()}) + LieElement.constant(R * rconst)
+        assert got == expected, (x, y, z)
+        nonzero += not expected.is_zero()
+    assert nonzero
+
+
+def _wide_mode_doubled(g, h):
+    """_pair_bracket with its generator part doubled when g or h has a mode of magnitude 4 to 6."""
+    bracket = _pair_bracket(g, h)
+    if max(abs(g.m), abs(g.n), abs(h.m), abs(h.n)) < 4:
+        return bracket
+    return tuple((key, c if key == UNIT else 2 * c) for key, c in bracket)
+
+
+def test_only_the_samples_see_a_fault_beyond_the_exhaustive_bound(monkeypatch):
+    monkeypatch.setattr(suite, "_pair_bracket", _wide_mode_doubled)
+    assert suite.check_lie_axioms(SMALL).passed
+    res = suite.check_lie_axioms(SuiteConfig(d=2, max_degree=2))
+    assert not res.passed
+    assert [f.split(" fails")[0] for f in res.failures] == ["sampled Jacobi"]
 
 
 # -- check 3 ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from jordan_voa import virops
 from jordan_voa.fock import (
     State,
     act,
+    basis_monomials,
     clear_action_cache,
     degree_of,
     monomial,
@@ -220,6 +221,24 @@ def test_vertex_mode_matches_recursion_oracle_sample():
                 )
 
 
+def test_vertex_operator_is_memoised_per_degree():
+    """One cache serves a degree-2 and then a degree-4 state, each with its own window.
+
+    A basis monomial has degree 0 or at least 2, so degree 2 is the narrowest
+    window a nonvacuum state can leave in the cache.
+    """
+    mode = (1, 2, -2, -1, 0)
+    states = [lowering_state((1, 1, -1, -1)), lowering_state((1, 2, -3, -1))]
+    fresh = []
+    for u in states:
+        clear_action_cache()
+        fresh.append(vertex_mode(*mode, u))
+    clear_action_cache()
+    assert [vertex_mode(*mode, u) for u in states] == fresh
+    assert not any(value.is_zero() for value in fresh)
+    assert fresh == [vertex_mode_by_recursion(*mode, u) for u in states]
+
+
 def test_recursion_oracle_never_calls_the_closed_form(monkeypatch):
     """With vertex_mode and binom disabled, the oracle still reproduces the closed form."""
     states = [VAC, lowering_state((1, 1, -1, -1)), lowering_state((1, 2, -2, -1), (2, 2, -1, -1))]
@@ -303,6 +322,19 @@ def test_virasoro_relation_on_low_degree_states():
                 for u in states:
                     probe = virasoro_bracket_probe(m, n, u, d)
                     assert probe == virasoro_central_term(m, n, u, d), (m, n, u)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_virasoro_probe_and_central_term_are_odd_in_m_and_n(d):
+    """Check 10 probes only m < n: the mirror (n, m) negates both sides, and m = n gives zero."""
+    for mono in basis_monomials(3, d):
+        u = State.from_monomial(mono)
+        for m in range(-3, 4):
+            assert virasoro_bracket_probe(m, m, u, d).is_zero()
+            assert virasoro_central_term(m, m, u, d).is_zero()
+            for n in range(m + 1, 4):
+                assert virasoro_bracket_probe(n, m, u, d) == -virasoro_bracket_probe(m, n, u, d)
+                assert virasoro_central_term(n, m, u, d) == -virasoro_central_term(m, n, u, d)
 
 
 def test_total_mode_zero_measures_degree():
