@@ -39,6 +39,9 @@ from .suite import (MAX_D, MAX_DEGREE, MIN_D, MIN_DEGREE, SuiteConfig, determina
 from .virops import act_L, vertex_mode
 
 DEGREE_GUARD = 18
+# singular-check takes det^nu of degree nu*p*(p+1) up to 56, as --p 7 --nu 1: 8 s and 250 MB
+# on a 2-vCPU x86-64 host (--p 8: 95 s, 2.3 GB).  verify-det --p 4 takes 1 s, --p 5 over 90 s.
+DET_POWER_DEGREE_BOUND = 56
 
 
 def _parse_r(text: str):
@@ -199,6 +202,9 @@ def _cmd_weight_basis(args) -> int:
 def _cmd_singular_check(args) -> int:
     if args.strict_mixed and args.d == 1:
         raise ValueError("--strict-mixed needs --d 2 or more: d = 1 has no mixed index pairs")
+    if args.nu * args.p * (args.p + 1) > DET_POWER_DEGREE_BOUND:
+        raise ValueError(f"det^{args.nu} of size {args.p} has degree nu*p*(p+1) "
+                         f"beyond {DET_POWER_DEGREE_BOUND}")
     r0 = certification_r(args.p, args.nu) if args.r is None else args.r
     state = det_power_state(args.p, args.nu)
     ok, witness = is_singular(state, r0=r0, d=args.d, strict=args.strict_mixed)
@@ -341,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_weight_basis)
 
     p = sub.add_parser("singular-check", help="certify a determinant power")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--nu", type=int, required=True)
+    p.add_argument("--p", type=_int_in(1, 7), required=True, help="determinant size")
+    p.add_argument("--nu", type=_int_in(1, DET_POWER_DEGREE_BOUND // 2), required=True,
+                   help=f"power, with nu*p*(p+1) at most {DET_POWER_DEGREE_BOUND}")
     p.add_argument("--strict-mixed", action="store_true",
                    help="include reversed-order mixed generators (needs --d 2 or more; "
                         "fails for p >= 2)")
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_singular_sweep)
 
     p = sub.add_parser("verify-det", help="determinant commutation identities")
-    p.add_argument("--p", type=_int_in(1), required=True, help="determinant size")
+    p.add_argument("--p", type=_int_in(1, 4), required=True, help="determinant size")
     _flags(p)
     p.set_defaults(func=_cmd_verify_det)
 

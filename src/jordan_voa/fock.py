@@ -5,8 +5,8 @@ applied to a vacuum vector.  Lowering generators commute with one another,
 so a basis monomial is a sorted multiset of canonical lowering generators
 (sorted by the fixed lexicographic order on (i, j, m, n)).  A generator with
 a nonnegative mode acts by commuting rightward past the factors with the
-deformed bracket and annihilating the vacuum; _act_gen maps UNIT, the key
-of every constant (a LieElement's, or a bracket's times r), to the identity.
+deformed bracket and annihilating the vacuum.  _act_gen takes generators
+only; act applies a LieElement's constant, its UNIT term, as a scalar.
 
 Grading settles most such actions before any recursion.  v_k(0) is central
 and kills the vacuum, and a positive mode v_k(x) commutes with every mode
@@ -35,7 +35,7 @@ from bisect import bisect_left
 from typing import Iterable, Mapping
 
 from .liealg import UNIT, Generator, _operator_parts, _pair_bracket
-from .scalar import ONE, ZERO, Combination, add_into, parse_scalar
+from .scalar import ONE, R, ZERO, Combination, add_into, parse_scalar
 
 __all__ = [
     "MIXED",
@@ -254,10 +254,11 @@ def _grading_kills(gen: Generator, mono: PBWMonomial) -> bool:
 
 
 def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
-    """Action of one canonical generator, or UNIT, on one basis monomial (memoised).
+    """Action of one canonical generator on one basis monomial (memoised).
 
-    UNIT acts as the identity.  Lowering generators multiply in; anything
-    else is commuted rightward with the deformed bracket and annihilates
+    Lowering generators multiply in; anything else is commuted rightward
+    with the deformed bracket, whose integer form (terms, const) from
+    _pair_bracket adds r*const times the remaining factors, and annihilates
     the vacuum.  Before any lookup or recursion, a generator that grading
     kills (_grading_kills) gets the shared empty image _EMPTY, which is not
     cached: v_k(0) is central and kills the vacuum, and a positive mode
@@ -266,15 +267,13 @@ def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
     vacuum case, so it stays exact with the grading test switched off.
     Callers must not mutate the returned dict.
     """
-    if gen != UNIT and _grading_kills(gen, mono):
+    if _grading_kills(gen, mono):
         return _EMPTY
     key = (gen, mono)
     cached = _ACT_CACHE.get(key)
     if cached is not None:
         return cached
-    if gen == UNIT:
-        result = {mono: ONE}
-    elif gen.m < 0 and gen.n < 0:
+    if gen.m < 0 and gen.n < 0:
         result = {_insert(mono, gen): ONE}
     elif not mono:
         result = {}
@@ -282,9 +281,12 @@ def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
         head = mono[0]
         rest = mono[1:]
         acc: dict = {}
-        for g2, c2 in _pair_bracket(gen, head):
+        terms, const = _pair_bracket(gen, head)
+        for g2, c2 in terms:
             for m2, s2 in _act_gen(g2, rest).items():
                 add_into(acc, m2, s2 * c2)
+        if const:
+            add_into(acc, rest, R * const)
         for m2, s2 in _act_gen(gen, rest).items():
             add_into(acc, _insert(m2, head), s2)
         result = acc
@@ -296,14 +298,14 @@ def act(x, u: State) -> State:
     """Module action of an operator on a state.
 
     A Generator acts as a one-term operator; a LieElement acts term by
-    term, its constant as a scalar.  The cached per-monomial images are
+    term, its UNIT term as a scalar.  The cached per-monomial images are
     only read; an image whose combined coefficient is ONE is added unscaled.
     """
     ops = _operator_parts(x)
     acc: dict = {}
     for mono, cu in u.terms.items():
         for gen, cg in ops:
-            image = _act_gen(gen, mono)
+            image = {mono: ONE} if gen == UNIT else _act_gen(gen, mono)
             if image:
                 _add_scaled(acc, image, cu * cg)
     return State._from_tidy(acc)

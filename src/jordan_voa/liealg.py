@@ -12,8 +12,9 @@ The span of the canonical generators plus constants is closed under the
 commutator.  A LieElement is one such combination; its constant is the
 coefficient of UNIT, the empty word of modes, which acts as the identity.
 Scaling the constant part of a commutator by the parameter r gives the
-deformed bracket, bracket_r.  All values are immutable and all
-functions are pure, so everything is thread-safe.
+deformed bracket, bracket_r; beneath it _pair_bracket keeps the integer
+form, integer structure constants and the integer coefficient of r.  All
+values are immutable and all functions are pure, so everything is thread-safe.
 """
 
 from __future__ import annotations
@@ -168,30 +169,23 @@ def _contracts(g: Generator, h: Generator) -> bool:
 def _pair_bracket(g: Generator, h: Generator):
     """Deformed bracket [g, h]_r of canonical generators via normal ordering.
 
-    Returns (key, coefficient) pairs: canonical generators with integer
-    coefficients, and r times the commutator's constant under UNIT.  The
+    Returns the integer form (terms, const): (generator, integer) pairs, and
+    the commutator's integer constant, which the bracket scales by r.  The
     quartic parts of g h and h g cancel, leaving a quadratic plus a constant.
-    A pair that does not contract is () at once, without straightening.
+    A pair that does not contract is ((), 0) at once, without straightening.
     """
     if not _contracts(g, h):
-        return ()
+        return (), 0
     out: dict = {}
     wg = ((g.i, g.m), (g.j, g.n))
     wh = ((h.i, h.m), (h.j, h.n))
     _straighten(wg + wh, 1, out)
     _straighten(wh + wg, -1, out)
-    pairs = []
-    for word, coeff in out.items():
-        if not coeff:
-            continue
-        if len(word) == 4:
-            raise AssertionError("quartic terms must cancel in a commutator")
-        if word:
-            (wi, wm), (wj, wn) = word
-            pairs.append((Generator(wi, wj, wm, wn), coeff))
-        else:
-            pairs.append((UNIT, R * coeff))
-    return tuple(pairs)
+    const = out.pop((), 0)
+    words = [(word, coeff) for word, coeff in out.items() if coeff]
+    if any(len(word) == 4 for word, _ in words):
+        raise AssertionError("quartic terms must cancel in a commutator")
+    return tuple((Generator(wi, wj, wm, wn), c) for ((wi, wm), (wj, wn)), c in words), const
 
 
 def _operator_parts(x):
@@ -217,8 +211,11 @@ def bracket_r(x, y) -> LieElement:
     for g1, c1 in xs:
         for g2, c2 in ys:
             coeff = c1 * c2
-            for key, ct in _pair_bracket(g1, g2):
+            terms, const = _pair_bracket(g1, g2)
+            for key, ct in terms:
                 add_into(acc, key, coeff * ct)
+            if const:
+                add_into(acc, UNIT, coeff * R * const)
     return LieElement._from_tidy(acc)
 
 

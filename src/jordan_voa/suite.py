@@ -4,6 +4,7 @@ Each check is exact (tolerance zero): polynomial identities are verified
 symbolically in the parameter r, rational specialisations by exact
 arithmetic.  `run_paper_suite` executes all checks and returns structured
 results; the command-line front end renders them as a pass/fail matrix.
+Checks 1 and 3 sum the deformed bracket as ints, in _pair_bracket's form.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .fock import (
     clear_action_cache,
 )
 from .liealg import (
-    UNIT,
     Generator,
     LieElement,
     _pair_bracket,
@@ -33,7 +33,7 @@ from .liealg import (
     canonical_generators,
     canonicalize,
 )
-from .scalar import ONE, R, ZERO, Scalar, add_into, poly_exact_div
+from .scalar import ONE, R, Scalar, add_into, poly_exact_div
 from .singular import (
     GENERIC,
     certification_r,
@@ -128,26 +128,16 @@ def _basis_states(max_degree: int, d: int) -> list:
     return [State.from_monomial(m) for m in basis_monomials(max_degree, d)]
 
 
-def _int_pair_bracket(g: Generator, h: Generator):
-    """[g, h]_r in integer form: its generator part as (generator, coefficient)
-    pairs, and the coefficient of r in its UNIT part.  Both are integers
-    because elementary commutators have integer structure constants.
-    """
-    bracket = dict(_pair_bracket(g, h))
-    const = bracket.pop(UNIT, ZERO).coeffs.get(1, 0)  # the UNIT part is const * r
-    return tuple(bracket.items()), const
-
-
 def _add_nested_int_bracket(acc: dict, x: Generator, y: Generator, z: Generator) -> int:
     """Add the generator part of [x, [y, z]]_r into acc; return its coefficient of r.
 
-    Summed in integer form from _int_pair_bracket, the structure constants
+    Summed from _pair_bracket's integer form, the structure constants
     bracket_r scales.  The constant of [y, z] is central, so only its
     generator part w is bracketed with x.
     """
     rconst = 0
-    for w, cw in _int_pair_bracket(y, z)[0]:
-        terms, const = _int_pair_bracket(x, w)
+    for w, cw in _pair_bracket(y, z)[0]:
+        terms, const = _pair_bracket(x, w)
         for target, ct in terms:
             acc[target] = acc.get(target, 0) + cw * ct
         rconst += cw * const
@@ -155,13 +145,13 @@ def _add_nested_int_bracket(acc: dict, x: Generator, y: Generator, z: Generator)
 
 
 def _int_bracket_table(gens: list):
-    """Deformed brackets over an indexed generator list, in integer form.
+    """_pair_bracket over an indexed generator list, in its integer form.
 
-    Entry (a, b) holds the _int_pair_bracket of gens[a] and gens[b], each
-    generator given by its index.  Two quadratics can have a nonzero
-    bracket only if they contract: a mode v_k(x), x != 0, of one meets
-    v_k(-x) in the other (liealg._contracts).  So _pair_bracket runs only
-    for the pairs where the generator at b carries one of
+    Entry (a, b) holds the (terms, const) of [gens[a], gens[b]]_r, with each
+    generator in terms given by its index in gens.  Two quadratics can have
+    a nonzero bracket only if they contract: a mode v_k(x), x != 0, of one
+    meets v_k(-x) in the other (liealg._contracts).  So _pair_bracket runs
+    only for the pairs where the generator at b carries one of
     _partner_modes(gens[a]); every other entry is ((), 0).
     Checks 1 and 3 both read their brackets from this table.
     """
@@ -174,7 +164,7 @@ def _int_bracket_table(gens: list):
     table = [((), 0)] * (count * count)
     for a, g in enumerate(gens):
         for b in set().union(*(holders.get(mode, ()) for mode in _partner_modes(g))):
-            terms, const = _int_pair_bracket(g, gens[b])
+            terms, const = _pair_bracket(g, gens[b])
             table[a * count + b] = (tuple((index[t], c) for t, c in terms), const)
     return table
 

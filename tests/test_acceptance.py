@@ -122,10 +122,10 @@ def test_fast_bracket_table_matches_public_api():
     gens = canonical_generators(3, 3)
     for _ in range(300):
         x, y = rng.choice(gens), rng.choice(gens)
-        pairs = dict(_pair_bracket(x, y))
+        terms, const = _pair_bracket(x, y)
         elem = bracket_r(x, y)
-        assert LieElement(pairs) == elem
-        assert all(type(c) is int for g, c in pairs.items() if g != UNIT)
+        assert LieElement(dict(terms)) + LieElement.constant(R * const) == elem
+        assert type(const) is int and all(type(c) is int for _, c in terms)
         assert 0 not in elem.coefficient(UNIT).coeffs
     gens = canonical_generators(2, 2)
     pairs = [(x, y) for x in gens for y in gens]

@@ -14,7 +14,7 @@ import pytest
 from jordan_voa import cli, fock
 from jordan_voa.fock import State
 from jordan_voa.griess import griess_product, omega
-from jordan_voa.liealg import UNIT, _pair_bracket
+from jordan_voa.liealg import _pair_bracket
 from jordan_voa.scalar import ONE, R
 from jordan_voa.virops import act_L, virasoro_bracket_probe
 
@@ -228,6 +228,11 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     (["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "-3"], "--workers"),
     (["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "100000"], "--workers"),
     (["virasoro-check", "--max-degree", "7"], "--max-degree"),
+    (["singular-check", "--p", "8", "--nu", "1"], "--p"),
+    (["singular-check", "--p", "0", "--nu", "1"], "--p"),
+    (["singular-check", "--p", "1", "--nu", "29"], "--nu"),
+    (["singular-check", "--p", "1", "--nu", "1000"], "--nu"),
+    (["verify-det", "--p", "5"], "--p"),
 ])
 def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
     # parse only: nothing runs, so no suite and no worker pool can start
@@ -263,6 +268,20 @@ def test_inputs_with_nothing_to_compute_are_usage_errors(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_singular_check_bounds_the_degree_of_the_power(monkeypatch, capsys):
+    """nu*p*(p+1) above 56 is exit 2 before any state is built, though each flag is in range."""
+    def build(p, nu):
+        raise AssertionError(f"det^{nu} of size {p} was built")
+
+    monkeypatch.setattr(cli, "det_power_state", build)
+    for p, nu in (("7", "2"), ("5", "2"), ("2", "10")):
+        assert cli.main(["singular-check", "--p", p, "--nu", nu]) == 2
+        assert "beyond 56" in capsys.readouterr().err
+    for p, nu in (("7", "1"), ("1", "28")):  # degree 56: in bound
+        with pytest.raises(AssertionError, match="was built"):
+            cli.main(["singular-check", "--p", p, "--nu", nu])
 
 
 @pytest.mark.parametrize("state", [
@@ -325,8 +344,12 @@ def test_failed_sweep_verification_exits_one(monkeypatch, capsys):
 
 
 def _constant_shifted_bracket(g, h):
-    """The pair bracket with one added to its constant: a wrong central term."""
-    return tuple((key, c + ONE if key == UNIT else c) for key, c in _pair_bracket(g, h))
+    """The pair bracket with one added to its coefficient of r: a wrong central term.
+
+    It shows only where r != 0, so its row runs at r = 1 (p = 2, nu = 1).
+    """
+    terms, const = _pair_bracket(g, h)
+    return terms, const + 1
 
 
 def _griess_product_shifted(pairs):
@@ -355,7 +378,7 @@ PLANTED_FAULTS = {
     "virasoro-check-vacuum": (["virasoro-check", "--d", "2", "--max-degree", "0"],
                               ("suite", "virasoro_bracket_probe", _vacuum_probe_dropped)),
     "verify-det": (["verify-det", "--p", "1"], ("singular", "R", R + ONE)),
-    "singular-check": (["singular-check", "--p", "1", "--nu", "1"],
+    "singular-check": (["singular-check", "--p", "2", "--nu", "1"],
                        ("fock", "_pair_bracket", _constant_shifted_bracket)),
     "griess-table": (["griess-table", "--d", "1"],
                      ("griess", "act_L", lambda *args, **kwargs: act_L(*args, **kwargs).scale(R))),

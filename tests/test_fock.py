@@ -23,7 +23,7 @@ from jordan_voa.fock import (
     weight_of,
     weight_space_basis,
 )
-from jordan_voa.liealg import Generator, bracket_r, canonical_generators, canonicalize
+from jordan_voa.liealg import UNIT, Generator, bracket_r, canonical_generators, canonicalize
 from jordan_voa.scalar import R, Scalar
 
 VAC = State.vacuum()
@@ -69,6 +69,10 @@ def test_constants_act_as_scalars():
 
     u = lowering_state((1, 1, -1, -1))
     assert act(LieElement.constant(R + 2), u) == u.scale(R + 2)
+    # v[1,1](3,-3) = v[1,1](-3,3) + 3; the generator term maps first to 6*first and kills second
+    first = lowering_state((1, 1, -3, -3))
+    second = lowering_state((1, 1, -2, -2), (1, 1, -1, -1))
+    assert act(canonicalize(1, 1, 3, -3), first + second) == first.scale(9) + second.scale(3)
 
 
 def test_state_formatting():
@@ -242,6 +246,12 @@ def cold_cache():
     clear_action_cache()
     yield
     clear_action_cache()
+
+
+def test_check_3_caches_no_constant_action(cold_cache):
+    """Constants act as scalars in act; _act_gen, and so its cache, sees generators only."""
+    assert suite.check_representation_property(suite.SuiteConfig()).passed
+    assert fock._ACT_CACHE and all(key[0] != UNIT for key in fock._ACT_CACHE)
 
 
 def _images(gens, monos):

@@ -206,15 +206,43 @@ def _leibniz_bracket(g, h):
     return total + LieElement.constant(const * R - const)
 
 
+def _assert_leibniz_brackets(pairs, constants):
+    """Each pair's bracket, its coefficient of r included, is the Leibniz one;
+    the distinct pairs with a nonzero constant number exactly constants."""
+    nonzero = 0
+    with_constant = set()
+    for g, h in pairs:
+        expected = _leibniz_bracket(g, h)
+        terms, const = _pair_bracket(g, h)
+        assert LieElement(dict(terms)) + LieElement.constant(R * const) == expected, (g, h)
+        nonzero += not expected.is_zero()
+        if const:
+            with_constant.add((g, h))
+    assert len(with_constant) == constants and nonzero > constants
+
+
 def test_pair_bracket_matches_the_leibniz_rule():
     gens = canonical_generators(2, 2)
-    nonzero = 0
-    for g in gens:
-        for h in gens:
-            expected = _leibniz_bracket(g, h)
-            assert LieElement(dict(_pair_bracket(g, h))) == expected, (g, h)
-            nonzero += not expected.is_zero()
-    assert nonzero > len(gens)
+    _assert_leibniz_brackets([(g, h) for g in gens for h in gens], 20)
+
+
+def test_pair_bracket_matches_the_leibniz_rule_at_the_sampled_scale():
+    """Check 1's sampled scale (bound 6, d = 3): the pairs that can carry a constant.
+
+    A constant needs both modes of g to contract, so h is the generator of
+    the negated modes; 342 such pairs, those whose two modes share a sign,
+    have one.  Then 1000 seeded pairs that contract at all.
+    """
+    gens = canonical_generators(6, 3)
+    # max skips the UNIT key canonicalize may emit: UNIT sorts before every generator
+    pairs = [(g, max(canonicalize(g.i, g.j, -g.m, -g.n).terms)) for g in gens if g.m and g.n]
+    sampled = len(pairs) + 1000
+    rng = random.Random(3)
+    while len(pairs) < sampled:
+        g, h = rng.choice(gens), rng.choice(gens)
+        if _contracts(g, h):
+            pairs.append((g, h))
+    _assert_leibniz_brackets(pairs, 342)
 
 
 def _straightened_commutator(g, h):

@@ -19,14 +19,13 @@ import pytest
 from jordan_voa import fock, suite
 from jordan_voa.fock import State, act, clear_action_cache
 from jordan_voa.liealg import (
-    UNIT,
     Generator,
     LieElement,
     _pair_bracket,
     bracket_r,
     canonical_generators,
 )
-from jordan_voa.scalar import R, ZERO, Scalar
+from jordan_voa.scalar import R, Scalar
 from jordan_voa.suite import SuiteConfig
 
 SMALL = SuiteConfig(d=2, max_degree=2, samples=0)
@@ -116,9 +115,8 @@ def dense_table(request):
     table = []
     for g in gens:
         for h in gens:
-            bracket = dict(_pair_bracket(g, h))
-            const = bracket.pop(UNIT, ZERO).coeffs.get(1, 0)
-            table.append((tuple((index[t], c) for t, c in bracket.items()), const))
+            terms, const = _pair_bracket(g, h)
+            table.append((tuple((index[t], c) for t, c in terms), const))
     return gens, table
 
 
@@ -258,10 +256,10 @@ def test_nested_int_bracket_is_the_public_nested_bracket():
 
 def _wide_mode_doubled(g, h):
     """_pair_bracket with its generator part doubled when g or h has a mode of magnitude 4 to 6."""
-    bracket = _pair_bracket(g, h)
+    terms, const = bracket = _pair_bracket(g, h)
     if max(abs(g.m), abs(g.n), abs(h.m), abs(h.n)) < 4:
         return bracket
-    return tuple((key, c if key == UNIT else 2 * c) for key, c in bracket)
+    return tuple((key, 2 * c) for key, c in terms), const
 
 
 def test_only_the_samples_see_a_fault_beyond_the_exhaustive_bound(monkeypatch):
