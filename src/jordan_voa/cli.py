@@ -42,6 +42,9 @@ DEGREE_GUARD = 18
 # singular-check takes det^nu of degree nu*p*(p+1) up to 56, as --p 7 --nu 1: 8 s and 250 MB
 # on a 2-vCPU x86-64 host (--p 8: 95 s, 2.3 GB).  verify-det --p 4 takes 1 s, --p 5 over 90 s.
 DET_POWER_DEGREE_BOUND = 56
+# the largest --p whose det alone, of degree p*(p+1), is within the bound
+DET_POWER_MAX_P = max(p for p in range(1, DET_POWER_DEGREE_BOUND + 1)
+                      if p * (p + 1) <= DET_POWER_DEGREE_BOUND)
 
 
 def _parse_r(text: str):
@@ -347,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_weight_basis)
 
     p = sub.add_parser("singular-check", help="certify a determinant power")
-    p.add_argument("--p", type=_int_in(1, 7), required=True, help="determinant size")
+    p.add_argument("--p", type=_int_in(1, DET_POWER_MAX_P), required=True, help="determinant size")
     p.add_argument("--nu", type=_int_in(1, DET_POWER_DEGREE_BOUND // 2), required=True,
                    help=f"power, with nu*p*(p+1) at most {DET_POWER_DEGREE_BOUND}")
     p.add_argument("--strict-mixed", action="store_true",
