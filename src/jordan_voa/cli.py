@@ -45,6 +45,10 @@ DET_POWER_DEGREE_BOUND = 56
 # the largest --p whose det alone, of degree p*(p+1), is within the bound
 DET_POWER_MAX_P = max(p for p in range(1, DET_POWER_DEGREE_BOUND + 1)
                       if p * (p + 1) <= DET_POWER_DEGREE_BOUND)
+# The largest --d each command takes, on the same host: virasoro-check --d 4 --max-degree 6
+# takes 13 s and 184 MB (--d 5: 46 s, 509 MB); griess-table --d 8 takes 6 s (--d 12: over 60 s).
+VIRASORO_MAX_D = 4
+GRIESS_MAX_D = 8
 
 
 def _parse_r(text: str):
@@ -373,12 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_det)
 
     p = sub.add_parser("griess-table", help="degree-2 structure constants")
-    _flags(p, "d")
+    _flags(p, "d", ranges={"d": (1, GRIESS_MAX_D)})
     p.set_defaults(func=_cmd_griess_table)
 
     p = sub.add_parser("virasoro-check",
                        help="Virasoro relation on the basis states of bounded degree")
-    _flags(p, "d", "max-degree", ranges={"max-degree": (0, MAX_DEGREE)})
+    _flags(p, "d", "max-degree",
+           ranges={"d": (1, VIRASORO_MAX_D), "max-degree": (0, MAX_DEGREE)})
     p.set_defaults(func=_cmd_virasoro_check)
 
     p = sub.add_parser("paper-suite", help="run the full verification battery")

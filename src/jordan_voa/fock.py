@@ -26,12 +26,16 @@ extended linearly by `apply` under (key, monomial), where the key is a
 tagged tuple such as ("L", i, j, m) that can never equal a Generator.
 `clear_action_cache` empties it.  Entries are computed from immutable
 inputs and never mutated afterwards, so concurrent readers are safe; at
-worst two threads briefly recompute the same value.
+worst two threads briefly recompute the same value.  The cache holds no
+reference cycle, and `collector_paused` runs a block without the cyclic
+garbage collector, which would otherwise keep rescanning it.
 """
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
+from contextlib import contextmanager
 from typing import Iterable, Mapping
 
 from .liealg import UNIT, Generator, _operator_parts, _pair_bracket
@@ -55,6 +59,7 @@ __all__ = [
     "weight_space_basis",
     "basis_monomials",
     "clear_action_cache",
+    "collector_paused",
 ]
 
 MIXED = "mixed"
@@ -220,6 +225,28 @@ def clear_action_cache():
     _ACT_CACHE.clear()
 
 
+@contextmanager
+def collector_paused():
+    """Run the block with the cyclic garbage collector off, then restore its state.
+
+    Every key and image the caches hold stays tracked by the collector:
+    Generator and Scalar subclass tuple, which CPython never untracks, so
+    each collection rescans hundreds of thousands of objects.  Pausing is
+    safe because the caches are acyclic and the engine makes no cyclic
+    garbage, so reference counting alone frees everything the block drops.
+    A caller that had the collector off keeps it off, so nested blocks
+    restore the outer state.  Concurrent callers share the one collector
+    switch; an overlap can only turn it back on early and lose the speed-up.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _insert(mono: PBWMonomial, gen: Generator) -> PBWMonomial:
     pos = bisect_left(mono, gen)
     return mono[:pos] + (gen,) + mono[pos:]
@@ -362,22 +389,27 @@ def weights(max_degree: int, d: int = 1) -> list:
     Ordered by total degree, then by text.
     """
     modes = [(k, level) for k in range(1, d + 1) for level in range(1, max_degree + 1)]
-    out = []
-
-    def collect(pos: int, counts: dict, budget: int):
-        if pos == len(modes):
-            if counts:
-                out.append(Weight(counts))
-            return
-        k, level = modes[pos]
-        for count in range(budget // level + 1):
-            if count:
-                counts[(k, -level)] = count
-            collect(pos + 1, counts, budget - level * count)
-            counts.pop((k, -level), None)
-
-    collect(0, {}, max_degree)
+    out: list = []
+    _collect_weights(modes, 0, {}, max_degree, out)
     return sorted(out, key=lambda w: (w.total_degree(), str(w)))
+
+
+def _collect_weights(modes: list, pos: int, counts: dict, budget: int, out: list):
+    """Append to out each nonzero weight that extends counts by modes[pos:] within budget.
+
+    A module-level recursion: a nested closure that calls itself is a
+    reference cycle, garbage that only the cyclic collector frees.
+    """
+    if pos == len(modes):
+        if counts:
+            out.append(Weight(counts))
+        return
+    k, level = modes[pos]
+    for count in range(budget // level + 1):
+        if count:
+            counts[(k, -level)] = count
+        _collect_weights(modes, pos + 1, counts, budget - level * count, out)
+        counts.pop((k, -level), None)
 
 
 def _pairings(symbols: tuple):

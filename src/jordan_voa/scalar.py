@@ -89,9 +89,13 @@ class Scalar(tuple):
             else:
                 return NotImplemented
         if len(self) == 1 and len(other) == 1:
-            # constant plus constant: the sum is a constant or ZERO
+            # constant plus constant: ZERO or a constant, an int when integral as in __mul__
             c = self[0] + other[0]
-            return tuple.__new__(Scalar, (c,)) if c else ZERO
+            if not c:
+                return ZERO
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            return tuple.__new__(Scalar, (c,))
         a, b = (self, other) if len(self) >= len(other) else (other, self)
         if not b:
             return a

@@ -74,6 +74,7 @@ from .fock import (
     _act_gen,
     act,
     basis_monomials,
+    collector_paused,
     degree_of,
     memo,
     monomial_weight,
@@ -412,7 +413,13 @@ def expected_singular_pairs(r0, max_degree: int) -> dict:
 
 
 def singular_sweep(r_values, max_degree: int, workers: int = 1) -> list:
-    """Run the kernel search over every first-oscillator weight for each parameter."""
+    """Run the kernel search over every first-oscillator weight for each parameter.
+
+    The serial search runs under fock.collector_paused: the act and matrix
+    caches are acyclic and a search makes no cyclic garbage, so the
+    collector, which would rescan every cached entry again and again, has
+    nothing to free.  Concurrent callers can only lose that saving.
+    """
     lams = weights(max_degree)
     tasks = [(lam, r0) for r0 in r_values for lam in lams]
     if workers > 1:
@@ -420,7 +427,8 @@ def singular_sweep(r_values, max_degree: int, workers: int = 1) -> list:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(singular_search, *zip(*tasks)))
-    return [singular_search(lam, r0) for lam, r0 in tasks]
+    with collector_paused():
+        return [singular_search(lam, r0) for lam, r0 in tasks]
 
 
 # -- determinant commutation identities -----------------------------------

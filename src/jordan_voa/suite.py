@@ -23,6 +23,7 @@ from .fock import (
     act,
     basis_monomials,
     clear_action_cache,
+    collector_paused,
 )
 from .liealg import (
     Generator,
@@ -725,13 +726,20 @@ def run_check(check, *args) -> CheckResult:
     _pair_bracket and _canonical_element and singular._MATRIX_CACHE.  The
     battery's fixed scales bound them, and the benchmark reads their
     counters and entries after a run, which emptying them would reset.
+
+    The check runs under fock.collector_paused.  The caches it fills are
+    acyclic and a run makes no cyclic garbage, so reference counting frees
+    all that the collector would, and the collector's repeated rescans of
+    every cached key and image (a tenth of a default battery) are saved.
+    Concurrent callers can only lose that saving, never memory.
     """
     clear_action_cache()
     start = time.perf_counter()
-    try:
-        result = check(*args)
-    except Exception as exc:
-        result = CheckResult(check.__name__, 0, f"raised {exc!r}")
+    with collector_paused():
+        try:
+            result = check(*args)
+        except Exception as exc:
+            result = CheckResult(check.__name__, 0, f"raised {exc!r}")
     result.seconds = time.perf_counter() - start
     return result
 

@@ -52,7 +52,13 @@ HALF = Fraction(1, 2)
 
 
 def _degree(u: State) -> int:
-    """The degree of a nonzero homogeneous state; a mixed one is rejected."""
+    """The degree of a nonzero homogeneous state; a mixed one is rejected.
+
+    A one-term state, such as each per-monomial image of the recursion
+    oracle, is homogeneous and is read off its monomial.
+    """
+    if len(u.terms) == 1:
+        return monomial_degree(next(iter(u.terms)))
     depth = degree_of(u)
     if depth == MIXED:
         raise ValueError("operator sums need a homogeneous input state")

@@ -233,6 +233,10 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     (["singular-check", "--p", "1", "--nu", "29"], "--nu"),
     (["singular-check", "--p", "1", "--nu", "1000"], "--nu"),
     (["verify-det", "--p", "5"], "--p"),
+    (["virasoro-check", "--d", "5"], "--d"),
+    (["virasoro-check", "--d", "0"], "--d"),
+    (["griess-table", "--d", "9"], "--d"),
+    (["griess-table", "--d", "0"], "--d"),
 ])
 def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
     # parse only: nothing runs, so no suite and no worker pool can start

@@ -1,5 +1,6 @@
 """Module action, gradings, and weight-space enumeration."""
 
+import gc
 import itertools
 import json
 import random
@@ -22,6 +23,7 @@ from jordan_voa.fock import (
     clear_action_cache,
     weight_of,
     weight_space_basis,
+    weights,
 )
 from jordan_voa.liealg import UNIT, Generator, bracket_r, canonical_generators, canonicalize
 from jordan_voa.scalar import R, Scalar
@@ -346,3 +348,46 @@ def test_weight_validation():
         Weight({(0, -1): 1})  # oscillator index from 1
     with pytest.raises(ValueError):
         Weight({(1, -1): -2})
+
+
+# -- the cyclic garbage collector ----------------------------------------
+
+
+def test_weights_leave_no_cyclic_garbage():
+    """A weights call frees everything by reference counting; the collector finds nothing."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(weights(10, 2)) > 1000
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_collector_paused_restores_the_callers_state():
+    assert gc.isenabled()
+    with fock.collector_paused():
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        with fock.collector_paused():
+            raise RuntimeError("the block failed")
+    assert gc.isenabled()
+
+
+def test_collector_paused_keeps_a_disabled_collector_disabled():
+    gc.disable()
+    try:
+        with fock.collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_nested_collector_pauses_restore_the_outer_state():
+    with fock.collector_paused():
+        with fock.collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()

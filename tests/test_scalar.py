@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from jordan_voa import virops
 from jordan_voa.scalar import (
     R,
     ZERO,
@@ -39,6 +40,15 @@ def test_integral_constant_product_is_an_int():
         assert product == Scalar((a * b,))
         assert type(product[0]) is int
     assert type((Scalar((Fraction(1, 2),)) * Scalar((3,)))[0]) is Fraction
+
+
+def test_integral_constant_sum_is_an_int():
+    half = Scalar((Fraction(1, 2),))
+    assert type((half + half)[0]) is int
+    assert type((half + Scalar((Fraction(5, 2),)))[0]) is int
+    assert type((half + half + half)[0]) is Fraction
+    op = virops._mode_sum(((1, 1),), -1, 4)
+    assert op.terms and all(type(c) is int for coeff in op.terms.values() for c in coeff)
 
 
 def test_integral_fraction_and_int_coefficients_agree():

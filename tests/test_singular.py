@@ -1,5 +1,6 @@
 """Determinant vectors, kernel search, and singularity certification."""
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -323,6 +324,20 @@ def test_singular_sweep_rows():
         for rep in reports
         if not (rep.r0 == 0 and rep.weight == Weight({(1, -1): 2}))
     )
+
+
+def test_serial_sweep_searches_with_the_collector_paused(monkeypatch):
+    seen = []
+
+    def search(lam, r0):
+        seen.append(gc.isenabled())
+        return (lam, r0)
+
+    monkeypatch.setattr(singular, "singular_search", search)
+    assert gc.isenabled()
+    assert len(singular_sweep([Fraction(0), Fraction(1)], 4)) == 2 * len(weights(4))
+    assert seen and not any(seen)
+    assert gc.isenabled()
 
 
 def test_singular_sweep_worker_pool_matches_serial():

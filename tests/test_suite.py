@@ -10,6 +10,7 @@ tests compare each fast path with the plain computation it replaces and
 show that each check still fails when one of its inputs is wrong.
 """
 
+import gc
 import math
 import random
 from itertools import combinations
@@ -374,3 +375,29 @@ def test_check_3_fails_when_one_cached_image_is_wrong(wrong):
     assert image
     fock._ACT_CACHE[(gen, mono)] = wrong(image)
     _assert_only_action_fails(suite.check_representation_property(SMALL))
+
+
+# -- run_check pauses the cyclic garbage collector ------------------------
+
+
+def test_run_check_runs_the_check_with_the_collector_paused():
+    seen = []
+
+    def probe(config):
+        seen.append(gc.isenabled())
+        return suite.CheckResult("probe", 1)
+
+    assert gc.isenabled()
+    assert suite.run_check(probe, SMALL).passed
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_run_check_restores_the_collector_when_the_check_raises():
+    def broken(config):
+        assert not gc.isenabled()
+        raise RuntimeError("broken check")
+
+    res = suite.run_check(broken, SMALL)
+    assert not res.passed and "broken check" in res.details
+    assert gc.isenabled()

@@ -364,3 +364,16 @@ def test_memoised_operators_still_check_their_input():
         vertex_mode_by_recursion(1, 2, -2, -1, 0, mixed)
     with pytest.raises(ValueError, match="oscillator index 2"):
         act_L(1, 2, -1, low, d=1)
+
+
+def test_one_term_states_skip_the_support_scan(monkeypatch):
+    """A one-term state is homogeneous: the guard reads its degree without degree_of."""
+    def scan(u):
+        raise AssertionError("degree_of called on a one-term state")
+
+    monkeypatch.setattr(virops, "degree_of", scan)
+    u = lowering_state((1, 1, -2, -1))
+    assert act_L(1, 1, 0, u) == u.scale(3)
+    assert act_L_total(0, u, 2) == u.scale(3)
+    # the base case m = -1 acts by act_L alone; deeper modes compose into many-term states
+    assert vertex_mode_by_recursion(1, 2, -1, -1, -1, VAC) == act(gen_elem(1, 2, -1, -1), VAC)
