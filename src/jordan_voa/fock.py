@@ -26,9 +26,7 @@ extended linearly by `apply` under (key, monomial), where the key is a
 tagged tuple such as ("L", i, j, m) that can never equal a Generator.
 `clear_action_cache` empties it.  Entries are computed from immutable
 inputs and never mutated afterwards, so concurrent readers are safe; at
-worst two threads briefly recompute the same value.  The cache holds no
-reference cycle, and `collector_paused` runs a block without the cyclic
-garbage collector, which would otherwise keep rescanning it.
+worst two threads briefly recompute the same value.
 """
 
 from __future__ import annotations
@@ -227,16 +225,12 @@ def clear_action_cache():
 
 @contextmanager
 def collector_paused():
-    """Run the block with the cyclic garbage collector off, then restore its state.
+    """Run the block with the cyclic garbage collector off, then restore the caller's state.
 
-    Every key and image the caches hold stays tracked by the collector:
     Generator and Scalar subclass tuple, which CPython never untracks, so
-    each collection rescans hundreds of thousands of objects.  Pausing is
-    safe because the caches are acyclic and the engine makes no cyclic
-    garbage, so reference counting alone frees everything the block drops.
-    A caller that had the collector off keeps it off, so nested blocks
-    restore the outer state.  Concurrent callers share the one collector
-    switch; an overlap can only turn it back on early and lose the speed-up.
+    every cached key and image stays tracked and each collection rescans
+    them all.  Nested blocks keep the outer state; concurrent callers share
+    the one switch, so an overlap can only turn it back on early.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -389,7 +383,7 @@ def weights(max_degree: int, d: int = 1) -> list:
     Ordered by total degree, then by text.
     """
     modes = [(k, level) for k in range(1, d + 1) for level in range(1, max_degree + 1)]
-    out: list = []
+    out = []
     _collect_weights(modes, 0, {}, max_degree, out)
     return sorted(out, key=lambda w: (w.total_degree(), str(w)))
 
@@ -397,8 +391,7 @@ def weights(max_degree: int, d: int = 1) -> list:
 def _collect_weights(modes: list, pos: int, counts: dict, budget: int, out: list):
     """Append to out each nonzero weight that extends counts by modes[pos:] within budget.
 
-    A module-level recursion: a nested closure that calls itself is a
-    reference cycle, garbage that only the cyclic collector frees.
+    Module-level, as a self-calling closure would be a reference cycle.
     """
     if pos == len(modes):
         if counts:

@@ -89,13 +89,11 @@ class Scalar(tuple):
             else:
                 return NotImplemented
         if len(self) == 1 and len(other) == 1:
-            # constant plus constant: ZERO or a constant, an int when integral as in __mul__
+            # constant plus constant: the sum is a constant or ZERO, an int when integral
             c = self[0] + other[0]
-            if not c:
-                return ZERO
             if type(c) is Fraction and c.denominator == 1:
                 c = c.numerator
-            return tuple.__new__(Scalar, (c,))
+            return tuple.__new__(Scalar, (c,)) if c else ZERO
         a, b = (self, other) if len(self) >= len(other) else (other, self)
         if not b:
             return a

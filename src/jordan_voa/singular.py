@@ -415,10 +415,10 @@ def expected_singular_pairs(r0, max_degree: int) -> dict:
 def singular_sweep(r_values, max_degree: int, workers: int = 1) -> list:
     """Run the kernel search over every first-oscillator weight for each parameter.
 
-    The serial search runs under fock.collector_paused: the act and matrix
-    caches are acyclic and a search makes no cyclic garbage, so the
-    collector, which would rescan every cached entry again and again, has
-    nothing to free.  Concurrent callers can only lose that saving.
+    The serial search runs under fock.collector_paused.  That is safe: the
+    act and matrix caches are acyclic and a search makes no cyclic garbage,
+    so the collector's rescans of every cached entry would free nothing.
+    Concurrent callers can only lose that saving.
     """
     lams = weights(max_degree)
     tasks = [(lam, r0) for r0 in r_values for lam in lams]

@@ -727,11 +727,11 @@ def run_check(check, *args) -> CheckResult:
     battery's fixed scales bound them, and the benchmark reads their
     counters and entries after a run, which emptying them would reset.
 
-    The check runs under fock.collector_paused.  The caches it fills are
-    acyclic and a run makes no cyclic garbage, so reference counting frees
-    all that the collector would, and the collector's repeated rescans of
-    every cached key and image (a tenth of a default battery) are saved.
-    Concurrent callers can only lose that saving, never memory.
+    The check runs under fock.collector_paused.  That is safe: the caches
+    are acyclic and a check makes no cyclic garbage, so reference counting
+    frees all the collector would, and its rescans of every cached entry
+    (a tenth of a default battery) are saved.  Concurrent callers can only
+    lose that saving.
     """
     clear_action_cache()
     start = time.perf_counter()
