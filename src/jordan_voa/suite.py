@@ -745,6 +745,12 @@ def run_check(check, *args) -> CheckResult:
 
 
 def run_paper_suite(config: SuiteConfig | None = None) -> list:
-    """Run every check; returns the list of CheckResults in criterion order."""
+    """Run every check; returns the list of CheckResults in criterion order.
+
+    The whole battery runs in one collector pause, so each run_check empties
+    the action cache before the collector resumes; resuming after every
+    check would scan that check's whole cache once more.
+    """
     config = config or SuiteConfig()
-    return [run_check(check, config) for _, check in ALL_CHECKS]
+    with collector_paused():
+        return [run_check(check, config) for _, check in ALL_CHECKS]

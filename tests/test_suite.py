@@ -401,3 +401,17 @@ def test_run_check_restores_the_collector_when_the_check_raises():
     res = suite.run_check(broken, SMALL)
     assert not res.passed and "broken check" in res.details
     assert gc.isenabled()
+
+
+def test_paper_suite_empties_each_checks_cache_with_the_collector_paused(monkeypatch):
+    seen = []
+
+    def clear():
+        seen.append(gc.isenabled())
+
+    monkeypatch.setattr(suite, "clear_action_cache", clear)
+    monkeypatch.setattr(suite, "ALL_CHECKS", [(n, lambda config: suite.CheckResult("probe", 1))
+                                              for n in range(3)])
+    assert all(res.passed for res in suite.run_paper_suite(SMALL))
+    assert seen == [False] * 3
+    assert gc.isenabled()
