@@ -23,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .fock import State, Weight, act_word, monomial, weight_space_basis
+from .fock import State, Weight, act_word, monomial, monomial_degree, weight_space_basis
 from .griess import GriessVerificationError, build_griess_table, jordan_verify
 from .liealg import UNIT, bracket_r, canonicalize, parse_generator_literal
 from .singular import (
@@ -46,9 +46,13 @@ DET_POWER_DEGREE_BOUND = 56
 DET_POWER_MAX_P = max(p for p in range(1, DET_POWER_DEGREE_BOUND + 1)
                       if p * (p + 1) <= DET_POWER_DEGREE_BOUND)
 # The largest --d each command takes, on the same host: virasoro-check --d 4 --max-degree 6
-# takes 13 s and 184 MB (--d 5: 46 s, 509 MB); griess-table --d 8 takes 6 s (--d 12: over 60 s).
+# takes 13 s and 184 MB (--d 5: 46 s, 509 MB); griess-table --d 8 takes 0.3 s, process start
+# included (the table and its check at d = 12: 0.6 s in process).
 VIRASORO_MAX_D = 4
 GRIESS_MAX_D = 8
+# The largest degree a --state may have: act-L on a degree-1000 state takes at most 0.3 s on
+# the same host (on the degree-200000 v[1,1](-100000,-100000): 2.2 s and 116 MB).
+STATE_MAX_DEGREE = 1000
 
 
 def _parse_r(text: str):
@@ -69,25 +73,33 @@ def _parse_weight(text: str) -> Weight:
         head, _, body = token.partition("Lam[")
         if not body or not body.endswith("]"):
             raise ValueError(f"cannot parse weight term {token!r}")
-        mult = int(head.rstrip("*")) if head else 1
-        k, l = (int(part) for part in body[:-1].split(","))
+        try:
+            mult = int(head.rstrip("*")) if head else 1
+            k, l = (int(part) for part in body[:-1].split(","))
+        except ValueError:
+            raise ValueError(f"cannot parse weight term {token!r}") from None
         counts[(k, l)] = counts.get((k, l), 0) + mult
     return Weight(counts)
 
 
 def _parse_state(text: str, d: int | None) -> State:
     squeezed = text.strip()
-    if squeezed.startswith("["):
-        return State.from_json_obj(json.loads(squeezed), d=d)
     if squeezed == "1":
         return State.vacuum()
-    factors = [parse_generator_literal(part) for part in squeezed.split("*")]
-    elems = [canonicalize(*quad, d=d) for quad in factors]
-    for elem in elems:
-        if len(elem.terms) != 1:
-            raise ValueError(f"state literal {text!r} must be a product of lowering generators")
-    gens = [next(iter(e.terms)) for e in elems]
-    return State.from_monomial(monomial(gens, d=d))
+    if squeezed.startswith("["):
+        state = State.from_json_obj(json.loads(squeezed), d=d)
+    else:
+        factors = [parse_generator_literal(part) for part in squeezed.split("*")]
+        elems = [canonicalize(*quad, d=d) for quad in factors]
+        for elem in elems:
+            if len(elem.terms) != 1:
+                raise ValueError(f"state literal {text!r} must be a product of lowering generators")
+        gens = [next(iter(e.terms)) for e in elems]
+        state = State.from_monomial(monomial(gens, d=d))
+    degree = max(map(monomial_degree, state.terms), default=0)
+    if degree > STATE_MAX_DEGREE:
+        raise ValueError(f"state degree {degree} is above {STATE_MAX_DEGREE}")
+    return state
 
 
 def _emit_state(state: State, output: str):

@@ -405,30 +405,32 @@ def _collect_weights(modes: list, pos: int, counts: dict, budget: int, out: list
         counts.pop((k, -level), None)
 
 
-def _pairings(symbols: tuple):
-    """All ways to pair up a sorted multiset of (index, mode) symbols."""
+def _pairings(symbols: tuple, last: tuple = ()):
+    """Each way to pair up a sorted multiset of (index, mode) symbols, once.
+
+    Pairs come out in ascending order, none below last: a pair below the
+    last one, or a partner equal to the one before it, is skipped.
+    """
     if not symbols:
         yield ()
         return
     first = symbols[0]
-    seen = set()
     for pos in range(1, len(symbols)):
-        partner = symbols[pos]
-        if partner in seen:
+        pair = (first, symbols[pos])
+        if pair < last or (pos > 1 and symbols[pos] == symbols[pos - 1]):
             continue
-        seen.add(partner)
         rest = symbols[1:pos] + symbols[pos + 1 :]
-        for sub in _pairings(rest):
-            yield ((first, partner),) + sub
+        for sub in _pairings(rest, pair):
+            yield (pair,) + sub
 
 
 def weight_space_basis(lam: Weight, d: int | None = None) -> list:
     """All basis monomials of weight exactly lam.
 
     Pairs the required multiset of lowering modes v_k(l) into quadratic
-    factors in every possible way and deduplicates by canonical form.  The
-    factors use the oscillators of the weight, so d = 1 gives the basis of
-    the first-oscillator module; a weight with an index beyond d is a
+    factors in every possible way, each way once.  The factors use the
+    oscillators of the weight, so d = 1 gives the basis of the
+    first-oscillator module; a weight with an index beyond d is a
     ValueError.
     """
     symbols = []
@@ -438,13 +440,10 @@ def weight_space_basis(lam: Weight, d: int | None = None) -> list:
         symbols.extend([(k, l)] * count)
     if len(symbols) % 2:
         return []
-    found = set()
-    for pairing in _pairings(tuple(symbols)):
-        factors = []
-        for (k1, l1), (k2, l2) in pairing:
-            factors.append(Generator(k1, k2, l1, l2))
-        found.add(tuple(sorted(factors)))
-    return sorted(found)
+    return sorted(
+        tuple(sorted(Generator(k1, k2, l1, l2) for (k1, l1), (k2, l2) in pairing))
+        for pairing in _pairings(tuple(symbols))
+    )
 
 
 def basis_monomials(max_degree: int, d: int) -> list:

@@ -23,6 +23,7 @@ from math import isqrt
 
 from .fock import State, basis_monomials
 from .liealg import Generator
+from .scalar import add_into
 from .virops import act_L
 
 __all__ = [
@@ -109,36 +110,21 @@ def build_griess_table(d: int) -> GriessTable:
     return table
 
 
-def _sym_matrices(d: int, diag_scale: Fraction, off_scale: Fraction) -> dict:
-    out = {}
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            mat = [[Fraction(0)] * d for _ in range(d)]
-            if i == j:
-                mat[i - 1][i - 1] = diag_scale
-            else:
-                mat[i - 1][j - 1] = off_scale
-                mat[j - 1][i - 1] = off_scale
-            out[(i, j)] = mat
-    return out
+def _sym_image(pair, c_diag, c_off) -> dict:
+    """The sparse matrix {(row, col): entry} of w[pair]: c_diag E_ii, or c_off (E_ij + E_ji)."""
+    i, j = pair
+    return {(i, i): c_diag} if i == j else {(i, j): c_off, (j, i): c_off}
 
 
-def _mat_jordan(a, b):
-    d = len(a)
-    out = [[Fraction(0)] * d for _ in range(d)]
-    for r in range(d):
-        for c in range(d):
-            acc = Fraction(0)
-            for t in range(d):
-                acc += a[r][t] * b[t][c] + b[r][t] * a[t][c]
-            out[r][c] = acc / 2
-    return out
-
-
-def _mat_scale_add(acc, mat, factor):
-    for r in range(len(mat)):
-        for c in range(len(mat)):
-            acc[r][c] += factor * mat[r][c]
+def _jordan(a: dict, b: dict) -> dict:
+    """The Jordan product (ab + ba)/2 of two sparse matrices, zero entries dropped."""
+    out: dict = {}
+    for x, y in ((a, b), (b, a)):
+        for (row, mid), u in x.items():
+            for (mid2, col), v in y.items():
+                if mid == mid2:
+                    add_into(out, (row, col), u * v)
+    return {key: value * HALF for key, value in out.items()}
 
 
 def _exact_sqrt(q: Fraction):
@@ -190,18 +176,17 @@ def jordan_verify(d: int) -> dict:
         if c_off is None or not c_off:
             raise GriessVerificationError("no rational off-diagonal scaling exists")
 
-    matrices = _sym_matrices(d, c_diag, c_off)
-    for left in table.basis:
-        for right in table.basis:
-            expected = _mat_jordan(matrices[left], matrices[right])
-            actual = [[Fraction(0)] * d for _ in range(d)]
-            for pos, entry in enumerate(table.products[(left, right)]):
-                if entry:
-                    _mat_scale_add(actual, matrices[table.basis[pos]], entry)
-            if actual != expected:
-                raise GriessVerificationError(
-                    f"isomorphism fails on the pair {left}, {right}"
-                )
+    images = {pair: _sym_image(pair, c_diag, c_off) for pair in table.basis}
+    for (left, right), coords in table.products.items():
+        actual: dict = {}
+        for pos, entry in enumerate(coords):
+            if entry:
+                for key, value in images[table.basis[pos]].items():
+                    add_into(actual, key, entry * value)
+        if actual != _jordan(images[left], images[right]):
+            raise GriessVerificationError(
+                f"isomorphism fails on the pair {left}, {right}"
+            )
 
     return {
         "d": d,

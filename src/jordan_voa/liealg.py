@@ -129,24 +129,17 @@ class LieElement(Combination):
 def canonicalize(i: int, j: int, m: int, n: int, d: int | None = None) -> LieElement:
     """Rewrite a raw quadruple v[i,j](m,n) into the canonical basis.
 
-    Swaps factors as needed (v[i,j](m,n) = v[j,i](n,m)) and emits the
-    constant from v[i,i](m,-m) = v[i,i](-m,m) + m when m > 0.
+    At most one swap is needed: v[i,j](m,n) stays when (i, m) <= (j, n),
+    else it is v[j,i](n,m), plus the constant m from
+    v[i,i](m,-m) = v[i,i](-m,m) + m when i = j and m + n = 0.
     """
     _validate_index(i, d)
     _validate_index(j, d)
-    return _canonical_element(i, j, m, n)
-
-
-@lru_cache(maxsize=None)
-def _canonical_element(i: int, j: int, m: int, n: int) -> LieElement:
-    out: dict = {}
-    _straighten(((i, m), (j, n)), 1, out)
-    terms = {}
-    for word, coeff in out.items():
-        if word:
-            (wi, wm), (wj, wn) = word
-            word = Generator(wi, wj, wm, wn)
-        terms[word] = coeff
+    if (i, m) <= (j, n):
+        return LieElement({Generator(i, j, m, n): 1})
+    terms = {Generator(j, i, n, m): 1}
+    if i == j and m + n == 0:
+        terms[UNIT] = m
     return LieElement(terms)
 
 

@@ -123,23 +123,6 @@ class KernelReport:
     kernel_vectors: list = field(default_factory=list)
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        pos = start
-        while not seen[pos]:
-            seen[pos] = True
-            pos = perm[pos]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def det_state(p: int, indices=None) -> State:
     """Expand the determinant of (v(-s,-t)) over the given row/column labels."""
     if indices is None:
@@ -152,7 +135,7 @@ def det_state(p: int, indices=None) -> State:
             return State.vacuum()
     acc: dict = {}
     for perm in itertools.permutations(range(len(indices))):
-        sign = _perm_sign(perm)
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))  # inversion parity
         factors = []
         for q, target in enumerate(perm):
             s, t = indices[q], indices[target]

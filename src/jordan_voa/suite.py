@@ -722,8 +722,8 @@ def run_check(check, *args) -> CheckResult:
 
     Checks are independent, so the action cache (fock._ACT_CACHE, which also
     holds every apply image) is emptied first and no check's images outlive
-    the next check.  Three caches persist from check to check: liealg's
-    _pair_bracket and _canonical_element and singular._MATRIX_CACHE.  The
+    the next check.  Two caches persist from check to check:
+    liealg._pair_bracket and singular._MATRIX_CACHE.  The
     battery's fixed scales bound them, and the benchmark reads their
     counters and entries after a run, which emptying them would reset.
 

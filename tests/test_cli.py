@@ -266,6 +266,13 @@ def test_suite_config_rejects_out_of_range_scale(kwargs):
      "no weight to search"),
     (["singular-check", "--p", "2", "--nu", "1", "--strict-mixed"], "no mixed index pairs"),
     (["weight-basis", "--weight", "2*Lam[2,-1]", "--d", "1"], "oscillator index 2 beyond d=1"),
+    (["weight-basis", "--weight", "2*Lam[1]"], "cannot parse weight term '2*Lam[1]'"),
+    (["weight-basis", "--weight", "Lam[1,-1,2]"], "cannot parse weight term 'Lam[1,-1,2]'"),
+    (["weight-basis", "--weight", "x*Lam[1,-1]"], "cannot parse weight term 'x*Lam[1,-1]'"),
+    (["weight-basis", "--weight", "Lam[a,-1]"], "cannot parse weight term 'Lam[a,-1]'"),
+    # one above cli.STATE_MAX_DEGREE
+    (["act-L", "--i", "1", "--j", "1", "--m", "0", "--state", "v[1,1](-500,-501)"],
+     "state degree 1001 is above 1000"),
 ])
 def test_inputs_with_nothing_to_compute_are_usage_errors(argv, message, capsys):
     assert cli.main(argv) == 2
@@ -296,6 +303,8 @@ def test_singular_check_bounds_the_degree_of_the_power(monkeypatch, capsys):
     '[{"monomial": [[1,1,-1,-1]], "coeff": 2}]',
     '[{"monomial": [[1,1,-1,-1]], "coeff": "1/0"}]',
     '[{"monomial": [[0,1,-1,-1]], "coeff": "1"}]',
+    '[{"monomial": [[1,1,-501,-500]], "coeff": "1"}]',  # one above cli.STATE_MAX_DEGREE
+    '[{"monomial": [[1,1,-1,-1]], "coeff": "r^1001"}]',  # one above scalar.MAX_LITERAL_POWER
 ])
 @pytest.mark.parametrize("argv", [
     ["act", "v[1,1](1,1)"],
@@ -307,6 +316,17 @@ def test_malformed_state_json_is_a_usage_error(argv, state, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("state", [
+    "v[1,1](-500,-500)",
+    '[{"monomial": [[1,1,-500,-500]], "coeff": "1"}]',
+    '[{"monomial": [[1,1,-1,-1]], "coeff": "r^1000"}]',
+])
+def test_states_at_the_input_bounds_are_accepted(state, capsys):
+    code, out = run_cli(capsys, "act-L", "--i", "1", "--j", "1", "--m", "0", "--state", state)
+    assert code == 0
+    assert out
 
 
 def test_paper_suite_defaults_are_the_certification_scale():

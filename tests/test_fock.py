@@ -109,6 +109,21 @@ def test_weight_space_basis_frozen_examples():
         ]
     )
     assert weight_space_basis(Weight()) == [()]
+    # k mixed factors v(-2,-1) leave (28 - k)/2 of each diagonal square: 15 monomials
+    basis = weight_space_basis(Weight({(1, -1): 28, (1, -2): 28}), d=1)
+    assert basis == sorted(
+        monomial([Generator(1, 1, -2, -1)] * k
+                 + [Generator(1, 1, -1, -1), Generator(1, 1, -2, -2)] * ((28 - k) // 2))
+        for k in range(0, 29, 2)
+    )
+
+
+def test_each_pairing_is_yielded_once():
+    """Every pairing _pairings yields is a distinct basis monomial, so none is deduplicated."""
+    for lam in weights(18, 1):
+        symbols = tuple(sorted(kl for kl, count in lam.counts.items() for _ in range(count)))
+        pairings = sum(1 for _ in fock._pairings(symbols)) if len(symbols) % 2 == 0 else 0
+        assert pairings == len(weight_space_basis(lam, d=1)), lam
 
 
 def test_weight_space_basis_odd_multiplicity_is_empty():

@@ -93,3 +93,19 @@ def test_jordan_verify_rejects_a_perturbed_product(pairs, monkeypatch):
     monkeypatch.setattr(griess, "griess_product", product)
     with pytest.raises(GriessVerificationError):
         jordan_verify(3)
+
+
+def test_jordan_verify_up_to_d_8(monkeypatch):
+    """Check 11 at every griess-table --d beyond 3, and a planted fault at d = 8."""
+    for d in range(4, 9):
+        report = jordan_verify(d)
+        assert report["dimension"] == d * (d + 1) // 2
+        assert (report["diagonal_scale"], report["off_diagonal_scale"]) == (2, 1)
+
+    def product(i, j, k, l, d):
+        out = griess_product(i, j, k, l, d)
+        return out + omega(1, 5).scale(Fraction(1, 3)) if (i, j, k, l) == (7, 8, 8, 8) else out
+
+    monkeypatch.setattr(griess, "griess_product", product)
+    with pytest.raises(GriessVerificationError, match=r"the pair \(7, 8\), \(8, 8\)"):
+        jordan_verify(8)

@@ -37,6 +37,24 @@ def test_canonicalize_already_canonical():
     assert canonicalize(1, 2, 0, 5) == LieElement.from_generator(Generator(1, 2, 0, 5))
 
 
+def _typed(terms):
+    return {key: (coeff, [type(c) for c in coeff]) for key, coeff in terms.items()}
+
+
+def test_canonicalize_matches_the_straightened_normal_form():
+    """The one-swap closed form equals _straighten's normal form, coefficient types included."""
+    quads = list(itertools.product(range(1, 4), range(1, 4), range(-7, 8), range(-7, 8)))
+    assert len(quads) == 2025
+    for i, j, m, n in quads:
+        out = {}
+        _straighten(((i, m), (j, n)), 1, out)
+        expected = LieElement({
+            Generator(word[0][0], word[1][0], word[0][1], word[1][1]) if word else UNIT: coeff
+            for word, coeff in out.items()
+        })
+        assert _typed(canonicalize(i, j, m, n).terms) == _typed(expected.terms), (i, j, m, n)
+
+
 def test_canonicalize_index_validation():
     with pytest.raises(ValueError):
         canonicalize(0, 1, 1, 1)
