@@ -24,9 +24,10 @@ One cache memoises every operator that acts monomial by monomial: the
 single-generator action under (generator, monomial), and any operator
 extended linearly by `apply` under (key, monomial), where the key is a
 tagged tuple such as ("L", i, j, m) that can never equal a Generator.
-`clear_action_cache` empties it.  Entries are computed from immutable
-inputs and never mutated afterwards, so concurrent readers are safe; at
-worst two threads briefly recompute the same value.
+`clear_action_cache` empties it, and `forget` drops chosen entries.
+Entries are computed from immutable inputs and never mutated afterwards,
+so concurrent readers are safe; at worst two threads briefly recompute
+the same value.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "weight_space_basis",
     "basis_monomials",
     "clear_action_cache",
+    "forget",
     "collector_paused",
 ]
 
@@ -221,6 +223,12 @@ _ACT_CACHE: dict = {}
 
 def clear_action_cache():
     _ACT_CACHE.clear()
+
+
+def forget(keys: Iterable):
+    """Drop the cached values under these keys, where there are any."""
+    for key in keys:
+        _ACT_CACHE.pop(key, None)
 
 
 @contextmanager

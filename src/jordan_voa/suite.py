@@ -722,10 +722,11 @@ def run_check(check, *args) -> CheckResult:
 
     Checks are independent, so the action cache (fock._ACT_CACHE, which also
     holds every apply image) is emptied first and no check's images outlive
-    the next check.  Two caches persist from check to check:
-    liealg._pair_bracket and singular._MATRIX_CACHE.  The
-    battery's fixed scales bound them, and the benchmark reads their
-    counters and entries after a run, which emptying them would reset.
+    the next check.  One cache persists from check to check,
+    liealg._pair_bracket: the battery's fixed scales bound it, and the
+    benchmark reads its counters after a run, which emptying it would
+    reset.  singular._MATRIX_CACHE is not left filled either: check 9's
+    sweep releases each weight's matrix once the weight is searched.
 
     The check runs under fock.collector_paused.  That is safe: the caches
     are acyclic and a check makes no cyclic garbage, so reference counting

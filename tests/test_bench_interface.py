@@ -50,3 +50,4 @@ def test_per_check_timings_resolve():
 def test_sweep_argv_parses():
     args = cli.build_parser().parse_args(_literal("workload.py", "SWEEP_ARGV"))
     assert args.command == "singular-sweep"
+    assert 0 <= args.rmax - args.rmin <= cli.SWEEP_MAX_R_SPAN

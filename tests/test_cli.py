@@ -237,6 +237,12 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     (["virasoro-check", "--d", "0"], "--d"),
     (["griess-table", "--d", "9"], "--d"),
     (["griess-table", "--d", "0"], "--d"),
+    # one beyond cli.VERTEX_MODE_MAX, and the 23.5 s input that motivated the bound
+    (["vertex-mode", "--i", "1", "--j", "2", "--m", "-301", "--n", "-1", "--l", "0"], "--m"),
+    (["vertex-mode", "--i", "1", "--j", "2", "--m", "-1", "--n", "-301", "--l", "0"], "--n"),
+    (["vertex-mode", "--i", "1", "--j", "2", "--m", "-1", "--n", "-1", "--l", "-301"], "--l"),
+    (["vertex-mode", "--i", "1", "--j", "2", "--m", "-1", "--n", "-1", "--l", "301"], "--l"),
+    (["vertex-mode", "--i", "1", "--j", "2", "--m", "-3000", "--n", "-3000", "--l", "0"], "--m"),
 ])
 def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
     # parse only: nothing runs, so no suite and no worker pool can start
@@ -244,6 +250,13 @@ def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
         cli.build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_vertex_mode_modes_at_the_bound_parse():
+    # parse only, as above: the operator at the bound is not built here
+    args = cli.build_parser().parse_args(
+        ["vertex-mode", "--i", "1", "--j", "2", "--m", "-300", "--n", "-300", "--l", "300"])
+    assert (args.m, args.n, args.l) == (-300, -300, 300) and cli.VERTEX_MODE_MAX == 300
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -273,6 +286,8 @@ def test_suite_config_rejects_out_of_range_scale(kwargs):
     # one above cli.STATE_MAX_DEGREE
     (["act-L", "--i", "1", "--j", "1", "--m", "0", "--state", "v[1,1](-500,-501)"],
      "state degree 1001 is above 1000"),
+    # one above cli.SWEEP_MAX_R_SPAN
+    (["singular-sweep", "--rmin", "-20", "--rmax", "21"], "--rmax - --rmin is 41, above 40"),
 ])
 def test_inputs_with_nothing_to_compute_are_usage_errors(argv, message, capsys):
     assert cli.main(argv) == 2

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from jordan_voa import fock, singular
-from jordan_voa.fock import State, Weight, act, degree_of, monomial, weight_space_basis, weights
+from jordan_voa.fock import (State, Weight, act, degree_of, monomial, monomial_degree,
+                             weight_space_basis, weights)
 from jordan_voa.liealg import Generator, canonicalize
 from jordan_voa.scalar import ONE, R, ZERO, Scalar, _poly_divmod, poly_exact_div, poly_gcd
 from jordan_voa.singular import (
@@ -348,6 +349,40 @@ def test_singular_sweep_worker_pool_matches_serial():
     assert pooled == serial
     kernels = {(rep.r0, rep.weight) for rep in pooled if rep.kernel_vectors}
     assert kernels == {(0, Weight({(1, -1): 2})), (-2, Weight({(1, -1): 4}))}
+
+
+def _cold_caches():
+    fock.clear_action_cache()
+    singular._MATRIX_CACHE.clear()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_weight_major_sweep_reports_with_the_parameter_outside(workers):
+    """The sweep runs weight by weight but returns r outer, weights in fock.weights order."""
+    r_values = [GENERIC, Fraction(1, 2), -2, 0, 1]
+    _cold_caches()
+    expected = [singular_search(lam, r0) for r0 in r_values for lam in weights(10)]
+    _cold_caches()
+    try:
+        assert singular_sweep(r_values, 10, workers=workers) == expected
+    finally:
+        _cold_caches()
+    assert sum(rep.kernel_dim for rep in expected) == 3  # det^nu of size p: (1,1), (1,2), (2,1)
+
+
+def test_sweep_releases_each_weights_matrix_minor_and_top_level_images():
+    """Recursion images have lower degree than their parent, so a degree-12 key is top-level."""
+    _cold_caches()
+    try:
+        singular_sweep(range(-3, 4), 12)
+        assert not singular._MATRIX_CACHE
+        keys = list(fock._ACT_CACHE)
+        assert not [key for key in keys if key[0] == "minor"]
+        degrees = {monomial_degree(mono) for gen, mono in keys if isinstance(gen, Generator)}
+        assert 12 not in degrees
+        assert degrees and max(degrees) == 10  # the lower-weight images stay
+    finally:
+        _cold_caches()
 
 
 # -- the support-driven raising family and the minor certificate ----------
