@@ -38,9 +38,12 @@ from .suite import (MAX_D, MAX_DEGREE, MIN_D, MIN_DEGREE, SuiteConfig, determina
                     run_check, run_paper_suite, virasoro_central_charge)
 from .virops import act_L, vertex_mode
 
-DEGREE_GUARD = 18
+# The largest --max-degree of singular-sweep without --no-degree-guard: --rmin -3 --rmax 3
+# --max-degree 20 takes 1.7 s and 27 MB as a process on a 2-vCPU x86-64 host (degree 22: 3.0 s
+# and 44 MB in process).
+DEGREE_GUARD = 20
 # singular-check takes det^nu of degree nu*p*(p+1) up to 56, as --p 7 --nu 1: 8 s and 250 MB
-# on a 2-vCPU x86-64 host (--p 8: 95 s, 2.3 GB).  verify-det --p 4 takes 1 s, --p 5 over 90 s.
+# on the same host (--p 8: 95 s, 2.3 GB).  verify-det --p 4 takes 1 s, --p 5 over 90 s.
 DET_POWER_DEGREE_BOUND = 56
 # the largest --p whose det alone, of degree p*(p+1), is within the bound
 DET_POWER_MAX_P = max(p for p in range(1, DET_POWER_DEGREE_BOUND + 1)
@@ -58,7 +61,8 @@ STATE_MAX_DEGREE = 1000
 # at --m -1000 --n -1000 --l -1000: 2.5 s; --m -3000 --n -3000 --l 0: 23.5 s).
 VERTEX_MODE_MAX = 300
 # The largest --rmax - --rmin of singular-sweep, which holds every report until it prints:
-# --rmin -20 --rmax 20 --max-degree 18 takes 2.2 s and 38 MB (--output json: 2.7 s, 78 MB).
+# --rmin -20 --rmax 20 --max-degree 20 takes 3.1 s and 48 MB (--output json: 4.0 s, 116 MB);
+# at --max-degree 18, 1.7 s and 34 MB (--output json: 2.2 s, 75 MB).
 SWEEP_MAX_R_SPAN = 40
 
 

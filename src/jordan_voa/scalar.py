@@ -144,8 +144,15 @@ class Scalar(tuple):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return ZERO
-            # a nonzero factor keeps the leading coefficient nonzero
-            return tuple.__new__(Scalar, tuple(c * other for c in self))
+            if len(self) == 1:
+                # as constant times constant
+                c = self[0] * other
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                return tuple.__new__(Scalar, (c,))
+            # the convolution's coefficients, types included; a nonzero factor keeps the
+            # leading coefficient nonzero
+            return tuple.__new__(Scalar, [c * other if c else 0 for c in self])
         return NotImplemented
 
     __rmul__ = __mul__

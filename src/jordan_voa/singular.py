@@ -17,23 +17,29 @@ the first oscillator).  The reversed-order mixed generators v[i,j](m,n)
 with m > n > -m generally do NOT annihilate determinant vectors of size
 p >= 2; strict=True adds them (d >= 2) to observe the failure.
 
-Kernel search runs over one weight space at a time: stack the raising
-actions on the weight-space basis into an exact matrix and return its
-nullspace, over Q for a rational parameter value or over Q(r) for the
-generic parameter.  The matrix is read off the cached per-monomial images
-of fock._act_gen.  Only generators that can act nonzero on the weight
-space are stacked: grading forces a raising generator to act as zero on a
-monomial when it has a zero mode (v_k(0) is central and kills the vacuum)
-or a positive mode x on an oscillator k whose mode -x the monomial lacks.
-The same support-driven family serves is_singular.  Both kernels and the
-minor below come from one nullspace builder, _nullspace, over one
-fraction-free elimination (E. H. Bareiss, Math. Comp. 22 (1968)),
-scalar.fraction_free_rref: it returns the free-column vectors, scaled by the
-last pivot D so that no entry is a fraction, together with D.  Nothing is
-divided inexactly: over Q each row is cleared of denominators, eliminated
-over Z and the vectors are divided by D; over Q(r) the matrix is eliminated
-over Q[r], so the kernel vectors are polynomial from the start and only
-their content is divided out.
+Kernel search runs over one weight space at a time: stack the actions of
+the generators of the raising algebra on the weight-space basis into an
+exact matrix and return its nullspace, over Q for a rational parameter
+value or over Q(r) for the generic parameter.  The generators are
+v(1,1) and v(-j, j+1) for j >= 1: a vector they kill is killed by their
+brackets, which give every raising generator, so the nullspace is the
+space of singular vectors (the identities are in _search_matrix).  A
+zero nullspace needs no such argument, because the rows are a subset of
+the rows of the whole raising family.  The matrix is read off the cached
+per-monomial images of fock._act_gen.  Only generators that can act
+nonzero on the weight space are stacked: grading forces a raising
+generator to act as zero on a monomial when it has a zero mode (v_k(0)
+is central and kills the vacuum) or a positive mode x on an oscillator k
+whose mode -x the monomial lacks.  is_singular checks the whole family
+that survives that test, and re-certifies every vector the search finds.
+Both kernels and the minor below come from one nullspace builder,
+_nullspace, over one fraction-free elimination (E. H. Bareiss, Math.
+Comp. 22 (1968)), scalar.fraction_free_rref: it returns the free-column
+vectors, scaled by the last pivot D so that no entry is a fraction,
+together with D.  Nothing is divided inexactly: over Q each row is
+cleared of denominators, eliminated over Z and the vectors are divided by
+D; over Q(r) the matrix is eliminated over Q[r], so the kernel vectors are
+polynomial from the start and only their content is divided out.
 
 Every search first takes a maximal minor D(r) of the weight's matrix
 (ZERO below full column rank).  Its rows are chosen at one integer point,
@@ -51,7 +57,8 @@ without specialising the matrix.  Only where D vanishes is the matrix
 eliminated, over Q(r) or over Q.  Every maximal minor is a multiple of the
 gcd of all of them, the last determinantal divisor (M. Newman, Integral
 Matrices, 1972), so the gcd of a few minors bounds the parameter values
-with a singular vector at that weight.
+with a singular vector at that weight.  A maximal minor of the
+generators' matrix is one of the whole family's matrix too.
 
 singular_sweep runs singular_search weight by weight, in this process or
 in a pool of worker processes.  Each weight is searched at every parameter
@@ -214,6 +221,21 @@ def _raising_family(support, d: int = 1, strict: bool = False) -> list:
     return sorted(out)
 
 
+def _search_generators(support) -> list:
+    """The generators of the d = 1 raising algebra that can act nonzero on this support.
+
+    v[1,1](1,1) and v[1,1](-j, j+1) for j >= 1, each kept only where the
+    support holds its partner mode (1, -1) or (1, -(j+1)).  They are the
+    members of _raising_family(support) with mode sum 1 or with modes
+    (1, 1), in its order.  Whatever they kill, every raising generator
+    kills: see _search_matrix.
+    """
+    out = [Generator(1, 1, l + 1, -l) for k, l in support if k == 1 and l < -1]
+    if (1, -1) in support:
+        out.append(Generator(1, 1, 1, 1))
+    return sorted(out)
+
+
 def is_singular(u: State, r0=GENERIC, d: int = 1, strict: bool = False):
     """Certify annihilation by the raising generators; returns (ok, witness).
 
@@ -305,14 +327,34 @@ _MATRIX_CACHE: dict = {}
 
 
 def _search_matrix(lam: Weight):
-    """Symbolic raising-action matrix on the first-oscillator weight-space basis."""
+    """Symbolic matrix of the raising algebra's generators on the first-oscillator weight space.
+
+    The rows stack the images of _search_generators(lam.support()), not of
+    the whole _raising_family, and the kernel is the same.  A zero kernel
+    needs no argument: these rows are a subset of the full family's rows,
+    so each maximal minor here is a maximal minor of the full matrix too.
+    A nonzero kernel is no larger either, because the kept generators and
+    the ones acting as zero on the weight space generate the d = 1 raising
+    algebra up to the generators with a zero mode, which act as zero:
+
+        [v(-a, a+1), v(-a-1, c)] = (a+1) v(-a, c)    for c >= a+2,
+        [v(1,1), v(-1, b)]       = 2 v(1, b)          for b >= 2,
+        [v(-1, a), v(1, b)]      = -v(a, b)           for 2 <= a <= b.
+
+    Induction on c - a gives every v(-a, c) from the first; the other two
+    then give every v(a, b) with 0 < a <= b.  Brackets of positive-degree
+    elements carry no r-constant, so a vector killed by the generators is
+    killed by their brackets at every parameter value: the two kernels are
+    one subspace, with one reduced-echelon basis.  singular_search still
+    re-certifies each kernel vector against the whole family by is_singular.
+    """
     cached = _MATRIX_CACHE.get(lam)
     if cached is not None:
         return cached
     basis = weight_space_basis(lam, d=1)
     rows = []
     if basis:
-        for gen in _raising_family(lam.support()):
+        for gen in _search_generators(lam.support()):
             images = [_act_gen(gen, mono) for mono in basis]
             for target in sorted({m for img in images for m in img}):
                 rows.append([img.get(target, ZERO) for img in images])
@@ -408,9 +450,12 @@ def _sweep_weight(lam: Weight, r_values: list) -> list:
     top-level images (gen, mono), gen in its raising family and mono in its
     basis, are dropped: only the recursion of a later weight could read such
     an image again, and seldom does (the degree-18 sweep over r = -3..3
-    recomputes 5 % more images).  The lower-degree images that the
-    recursion made stay cached, because later weights reuse them: dropping
-    those too costs the same sweep about 15 % more time for 2 MB less peak.
+    recomputes 5 % more images).  The family is the whole one, not only the
+    search generators, because is_singular reads the other generators'
+    images when it re-certifies a kernel vector.  The lower-degree images
+    that the recursion made stay cached, because later weights reuse them:
+    dropping those too costs the same sweep about 25 % more time for 2 MB
+    less peak.
     """
     reports = [singular_search(lam, r0) for r0 in r_values]
     basis, _ = _MATRIX_CACHE.pop(lam, ((), ()))

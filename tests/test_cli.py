@@ -159,10 +159,10 @@ def test_invalid_generator_is_reported(capsys):
 def test_degree_guard(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["singular-sweep", "--rmin", "0", "--rmax", "0",
-                  "--max-degree", "19"])
+                  "--max-degree", "21"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == (
-        "error: --max-degree 19 exceeds 18; pass --no-degree-guard\n"
+        "error: --max-degree 21 exceeds 20; pass --no-degree-guard\n"
     )
 
 
@@ -173,6 +173,15 @@ def test_sweep_output_is_pinned_to_degree_14(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "4bd0ae8cc525c406f804ba31b4cd6addc1928e2e9273e78f0da441417d1057cb"
+    )
+
+
+def test_sweep_output_is_pinned_to_degree_20(capsys):
+    code, out = run_cli(capsys, "singular-sweep", "--rmin", "-3", "--rmax", "3",
+                        "--max-degree", "20")
+    assert code == 0 and out.count("\n") == 18992
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ccd57de88152736469901212bdc55e2e1a15155c03699eac5a22ebdc90951394"
     )
 
 

@@ -167,6 +167,17 @@ def test_constant_product_is_the_convolution(a, b):
     assert type(product[0]) is (int if product[0].denominator == 1 else Fraction)
 
 
+numbers = st.one_of(st.integers(-6, 6), rationals)
+
+
+@PROFILE
+@given(st.lists(numbers, max_size=4).map(Scalar), numbers)
+def test_product_by_a_bare_number_is_the_product_by_its_constant(s, k):
+    expected = s * Scalar.of(k)
+    for product in (s * k, k * s):
+        assert product == expected
+        assert [type(c) for c in product] == [type(c) for c in expected]
+
 
 def _same_scalar(value, expected):
     return value == expected and hash(value) == hash(expected) and str(value) == str(expected)

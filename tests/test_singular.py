@@ -10,7 +10,7 @@ import pytest
 from jordan_voa import fock, singular
 from jordan_voa.fock import (State, Weight, act, degree_of, monomial, monomial_degree,
                              weight_space_basis, weights)
-from jordan_voa.liealg import Generator, canonicalize
+from jordan_voa.liealg import Generator, LieElement, bracket_r, canonicalize
 from jordan_voa.scalar import ONE, R, ZERO, Scalar, _poly_divmod, poly_exact_div, poly_gcd
 from jordan_voa.singular import (
     GENERIC,
@@ -388,12 +388,16 @@ def test_sweep_releases_each_weights_matrix_minor_and_top_level_images():
 # -- the support-driven raising family and the minor certificate ----------
 
 
-def _unpruned_search_matrix(lam):
-    """The search matrix built over every raising generator up to the degree."""
+def _is_search_generator(gen):
+    return gen.m + gen.n == 1 or (gen.m, gen.n) == (1, 1)
+
+
+def _unpruned_search_matrix(lam, keep=lambda gen: True):
+    """The matrix built over every raising generator up to the degree that keep selects."""
     basis = weight_space_basis(lam, d=1)
     rows = []
     if basis:
-        for gen in raising_generators(lam.total_degree()):
+        for gen in filter(keep, raising_generators(lam.total_degree())):
             images = [act(gen, State.from_monomial(mono)) for mono in basis]
             for target in sorted({m for img in images for m in img.terms}):
                 rows.append([img.coefficient(target) for img in images])
@@ -411,10 +415,62 @@ def _unpruned_is_singular(u, r0=GENERIC, d=1, strict=False):
 
 
 def test_pruned_search_matrix_equals_the_unpruned_build():
+    """The rows are the unpruned build's for the search generators, with the full build's kernel."""
     lams = weights(12)
     assert sum(1 for lam in lams if _search_matrix(lam)[0]) == 136
+    r_values = [Fraction(r) for r in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 2)]
     for lam in lams:
-        assert _search_matrix(lam) == _unpruned_search_matrix(lam), lam
+        basis, rows = _search_matrix(lam)
+        assert (basis, rows) == _unpruned_search_matrix(lam, _is_search_generator), lam
+        if not basis:
+            continue
+        full = _unpruned_search_matrix(lam)[1]
+        assert kernel_basis_poly(rows, len(basis)) == kernel_basis_poly(full, len(basis)), lam
+        for r0 in r_values:
+            got = kernel_basis([[c.evaluate(r0) for c in row] for row in rows], len(basis))
+            want = kernel_basis([[c.evaluate(r0) for c in row] for row in full], len(basis))
+            assert got == want, (lam, r0)
+
+
+def test_search_generators_are_the_filtered_raising_family():
+    for lam in weights(12):
+        support = lam.support()
+        want = [gen for gen in singular._raising_family(support) if _is_search_generator(gen)]
+        assert singular._search_generators(support) == want, lam
+
+
+def test_search_generators_generate_the_raising_algebra():
+    """The three bracket identities behind _search_matrix, for modes up to 8."""
+    def v(m, n):
+        return LieElement.from_generator(Generator(1, 1, m, n))
+
+    identities = []
+    for a in range(1, 7):
+        for c in range(a + 2, 9):
+            identities.append((bracket_r(v(-a, a + 1), v(-a - 1, c)), v(-a, c).scale(a + 1)))
+    for b in range(2, 9):
+        identities.append((bracket_r(v(1, 1), v(-1, b)), v(1, b).scale(2)))
+    for a in range(2, 9):
+        for b in range(a, 9):
+            identities.append((bracket_r(v(-1, a), v(1, b)), -v(a, b)))
+    assert len(identities) == 56
+    for lhs, rhs in identities:
+        assert lhs == rhs
+
+
+@pytest.mark.parametrize("dropped", [Generator(1, 1, 1, 1), Generator(1, 1, -1, 2)],
+                         ids=["v(1,1)", "v(-1,2)"])
+def test_a_search_without_a_generator_fails_certification(monkeypatch, dropped):
+    """Without v(1,1) or v(-1,2) the search finds vectors that is_singular refutes."""
+    pruned = singular._search_generators
+    monkeypatch.setattr(singular, "_search_generators",
+                        lambda support: [gen for gen in pruned(support) if gen != dropped])
+    _cold_caches()
+    try:
+        with pytest.raises(singular.SingularVerificationError):
+            singular_sweep(range(-3, 4), 6)
+    finally:
+        _cold_caches()
 
 
 def test_pruned_is_singular_matches_the_unpruned_reference():
