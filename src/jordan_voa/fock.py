@@ -20,19 +20,34 @@ grading counts how many times each lowering mode v_k(l) occurs among the
 factors; the commuting operators h[k,l] = -(1/l) v[k,k](l,-l), l < 0, act
 diagonally with those counts as eigenvalues.
 
+The action runs on small int ids.  A basis monomial gets an id at first
+sight, stored with its head (first) factor's generator id, the id of its
+tail (the other factors) and its census, the count of each mode v_k(l)
+among its factor slots, computed once; a generator gets an id with its
+needs, the census its positive modes ask for.  _act_id runs the head/tail
+recursion on ids: the grading test reads the census, and the insertion of
+a factor and _pair_bracket are memoised on ids.  Its images map monomial
+ids to Scalars.  Ids stay inside this module and the two loops that read
+id images directly, check 3's rows (suite) and the search matrix
+(singular): act translates each sum back to monomials once, and _act_gen
+is the tuple-level entry point, so a State keeps tuple keys.
+
 One cache memoises every operator that acts monomial by monomial: the
-single-generator action under (generator, monomial), and any operator
-extended linearly by `apply` under (key, monomial), where the key is a
-tagged tuple such as ("L", i, j, m) that can never equal a Generator.
-`clear_action_cache` empties it, and `forget` drops chosen entries.
-Entries are computed from immutable inputs and never mutated afterwards,
-so concurrent readers are safe; at worst two threads briefly recompute
-the same value.
+single-generator action under the int key gid << 32 | mid, and any
+operator extended linearly by `apply` under (key, monomial), where the key
+is a tagged tuple such as ("L", i, j, m).  `clear_action_cache` empties it
+together with the id tables, so an id taken before a clear means nothing
+after it; `forget` drops chosen entries, an action image named by its
+(generator, monomial) pair.  Entries are computed from immutable inputs and
+never mutated afterwards, and ids are taken under a lock, so concurrent
+readers are safe; at worst two threads briefly recompute the same value.
+A clear must not overlap an action in another thread.
 """
 
 from __future__ import annotations
 
 import gc
+import threading
 from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Iterable, Mapping
@@ -220,15 +235,53 @@ def weight_of(u: State):
 
 _ACT_CACHE: dict = {}
 
+# The id tables.  A monomial's id indexes its tuple, its head's generator id, its
+# tail's id and its census; a generator's id indexes it, its needs and its
+# insertions (mid -> the id of the monomial times it).  _BRACKETS holds
+# _pair_bracket on ids and _SLOTS each mode's place in a census.
+_ID_BITS = 32  # an action key is gid << _ID_BITS | mid; neither table gets near 2**32 ids
+_MONO_ID: dict = {}
+_MONOS: list = []
+_HEADS: list = []
+_TAILS: list = []
+_CENSUS: list = []
+_GEN_ID: dict = {}
+_GENS: list = []
+_NEEDS: list = []
+_INSERTS: list = []
+_BRACKETS: dict = {}
+_SLOTS: dict = {}
+_ID_TABLES = (_MONO_ID, _MONOS, _HEADS, _TAILS, _CENSUS, _GEN_ID, _GENS, _NEEDS, _INSERTS,
+              _BRACKETS, _SLOTS)
+_INTERN_LOCK = threading.Lock()
+
 
 def clear_action_cache():
+    """Empty the cache and the id tables; ids taken before must not be used after."""
     _ACT_CACHE.clear()
+    for table in _ID_TABLES:
+        table.clear()
 
 
 def forget(keys: Iterable):
-    """Drop the cached values under these keys, where there are any."""
+    """Drop the cached values under these keys, where there are any.
+
+    A (generator, monomial) key names that generator's action image.
+    """
     for key in keys:
-        _ACT_CACHE.pop(key, None)
+        if isinstance(key[0], Generator):
+            _forget_images(key[:1], key[1:])
+        else:
+            _ACT_CACHE.pop(key, None)
+
+
+def _forget_images(gens: Iterable, monos: Iterable):
+    """Drop the cached image of each generator on each monomial, translating each once."""
+    mids = [mid for mid in map(_MONO_ID.get, monos) if mid is not None]
+    for gid in map(_GEN_ID.get, gens):
+        if gid is not None:
+            for mid in mids:
+                _ACT_CACHE.pop(gid << _ID_BITS | mid, None)
 
 
 @contextmanager
@@ -249,95 +302,174 @@ def collector_paused():
             gc.enable()
 
 
-def _insert(mono: PBWMonomial, gen: Generator) -> PBWMonomial:
-    pos = bisect_left(mono, gen)
-    return mono[:pos] + (gen,) + mono[pos:]
+def _slot(k: int, l: int) -> int:
+    """The bit offset of the mode v_k(l)'s field in a census, taken at first sight."""
+    return _SLOTS.setdefault((k, l), 2 * len(_SLOTS))
+
+
+def _needs(gen: Generator):
+    """What gen needs of a monomial's census to act nonzero: (offset, copies) pairs, or None.
+
+    None for a zero mode; otherwise one pair per positive mode v_k(x): the
+    offset of v_k(-x) and the copies it must fill, two for v[i,i](x,x).  A
+    lowering gen needs nothing.
+    """
+    i, j, m, n = gen
+    if not (m and n):
+        return None
+    copies = 2 if (i, m) == (j, n) else 1
+    return tuple({_slot(k, -x): copies for k, x in ((i, m), (j, n)) if x > 0}.items())
+
+
+def _census(tail: int, head: Generator) -> int:
+    """The census of head times a monomial whose census is tail.
+
+    A census is an int with one two-bit field per mode v_k(l), at _slot(k,
+    l): how many factor slots hold the mode, both slots of each factor
+    counted, saturating at two, as no generator needs more.
+    """
+    for offset in (_slot(head.i, head.m), _slot(head.j, head.n)):
+        if (tail >> offset) & 3 < 2:
+            tail += 1 << offset
+    return tail
+
+
+def _gen_id(gen: Generator) -> int:
+    """The id of a canonical generator, taken at first sight."""
+    gid = _GEN_ID.get(gen)
+    if gid is None:
+        with _INTERN_LOCK:
+            gid = _GEN_ID.get(gen)
+            if gid is None:
+                gid = len(_GENS)
+                _GENS.append(gen)
+                _NEEDS.append(_needs(gen))
+                _INSERTS.append({})
+                _GEN_ID[gen] = gid
+    return gid
+
+
+def _mono_id(mono: PBWMonomial) -> int:
+    """The id of a basis monomial, taken at first sight with its head, tail and census."""
+    mid = _MONO_ID.get(mono)
+    if mid is None:
+        head = tail = None
+        if mono:
+            head, tail = _gen_id(mono[0]), _mono_id(mono[1:])
+            mono = (_GENS[head],) + _MONOS[tail]  # the interned factors, so equal ones are shared
+        with _INTERN_LOCK:
+            mid = _MONO_ID.get(mono)
+            if mid is None:
+                mid = len(_MONOS)
+                _MONOS.append(mono)
+                _HEADS.append(head)
+                _TAILS.append(tail)
+                _CENSUS.append(_census(_CENSUS[tail], mono[0]) if mono else 0)
+                _MONO_ID[mono] = mid
+    return mid
+
+
+def _insert_id(gid: int, mid: int) -> int:
+    """The id of the monomial times the lowering generator, by bisection at first sight."""
+    inserts = _INSERTS[gid]
+    found = inserts.get(mid)
+    if found is None:
+        mono, gen = _MONOS[mid], _GENS[gid]
+        pos = bisect_left(mono, gen)
+        found = inserts[mid] = _mono_id(mono[:pos] + (gen,) + mono[pos:])
+    return found
+
+
+def _bracket_id(gid: int, hid: int):
+    """_pair_bracket of two generators on ids: ((generator id, integer) pairs, const)."""
+    key = gid << _ID_BITS | hid
+    found = _BRACKETS.get(key)
+    if found is None:
+        terms, const = _pair_bracket(_GENS[gid], _GENS[hid])
+        found = _BRACKETS[key] = (tuple((_gen_id(g), c) for g, c in terms), const)
+    return found
 
 
 _EMPTY: dict = {}  # the one image of every action that grading kills; never mutated
 
 
-def _holds(mono: PBWMonomial, k: int, l: int, copies: int) -> bool:
-    """Whether at least copies factor slots of mono hold the mode v_k(l)."""
-    for fi, fj, fm, fn in mono:
-        copies -= (fm == l and fi == k) + (fn == l and fj == k)
-        if copies <= 0:
-            return True
-    return False
+def _act_id(gid: int, mid: int) -> dict:
+    """Action of one generator on one basis monomial, on ids: {monomial id: Scalar} (memoised).
 
-
-def _grading_kills(gen: Generator, mono: PBWMonomial) -> bool:
-    """Whether grading alone makes gen act as zero on mono.
-
-    It does when gen has a zero mode, or a positive mode v_k(x) with no
-    v_k(-x) for it among the modes of mono's factors, both slots of each
-    counted; v[i,i](x,x) needs two copies.  A lowering gen is never killed.
+    Lowering generators multiply in; anything else is commuted past the
+    head factor with the deformed bracket, whose integer form (terms, const)
+    from _pair_bracket adds r*const times the tail, and annihilates the
+    vacuum.  Before any lookup or recursion, a generator that grading kills
+    gets the shared empty image _EMPTY, which is not cached: v_k(0) is
+    central and kills the vacuum, and a positive mode v_k(x) commutes past
+    every mode but v_k(-x), so when the monomial's census has fewer copies
+    of v_k(-x) than the generator's needs ask, it reaches the vacuum and
+    kills it.  The recursion keeps its own vacuum case, so it stays exact
+    with a weaker grading test.  Callers must not mutate the returned dict.
     """
-    i, j, m, n = gen
-    if not (m and n):
-        return True
-    copies = 2 if (i, m) == (j, n) else 1
-    return (m > 0 and not _holds(mono, i, -m, copies)) or (
-        n > 0 and not _holds(mono, j, -n, copies)
-    )
-
-
-def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
-    """Action of one canonical generator on one basis monomial (memoised).
-
-    Lowering generators multiply in; anything else is commuted rightward
-    with the deformed bracket, whose integer form (terms, const) from
-    _pair_bracket adds r*const times the remaining factors, and annihilates
-    the vacuum.  Before any lookup or recursion, a generator that grading
-    kills (_grading_kills) gets the shared empty image _EMPTY, which is not
-    cached: v_k(0) is central and kills the vacuum, and a positive mode
-    v_k(x) commutes past every mode but v_k(-x), so with no such partner
-    left it reaches the vacuum and kills it.  The recursion keeps its own
-    vacuum case, so it stays exact with the grading test switched off.
-    Callers must not mutate the returned dict.
-    """
-    if _grading_kills(gen, mono):
+    needs = _NEEDS[gid]
+    if needs is None:
         return _EMPTY
-    key = (gen, mono)
+    if needs:
+        census = _CENSUS[mid]
+        for offset, copies in needs:
+            if (census >> offset) & 3 < copies:
+                return _EMPTY
+    key = gid << _ID_BITS | mid
     cached = _ACT_CACHE.get(key)
     if cached is not None:
         return cached
-    if gen.m < 0 and gen.n < 0:
-        result = {_insert(mono, gen): ONE}
-    elif not mono:
+    rest = _TAILS[mid]
+    if not needs:
+        result = {_insert_id(gid, mid): ONE}
+    elif rest is None:
         result = {}
     else:
-        head = mono[0]
-        rest = mono[1:]
-        acc: dict = {}
-        terms, const = _pair_bracket(gen, head)
+        head = _HEADS[mid]
+        result = {}
+        terms, const = _bracket_id(gid, head)
         for g2, c2 in terms:
-            for m2, s2 in _act_gen(g2, rest).items():
-                add_into(acc, m2, s2 * c2)
+            for m2, s2 in _act_id(g2, rest).items():
+                add_into(result, m2, s2 * c2)
         if const:
-            add_into(acc, rest, R * const)
-        for m2, s2 in _act_gen(gen, rest).items():
-            add_into(acc, _insert(m2, head), s2)
-        result = acc
+            add_into(result, rest, R * const)
+        for m2, s2 in _act_id(gid, rest).items():
+            add_into(result, _insert_id(head, m2), s2)
     _ACT_CACHE[key] = result
     return result
+
+
+def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
+    """Action of one canonical generator on one basis monomial, as {monomial: Scalar}.
+
+    The tuple-level entry point to _act_id: it interns both, and translates
+    the image back to monomials, in a new dict each call; an action that
+    grading kills returns the shared _EMPTY itself.
+    """
+    image = _act_id(_gen_id(gen), _mono_id(mono))
+    if image is _EMPTY:
+        return _EMPTY
+    return {_MONOS[m]: c for m, c in image.items()}
 
 
 def act(x, u: State) -> State:
     """Module action of an operator on a state.
 
     A Generator acts as a one-term operator; a LieElement acts term by
-    term, its UNIT term as a scalar.  The cached per-monomial images are
-    only read; an image whose combined coefficient is ONE is added unscaled.
+    term, its UNIT term as a scalar.  The sum is taken on monomial ids and
+    translated back to monomials once; the cached per-monomial images are
+    only read, and an image whose combined coefficient is ONE is added
+    unscaled.
     """
-    ops = _operator_parts(x)
+    ops = [(None if gen == UNIT else _gen_id(gen), cg) for gen, cg in _operator_parts(x)]
     acc: dict = {}
     for mono, cu in u.terms.items():
-        for gen, cg in ops:
-            image = {mono: ONE} if gen == UNIT else _act_gen(gen, mono)
+        mid = _mono_id(mono)
+        for gid, cg in ops:
+            image = {mid: ONE} if gid is None else _act_id(gid, mid)
             if image:
                 _add_scaled(acc, image, cu * cg)
-    return State._from_tidy(acc)
+    return State._from_tidy({_MONOS[m]: c for m, c in acc.items()})
 
 
 def _add_scaled(acc: dict, image: dict, coeff):

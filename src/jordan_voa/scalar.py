@@ -99,7 +99,10 @@ class Scalar(tuple):
             return a
         out = list(a)
         for k, c in enumerate(b):
-            out[k] += c
+            c += out[k]
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[k] = c
         return Scalar(out)
 
     __radd__ = __add__
@@ -162,7 +165,8 @@ class Scalar(tuple):
             if not other:
                 raise ZeroDivisionError("division of a polynomial by zero")
             inv = Fraction(1, 1) / other
-            return Scalar(tuple(c * inv for c in self))
+            out = [c * inv for c in self]
+            return Scalar([c.numerator if c.denominator == 1 else c for c in out])
         return NotImplemented
 
     def __eq__(self, other):

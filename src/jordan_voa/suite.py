@@ -18,8 +18,10 @@ from fractions import Fraction
 
 from .fock import (
     State,
-    _act_gen,
+    _act_id,
     _add_scaled,
+    _gen_id,
+    _mono_id,
     act,
     basis_monomials,
     clear_action_cache,
@@ -306,22 +308,23 @@ def check_diagonal_pair_bracket(config: SuiteConfig) -> CheckResult:
 
 
 def _action_rows(gens: list):
-    """mono -> mono's row [_act_gen(g, mono) for g in gens], each row built once."""
+    """Monomial id -> its row of id images [_act_id(g, mid) for g in gens], each row built once."""
+    gids = [_gen_id(g) for g in gens]
     rows: dict = {}
 
-    def row_of(mono):
-        row = rows.get(mono)
+    def row_of(mid):
+        row = rows.get(mid)
         if row is None:
-            row = rows[mono] = [_act_gen(g, mono) for g in gens]
+            row = rows[mid] = [_act_id(g, mid) for g in gids]
         return row
 
     return row_of
 
 
-def _representation_sides(a: int, b: int, xy, mono, u_row: list, x_terms: list, y_terms: list):
-    """x(y u) and y(x u) + [x, y] u as image dicts, for the generators x, y at positions a, b.
+def _representation_sides(a: int, b: int, xy, mid: int, u_row: list, x_terms: list, y_terms: list):
+    """x(y u) and y(x u) + [x, y] u as id images, for the generators x, y at positions a, b.
 
-    u is the basis monomial mono with coefficient one and u_row is its row.
+    u is the basis monomial of id mid with coefficient one and u_row is its row.
     x_terms and y_terms are the images x u and y u as (row, coefficient)
     pairs, one per term, each row that of the term's monomial.  xy is the
     _int_bracket_table entry of [x, y]: its generator part as (position,
@@ -333,7 +336,7 @@ def _representation_sides(a: int, b: int, xy, mono, u_row: list, x_terms: list, 
     for pos, c in terms:
         _add_scaled(rhs, u_row[pos], c)
     if const:
-        add_into(rhs, mono, R * const)
+        add_into(rhs, mid, R * const)
     for row, c in x_terms:
         if row[b]:
             _add_scaled(rhs, row[b], c)
@@ -350,8 +353,8 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     Exhaustive over canonical generator pairs within the index bound and
     every basis monomial u of bounded degree (d = 2).  Each u is one
     monomial with coefficient one, and both sides are composed from rows: a
-    monomial's row lists its _act_gen image under each generator, by
-    position in the generator list.  One row is built for u and for each
+    monomial's row lists its id image (fock._act_id) under each generator,
+    by position in the generator list.  One row is built for u and for each
     monomial that some image of u reaches, so composing y after x u reads
     row[b] of each term of x u, with no lookup per pair.  [x,y] comes from
     _int_bracket_table, the table check 1 proves antisymmetric and Jacobi:
@@ -370,7 +373,8 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     row_of = _action_rows(gens)
     checked = 0
     for mono in basis_monomials(degree_bound, 2):
-        u_row = row_of(mono)
+        mid = _mono_id(mono)
+        u_row = row_of(mid)
         terms = [[(row_of(m2), c) for m2, c in image.items()] for image in u_row]
         for a in range(count):
             x_terms = terms[a]
@@ -380,7 +384,7 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
                 xy = table[base + b]
                 if not (x_terms or terms[b] or xy[0] or xy[1]):
                     continue
-                lhs, rhs = _representation_sides(a, b, xy, mono, u_row, x_terms, terms[b])
+                lhs, rhs = _representation_sides(a, b, xy, mid, u_row, x_terms, terms[b])
                 if lhs != rhs:
                     u = State.from_monomial(mono)
                     failures.append(
@@ -721,8 +725,8 @@ def run_check(check, *args) -> CheckResult:
     """check(*args), timed; a check that raises fails with nothing checked.
 
     Checks are independent, so the action cache (fock._ACT_CACHE, which also
-    holds every apply image) is emptied first and no check's images outlive
-    the next check.  One cache persists from check to check,
+    holds every apply image) is emptied first, with fock's id tables, and
+    no check's images or ids outlive the next check.  One cache persists from check to check,
     liealg._pair_bracket: the battery's fixed scales bound it, and the
     benchmark reads its counters after a run, which emptying it would
     reset.  singular._MATRIX_CACHE is not left filled either: check 9's

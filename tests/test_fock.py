@@ -4,6 +4,9 @@ import gc
 import itertools
 import json
 import random
+import sys
+import threading
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -25,8 +28,9 @@ from jordan_voa.fock import (
     weight_space_basis,
     weights,
 )
-from jordan_voa.liealg import UNIT, Generator, bracket_r, canonical_generators, canonicalize
-from jordan_voa.scalar import R, Scalar
+from jordan_voa.liealg import (UNIT, Generator, LieElement, _pair_bracket, bracket_r,
+                               canonical_generators, canonicalize)
+from jordan_voa.scalar import ONE, R, Scalar, add_into
 
 VAC = State.vacuum()
 
@@ -265,10 +269,80 @@ def cold_cache():
     clear_action_cache()
 
 
+def cached_actions() -> dict:
+    """{(gen, mono): cache key} for every single-generator image in fock._ACT_CACHE.
+
+    The one place the tests read the layout of the cache's int keys; the
+    other keys, apply's and memo's, are tuples.
+    """
+    width = fock._ID_BITS
+    return {
+        (fock._GENS[key >> width], fock._MONOS[key & ((1 << width) - 1)]): key
+        for key in fock._ACT_CACHE
+        if isinstance(key, int)
+    }
+
+
+def on_monomials(image: dict) -> dict:
+    """An id image with its monomial ids translated back to monomials."""
+    return {fock._MONOS[m]: c for m, c in image.items()}
+
+
+def cached_images() -> dict:
+    """{(gen, mono): image} for every cached single-generator image, images on monomials."""
+    return {name: on_monomials(fock._ACT_CACHE[key]) for name, key in cached_actions().items()}
+
+
 def test_check_3_caches_no_constant_action(cold_cache):
     """Constants act as scalars in act; _act_gen, and so its cache, sees generators only."""
     assert suite.check_representation_property(suite.SuiteConfig(max_degree=2)).passed
-    assert fock._ACT_CACHE and all(key[0] != UNIT for key in fock._ACT_CACHE)
+    names = cached_actions()
+    assert names and len(names) == len(fock._ACT_CACHE)
+    assert all(isinstance(gen, Generator) and gen != UNIT for gen, _ in names)
+
+
+def _insert(mono, gen):
+    pos = bisect_left(mono, gen)
+    return mono[:pos] + (gen,) + mono[pos:]
+
+
+def _reference_act(gen, mono, memo):
+    """The plain head/rest recursion on tuples, with no grading test: the oracle of _act_gen."""
+    key = (gen, mono)
+    if key in memo:
+        return memo[key]
+    if gen.m < 0 and gen.n < 0:
+        result = {_insert(mono, gen): ONE}
+    elif not mono:
+        result = {}
+    else:
+        head, rest = mono[0], mono[1:]
+        result = {}
+        terms, const = _pair_bracket(gen, head)
+        for g2, c2 in terms:
+            for m2, s2 in _reference_act(g2, rest, memo).items():
+                add_into(result, m2, s2 * c2)
+        if const:
+            add_into(result, rest, R * const)
+        for m2, s2 in _reference_act(gen, rest, memo).items():
+            add_into(result, _insert(m2, head), s2)
+    memo[key] = result
+    return result
+
+
+def _reference_kills(gen, mono):
+    """The grading test by scanning mono's factor slots: a zero mode, or a positive mode
+    v_k(x) with fewer copies of v_k(-x) than it needs (two for v[i,i](x,x))."""
+    i, j, m, n = gen
+    if not (m and n):
+        return True
+    copies = 2 if (i, m) == (j, n) else 1
+
+    def holds(k, l):
+        slots = sum((fm == l and fi == k) + (fn == l and fj == k) for fi, fj, fm, fn in mono)
+        return slots >= copies
+
+    return (m > 0 and not holds(i, -m)) or (n > 0 and not holds(j, -n))
 
 
 def _images(gens, monos):
@@ -277,11 +351,9 @@ def _images(gens, monos):
     return {(g, m): fock._act_gen(g, m) for m in monos for g in gens}
 
 
-def _without_grading(monkeypatch, gens, monos):
-    """The same images from the full head/rest recursion, the grading test disabled."""
-    with monkeypatch.context() as patch:
-        patch.setattr(fock, "_grading_kills", lambda gen, mono: False)
-        return _images(gens, monos)
+def _reference_images(gens, monos):
+    memo: dict = {}
+    return {(g, m): _reference_act(g, m, memo) for m in monos for g in gens}
 
 
 @pytest.mark.parametrize(
@@ -289,29 +361,94 @@ def _without_grading(monkeypatch, gens, monos):
     [(4, 6, 2, 15903, 10736), (3, 4, 3, 12012, 8694)],
 )
 def test_grading_settles_images_the_recursion_computes_as_zero(
-    monkeypatch, cold_cache, bound, max_degree, d, pairs, settled
+    cold_cache, bound, max_degree, d, pairs, settled
 ):
     gens = canonical_generators(bound, d)
     monos = basis_monomials(max_degree, d)
     fast = _images(gens, monos)
     assert len(fast) == pairs
-    killed = [key for key in fast if fock._grading_kills(*key)]
+    killed = [key for key in fast if fast[key] is fock._EMPTY]
     assert len(killed) == settled
-    assert all(fast[key] is fock._EMPTY for key in killed)
-    assert fast == _without_grading(monkeypatch, gens, monos)
+    assert killed == [key for key in fast if _reference_kills(*key)]
+    assert fast == _reference_images(gens, monos)
 
 
-def test_a_grading_test_on_first_slots_fails_the_oracle_and_check_3(monkeypatch, cold_cache):
-    def first_slots_only(mono, k, l, copies):
-        return sum(fi == k and fm == l for fi, _, fm, _ in mono) >= copies
-
-    monkeypatch.setattr(fock, "_holds", first_slots_only)
+def _assert_fails_the_oracle_and_check_3():
     res = suite.check_representation_property(suite.SuiteConfig(d=2, max_degree=2, samples=0))
     assert not res.passed
     assert res.failures and all(f.startswith("action disagrees") for f in res.failures)
     gens = canonical_generators(4, 2)
     monos = basis_monomials(6, 2)
-    assert _images(gens, monos) != _without_grading(monkeypatch, gens, monos)
+    assert _images(gens, monos) != _reference_images(gens, monos)
+
+
+def _census_counting(slots):
+    """A census builder that counts the slots slots(head) of each head factor."""
+
+    def census(tail, head):
+        for offset in slots(head):
+            if (tail >> offset) & 3 < 2:
+                tail += 1 << offset
+        return tail
+
+    return census
+
+
+def test_a_grading_test_on_first_slots_fails_the_oracle_and_check_3(monkeypatch, cold_cache):
+    monkeypatch.setattr(fock, "_census", _census_counting(lambda g: [fock._slot(g.i, g.m)]))
+    _assert_fails_the_oracle_and_check_3()
+
+
+def test_a_census_with_one_copy_of_a_diagonal_factor_fails_the_oracle_and_check_3(
+    monkeypatch, cold_cache
+):
+    """A census that counts a factor's slots as a set holds one copy of v_i(-x) for
+    v[i,i](-x,-x), so it kills v[i,i](x,x), which needs two."""
+    monkeypatch.setattr(
+        fock, "_census", _census_counting(lambda g: {fock._slot(g.i, g.m), fock._slot(g.j, g.n)})
+    )
+    _assert_fails_the_oracle_and_check_3()
+
+
+def test_a_state_built_before_a_clear_acts_alike_after_it(cold_cache):
+    """Clearing empties the id tables; a State keeps monomials, so new ids serve it."""
+    u = lowering_state((1, 1, -1, -1), (1, 2, -1, -2)) + lowering_state((2, 2, -3, -1)).scale(R)
+    x = gen_elem(1, 1, 1, 1) + gen_elem(1, 2, 1, 2).scale(R) + gen_elem(2, 2, -1, -1)
+    x = x + LieElement.constant(R)
+    before = act(x, u), act_word([x, x], u)
+    ids = {mono: fock._mono_id(mono) for mono in u.terms}
+    clear_action_cache()
+    assert not fock._ACT_CACHE and not any(fock._ID_TABLES)
+    act(gen_elem(2, 2, -2, -2), lowering_state((1, 2, -3, -1)))  # other monomials take ids first
+    assert (act(x, u), act_word([x, x], u)) == before
+    assert {mono: fock._mono_id(mono) for mono in u.terms} != ids
+
+
+def test_threads_acting_from_a_cold_cache_share_one_id_per_monomial(cold_cache):
+    """Taking an id is check-then-act on the shared tables, so it runs under a lock."""
+    gens = canonical_generators(2, 2)
+    states = [State.from_monomial(m) for m in basis_monomials(5, 2)]
+    expected = [[act(g, u) for g in gens] for u in states]
+    clear_action_cache()
+    results = {}
+
+    def work(k):
+        results[k] = [[act(g, u) for g in gens] for u in states]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results[k] for k in range(6)] == [expected] * 6
+    assert len(fock._MONO_ID) == len(fock._MONOS) and len(fock._GEN_ID) == len(fock._GENS)
+    assert all(fock._MONO_ID[mono] == mid for mid, mono in enumerate(fock._MONOS))
 
 
 def test_cross_oscillator_generators_kill_restricted_module():

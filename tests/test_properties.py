@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -177,6 +178,31 @@ def test_product_by_a_bare_number_is_the_product_by_its_constant(s, k):
     for product in (s * k, k * s):
         assert product == expected
         assert [type(c) for c in product] == [type(c) for c in expected]
+
+
+def _integral_as_int(c):
+    return c.numerator if c.denominator == 1 else c
+
+
+normalised_scalars = st.lists(numbers.map(_integral_as_int), max_size=4).map(Scalar)
+
+
+@PROFILE
+@given(normalised_scalars, normalised_scalars, st.lists(integers, max_size=4), numbers.filter(bool))
+def test_sums_and_quotients_store_integral_coefficients_as_ints(s, t, n, k):
+    """On coefficients stored as ints where integral, s + t and s / k store theirs so too.
+
+    complement is n - s, so s + complement is the int polynomial n.
+    """
+    complement = Scalar(_integral_as_int(Fraction(m) - c)
+                        for m, c in zip_longest(n, s, fillvalue=0))
+    expected_sum = Scalar(_integral_as_int(Fraction(a) + b)
+                          for a, b in zip_longest(s, t, fillvalue=0))
+    expected_quotient = Scalar(_integral_as_int(Fraction(c) / k) for c in s)
+    for value, expected in ((s + t, expected_sum), (t + s, expected_sum),
+                            (s + complement, Scalar(n)), (s / k, expected_quotient)):
+        assert value == expected
+        assert [type(c) for c in value] == [type(c) for c in expected]
 
 
 def _same_scalar(value, expected):

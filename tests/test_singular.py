@@ -30,6 +30,7 @@ from jordan_voa.singular import (
     singular_sweep,
     verify_det_lemmas,
 )
+from test_fock import cached_actions
 
 VAC = State.vacuum()
 
@@ -376,9 +377,8 @@ def test_sweep_releases_each_weights_matrix_minor_and_top_level_images():
     try:
         singular_sweep(range(-3, 4), 12)
         assert not singular._MATRIX_CACHE
-        keys = list(fock._ACT_CACHE)
-        assert not [key for key in keys if key[0] == "minor"]
-        degrees = {monomial_degree(mono) for gen, mono in keys if isinstance(gen, Generator)}
+        assert not [key for key in fock._ACT_CACHE if isinstance(key, tuple) and key[0] == "minor"]
+        degrees = {monomial_degree(mono) for gen, mono in cached_actions()}
         assert 12 not in degrees
         assert degrees and max(degrees) == 10  # the lower-weight images stay
     finally:

@@ -28,6 +28,7 @@ from jordan_voa.liealg import (
 )
 from jordan_voa.scalar import R, Scalar
 from jordan_voa.suite import SuiteConfig
+from test_fock import cached_actions, cached_images, on_monomials
 
 SMALL = SuiteConfig(d=2, max_degree=2, samples=0)
 
@@ -281,17 +282,18 @@ def test_representation_sides_match_the_state_action():
     row_of = suite._action_rows(gens)
     for mono in fock.basis_monomials(4, 2):  # degree 4 has two-factor monomials
         u = State.from_monomial(mono)
-        u_row = row_of(mono)
+        mid = fock._mono_id(mono)
+        u_row = row_of(mid)
         terms = [[(row_of(m2), c) for m2, c in image.items()] for image in u_row]
         for a, x in enumerate(gens):
             for b in range(a, count):
                 y = gens[b]
                 xy = bracket_r(x, y)
                 lhs, rhs = suite._representation_sides(
-                    a, b, table[a * count + b], mono, u_row, terms[a], terms[b]
+                    a, b, table[a * count + b], mid, u_row, terms[a], terms[b]
                 )
-                assert lhs == act(x, act(y, u)).terms, (x, y, mono)
-                assert rhs == (act(y, act(x, u)) + act(xy, u)).terms, (x, y, mono)
+                assert on_monomials(lhs) == act(x, act(y, u)).terms, (x, y, mono)
+                assert on_monomials(rhs) == (act(y, act(x, u)) + act(xy, u)).terms, (x, y, mono)
 
 
 def test_check_3_composes_every_pair_with_a_nonzero_piece(monkeypatch):
@@ -300,9 +302,9 @@ def test_check_3_composes_every_pair_with_a_nonzero_piece(monkeypatch):
     original = suite._representation_sides
     gens = canonical_generators(suite.REP_INDEX_BOUND, 2)
 
-    def spy(a, b, xy, mono, u_row, x_terms, y_terms):
-        composed.append((mono, gens[a], gens[b]))
-        return original(a, b, xy, mono, u_row, x_terms, y_terms)
+    def spy(a, b, xy, mid, u_row, x_terms, y_terms):
+        composed.append((fock._MONOS[mid], gens[a], gens[b]))
+        return original(a, b, xy, mid, u_row, x_terms, y_terms)
 
     monkeypatch.setattr(suite, "_representation_sides", spy)
     res = suite.check_representation_property(SMALL)
@@ -352,11 +354,11 @@ def test_the_shared_empty_image_stays_empty_through_the_suite():
 
 def test_check_3_leaves_every_cached_image_unchanged():
     suite.check_representation_property(SMALL)
-    snapshot = {key: dict(image) for key, image in fock._ACT_CACHE.items()}
-    assert snapshot
+    snapshot = cached_images()
+    assert snapshot and len(snapshot) == len(fock._ACT_CACHE)
     res = suite.check_representation_property(SMALL)
     assert res.passed
-    assert {key: dict(image) for key, image in fock._ACT_CACHE.items()} == snapshot
+    assert cached_images() == snapshot
     # and every image is what a cold cache computes
     clear_action_cache()
     for (gen, mono), image in snapshot.items():
@@ -371,9 +373,9 @@ def test_check_3_leaves_every_cached_image_unchanged():
 def test_check_3_fails_when_one_cached_image_is_wrong(wrong):
     gen = Generator(1, 1, 1, 1)
     mono = (Generator(1, 1, -1, -1),)
-    image = fock._act_gen(gen, mono)
-    assert image
-    fock._ACT_CACHE[(gen, mono)] = wrong(image)
+    assert fock._act_gen(gen, mono)
+    key = cached_actions()[(gen, mono)]
+    fock._ACT_CACHE[key] = wrong(fock._ACT_CACHE[key])
     _assert_only_action_fails(suite.check_representation_property(SMALL))
 
 
@@ -391,6 +393,20 @@ def test_run_check_runs_the_check_with_the_collector_paused():
     assert suite.run_check(probe, SMALL).passed
     assert seen == [False]
     assert gc.isenabled()
+
+
+def test_each_check_starts_with_empty_id_tables():
+    seen = []
+
+    def probe(config):
+        seen.append([len(table) for table in fock._ID_TABLES])
+        act(Generator(1, 1, 1, 1), State.from_monomial((Generator(1, 1, -1, -1),)))
+        return suite.CheckResult("probe", 1)
+
+    act(Generator(1, 2, -1, -1), State.vacuum())
+    assert all(res.passed for res in (suite.run_check(probe, SMALL), suite.run_check(probe, SMALL)))
+    assert seen == [[0] * len(fock._ID_TABLES)] * 2
+    assert all(fock._ID_TABLES[:3])  # the probe took ids, so the zeros come from clearing them
 
 
 def test_run_check_restores_the_collector_when_the_check_raises():
