@@ -53,6 +53,11 @@ DET_POWER_MAX_P = max(p for p in range(1, DET_POWER_DEGREE_BOUND + 1)
 # included (the table and its check at d = 12: 0.6 s in process).
 VIRASORO_MAX_D = 4
 GRIESS_MAX_D = 8
+# singular-check reads all d*(d+1)/2 index pairs up to --d, though each --d >= 2 gives the
+# same answer without --strict-mixed.  As a process on a 2-vCPU x86-64 host, --p 7 --nu 1
+# --d 1000 takes 6.4 s and 198 MB (--d 1: 6.5 s; --strict-mixed at --d 1000: 7.7 s and
+# 209 MB, at --d 2: 7.4 s), and --p 1 --nu 1 --d 4000 takes 2.2 s.
+SINGULAR_CHECK_MAX_D = 1000
 # The largest degree a --state may have: act-L on a degree-1000 state takes at most 0.3 s on
 # the same host (on the degree-200000 v[1,1](-100000,-100000): 2.2 s and 116 MB).
 STATE_MAX_DEGREE = 1000
@@ -388,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "fails for p >= 2)")
     p.add_argument("--r", type=_parse_r, default=None,
                    help="parameter value (default: the certification value 1-2*nu+p)")
-    _flags(p, "d")
+    _flags(p, "d", ranges={"d": (1, SINGULAR_CHECK_MAX_D)})
     p.set_defaults(func=_cmd_singular_check, d=1)
 
     p = sub.add_parser("singular-sweep", help="kernel search over all weights")

@@ -37,10 +37,11 @@ single-generator action under the int key gid << 32 | mid, and any
 operator extended linearly by `apply` under (key, monomial), where the key
 is a tagged tuple such as ("L", i, j, m).  `clear_action_cache` empties it
 together with the id tables, so an id taken before a clear means nothing
-after it; `forget` drops chosen entries, an action image named by its
-(generator, monomial) pair.  Entries are computed from immutable inputs and
-never mutated afterwards, and ids are taken under a lock, so concurrent
-readers are safe; at worst two threads briefly recompute the same value.
+after it.  `forget` drops chosen `memo` entries by key, and
+_forget_images the images of chosen generators on chosen monomials.
+Entries are computed from immutable inputs and never mutated afterwards,
+and ids are taken under a lock, so concurrent readers are safe; at worst
+two threads briefly recompute the same value.
 A clear must not overlap an action in another thread.
 """
 
@@ -264,15 +265,9 @@ def clear_action_cache():
 
 
 def forget(keys: Iterable):
-    """Drop the cached values under these keys, where there are any.
-
-    A (generator, monomial) key names that generator's action image.
-    """
+    """Drop the values memo cached under these keys, where there are any."""
     for key in keys:
-        if isinstance(key[0], Generator):
-            _forget_images(key[:1], key[1:])
-        else:
-            _ACT_CACHE.pop(key, None)
+        _ACT_CACHE.pop(key, None)
 
 
 def _forget_images(gens: Iterable, monos: Iterable):

@@ -5,16 +5,19 @@ The building blocks are modes v_i(m) of d independent oscillators obeying
 set to 1.  A Generator is the quadratic element v[i,j](m,n) = v_i(m) v_j(n)
 of the mode algebra; the canonical basis consists of v[i,j](m,n) with i < j
 (any m, n) together with v[i,i](m,n) with m <= n.  Rewriting an arbitrary
-quadratic into that basis can emit an additive constant, e.g.
-v[i,i](m,-m) = v[i,i](-m,m) + m for m > 0.
+quadratic into that basis takes at most one swap, XY = YX + [X, Y], which
+can emit an additive constant, e.g. v[i,i](m,-m) = v[i,i](-m,m) + m for
+m > 0; _normal_order is that rule.
 
 The span of the canonical generators plus constants is closed under the
 commutator.  A LieElement is one such combination; its constant is the
 coefficient of UNIT, the empty word of modes, which acts as the identity.
 Scaling the constant part of a commutator by the parameter r gives the
 deformed bracket, bracket_r; beneath it _pair_bracket keeps the integer
-form, integer structure constants and the integer coefficient of r.  All
-values are immutable and all functions are pure, so everything is thread-safe.
+form, integer structure constants and the integer coefficient of r, in
+closed form: four mode contractions, each times a normal-ordered product.
+All values are immutable and all functions are pure, so everything is
+thread-safe.
 """
 
 from __future__ import annotations
@@ -77,25 +80,22 @@ def _validate_index(value: int, d: int | None):
         raise ValueError(f"oscillator index {value} out of range 1..{top}")
 
 
-def _straighten(word, coeff, out):
-    """Accumulate coeff times the normal form of a product of modes.
-
-    A word is a tuple of (index, mode) pairs; the normal form sorts pairs
-    weakly increasingly, picking up contraction terms from each swap.
-    """
-    for pos in range(len(word) - 1):
-        x = word[pos]
-        y = word[pos + 1]
-        if x > y:
-            swapped = word[:pos] + (y, x) + word[pos + 2 :]
-            _straighten(swapped, coeff, out)
-            if x[0] == y[0] and x[1] + y[1] == 0:
-                _straighten(word[:pos] + word[pos + 2 :], coeff * x[1], out)
-            return
-    out[word] = out.get(word, 0) + coeff
-
-
 UNIT = ()  # the empty word of modes: the identity, sorting before every Generator
+
+
+def _contraction(x, y) -> int:
+    """[X, Y] = delta_{i,j} delta_{m+n,0} m for modes x = (i, m), y = (j, n)."""
+    return x[1] if x[0] == y[0] and x[1] + y[1] == 0 else 0
+
+
+def _normal_order(x, y):
+    """The product XY of modes x, y in normal order: (canonical generator, integer constant).
+
+    XY is canonical when x <= y; otherwise XY = YX + [X, Y], one swap.
+    """
+    if x <= y:
+        return Generator(x[0], y[0], x[1], y[1]), 0
+    return Generator(y[0], x[0], y[1], x[1]), _contraction(x, y)
 
 
 class LieElement(Combination):
@@ -127,20 +127,11 @@ class LieElement(Combination):
 
 
 def canonicalize(i: int, j: int, m: int, n: int, d: int | None = None) -> LieElement:
-    """Rewrite a raw quadruple v[i,j](m,n) into the canonical basis.
-
-    At most one swap is needed: v[i,j](m,n) stays when (i, m) <= (j, n),
-    else it is v[j,i](n,m), plus the constant m from
-    v[i,i](m,-m) = v[i,i](-m,m) + m when i = j and m + n = 0.
-    """
+    """Rewrite a raw quadruple v[i,j](m,n) into the canonical basis by _normal_order."""
     _validate_index(i, d)
     _validate_index(j, d)
-    if (i, m) <= (j, n):
-        return LieElement({Generator(i, j, m, n): 1})
-    terms = {Generator(j, i, n, m): 1}
-    if i == j and m + n == 0:
-        terms[UNIT] = m
-    return LieElement(terms)
+    gen, const = _normal_order((i, m), (j, n))
+    return LieElement({gen: 1, UNIT: const} if const else {gen: 1})
 
 
 def _partner_modes(g: Generator) -> list:
@@ -148,37 +139,31 @@ def _partner_modes(g: Generator) -> list:
     return [(k, -x) for k, x in ((g.i, g.m), (g.j, g.n)) if x]
 
 
-def _contracts(g: Generator, h: Generator) -> bool:
-    """Whether a mode of h is a partner mode of g (_partner_modes).
-
-    Every other pair of modes commutes, so [g, h] = 0 when this is false.
-    The relation is symmetric.
-    """
-    h_modes = ((h.i, h.m), (h.j, h.n))
-    return any(mode in h_modes for mode in _partner_modes(g))
-
-
 @lru_cache(maxsize=None)
 def _pair_bracket(g: Generator, h: Generator):
-    """Deformed bracket [g, h]_r of canonical generators via normal ordering.
+    """Deformed bracket [g, h]_r of canonical generators in closed form.
 
     Returns the integer form (terms, const): (generator, integer) pairs, and
-    the commutator's integer constant, which the bracket scales by r.  The
-    quartic parts of g h and h g cancel, leaving a quadratic plus a constant.
-    A pair that does not contract is ((), 0) at once, without straightening.
+    the commutator's integer constant, which the bracket scales by r.  With
+    g = AB and h = CD as products of modes,
+
+        [AB, CD] = [B,C] AD + [B,D] AC + [A,C] DB + [A,D] CB,
+
+    each product normal-ordered by _normal_order.  A pair whose bracket is
+    zero, every pair that does not contract among them, gets the one shared
+    ((), 0).
     """
-    if not _contracts(g, h):
-        return (), 0
-    out: dict = {}
-    wg = ((g.i, g.m), (g.j, g.n))
-    wh = ((h.i, h.m), (h.j, h.n))
-    _straighten(wg + wh, 1, out)
-    _straighten(wh + wg, -1, out)
-    const = out.pop((), 0)
-    words = [(word, coeff) for word, coeff in out.items() if coeff]
-    if any(len(word) == 4 for word, _ in words):
-        raise AssertionError("quartic terms must cancel in a commutator")
-    return tuple((Generator(wi, wj, wm, wn), c) for ((wi, wm), (wj, wn)), c in words), const
+    a, b, c, d = (g.i, g.m), (g.j, g.n), (h.i, h.m), (h.j, h.n)
+    acc: dict = {}
+    const = 0
+    for scalar, x, y in ((_contraction(b, c), a, d), (_contraction(b, d), a, c),
+                         (_contraction(a, c), d, b), (_contraction(a, d), c, b)):
+        if scalar:
+            gen, shift = _normal_order(x, y)
+            acc[gen] = acc.get(gen, 0) + scalar
+            const += scalar * shift
+    terms = tuple((gen, coeff) for gen, coeff in acc.items() if coeff)
+    return (terms, const) if terms or const else ((), 0)
 
 
 def _operator_parts(x):

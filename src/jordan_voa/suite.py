@@ -153,9 +153,10 @@ def _int_bracket_table(gens: list):
     Entry (a, b) holds the (terms, const) of [gens[a], gens[b]]_r, with each
     generator in terms given by its index in gens.  Two quadratics can have
     a nonzero bracket only if they contract: a mode v_k(x), x != 0, of one
-    meets v_k(-x) in the other (liealg._contracts).  So _pair_bracket runs
-    only for the pairs where the generator at b carries one of
-    _partner_modes(gens[a]); every other entry is ((), 0).
+    meets v_k(-x) in the other; else all four contractions of _pair_bracket's
+    closed form vanish.  So _pair_bracket runs only for the pairs where the
+    generator at b carries one of _partner_modes(gens[a]); every other
+    entry is ((), 0).
     Checks 1 and 3 both read their brackets from this table.
     """
     index = {g: pos for pos, g in enumerate(gens)}

@@ -252,6 +252,9 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     (["vertex-mode", "--i", "1", "--j", "2", "--m", "-1", "--n", "-1", "--l", "-301"], "--l"),
     (["vertex-mode", "--i", "1", "--j", "2", "--m", "-1", "--n", "-1", "--l", "301"], "--l"),
     (["vertex-mode", "--i", "1", "--j", "2", "--m", "-3000", "--n", "-3000", "--l", "0"], "--m"),
+    # one beyond cli.SINGULAR_CHECK_MAX_D, and the 29.7 s input that motivated the bound
+    (["singular-check", "--p", "1", "--nu", "1", "--d", "1001"], "--d"),
+    (["singular-check", "--p", "1", "--nu", "1", "--d", "16000"], "--d"),
 ])
 def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
     # parse only: nothing runs, so no suite and no worker pool can start
@@ -259,6 +262,12 @@ def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
         cli.build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_singular_check_d_at_the_bound_parses():
+    # parse only, as above: the check at the bound is not run here
+    args = cli.build_parser().parse_args(["singular-check", "--p", "1", "--nu", "1", "--d", "1000"])
+    assert args.d == 1000 and cli.SINGULAR_CHECK_MAX_D == 1000
 
 
 def test_vertex_mode_modes_at_the_bound_parse():

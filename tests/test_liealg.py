@@ -1,4 +1,9 @@
-"""Canonicalization and the deformed bracket."""
+"""Canonicalization and the deformed bracket.
+
+_straighten and _contracts are the independent reference: a general
+recursive normal ordering of mode words, and the contraction test, against
+which the one-swap canonicalize and the closed-form _pair_bracket are checked.
+"""
 
 import itertools
 import random
@@ -9,15 +14,42 @@ from jordan_voa.liealg import (
     UNIT,
     Generator,
     LieElement,
-    _contracts,
     _pair_bracket,
-    _straighten,
+    _partner_modes,
     bracket_r,
     canonical_generators,
     canonicalize,
     parse_generator_literal,
 )
 from jordan_voa.scalar import R
+
+
+def _straighten(word, coeff, out):
+    """Accumulate coeff times the normal form of a product of modes.
+
+    A word is a tuple of (index, mode) pairs; the normal form sorts pairs
+    weakly increasingly, picking up contraction terms from each swap.
+    """
+    for pos in range(len(word) - 1):
+        x = word[pos]
+        y = word[pos + 1]
+        if x > y:
+            swapped = word[:pos] + (y, x) + word[pos + 2 :]
+            _straighten(swapped, coeff, out)
+            if x[0] == y[0] and x[1] + y[1] == 0:
+                _straighten(word[:pos] + word[pos + 2 :], coeff * x[1], out)
+            return
+    out[word] = out.get(word, 0) + coeff
+
+
+def _contracts(g, h, partner_modes=_partner_modes):
+    """Whether a mode of h is one of partner_modes(g).
+
+    With liealg._partner_modes, every other pair of modes commutes, so
+    [g, h] = 0 when this is false; the relation is symmetric.
+    """
+    h_modes = ((h.i, h.m), (h.j, h.n))
+    return any(mode in h_modes for mode in partner_modes(g))
 
 
 def gen_elem(i, j, m, n):
@@ -275,22 +307,58 @@ def _straightened_commutator(g, h):
     return {word: c for word, c in out.items() if c}
 
 
-def _shortcut_misses(contracts, gens):
-    """The ordered pairs that contracts rules out although their commutator is nonzero."""
+def _shortcut_misses(partner_modes, gens):
+    """The ordered pairs a partner-mode rule skips although their commutator is nonzero."""
     return [
         (g, h) for g in gens for h in gens
-        if not contracts(g, h) and _straightened_commutator(g, h)
+        if not _contracts(g, h, partner_modes) and _straightened_commutator(g, h)
     ]
 
 
 def test_pairs_that_do_not_contract_commute():
+    """_partner_modes, the rule suite._int_bracket_table skips pairs by, skips only zero brackets."""
     gens = canonical_generators(3, 3)
-    assert _shortcut_misses(_contracts, gens) == []
+    assert _shortcut_misses(_partner_modes, gens) == []
 
-    # a test on the first slots alone misses brackets, v[i,i](-x,x) ones among them
-    def first_slots_only(g, h):
-        return bool(g.m) and (g.i, -g.m) == (h.i, h.m)
+    # a rule on the first slots alone misses brackets, v[i,i](-x,x) ones among them
+    def first_slots_only(g):
+        return [(g.i, -g.m)] if g.m else []
 
     missed = _shortcut_misses(first_slots_only, gens)
     assert missed
     assert any(g.i == g.j and g.m == -g.n != 0 for g, _ in missed)
+
+
+def _contracting_pairs(gens):
+    """The ordered pairs (g, h) of gens that contract, found through each mode's holders."""
+    holders: dict = {}
+    for h in gens:
+        for mode in ((h.i, h.m), (h.j, h.n)):
+            holders.setdefault(mode, []).append(h)
+    return [(g, h) for g in gens
+            for h in dict.fromkeys(h for mode in _partner_modes(g) for h in holders.get(mode, ()))]
+
+
+def test_closed_form_matches_the_straightened_commutator():
+    """Every contracting pair at check 1's sampled scale (bound 6, d = 3), as int dicts."""
+    pairs = _contracting_pairs(canonical_generators(6, 3))
+    assert len(pairs) == 54126
+    for g, h in pairs:
+        expected = _straightened_commutator(g, h)
+        const = expected.pop((), 0)
+        terms, got_const = _pair_bracket(g, h)
+        assert dict(terms) == {
+            Generator(wi, wj, wm, wn): c for ((wi, wm), (wj, wn)), c in expected.items()
+        }, (g, h)
+        assert got_const == const, (g, h)
+        assert all(type(c) is int for _, c in terms) and type(got_const) is int, (g, h)
+
+
+def test_pairs_that_do_not_contract_share_one_zero_bracket():
+    """Each cached non-contracting pair holds the one ((), 0), not a tuple of its own."""
+    gens = canonical_generators(3, 3)
+    zero = _pair_bracket(Generator(1, 1, -1, -1), Generator(2, 2, -1, -1))
+    assert zero == ((), 0)
+    skipped = [(g, h) for g in gens for h in gens if not _contracts(g, h)]
+    assert len(skipped) == 45576
+    assert all(_pair_bracket(g, h) is zero for g, h in skipped)
