@@ -27,15 +27,23 @@ among its factor slots, computed once; a generator gets an id with its
 needs, the census its positive modes ask for.  _act_id runs the head/tail
 recursion on ids: the grading test reads the census, and the insertion of
 a factor and _pair_bracket are memoised on ids.  Its images map monomial
-ids to Scalars.  Ids stay inside this module and the two loops that read
-id images directly, check 3's rows (suite) and the search matrix
-(singular): act translates each sum back to monomials once, and _act_gen
-is the tuple-level entry point, so a State keeps tuple keys.
+ids to coefficients in Z[r]: a constant is a plain int, the rest are
+degree-1 Scalars with int coefficients.
+
+Operators act on ids too: act_ids applies an operator's id form (_op_ids)
+to a sum on monomial ids, {mid: coefficient}.  act translates into ids
+once and back once (_state_of), which wraps every coefficient in a Scalar
+with its integral coefficients ints and can divide the sum by one int:
+virops keeps its mode sums doubled and its oracle an integer multiple, and
+divides there.  Ids stay inside this module, virops, check 3's rows (suite)
+and the search matrix (singular); a State keeps tuple keys, and _act_gen is
+the tuple-level entry point to _act_id.
 
 One cache memoises every operator that acts monomial by monomial: the
-single-generator action under the int key gid << 32 | mid, and any
-operator extended linearly by `apply` under (key, monomial), where the key
-is a tagged tuple such as ("L", i, j, m).  `clear_action_cache` empties it
+single-generator action under the int key gid << 32 | mid, and `memo`'s
+entries under tuple keys: virops' per-monomial id images under (key, mid),
+where the key names the operator, such as ("L", i, j, m), its operator id
+forms per degree, and singular's minors.  `clear_action_cache` empties it
 together with the id tables, so an id taken before a clear means nothing
 after it.  `forget` drops chosen `memo` entries by key, and
 _forget_images the images of chosen generators on chosen monomials.
@@ -51,10 +59,11 @@ import gc
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .liealg import UNIT, Generator, _operator_parts, _pair_bracket
-from .scalar import ONE, R, ZERO, Combination, add_into, parse_scalar
+from .scalar import ONE, R, ZERO, Combination, Scalar, parse_scalar
 
 __all__ = [
     "MIXED",
@@ -66,7 +75,6 @@ __all__ = [
     "monomial_weight",
     "act",
     "act_word",
-    "apply",
     "memo",
     "degree_of",
     "weight_of",
@@ -388,19 +396,54 @@ def _bracket_id(gid: int, hid: int):
 _EMPTY: dict = {}  # the one image of every action that grading kills; never mutated
 
 
+def _plain(coeff: Scalar):
+    """A Scalar as an id coefficient: an integral constant becomes an int."""
+    return coeff[0] if len(coeff) == 1 and type(coeff[0]) is int else coeff
+
+
+def _add(acc: dict, mid: int, coeff):
+    """Add a nonzero coeff to acc[mid] in place, dropping mid if it cancels.
+
+    A Scalar total that comes out constant and integral is stored as an int,
+    so a sum of id images stays in Z[r] with its constants plain ints.
+    """
+    cur = acc.get(mid)
+    if cur is None:
+        acc[mid] = coeff
+        return
+    total = cur + coeff
+    if type(total) is not int and len(total) < 2:
+        total = _plain(total) if total else 0
+    if total:
+        acc[mid] = total
+    else:
+        del acc[mid]
+
+
+def _add_scaled(acc: dict, image: dict, coeff):
+    """Add coeff times an id image into acc; under the int coefficient 1 image goes in unscaled."""
+    if type(coeff) is int and coeff == 1:
+        for m2, s2 in image.items():
+            _add(acc, m2, s2)
+    else:
+        for m2, s2 in image.items():
+            _add(acc, m2, s2 * coeff)
+
+
 def _act_id(gid: int, mid: int) -> dict:
-    """Action of one generator on one basis monomial, on ids: {monomial id: Scalar} (memoised).
+    """Action of one generator on one basis monomial, on ids: {monomial id: coefficient} (memoised).
 
     Lowering generators multiply in; anything else is commuted past the
     head factor with the deformed bracket, whose integer form (terms, const)
     from _pair_bracket adds r*const times the tail, and annihilates the
-    vacuum.  Before any lookup or recursion, a generator that grading kills
-    gets the shared empty image _EMPTY, which is not cached: v_k(0) is
-    central and kills the vacuum, and a positive mode v_k(x) commutes past
-    every mode but v_k(-x), so when the monomial's census has fewer copies
-    of v_k(-x) than the generator's needs ask, it reaches the vacuum and
-    kills it.  The recursion keeps its own vacuum case, so it stays exact
-    with a weaker grading test.  Callers must not mutate the returned dict.
+    vacuum.  Every coefficient lies in Z + Z*r.  Before any lookup or
+    recursion, a generator that grading kills gets the shared empty image
+    _EMPTY, which is not cached: v_k(0) is central and kills the vacuum, and
+    a positive mode v_k(x) commutes past every mode but v_k(-x), so when the
+    monomial's census has fewer copies of v_k(-x) than the generator's needs
+    ask, it reaches the vacuum and kills it.  The recursion keeps its own
+    vacuum case, so it stays exact with a weaker grading test.  Callers must
+    not mutate the returned dict.
     """
     needs = _NEEDS[gid]
     if needs is None:
@@ -416,7 +459,7 @@ def _act_id(gid: int, mid: int) -> dict:
         return cached
     rest = _TAILS[mid]
     if not needs:
-        result = {_insert_id(gid, mid): ONE}
+        result = {_insert_id(gid, mid): 1}
     elif rest is None:
         result = {}
     else:
@@ -425,13 +468,39 @@ def _act_id(gid: int, mid: int) -> dict:
         terms, const = _bracket_id(gid, head)
         for g2, c2 in terms:
             for m2, s2 in _act_id(g2, rest).items():
-                add_into(result, m2, s2 * c2)
+                _add(result, m2, s2 * c2)
         if const:
-            add_into(result, rest, R * const)
+            _add(result, rest, R * const)
         for m2, s2 in _act_id(gid, rest).items():
-            add_into(result, _insert_id(head, m2), s2)
+            _add(result, _insert_id(head, m2), s2)
     _ACT_CACHE[key] = result
     return result
+
+
+def _op_ids(x) -> tuple:
+    """An operator's id form: (generator id, coefficient) pairs, None for its UNIT term."""
+    return tuple((None if gen == UNIT else _gen_id(gen), _plain(c)) for gen, c in _operator_parts(x))
+
+
+def _ids_of(u: State) -> dict:
+    """A state on monomial ids, its integral constants as ints: the way into act_ids."""
+    return {_mono_id(mono): _plain(c) for mono, c in u.terms.items()}
+
+
+def _state_of(vec: dict, divisor: int = 1) -> State:
+    """The State of an id sum divided by a nonzero int: the way back, one division per term.
+
+    Every coefficient comes back a Scalar whose integral coefficients are ints.
+    """
+    terms = {}
+    for mid, c in vec.items():
+        if type(c) is int:
+            q, rem = divmod(c, divisor)
+            c = tuple.__new__(Scalar, (Fraction(c, divisor) if rem else q,))
+        elif divisor != 1 or not all(type(x) is int for x in c):
+            c = c / divisor  # Scalar division turns an integral Fraction into an int
+        terms[_MONOS[mid]] = c
+    return State._from_tidy(terms)
 
 
 def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
@@ -444,37 +513,39 @@ def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
     image = _act_id(_gen_id(gen), _mono_id(mono))
     if image is _EMPTY:
         return _EMPTY
-    return {_MONOS[m]: c for m, c in image.items()}
+    return _state_of(image).terms
+
+
+def act_ids(ops, vec: dict) -> dict:
+    """An operator in id form (_op_ids) applied to a sum on monomial ids, as a new id sum.
+
+    The cached per-monomial images are only read; the UNIT term, whose id is
+    None, acts as a scalar.
+    """
+    acc: dict = {}
+    for mid, cu in vec.items():
+        for gid, cg in ops:
+            coeff = cu * cg
+            if type(coeff) is not int:
+                coeff = _plain(coeff)
+            if gid is None:
+                _add(acc, mid, coeff)
+            else:
+                image = _act_id(gid, mid)
+                if image:
+                    _add_scaled(acc, image, coeff)
+    return acc
 
 
 def act(x, u: State) -> State:
     """Module action of an operator on a state.
 
     A Generator acts as a one-term operator; a LieElement acts term by
-    term, its UNIT term as a scalar.  The sum is taken on monomial ids and
-    translated back to monomials once; the cached per-monomial images are
-    only read, and an image whose combined coefficient is ONE is added
-    unscaled.
+    term, its UNIT term as a scalar.  The state and the operator are
+    translated to ids once, act_ids sums on ids, and the sum is translated
+    back to monomials once.
     """
-    ops = [(None if gen == UNIT else _gen_id(gen), cg) for gen, cg in _operator_parts(x)]
-    acc: dict = {}
-    for mono, cu in u.terms.items():
-        mid = _mono_id(mono)
-        for gid, cg in ops:
-            image = {mid: ONE} if gid is None else _act_id(gid, mid)
-            if image:
-                _add_scaled(acc, image, cu * cg)
-    return State._from_tidy({_MONOS[m]: c for m, c in acc.items()})
-
-
-def _add_scaled(acc: dict, image: dict, coeff):
-    """Add coeff times image into acc; under coefficient ONE image goes in unscaled."""
-    if coeff is ONE:
-        for m2, s2 in image.items():
-            add_into(acc, m2, s2)
-    else:
-        for m2, s2 in image.items():
-            add_into(acc, m2, s2 * coeff)
+    return _state_of(act_ids(_op_ids(x), _ids_of(u)))
 
 
 def memo(key, compute, *args):
@@ -486,19 +557,6 @@ def memo(key, compute, *args):
     if value is None:
         value = _ACT_CACHE[key] = compute(*args)
     return value
-
-
-def apply(key, image, u: State) -> State:
-    """Extend a per-monomial operator linearly over a state.
-
-    image(mono) returns the operator's image of one basis monomial as a
-    dict from monomial to nonzero Scalar; it is memoised under (key, mono),
-    so key must name the operator uniquely and must not be a Generator.
-    """
-    acc: dict = {}
-    for mono, cu in u.terms.items():
-        _add_scaled(acc, memo((key, mono), image, mono), cu)
-    return State._from_tidy(acc)
 
 
 def act_word(xs: Iterable, u: State) -> State:

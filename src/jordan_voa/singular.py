@@ -352,7 +352,9 @@ def _search_matrix(lam: Weight):
     one subspace, with one reduced-echelon basis.  singular_search still
     re-certifies each kernel vector against the whole family by is_singular.
     The images are read as id images (fock._act_id); each generator's rows
-    are its targets, sorted by monomial.
+    are its targets, sorted by monomial.  The entries are kept as the
+    images hold them, ints and Scalars: _at specialises either, and the
+    elimination over Q[r] takes an int as a constant polynomial.
     """
     cached = _MATRIX_CACHE.get(lam)
     if cached is not None:
@@ -365,10 +367,15 @@ def _search_matrix(lam: Weight):
             gid = _gen_id(gen)
             images = [_act_id(gid, mid) for mid in mids]
             for target in sorted({m for img in images for m in img}, key=_MONOS.__getitem__):
-                rows.append([img.get(target, ZERO) for img in images])
+                rows.append([img.get(target, 0) for img in images])
     result = (basis, rows)
     _MATRIX_CACHE[lam] = result
     return result
+
+
+def _at(entry, r0):
+    """A matrix entry, an int or a Scalar, at the parameter value r0."""
+    return entry if type(entry) is int else entry.evaluate(r0)
 
 
 def _generic_minor(rows, ncols: int) -> Scalar:
@@ -383,12 +390,12 @@ def _generic_minor(rows, ncols: int) -> Scalar:
     minor) the whole matrix is.  The minor is the last pivot of that
     fraction-free elimination: up to sign, the determinant of its pivot rows.
     """
-    at_star = [_cleared([c.evaluate(R_STAR) for c in row]) for row in rows]
+    at_star = [_cleared([_at(c, R_STAR) for c in row]) for row in rows]
     _, chosen, _ = fraction_free_rref(list(zip(*at_star)), len(rows), operator.floordiv)
     if len(chosen) == ncols:
         rows = [rows[k] for k in chosen]
     vectors, last = _nullspace(rows, ncols, poly_exact_div, ONE)
-    return ZERO if vectors else last
+    return ZERO if vectors else Scalar.of(last)
 
 
 def singular_search(lam: Weight, r0) -> KernelReport:
@@ -416,7 +423,7 @@ def singular_search(lam: Weight, r0) -> KernelReport:
     if r0 == GENERIC:
         vectors = kernel_basis_poly(rows, len(basis))
     else:
-        vectors = kernel_basis([[c.evaluate(r0) for c in row] for row in rows], len(basis))
+        vectors = kernel_basis([[_at(c, r0) for c in row] for row in rows], len(basis))
     states = []
     for vec in vectors:
         vec = [Scalar.of(entry) for entry in vec]

@@ -726,12 +726,14 @@ def run_check(check, *args) -> CheckResult:
     """check(*args), timed; a check that raises fails with nothing checked.
 
     Checks are independent, so the action cache (fock._ACT_CACHE, which also
-    holds every apply image) is emptied first, with fock's id tables, and
-    no check's images or ids outlive the next check.  One cache persists from check to check,
-    liealg._pair_bracket: the battery's fixed scales bound it, and the
-    benchmark reads its counters after a run, which emptying it would
-    reset.  singular._MATRIX_CACHE is not left filled either: check 9's
-    sweep releases each weight's matrix once the weight is searched.
+    holds every memo entry: the mode-sum and recursion images of virops on
+    monomial ids, and the operators' id forms) is emptied first, with fock's
+    id tables, and no check's images or ids outlive the next check.  One
+    cache persists from check to check, liealg._pair_bracket: the battery's
+    fixed scales bound it, and the benchmark reads its counters after a run,
+    which emptying it would reset.  singular._MATRIX_CACHE is not left
+    filled either: check 9's sweep releases each weight's matrix once the
+    weight is searched.
 
     The check runs under fock.collector_paused.  That is safe: the caches
     are acyclic and a check makes no cyclic garbage, so reference counting

@@ -20,12 +20,15 @@ which the probe below measures directly.
 
 Mode sums and closed-form vertex modes are elements of the Lie algebra of
 quadratic elements, and they are built as such: each operator, truncated to
-its window, becomes one LieElement and reaches a state through fock.act.
-Mode sums and the recursion oracle act monomial by monomial through
-fock.apply, which memoises each image per monomial.  The truncated mode-sum
-and closed-form vertex operators are memoised per degree beside them,
-through fock.memo.  The recursion oracle only ever calls act_L, so it stays
-independent of the binomial formula.
+its window, becomes one LieElement, memoised per degree in its id form
+(fock._op_ids) through fock.memo, and acts on monomial ids through
+fock.act_ids.  A mode sum is kept doubled, as 2 L[i,j](m), whose
+coefficients are all integers, so its images lie in Z[r]; each image is
+memoised per monomial id under (key, mid).  act_L, act_L_total and the
+Virasoro probe divide once, on the way back to a State.  The recursion
+oracle carries an integer multiple U = c(m, n) V of the vertex mode V and
+divides by c(m, n) once at the end; it calls only the mode-sum layer, so it
+stays independent of the binomial formula.
 """
 
 from __future__ import annotations
@@ -33,7 +36,19 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .fock import MIXED, State, act, apply, degree_of, memo, monomial_degree
+from .fock import (
+    _MONOS,
+    MIXED,
+    State,
+    _add_scaled,
+    _ids_of,
+    _op_ids,
+    _state_of,
+    act_ids,
+    degree_of,
+    memo,
+    monomial_degree,
+)
 from .liealg import LieElement, _validate_index, canonicalize
 from .scalar import R, add_into, fraction_free_rref
 
@@ -48,14 +63,11 @@ __all__ = [
     "virasoro_central_term",
 ]
 
-HALF = Fraction(1, 2)
-
 
 def _degree(u: State) -> int:
     """The degree of a nonzero homogeneous state; a mixed one is rejected.
 
-    A one-term state, such as each per-monomial image of the recursion
-    oracle, is homogeneous and is read off its monomial.
+    A one-term state is homogeneous and is read off its monomial.
     """
     if len(u.terms) == 1:
         return monomial_degree(next(iter(u.terms)))
@@ -80,16 +92,40 @@ def _lie_sum(summands) -> LieElement:
 
 
 def _mode_sum(pairs, m: int, depth: int) -> LieElement:
-    """The sum of L[i,j](m) over the index pairs, truncated for degree depth, as one operator."""
+    """Twice the sum of L[i,j](m) over the index pairs, truncated for degree depth, as one operator.
+
+    Doubled, every coefficient is an integer.
+    """
     lo, hi = _window(m, depth)
     summands = []
     for i, j in pairs:
         if i == j and m == 0:
-            summands.append((HALF, (i, i, 0, 0)))
-            summands += [(1, (i, i, -h, h)) for h in range(max(lo, 1), hi + 1)]
+            summands.append((1, (i, i, 0, 0)))
+            summands += [(2, (i, i, -h, h)) for h in range(max(lo, 1), hi + 1)]
         else:
-            summands += [(HALF, (i, j, m - h, h)) for h in range(lo, hi + 1)]
+            summands += [(1, (i, j, m - h, h)) for h in range(lo, hi + 1)]
     return _lie_sum(summands)
+
+
+def _on_ids(key, image, vec: dict, *args) -> dict:
+    """An operator on a sum on monomial ids, from its images image(*args, mid) of single
+    basis monomials, each memoised under (key, mid); key must name the operator uniquely."""
+    acc: dict = {}
+    for mid, c in vec.items():
+        _add_scaled(acc, memo((key, mid), image, *args, mid), c)
+    return acc
+
+
+def _mode_sum_image(pairs, m: int, mid: int) -> dict:
+    """2 L(m), summed over the index pairs, on the basis monomial of id mid."""
+    depth = monomial_degree(_MONOS[mid])
+    ops = memo(("Lop", pairs, m, depth), lambda: _op_ids(_mode_sum(pairs, m, depth)))
+    return act_ids(ops, {mid: 1})
+
+
+def _mode_sum_ids(key, pairs, m: int, vec: dict) -> dict:
+    """2 L(m), summed over the index pairs, on a homogeneous sum on monomial ids."""
+    return _on_ids(key, _mode_sum_image, vec, pairs, m)
 
 
 def _apply_mode_sum(key, pairs, m: int, u: State) -> State:
@@ -97,13 +133,7 @@ def _apply_mode_sum(key, pairs, m: int, u: State) -> State:
     if u.is_zero():
         return u
     _degree(u)
-
-    def image(mono):
-        depth = monomial_degree(mono)
-        op = memo(("Lop", pairs, m, depth), _mode_sum, pairs, m, depth)
-        return act(op, State.from_monomial(mono)).terms
-
-    return apply(key, image, u)
+    return _state_of(_mode_sum_ids(key, pairs, m, _ids_of(u)), 2)
 
 
 def act_L(i: int, j: int, m: int, u: State, d: int | None = None) -> State:
@@ -113,10 +143,13 @@ def act_L(i: int, j: int, m: int, u: State, d: int | None = None) -> State:
     return _apply_mode_sum(("L", i, j, m), ((i, j),), m, u)
 
 
+def _diagonal(d: int) -> tuple:
+    return tuple((i, i) for i in range(1, d + 1))
+
+
 def act_L_total(m: int, u: State, d: int) -> State:
     """Sum of the diagonal mode operators: the full Virasoro mode of weight m."""
-    pairs = tuple((i, i) for i in range(1, d + 1))
-    return _apply_mode_sum(("Lsum", m, d), pairs, m, u)
+    return _apply_mode_sum(("Lsum", m, d), _diagonal(d), m, u)
 
 
 def binom(a: int, k: int) -> int:
@@ -144,8 +177,9 @@ def vertex_mode(i: int, j: int, m: int, n: int, l: int, u: State, d: int | None 
     if u.is_zero():
         return u
     depth = _degree(u)
-    op = memo(("Vop", i, j, m, n, l, depth), _vertex_operator, i, j, m, n, l, depth)
-    return act(op, u)
+    ops = memo(("Vop", i, j, m, n, l, depth),
+               lambda: _op_ids(_vertex_operator(i, j, m, n, l, depth)))
+    return _state_of(act_ids(ops, _ids_of(u)))
 
 
 def _vertex_operator(i: int, j: int, m: int, n: int, l: int, depth: int) -> LieElement:
@@ -160,34 +194,57 @@ def _vertex_operator(i: int, j: int, m: int, n: int, l: int, depth: int) -> LieE
     return _lie_sum(summands)
 
 
+def _multiple(m: int, n: int) -> int:
+    """c(m, n): the oracle's U(m, n) is c(m, n) times the vertex mode of v[i,j](m,n).
+
+    U(-1, -1) is the mode itself; U(m, n) = [2 L[i,i](-1), U(m+1, n)] is
+    2(-m-1) c(m+1, n) times it, and the slot swap U(-1, n) = U(n, -1), with
+    the indices swapped, takes c(n, -1).
+    """
+    if m == -1:
+        return 1 if n == -1 else _multiple(n, -1)
+    return 2 * (-m - 1) * _multiple(m + 1, n)
+
+
+def _recursion_image(i: int, j: int, m: int, n: int, l: int, mid: int) -> dict:
+    """U(m, n) = [2 L[i,i](-1), U(m+1, n)] of the oracle on the basis monomial of id mid, m < -1."""
+
+    def shift(vec):  # 2 L[i,i](-1)
+        return _mode_sum_ids(("L", i, i, -1), ((i, i),), -1, vec)
+
+    acc = shift(_recursion_ids(i, j, m + 1, n, l, {mid: 1}))
+    _add_scaled(acc, _recursion_ids(i, j, m + 1, n, l, shift({mid: 1})), -1)
+    return acc
+
+
+def _recursion_ids(i: int, j: int, m: int, n: int, l: int, vec: dict) -> dict:
+    """U(m, n) of the oracle on a homogeneous sum on monomial ids."""
+    if m == -1 and n < -1:
+        i, j, m, n = j, i, n, m
+    if m == -1:
+        return _mode_sum_ids(("L", i, j, l - 1), ((i, j),), l - 1, vec)  # U(-1, -1)
+    return _on_ids(("V", i, j, m, n, l), _recursion_image, vec, i, j, m, n, l)
+
+
 def vertex_mode_by_recursion(i: int, j: int, m: int, n: int, l: int, u: State) -> State:
     """Independent vertex-mode oracle built from commutators with L[i,i](-1).
 
-    Base case: the mode of v[i,j](-1,-1) is twice the mode sum L[i,j](l-1).
-    Each unit decrease of m costs one commutator with L[i,i](-1) and a
-    factor 1/(-m-1); decreases of n are handled by swapping the two slots.
-    The recursion runs on one basis monomial at a time, and each image is
-    memoised through fock.apply, so no (mode, monomial) pair is expanded twice.
+    It runs on monomial ids, on the integer multiple U = c(m, n) V of the
+    mode V: U(-1, -1) = 2 L[i,j](l-1), each unit decrease of m is one
+    commutator U(m, n) = [2 L[i,i](-1), U(m+1, n)], and decreases of n swap
+    the two slots.  The sum is divided by c(m, n) once, on the way back to
+    a State.  Each image is memoised per monomial, so no (mode, monomial)
+    pair is expanded twice.  Only the mode sums are called, never the
+    binomial formula.
     """
     if i == j:
         raise ValueError("vertex modes are defined for distinct oscillator indices")
     if m >= 0 or n >= 0:
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
-    if m == -1 and n < -1:
-        return vertex_mode_by_recursion(j, i, n, m, l, u)
     if u.is_zero():
         return u
     _degree(u)
-
-    def image(mono):
-        v = State.from_monomial(mono)
-        if m == -1:
-            return act_L(i, j, l - 1, v).scale(2).terms
-        inner = vertex_mode_by_recursion(i, j, m + 1, n, l, v)
-        right = vertex_mode_by_recursion(i, j, m + 1, n, l, act_L(i, i, -1, v))
-        return (act_L(i, i, -1, inner) - right).scale(Fraction(1, -m - 1)).terms
-
-    return apply(("V", i, j, m, n, l), image, u)
+    return _state_of(_recursion_ids(i, j, m, n, l, _ids_of(u)), _multiple(m, n))
 
 
 def binomial_matrix_det(L: int, M: int) -> Fraction:
@@ -205,12 +262,23 @@ def virasoro_bracket_probe(m: int, n: int, u: State, d: int) -> State:
     """Measure [L(m), L(n)] - (m - n) L(m+n) on a homogeneous state.
 
     By the Virasoro relation with central charge d*r this must equal
-    delta_{m+n,0} (m^3 - m)/12 * d*r times the input.
+    delta_{m+n,0} (m^3 - m)/12 * d*r times the input.  The three images
+    are summed on ids as 4 times the probe, from the doubled mode sums, and
+    divided once.
     """
-    left = act_L_total(m, act_L_total(n, u, d), d)
-    right = act_L_total(n, act_L_total(m, u, d), d)
-    linear = act_L_total(m + n, u, d)
-    return left - right - linear.scale(m - n)
+    if u.is_zero():
+        return u
+    _degree(u)
+    pairs, vec = _diagonal(d), _ids_of(u)
+
+    def total(k, v):  # 2 L(k)
+        return _mode_sum_ids(("Lsum", k, d), pairs, k, v)
+
+    acc = total(m, total(n, vec))
+    _add_scaled(acc, total(n, total(m, vec)), -1)
+    if m != n:
+        _add_scaled(acc, total(m + n, vec), -2 * (m - n))
+    return _state_of(acc, 4)
 
 
 def virasoro_central_term(m: int, n: int, u: State, d: int) -> State:

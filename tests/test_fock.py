@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordan_voa import fock, suite
+from jordan_voa import fock, suite, virops
 from jordan_voa.fock import (
     MIXED,
     State,
@@ -273,7 +273,9 @@ def cached_actions() -> dict:
     """{(gen, mono): cache key} for every single-generator image in fock._ACT_CACHE.
 
     The one place the tests read the layout of the cache's int keys; the
-    other keys, apply's and memo's, are tuples.
+    other keys are memo's tuples: (operator key, monomial id) for virops'
+    per-monomial id images, and tagged tuples such as ("Lop", ...) and
+    ("minor", lam) for operator id forms and minors.
     """
     width = fock._ID_BITS
     return {
@@ -424,16 +426,12 @@ def test_a_state_built_before_a_clear_acts_alike_after_it(cold_cache):
     assert {mono: fock._mono_id(mono) for mono in u.terms} != ids
 
 
-def test_threads_acting_from_a_cold_cache_share_one_id_per_monomial(cold_cache):
-    """Taking an id is check-then-act on the shared tables, so it runs under a lock."""
-    gens = canonical_generators(2, 2)
-    states = [State.from_monomial(m) for m in basis_monomials(5, 2)]
-    expected = [[act(g, u) for g in gens] for u in states]
-    clear_action_cache()
+def _in_six_threads(run) -> list:
+    """run() in 6 threads at once, with the switch interval shortened: their results in order."""
     results = {}
 
     def work(k):
-        results[k] = [[act(g, u) for g in gens] for u in states]
+        results[k] = run()
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
     interval = sys.getswitchinterval()
@@ -446,9 +444,110 @@ def test_threads_acting_from_a_cold_cache_share_one_id_per_monomial(cold_cache):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert [results[k] for k in range(6)] == [expected] * 6
+    return [results[k] for k in range(6)]
+
+
+def test_threads_acting_from_a_cold_cache_share_one_id_per_monomial(cold_cache):
+    """Taking an id is check-then-act on the shared tables, so it runs under a lock."""
+    gens = canonical_generators(2, 2)
+    states = [State.from_monomial(m) for m in basis_monomials(5, 2)]
+    expected = [[act(g, u) for g in gens] for u in states]
+    clear_action_cache()
+    assert _in_six_threads(lambda: [[act(g, u) for g in gens] for u in states]) == [expected] * 6
     assert len(fock._MONO_ID) == len(fock._MONOS) and len(fock._GEN_ID) == len(fock._GENS)
     assert all(fock._MONO_ID[mono] == mid for mid, mono in enumerate(fock._MONOS))
+
+
+def test_threads_running_mode_sums_and_the_oracle_from_a_cold_cache_agree(cold_cache):
+    """The per-monomial memo entries and the operators' id forms are filled concurrently."""
+    states = [State.from_monomial(m) for m in basis_monomials(4, 2)]
+
+    def run():
+        out = []
+        for u in states:
+            out += [virops.act_L(1, 2, m, u) for m in (-2, -1, 0, 1)]
+            out += [virops.act_L(1, 1, 0, u), virops.act_L(2, 2, -1, u)]
+            out += [virops.vertex_mode_by_recursion(i, j, m, n, l, u)
+                    for i, j in ((1, 2), (2, 1)) for m, n in ((-1, -1), (-2, -1), (-3, -2))
+                    for l in (-1, 1)]
+        return out
+
+    expected = run()
+    assert any(not v.is_zero() for v in expected)
+    clear_action_cache()
+    assert _in_six_threads(run) == [expected] * 6
+
+
+# -- coefficients on ids and at the State boundary ----------------------
+
+
+def _bad_id_coefficients() -> list:
+    """Cached id image coefficients that are neither an int nor a degree-1 Scalar with int
+    coefficients.  The id images are the cache's dicts: the single-generator images under
+    int keys, and virops' per-monomial mode-sum and recursion images under (key, mid)."""
+    images = [value for value in fock._ACT_CACHE.values() if isinstance(value, dict)]
+    assert images
+    return [
+        c for image in images for c in image.values()
+        if not (type(c) is int
+                or (type(c) is Scalar and len(c) == 2 and all(type(x) is int for x in c)))
+    ]
+
+
+def _bad_returned_coefficients(states: list) -> list:
+    """Coefficients of the states that are not a Scalar with its integral coefficients ints."""
+    coeffs = [c for u in states for c in u.terms.values()]
+    assert coeffs
+    return [
+        c for c in coeffs
+        if type(c) is not Scalar or any(type(x) is not int and x.denominator == 1 for x in c)
+    ]
+
+
+def _boundary_values() -> list:
+    """What act, act_L, act_L_total, vertex_mode and the recursion oracle return on
+    small states, some with Fraction and r coefficients."""
+    states = [State.from_monomial(m) for m in basis_monomials(3, 2)]
+    states += [states[-1].scale(Fraction(1, 2)) + states[-2].scale(R + Fraction(3, 2))]
+    x = gen_elem(1, 1, 1, 1).scale(Fraction(1, 2)) + gen_elem(1, 2, -1, -1)
+    x = x + gen_elem(2, 2, 1, 2).scale(R) + LieElement.constant(2)
+    out = []
+    for u in states:
+        out += [act(x, u), act(gen_elem(1, 2, 2, -1), u)]
+        out += [virops.act_L(i, j, m, u) for i, j in ((1, 2), (1, 1)) for m in (-1, 0, 1)]
+        out += [virops.act_L_total(m, u, 2) for m in (-2, 0, 2)]
+        out += [virops.vertex_mode(1, 2, -2, -1, l, u) for l in (-1, 1)]
+        out += [virops.vertex_mode_by_recursion(2, 1, -1, -3, l, u) for l in (-1, 1)]
+    return out
+
+
+@pytest.mark.parametrize("check", [
+    suite.check_representation_property,
+    suite.check_vertex_mode_formula,
+    suite.check_virasoro_central_charge,
+])
+def test_checks_cache_id_images_in_z_r(cold_cache, check):
+    """Checks 3, 5 and 10 at max_degree 2 leave every cached coefficient an int or in Z*r + Z."""
+    assert check(suite.SuiteConfig(max_degree=2)).passed
+    assert _bad_id_coefficients() == []
+
+
+def test_every_returned_coefficient_is_a_scalar_with_int_integral_coefficients(cold_cache):
+    assert _bad_returned_coefficients(_boundary_values()) == []
+    assert _bad_id_coefficients() == []
+
+
+def test_a_translation_back_that_skips_the_wrap_is_seen(monkeypatch, cold_cache):
+    """A _state_of that leaves each constant bare: the values are equal, the types are not."""
+    wrapped = fock._state_of
+
+    def unwrapped(vec, divisor=1):
+        terms = wrapped(vec, divisor).terms
+        return State._from_tidy({mono: c[0] if len(c) == 1 else c for mono, c in terms.items()})
+
+    monkeypatch.setattr(fock, "_state_of", unwrapped)
+    monkeypatch.setattr(virops, "_state_of", unwrapped)
+    assert _bad_returned_coefficients(_boundary_values())
 
 
 def test_cross_oscillator_generators_kill_restricted_module():

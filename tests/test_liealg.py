@@ -236,11 +236,23 @@ def _mode_commutator(x, y):
     return x[1] if x[0] == y[0] and x[1] + y[1] == 0 else 0
 
 
+def _straightened_product(x, y, scalar):
+    """scalar times the product of modes x, y, normal-ordered by _straighten, as a LieElement."""
+    out: dict = {}
+    _straighten((x, y), scalar, out)
+    return LieElement({
+        (Generator(word[0][0], word[1][0], word[0][1], word[1][1]) if word else UNIT): coeff
+        for word, coeff in out.items()
+    })
+
+
 def _leibniz_bracket(g, h):
-    """[ab, cd]_r from the Leibniz rule on the four modes, independent of normal ordering.
+    """[ab, cd]_r from the Leibniz rule on the four modes, independent of liealg's normal ordering.
 
     [ab, cd] = [b,c] ad + [b,d] ac + [a,c] db + [a,d] cb, each product
-    canonicalized; then the constant is scaled by r.
+    normal-ordered by the test-local _straighten, not by canonicalize, which
+    shares liealg._normal_order with _pair_bracket; then the constant is
+    scaled by r.
     """
     a, b, c, d = (g.i, g.m), (g.j, g.n), (h.i, h.m), (h.j, h.n)
     total = LieElement()
@@ -251,7 +263,7 @@ def _leibniz_bracket(g, h):
         (_mode_commutator(a, d), (c, b)),
     ):
         if scalar:
-            total = total + canonicalize(x[0], y[0], x[1], y[1]).scale(scalar)
+            total = total + _straightened_product(x, y, scalar)
     const = total.coefficient(UNIT)
     return total + LieElement.constant(const * R - const)
 

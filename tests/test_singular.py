@@ -15,6 +15,7 @@ from jordan_voa.scalar import ONE, R, ZERO, Scalar, _poly_divmod, poly_exact_div
 from jordan_voa.singular import (
     GENERIC,
     R_STAR,
+    _at,
     _generic_minor,
     _search_matrix,
     certification_r,
@@ -427,8 +428,8 @@ def test_pruned_search_matrix_equals_the_unpruned_build():
         full = _unpruned_search_matrix(lam)[1]
         assert kernel_basis_poly(rows, len(basis)) == kernel_basis_poly(full, len(basis)), lam
         for r0 in r_values:
-            got = kernel_basis([[c.evaluate(r0) for c in row] for row in rows], len(basis))
-            want = kernel_basis([[c.evaluate(r0) for c in row] for row in full], len(basis))
+            got = kernel_basis([[_at(c, r0) for c in row] for row in rows], len(basis))
+            want = kernel_basis([[_at(c, r0) for c in row] for row in full], len(basis))
             assert got == want, (lam, r0)
 
 
@@ -503,7 +504,7 @@ def _eliminated_search(lam, r0):
     basis, rows = _search_matrix(lam)
     if not basis:
         return 0, 0, []
-    vectors = kernel_basis([[c.evaluate(r0) for c in row] for row in rows], len(basis))
+    vectors = kernel_basis([[_at(c, r0) for c in row] for row in rows], len(basis))
     states = []
     for vec in vectors:
         lead = next(c for c in vec if c)
@@ -618,7 +619,7 @@ def test_a_singular_vector_at_r0_makes_the_minor_vanish_there():
             continue
         minor = _generic_minor(rows, len(basis))
         for r0 in r_values:
-            if kernel_basis([[c.evaluate(r0) for c in row] for row in rows], len(basis)):
+            if kernel_basis([[_at(c, r0) for c in row] for row in rows], len(basis)):
                 kernels += 1
                 assert minor.evaluate(r0) == 0, (lam, r0, minor)
     assert kernels == 5
