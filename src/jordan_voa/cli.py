@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -59,7 +60,9 @@ GRIESS_MAX_D = 8
 # 209 MB, at --d 2: 7.4 s), and --p 1 --nu 1 --d 4000 takes 2.2 s.
 SINGULAR_CHECK_MAX_D = 1000
 # The largest degree a --state may have: act-L on a degree-1000 state takes at most 0.3 s on
-# the same host (on the degree-200000 v[1,1](-100000,-100000): 2.2 s and 116 MB).
+# the same host (on the degree-200000 v[1,1](-100000,-100000): 2.2 s and 116 MB).  It bounds
+# each state act passes through and weight-basis's weight too: at most 500 factors a monomial,
+# each one recursion level where monomials are interned and weights paired up.
 STATE_MAX_DEGREE = 1000
 # The largest |--m|, |--n| and |--l| of vertex-mode: --m -300 --n -300 --l -300 takes 0.13 s on
 # the vacuum and at most 0.6 s on a degree-1000 state, in process on the same host (the vacuum
@@ -69,15 +72,24 @@ VERTEX_MODE_MAX = 300
 # --rmin -20 --rmax 20 --max-degree 20 takes 3.1 s and 48 MB (--output json: 4.0 s, 116 MB);
 # at --max-degree 18, 1.7 s and 34 MB (--output json: 2.2 s, 75 MB).
 SWEEP_MAX_R_SPAN = 40
+# The longest --r value, a rational like 1/2 or a decimal like 1.5.  Exponent notation is
+# refused: Fraction("1e30000000") alone builds a 30-million-digit power of ten (68 s).
+R_MAX_LENGTH = 100
+_R_RE = re.compile(r"[-+]?(\d+(/\d+)?|\d*\.\d+)")
 
 
 def _parse_r(text: str):
     if text == GENERIC:
         return GENERIC
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse parameter value {text!r}") from exc
+    squeezed = text.strip()
+    if len(squeezed) <= R_MAX_LENGTH and _R_RE.fullmatch(squeezed):
+        try:
+            return Fraction(squeezed)
+        except ZeroDivisionError:
+            pass
+    raise argparse.ArgumentTypeError(
+        f"cannot parse parameter value {text!r}: expected a rational like 1/2 or a decimal "
+        f"like 1.5, of at most {R_MAX_LENGTH} characters")
 
 
 def _parse_weight(text: str) -> Weight:
@@ -203,7 +215,14 @@ def _cmd_bracket(args) -> int:
 
 def _cmd_act(args) -> int:
     state = _parse_state(args.state, args.d)
-    word = [canonicalize(*parse_generator_literal(text), d=args.d) for text in args.element]
+    quads = [parse_generator_literal(text) for text in args.element]
+    word = [canonicalize(*quad, d=args.d) for quad in quads]
+    degree = max(map(monomial_degree, state.terms), default=0)
+    for _, _, m, n in reversed(quads):  # the action is graded: each factor adds -(m + n)
+        degree -= m + n
+        if degree > STATE_MAX_DEGREE:
+            raise ValueError(f"the word takes the state to degree {degree}, "
+                             f"above {STATE_MAX_DEGREE}")
     _emit_state(_specialized(act_word(word, state), args.r), args.output)
     return 0
 
@@ -224,6 +243,8 @@ def _cmd_vertex_mode(args) -> int:
 
 def _cmd_weight_basis(args) -> int:
     lam = _parse_weight(args.weight)
+    if lam.total_degree() > STATE_MAX_DEGREE:
+        raise ValueError(f"weight degree {lam.total_degree()} is above {STATE_MAX_DEGREE}")
     basis = weight_space_basis(lam, d=args.d)
     if args.output == "json":
         print(json.dumps([[list(g) for g in mono] for mono in basis]))

@@ -60,6 +60,7 @@ import threading
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Mapping
 
 from .liealg import UNIT, Generator, _operator_parts, _pair_bracket
@@ -490,17 +491,12 @@ def _ids_of(u: State) -> dict:
 def _state_of(vec: dict, divisor: int = 1) -> State:
     """The State of an id sum divided by a nonzero int: the way back, one division per term.
 
-    Every coefficient comes back a Scalar whose integral coefficients are ints.
+    Every coefficient comes back a Scalar, in its normal form.
     """
-    terms = {}
-    for mid, c in vec.items():
-        if type(c) is int:
-            q, rem = divmod(c, divisor)
-            c = tuple.__new__(Scalar, (Fraction(c, divisor) if rem else q,))
-        elif divisor != 1 or not all(type(x) is int for x in c):
-            c = c / divisor  # Scalar division turns an integral Fraction into an int
-        terms[_MONOS[mid]] = c
-    return State._from_tidy(terms)
+    if divisor != 1:
+        vec = {mid: Fraction(c, divisor) if type(c) is int else c / divisor
+               for mid, c in vec.items()}
+    return State._from_tidy({_MONOS[mid]: Scalar.of(c) for mid, c in vec.items()})
 
 
 def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
@@ -598,23 +594,36 @@ def _collect_weights(modes: list, pos: int, counts: dict, budget: int, out: list
         counts.pop((k, -level), None)
 
 
-def _pairings(symbols: tuple, last: tuple = ()):
-    """Each way to pair up a sorted multiset of (index, mode) symbols, once.
+def _pairings(kinds: list, counts: list, pairs: list, low: int = 0, high: int = 0):
+    """Each way to extend pairs by pairing up the symbols left, as a tuple of all the pairs.
 
-    Pairs come out in ascending order, none below last: a pair below the
-    last one, or a partner equal to the one before it, is skipped.
+    counts[k] symbols of kind kinds[k] are left, none below low.  The
+    smallest kind left pairs next, with a partner of kind at least high if
+    it is low, so pairs come out ascending and each way once; a partner
+    that occurs many times is tried once.  counts and pairs are restored
+    before the next way.  Module-level, as a self-calling closure would be
+    a reference cycle.
     """
-    if not symbols:
-        yield ()
+    a = low
+    while a < len(counts) and not counts[a]:
+        a += 1
+    if a == len(counts):
+        yield tuple(pairs)
         return
-    first = symbols[0]
-    for pos in range(1, len(symbols)):
-        pair = (first, symbols[pos])
-        if pair < last or (pos > 1 and symbols[pos] == symbols[pos - 1]):
-            continue
-        rest = symbols[1:pos] + symbols[pos + 1 :]
-        for sub in _pairings(rest, pair):
-            yield (pair,) + sub
+    counts[a] -= 1
+    for b in range(high if a == low else a, len(counts)):
+        if counts[b]:
+            counts[b] -= 1
+            pairs.append((kinds[a], kinds[b]))
+            yield from _pairings(kinds, counts, pairs, a, b)
+            pairs.pop()
+            counts[b] += 1
+    counts[a] += 1
+
+
+# The most factors, summed over its monomials, that weight_space_basis returns.  It refuses a
+# larger basis as soon as it has enumerated one monomial too many, before building any factor.
+MAX_BASIS_FACTORS = 100000
 
 
 def weight_space_basis(lam: Weight, d: int | None = None) -> list:
@@ -623,19 +632,25 @@ def weight_space_basis(lam: Weight, d: int | None = None) -> list:
     Pairs the required multiset of lowering modes v_k(l) into quadratic
     factors in every possible way, each way once.  The factors use the
     oscillators of the weight, so d = 1 gives the basis of the
-    first-oscillator module; a weight with an index beyond d is a
-    ValueError.
+    first-oscillator module.  A weight with an index beyond d, or whose
+    basis holds more than MAX_BASIS_FACTORS factors in all, is a ValueError.
     """
-    symbols = []
+    kinds, counts = [], []
     for (k, l), count in sorted(lam.counts.items()):
         if d is not None and k > d:
             raise ValueError(f"weight uses oscillator index {k} beyond d={d}")
-        symbols.extend([(k, l)] * count)
-    if len(symbols) % 2:
+        kinds.append((k, l))
+        counts.append(count)
+    if sum(counts) % 2:
         return []
+    most = MAX_BASIS_FACTORS // max(sum(counts) // 2, 1)
+    pairings = list(islice(_pairings(kinds, counts, []), most + 1))
+    if len(pairings) > most:
+        raise ValueError(f"the weight space has more than {most} basis monomials, "
+                         f"above {MAX_BASIS_FACTORS} factors in all")
     return sorted(
         tuple(sorted(Generator(k1, k2, l1, l2) for (k1, l1), (k2, l2) in pairing))
-        for pairing in _pairings(tuple(symbols))
+        for pairing in pairings
     )
 
 

@@ -8,6 +8,10 @@ anywhere in the package.  The module also holds the package's one sparse
 linear-combination type, Combination, which states and Lie elements are
 built on, and its one exact eliminator, fraction_free_rref, behind the
 kernels over Q and Q(r) and the transfer determinants.
+
+Scalar's constructor is the one place that sets the normal form (no
+trailing zeros, an integral coefficient an int); only an int polynomial
+times a nonzero int, a product already in normal form, skips it.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ __all__ = [
 class Scalar(tuple):
     """A polynomial in r, stored densely by ascending degree.
 
-    Trailing zero coefficients are stripped on construction, so equal
-    polynomials compare (and hash) equal and the zero polynomial is the
-    empty tuple.  Coefficients are ints or Fractions.  Instances are
-    immutable and safe to share between threads.
+    The constructor sets the one normal form: trailing zero coefficients
+    are stripped, so the zero polynomial is the empty tuple, and every
+    coefficient is an int when integral and a Fraction otherwise.  Equal
+    polynomials are equal tuples, with equal hashes and text.  Instances
+    are immutable and safe to share between threads.
 
     Comparison with a bare int or Fraction treats it as a constant
     polynomial (hashes differ across types; never mix them as dict keys).
@@ -48,8 +53,10 @@ class Scalar(tuple):
         end = len(coeffs)
         while end and not coeffs[end - 1]:
             end -= 1
-        if end != len(coeffs):
-            coeffs = coeffs[:end]
+        coeffs = coeffs[:end]
+        if Fraction in map(type, coeffs):
+            coeffs = [c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                      for c in coeffs]
         return tuple.__new__(cls, coeffs)
 
     @classmethod
@@ -88,75 +95,39 @@ class Scalar(tuple):
                 other = Scalar((other,))
             else:
                 return NotImplemented
-        if len(self) == 1 and len(other) == 1:
-            # constant plus constant: the sum is a constant or ZERO, an int when integral
-            c = self[0] + other[0]
-            if type(c) is Fraction and c.denominator == 1:
-                c = c.numerator
-            return tuple.__new__(Scalar, (c,)) if c else ZERO
         a, b = (self, other) if len(self) >= len(other) else (other, self)
-        if not b:
-            return a
         out = list(a)
         for k, c in enumerate(b):
-            c += out[k]
-            if type(c) is Fraction and c.denominator == 1:
-                c = c.numerator
-            out[k] = c
+            out[k] += c
         return Scalar(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, Scalar):
-            if isinstance(other, (int, Fraction)):
-                other = Scalar((other,))
-            else:
-                return NotImplemented
-        return self.__add__(other.__neg__())
+        return self + -other
 
     def __rsub__(self, other):
-        return (self.__neg__()).__add__(other)
+        return -self + other
 
     def __neg__(self):
-        return Scalar(tuple(-c for c in self))
+        return Scalar([-c for c in self])
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            if self is ONE or other is ONE:
-                x = other if self is ONE else self
-                # x itself, save an integral Fraction constant, which becomes an int below
-                if len(x) != 1 or type(x[0]) is int or x[0].denominator != 1:
-                    return x
-            if len(self) == 1 and len(other) == 1:
-                # constant times constant: both nonzero, so the product is too
-                c = self[0] * other[0]
-                if type(c) is Fraction and c.denominator == 1:
-                    c = c.numerator
-                return tuple.__new__(Scalar, (c,))
-            if not self or not other:
-                return ZERO
-            out = [0] * (len(self) + len(other) - 1)
-            for k, c in enumerate(self):
-                if not c:
-                    continue
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if type(other) is int and other and Fraction not in map(type, self):
+                # an int polynomial times a nonzero int: no zero to strip, no Fraction to normalise
+                return tuple.__new__(Scalar, [c * other for c in self])
+            other = Scalar((other,))
+        if not self or not other:
+            return ZERO
+        out = [0] * (len(self) + len(other) - 1)
+        for k, c in enumerate(self):
+            if c:
                 for k2, c2 in enumerate(other):
-                    if c2:
-                        out[k + k2] += c * c2
-            return Scalar(out)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return ZERO
-            if len(self) == 1:
-                # as constant times constant
-                c = self[0] * other
-                if type(c) is Fraction and c.denominator == 1:
-                    c = c.numerator
-                return tuple.__new__(Scalar, (c,))
-            # the convolution's coefficients, types included; a nonzero factor keeps the
-            # leading coefficient nonzero
-            return tuple.__new__(Scalar, [c * other if c else 0 for c in self])
-        return NotImplemented
+                    out[k + k2] += c * c2
+        return Scalar(out)
 
     __rmul__ = __mul__
 
@@ -164,9 +135,7 @@ class Scalar(tuple):
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            inv = Fraction(1, 1) / other
-            out = [c * inv for c in self]
-            return Scalar([c.numerator if c.denominator == 1 else c for c in out])
+            return Scalar([Fraction(c, other) for c in self])
         return NotImplemented
 
     def __eq__(self, other):
@@ -376,10 +345,7 @@ def parse_scalar(text: str) -> Scalar:
             if degree > MAX_LITERAL_POWER:
                 raise ValueError(f"power r^{degree} in {text!r} is above r^{MAX_LITERAL_POWER}")
         coeffs[degree] = coeffs.get(degree, Fraction(0)) + sign * coeff
-    out = [0] * (max(coeffs) + 1)
-    for degree, value in coeffs.items():
-        out[degree] = int(value) if value.denominator == 1 else value
-    return Scalar(out)
+    return Scalar(coeffs.get(degree, 0) for degree in range(max(coeffs) + 1))
 
 
 def _poly_divmod(a: Scalar, b: Scalar):
@@ -395,8 +361,6 @@ def _poly_divmod(a: Scalar, b: Scalar):
             factor = top // lead
         else:
             factor = Fraction(top) / lead
-            if factor.denominator == 1:
-                factor = factor.numerator
         quot[k] = factor
         for t, c in enumerate(b):
             rem[k + t] -= factor * c
@@ -421,10 +385,7 @@ def poly_gcd(a: Scalar, b: Scalar) -> Scalar:
     b = Scalar.of(b)
     while b:
         a, b = b, _poly_divmod(a, b)[1]
-    if not a:
-        return ZERO
-    lead = Fraction(a[-1])
-    return Scalar(tuple(Fraction(c) / lead for c in a))
+    return a / a[-1] if a else ZERO
 
 
 def fraction_free_rref(rows, ncols: int, exact_div):

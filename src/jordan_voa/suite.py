@@ -19,6 +19,7 @@ from fractions import Fraction
 from .fock import (
     State,
     _act_id,
+    _add,
     _add_scaled,
     _gen_id,
     _mono_id,
@@ -36,7 +37,7 @@ from .liealg import (
     canonical_generators,
     canonicalize,
 )
-from .scalar import ONE, R, Scalar, add_into, poly_exact_div
+from .scalar import ONE, R, Scalar, poly_exact_div
 from .singular import (
     GENERIC,
     certification_r,
@@ -337,7 +338,7 @@ def _representation_sides(a: int, b: int, xy, mid: int, u_row: list, x_terms: li
     for pos, c in terms:
         _add_scaled(rhs, u_row[pos], c)
     if const:
-        add_into(rhs, mid, R * const)
+        _add(rhs, mid, R * const)
     for row, c in x_terms:
         if row[b]:
             _add_scaled(rhs, row[b], c)

@@ -306,6 +306,21 @@ def test_suite_config_rejects_out_of_range_scale(kwargs):
      "state degree 1001 is above 1000"),
     # one above cli.SWEEP_MAX_R_SPAN
     (["singular-sweep", "--rmin", "-20", "--rmax", "21"], "--rmax - --rmin is 41, above 40"),
+    # weights above cli.STATE_MAX_DEGREE, and bases above fock.MAX_BASIS_FACTORS factors
+    (["weight-basis", "--weight", "4000*Lam[1,-1]", "--d", "1"], "weight degree 4000 is above 1000"),
+    (["weight-basis", "--weight", "1001*Lam[1,-1]", "--d", "1"], "weight degree 1001 is above 1000"),
+    (["weight-basis", "--weight", "+".join(f"Lam[1,-{k}]" for k in range(1, 19)), "--d", "1"],
+     "more than 11111 basis monomials, above 100000 factors in all"),
+    (["weight-basis", "--weight", "900*Lam[1,-1]+" + "+".join(f"Lam[1,-{k}]" for k in range(2, 14)),
+      "--d", "1"], "more than 219 basis monomials, above 100000 factors in all"),
+    # a word whose first factor to act takes the vacuum to degree 1201, above cli.STATE_MAX_DEGREE
+    (["act", *(f"v[1,1](-{k},-1)" for k in range(1, 1201)), "--d", "1"],
+     "the word takes the state to degree 1201, above 1000"),
+    # every suffix counts: the result, of degree 999, is reached through degree 1001
+    (["act", "v[1,1](1,1)", "v[1,1](-500,-501)", "--d", "1"],
+     "the word takes the state to degree 1001, above 1000"),
+    (["act", "v[1,1](-1,-1)", "--state", "v[1,1](-500,-499)", "--d", "1"],
+     "the word takes the state to degree 1001, above 1000"),
 ])
 def test_inputs_with_nothing_to_compute_are_usage_errors(argv, message, capsys):
     assert cli.main(argv) == 2
@@ -360,6 +375,46 @@ def test_states_at_the_input_bounds_are_accepted(state, capsys):
     code, out = run_cli(capsys, "act-L", "--i", "1", "--j", "1", "--m", "0", "--state", state)
     assert code == 0
     assert out
+
+
+@pytest.mark.parametrize("argv", [
+    ["weight-basis", "--weight", "1000*Lam[1,-1]", "--d", "1"],
+    ["act", "v[1,1](-1,-1)", "--state", "v[1,1](-500,-498)", "--d", "1"],
+    ["act", "v[1,1](1,1)", "v[1,1](-500,-500)", "--d", "1"],
+])
+def test_weights_and_words_at_the_degree_bound_are_accepted(argv, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "1e5", "1E-3", "1.5e2", "inf", "nan",
+                                   "1_000", "1/2/3", ".", "", "3" * 101])
+def test_r_outside_the_documented_forms_is_refused_before_a_fraction_is_built(value, monkeypatch,
+                                                                                capsys):
+    def build(*args):
+        raise AssertionError(f"Fraction{args} was built")
+
+    monkeypatch.setattr(cli, "Fraction", build)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bracket", "v[1,1](1,2)", "v[1,1](-2,-1)", "--r", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot parse parameter value {value!r}" in err
+    assert "of at most 100 characters" in err
+
+
+@pytest.mark.parametrize("value, r0", [("1/2", Fraction(1, 2)), ("-3/2", Fraction(-3, 2)),
+                                       ("1.5", Fraction(3, 2)), ("-.25", Fraction(-1, 4)),
+                                       ("+7", Fraction(7)), (" 2 ", Fraction(2)),
+                                       ("3" * 100, Fraction(int("3" * 100)))])
+def test_r_takes_rationals_and_decimals_of_bounded_length(value, r0):
+    assert cli._parse_r(value) == r0
+
+
+def test_r_with_a_zero_denominator_is_refused():
+    with pytest.raises(argparse.ArgumentTypeError, match="cannot parse parameter value '1/0'"):
+        cli._parse_r("1/0")
 
 
 def test_paper_suite_defaults_are_the_certification_scale():

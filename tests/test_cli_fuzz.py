@@ -24,14 +24,14 @@ from jordan_voa import cli, fock, singular  # noqa: E402
 # derandomized and without an example database, so every run draws the same argv
 FUZZ = settings(max_examples=20, deadline=timedelta(seconds=3), derandomize=True, database=None)
 
-JUNK = ["", "x", "1.5", "1/0", "--", "-", "  ", "1/2", "-3/2"]
+JUNK = ["", "x", "1.5", "1/0", "--", "-", "  ", "1/2", "-3/2", "1e999999999"]
 GENERATORS = ["v[1,1](1,1)", "v[1,2](-1,-2)", "v[2,1](1,-1)", "v[1,1](-2,-1)", "v[2,2](0,3)",
               "v[0,1](1,1)", "v[1,1](1)", "v[3,3](-1,-1)", "w[1,1](1,1)"]
 STATES = ["1", "v[1,1](-1,-1)", "v[1,2](-1,-2)*v[1,1](-1,-1)", "v[2,1](-2,-1)", "v[1,1](1,1)",
           "v[1,1](-1,-1)+v[1,2](-1,-1)", "[]", '[{"monomial": [[1, 1, 2, 2]], "coeff": "1"}]',
           '[{"monomial": [[1, 1, -1, -2]], "coeff": "r - 1/2"}]', '[{"monomial": 3}]', "{", "[1"]
 WEIGHTS = ["0", "2*Lam[1,-1]", "2*Lam[1,-1] + 2*Lam[1,-2]", "Lam[1,-1] + Lam[2,-1]", "Lam[1,0]",
-           "3*Lam[2,-2]", "Lam[0,-1]", "-1*Lam[1,-1]", "Lam[1,-1", "2*Lam[a,b]"]
+           "3*Lam[2,-2]", "Lam[0,-1]", "-1*Lam[1,-1]", "Lam[1,-1", "2*Lam[a,b]", "4000*Lam[1,-1]"]
 BY_DEST = {  # the values drawn for an action, by its destination
     "state": STATES, "weight": WEIGHTS, "element": GENERATORS, "left": GENERATORS,
     "right": GENERATORS, "i": ["1", "2", "3"], "j": ["1", "2", "3"],

@@ -8,7 +8,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from jordan_voa.fock import (  # noqa: E402
     State,
@@ -21,7 +21,7 @@ from jordan_voa.fock import (  # noqa: E402
 )
 from jordan_voa.liealg import UNIT, LieElement, bracket_r, canonical_generators  # noqa: E402
 from jordan_voa.scalar import (  # noqa: E402
-    ONE, R, ZERO, Scalar, _poly_divmod, parse_scalar, poly_exact_div,
+    ONE, R, ZERO, Scalar, _poly_divmod, parse_scalar, poly_exact_div, poly_gcd,
 )
 from jordan_voa.singular import GENERIC, singular_search  # noqa: E402
 from jordan_voa.virops import act_L, act_L_total, vertex_mode_by_recursion  # noqa: E402
@@ -256,6 +256,28 @@ def test_division_of_int_polynomials(a, low, lead):
     assert all(type(c) is int for c in (*quotient, *remainder))
     quotient = poly_exact_div(a * monic, monic)
     assert quotient == a and all(type(c) is int for c in quotient)
+
+
+coefficient_lists = st.lists(numbers, max_size=4)  # ints, and Fractions integral or not
+
+
+@PROFILE
+@example([Fraction(1, 2)], [2, 1], 1, Fraction(1, 3), 0)  # (1/2) * (2 + r)
+@example([2, 2], [4, 4], 1, Fraction(1, 3), 0)  # poly_gcd(2 + 2r, 4 + 4r)
+@example([0, 2], [], 1, Fraction(1, 3), Fraction(1, 2))  # 2r at r = 1/2
+@example([Fraction(4, 2)], [], 1, Fraction(1, 3), 0)  # the constructor
+@example([Fraction(3), Fraction(1, 2)], [], 1, Fraction(1, 3), 0)  # -(3 + r/2)
+@given(coefficient_lists, coefficient_lists, integers, rationals, points)
+def test_no_result_holds_a_fraction_with_denominator_one(a, b, n, f, r0):
+    """Every Scalar the constructor, the ring operations, gcd, exact division, parsing and
+    specialisation return stores each integral coefficient as an int."""
+    x, y = Scalar(a), Scalar(b)
+    results = [x, y, x + y, x - y, -x, x * y, x * n, n * x, x * f, f * x,
+               poly_gcd(x, y), parse_scalar(str(x)), *State({(): x}).specialize(r0).terms.values()]
+    results += [x / k for k in (n, f) if k]
+    if y:
+        results.append(poly_exact_div(x * y, y))
+    assert [s for s in results if any(type(c) is Fraction and c.denominator == 1 for c in s)] == []
 
 
 def _homogeneous_pairs(max_degree, d):
