@@ -61,8 +61,9 @@ GRIESS_MAX_D = 8
 SINGULAR_CHECK_MAX_D = 1000
 # The largest degree a --state may have: act-L on a degree-1000 state takes at most 0.3 s on
 # the same host (on the degree-200000 v[1,1](-100000,-100000): 2.2 s and 116 MB).  It bounds
-# each state act passes through and weight-basis's weight too: at most 500 factors a monomial,
-# each one recursion level where monomials are interned and weights paired up.
+# each state act passes through, what act-L returns (act-L --m -200000 on the vacuum took 9 s
+# and printed 2.5 MB) and weight-basis's weight too: at most 500 factors a monomial, each one
+# recursion level where monomials are interned and weights paired up.
 STATE_MAX_DEGREE = 1000
 # The largest |--m|, |--n| and |--l| of vertex-mode: --m -300 --n -300 --l -300 takes 0.13 s on
 # the vacuum and at most 0.6 s on a degree-1000 state, in process on the same host (the vacuum
@@ -229,6 +230,10 @@ def _cmd_act(args) -> int:
 
 def _cmd_act_l(args) -> int:
     state = _parse_state(args.state, args.d)
+    degree = max(map(monomial_degree, state.terms), default=0) - args.m
+    if degree > STATE_MAX_DEGREE:  # L(m) takes degree D to D - m
+        raise ValueError(f"--m {args.m} takes the state to degree {degree}, "
+                         f"above {STATE_MAX_DEGREE}")
     result = act_L(args.i, args.j, args.m, state, d=args.d)
     _emit_state(_specialized(result, args.r), args.output)
     return 0

@@ -30,19 +30,23 @@ a factor and _pair_bracket are memoised on ids.  Its images map monomial
 ids to coefficients in Z[r]: a constant is a plain int, the rest are
 degree-1 Scalars with int coefficients.
 
-Operators act on ids too: act_ids applies an operator's id form (_op_ids)
-to a sum on monomial ids, {mid: coefficient}.  act translates into ids
-once and back once (_state_of), which wraps every coefficient in a Scalar
-with its integral coefficients ints and can divide the sum by one int:
-virops keeps its mode sums doubled and its oracle an integer multiple, and
-divides there.  Ids stay inside this module, virops, check 3's rows (suite)
+Operators act on ids too: act_ids applies an operator's id form,
+(generator id, coefficient) pairs, to a sum on monomial ids, {mid:
+coefficient}.  act reads the id form off a Generator or LieElement
+(_op_ids), the UNIT term's id being None; virops builds its mode sums and
+vertex modes straight in id form, with int coefficients and no UNIT term.
+act and each virops operator translate into ids once (_ids_of) and back
+once (_state_of), which wraps every coefficient in a Scalar with its
+integral coefficients ints and can divide the sum by one int: virops keeps
+its mode sums doubled and its oracle an integer multiple, and divides
+there.  Ids stay inside this module, virops, check 3's rows (suite)
 and the search matrix (singular); a State keeps tuple keys, and _act_gen is
 the tuple-level entry point to _act_id.
 
 One cache memoises every operator that acts monomial by monomial: the
 single-generator action under the int key gid << 32 | mid, and `memo`'s
 entries under tuple keys: virops' per-monomial id images under (key, mid),
-where the key names the operator, such as ("L", i, j, m), its operator id
+where the key names the operator, such as ("L", pairs, m), its operator id
 forms per degree, and singular's minors.  `clear_action_cache` empties it
 together with the id tables, so an id taken before a clear means nothing
 after it.  `forget` drops chosen `memo` entries by key, and

@@ -18,17 +18,23 @@ commutators with L[i,i](-1) is provided as an independent cross-check.  The
 diagonal mode sums satisfy the Virasoro relation with central charge d*r,
 which the probe below measures directly.
 
-Mode sums and closed-form vertex modes are elements of the Lie algebra of
-quadratic elements, and they are built as such: each operator, truncated to
-its window, becomes one LieElement, memoised per degree in its id form
-(fock._op_ids) through fock.memo, and acts on monomial ids through
-fock.act_ids.  A mode sum is kept doubled, as 2 L[i,j](m), whose
-coefficients are all integers, so its images lie in Z[r]; each image is
-memoised per monomial id under (key, mid).  act_L, act_L_total and the
-Virasoro probe divide once, on the way back to a State.  The recursion
-oracle carries an integer multiple U = c(m, n) V of the vertex mode V and
-divides by c(m, n) once at the end; it calls only the mode-sum layer, so it
-stays independent of the binomial formula.
+Each operator has one form: fock's id form, (generator id, int) pairs,
+built once per degree, truncated to that degree's window, and memoised
+through fock.memo.  Each summand is put in canonical slot order by
+liealg._normal_order, and none has a normal-ordering constant, so the form
+has no UNIT term: the diagonal zero modes are written normally ordered,
+every other diagonal summand has mode sum m != 0, and a mixed summand
+holds two distinct oscillators.  A mode sum is kept doubled, as
+2 L[i,j](m), so its coefficients are integers and its images lie in Z[r];
+the image of each monomial is memoised under (("L", pairs, m), mid), one
+key for act_L and act_L_total alike.  The recursion oracle carries an
+integer multiple U = c(m, n) V of the vertex mode V; it calls only the
+mode-sum layer, so it stays independent of the binomial formula.
+
+Every public operator crosses the State boundary once each way, in
+_through_ids: a zero state comes back unchanged, the state must be
+homogeneous, and the id sum is divided once on the way back, by 2 for a
+mode sum, by 4 for the probe and by c(m, n) for the oracle.
 """
 
 from __future__ import annotations
@@ -41,16 +47,16 @@ from .fock import (
     MIXED,
     State,
     _add_scaled,
+    _gen_id,
     _ids_of,
-    _op_ids,
     _state_of,
     act_ids,
     degree_of,
     memo,
     monomial_degree,
 )
-from .liealg import LieElement, _validate_index, canonicalize
-from .scalar import R, add_into, fraction_free_rref
+from .liealg import _normal_order, _validate_index
+from .scalar import R, fraction_free_rref
 
 __all__ = [
     "act_L",
@@ -64,47 +70,52 @@ __all__ = [
 ]
 
 
-def _degree(u: State) -> int:
-    """The degree of a nonzero homogeneous state; a mixed one is rejected.
+def _through_ids(u: State, image, divisor: int = 1) -> State:
+    """image(vec, depth) on a homogeneous state u of degree depth, as vec on monomial ids,
+    and the id sum it returns divided by divisor, as a State.
 
-    A one-term state is homogeneous and is read off its monomial.
+    A zero state comes back unchanged; a one-term state is homogeneous and
+    its degree is read off its monomial, and a mixed state is rejected.
     """
+    if u.is_zero():
+        return u
     if len(u.terms) == 1:
-        return monomial_degree(next(iter(u.terms)))
-    depth = degree_of(u)
-    if depth == MIXED:
-        raise ValueError("operator sums need a homogeneous input state")
-    return depth
+        depth = monomial_degree(next(iter(u.terms)))
+    else:
+        depth = degree_of(u)
+        if depth == MIXED:
+            raise ValueError("operator sums need a homogeneous input state")
+    return _state_of(image(_ids_of(u), depth), divisor)
 
 
-def _window(center: int, depth: int):
-    """Summation range of a mode sum centred at center, sufficient for degree depth."""
-    return center - depth + 1, depth - 1
+def _id_form(summands) -> tuple:
+    """The sum of weight * v[i,j](m,n) over (weight, i, j, m, n) summands, in id form.
+
+    Each summand is put in canonical slot order; none may have a
+    normal-ordering constant, which this form has no term for.
+    """
+    acc: dict = {}
+    for weight, i, j, m, n in summands:
+        if weight:
+            gid = _gen_id(_normal_order((i, m), (j, n))[0])
+            acc[gid] = acc.get(gid, 0) + weight
+    return tuple(acc.items())
 
 
-def _lie_sum(summands) -> LieElement:
-    """The operator sum of weight * v[i,j](m,n) over (weight, (i, j, m, n)) summands."""
-    terms: dict = {}
-    for weight, quad in summands:
-        for key, coeff in canonicalize(*quad).terms.items():
-            add_into(terms, key, coeff * weight)
-    return LieElement(terms)
-
-
-def _mode_sum(pairs, m: int, depth: int) -> LieElement:
-    """Twice the sum of L[i,j](m) over the index pairs, truncated for degree depth, as one operator.
+def _mode_sum(pairs, m: int, depth: int) -> tuple:
+    """Twice the sum of L[i,j](m) over the index pairs, truncated for degree depth, in id form.
 
     Doubled, every coefficient is an integer.
     """
-    lo, hi = _window(m, depth)
+    lo, hi = m - depth + 1, depth - 1
     summands = []
     for i, j in pairs:
         if i == j and m == 0:
-            summands.append((1, (i, i, 0, 0)))
-            summands += [(2, (i, i, -h, h)) for h in range(max(lo, 1), hi + 1)]
+            summands.append((1, i, i, 0, 0))
+            summands += [(2, i, i, -h, h) for h in range(max(lo, 1), hi + 1)]
         else:
-            summands += [(1, (i, j, m - h, h)) for h in range(lo, hi + 1)]
-    return _lie_sum(summands)
+            summands += [(1, i, j, m - h, h) for h in range(lo, hi + 1)]
+    return _id_form(summands)
 
 
 def _on_ids(key, image, vec: dict, *args) -> dict:
@@ -119,28 +130,19 @@ def _on_ids(key, image, vec: dict, *args) -> dict:
 def _mode_sum_image(pairs, m: int, mid: int) -> dict:
     """2 L(m), summed over the index pairs, on the basis monomial of id mid."""
     depth = monomial_degree(_MONOS[mid])
-    ops = memo(("Lop", pairs, m, depth), lambda: _op_ids(_mode_sum(pairs, m, depth)))
-    return act_ids(ops, {mid: 1})
+    return act_ids(memo(("Lop", pairs, m, depth), _mode_sum, pairs, m, depth), {mid: 1})
 
 
-def _mode_sum_ids(key, pairs, m: int, vec: dict) -> dict:
+def _mode_sum_ids(pairs, m: int, vec: dict) -> dict:
     """2 L(m), summed over the index pairs, on a homogeneous sum on monomial ids."""
-    return _on_ids(key, _mode_sum_image, vec, pairs, m)
-
-
-def _apply_mode_sum(key, pairs, m: int, u: State) -> State:
-    """Apply the sum of L[i,j](m) over the index pairs to a homogeneous state."""
-    if u.is_zero():
-        return u
-    _degree(u)
-    return _state_of(_mode_sum_ids(key, pairs, m, _ids_of(u)), 2)
+    return _on_ids(("L", pairs, m), _mode_sum_image, vec, pairs, m)
 
 
 def act_L(i: int, j: int, m: int, u: State, d: int | None = None) -> State:
     """Apply the mode-sum operator L[i,j](m) to a homogeneous state."""
     _validate_index(i, d)
     _validate_index(j, d)
-    return _apply_mode_sum(("L", i, j, m), ((i, j),), m, u)
+    return _through_ids(u, lambda vec, _: _mode_sum_ids(((i, j),), m, vec), 2)
 
 
 def _diagonal(d: int) -> tuple:
@@ -149,7 +151,7 @@ def _diagonal(d: int) -> tuple:
 
 def act_L_total(m: int, u: State, d: int) -> State:
     """Sum of the diagonal mode operators: the full Virasoro mode of weight m."""
-    return _apply_mode_sum(("Lsum", m, d), _diagonal(d), m, u)
+    return _through_ids(u, lambda vec, _: _mode_sum_ids(_diagonal(d), m, vec), 2)
 
 
 def binom(a: int, k: int) -> int:
@@ -174,24 +176,22 @@ def vertex_mode(i: int, j: int, m: int, n: int, l: int, u: State, d: int | None 
         raise ValueError("the closed vertex-mode formula needs distinct oscillator indices")
     if m >= 0 or n >= 0:
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
-    if u.is_zero():
-        return u
-    depth = _degree(u)
-    ops = memo(("Vop", i, j, m, n, l, depth),
-               lambda: _op_ids(_vertex_operator(i, j, m, n, l, depth)))
-    return _state_of(act_ids(ops, _ids_of(u)))
+
+    def image(vec, depth):
+        ops = memo(("Vop", i, j, m, n, l, depth), _vertex_operator, i, j, m, n, l, depth)
+        return act_ids(ops, vec)
+
+    return _through_ids(u, image)
 
 
-def _vertex_operator(i: int, j: int, m: int, n: int, l: int, depth: int) -> LieElement:
-    """The closed binomial form of vertex_mode, truncated for degree depth, as one operator."""
-    lo, hi = _window(l + m + n + 1, depth)
+def _vertex_operator(i: int, j: int, m: int, n: int, l: int, depth: int) -> tuple:
+    """The closed binomial form of vertex_mode, truncated for degree depth, in id form."""
+    center = l + m + n + 1
     sign = 1 if (m + n) % 2 == 0 else -1
-    summands = []
-    for k in range(lo, hi + 1):
-        weight = binom(l + n - k, -m - 1) * binom(k - n - 1, -n - 1)
-        if weight:
-            summands.append((sign * weight, (i, j, l + m + n + 1 - k, k)))
-    return _lie_sum(summands)
+    return _id_form(
+        (sign * binom(l + n - k, -m - 1) * binom(k - n - 1, -n - 1), i, j, center - k, k)
+        for k in range(center - depth + 1, depth)
+    )
 
 
 def _multiple(m: int, n: int) -> int:
@@ -208,12 +208,9 @@ def _multiple(m: int, n: int) -> int:
 
 def _recursion_image(i: int, j: int, m: int, n: int, l: int, mid: int) -> dict:
     """U(m, n) = [2 L[i,i](-1), U(m+1, n)] of the oracle on the basis monomial of id mid, m < -1."""
-
-    def shift(vec):  # 2 L[i,i](-1)
-        return _mode_sum_ids(("L", i, i, -1), ((i, i),), -1, vec)
-
-    acc = shift(_recursion_ids(i, j, m + 1, n, l, {mid: 1}))
-    _add_scaled(acc, _recursion_ids(i, j, m + 1, n, l, shift({mid: 1})), -1)
+    shift = ((i, i),)  # 2 L[i,i](-1)
+    acc = _mode_sum_ids(shift, -1, _recursion_ids(i, j, m + 1, n, l, {mid: 1}))
+    _add_scaled(acc, _recursion_ids(i, j, m + 1, n, l, _mode_sum_ids(shift, -1, {mid: 1})), -1)
     return acc
 
 
@@ -222,7 +219,7 @@ def _recursion_ids(i: int, j: int, m: int, n: int, l: int, vec: dict) -> dict:
     if m == -1 and n < -1:
         i, j, m, n = j, i, n, m
     if m == -1:
-        return _mode_sum_ids(("L", i, j, l - 1), ((i, j),), l - 1, vec)  # U(-1, -1)
+        return _mode_sum_ids(((i, j),), l - 1, vec)  # U(-1, -1)
     return _on_ids(("V", i, j, m, n, l), _recursion_image, vec, i, j, m, n, l)
 
 
@@ -241,10 +238,7 @@ def vertex_mode_by_recursion(i: int, j: int, m: int, n: int, l: int, u: State) -
         raise ValueError("vertex modes are defined for distinct oscillator indices")
     if m >= 0 or n >= 0:
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
-    if u.is_zero():
-        return u
-    _degree(u)
-    return _state_of(_recursion_ids(i, j, m, n, l, _ids_of(u)), _multiple(m, n))
+    return _through_ids(u, lambda vec, _: _recursion_ids(i, j, m, n, l, vec), _multiple(m, n))
 
 
 def binomial_matrix_det(L: int, M: int) -> Fraction:
@@ -266,19 +260,16 @@ def virasoro_bracket_probe(m: int, n: int, u: State, d: int) -> State:
     are summed on ids as 4 times the probe, from the doubled mode sums, and
     divided once.
     """
-    if u.is_zero():
-        return u
-    _degree(u)
-    pairs, vec = _diagonal(d), _ids_of(u)
+    pairs = _diagonal(d)
 
-    def total(k, v):  # 2 L(k)
-        return _mode_sum_ids(("Lsum", k, d), pairs, k, v)
+    def probe(vec, _):
+        acc = _mode_sum_ids(pairs, m, _mode_sum_ids(pairs, n, vec))
+        _add_scaled(acc, _mode_sum_ids(pairs, n, _mode_sum_ids(pairs, m, vec)), -1)
+        if m != n:
+            _add_scaled(acc, _mode_sum_ids(pairs, m + n, vec), -2 * (m - n))
+        return acc
 
-    acc = total(m, total(n, vec))
-    _add_scaled(acc, total(n, total(m, vec)), -1)
-    if m != n:
-        _add_scaled(acc, total(m + n, vec), -2 * (m - n))
-    return _state_of(acc, 4)
+    return _through_ids(u, probe, 4)
 
 
 def virasoro_central_term(m: int, n: int, u: State, d: int) -> State:

@@ -321,6 +321,11 @@ def test_suite_config_rejects_out_of_range_scale(kwargs):
      "the word takes the state to degree 1001, above 1000"),
     (["act", "v[1,1](-1,-1)", "--state", "v[1,1](-500,-499)", "--d", "1"],
      "the word takes the state to degree 1001, above 1000"),
+    # act-L's result has the state's degree minus --m
+    (["act-L", "--i", "1", "--j", "1", "--m", "-200000", "--d", "1"],
+     "--m -200000 takes the state to degree 200000, above 1000"),
+    (["act-L", "--i", "1", "--j", "2", "--m", "-1", "--state", "v[1,1](-500,-500)"],
+     "--m -1 takes the state to degree 1001, above 1000"),
 ])
 def test_inputs_with_nothing_to_compute_are_usage_errors(argv, message, capsys):
     assert cli.main(argv) == 2
@@ -377,10 +382,27 @@ def test_states_at_the_input_bounds_are_accepted(state, capsys):
     assert out
 
 
+def test_act_l_refuses_a_result_above_the_degree_bound_before_acting(monkeypatch, capsys):
+    """The state's degree minus --m above 1000 is exit 2 before act_L runs; 1000 is in bound."""
+    def apply(*args, **kwargs):
+        raise AssertionError("act_L ran")
+
+    monkeypatch.setattr(cli, "act_L", apply)
+    for flags, degree in ((["--m", "-1001"], 1001), (["--m", "-200000"], 200000),
+                          (["--m", "-2", "--state", "v[1,1](-500,-499)"], 1001)):
+        assert cli.main(["act-L", "--i", "1", "--j", "1", *flags]) == 2
+        assert f"takes the state to degree {degree}, above 1000" in capsys.readouterr().err
+    for flags in (["--m", "-1000"], ["--m", "-1", "--state", "v[1,1](-500,-499)"]):
+        with pytest.raises(AssertionError, match="act_L ran"):
+            cli.main(["act-L", "--i", "1", "--j", "1", *flags])
+
+
 @pytest.mark.parametrize("argv", [
     ["weight-basis", "--weight", "1000*Lam[1,-1]", "--d", "1"],
     ["act", "v[1,1](-1,-1)", "--state", "v[1,1](-500,-498)", "--d", "1"],
     ["act", "v[1,1](1,1)", "v[1,1](-500,-500)", "--d", "1"],
+    ["act-L", "--i", "1", "--j", "1", "--m", "-1000", "--d", "1"],
+    ["act-L", "--i", "1", "--j", "2", "--m", "-1", "--state", "v[1,1](-500,-499)"],
 ])
 def test_weights_and_words_at_the_degree_bound_are_accepted(argv, capsys):
     code, out = run_cli(capsys, *argv)

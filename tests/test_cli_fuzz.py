@@ -48,6 +48,7 @@ WORK = {
     ("verify-det", "--p"): ["0", "5", "x", "1", "2", "3"],
     ("virasoro-check", "--max-degree"): ["-1", "x", "0", "1", "2"],
     ("singular-sweep", "--workers"): ["0", "x", "1"],  # a pool per draw would cost a spawn
+    ("act-L", "--m"): ["x", "-200000", "-1000", "-1", "0", "3"],
 }
 
 PARSER = cli.build_parser()

@@ -47,8 +47,8 @@ def test_integral_constant_sum_is_an_int():
     assert type((half + half)[0]) is int
     assert type((half + Scalar((Fraction(5, 2),)))[0]) is int
     assert type((half + half + half)[0]) is Fraction
-    op = virops._mode_sum(((1, 1),), -1, 4)
-    assert op.terms and all(type(c) is int for coeff in op.terms.values() for c in coeff)
+    op = virops._mode_sum(((1, 1),), -1, 4)  # in id form: (generator id, coefficient) pairs
+    assert op and all(type(c) is int for _, c in op)
 
 
 def test_integral_fraction_and_int_coefficients_agree():

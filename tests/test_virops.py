@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordan_voa import virops
+from jordan_voa import fock, suite, virops
 from jordan_voa.fock import (
     State,
     act,
@@ -16,8 +16,8 @@ from jordan_voa.fock import (
     weight_space_basis,
     weights,
 )
-from jordan_voa.liealg import Generator, canonicalize
-from jordan_voa.scalar import R
+from jordan_voa.liealg import Generator, LieElement, canonicalize
+from jordan_voa.scalar import R, add_into
 from jordan_voa.virops import (
     act_L,
     act_L_total,
@@ -119,6 +119,67 @@ def test_window_ends_act_as_zero():
                 ends = (depth,) if i == j and m == 0 else (m - depth, depth)
                 for h in ends:
                     assert act(gen_elem(i, j, m - h, h), u).is_zero(), (i, j, m, h, mono)
+
+
+def _reference_id_form(summands) -> dict:
+    """The sum of weight * v[i,j](m,n) over (weight, (i, j, m, n)) summands by the general
+    route: each summand canonicalized to a LieElement, the terms summed with Scalar
+    coefficients, and the sum turned into fock's id form, as a dict."""
+    terms: dict = {}
+    for weight, quad in summands:
+        for key, coeff in canonicalize(*quad).terms.items():
+            add_into(terms, key, coeff * weight)
+    return dict(fock._op_ids(LieElement(terms)))
+
+
+def _reference_mode_sum(pairs, m, depth) -> dict:
+    """2 L(m) summed over the index pairs, truncated for degree depth, by the general route."""
+    lo, hi = m - depth + 1, depth - 1
+    summands = []
+    for i, j in pairs:
+        if i == j and m == 0:
+            summands.append((1, (i, i, 0, 0)))
+            summands += [(2, (i, i, -h, h)) for h in range(max(lo, 1), hi + 1)]
+        else:
+            summands += [(1, (i, j, m - h, h)) for h in range(lo, hi + 1)]
+    return _reference_id_form(summands)
+
+
+def _reference_vertex_operator(i, j, m, n, l, depth) -> dict:
+    """The closed binomial vertex mode, truncated for degree depth, by the general route."""
+    center = l + m + n + 1
+    sign = -1 if (m + n) % 2 else 1
+    summands = []
+    for k in range(center - depth + 1, depth):
+        weight = sign * binom(l + n - k, -m - 1) * binom(k - n - 1, -n - 1)
+        if weight:
+            summands.append((weight, (i, j, center - k, k)))
+    return _reference_id_form(summands)
+
+
+@pytest.mark.parametrize("check", [
+    suite.check_lowering_recursions,
+    suite.check_vertex_mode_formula,
+    suite.check_virasoro_central_charge,
+    suite.check_griess_jordan,
+])
+def test_the_battery_builds_each_operator_as_the_general_route_does(check):
+    """Every mode sum and vertex operator that checks 4, 5, 10 and 11 build at the default scale
+    equals its canonicalize-and-sum reference, and neither has a UNIT term: no summand has a
+    normal-ordering constant."""
+    clear_action_cache()
+    try:
+        assert check(suite.SuiteConfig()).passed
+        built = {key: ops for key, ops in fock._ACT_CACHE.items()
+                 if isinstance(key, tuple) and key[0] in ("Lop", "Vop")}
+        assert built
+        for (tag, *args), ops in built.items():
+            reference = _reference_mode_sum if tag == "Lop" else _reference_vertex_operator
+            want = reference(*args)
+            assert None not in want and all(type(c) is int for c in want.values()), (tag, args)
+            assert dict(ops) == want and len(ops) == len(want), (tag, args)
+    finally:
+        clear_action_cache()
 
 
 def test_mode_operators_check_indices_against_d():
