@@ -43,11 +43,13 @@ there.  Ids stay inside this module, virops, check 3's rows (suite)
 and the search matrix (singular); a State keeps tuple keys, and _act_gen is
 the tuple-level entry point to _act_id.
 
-One cache memoises every operator that acts monomial by monomial: the
-single-generator action under the int key gid << 32 | mid, and `memo`'s
-entries under tuple keys: virops' per-monomial id images under (key, mid),
-where the key names the operator, such as ("L", pairs, m), its operator id
-forms per degree, and singular's minors.  `clear_action_cache` empties it
+One cache memoises every operator that acts monomial by monomial: under
+the int key gid << 32 | mid, the image of each generator that neither
+lowers (a lowering image is a one-term dict built afresh from the memoised
+insertion) nor is killed by grading; and `memo`'s entries under tuple
+keys: virops' per-monomial id images under (key, mid), where the key names
+the operator, such as ("L", pairs, m), its operator id forms per degree,
+and singular's minors.  `clear_action_cache` empties it
 together with the id tables, so an id taken before a clear means nothing
 after it.  `forget` drops chosen `memo` entries by key, and
 _forget_images the images of chosen generators on chosen monomials.
@@ -436,36 +438,37 @@ def _add_scaled(acc: dict, image: dict, coeff):
 
 
 def _act_id(gid: int, mid: int) -> dict:
-    """Action of one generator on one basis monomial, on ids: {monomial id: coefficient} (memoised).
+    """Action of one generator on one basis monomial, on ids: {monomial id: coefficient}.
 
-    Lowering generators multiply in; anything else is commuted past the
-    head factor with the deformed bracket, whose integer form (terms, const)
-    from _pair_bracket adds r*const times the tail, and annihilates the
-    vacuum.  Every coefficient lies in Z + Z*r.  Before any lookup or
+    A lowering generator multiplies in: its image is a new dict {product:
+    1} each call, not cached, as _insert_id already memoises the product.
+    Anything else is commuted past the head factor with the deformed
+    bracket, whose integer form (terms, const) from _pair_bracket adds
+    r*const times the tail, and annihilates the vacuum; that image is
+    memoised.  Every coefficient lies in Z + Z*r.  Before any lookup or
     recursion, a generator that grading kills gets the shared empty image
     _EMPTY, which is not cached: v_k(0) is central and kills the vacuum, and
     a positive mode v_k(x) commutes past every mode but v_k(-x), so when the
     monomial's census has fewer copies of v_k(-x) than the generator's needs
     ask, it reaches the vacuum and kills it.  The recursion keeps its own
     vacuum case, so it stays exact with a weaker grading test.  Callers must
-    not mutate the returned dict.
+    not mutate a memoised image or _EMPTY; a lowering image is the caller's.
     """
     needs = _NEEDS[gid]
     if needs is None:
         return _EMPTY
-    if needs:
-        census = _CENSUS[mid]
-        for offset, copies in needs:
-            if (census >> offset) & 3 < copies:
-                return _EMPTY
+    if not needs:
+        return {_insert_id(gid, mid): 1}
+    census = _CENSUS[mid]
+    for offset, copies in needs:
+        if (census >> offset) & 3 < copies:
+            return _EMPTY
     key = gid << _ID_BITS | mid
     cached = _ACT_CACHE.get(key)
     if cached is not None:
         return cached
     rest = _TAILS[mid]
-    if not needs:
-        result = {_insert_id(gid, mid): 1}
-    elif rest is None:
+    if rest is None:
         result = {}
     else:
         head = _HEADS[mid]

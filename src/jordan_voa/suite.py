@@ -174,30 +174,47 @@ def _int_bracket_table(gens: list):
     return table
 
 
-def _nontrivial_triples(table: list, count: int):
-    """Triples a < b < c, in lexicographic order, whose Jacobi sum can be
-    nonzero in table: for some rotation (x, y, z) of (a, b, c), a generator
-    w of [y, z] has [x, w] nonzero.  Any other triple's Jacobi sum has no
-    term at all, whatever the table holds.
+def _jacobi_sums(table: list, count: int) -> dict:
+    """The Jacobi sums of table over the triples a < b < c that have a term, in one pass.
+
+    A triple's sum over its rotations (x, y, z) adds cw times [x, w] for each
+    generator w, with coefficient cw, of [y, z]; the constant of [y, z] is
+    central.  So each inner entry (y, z), each w in it and each x with [x,
+    w] nonzero add cw times [x, w] to the triple, where (x, y, z) is a
+    rotation of it: x < y < z, y < z < x or z < x < y.  The sums are keyed
+    by ((a*count + b)*count + c)*(count + 1) + t, t the position of a
+    generator of [x, w], or count for the coefficient of r in its constant,
+    so keys sort by triple; a key whose sum cancels stays in with the value
+    0.  A triple with no key has no term at all, whatever the table holds.
     """
     hits = [[] for _ in range(count)]  # hits[w]: the x with [x, w] nonzero, ascending
     for pos, (terms, const) in enumerate(table):
         if terms or const:
             x, w = divmod(pos, count)
             hits[w].append(x)
-    found = set()
+    width = count + 1
+    sums: dict = {}
     for pos, (terms, _) in enumerate(table):
         if not terms:
             continue
         y, z = divmod(pos, count)
-        for w, _ in terms:
+        for w, cw in terms:
             xs = hits[w]
             if y < z:  # x < y < z, or y < z < x
-                found.update((x, y, z) for x in xs[: bisect_left(xs, y)])
-                found.update((y, z, x) for x in xs[bisect_right(xs, z):])
+                below, above = bisect_left(xs, y), bisect_right(xs, z)
+                triples = [((x * count + y) * count + z, x) for x in xs[:below]]
+                triples += [((y * count + z) * count + x, x) for x in xs[above:]]
             else:  # z < x < y
-                found.update((z, x, y) for x in xs[bisect_right(xs, z) : bisect_left(xs, y)])
-    return sorted(found)
+                triples = [((z * count + x) * count + y, x)
+                           for x in xs[bisect_right(xs, z) : bisect_left(xs, y)]]
+            for triple, x in triples:
+                outer_terms, outer_const = table[x * count + w]
+                base = triple * width
+                for target, ct in outer_terms:
+                    sums[base + target] = sums.get(base + target, 0) + cw * ct
+                if outer_const:
+                    sums[base + count] = sums.get(base + count, 0) + cw * outer_const
+    return sums
 
 
 def _triples_through(a: int, b: int, c: int, count: int) -> int:
@@ -218,10 +235,13 @@ def check_lie_axioms(config: SuiteConfig) -> CheckResult:
     inner brackets [y,z], [z,x] and [x,y] (their constants are central),
     each bracketed with the remaining element, so a triple where no such
     outer bracket [x, w] is nonzero in the table has sum zero identically.
-    Such triples are certified without being summed (at d = 3, 65580 of the
-    2027795 are summed); every triple counts in the reported total.
-    Antisymmetry likewise compares only the pairs with a nonzero entry in
-    either order and counts every pair.
+    _jacobi_sums accumulates every nonzero outer bracket into its triple in
+    one pass over the table, and the triples left with a nonzero sum fail,
+    in lexicographic order.  The other triples are certified without being
+    summed (at d = 3, 65580 of the 2027795 get a term); every triple counts
+    in the reported total, and an abort reports the place of the triple it
+    stopped at.  Antisymmetry likewise compares only the pairs with a
+    nonzero entry in either order and counts every pair.
     """
     failures = []
     gens = canonical_generators(LIE_INDEX_BOUND, config.d)
@@ -242,23 +262,15 @@ def check_lie_axioms(config: SuiteConfig) -> CheckResult:
     anti_checked = count * (count + 1) // 2
 
     jacobi_checked = math.comb(count, 3)
-    for a, b, c in _nontrivial_triples(table, count):
-        acc: dict = {}
-        rconst = 0
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            inner_terms, _ = table[y * count + z]
-            for w, cw in inner_terms:
-                outer_terms, outer_const = table[x * count + w]
-                for target, ct in outer_terms:
-                    acc[target] = acc.get(target, 0) + cw * ct
-                rconst += cw * outer_const
-        if rconst or any(acc.values()):
-            failures.append(
-                f"Jacobi fails for {gens[a]}, {gens[b]}, {gens[c]}"
-            )
-            if len(failures) > MAX_REPORTED_FAILURES:
-                jacobi_checked = _triples_through(a, b, c, count)
-                break
+    width = count + 1
+    failing = sorted({key // width for key, value in _jacobi_sums(table, count).items() if value})
+    for triple in failing:
+        ab, c = divmod(triple, count)
+        a, b = divmod(ab, count)
+        failures.append(f"Jacobi fails for {gens[a]}, {gens[b]}, {gens[c]}")
+        if len(failures) > MAX_REPORTED_FAILURES:
+            jacobi_checked = _triples_through(a, b, c, count)
+            break
 
     rng = random.Random(config.seed)
     wide = canonical_generators(SAMPLE_INDEX_BOUND, config.d)
@@ -310,28 +322,81 @@ def check_diagonal_pair_bracket(config: SuiteConfig) -> CheckResult:
 
 
 def _action_rows(gens: list):
-    """Monomial id -> its row of id images [_act_id(g, mid) for g in gens], each row built once."""
+    """Monomial id -> its row (images, live), each row built once.
+
+    images lists the id image _act_id(g, mid) of each g in gens, by
+    position; live is the ascending tuple of the positions whose image is
+    nonempty.  A lowering generator's image is a new one-term dict {product:
+    1} each call, and the rows keep one per product: at the default scale
+    their 42624 lowering images hold 18439 products.
+    """
     gids = [_gen_id(g) for g in gens]
+    lowering = [p for p, g in enumerate(gens) if g.is_lowering()]
     rows: dict = {}
+    products: dict = {}  # product id -> the one image {product: 1} the rows share
 
     def row_of(mid):
         row = rows.get(mid)
         if row is None:
-            row = rows[mid] = [_act_id(g, mid) for g in gids]
+            images = [_act_id(g, mid) for g in gids]
+            for p in lowering:
+                image = images[p]
+                images[p] = products.setdefault(next(iter(image)), image)
+            row = rows[mid] = (images, tuple(p for p, image in enumerate(images) if image))
         return row
 
     return row_of
 
 
+def _bracket_pairs(table: list, count: int):
+    """The pairs a <= b of table with a piece that acts on every u, as keys a*count + b.
+
+    Returns the ascending keys whose r-constant is nonzero, and for each
+    position p the keys whose generator part has p among its terms.
+    """
+    with_const = []
+    through = [[] for _ in range(count)]
+    for key, (terms, const) in enumerate(table):
+        a, b = divmod(key, count)
+        if a <= b:
+            if const:
+                with_const.append(key)
+            for p, _ in terms:
+                through[p].append(key)
+    return with_const, through
+
+
+def _live_pairs(count: int, u_live: tuple, x_rows: list, with_const: list, through: list) -> list:
+    """The ascending keys a*count + b, a <= b, of the pairs whose sides on u can be nonzero.
+
+    u_live holds the positions live on u, and x_rows[a] the rows of the
+    monomials of x_a u.  A pair is kept if one generator is live on u and
+    the other is live on some row of its image (x(y u) or y(x u) can be
+    nonzero), or if [x, y] has an r-constant (with_const) or a generator
+    term live on u (through).  Every other pair has both sides the zero
+    dict, whatever the rows and the table hold.
+    """
+    keys = set(with_const)
+    for p in u_live:
+        keys.update(through[p])
+    for a in u_live:
+        base = a * count
+        for _, live in x_rows[a]:
+            split = bisect_left(live, a)
+            keys.update([b * count + a for b in live[:split]])
+            keys.update([base + b for b in live[split:]])
+    return sorted(keys)
+
+
 def _representation_sides(a: int, b: int, xy, mid: int, u_row: list, x_terms: list, y_terms: list):
     """x(y u) and y(x u) + [x, y] u as id images, for the generators x, y at positions a, b.
 
-    u is the basis monomial of id mid with coefficient one and u_row is its row.
-    x_terms and y_terms are the images x u and y u as (row, coefficient)
-    pairs, one per term, each row that of the term's monomial.  xy is the
-    _int_bracket_table entry of [x, y]: its generator part as (position,
-    coefficient) pairs, and the coefficient of r in its constant, which
-    acts on u as a scalar.  Rows are only read.
+    u is the basis monomial of id mid with coefficient one and u_row lists
+    its images.  x_terms and y_terms are the images x u and y u as
+    (images, coefficient) pairs, one per term, images those of the term's
+    monomial.  xy is the _int_bracket_table entry of [x, y]: its generator
+    part as (position, coefficient) pairs, and the coefficient of r in its
+    constant, which acts on u as a scalar.  Images are only read.
     """
     terms, const = xy
     rhs: dict = {}
@@ -356,46 +421,66 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     every basis monomial u of bounded degree (d = 2).  Each u is one
     monomial with coefficient one, and both sides are composed from rows: a
     monomial's row lists its id image (fock._act_id) under each generator,
-    by position in the generator list.  One row is built for u and for each
-    monomial that some image of u reaches, so composing y after x u reads
-    row[b] of each term of x u, with no lookup per pair.  [x,y] comes from
-    _int_bracket_table, the table check 1 proves antisymmetric and Jacobi:
-    its generator part is composed through u's row and its constant r*c
-    adds r*c*u.  Work that can only give zero is skipped: a composition
-    whose inner image is empty, and [x,y] u when [x,y] = 0.  Each skipped
-    piece is the zero dict, so the two sides are still compared exactly for
-    every pair and every u.  A pair with [x,y] = 0 and both images x u and
-    y u empty has both sides zero; it is counted without composing anything.
+    by position in the generator list, and the positions where that image
+    is nonempty.  One row is built for u and for each monomial that some
+    image of u reaches, so composing y after x u reads row[b] of each term
+    of x u, with no lookup per pair.  [x,y] comes from _int_bracket_table,
+    the table check 1 proves antisymmetric and Jacobi: its generator part
+    is composed through u's row and its constant r*c adds r*c*u.
+
+    Only the pairs _live_pairs keeps are composed, in (x, y) order: x(y u)
+    needs x live on a row of y u, y(x u) needs y live on a row of x u, and
+    [x,y] u needs an r-constant or a term live on u.  Every other pair has
+    both sides the zero dict, read off the same rows and table, so it is
+    counted without composing anything (at the default scale 84334 of the
+    602946 pairs and states are composed), as check 1 counts the triples it
+    does not sum.  Where [x,y] = 0 and x u and y u are each empty or one
+    monomial with coefficient 1, the two sides are images in those
+    monomials' rows and are compared as they stand, with no sum built.  An
+    abort reports as checked the place of the failing pair and state in the
+    order of all of them.
     """
     failures = []
     degree_bound = min(5, config.max_degree)
     gens = canonical_generators(REP_INDEX_BOUND, 2)
     count = len(gens)
+    per_state = count * (count + 1) // 2
     table = _int_bracket_table(gens)
+    with_const, through = _bracket_pairs(table, count)
     row_of = _action_rows(gens)
-    checked = 0
-    for mono in basis_monomials(degree_bound, 2):
+    zero_images = [{}] * count
+    monos = basis_monomials(degree_bound, 2)
+    for index, mono in enumerate(monos):
         mid = _mono_id(mono)
-        u_row = row_of(mid)
-        terms = [[(row_of(m2), c) for m2, c in image.items()] for image in u_row]
-        for a in range(count):
-            x_terms = terms[a]
-            base = a * count
-            for b in range(a, count):
-                checked += 1
-                xy = table[base + b]
-                if not (x_terms or terms[b] or xy[0] or xy[1]):
+        u_row, u_live = row_of(mid)
+        x_rows = [()] * count
+        terms = [()] * count
+        singles = [zero_images] * count  # the images of x u's one monomial, or None
+        for a in u_live:
+            image = u_row[a]
+            rows = x_rows[a] = [row_of(m2) for m2 in image]
+            terms[a] = [(row[0], c) for row, c in zip(rows, image.values())]
+            # an id coefficient equal to 1 is the int 1: a Scalar is a tuple
+            single = len(image) == 1 and next(iter(image.values())) == 1
+            singles[a] = rows[0][0] if single else None
+        for key in _live_pairs(count, u_live, x_rows, with_const, through):
+            a, b = divmod(key, count)
+            xy = table[key]
+            ua, ub = singles[a], singles[b]
+            if ua is not None and ub is not None and not (xy[0] or xy[1]):
+                if ub[a] == ua[b]:
                     continue
-                lhs, rhs = _representation_sides(a, b, xy, mid, u_row, x_terms, terms[b])
-                if lhs != rhs:
-                    u = State.from_monomial(mono)
-                    failures.append(
-                        f"action disagrees with bracket for {gens[a]}, {gens[b]} on {u}"
-                    )
-                    if len(failures) > MAX_REPORTED_FAILURES:
-                        return CheckResult(
-                            "action-respects-bracket", checked, "aborted early", failures
-                        )
+            else:
+                lhs, rhs = _representation_sides(a, b, xy, mid, u_row, terms[a], terms[b])
+                if lhs == rhs:
+                    continue
+            u = State.from_monomial(mono)
+            failures.append(f"action disagrees with bracket for {gens[a]}, {gens[b]} on {u}")
+            if len(failures) > MAX_REPORTED_FAILURES:
+                # the pairs of the states before u, u's pairs before row a, then (a, a) .. (a, b)
+                checked = index * per_state + a * count - a * (a - 1) // 2 + b - a + 1
+                return CheckResult("action-respects-bracket", checked, "aborted early", failures)
+    checked = len(monos) * per_state
     details = (
         f"{checked} generator pairs x states (index bound {REP_INDEX_BOUND}, "
         f"degree bound {degree_bound})"
@@ -726,15 +811,16 @@ ALL_CHECKS = (
 def run_check(check, *args) -> CheckResult:
     """check(*args), timed; a check that raises fails with nothing checked.
 
-    Checks are independent, so the action cache (fock._ACT_CACHE, which also
-    holds every memo entry: the mode-sum and recursion images of virops on
-    monomial ids, and the operators' id forms) is emptied first, with fock's
-    id tables, and no check's images or ids outlive the next check.  One
-    cache persists from check to check, liealg._pair_bracket: the battery's
-    fixed scales bound it, and the benchmark reads its counters after a run,
-    which emptying it would reset.  singular._MATRIX_CACHE is not left
-    filled either: check 9's sweep releases each weight's matrix once the
-    weight is searched.
+    Checks are independent, so the action cache (fock._ACT_CACHE: the images
+    of the generators that do not lower, check 3's 38442 the most at the
+    default scale, and every memo entry: the mode-sum and recursion images
+    of virops on monomial ids, and the operators' id forms) is emptied
+    first, with fock's id tables, and no check's images or ids outlive the
+    next check.  One cache persists from check to check,
+    liealg._pair_bracket: the battery's fixed scales bound it, and the
+    benchmark reads its counters after a run, which emptying it would
+    reset.  singular._MATRIX_CACHE is not left filled either: check 9's
+    sweep releases each weight's matrix once the weight is searched.
 
     The check runs under fock.collector_paused.  That is safe: the caches
     are acyclic and a check makes no cyclic garbage, so reference counting

@@ -565,15 +565,16 @@ def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch):
     from jordan_voa.liealg import Generator
 
     seen = []
+    # a raising image is cached; a lowering one, or one that grading kills, leaves no entry
+    raising, state = Generator(1, 1, 1, 1), fock.State.from_monomial((Generator(1, 1, -1, -1),))
 
     def probe(config):
         seen.append(len(fock._ACT_CACHE))
-        # a lowering generator's image is cached; one that grading kills leaves no entry
-        fock.act(Generator(1, 1, -1, -1), fock.State.vacuum())
+        fock.act(raising, state)
         return suite.CheckResult("probe", 1)
 
     monkeypatch.setattr(suite, "ALL_CHECKS", (("a", probe), ("b", probe), ("c", probe)))
-    fock.act(Generator(1, 2, -1, -1), fock.State.vacuum())
+    fock.act(raising, state)
     results = suite.run_paper_suite(suite.SuiteConfig(d=2, max_degree=2, samples=0))
     assert [res.passed for res in results] == [True] * 3
     assert seen == [0, 0, 0]

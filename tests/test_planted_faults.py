@@ -1,8 +1,9 @@
 """A catalogue of planted faults, each with the checks of the battery that must catch it.
 
 Each fault is a faulty copy of one function of the engine.  Its code is put
-into the original's __code__, so every module that imported the function
-by name runs the fault too, and the battery runs at a small scale (d = 2,
+into the original's __code__ (for the lru_cached _pair_bracket, the code of
+the function it wraps), so every module that imported the function by name
+runs the fault too, and the battery runs at a small scale (d = 2,
 max_degree 2, 200 sampled triples: 0.2 to 0.4 s a fault).  A faulty copy's
 code runs in the original's module and calls that module's names; they are
 imported here as well, so the copies read as plain code.  Cached brackets
@@ -13,7 +14,7 @@ and id tables), so the fixture clears them before and after each fault.
 import pytest
 
 from jordan_voa import fock, liealg, singular, virops
-from jordan_voa.liealg import Generator, _contraction
+from jordan_voa.liealg import Generator, _contraction, _normal_order
 from jordan_voa.suite import SuiteConfig, run_paper_suite
 from jordan_voa.virops import _id_form, _mode_sum_ids, _multiple, _on_ids, _recursion_image
 
@@ -56,6 +57,36 @@ def _contraction_ignoring_the_index(x, y):
     return x[1] if x[1] + y[1] == 0 else 0
 
 
+def _pair_bracket_negating_its_constant(g, h):
+    a, b, c, d = (g.i, g.m), (g.j, g.n), (h.i, h.m), (h.j, h.n)
+    acc: dict = {}
+    const = 0
+    for scalar, x, y in ((_contraction(b, c), a, d), (_contraction(b, d), a, c),
+                         (_contraction(a, c), d, b), (_contraction(a, d), c, b)):
+        if scalar:
+            gen, shift = _normal_order(x, y)
+            acc[gen] = acc.get(gen, 0) + scalar
+            const -= scalar * shift
+    terms = tuple((gen, coeff) for gen, coeff in acc.items() if coeff)
+    return (terms, const) if terms or const else ((), 0)
+
+
+def _pair_bracket_negating_its_constant_at_a_wide_mode(g, h):
+    a, b, c, d = (g.i, g.m), (g.j, g.n), (h.i, h.m), (h.j, h.n)
+    acc: dict = {}
+    const = 0
+    for scalar, x, y in ((_contraction(b, c), a, d), (_contraction(b, d), a, c),
+                         (_contraction(a, c), d, b), (_contraction(a, d), c, b)):
+        if scalar:
+            gen, shift = _normal_order(x, y)
+            acc[gen] = acc.get(gen, 0) + scalar
+            const += scalar * shift
+    if max(abs(g.m), abs(g.n), abs(h.m), abs(h.n)) >= 5:
+        const = -const
+    terms = tuple((gen, coeff) for gen, coeff in acc.items() if coeff)
+    return (terms, const) if terms or const else ((), 0)
+
+
 FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
     "multiple-drops-its-factor-2": (
         virops._multiple, _multiple_without_its_factor_2,
@@ -71,6 +102,13 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
         liealg._normal_order, _normal_order_negating_its_constant,
         {"diagonal-pair-bracket-closed-form", "diagonal-raising-eigenvalue",
          "determinant-power-singular", "determinant-commutation", "virasoro-central-charge"}),
+    "pair-bracket-negates-its-constant": (
+        liealg._pair_bracket.__wrapped__, _pair_bracket_negating_its_constant,
+        {"diagonal-pair-bracket-closed-form", "diagonal-raising-eigenvalue",
+         "determinant-power-singular", "determinant-commutation", "virasoro-central-charge"}),
+    "pair-bracket-negates-its-constant-at-a-wide-mode": (
+        liealg._pair_bracket.__wrapped__, _pair_bracket_negating_its_constant_at_a_wide_mode,
+        {"diagonal-pair-bracket-closed-form"}),
     "contraction-ignores-the-index": (
         liealg._contraction, _contraction_ignoring_the_index,
         {"bracket-antisymmetry-jacobi", "action-respects-bracket", "lowering-recursions",

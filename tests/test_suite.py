@@ -1,18 +1,22 @@
 """The suite's fast paths for checks 1 and 3: oracles and planted faults.
 
 Checks 1 and 3 read one integer bracket table, built only for pairs that
-share a contractible mode.  Check 1 sums Jacobi only over the triples where
-some outer bracket of an inner generator is nonzero, and compares
+share a contractible mode.  Check 1 accumulates every nonzero outer bracket
+of an inner generator into its triple in one pass, and compares
 antisymmetry only for pairs with a nonzero entry.  Check 3 composes through
-per-monomial rows of single-generator images and counts, without composing,
-each pair and state where both images and the bracket are zero.  These
-tests compare each fast path with the plain computation it replaces and
-show that each check still fails when one of its inputs is wrong.
+per-monomial rows of single-generator images, and only the pairs and states
+where a side can be nonzero; it counts the others without composing.  These
+tests keep the plain computations each fast path replaced (the per-triple
+Jacobi loop over _nontrivial_triples, the dense loop of check 3) as
+references, compare the fast paths with them and with the public act and
+bracket_r, and show that each check still fails when one of its inputs is
+wrong, with the report the reference gives.
 """
 
 import gc
 import math
 import random
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 
 import pytest
@@ -52,10 +56,57 @@ def _jacobi_is_zero(x, y, z):
     return total.is_zero()
 
 
+def _nontrivial_triples(table, count):
+    """The reference: the triples a < b < c, in lexicographic order, where for
+    some rotation (x, y, z) a generator w of [y, z] has [x, w] nonzero."""
+    hits = [[] for _ in range(count)]  # hits[w]: the x with [x, w] nonzero, ascending
+    for pos, (terms, const) in enumerate(table):
+        if terms or const:
+            x, w = divmod(pos, count)
+            hits[w].append(x)
+    found = set()
+    for pos, (terms, _) in enumerate(table):
+        if not terms:
+            continue
+        y, z = divmod(pos, count)
+        for w, _ in terms:
+            xs = hits[w]
+            if y < z:  # x < y < z, or y < z < x
+                found.update((x, y, z) for x in xs[: bisect_left(xs, y)])
+                found.update((y, z, x) for x in xs[bisect_right(xs, z):])
+            else:  # z < x < y
+                found.update((z, x, y) for x in xs[bisect_right(xs, z) : bisect_left(xs, y)])
+    return sorted(found)
+
+
+def _jacobi_sum_is_zero(table, count, a, b, c):
+    """The reference: the Jacobi sum of one triple, summed rotation by rotation."""
+    acc: dict = {}
+    rconst = 0
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for w, cw in table[y * count + z][0]:
+            outer_terms, outer_const = table[x * count + w]
+            for target, ct in outer_terms:
+                acc[target] = acc.get(target, 0) + cw * ct
+            rconst += cw * outer_const
+    return not (rconst or any(acc.values()))
+
+
+def _triple_of(key, count):
+    """The triple (a, b, c) of a _jacobi_sums key."""
+    ab, c = divmod(key // (count + 1), count)
+    return (*divmod(ab, count), c)
+
+
+def _summed_triples(table, count):
+    """The triples _jacobi_sums gives a key, ascending."""
+    return sorted({_triple_of(key, count) for key in suite._jacobi_sums(table, count)})
+
+
 def _skipped_triples(bound, d):
     gens = canonical_generators(bound, d)
     count = len(gens)
-    kept = set(suite._nontrivial_triples(suite._int_bracket_table(gens), count))
+    kept = set(_summed_triples(suite._int_bracket_table(gens), count))
     return gens, [t for t in combinations(range(count), 3) if t not in kept]
 
 
@@ -72,27 +123,43 @@ def _triples_with_a_term(table, count):
     ]
 
 
+def _random_table(rng, count, size):
+    """A table with no Lie structure: entries over a few positions, coefficients +-1 and +-2."""
+    positions = rng.sample(range(count), size)
+    table = [((), 0)] * (count * count)
+    for _ in range(rng.randrange(1, 3 * size)):
+        y, z = rng.choice(positions), rng.choice(positions)
+        terms = tuple((rng.choice(positions), rng.choice((-2, -1, 1, 2)))
+                      for _ in range(rng.randrange(3)))
+        table[y * count + z] = (terms, rng.choice((0, 0, 1, -1))) if terms else ((), 1)
+    return table
+
+
 def test_nontrivial_triples_are_those_whose_jacobi_sum_has_a_term():
     gens = canonical_generators(2, 2)
     count = len(gens)
     table = suite._int_bracket_table(gens)
     expected = _triples_with_a_term(table, count)
-    assert suite._nontrivial_triples(table, count) == expected
+    assert _summed_triples(table, count) == expected == _nontrivial_triples(table, count)
     assert 0 < len(expected) < math.comb(count, 3)
+    assert not any(suite._jacobi_sums(table, count).values())
 
 
 def test_nontrivial_triples_need_no_lie_structure_in_the_table():
-    """On random tables, with no antisymmetry or Jacobi, the same scan holds."""
+    """On random tables, with no antisymmetry or Jacobi, the same triples get a term,
+    and the same of them fail as when each is summed on its own."""
     rng = random.Random(11)
     count = 10
-    for _ in range(20):
-        table = [
-            (tuple((rng.randrange(count), 1) for _ in range(rng.randrange(1, 3))), 0)
-            if rng.random() < 0.1
-            else ((), rng.choice((0, 0, 0, 1)))
-            for _ in range(count * count)
-        ]
-        assert suite._nontrivial_triples(table, count) == _triples_with_a_term(table, count)
+    failing = 0
+    for _ in range(40):
+        table = _random_table(rng, count, 6)
+        triples = _triples_with_a_term(table, count)
+        assert _summed_triples(table, count) == triples == _nontrivial_triples(table, count)
+        sums = suite._jacobi_sums(table, count)
+        expected = [t for t in triples if not _jacobi_sum_is_zero(table, count, *t)]
+        assert sorted({_triple_of(key, count) for key, value in sums.items() if value}) == expected
+        failing += len(expected)
+    assert failing
 
 
 def test_every_skipped_triple_satisfies_jacobi_through_the_public_bracket():
@@ -240,6 +307,70 @@ def test_check_1_stops_early_and_counts_the_triples_it_reached(monkeypatch):
     assert 0 < reached < total
 
 
+def _reference_exhaustive_part(table, gens):
+    """The reference: check 1's antisymmetry pairs, then its per-triple Jacobi loop over
+    _nontrivial_triples, as (failures, jacobi_checked)."""
+    count = len(gens)
+    failures = []
+    for a in range(count):
+        for b in range(a, count):
+            (fwd_terms, fwd_const), (rev_terms, rev_const) = table[a * count + b], table[b * count + a]
+            if fwd_const != -rev_const or dict(fwd_terms) != {t: -c for t, c in rev_terms}:
+                failures.append(f"antisymmetry fails for {gens[a]}, {gens[b]}")
+    for a, b, c in _nontrivial_triples(table, count):
+        if not _jacobi_sum_is_zero(table, count, a, b, c):
+            failures.append(f"Jacobi fails for {gens[a]}, {gens[b]}, {gens[c]}")
+            if len(failures) > suite.MAX_REPORTED_FAILURES:
+                return failures, suite._triples_through(a, b, c, count)
+    return failures, math.comb(count, 3)
+
+
+def _antisymmetric_but(table, count, rng, broken):
+    """table with entry (z, y) = -(y, z) for y < z and a zero diagonal, then `broken`
+    entries given a wrong constant."""
+    for y in range(count):
+        table[y * count + y] = ((), 0)
+        for z in range(y + 1, count):
+            terms, const = table[y * count + z]
+            table[z * count + y] = (tuple((t, -c) for t, c in terms), -const)
+    for pos in rng.sample(range(count * count), broken):
+        terms, const = table[pos]
+        table[pos] = (terms, const + 1)
+    return table
+
+
+def test_check_1_reports_what_the_per_triple_loop_reports_on_random_tables(monkeypatch):
+    """With antisymmetry failures first, the one-pass sums fail the same triples in the
+    same order, and an abort counts the same triples, as the per-triple loop."""
+    gens = canonical_generators(suite.LIE_INDEX_BOUND, SMALL.d)
+    count = len(gens)
+    rng = random.Random(3)
+    table = None
+    monkeypatch.setattr(suite, "_int_bracket_table", lambda g: table)
+    seen = set()
+    for _ in range(40):
+        broken = rng.randrange(4)
+        table = _antisymmetric_but(_random_table(rng, count, rng.randrange(3, 12)), count, rng, broken)
+        res = suite.check_lie_axioms(SMALL)
+        failures, jacobi_checked = _reference_exhaustive_part(table, gens)
+        assert res.failures == failures
+        anti_checked = math.comb(count + 1, 2)
+        assert res.details == (
+            f"{anti_checked} antisymmetry pairs, {jacobi_checked} exhaustive triples "
+            f"(bound {suite.LIE_INDEX_BOUND}), 0 sampled triples (bound {suite.SAMPLE_INDEX_BOUND})"
+        )
+        assert res.checked == anti_checked + jacobi_checked
+        sums = suite._jacobi_sums(table, count)
+        assert sorted({_triple_of(key, count) for key, value in sums.items() if value}) == [
+            t for t in _nontrivial_triples(table, count) if not _jacobi_sum_is_zero(table, count, *t)
+        ]
+        anti = sum(f.startswith("antisymmetry") for f in failures)
+        seen.add((anti > 0, len(failures) > anti, jacobi_checked < math.comb(count, 3)))
+    # (antisymmetry fails, Jacobi fails, aborted): aborts with and without antisymmetry
+    # failures before the Jacobi ones, and runs that fail without aborting
+    assert {(True, True, True), (False, True, True), (True, True, False), (False, True, False)} <= seen
+
+
 def test_nested_int_bracket_is_the_public_nested_bracket():
     """The sampled part's integer form of [x, [y, z]] is bracket_r(x, bracket_r(y, z))."""
     wide = canonical_generators(suite.SAMPLE_INDEX_BOUND, 3)
@@ -275,6 +406,65 @@ def test_only_the_samples_see_a_fault_beyond_the_exhaustive_bound(monkeypatch):
 # -- check 3 ---------------------------------------------------------------
 
 
+def _reference_check_3(config):
+    """The reference: check 3's dense loop, every pair composed on every state from the id
+    images, with the same failures, abort and count as the check."""
+    degree_bound = min(5, config.max_degree)
+    gens = canonical_generators(suite.REP_INDEX_BOUND, 2)
+    count = len(gens)
+    gids = [fock._gen_id(g) for g in gens]
+    table = suite._int_bracket_table(gens)
+    rows: dict = {}
+
+    def row_of(mid):
+        if mid not in rows:
+            rows[mid] = [fock._act_id(g, mid) for g in gids]
+        return rows[mid]
+
+    failures = []
+    checked = 0
+    for mono in fock.basis_monomials(degree_bound, 2):
+        mid = fock._mono_id(mono)
+        u_row = row_of(mid)
+        for a in range(count):
+            for b in range(a, count):
+                checked += 1
+                terms, const = table[a * count + b]
+                rhs: dict = {}
+                for pos, c in terms:
+                    fock._add_scaled(rhs, u_row[pos], c)
+                if const:
+                    fock._add(rhs, mid, R * const)
+                for m2, c in u_row[a].items():
+                    fock._add_scaled(rhs, row_of(m2)[b], c)
+                lhs: dict = {}
+                for m2, c in u_row[b].items():
+                    fock._add_scaled(lhs, row_of(m2)[a], c)
+                if lhs != rhs:
+                    u = State.from_monomial(mono)
+                    failures.append(
+                        f"action disagrees with bracket for {gens[a]}, {gens[b]} on {u}"
+                    )
+                    if len(failures) > suite.MAX_REPORTED_FAILURES:
+                        return suite.CheckResult(
+                            "action-respects-bracket", checked, "aborted early", failures
+                        )
+    details = (
+        f"{checked} generator pairs x states (index bound {suite.REP_INDEX_BOUND}, "
+        f"degree bound {degree_bound})"
+    )
+    return suite.CheckResult("action-respects-bracket", checked, details, failures)
+
+
+def _assert_only_action_fails_as_the_reference_does(config, aborted):
+    res = suite.check_representation_property(config)
+    _assert_only_action_fails(res)
+    ref = _reference_check_3(config)
+    assert (res.checked, res.details, res.failures) == (ref.checked, ref.details, ref.failures)
+    assert (res.details == "aborted early") == aborted
+    return res
+
+
 def test_representation_sides_match_the_state_action():
     gens = canonical_generators(2, 2)
     count = len(gens)
@@ -283,8 +473,9 @@ def test_representation_sides_match_the_state_action():
     for mono in fock.basis_monomials(4, 2):  # degree 4 has two-factor monomials
         u = State.from_monomial(mono)
         mid = fock._mono_id(mono)
-        u_row = row_of(mid)
-        terms = [[(row_of(m2), c) for m2, c in image.items()] for image in u_row]
+        u_row, u_live = row_of(mid)
+        assert u_live == tuple(p for p, g in enumerate(gens) if not act(g, u).is_zero())
+        terms = [[(row_of(m2)[0], c) for m2, c in image.items()] for image in u_row]
         for a, x in enumerate(gens):
             for b in range(a, count):
                 y = gens[b]
@@ -296,32 +487,75 @@ def test_representation_sides_match_the_state_action():
                 assert on_monomials(rhs) == (act(y, act(x, u)) + act(xy, u)).terms, (x, y, mono)
 
 
-def test_check_3_composes_every_pair_with_a_nonzero_piece(monkeypatch):
-    """Only pairs with [x,y] = 0 and both images x u, y u empty go uncomposed."""
-    composed = []
-    original = suite._representation_sides
-    gens = canonical_generators(suite.REP_INDEX_BOUND, 2)
+@pytest.fixture
+def composed_pairs(monkeypatch):
+    """The pairs (a, b) check 3 composes at SMALL scale, one list per state in its order."""
+    seen = []
+    original = suite._live_pairs
+    count = len(canonical_generators(suite.REP_INDEX_BOUND, 2))
 
-    def spy(a, b, xy, mid, u_row, x_terms, y_terms):
-        composed.append((fock._MONOS[mid], gens[a], gens[b]))
-        return original(a, b, xy, mid, u_row, x_terms, y_terms)
+    def spy(*args):
+        keys = original(*args)
+        seen.append([divmod(key, count) for key in keys])
+        return keys
 
-    monkeypatch.setattr(suite, "_representation_sides", spy)
+    monkeypatch.setattr(suite, "_live_pairs", spy)
     res = suite.check_representation_property(SMALL)
+    assert res.passed
+    return res, seen
+
+
+def _pairs_with_a_nonzero_piece(gens, mono, brackets):
+    """Brute force through act and bracket_r: the pairs a <= b where y is nonzero on a
+    monomial of x u, or x on one of y u, or [x, y] has an r-constant or a term nonzero on u."""
+    u = State.from_monomial(mono)
+    images = [act(g, u) for g in gens]
+    live = {g for g, image in zip(gens, images) if not image.is_zero()}
+    reach = [
+        {h for m2 in image.terms for h in gens if not act(h, State.from_monomial(m2)).is_zero()}
+        for image in images
+    ]
+    return [
+        (a, b)
+        for a, x in enumerate(gens)
+        for b in range(a, len(gens))
+        if gens[b] in reach[a] or x in reach[b]
+        or brackets[a, b].coefficient(()) or any(g in live for g in brackets[a, b].terms if g != ())
+    ]
+
+
+def test_check_3_composes_every_pair_with_a_nonzero_piece(composed_pairs):
+    """Check 3 composes, in (x, y) order, exactly the pairs where a side can be nonzero."""
+    res, seen = composed_pairs
+    gens = canonical_generators(suite.REP_INDEX_BOUND, 2)
+    count = len(gens)
+    brackets = {(a, b): bracket_r(gens[a], gens[b]) for a in range(count) for b in range(a, count)}
     monos = fock.basis_monomials(SMALL.max_degree, 2)
-    zero_bracket = {(x, y) for a, x in enumerate(gens) for y in gens[a:] if bracket_r(x, y).is_zero()}
-    expected = []
-    for mono in monos:
+    assert seen == [_pairs_with_a_nonzero_piece(gens, mono, brackets) for mono in monos]
+    assert sum(map(len, seen)) < res.checked == len(monos) * math.comb(count + 1, 2)
+
+
+def test_every_pair_check_3_skips_has_both_sides_zero_through_act(composed_pairs):
+    _, seen = composed_pairs
+    gens = canonical_generators(suite.REP_INDEX_BOUND, 2)
+    count = len(gens)
+    skipped = 0
+    for mono, kept in zip(fock.basis_monomials(SMALL.max_degree, 2), seen):
         u = State.from_monomial(mono)
-        empty = {g for g in gens if act(g, u).is_zero()}
-        expected += [
-            (mono, x, y)
-            for a, x in enumerate(gens)
-            for y in gens[a:]
-            if (x, y) not in zero_bracket or x not in empty or y not in empty
-        ]
-    assert composed == expected
-    assert len(expected) < res.checked == len(monos) * math.comb(len(gens) + 1, 2)
+        images = [act(g, u) for g in gens]
+        kept = set(kept)
+        for a, x in enumerate(gens):
+            for b in range(a, count):
+                if (a, b) in kept:
+                    continue
+                y = gens[b]
+                skipped += 1
+                assert images[b].is_zero() or act(x, images[b]).is_zero(), (x, y, mono)
+                rhs = act(bracket_r(x, y), u)
+                if not images[a].is_zero():
+                    rhs = rhs + act(y, images[a])
+                assert rhs.is_zero(), (x, y, mono)
+    assert skipped > len(seen) * math.comb(count + 1, 2) // 2
 
 
 def test_check_3_fails_when_one_bracket_constant_is_wrong(monkeypatch):
@@ -333,7 +567,26 @@ def test_check_3_fails_when_one_bracket_constant_is_wrong(monkeypatch):
         return x, y, terms, const + 1
 
     _corrupt_bracket_table(monkeypatch, pick)
-    _assert_only_action_fails(suite.check_representation_property(SMALL))
+    _assert_only_action_fails_as_the_reference_does(SMALL, aborted=False)
+
+
+@pytest.mark.parametrize("entry", [(((0, 1),), 0), ((), 1)], ids=["a-term", "a-constant"])
+def test_check_3_fails_as_the_reference_when_an_empty_bracket_entry_is_made_nonempty(
+    monkeypatch, entry
+):
+    """x and y commute and kill every state at SMALL scale, so only the wrong entry gets
+    the pair composed: a term at position 0, a lowering generator, acts on every state, and
+    so does an r-constant.  The pair fails on each state."""
+    x, y = Generator(1, 1, 4, 4), Generator(2, 2, 4, 4)
+    monos = fock.basis_monomials(SMALL.max_degree, 2)
+    assert bracket_r(x, y).is_zero()
+    assert all(act(g, State.from_monomial(m)).is_zero() for g in (x, y) for m in monos)
+    gens = canonical_generators(suite.REP_INDEX_BOUND, 2)
+    assert gens[0].is_lowering()
+    _corrupt_bracket_table(monkeypatch, lambda table, count: (gens.index(x), gens.index(y), *entry))
+    res = _assert_only_action_fails_as_the_reference_does(SMALL, aborted=False)
+    assert res.failures == [f"action disagrees with bracket for {x}, {y} on {State.from_monomial(m)}"
+                            for m in monos]
 
 
 def test_check_3_takes_its_brackets_from_the_table(monkeypatch):
@@ -376,7 +629,7 @@ def test_check_3_fails_when_one_cached_image_is_wrong(wrong):
     assert fock._act_gen(gen, mono)
     key = cached_actions()[(gen, mono)]
     fock._ACT_CACHE[key] = wrong(fock._ACT_CACHE[key])
-    _assert_only_action_fails(suite.check_representation_property(SMALL))
+    _assert_only_action_fails_as_the_reference_does(SMALL, aborted=True)
 
 
 # -- run_check pauses the cyclic garbage collector ------------------------
