@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -35,8 +34,8 @@ from .singular import (
     is_singular,
     singular_sweep,
 )
-from .suite import (MAX_D, MAX_DEGREE, MIN_D, MIN_DEGREE, SuiteConfig, determinant_commutation,
-                    run_check, run_paper_suite, virasoro_central_charge)
+from .suite import (MAX_D, MAX_DEGREE, MAX_SAMPLES, MIN_D, MIN_DEGREE, SuiteConfig,
+                    determinant_commutation, run_check, run_paper_suite, virasoro_central_charge)
 from .virops import act_L, vertex_mode
 
 # The largest --max-degree of singular-sweep without --no-degree-guard: --rmin -3 --rmax 3
@@ -154,13 +153,6 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (os.sched_getaffinity is missing on macOS and Windows)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _flags(parser, *names, formats=("text", "json"), ranges=None):
     """Add the named shared flags and --output.
 
@@ -174,8 +166,6 @@ def _flags(parser, *names, formats=("text", "json"), ranges=None):
               'parameter value: a rational like 1/2, or "generic" (default %(default)s)'),
         "max-degree": (_int_in(*ranges["max-degree"]), 4, "degree bound (default %(default)s)"),
         "seed": (int, 0, None),
-        "workers": (_int_in(1, _usable_cpus()), 1,
-                    "worker processes, at most the usable CPUs (default %(default)s)"),
     }
     for name in names:
         if name == "no-degree-guard":
@@ -291,7 +281,7 @@ def _cmd_singular_sweep(args) -> int:
     if args.max_degree < 1:
         raise ValueError(f"no weight to search: --max-degree {args.max_degree} is below 1")
     r_values = [Fraction(r) for r in range(args.rmin, args.rmax + 1)]
-    reports = singular_sweep(r_values, args.max_degree, workers=args.workers)
+    reports = singular_sweep(r_values, args.max_degree)
     if args.output == "json":
         print(json.dumps([
             {
@@ -425,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singular-sweep", help="kernel search over all weights")
     p.add_argument("--rmin", type=int, required=True)
     p.add_argument("--rmax", type=int, required=True)
-    _flags(p, "max-degree", "no-degree-guard", "workers", formats=("csv", "json"))
+    _flags(p, "max-degree", "no-degree-guard", formats=("csv", "json"))
     p.set_defaults(func=_cmd_singular_sweep)
 
     p = sub.add_parser("verify-det", help="determinant commutation identities")
@@ -445,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-suite", help="run the full verification battery")
     suite = SuiteConfig()
-    p.add_argument("--samples", type=_int_in(0), default=suite.samples,
+    p.add_argument("--samples", type=_int_in(0, MAX_SAMPLES), default=suite.samples,
                    help="sampled bracket triples (default %(default)s)")
     _flags(p, "d", "max-degree", "seed",
            ranges={"d": (MIN_D, MAX_D), "max-degree": (MIN_DEGREE, MAX_DEGREE)})

@@ -60,14 +60,13 @@ Matrices, 1972), so the gcd of a few minors bounds the parameter values
 with a singular vector at that weight.  A maximal minor of the
 generators' matrix is one of the whole family's matrix too.
 
-singular_sweep runs singular_search weight by weight, in this process or
-in a pool of worker processes.  Each weight is searched at every parameter
-against one matrix and one minor; then the matrix, the minor and the
-weight's top-level action images are released, so a sweep keeps no search
-matrix and its memory grows only with the lower-degree images that the
-recursion shares between weights.  The reports still come out with the
-parameter in the outer loop; the Weight objects of fock.weights are passed
-and reported as they are.
+singular_sweep runs singular_search weight by weight.  Each weight is
+searched at every parameter against one matrix and one minor; then the
+matrix, the minor and the weight's top-level action images are released,
+so a sweep keeps no search matrix and its memory grows only with the
+lower-degree images that the recursion shares between weights.  The
+reports still come out with the parameter in the outer loop; the Weight
+objects of fock.weights are passed and reported as they are.
 """
 
 from __future__ import annotations
@@ -481,30 +480,22 @@ def _sweep_weight(lam: Weight, r_values: list) -> list:
     return reports
 
 
-def singular_sweep(r_values, max_degree: int, workers: int = 1) -> list:
+def singular_sweep(r_values, max_degree: int) -> list:
     """Run the kernel search over every first-oscillator weight for each parameter.
 
     The sweep is weight-major: each weight of fock.weights is one
-    _sweep_weight call, in this process or as one task of a pool of worker
-    processes, which releases the weight's entries before the next weight.
-    The reports are returned parameter first: r in the given order outside,
-    weights in fock.weights order inside.
+    _sweep_weight call, which releases the weight's entries before the next
+    weight.  The reports are returned parameter first: r in the given order
+    outside, weights in fock.weights order inside.
 
-    The serial search runs under fock.collector_paused.  That is safe: the
-    act and matrix caches are acyclic and a search makes no cyclic garbage,
-    so the collector's rescans of every cached entry would free nothing.
+    The search runs under fock.collector_paused.  That is safe: the act and
+    matrix caches are acyclic and a search makes no cyclic garbage, so the
+    collector's rescans of every cached entry would free nothing.
     Concurrent callers can only lose that saving.
     """
     r_values = list(r_values)
-    lams = weights(max_degree)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            by_weight = list(pool.map(_sweep_weight, lams, itertools.repeat(r_values)))
-    else:
-        with collector_paused():
-            by_weight = [_sweep_weight(lam, r_values) for lam in lams]
+    with collector_paused():
+        by_weight = [_sweep_weight(lam, r_values) for lam in weights(max_degree)]
     return [report for per_r in zip(*by_weight) for report in per_r]
 
 

@@ -221,6 +221,7 @@ def test_bad_d_is_a_usage_error(argv, capsys):
     ["singular-check", "--p", "2", "--nu", "1", "--full-algebra"],
     ["weight-basis", "--weight", "2*Lam[1,-1]", "--restricted"],
     ["verify-det", "--p", "2", "--index-bound", "3"],
+    ["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "2"],
 ])
 def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -233,9 +234,10 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     (["paper-suite", "--samples", "-1"], "--samples"),
     (["paper-suite", "--max-degree", "0"], "--max-degree"),
     (["paper-suite", "--max-degree", "1"], "--max-degree"),
-    (["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "0"], "--workers"),
-    (["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "-3"], "--workers"),
-    (["singular-sweep", "--rmin", "0", "--rmax", "0", "--workers", "100000"], "--workers"),
+    (["singular-sweep", "--rmin", "0", "--rmax", "0", "--max-degree", "-1"], "--max-degree"),
+    # one beyond suite.MAX_SAMPLES, and an input that would run for hours
+    (["paper-suite", "--samples", "1000001"], "--samples"),
+    (["paper-suite", "--samples", "1000000000"], "--samples"),
     (["virasoro-check", "--max-degree", "7"], "--max-degree"),
     (["singular-check", "--p", "8", "--nu", "1"], "--p"),
     (["singular-check", "--p", "0", "--nu", "1"], "--p"),
@@ -257,7 +259,7 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     (["singular-check", "--p", "1", "--nu", "1", "--d", "16000"], "--d"),
 ])
 def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
-    # parse only: nothing runs, so no suite and no worker pool can start
+    # parse only: nothing runs, so no suite and no sweep can start
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv)
     assert exc.value.code == 2
@@ -270,6 +272,12 @@ def test_singular_check_d_at_the_bound_parses():
     assert args.d == 1000 and cli.SINGULAR_CHECK_MAX_D == 1000
 
 
+def test_paper_suite_samples_at_the_bound_parse():
+    # parse only, as above: the 15 s battery at the bound is not run here
+    args = cli.build_parser().parse_args(["paper-suite", "--samples", "1000000"])
+    assert args.samples == 1000000 and cli.MAX_SAMPLES == 1000000
+
+
 def test_vertex_mode_modes_at_the_bound_parse():
     # parse only, as above: the operator at the bound is not built here
     args = cli.build_parser().parse_args(
@@ -279,7 +287,7 @@ def test_vertex_mode_modes_at_the_bound_parse():
 
 @pytest.mark.parametrize("kwargs", [
     {"d": 4}, {"d": 1}, {"max_degree": 7}, {"max_degree": -1}, {"samples": -1},
-    {"max_degree": 0}, {"max_degree": 1},
+    {"max_degree": 0}, {"max_degree": 1}, {"samples": 1000001},
 ])
 def test_suite_config_rejects_out_of_range_scale(kwargs):
     from jordan_voa.suite import SuiteConfig

@@ -44,10 +44,10 @@ BY_DEST = {  # the values drawn for an action, by its destination
 WORK = {
     ("paper-suite", "--d"): ["1", "4", "x", "2"],
     ("paper-suite", "--max-degree"): ["1", "7", "x", "2"],
-    ("paper-suite", "--samples"): ["-1", "x", "0"],
+    ("paper-suite", "--samples"): ["-1", "x", "1000001", "0"],
     ("verify-det", "--p"): ["0", "5", "x", "1", "2", "3"],
     ("virasoro-check", "--max-degree"): ["-1", "x", "0", "1", "2"],
-    ("singular-sweep", "--workers"): ["0", "x", "1"],  # a pool per draw would cost a spawn
+    ("singular-sweep", "--max-degree"): ["-1", "x", "0", "1", "4"],
     ("act-L", "--m"): ["x", "-200000", "-1000", "-1", "0", "3"],
 }
 

@@ -318,7 +318,7 @@ def test_certification_fails_off_relation():
 
 
 def test_singular_sweep_rows():
-    reports = singular_sweep([Fraction(0), Fraction(1)], 4, workers=1)
+    reports = singular_sweep([Fraction(0), Fraction(1)], 4)
     by_key = {(str(rep.r0), str(rep.weight)): rep for rep in reports}
     hit = by_key[("0", str(Weight({(1, -1): 2})))]
     assert hit.kernel_dim == 1
@@ -343,30 +343,19 @@ def test_serial_sweep_searches_with_the_collector_paused(monkeypatch):
     assert gc.isenabled()
 
 
-def test_singular_sweep_worker_pool_matches_serial():
-    """Weights travel to the workers and back pickled as they are: whole reports agree."""
-    r_values = [Fraction(0), Fraction(-2)]
-    serial = singular_sweep(r_values, 4, workers=1)
-    pooled = singular_sweep(r_values, 4, workers=2)
-    assert pooled == serial
-    kernels = {(rep.r0, rep.weight) for rep in pooled if rep.kernel_vectors}
-    assert kernels == {(0, Weight({(1, -1): 2})), (-2, Weight({(1, -1): 4}))}
-
-
 def _cold_caches():
     fock.clear_action_cache()
     singular._MATRIX_CACHE.clear()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_weight_major_sweep_reports_with_the_parameter_outside(workers):
+def test_weight_major_sweep_reports_with_the_parameter_outside():
     """The sweep runs weight by weight but returns r outer, weights in fock.weights order."""
     r_values = [GENERIC, Fraction(1, 2), -2, 0, 1]
     _cold_caches()
     expected = [singular_search(lam, r0) for r0 in r_values for lam in weights(10)]
     _cold_caches()
     try:
-        assert singular_sweep(r_values, 10, workers=workers) == expected
+        assert singular_sweep(r_values, 10) == expected
     finally:
         _cold_caches()
     assert sum(rep.kernel_dim for rep in expected) == 3  # det^nu of size p: (1,1), (1,2), (2,1)
