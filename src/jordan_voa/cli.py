@@ -166,22 +166,12 @@ def _flags(parser, *names, formats=("text", "json"), ranges=None):
               'parameter value: a rational like 1/2, or "generic" (default %(default)s)'),
         "max-degree": (_int_in(*ranges["max-degree"]), 4, "degree bound (default %(default)s)"),
         "seed": (int, 0, None),
+        "state": (str, "1", 'state literal or JSON (default vacuum "1")'),
     }
     for name in names:
-        if name == "no-degree-guard":
-            parser.add_argument("--no-degree-guard", action="store_true",
-                                help=f"allow --max-degree beyond {DEGREE_GUARD}")
-            continue
         kind, default, text = specs[name]
         parser.add_argument(f"--{name}", type=kind, default=default, help=text)
     parser.add_argument("--output", choices=formats, default=formats[0])
-
-
-def _check_guard(args) -> None:
-    if args.max_degree > DEGREE_GUARD and not args.no_degree_guard:
-        print(f"error: --max-degree {args.max_degree} exceeds {DEGREE_GUARD}; "
-              "pass --no-degree-guard", file=sys.stderr)
-        raise SystemExit(2)
 
 
 def _specialized(result, r):
@@ -273,7 +263,10 @@ def _cmd_singular_check(args) -> int:
 
 
 def _cmd_singular_sweep(args) -> int:
-    _check_guard(args)
+    if args.max_degree > DEGREE_GUARD and not args.no_degree_guard:
+        print(f"error: --max-degree {args.max_degree} exceeds {DEGREE_GUARD}; "
+              "pass --no-degree-guard", file=sys.stderr)
+        raise SystemExit(2)
     if args.rmin > args.rmax:
         raise ValueError(f"empty parameter range: --rmin {args.rmin} exceeds --rmax {args.rmax}")
     if args.rmax - args.rmin > SWEEP_MAX_R_SPAN:
@@ -372,16 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("act", help="act by a word of generators on a state")
     p.add_argument("element", nargs="+", help='generator literals "v[i,j](m,n)"')
-    p.add_argument("--state", default="1", help='state literal or JSON (default vacuum "1")')
-    _flags(p, "d", "r")
+    _flags(p, "state", "d", "r")
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser("act-L", help="apply a mode-sum operator L[i,j](m)")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--state", default="1")
-    _flags(p, "d", "r")
+    _flags(p, "state", "d", "r")
     p.set_defaults(func=_cmd_act_l)
 
     p = sub.add_parser("vertex-mode", help="apply a closed-form vertex mode")
@@ -391,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=mode, required=True)
     p.add_argument("--n", type=mode, required=True)
     p.add_argument("--l", type=mode, required=True)
-    p.add_argument("--state", default="1")
-    _flags(p, "d", "r")
+    _flags(p, "state", "d", "r")
     p.set_defaults(func=_cmd_vertex_mode)
 
     p = sub.add_parser("weight-basis", help="enumerate a weight-space basis")
@@ -415,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singular-sweep", help="kernel search over all weights")
     p.add_argument("--rmin", type=int, required=True)
     p.add_argument("--rmax", type=int, required=True)
-    _flags(p, "max-degree", "no-degree-guard", formats=("csv", "json"))
+    p.add_argument("--no-degree-guard", action="store_true",
+                   help=f"allow --max-degree beyond {DEGREE_GUARD}")
+    _flags(p, "max-degree", formats=("csv", "json"))
     p.set_defaults(func=_cmd_singular_sweep)
 
     p = sub.add_parser("verify-det", help="determinant commutation identities")

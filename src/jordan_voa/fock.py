@@ -102,8 +102,6 @@ def monomial(factors: Iterable[Generator], d: int | None = None) -> PBWMonomial:
     """Build a basis monomial from commuting lowering factors."""
     out = []
     for gen in factors:
-        if not isinstance(gen, Generator):
-            gen = Generator(*gen)
         if not gen.is_canonical():
             raise ValueError(f"{gen} is not in canonical form")
         if not gen.is_lowering():
@@ -231,20 +229,22 @@ class State(Combination):
         )
 
 
+def _common_grade(u: State, grade, name: str):
+    """The grade the support shares, or MIXED; the zero state has none."""
+    if u.is_zero():
+        raise ValueError(f"the zero state has no {name}")
+    grades = {grade(m) for m in u.terms}
+    return grades.pop() if len(grades) == 1 else MIXED
+
+
 def degree_of(u: State):
     """Common degree of the support, or MIXED; the zero state has none."""
-    if u.is_zero():
-        raise ValueError("the zero state has no degree")
-    degrees = {monomial_degree(m) for m in u.terms}
-    return degrees.pop() if len(degrees) == 1 else MIXED
+    return _common_grade(u, monomial_degree, "degree")
 
 
 def weight_of(u: State):
     """Common weight of the support, or MIXED; the zero state has none."""
-    if u.is_zero():
-        raise ValueError("the zero state has no weight")
-    weights = {monomial_weight(m) for m in u.terms}
-    return weights.pop() if len(weights) == 1 else MIXED
+    return _common_grade(u, monomial_weight, "weight")
 
 
 # -- module action -----------------------------------------------------

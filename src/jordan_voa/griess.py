@@ -128,13 +128,13 @@ def _jordan(a: dict, b: dict) -> dict:
 
 
 def _exact_sqrt(q: Fraction):
+    """The rational square root of q in normal form, an int when integral, or None."""
     if q < 0:
         return None
-    q = Fraction(q)
     num = isqrt(q.numerator)
     den = isqrt(q.denominator)
     if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
+        return Fraction(num, den) if den > 1 else num
     return None
 
 
@@ -166,7 +166,7 @@ def jordan_verify(d: int) -> dict:
     gamma = table.products[((1, 1), (1, 1))][first]
     if not gamma:
         raise GriessVerificationError("diagonal square has no diagonal component")
-    c_diag = gamma
+    c_diag = gamma.numerator if gamma.denominator == 1 else gamma  # normal form, as in Q[r]
     # Off-diagonal scale: w[1,2].w[1,2] = beta (w[1,1]+w[2,2]) forces
     # c_off^2 = beta * c_diag.  For d = 1 there is no off-diagonal element.
     c_off = None

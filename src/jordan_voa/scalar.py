@@ -215,7 +215,8 @@ class Combination:
     """A finite Q[r]-linear combination: terms maps each key to a nonzero Scalar.
 
     Subclasses name the keys (basis monomials, canonical generators) and add
-    what is specific to them; every operation here returns an instance of
+    what is specific to them, their text included; every operation here
+    returns an instance of
     the operand's own class.  Instances are never mutated once returned.
     """
 
@@ -307,9 +308,6 @@ class Combination:
             else:
                 out += f" + {piece}"
         return out or "0"
-
-    def __str__(self):
-        return self._signed_sum((str(k), c) for k, c in sorted(self.terms.items()))
 
     def __repr__(self):
         return f"{type(self).__name__}({str(self)!r})"

@@ -507,6 +507,16 @@ def _proportionality(a: State, b: State):
     return ratio if a == b.scale(ratio) else None
 
 
+def _l_word(i: int, j: int, a: int, b: int) -> State:
+    """L[i,i](-1)^b L[j,j](-1)^a L[i,j](-2) on the vacuum: check 4's word for a lowering pair."""
+    word = act_L(i, j, -2, State.vacuum())
+    for _ in range(a):
+        word = act_L(j, j, -1, word)
+    for _ in range(b):
+        word = act_L(i, i, -1, word)
+    return word
+
+
 def check_lowering_recursions(config: SuiteConfig) -> CheckResult:
     """Mode recursions tying lowering pairs to words in the L operators."""
     failures = []
@@ -541,28 +551,15 @@ def check_lowering_recursions(config: SuiteConfig) -> CheckResult:
         for m in range(lo, 0):
             for n in range(lo, 0):
                 checked += 1
-                lhs = act(canonicalize(i, j, m, n), vac)
-                word = act_L(i, j, -2, vac)
-                for _ in range(-n - 1):
-                    word = act_L(j, j, -1, word)
-                for _ in range(-m - 1):
-                    word = act_L(i, i, -1, word)
-                ratio = _proportionality(lhs, word)
-                if ratio is None or not ratio:
+                word = _l_word(i, j, -n - 1, -m - 1)
+                if not _proportionality(act(canonicalize(i, j, m, n), vac), word):
                     failures.append(f"mixed-pair word fails for ({i},{j},{m},{n})")
 
         for m in range(lo, -1):
             for n in range(lo, 0):
                 checked += 1
-                lhs = act(canonicalize(i, i, m, n), vac)
-                word = act_L(i, j, -2, vac)
-                for _ in range(-m - 2):
-                    word = act_L(j, j, -1, word)
-                for _ in range(-n - 1):
-                    word = act_L(i, i, -1, word)
-                word = act_L(i, i, 0, act_L(i, j, -1, word))
-                ratio = _proportionality(lhs, word)
-                if ratio is None or not ratio:
+                word = act_L(i, i, 0, act_L(i, j, -1, _l_word(i, j, -m - 2, -n - 1)))
+                if not _proportionality(act(canonicalize(i, i, m, n), vac), word):
                     failures.append(f"diagonal-pair word fails for ({i},{j},{m},{n})")
     details = f"{checked} recursion instances with modes in [{lo},-1]"
     return CheckResult("lowering-recursions", checked, details, failures)

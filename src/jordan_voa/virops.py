@@ -34,7 +34,9 @@ mode-sum layer, so it stays independent of the binomial formula.
 Every public operator crosses the State boundary once each way, in
 _through_ids: a zero state comes back unchanged, the state must be
 homogeneous, and the id sum is divided once on the way back, by 2 for a
-mode sum, by 4 for the probe and by c(m, n) for the oracle.
+mode sum, by 4 for the probe and by c(m, n) for the oracle.  No degree
+crosses with it: an operator that needs one reads it off a monomial of its
+own id sum, as _mode_sum_image does per monomial and vertex_mode once.
 """
 
 from __future__ import annotations
@@ -71,21 +73,17 @@ __all__ = [
 
 
 def _through_ids(u: State, image, divisor: int = 1) -> State:
-    """image(vec, depth) on a homogeneous state u of degree depth, as vec on monomial ids,
-    and the id sum it returns divided by divisor, as a State.
+    """image(vec) on a homogeneous state u, as vec on monomial ids, and the id sum
+    it returns divided by divisor, as a State.
 
-    A zero state comes back unchanged; a one-term state is homogeneous and
-    its degree is read off its monomial, and a mixed state is rejected.
+    A zero state comes back unchanged; a one-term state is homogeneous with
+    no scan of its support, and a mixed state is rejected.
     """
     if u.is_zero():
         return u
-    if len(u.terms) == 1:
-        depth = monomial_degree(next(iter(u.terms)))
-    else:
-        depth = degree_of(u)
-        if depth == MIXED:
-            raise ValueError("operator sums need a homogeneous input state")
-    return _state_of(image(_ids_of(u), depth), divisor)
+    if len(u.terms) > 1 and degree_of(u) == MIXED:
+        raise ValueError("operator sums need a homogeneous input state")
+    return _state_of(image(_ids_of(u)), divisor)
 
 
 def _id_form(summands) -> tuple:
@@ -142,7 +140,7 @@ def act_L(i: int, j: int, m: int, u: State, d: int | None = None) -> State:
     """Apply the mode-sum operator L[i,j](m) to a homogeneous state."""
     _validate_index(i, d)
     _validate_index(j, d)
-    return _through_ids(u, lambda vec, _: _mode_sum_ids(((i, j),), m, vec), 2)
+    return _through_ids(u, lambda vec: _mode_sum_ids(((i, j),), m, vec), 2)
 
 
 def _diagonal(d: int) -> tuple:
@@ -151,7 +149,7 @@ def _diagonal(d: int) -> tuple:
 
 def act_L_total(m: int, u: State, d: int) -> State:
     """Sum of the diagonal mode operators: the full Virasoro mode of weight m."""
-    return _through_ids(u, lambda vec, _: _mode_sum_ids(_diagonal(d), m, vec), 2)
+    return _through_ids(u, lambda vec: _mode_sum_ids(_diagonal(d), m, vec), 2)
 
 
 def binom(a: int, k: int) -> int:
@@ -177,7 +175,8 @@ def vertex_mode(i: int, j: int, m: int, n: int, l: int, u: State, d: int | None 
     if m >= 0 or n >= 0:
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
 
-    def image(vec, depth):
+    def image(vec):
+        depth = monomial_degree(_MONOS[next(iter(vec))])  # vec is homogeneous
         ops = memo(("Vop", i, j, m, n, l, depth), _vertex_operator, i, j, m, n, l, depth)
         return act_ids(ops, vec)
 
@@ -238,7 +237,7 @@ def vertex_mode_by_recursion(i: int, j: int, m: int, n: int, l: int, u: State) -
         raise ValueError("vertex modes are defined for distinct oscillator indices")
     if m >= 0 or n >= 0:
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
-    return _through_ids(u, lambda vec, _: _recursion_ids(i, j, m, n, l, vec), _multiple(m, n))
+    return _through_ids(u, lambda vec: _recursion_ids(i, j, m, n, l, vec), _multiple(m, n))
 
 
 def binomial_matrix_det(L: int, M: int) -> Fraction:
@@ -262,7 +261,7 @@ def virasoro_bracket_probe(m: int, n: int, u: State, d: int) -> State:
     """
     pairs = _diagonal(d)
 
-    def probe(vec, _):
+    def probe(vec):
         acc = _mode_sum_ids(pairs, m, _mode_sum_ids(pairs, n, vec))
         _add_scaled(acc, _mode_sum_ids(pairs, n, _mode_sum_ids(pairs, m, vec)), -1)
         if m != n:

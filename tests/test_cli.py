@@ -140,6 +140,18 @@ def test_griess_table_one_dimensional(capsys):
     assert "'off_diagonal_scale': None" in out
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_griess_table_text_verdict_prints_its_scales_as_numbers(capsys, d):
+    """The scales print as in the JSON verdict and check 11's summary, not as Fraction reprs."""
+    code, out = run_cli(capsys, "griess-table", "--d", str(d))
+    assert code == 0
+    assert "Fraction(" not in out and "'diagonal_scale': 2," in out
+    code, out = run_cli(capsys, "griess-table", "--d", str(d), "--output", "json")
+    verdict = json.loads(out)["verdict"]
+    scales = verdict["diagonal_scale"], verdict["off_diagonal_scale"]
+    assert scales == ("2", "1" if d > 1 else "None")
+
+
 def test_virasoro_check_command(capsys):
     code, out = run_cli(capsys, "virasoro-check", "--d", "2", "--max-degree", "3")
     assert code == 0 and "PASS" in out

@@ -5,12 +5,13 @@ must end in exit code 0, 1 or 2, with no traceback and within a deadline.
 The draws read each subcommand's actions, so a new flag is fuzzed without
 editing this file.  Numbers come from a small window and junk text, so a
 valid draw stays cheap; the bounds of the flags that cap the work are
-pinned in test_cli.py.
+pinned in test_cli.py, and each cheap one is run at its bound here.
 """
 
 import argparse
 import contextlib
 import io
+import time
 from datetime import timedelta
 
 import pytest
@@ -50,6 +51,19 @@ WORK = {
     ("singular-sweep", "--max-degree"): ["-1", "x", "0", "1", "4"],
     ("act-L", "--m"): ["x", "-200000", "-1000", "-1", "0", "3"],
 }
+
+# Each flag that caps cheap work, given its bound: in process on a 2-vCPU x86-64 host the
+# slowest, verify-det --p 4, takes 0.76 s and the rest at most 0.15 s.  The bounds that cost
+# seconds, paper-suite --samples 1000000 and singular-check --p 7, stay parse-only in
+# test_cli.py, as do the values one past each bound.
+AT_THE_BOUND = [
+    ["vertex-mode", "--i", "1", "--j", "2", "--m", "-300", "--n", "-300", "--l", "-300"],
+    ["vertex-mode", "--i", "1", "--j", "2", "--m", "-300", "--n", "-300", "--l", "300"],
+    ["griess-table", "--d", str(cli.GRIESS_MAX_D)],
+    ["singular-check", "--p", "1", "--nu", "1", "--d", str(cli.SINGULAR_CHECK_MAX_D)],
+    ["virasoro-check", "--d", str(cli.VIRASORO_MAX_D), "--max-degree", "0"],
+    ["verify-det", "--p", "4"],
+]
 
 PARSER = cli.build_parser()
 SUBCOMMANDS = next(
@@ -131,3 +145,16 @@ def test_the_draws_reach_every_exit_code():
     assert _run(["singular-check", "--p", "2", "--nu", "1"])[0] == 0
     assert _run(["singular-check", "--p", "2", "--nu", "1", "--r", "1/2"])[0] == 1
     assert _run(["verify-det", "--p", "5"])[0] == 2
+
+
+@pytest.mark.parametrize("argv", AT_THE_BOUND, ids=" ".join)
+def test_each_cheap_work_flag_runs_at_its_bound(argv):
+    """A flag's bound is a valid value that runs, within the fuzz deadline."""
+    start = time.perf_counter()
+    try:
+        code, err = _run(argv)
+    finally:
+        fock.clear_action_cache()
+        singular._MATRIX_CACHE.clear()
+    assert time.perf_counter() - start < FUZZ.deadline.total_seconds(), argv
+    assert code == 0, (argv, err)

@@ -14,9 +14,17 @@ and id tables), so the fixture clears them before and after each fault.
 import pytest
 
 from jordan_voa import fock, liealg, singular, virops
-from jordan_voa.liealg import Generator, _contraction, _normal_order
+from jordan_voa.fock import (
+    _ACT_CACHE, _CENSUS, _EMPTY, _HEADS, _ID_BITS, _MONOS, _NEEDS, _TAILS, _add, _bracket_id,
+    _insert_id, _slot, act_ids, memo, monomial_degree,
+)
+from jordan_voa.liealg import Generator, _contraction, _normal_order, _validate_index
+from jordan_voa.scalar import ONE
 from jordan_voa.suite import SuiteConfig, run_paper_suite
-from jordan_voa.virops import _id_form, _mode_sum_ids, _multiple, _on_ids, _recursion_image
+from jordan_voa.virops import (
+    _id_form, _mode_sum_ids, _multiple, _on_ids, _recursion_image, _through_ids,
+    _vertex_operator,
+)
 
 SMALL = SuiteConfig(d=2, max_degree=2, samples=200)
 
@@ -87,6 +95,67 @@ def _pair_bracket_negating_its_constant_at_a_wide_mode(g, h):
     return (terms, const) if terms or const else ((), 0)
 
 
+def _census_counting_only_the_first_slot(tail, head):
+    offset = _slot(head.i, head.m)
+    if (tail >> offset) & 3 < 2:
+        tail += 1 << offset
+    return tail
+
+
+def _act_id_dropping_its_constant(gid, mid):
+    needs = _NEEDS[gid]
+    if needs is None:
+        return _EMPTY
+    if not needs:
+        return {_insert_id(gid, mid): 1}
+    census = _CENSUS[mid]
+    for offset, copies in needs:
+        if (census >> offset) & 3 < copies:
+            return _EMPTY
+    key = gid << _ID_BITS | mid
+    cached = _ACT_CACHE.get(key)
+    if cached is not None:
+        return cached
+    rest = _TAILS[mid]
+    if rest is None:
+        result = {}
+    else:
+        head = _HEADS[mid]
+        result = {}
+        terms, const = _bracket_id(gid, head)
+        for g2, c2 in terms:
+            for m2, s2 in _act_id(g2, rest).items():
+                _add(result, m2, s2 * c2)
+        for m2, s2 in _act_id(gid, rest).items():
+            _add(result, _insert_id(head, m2), s2)
+    _ACT_CACHE[key] = result
+    return result
+
+
+def _generic_minor_returning_one(rows, ncols):
+    return ONE
+
+
+def _search_generators_dropping_v11_11(support):
+    return sorted(Generator(1, 1, l + 1, -l) for k, l in support if k == 1 and l < -1)
+
+
+def _vertex_mode_reading_the_degree_one_too_low(i, j, m, n, l, u, d=None):
+    _validate_index(i, d)
+    _validate_index(j, d)
+    if i == j:
+        raise ValueError("the closed vertex-mode formula needs distinct oscillator indices")
+    if m >= 0 or n >= 0:
+        raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
+
+    def image(vec):
+        depth = monomial_degree(_MONOS[next(iter(vec))]) - 1
+        ops = memo(("Vop", i, j, m, n, l, depth), _vertex_operator, i, j, m, n, l, depth)
+        return act_ids(ops, vec)
+
+    return _through_ids(u, image)
+
+
 FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
     "multiple-drops-its-factor-2": (
         virops._multiple, _multiple_without_its_factor_2,
@@ -114,6 +183,24 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
         {"bracket-antisymmetry-jacobi", "action-respects-bracket", "lowering-recursions",
          "vertex-mode-binomial-formula", "virasoro-central-charge",
          "griess-jordan-isomorphism"}),
+    "census-counts-only-the-first-slot": (
+        fock._census, _census_counting_only_the_first_slot,
+        {"action-respects-bracket", "lowering-recursions", "vertex-mode-binomial-formula",
+         "diagonal-raising-eigenvalue", "determinant-power-singular", "singular-kernel-sweep",
+         "determinant-commutation", "virasoro-central-charge", "griess-jordan-isomorphism"}),
+    "act-id-drops-its-constant": (
+        fock._act_id, _act_id_dropping_its_constant,
+        {"action-respects-bracket", "diagonal-raising-eigenvalue", "determinant-power-singular",
+         "singular-kernel-sweep", "determinant-commutation", "virasoro-central-charge"}),
+    "generic-minor-returns-one": (
+        singular._generic_minor, _generic_minor_returning_one, {"singular-kernel-sweep"}),
+    "search-generators-drop-v11-11": (
+        # is_singular's re-certification raises, so the check fails under its function's name
+        singular._search_generators, _search_generators_dropping_v11_11,
+        {"check_singular_kernel_sweep"}),
+    "vertex-mode-reads-the-degree-one-too-low": (
+        virops.vertex_mode, _vertex_mode_reading_the_degree_one_too_low,
+        {"vertex-mode-binomial-formula"}),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from jordan_voa.fock import (  # noqa: E402
     State,
@@ -24,7 +24,9 @@ from jordan_voa.scalar import (  # noqa: E402
     ONE, R, ZERO, Scalar, _poly_divmod, parse_scalar, poly_exact_div, poly_gcd,
 )
 from jordan_voa.singular import GENERIC, singular_search  # noqa: E402
-from jordan_voa.virops import act_L, act_L_total, vertex_mode_by_recursion  # noqa: E402
+from jordan_voa.virops import (  # noqa: E402
+    act_L, act_L_total, vertex_mode, vertex_mode_by_recursion,
+)
 from test_fock import _shifted  # noqa: E402
 from test_virops import _wide_mode_sum  # noqa: E402
 
@@ -313,6 +315,16 @@ def test_recursion_oracle_is_linear(pair, ij, m, n, l):
     u1, u2 = pair
     oracle = [vertex_mode_by_recursion(*ij, m, n, l, u) for u in (u1, u2)]
     assert vertex_mode_by_recursion(*ij, m, n, l, u1 + u2) == oracle[0] + oracle[1]
+
+
+@PROFILE
+@given(_homogeneous_pairs(5, 2), st.sampled_from([(1, 2), (2, 1)]),
+       st.integers(-3, -1), st.integers(-3, -1), st.integers(-4, 4))
+def test_closed_form_vertex_modes_match_the_oracle_on_many_term_states(pair, ij, m, n, l):
+    """vertex_mode reads its truncation degree off one monomial of the whole state."""
+    u = pair[0] + pair[1]
+    assume(len(u.terms) > 1)
+    assert vertex_mode(*ij, m, n, l, u) == vertex_mode_by_recursion(*ij, m, n, l, u)
 
 
 @PROFILE
