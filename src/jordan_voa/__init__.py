@@ -17,12 +17,10 @@ from .fock import (
     act,
     act_word,
     degree_of,
-    weight_of,
     weight_space_basis,
 )
 from .virops import (
     act_L,
-    act_L_total,
     vertex_mode,
     vertex_mode_by_recursion,
     binomial_matrix_det,

@@ -264,9 +264,8 @@ def _cmd_singular_check(args) -> int:
 
 def _cmd_singular_sweep(args) -> int:
     if args.max_degree > DEGREE_GUARD and not args.no_degree_guard:
-        print(f"error: --max-degree {args.max_degree} exceeds {DEGREE_GUARD}; "
-              "pass --no-degree-guard", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"--max-degree {args.max_degree} exceeds {DEGREE_GUARD}; "
+                         "pass --no-degree-guard")
     if args.rmin > args.rmax:
         raise ValueError(f"empty parameter range: --rmin {args.rmin} exceeds --rmax {args.rmax}")
     if args.rmax - args.rmin > SWEEP_MAX_R_SPAN:

@@ -84,7 +84,6 @@ __all__ = [
     "act_word",
     "memo",
     "degree_of",
-    "weight_of",
     "weights",
     "weight_space_basis",
     "basis_monomials",
@@ -229,22 +228,12 @@ class State(Combination):
         )
 
 
-def _common_grade(u: State, grade, name: str):
-    """The grade the support shares, or MIXED; the zero state has none."""
-    if u.is_zero():
-        raise ValueError(f"the zero state has no {name}")
-    grades = {grade(m) for m in u.terms}
-    return grades.pop() if len(grades) == 1 else MIXED
-
-
 def degree_of(u: State):
     """Common degree of the support, or MIXED; the zero state has none."""
-    return _common_grade(u, monomial_degree, "degree")
-
-
-def weight_of(u: State):
-    """Common weight of the support, or MIXED; the zero state has none."""
-    return _common_grade(u, monomial_weight, "weight")
+    if u.is_zero():
+        raise ValueError("the zero state has no degree")
+    degrees = {monomial_degree(m) for m in u.terms}
+    return degrees.pop() if len(degrees) == 1 else MIXED
 
 
 # -- module action -----------------------------------------------------

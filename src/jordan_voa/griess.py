@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .fock import State, basis_monomials
-from .liealg import Generator
+from .liealg import Generator, _validate_index
 from .scalar import add_into
 from .virops import act_L
 
@@ -51,8 +51,7 @@ def omega(i: int, j: int) -> State:
 def griess_product(i: int, j: int, k: int, l: int, d: int) -> State:
     """The degree-2 product w[i,j] . w[k,l] (zero mode of the first factor)."""
     for idx in (i, j, k, l):
-        if idx < 1 or idx > d:
-            raise ValueError(f"oscillator index {idx} out of range 1..{d}")
+        _validate_index(idx, d)
     return act_L(i, j, 0, omega(k, l), d=d)
 
 

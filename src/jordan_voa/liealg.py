@@ -47,9 +47,6 @@ class Generator(NamedTuple):
     m: int
     n: int
 
-    def degree(self) -> int:
-        return -(self.m + self.n)
-
     def is_lowering(self) -> bool:
         """Both modes negative: the generator multiplies into the module basis."""
         return self.m < 0 and self.n < 0

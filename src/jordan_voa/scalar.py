@@ -72,13 +72,6 @@ class Scalar(tuple):
         """Finitely supported map degree -> coefficient (zeros omitted)."""
         return {k: c for k, c in enumerate(self) if c}
 
-    def degree(self) -> int:
-        """Degree in r; -1 for the zero polynomial."""
-        return len(self) - 1
-
-    def is_zero(self) -> bool:
-        return not self
-
     def is_constant(self) -> bool:
         return len(self) <= 1
 

@@ -146,8 +146,6 @@ def det_state(p: int, indices=None) -> State:
         indices = tuple(range(1, p + 1))
     else:
         indices = tuple(indices)
-        if not indices:
-            return State.vacuum()
     acc: dict = {}
     for perm in itertools.permutations(range(len(indices))):
         sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))  # inversion parity

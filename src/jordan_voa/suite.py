@@ -40,6 +40,7 @@ from .liealg import (
 from .scalar import ONE, R, Scalar, poly_exact_div
 from .singular import (
     GENERIC,
+    SingularVerificationError,
     certification_r,
     det_power_state,
     expected_singular_pairs,
@@ -49,6 +50,8 @@ from .singular import (
 )
 from .griess import jordan_verify
 from .virops import (
+    _binomial_rows,
+    _int_det,
     act_L,
     binomial_matrix_det,
     vertex_mode,
@@ -599,14 +602,23 @@ def check_vertex_mode_formula(config: SuiteConfig) -> CheckResult:
 
 
 def check_binomial_determinants(config: SuiteConfig) -> CheckResult:
-    """The binomial transfer matrices are invertible throughout the range."""
+    """The binomial transfer matrices are invertible throughout the range.
+
+    Each has determinant exactly (-1)^(M(M-1)/2) for every L, the sign of
+    reversing M rows, so its rows reversed have determinant 1.  The
+    reversed rows make the eliminator swap rows, which the matrices as
+    they stand never do; each (L, M) pair counts once.
+    """
     failures = []
     checked = 0
     for size in range(1, DET_SIZE_BOUND + 1):
+        want = (-1) ** (size * (size - 1) // 2)
         for shift in range(-DET_SHIFT_BOUND, DET_SHIFT_BOUND + 1):
             checked += 1
-            if not binomial_matrix_det(shift, size):
-                failures.append(f"singular transfer matrix at L={shift}, M={size}")
+            if binomial_matrix_det(shift, size) != want:
+                failures.append(f"transfer matrix at L={shift}, M={size}: det is not {want}")
+            if _int_det(_binomial_rows(shift, size)[::-1]) != 1:
+                failures.append(f"reversed transfer matrix at L={shift}, M={size}: det is not 1")
     details = (
         f"{checked} determinants (M <= {DET_SIZE_BOUND}, "
         f"|L| <= {DET_SHIFT_BOUND})"
@@ -690,10 +702,14 @@ def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
     One singular_sweep runs every search.  Non-integer and generic
     parameters must give empty kernels everywhere; integer parameters give
     one-dimensional kernels exactly at the determinant-power weights, whose
-    vectors carry the predicted structure.
+    vectors carry the predicted structure.  A kernel vector that fails
+    is_singular's re-certification fails this check by its own name.
     """
     failures = []
-    reports = singular_sweep((*NON_INTEGER_SWEEP, *INTEGER_SWEEP), config.max_degree)
+    try:
+        reports = singular_sweep((*NON_INTEGER_SWEEP, *INTEGER_SWEEP), config.max_degree)
+    except SingularVerificationError as exc:
+        return CheckResult("singular-kernel-sweep", 0, "aborted", [str(exc)])
     for report in reports:
         lam, r0 = report.weight, report.r0
         pair = expected_singular_pairs(r0, config.max_degree).get(lam)

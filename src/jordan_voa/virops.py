@@ -27,9 +27,9 @@ every other diagonal summand has mode sum m != 0, and a mixed summand
 holds two distinct oscillators.  A mode sum is kept doubled, as
 2 L[i,j](m), so its coefficients are integers and its images lie in Z[r];
 the image of each monomial is memoised under (("L", pairs, m), mid), one
-key for act_L and act_L_total alike.  The recursion oracle carries an
-integer multiple U = c(m, n) V of the vertex mode V; it calls only the
-mode-sum layer, so it stays independent of the binomial formula.
+key for act_L, the probe and the oracle alike.  The recursion oracle
+carries an integer multiple U = c(m, n) V of the vertex mode V; it calls
+only the mode-sum layer, so it stays independent of the binomial formula.
 
 Every public operator crosses the State boundary once each way, in
 _through_ids: a zero state comes back unchanged, the state must be
@@ -62,7 +62,6 @@ from .scalar import R, fraction_free_rref
 
 __all__ = [
     "act_L",
-    "act_L_total",
     "vertex_mode",
     "vertex_mode_by_recursion",
     "binom",
@@ -141,15 +140,6 @@ def act_L(i: int, j: int, m: int, u: State, d: int | None = None) -> State:
     _validate_index(i, d)
     _validate_index(j, d)
     return _through_ids(u, lambda vec: _mode_sum_ids(((i, j),), m, vec), 2)
-
-
-def _diagonal(d: int) -> tuple:
-    return tuple((i, i) for i in range(1, d + 1))
-
-
-def act_L_total(m: int, u: State, d: int) -> State:
-    """Sum of the diagonal mode operators: the full Virasoro mode of weight m."""
-    return _through_ids(u, lambda vec: _mode_sum_ids(_diagonal(d), m, vec), 2)
 
 
 def binom(a: int, k: int) -> int:
@@ -240,15 +230,26 @@ def vertex_mode_by_recursion(i: int, j: int, m: int, n: int, l: int, u: State) -
     return _through_ids(u, lambda vec: _recursion_ids(i, j, m, n, l, vec), _multiple(m, n))
 
 
+def _binomial_rows(L: int, M: int) -> list:
+    """The rows of the M x M transfer matrix, with entries C(L+p-N, p-1)."""
+    return [[binom(L + p - N, p - 1) for N in range(1, M + 1)] for p in range(1, M + 1)]
+
+
+def _int_det(rows: list) -> Fraction:
+    """Exact determinant of a nonempty square int matrix, by the one eliminator.
+
+    Its last row comes out zero when the rank falls short, so its last
+    entry is sign * D or 0.
+    """
+    mat, _, sign = fraction_free_rref(rows, len(rows), operator.floordiv)
+    return Fraction(sign * mat[-1][-1])
+
+
 def binomial_matrix_det(L: int, M: int) -> Fraction:
     """Exact determinant of the M x M matrix with entries C(L+p-N, p-1)."""
     if M < 1:
         raise ValueError("matrix size must be at least 1")
-    rows = [[binom(L + p - N, p - 1) for N in range(1, M + 1)] for p in range(1, M + 1)]
-    mat, pivots, sign = fraction_free_rref(rows, M, operator.floordiv)
-    if len(pivots) < M:
-        return Fraction(0)
-    return Fraction(sign * mat[-1][-1])
+    return _int_det(_binomial_rows(L, M))
 
 
 def virasoro_bracket_probe(m: int, n: int, u: State, d: int) -> State:
@@ -259,7 +260,7 @@ def virasoro_bracket_probe(m: int, n: int, u: State, d: int) -> State:
     are summed on ids as 4 times the probe, from the doubled mode sums, and
     divided once.
     """
-    pairs = _diagonal(d)
+    pairs = tuple((i, i) for i in range(1, d + 1))
 
     def probe(vec):
         acc = _mode_sum_ids(pairs, m, _mode_sum_ids(pairs, n, vec))

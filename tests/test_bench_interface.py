@@ -10,6 +10,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import jordan_voa
 from jordan_voa import cli, fock, liealg, singular, suite
 from jordan_voa.scalar import Scalar
 
@@ -51,3 +52,30 @@ def test_sweep_argv_parses():
     args = cli.build_parser().parse_args(_literal("workload.py", "SWEEP_ARGV"))
     assert args.command == "singular-sweep"
     assert 0 <= args.rmax - args.rmin <= cli.SWEEP_MAX_R_SPAN
+
+
+def _names(*nodes) -> list:
+    """The identifiers of nodes that are all plain names, else []."""
+    return [node.id for node in nodes] if all(isinstance(n, ast.Name) for n in nodes) else []
+
+
+def _engine_reads(filename: str) -> set:
+    """The names a bench file reads off the package root: ENGINE.<name>, and getattr(ENGINE,
+    name) for each name of the literal tuple a for loop draws name from."""
+    tree = ast.parse((BENCH / filename).read_text(encoding="utf-8"))
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "ENGINE"}
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.For) and isinstance(loop.target, ast.Name):
+            wanted = ["getattr", "ENGINE", loop.target.id]
+            if any(isinstance(node, ast.Call) and _names(node.func, *node.args[:2]) == wanted
+                   for node in ast.walk(loop)):
+                reads |= set(ast.literal_eval(loop.iter))
+    return reads
+
+
+def test_package_root_reads_resolve():
+    reads = _engine_reads("test_harness.py")
+    assert {"act", "act_L", "kernel_basis", "kernel_basis_poly", "R", "ONE"} <= reads
+    assert [name for name in sorted(reads) if not hasattr(jordan_voa, name)] == []

@@ -169,10 +169,7 @@ def test_invalid_generator_is_reported(capsys):
 
 
 def test_degree_guard(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["singular-sweep", "--rmin", "0", "--rmax", "0",
-                  "--max-degree", "21"])
-    assert exc.value.code == 2
+    assert cli.main(["singular-sweep", "--rmin", "0", "--rmax", "0", "--max-degree", "21"]) == 2
     assert capsys.readouterr().err == (
         "error: --max-degree 21 exceeds 20; pass --no-degree-guard\n"
     )

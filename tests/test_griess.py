@@ -36,8 +36,10 @@ def test_mixed_product_three_indices():
 
 
 def test_product_index_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"oscillator index 3 out of range 1\.\.2"):
         griess_product(1, 3, 1, 1, 2)
+    with pytest.raises(ValueError, match=r"oscillator index 0 out of range 1\.\.2"):
+        griess_product(1, 1, 0, 1, 2)
 
 
 def test_table_symmetry_and_closure():

@@ -13,7 +13,7 @@ and id tables), so the fixture clears them before and after each fault.
 
 import pytest
 
-from jordan_voa import fock, liealg, singular, virops
+from jordan_voa import fock, liealg, scalar, singular, virops
 from jordan_voa.fock import (
     _ACT_CACHE, _CENSUS, _EMPTY, _HEADS, _ID_BITS, _MONOS, _NEEDS, _TAILS, _add, _bracket_id,
     _insert_id, _slot, act_ids, memo, monomial_degree,
@@ -140,6 +140,37 @@ def _search_generators_dropping_v11_11(support):
     return sorted(Generator(1, 1, l + 1, -l) for k, l in support if k == 1 and l < -1)
 
 
+def _rref_ignoring_its_row_swaps_in_the_sign(rows, ncols, exact_div):
+    mat = [list(row) for row in rows]
+    pivots = []
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+            sign = sign
+        prow = mat[rank]
+        piv = prow[col]
+        for r, row in enumerate(mat):
+            if r == rank:
+                continue
+            c = row[col]
+            if c:
+                row = [piv * x - c * y for x, y in zip(row, prow)]
+            else:
+                row = [piv * x for x in row]
+            if prev != 1:
+                row = [exact_div(x, prev) if x else x for x in row]
+            mat[r] = row
+        pivots.append(col)
+        prev = piv
+    return mat, pivots, sign
+
+
 def _vertex_mode_reading_the_degree_one_too_low(i, j, m, n, l, u, d=None):
     _validate_index(i, d)
     _validate_index(j, d)
@@ -195,9 +226,12 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
     "generic-minor-returns-one": (
         singular._generic_minor, _generic_minor_returning_one, {"singular-kernel-sweep"}),
     "search-generators-drop-v11-11": (
-        # is_singular's re-certification raises, so the check fails under its function's name
         singular._search_generators, _search_generators_dropping_v11_11,
-        {"check_singular_kernel_sweep"}),
+        {"singular-kernel-sweep"}),
+    "rref-ignores-its-row-swaps-in-the-sign": (
+        # only the transfer determinants read the sign; the kernels use the rows alone
+        scalar.fraction_free_rref, _rref_ignoring_its_row_swaps_in_the_sign,
+        {"mode-transfer-determinants"}),
     "vertex-mode-reads-the-degree-one-too-low": (
         virops.vertex_mode, _vertex_mode_reading_the_degree_one_too_low,
         {"vertex-mode-binomial-formula"}),

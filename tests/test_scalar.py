@@ -31,7 +31,6 @@ def test_canonical_form():
     assert len(Scalar((1, 2, 0, 0))) == 2
     assert Scalar((0, Fraction(0), 1)).coeffs == {2: 1}
     assert not ZERO
-    assert ZERO.degree() == -1
 
 
 def test_integral_constant_product_is_an_int():

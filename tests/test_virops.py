@@ -20,7 +20,6 @@ from jordan_voa.liealg import Generator, LieElement, canonicalize
 from jordan_voa.scalar import R, add_into
 from jordan_voa.virops import (
     act_L,
-    act_L_total,
     binom,
     binomial_matrix_det,
     vertex_mode,
@@ -436,7 +435,7 @@ def test_virasoro_probe_and_central_term_are_odd_in_m_and_n(d):
 
 def test_total_mode_zero_measures_degree():
     u = lowering_state((1, 2, -2, -1), (1, 1, -1, -1))
-    assert act_L_total(0, u, 2) == u.scale(5)
+    assert act_L(1, 1, 0, u) + act_L(2, 2, 0, u) == u.scale(5)
 
 
 def test_act_l_rejects_mixed_degree_states():
@@ -451,12 +450,12 @@ def test_memoised_operators_still_check_their_input():
     mixed = VAC + low
     for u in (VAC, low):  # every monomial of mixed now has a cached image
         act_L(1, 2, -1, u)
-        act_L_total(0, u, 2)
+        act_L(1, 1, 0, u) + act_L(2, 2, 0, u)
         vertex_mode_by_recursion(1, 2, -2, -1, 0, u)
     with pytest.raises(ValueError, match="homogeneous"):
         act_L(1, 2, -1, mixed)
     with pytest.raises(ValueError, match="homogeneous"):
-        act_L_total(0, mixed, 2)
+        act_L(1, 1, 0, mixed) + act_L(2, 2, 0, mixed)
     with pytest.raises(ValueError, match="homogeneous"):
         vertex_mode_by_recursion(1, 2, -2, -1, 0, mixed)
     with pytest.raises(ValueError, match="oscillator index 2"):
@@ -471,6 +470,6 @@ def test_one_term_states_skip_the_support_scan(monkeypatch):
     monkeypatch.setattr(virops, "degree_of", scan)
     u = lowering_state((1, 1, -2, -1))
     assert act_L(1, 1, 0, u) == u.scale(3)
-    assert act_L_total(0, u, 2) == u.scale(3)
+    assert act_L(1, 1, 0, u) + act_L(2, 2, 0, u) == u.scale(3)
     # the base case m = -1 acts by act_L alone; deeper modes compose into many-term states
     assert vertex_mode_by_recursion(1, 2, -1, -1, -1, VAC) == act(gen_elem(1, 2, -1, -1), VAC)
