@@ -138,15 +138,28 @@ def _basis_states(max_degree: int, d: int) -> list:
     return [State.from_monomial(m) for m in basis_monomials(max_degree, d)]
 
 
+def _contract(g: Generator, h: Generator) -> bool:
+    """Whether a mode of h is among _partner_modes(g); else [g, h]_r is zero."""
+    return not {(h.i, h.m), (h.j, h.n)}.isdisjoint(_partner_modes(g))
+
+
 def _add_nested_int_bracket(acc: dict, x: Generator, y: Generator, z: Generator) -> int:
     """Add the generator part of [x, [y, z]]_r into acc; return its coefficient of r.
 
     Summed from _pair_bracket's integer form, the structure constants
     bracket_r scales.  The constant of [y, z] is central, so only its
-    generator part w is bracketed with x.
+    generator part w is bracketed with x.  A pair that does not _contract
+    is skipped before _pair_bracket is asked.  That is the rule
+    _int_bracket_table applies, and it is exact: all four contractions of
+    the closed form vanish for such a pair, so its bracket is ((), 0).
+    Most sampled pairs are such, and none of them is cached.
     """
+    if not _contract(y, z):
+        return 0
     rconst = 0
     for w, cw in _pair_bracket(y, z)[0]:
+        if not _contract(x, w):
+            continue
         terms, const = _pair_bracket(x, w)
         for target, ct in terms:
             acc[target] = acc.get(target, 0) + cw * ct
@@ -832,11 +845,10 @@ def run_check(check, *args) -> CheckResult:
     default scale, and every memo entry: the mode-sum and recursion images
     of virops on monomial ids, and the operators' id forms) is emptied
     first, with fock's id tables, and no check's images or ids outlive the
-    next check.  One cache persists from check to check,
-    liealg._pair_bracket: the battery's fixed scales bound it, and the
-    benchmark reads its counters after a run, which emptying it would
-    reset.  singular._MATRIX_CACHE is not left filled either: check 9's
-    sweep releases each weight's matrix once the weight is searched.
+    next check.  liealg._pair_bracket's memo is emptied with them, so its
+    brackets do not outlive the next check either.  singular._MATRIX_CACHE
+    is not left filled: check 9's sweep releases each weight's matrix once
+    the weight is searched.
 
     The check runs under fock.collector_paused.  That is safe: the caches
     are acyclic and a check makes no cyclic garbage, so reference counting
@@ -845,6 +857,7 @@ def run_check(check, *args) -> CheckResult:
     lose that saving.
     """
     clear_action_cache()
+    _pair_bracket.cache_clear()
     start = time.perf_counter()
     with collector_paused():
         try:

@@ -4,22 +4,27 @@ Each fault is a faulty copy of one function of the engine.  Its code is put
 into the original's __code__ (for the lru_cached _pair_bracket, the code of
 the function it wraps), so every module that imported the function by name
 runs the fault too, and the battery runs at a small scale (d = 2,
-max_degree 2, 200 sampled triples: 0.2 to 0.4 s a fault).  A faulty copy's
-code runs in the original's module and calls that module's names; they are
-imported here as well, so the copies read as plain code.  Cached brackets
-and images outlive a check (_pair_bracket's lru_cache, fock's action cache
-and id tables), so the fixture clears them before and after each fault.
+max_degree 2, 200 sampled triples: 0.2 to 0.4 s a fault), or at the default
+scale for the faults in AT_DEFAULT_SCALE, which the small battery misses.
+A faulty copy's code runs in the original's module and calls that module's
+names; they are imported here as well, so the copies read as plain code.
+run_check empties the cached brackets and images before each check
+(_pair_bracket's lru_cache, fock's action cache and id tables), so no check
+reads what another cached; the fixture clears them also before and after
+each fault, so none is left to a test that runs outside the battery.
 """
 
 import pytest
 
-from jordan_voa import fock, liealg, scalar, singular, virops
+from jordan_voa import fock, liealg, scalar, singular, suite, virops
 from jordan_voa.fock import (
     _ACT_CACHE, _CENSUS, _EMPTY, _HEADS, _ID_BITS, _MONOS, _NEEDS, _TAILS, _add, _bracket_id,
     _insert_id, _slot, act_ids, memo, monomial_degree,
 )
-from jordan_voa.liealg import Generator, _contraction, _normal_order, _validate_index
-from jordan_voa.scalar import ONE
+from jordan_voa.liealg import (
+    Generator, _contraction, _normal_order, _partner_modes, _validate_index,
+)
+from jordan_voa.scalar import ONE, Scalar
 from jordan_voa.suite import SuiteConfig, run_paper_suite
 from jordan_voa.virops import (
     _id_form, _mode_sum_ids, _multiple, _on_ids, _recursion_image, _through_ids,
@@ -93,6 +98,14 @@ def _pair_bracket_negating_its_constant_at_a_wide_mode(g, h):
         const = -const
     terms = tuple((gen, coeff) for gen, coeff in acc.items() if coeff)
     return (terms, const) if terms or const else ((), 0)
+
+
+def _contract_reading_only_the_first_slot(g, h):
+    return not {(h.i, h.m)}.isdisjoint(_partner_modes(g))
+
+
+def _negation_returning_its_input(self):
+    return self
 
 
 def _census_counting_only_the_first_slot(tail, head):
@@ -214,6 +227,10 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
         {"bracket-antisymmetry-jacobi", "action-respects-bracket", "lowering-recursions",
          "vertex-mode-binomial-formula", "virasoro-central-charge",
          "griess-jordan-isomorphism"}),
+    "contract-reads-only-the-first-slot": (
+        # only check 1's sampled part runs this pre-test; the table finds its pairs by mode
+        suite._contract, _contract_reading_only_the_first_slot,
+        {"bracket-antisymmetry-jacobi"}),
     "census-counts-only-the-first-slot": (
         fock._census, _census_counting_only_the_first_slot,
         {"action-respects-bracket", "lowering-recursions", "vertex-mode-binomial-formula",
@@ -235,7 +252,11 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
     "vertex-mode-reads-the-degree-one-too-low": (
         virops.vertex_mode, _vertex_mode_reading_the_degree_one_too_low,
         {"vertex-mode-binomial-formula"}),
+    "scalar-negation-returns-its-input": (
+        Scalar.__neg__, _negation_returning_its_input, {"singular-kernel-sweep"}),
 }
+
+AT_DEFAULT_SCALE = {"scalar-negation-returns-its-input"}  # faults the small battery misses
 
 
 def _clear_caches():
@@ -262,15 +283,22 @@ def plant():
         _clear_caches()
 
 
-def _failing_checks() -> set:
-    return {result.name for result in run_paper_suite(SMALL) if not result.passed}
+def _failing_checks(config=SMALL) -> set:
+    return {result.name for result in run_paper_suite(config) if not result.passed}
 
 
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_each_planted_fault_fails_its_checks(name, plant):
     function, faulty, checks = FAULTS[name]
     plant(function, faulty)
-    assert _failing_checks() == checks
+    assert _failing_checks(SuiteConfig() if name in AT_DEFAULT_SCALE else SMALL) == checks
+
+
+@pytest.mark.parametrize("name", sorted(AT_DEFAULT_SCALE))
+def test_default_scale_faults_pass_the_small_battery(name, plant):
+    function, faulty, _ = FAULTS[name]
+    plant(function, faulty)
+    assert _failing_checks() == set()
 
 
 def test_the_battery_passes_once_the_faults_are_removed():

@@ -26,6 +26,7 @@ from jordan_voa.fock import State, act, clear_action_cache
 from jordan_voa.liealg import (
     Generator,
     LieElement,
+    _contraction,
     _pair_bracket,
     bracket_r,
     canonical_generators,
@@ -392,6 +393,26 @@ def test_nested_int_bracket_is_the_public_nested_bracket():
     assert nonzero
 
 
+def _modes_contract(g, h):
+    """The reference: some mode of g and some mode of h have a nonzero commutator."""
+    modes = ((g.i, g.m), (g.j, g.n)), ((h.i, h.m), (h.j, h.n))
+    return any(_contraction(a, b) for a in modes[0] for b in modes[1])
+
+
+def test_check_1_asks_only_for_brackets_of_pairs_that_contract(monkeypatch):
+    config = SuiteConfig(d=2, max_degree=2, samples=200)
+    expected = suite.check_lie_axioms(config).summary_line()
+    asked = []
+
+    def spy(g, h):
+        asked.append((g, h))
+        return _pair_bracket(g, h)
+
+    monkeypatch.setattr(suite, "_pair_bracket", spy)
+    assert suite.check_lie_axioms(config).summary_line() == expected
+    assert asked and all(_modes_contract(g, h) for g, h in asked)
+
+
 def _wide_mode_doubled(g, h):
     """_pair_bracket with its generator part doubled when g or h has a mode of magnitude 4 to 6."""
     terms, const = bracket = _pair_bracket(g, h)
@@ -665,6 +686,17 @@ def test_each_check_starts_with_empty_id_tables():
     assert all(res.passed for res in (suite.run_check(probe, SMALL), suite.run_check(probe, SMALL)))
     assert seen == [[0] * len(fock._ID_TABLES)] * 2
     assert all(fock._ID_TABLES[:3])  # the probe took ids, so the zeros come from clearing them
+
+
+def test_each_check_starts_with_an_empty_pair_bracket_cache():
+    config = SuiteConfig()
+    _pair_bracket.cache_clear()
+    suite.check_diagonal_pair_bracket(config)
+    own = _pair_bracket.cache_info().currsize
+    suite.run_check(suite.check_lie_axioms, config)
+    assert _pair_bracket.cache_info().currsize > own
+    suite.run_check(suite.check_diagonal_pair_bracket, config)
+    assert _pair_bracket.cache_info().currsize == own
 
 
 def test_run_check_restores_the_collector_when_the_check_raises():
