@@ -32,33 +32,37 @@ generator to act as zero on a monomial when it has a zero mode (v_k(0)
 is central and kills the vacuum) or a positive mode x on an oscillator k
 whose mode -x the monomial lacks.  is_singular checks the whole family
 that survives that test, and re-certifies every vector the search finds.
-Both kernels and the minor below come from one nullspace builder,
-_nullspace, over one fraction-free elimination (E. H. Bareiss, Math.
-Comp. 22 (1968)), scalar.fraction_free_rref: it returns the free-column
-vectors, scaled by the last pivot D so that no entry is a fraction,
-together with D.  Nothing is divided inexactly: over Q each row is
-cleared of denominators, eliminated over Z and the vectors are divided by
-D; over Q(r) the matrix is eliminated over Q[r], so the kernel vectors are
-polynomial from the start and only their content is divided out.
+Both kernels come from one nullspace builder, _nullspace, and the minor
+below from the same fraction-free elimination (E. H. Bareiss, Math.
+Comp. 22 (1968)), scalar.fraction_free_rref: _nullspace returns the
+free-column vectors, scaled by the last pivot D so that no entry is a
+fraction, together with D.  Nothing is divided inexactly: over Q each row
+is cleared of denominators, eliminated over Z and the vectors are divided
+by D; over Q(r) the matrix is eliminated over Q[r], so the kernel vectors
+are polynomial from the start and only their content is divided out.
 
 Every search first takes a maximal minor D(r) of the weight's matrix
-(ZERO below full column rank).  Its rows are chosen at one integer point,
-R_STAR: the matrix is specialised there, cleared of denominators and its
-transpose eliminated over Z, whose pivot columns are the first ncols rows
-independent at R_STAR.  Only that square submatrix is eliminated over Q[r];
-its determinant is D, nonzero at R_STAR and so nonzero in Q[r].  The
-choice is exact, not sampled: the rank at a point is at most the rank over
-Q(r), so rows independent at R_STAR are independent over Q(r).  Where
-fewer than ncols rows are independent at R_STAR (the matrix is deficient
-over Q(r), or R_STAR is a root of every maximal minor) the whole matrix is
-eliminated over Q[r] instead.  D != 0 proves a zero kernel over Q(r), and
-as evaluation commutes with determinants, D(r0) != 0 proves one at r0
-without specialising the matrix.  Only where D vanishes is the matrix
-eliminated, over Q(r) or over Q.  Every maximal minor is a multiple of the
-gcd of all of them, the last determinantal divisor (M. Newman, Integral
-Matrices, 1972), so the gcd of a few minors bounds the parameter values
-with a singular vector at that weight.  A maximal minor of the
-generators' matrix is one of the whole family's matrix too.
+(ZERO below full column rank), from one integer elimination by Kronecker
+substitution (L. Kronecker, 1882; J. von zur Gathen and J. Gerhard,
+Modern Computer Algebra, 8.4).  Each row is cleared of denominators, and
+the matrix is evaluated at one power of two X, more than twice the bound
+N**ncols that the rows' l1-norms (at most N each) put on the l1-norm of
+every maximal minor.  A nonzero integer polynomial of l1-norm below X
+cannot vanish at X, so the rank at X is the rank over Q(r): the first
+ncols rows independent at X, the pivot columns of the evaluated
+transpose eliminated over Z, are independent over Q(r).  The last pivot
+is D(X), D being plus or minus their determinant, and its balanced
+base-X digits are D's coefficients.  No point is sampled, and no
+fallback is needed.
+
+D != 0 proves a zero kernel over Q(r), and as evaluation commutes with
+determinants, D(r0) != 0 proves one at r0 without specialising the
+matrix.  Only where D vanishes is the matrix eliminated, over Q(r) or
+over Q.  Every maximal minor is a multiple of the gcd of all of them, the
+last determinantal divisor (M. Newman, Integral Matrices, 1972), so the
+gcd of a few minors bounds the parameter values with a singular vector at
+that weight.  A maximal minor of the generators' matrix is one of the
+whole family's matrix too.
 
 singular_sweep runs singular_search weight by weight.  Each weight is
 searched at every parameter against one matrix and one minor; then the
@@ -117,10 +121,6 @@ __all__ = [
 ]
 
 GENERIC = "generic"
-
-# The integer point at which _generic_minor chooses its rows.  Any point is
-# exact; a large one stays clear of the small integer roots of the minors.
-R_STAR = 1009
 
 
 class SingularVerificationError(RuntimeError):
@@ -375,24 +375,60 @@ def _at(entry, r0):
     return entry if type(entry) is int else entry.evaluate(r0)
 
 
-def _generic_minor(rows, ncols: int) -> Scalar:
-    """A maximal minor of a matrix over Q[r]; ZERO below full column rank.
+def _balanced_digits(value: int, bits: int) -> Scalar:
+    """The integer polynomial p with p(X) = value, X = 2**bits, and coefficients in (-X/2, X/2]."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    coeffs = []
+    while value:
+        digit = value & mask
+        if digit > half:
+            digit -= mask + 1
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    return Scalar(coeffs)
 
-    The rows are chosen at r = R_STAR: the first ncols rows independent
-    there, read off as the pivot columns of the specialised, cleared
-    transpose eliminated over Z.  A rank at a point is at most the rank
-    over Q(r), so if there are ncols of them their determinant is nonzero
-    in Q[r], and only that square submatrix is eliminated over Q[r].
-    Otherwise (deficient over Q(r), or R_STAR a root of every maximal
-    minor) the whole matrix is.  The minor is the last pivot of that
-    fraction-free elimination: up to sign, the determinant of its pivot rows.
+
+def _generic_minor(rows, ncols: int) -> Scalar:
+    """A maximal minor of a matrix of ints and Scalars; ZERO below full column rank.
+
+    One integer elimination gives it, by Kronecker substitution.  Each row
+    is multiplied by the lcm of its coefficients' denominators, so its
+    entries are integer polynomials; N is the largest row l1-norm (the sum
+    of the absolute values of a row's coefficients) and X = 2**b with
+    b = bitlen(N**ncols) + 1.  The transpose of the matrix at r = X is
+    eliminated over Z; its pivot columns are the first ncols rows
+    independent at X, and its last pivot D(X) is, up to sign, their
+    determinant at X.
+
+    The l1-norm is subadditive and submultiplicative, so every maximal
+    minor M of the cleared matrix has |M|_1 <= N**ncols < X/2.  A nonzero
+    integer polynomial with |M|_1 < X cannot vanish at X (its top term
+    outweighs the rest), so the rank at X is the rank over Q(r): the rows
+    chosen at X are independent over Q(r), and fewer than ncols of them
+    means no maximal minor is nonzero.  Every coefficient of D lies in
+    (-X/2, X/2], so D's coefficients are the balanced base-X digits of
+    D(X).  Divided by the chosen rows' lcms, D is, up to sign, the
+    determinant of the chosen rows of the input.
     """
-    at_star = [_cleared([_at(c, R_STAR) for c in row]) for row in rows]
-    _, chosen, _ = fraction_free_rref(list(zip(*at_star)), len(rows), operator.floordiv)
-    if len(chosen) == ncols:
-        rows = [rows[k] for k in chosen]
-    vectors, last = _nullspace(rows, ncols, poly_exact_div, ONE)
-    return ZERO if vectors else Scalar.of(last)
+    cleared, scales, norm = [], [], 0
+    for row in rows:
+        size = sum(abs(entry) if type(entry) is int else sum(map(abs, entry)) for entry in row)
+        scale = 1
+        if type(size) is not int:  # only a Fraction coefficient makes the sum a Fraction
+            scale = math.lcm(*(c.denominator for entry in row for c in Scalar.of(entry)))
+            row = [entry * scale for entry in row]
+            size = int(size * scale)
+        cleared.append(row)
+        scales.append(scale)
+        norm = max(norm, size)
+    bits = (norm ** ncols).bit_length() + 1
+    at_x = [[_at(entry, 1 << bits) for entry in row] for row in cleared]
+    mat, chosen, _ = fraction_free_rref(list(zip(*at_x)), len(rows), operator.floordiv)
+    if len(chosen) < ncols:
+        return ZERO
+    minor = _balanced_digits(mat[0][chosen[0]], bits)
+    scale = math.prod(scales[k] for k in chosen)
+    return minor if scale == 1 else minor / scale
 
 
 def singular_search(lam: Weight, r0) -> KernelReport:
@@ -400,8 +436,10 @@ def singular_search(lam: Weight, r0) -> KernelReport:
 
     The weight must be nonzero and supported on the first oscillator
     (weight_space_basis raises ValueError otherwise).  The kernel is zero,
-    with no elimination, wherever the weight's generic maximal minor
-    (memoised) does not vanish at r0, or as a polynomial for generic r.
+    with no elimination at r0, wherever the weight's generic maximal minor
+    does not vanish at r0, or as a polynomial for generic r.  The minor is
+    memoised per weight, and _generic_minor takes it from one integer
+    elimination at a point where no minor vanishes unless it is zero.
     Kernel vectors are normalised to coefficient 1 (leading coefficient 1
     for generic r) on their lexicographically smallest monomial, and each
     is re-certified through is_singular before being returned.
@@ -469,12 +507,15 @@ def _sweep_weight(lam: Weight, r_values: list) -> list:
     dropping those too costs the same sweep about 25 % more time for 2 MB
     less peak.  fock._forget_images takes each generator's and each
     monomial's id once, not once per pair; the ids themselves stay until
-    clear_action_cache (the degree-18 sweep takes 2170 monomial ids).
+    clear_action_cache (the degree-18 sweep takes 2170 monomial ids).  A
+    weight with an empty basis (797 of the degree-18 sweep's 1596) has
+    neither a minor nor an image to drop, so its family is not built.
     """
     reports = [singular_search(lam, r0) for r0 in r_values]
     basis, _ = _MATRIX_CACHE.pop(lam, ((), ()))
-    forget([("minor", lam)])
-    _forget_images(_raising_family(lam.support()), basis)
+    if basis:
+        forget([("minor", lam)])
+        _forget_images(_raising_family(lam.support()), basis)
     return reports
 
 

@@ -37,10 +37,14 @@ from .liealg import (
     canonical_generators,
     canonicalize,
 )
-from .scalar import ONE, R, Scalar, poly_exact_div
+from .scalar import ONE, R, ZERO, Scalar, poly_exact_div
 from .singular import (
     GENERIC,
     SingularVerificationError,
+    _MATRIX_CACHE,
+    _generic_minor,
+    _nullspace,
+    _search_matrix,
     certification_r,
     det_power_state,
     expected_singular_pairs,
@@ -709,18 +713,45 @@ def _structure_checks(vector: State, p: int, nu: int, r0: int, failures: list):
                 )
 
 
+def _minor_mismatches(lams) -> list:
+    """Each weight's generic minor against a Q[r] determinant of the same rows.
+
+    The minor comes from one integer elimination at a point (singular's
+    Kronecker substitution).  The transpose of the weight's search matrix
+    is eliminated here over Q[r] instead, by the nullspace builder of the
+    generic kernel: its pivot columns are the first rows independent over
+    Q(r), the rows the minor must have chosen, and at full column rank its
+    last pivot is plus or minus their determinant.  Below full rank the
+    minor must be ZERO.  The rebuilt matrices are released again.
+    """
+    failures = []
+    for lam in lams:
+        basis, rows = _search_matrix(lam)
+        if basis:
+            minor = _generic_minor(rows, len(basis))
+            transpose = [[Scalar.of(x) for x in col] for col in zip(*rows)]
+            free, last = _nullspace(transpose, len(rows), poly_exact_div, ONE)
+            expected = last if len(rows) - len(free) == len(basis) else ZERO
+            if minor not in (expected, -expected):
+                failures.append(f"minor at weight {lam} is {minor}, not +-({expected})")
+        del _MATRIX_CACHE[lam]
+    return failures
+
+
 def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
     """Kernel dimensions across all first-oscillator weights and parameter values.
 
     One singular_sweep runs every search.  Non-integer and generic
     parameters must give empty kernels everywhere; integer parameters give
     one-dimensional kernels exactly at the determinant-power weights, whose
-    vectors carry the predicted structure.  A kernel vector that fails
-    is_singular's re-certification fails this check by its own name.
+    vectors carry the predicted structure.  Each searched weight's minor
+    must agree with its Q[r] determinant (_minor_mismatches).  A kernel
+    vector that fails is_singular's re-certification fails this check by
+    its own name.
     """
-    failures = []
     try:
         reports = singular_sweep((*NON_INTEGER_SWEEP, *INTEGER_SWEEP), config.max_degree)
+        failures = _minor_mismatches(dict.fromkeys(report.weight for report in reports))
     except SingularVerificationError as exc:
         return CheckResult("singular-kernel-sweep", 0, "aborted", [str(exc)])
     for report in reports:

@@ -149,6 +149,15 @@ def _generic_minor_returning_one(rows, ncols):
     return ONE
 
 
+def _balanced_digits_read_unsigned(value, bits):
+    mask = (1 << bits) - 1
+    coeffs = []
+    while value > 0:
+        coeffs.append(value & mask)
+        value >>= bits
+    return Scalar(coeffs)
+
+
 def _search_generators_dropping_v11_11(support):
     return sorted(Generator(1, 1, l + 1, -l) for k, l in support if k == 1 and l < -1)
 
@@ -242,6 +251,8 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
          "singular-kernel-sweep", "determinant-commutation", "virasoro-central-charge"}),
     "generic-minor-returns-one": (
         singular._generic_minor, _generic_minor_returning_one, {"singular-kernel-sweep"}),
+    "minor-digits-read-unsigned": (
+        singular._balanced_digits, _balanced_digits_read_unsigned, {"singular-kernel-sweep"}),
     "search-generators-drop-v11-11": (
         singular._search_generators, _search_generators_dropping_v11_11,
         {"singular-kernel-sweep"}),
@@ -256,7 +267,8 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
         Scalar.__neg__, _negation_returning_its_input, {"singular-kernel-sweep"}),
 }
 
-AT_DEFAULT_SCALE = {"scalar-negation-returns-its-input"}  # faults the small battery misses
+AT_DEFAULT_SCALE = {  # faults the small battery misses
+    "minor-digits-read-unsigned", "scalar-negation-returns-its-input"}
 
 
 def _clear_caches():

@@ -23,7 +23,7 @@ from jordan_voa.liealg import UNIT, LieElement, bracket_r, canonical_generators 
 from jordan_voa.scalar import (  # noqa: E402
     ONE, R, ZERO, Scalar, _poly_divmod, parse_scalar, poly_exact_div, poly_gcd,
 )
-from jordan_voa.singular import GENERIC, singular_search  # noqa: E402
+from jordan_voa.singular import GENERIC, _generic_minor, singular_search  # noqa: E402
 from jordan_voa.virops import act_L, vertex_mode, vertex_mode_by_recursion  # noqa: E402
 from test_fock import _shifted  # noqa: E402
 from test_virops import _wide_mode_sum  # noqa: E402
@@ -349,3 +349,52 @@ def test_specialising_never_shrinks_the_kernel(lam, r0):
     special = singular_search(lam, r0)
     assert special.basis_dim == generic.basis_dim
     assert special.kernel_dim >= generic.kernel_dim
+
+
+@st.composite
+def _tall_poly_matrices(draw):
+    """ncols in 1..3 and up to two more rows, of Scalars of degree <= 2.
+
+    A row is drawn afresh, or as a combination of the rows above it with
+    constant multipliers, so the rank over Q(r) falls below ncols often.
+    """
+    ncols = draw(st.integers(1, 3))
+    entries = st.lists(rationals, max_size=3).map(Scalar)
+    multipliers = st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+    rows = []
+    for _ in range(draw(st.integers(ncols, ncols + 2))):
+        if rows and draw(st.booleans()):
+            mix = draw(st.lists(multipliers, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((m * row[col] for m, row in zip(mix, rows)), ZERO)
+                         for col in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    return rows, ncols
+
+
+@PROFILE
+@given(_tall_poly_matrices())
+def test_the_generic_minor_matches_sympy(matrix):
+    """ZERO exactly below full rank over Q(r); else the first independent rows' determinant."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    rows, ncols = matrix
+    r = sympy.Symbol("r")
+
+    def to_sympy(poly):
+        return sum((sympy.Rational(c.numerator, c.denominator) * r**k
+                    for k, c in enumerate(poly)), sympy.Integer(0))
+
+    def rank(block):
+        return DomainMatrix.from_Matrix(sympy.Matrix(block)).to_field().rank()
+
+    chosen = []
+    for row in ([to_sympy(x) for x in row] for row in rows):
+        if rank([*chosen, row]) > len(chosen):
+            chosen.append(row)
+    minor = _generic_minor(rows, ncols)
+    if len(chosen) < ncols:
+        assert minor == ZERO
+    else:
+        ratio = sympy.cancel(sympy.Matrix(chosen).det() / to_sympy(minor))
+        assert ratio in (1, -1)

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from jordan_voa.liealg import Generator, LieElement, bracket_r, canonicalize
 from jordan_voa.scalar import ONE, R, ZERO, Scalar, _poly_divmod, poly_exact_div, poly_gcd
 from jordan_voa.singular import (
     GENERIC,
-    R_STAR,
     _at,
     _generic_minor,
     _search_matrix,
@@ -541,30 +541,71 @@ def test_generic_minor_is_zero_below_full_rank():
     assert _generic_minor([[ONE, R], [R, ONE]], 2) in (ONE - R * R, R * R - ONE)
 
 
-def test_a_rank_drop_at_r_star_falls_back_to_the_whole_matrix():
-    rows = [[R - R_STAR, ZERO], [ZERO, ONE]]  # full rank over Q(r), rank 1 at R_STAR
-    assert _generic_minor(rows, 2) in (R - R_STAR, R_STAR - R)
-    # a third row restores full rank at R_STAR, and the minor avoids the root
-    assert _generic_minor(rows + [[ONE, ZERO]], 2) in (ONE, -ONE)
+def test_a_root_at_a_fixed_point_is_no_special_case():
+    rows = [[R - 1009, ZERO], [ZERO, ONE]]  # full rank over Q(r), rank 1 at r = 1009
+    assert _generic_minor(rows, 2) in (R - 1009, 1009 - R)
+    # the first two rows are independent over Q(r), so a third changes nothing
+    assert _generic_minor(rows + [[ONE, ZERO]], 2) in (R - 1009, 1009 - R)
 
 
-def test_the_minor_eliminates_a_square_submatrix_at_every_weight_to_degree_12(monkeypatch):
-    shapes = []
-    nullspace = singular._nullspace
+@pytest.mark.parametrize("ncols", [1, 2, 3, 4])
+def test_the_minor_decodes_coefficients_that_reach_the_bound(ncols):
+    """Determinants with |D|_1 = N**ncols, the bound X is set above, and negative leading terms."""
 
-    def recording(rows, ncols, exact_div, one):
-        shapes.append((len(rows), ncols))
-        return nullspace(rows, ncols, exact_div, one)
+    def diagonal(entry):
+        return [[entry if k == col else ZERO for col in range(ncols)] for k in range(ncols)]
 
-    monkeypatch.setattr(singular, "_nullspace", recording)
+    def power(entry):
+        out = ONE
+        for _ in range(ncols):
+            out = out * entry
+        return out
+
+    # N = 7 on each row: one coefficient -7**ncols (negative for odd ncols), or the
+    # norm spread over mixed signs, (3 - 4r)**ncols, led by (-4)**ncols
+    for entry in (Scalar((0, 0, -7)), Scalar((3, -4)), Scalar((-4, 0, 3)), Scalar((-7,))):
+        det = power(entry)
+        assert sum(map(abs, det)) == 7 ** ncols
+        assert _generic_minor(diagonal(entry), ncols) == det  # a diagonal needs no swap
+        # halved rows are cleared of their denominators and divided back
+        assert _generic_minor(diagonal(entry / 2), ncols) == det / 2 ** ncols
+    # the antidiagonal's last pivot is the determinant up to the swaps' sign
+    anti = [[ONE * -7 if col == ncols - 1 - k else ZERO for col in range(ncols)]
+            for k in range(ncols)]
+    assert _generic_minor(anti, ncols) in (Scalar.of((-7) ** ncols), Scalar.of(-(-7) ** ncols))
+
+
+def test_the_minor_is_one_integer_elimination_at_every_weight_to_degree_12(monkeypatch):
+    """No Q[r] arithmetic: one elimination over Z, whose pivot columns are the minor's rows."""
+    eliminations = []
+    rref = singular.fraction_free_rref
+
+    def recording(rows, ncols, exact_div):
+        mat, pivots, sign = rref(rows, ncols, exact_div)
+        eliminations.append((exact_div, pivots))
+        return mat, pivots, sign
+
+    def refused(*args):
+        raise AssertionError("the minor ran Q[r] arithmetic")
+
     tall = 0
     for lam in weights(12):
         basis, rows = _search_matrix(lam)
-        if basis:
-            tall += len(rows) > len(basis)
-            assert _generic_minor(rows, len(basis)).evaluate(R_STAR)
+        if not basis:
+            continue
+        tall += len(rows) > len(basis)
+        eliminations.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(singular, "fraction_free_rref", recording)
+            patch.setattr(singular, "_nullspace", refused)
+            patch.setattr(singular, "poly_exact_div", refused)
+            minor = _generic_minor(rows, len(basis))
+        [(exact_div, chosen)] = eliminations
+        assert exact_div is operator.floordiv and len(chosen) == len(basis)
+        square = [[Scalar.of(x) for x in rows[k]] for k in chosen]
+        _, det = singular._nullspace(square, len(basis), poly_exact_div, ONE)
+        assert minor in (det, -det), lam
     assert tall > 100
-    assert len(shapes) == 136 and all(nrows == ncols for nrows, ncols in shapes)
 
 
 def _cleared_rows(rows):
@@ -584,8 +625,8 @@ def test_fraction_entries_give_the_verdict_of_the_cleared_matrix():
         ncols = rng.randint(3, 4)
         rows = [[Scalar((coeff(), coeff())) for _ in range(ncols)] for _ in range(ncols + 1)]
         a, b, c = coeff(), coeff(), coeff()
-        # a combination of the first three rows: telling it apart at R_STAR
-        # takes two exact divisions, which floordiv on Fractions gets wrong
+        # a combination of the first three rows: telling it apart takes two
+        # exact divisions, which floordiv on Fractions gets wrong
         rows.insert(3, [a * x + b * y + c * z for x, y, z in zip(*rows[:3])])
         if trial % 3 == 0:  # ncols rows, the last a multiple of the first
             rows = rows[:ncols - 1] + [[entry * Fraction(2, 3) for entry in rows[0]]]
