@@ -879,7 +879,7 @@ def run_check(check, *args) -> CheckResult:
     next check.  liealg._pair_bracket's memo is emptied with them, so its
     brackets do not outlive the next check either.  singular._MATRIX_CACHE
     is not left filled: check 9's sweep releases each weight's matrix once
-    the weight is searched.
+    the weight is searched, and its minor oracle each matrix it rebuilds.
 
     The check runs under fock.collector_paused.  That is safe: the caches
     are acyclic and a check makes no cyclic garbage, so reference counting
