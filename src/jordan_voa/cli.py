@@ -272,13 +272,13 @@ def _cmd_singular_sweep(args) -> int:
         raise ValueError(f"--rmax - --rmin is {args.rmax - args.rmin}, above {SWEEP_MAX_R_SPAN}")
     if args.max_degree < 1:
         raise ValueError(f"no weight to search: --max-degree {args.max_degree} is below 1")
-    r_values = [Fraction(r) for r in range(args.rmin, args.rmax + 1)]
-    reports = singular_sweep(r_values, args.max_degree)
+    reports = singular_sweep(range(args.rmin, args.rmax + 1), args.max_degree)
+    texts = {lam: str(lam).replace(" ", "") for lam in {rep.weight for rep in reports}}
     if args.output == "json":
         print(json.dumps([
             {
                 "r": str(rep.r0),
-                "weight": str(rep.weight).replace(" ", ""),
+                "weight": texts[rep.weight],
                 "basis_dim": rep.basis_dim,
                 "kernel_dim": rep.kernel_dim,
                 "vectors": [v.to_json_obj() for v in rep.kernel_vectors],
@@ -289,8 +289,7 @@ def _cmd_singular_sweep(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["r0", "weight", "basis_dim", "kernel_dim"])
         for rep in reports:
-            weight_text = str(rep.weight).replace(" ", "")
-            writer.writerow([rep.r0, weight_text, rep.basis_dim, rep.kernel_dim])
+            writer.writerow([rep.r0, texts[rep.weight], rep.basis_dim, rep.kernel_dim])
     return 0
 
 

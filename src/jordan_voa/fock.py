@@ -49,9 +49,11 @@ lowers (a lowering image is a one-term dict built afresh from the memoised
 insertion) nor is killed by grading; and `memo`'s entries under tuple
 keys: virops' per-monomial id images under (key, mid), where the key names
 the operator, such as ("L", pairs, m), its operator id forms per degree,
-and singular's minors.  `clear_action_cache` empties it
-together with the id tables, so an id taken before a clear means nothing
-after it.  `forget` drops chosen `memo` entries by key, and
+and singular's search systems, one ("search", weight) entry per weight.
+`clear_action_cache` empties it together with the id tables and
+liealg._pair_bracket's memo: nothing the engine computed survives a
+clear, and an id taken before a clear means nothing after it.
+`forget` drops chosen `memo` entries by key, and
 _forget_images the images of chosen generators on chosen monomials.
 Entries are computed from immutable inputs and never mutated afterwards,
 and ids are taken under a lock, so concurrent readers are safe; at worst
@@ -261,11 +263,20 @@ _ID_TABLES = (_MONO_ID, _MONOS, _HEADS, _TAILS, _CENSUS, _GEN_ID, _GENS, _NEEDS,
 _INTERN_LOCK = threading.Lock()
 
 
+# Bound at import, so a clear empties the memo even while a caller has rebound
+# this module's name _pair_bracket.
+_clear_pair_brackets = _pair_bracket.cache_clear
+
+
 def clear_action_cache():
-    """Empty the cache and the id tables; ids taken before must not be used after."""
+    """Empty every cache of the engine: this cache, the id tables and the pair-bracket memo.
+
+    Ids taken before a clear must not be used after it.
+    """
     _ACT_CACHE.clear()
     for table in _ID_TABLES:
         table.clear()
+    _clear_pair_brackets()
 
 
 def forget(keys: Iterable):

@@ -44,10 +44,10 @@ are polynomial from the start and only their content is divided out.
 Every search first takes a maximal minor D(r) of the weight's matrix
 (ZERO below full column rank), from one integer elimination by Kronecker
 substitution (L. Kronecker, 1882; J. von zur Gathen and J. Gerhard,
-Modern Computer Algebra, 8.4).  Each row is cleared of denominators, and
-the matrix is evaluated at one power of two X, more than twice the bound
-N**ncols that the rows' l1-norms (at most N each) put on the l1-norm of
-every maximal minor.  A nonzero integer polynomial of l1-norm below X
+Modern Computer Algebra, 8.4).  The entries lie in Z[r], and the matrix
+is evaluated at one power of two X, more than twice the bound N**ncols
+that the rows' l1-norms (at most N each) put on the l1-norm of every
+maximal minor.  A nonzero integer polynomial of l1-norm below X
 cannot vanish at X, so the rank at X is the rank over Q(r): the first
 ncols rows independent at X, the pivot columns of the evaluated
 transpose eliminated over Z, are independent over Q(r).  The last pivot
@@ -64,13 +64,15 @@ gcd of a few minors bounds the parameter values with a singular vector at
 that weight.  A maximal minor of the generators' matrix is one of the
 whole family's matrix too.
 
-singular_sweep runs singular_search weight by weight.  Each weight is
-searched at every parameter against one matrix and one minor; then the
-matrix, the minor and the weight's top-level action images are released,
-so a sweep keeps no search matrix and its memory grows only with the
-lower-degree images that the recursion shares between weights.  The
-reports still come out with the parameter in the outer loop; the Weight
-objects of fock.weights are passed and reported as they are.
+A weight's basis, matrix and minor are one memo entry of fock, under
+("search", weight), so fock.clear_action_cache empties them with every
+other cache.  singular_sweep runs singular_search weight by weight.  Each
+weight is searched at every parameter against its one entry; then the
+entry and the weight's top-level action images are released, so a sweep
+keeps no search matrix and its memory grows only with the lower-degree
+images that the recursion shares between weights.  The reports still
+come out with the parameter in the outer loop; the Weight objects of
+fock.weights are passed and reported as they are.
 """
 
 from __future__ import annotations
@@ -324,6 +326,8 @@ def kernel_basis_poly(rows, ncols: int | None = None) -> list:
 
 # -- weight-space search --------------------------------------------------
 
+# Never filled: the search matrices live in fock's memo.  The benchmark's
+# traced pass still reads the name.
 _MATRIX_CACHE: dict = {}
 
 
@@ -350,12 +354,11 @@ def _search_matrix(lam: Weight):
     re-certifies each kernel vector against the whole family by is_singular.
     The images are read as id images (fock._act_id); each generator's rows
     are its targets, sorted by monomial.  The entries are kept as the
-    images hold them, ints and Scalars: _at specialises either, and the
-    elimination over Q[r] takes an int as a constant polynomial.
+    images hold them, ints and Scalars with int coefficients (Z + Z r):
+    _at specialises either, and the elimination over Q[r] takes an int as
+    a constant polynomial.  Nothing is cached here; singular_search memoises
+    the matrix with its minor (_search_system).
     """
-    cached = _MATRIX_CACHE.get(lam)
-    if cached is not None:
-        return cached
     basis = weight_space_basis(lam, d=1)
     rows = []
     if basis:
@@ -365,9 +368,7 @@ def _search_matrix(lam: Weight):
             images = [_act_id(gid, mid) for mid in mids]
             for target in sorted({m for img in images for m in img}, key=_MONOS.__getitem__):
                 rows.append([img.get(target, 0) for img in images])
-    result = (basis, rows)
-    _MATRIX_CACHE[lam] = result
-    return result
+    return basis, rows
 
 
 def _at(entry, r0):
@@ -389,69 +390,71 @@ def _balanced_digits(value: int, bits: int) -> Scalar:
 
 
 def _generic_minor(rows, ncols: int) -> Scalar:
-    """A maximal minor of a matrix of ints and Scalars; ZERO below full column rank.
+    """A maximal minor of a matrix of ints and Scalars over Z; ZERO below full column rank.
 
-    One integer elimination gives it, by Kronecker substitution.  Each row
-    is multiplied by the lcm of its coefficients' denominators, so its
-    entries are integer polynomials; N is the largest row l1-norm (the sum
-    of the absolute values of a row's coefficients) and X = 2**b with
-    b = bitlen(N**ncols) + 1.  The transpose of the matrix at r = X is
-    eliminated over Z; its pivot columns are the first ncols rows
-    independent at X, and its last pivot D(X) is, up to sign, their
-    determinant at X.
+    Every coefficient must be an int (a search matrix's are, its entries
+    lying in Z + Z r); any other raises ValueError.  One integer
+    elimination gives the minor, by Kronecker substitution.  N is the
+    largest row l1-norm (the sum of the absolute values of a row's
+    coefficients) and X = 2**b with b = bitlen(N**ncols) + 1.  The
+    transpose of the matrix at r = X is eliminated over Z; its pivot
+    columns are the first ncols rows independent at X, and its last pivot
+    D(X) is, up to sign, their determinant at X.
 
     The l1-norm is subadditive and submultiplicative, so every maximal
-    minor M of the cleared matrix has |M|_1 <= N**ncols < X/2.  A nonzero
-    integer polynomial with |M|_1 < X cannot vanish at X (its top term
-    outweighs the rest), so the rank at X is the rank over Q(r): the rows
-    chosen at X are independent over Q(r), and fewer than ncols of them
-    means no maximal minor is nonzero.  Every coefficient of D lies in
-    (-X/2, X/2], so D's coefficients are the balanced base-X digits of
-    D(X).  Divided by the chosen rows' lcms, D is, up to sign, the
-    determinant of the chosen rows of the input.
+    minor M has |M|_1 <= N**ncols < X/2.  A nonzero integer polynomial with
+    |M|_1 < X cannot vanish at X (its top term outweighs the rest), so the
+    rank at X is the rank over Q(r): the rows chosen at X are independent
+    over Q(r), and fewer than ncols of them means no maximal minor is
+    nonzero.  Every coefficient of D lies in (-X/2, X/2], so D's
+    coefficients are the balanced base-X digits of D(X), and D is, up to
+    sign, the determinant of the chosen rows.
     """
-    cleared, scales, norm = [], [], 0
+    norm = 0
     for row in rows:
         size = sum(abs(entry) if type(entry) is int else sum(map(abs, entry)) for entry in row)
-        scale = 1
         if type(size) is not int:  # only a Fraction coefficient makes the sum a Fraction
-            scale = math.lcm(*(c.denominator for entry in row for c in Scalar.of(entry)))
-            row = [entry * scale for entry in row]
-            size = int(size * scale)
-        cleared.append(row)
-        scales.append(scale)
+            raise ValueError("the generic minor takes integer coefficients only")
         norm = max(norm, size)
     bits = (norm ** ncols).bit_length() + 1
-    at_x = [[_at(entry, 1 << bits) for entry in row] for row in cleared]
+    at_x = [[_at(entry, 1 << bits) for entry in row] for row in rows]
     mat, chosen, _ = fraction_free_rref(list(zip(*at_x)), len(rows), operator.floordiv)
     if len(chosen) < ncols:
         return ZERO
-    minor = _balanced_digits(mat[0][chosen[0]], bits)
-    scale = math.prod(scales[k] for k in chosen)
-    return minor if scale == 1 else minor / scale
+    return _balanced_digits(mat[0][chosen[0]], bits)
+
+
+def _search_system(lam: Weight):
+    """(basis, rows, minor) of one weight: _search_matrix and its _generic_minor.
+
+    The minor is None for an empty basis.
+    """
+    basis, rows = _search_matrix(lam)
+    return basis, rows, _generic_minor(rows, len(basis)) if basis else None
 
 
 def singular_search(lam: Weight, r0) -> KernelReport:
     """Exact kernel of the stacked raising actions on one weight space.
 
-    The weight must be nonzero and supported on the first oscillator
-    (weight_space_basis raises ValueError otherwise).  The kernel is zero,
-    with no elimination at r0, wherever the weight's generic maximal minor
-    does not vanish at r0, or as a polynomial for generic r.  The minor is
-    memoised per weight, and _generic_minor takes it from one integer
-    elimination at a point where no minor vanishes unless it is zero.
-    Kernel vectors are normalised to coefficient 1 (leading coefficient 1
-    for generic r) on their lexicographically smallest monomial, and each
-    is re-certified through is_singular before being returned.
+    r0 is an int, a Fraction or GENERIC, and the report carries it as
+    given.  The weight must be nonzero and supported on the first
+    oscillator (weight_space_basis raises ValueError otherwise).  The
+    kernel is zero, with no elimination at r0, wherever the weight's
+    generic maximal minor does not vanish at r0, or as a polynomial for
+    generic r.  The basis, matrix and minor are one memo entry per weight,
+    ("search", lam), read once per search; _generic_minor takes the minor
+    from one integer elimination at a point where no minor vanishes unless
+    it is zero.  Kernel vectors are normalised to coefficient 1 (leading
+    coefficient 1 for generic r) on their lexicographically smallest
+    monomial, and each is re-certified through is_singular before being
+    returned.
     """
     if lam.is_zero():
         raise ValueError("the search needs a nonzero weight")
-    basis, rows = _search_matrix(lam)
+    basis, rows, minor = memo(("search", lam), _search_system, lam)
     if not basis:
         return KernelReport(lam, r0, 0, 0, [])
-    minor = memo(("minor", lam), _generic_minor, rows, len(basis))
     if r0 != GENERIC:
-        r0 = Fraction(r0)
         minor = minor.evaluate(r0)
     if minor:
         return KernelReport(lam, r0, len(basis), 0, [])
@@ -495,26 +498,27 @@ def expected_singular_pairs(r0, max_degree: int) -> dict:
 def _sweep_weight(lam: Weight, r_values: list) -> list:
     """singular_search on one weight at each parameter, then release the weight's entries.
 
-    The first search builds the weight's matrix and its ("minor", lam) memo
-    and the others read them.  Then the matrix, the minor and the weight's
-    top-level images (gen, mono), gen in its raising family and mono in its
-    basis, are dropped: only the recursion of a later weight could read such
-    an image again, and seldom does (the degree-18 sweep over r = -3..3
-    recomputes 5 % more images).  The family is the whole one, not only the
-    search generators, because is_singular reads the other generators'
-    images when it re-certifies a kernel vector.  The lower-degree images
-    that the recursion made stay cached, because later weights reuse them:
-    dropping those too costs the same sweep about 25 % more time for 2 MB
-    less peak.  fock._forget_images takes each generator's and each
-    monomial's id once, not once per pair; the ids themselves stay until
-    clear_action_cache (the degree-18 sweep takes 2170 monomial ids).  A
-    weight with an empty basis (797 of the degree-18 sweep's 1596) has
-    neither a minor nor an image to drop, so its family is not built.
+    The weight's ("search", lam) entry is taken first, and every search
+    reads it.  Then that entry, holding the basis, the matrix and the
+    minor, and the weight's top-level images (gen, mono), gen in its
+    raising family and mono in its basis, are dropped: only the recursion
+    of a later weight could read such an image again, and seldom does (the
+    degree-18 sweep over r = -3..3 recomputes 5 % more images).  The family
+    is the whole one, not only the search generators, because is_singular
+    reads the other generators' images when it re-certifies a kernel
+    vector.  The lower-degree images that the recursion made stay cached,
+    because later weights reuse them: dropping those too costs the same
+    sweep about 25 % more time for 2 MB less peak.  fock._forget_images
+    takes each generator's and each monomial's id once, not once per pair;
+    the ids themselves stay until clear_action_cache (the degree-18 sweep
+    takes 2170 monomial ids).  A weight with an empty basis (797 of the
+    degree-18 sweep's 1596) has no image to drop, so its family is not
+    built.
     """
+    basis = memo(("search", lam), _search_system, lam)[0]
     reports = [singular_search(lam, r0) for r0 in r_values]
-    basis, _ = _MATRIX_CACHE.pop(lam, ((), ()))
+    forget([("search", lam)])
     if basis:
-        forget([("minor", lam)])
         _forget_images(_raising_family(lam.support()), basis)
     return reports
 
@@ -527,8 +531,8 @@ def singular_sweep(r_values, max_degree: int) -> list:
     weight.  The reports are returned parameter first: r in the given order
     outside, weights in fock.weights order inside.
 
-    The search runs under fock.collector_paused.  That is safe: the act and
-    matrix caches are acyclic and a search makes no cyclic garbage, so the
+    The search runs under fock.collector_paused.  That is safe: fock's
+    caches are acyclic and a search makes no cyclic garbage, so the
     collector's rescans of every cached entry would free nothing.
     Concurrent callers can only lose that saving.
     """

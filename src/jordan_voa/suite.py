@@ -41,7 +41,6 @@ from .scalar import ONE, R, ZERO, Scalar, poly_exact_div
 from .singular import (
     GENERIC,
     SingularVerificationError,
-    _MATRIX_CACHE,
     _generic_minor,
     _nullspace,
     _search_matrix,
@@ -670,7 +669,7 @@ def check_determinant_power_singular(config: SuiteConfig) -> CheckResult:
     for p, nu in CERTIFICATION_CASES:
         r0 = certification_r(p, nu)
         state = det_power_state(p, nu)
-        ok, witness = is_singular(state, r0=Fraction(r0), d=2)
+        ok, witness = is_singular(state, r0=r0, d=2)
         checked += 1
         if not ok:
             failures.append(
@@ -722,7 +721,8 @@ def _minor_mismatches(lams) -> list:
     generic kernel: its pivot columns are the first rows independent over
     Q(r), the rows the minor must have chosen, and at full column rank its
     last pivot is plus or minus their determinant.  Below full rank the
-    minor must be ZERO.  The rebuilt matrices are released again.
+    minor must be ZERO.  Each matrix is built afresh by _search_matrix,
+    which caches nothing.
     """
     failures = []
     for lam in lams:
@@ -734,7 +734,6 @@ def _minor_mismatches(lams) -> list:
             expected = last if len(rows) - len(free) == len(basis) else ZERO
             if minor not in (expected, -expected):
                 failures.append(f"minor at weight {lam} is {minor}, not +-({expected})")
-        del _MATRIX_CACHE[lam]
     return failures
 
 
@@ -871,15 +870,13 @@ ALL_CHECKS = (
 def run_check(check, *args) -> CheckResult:
     """check(*args), timed; a check that raises fails with nothing checked.
 
-    Checks are independent, so the action cache (fock._ACT_CACHE: the images
+    Checks are independent, so every engine cache is emptied first by one
+    fock.clear_action_cache: the action cache (fock._ACT_CACHE: the images
     of the generators that do not lower, check 3's 38442 the most at the
     default scale, and every memo entry: the mode-sum and recursion images
-    of virops on monomial ids, and the operators' id forms) is emptied
-    first, with fock's id tables, and no check's images or ids outlive the
-    next check.  liealg._pair_bracket's memo is emptied with them, so its
-    brackets do not outlive the next check either.  singular._MATRIX_CACHE
-    is not left filled: check 9's sweep releases each weight's matrix once
-    the weight is searched, and its minor oracle each matrix it rebuilds.
+    of virops on monomial ids, the operators' id forms and singular's
+    per-weight search systems), fock's id tables and liealg._pair_bracket's
+    memo.  No check's images, ids or brackets outlive the next check.
 
     The check runs under fock.collector_paused.  That is safe: the caches
     are acyclic and a check makes no cyclic garbage, so reference counting
@@ -888,7 +885,6 @@ def run_check(check, *args) -> CheckResult:
     lose that saving.
     """
     clear_action_cache()
-    _pair_bracket.cache_clear()
     start = time.perf_counter()
     with collector_paused():
         try:

@@ -20,7 +20,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from jordan_voa import cli, fock, singular  # noqa: E402
+from jordan_voa import cli, fock  # noqa: E402
 
 # derandomized and without an example database, so every run draws the same argv
 FUZZ = settings(max_examples=20, deadline=timedelta(seconds=3), derandomize=True, database=None)
@@ -133,7 +133,6 @@ def test_any_argv_exits_cleanly(command):
             code, err = _run(argv)
         finally:
             fock.clear_action_cache()
-            singular._MATRIX_CACHE.clear()
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err, argv
 
@@ -155,6 +154,5 @@ def test_each_cheap_work_flag_runs_at_its_bound(argv):
         code, err = _run(argv)
     finally:
         fock.clear_action_cache()
-        singular._MATRIX_CACHE.clear()
     assert time.perf_counter() - start < FUZZ.deadline.total_seconds(), argv
     assert code == 0, (argv, err)

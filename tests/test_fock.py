@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordan_voa import fock, suite, virops
+from jordan_voa import fock, singular, suite, virops
 from jordan_voa.fock import (
     MIXED,
     State,
@@ -30,6 +30,7 @@ from jordan_voa.fock import (
 from jordan_voa.liealg import (UNIT, Generator, LieElement, _pair_bracket, bracket_r,
                                canonical_generators, canonicalize)
 from jordan_voa.scalar import ONE, R, Scalar, add_into
+from jordan_voa.singular import singular_search
 
 VAC = State.vacuum()
 
@@ -268,7 +269,7 @@ def cached_actions() -> dict:
     The one place the tests read the layout of the cache's int keys; the
     other keys are memo's tuples: (operator key, monomial id) for virops'
     per-monomial id images, and tagged tuples such as ("Lop", ...) and
-    ("minor", lam) for operator id forms and minors.
+    ("search", lam) for operator id forms and singular's search systems.
     """
     width = fock._ID_BITS
     return {
@@ -417,6 +418,19 @@ def test_a_state_built_before_a_clear_acts_alike_after_it(cold_cache):
     act(gen_elem(2, 2, -2, -2), lowering_state((1, 2, -3, -1)))  # other monomials take ids first
     assert (act(x, u), act_word([x, x], u)) == before
     assert {mono: fock._mono_id(mono) for mono in u.terms} != ids
+
+
+def test_one_clear_empties_every_engine_cache(cold_cache):
+    """After an action, a bracket and a search, one clear leaves no cache holding anything."""
+    lam = Weight({(1, -1): 2})
+    act(gen_elem(1, 1, 1, 1), lowering_state((1, 1, -1, -1)))
+    bracket_r(gen_elem(1, 1, 1, 2), gen_elem(1, 1, -2, -1))
+    assert singular_search(lam, 0).basis_dim == 1
+    assert fock._ACT_CACHE and all(fock._ID_TABLES[:3]) and _pair_bracket.cache_info().currsize
+    clear_action_cache()
+    assert not fock._ACT_CACHE and not any(fock._ID_TABLES)
+    assert _pair_bracket.cache_info().currsize == 0
+    assert not singular._MATRIX_CACHE  # the search kept its matrix in fock's memo
 
 
 def _in_six_threads(run) -> list:

@@ -271,12 +271,6 @@ AT_DEFAULT_SCALE = {  # faults the small battery misses
     "minor-digits-read-unsigned", "scalar-negation-returns-its-input"}
 
 
-def _clear_caches():
-    fock.clear_action_cache()
-    liealg._pair_bracket.cache_clear()
-    singular._MATRIX_CACHE.clear()
-
-
 @pytest.fixture
 def plant():
     """plant(function, faulty) runs faulty's code as function until the test ends."""
@@ -284,7 +278,7 @@ def plant():
 
     def put(function, faulty):
         planted.append((function, function.__code__))
-        _clear_caches()
+        fock.clear_action_cache()
         function.__code__ = faulty.__code__
 
     try:
@@ -292,7 +286,7 @@ def plant():
     finally:
         for function, code in planted:
             function.__code__ = code
-        _clear_caches()
+        fock.clear_action_cache()
 
 
 def _failing_checks(config=SMALL) -> set:

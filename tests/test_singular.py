@@ -1,7 +1,6 @@
 """Determinant vectors, kernel search, and singularity certification."""
 
 import gc
-import math
 import operator
 import random
 from fractions import Fraction
@@ -344,36 +343,30 @@ def test_serial_sweep_searches_with_the_collector_paused(monkeypatch):
     assert gc.isenabled()
 
 
-def _cold_caches():
-    fock.clear_action_cache()
-    singular._MATRIX_CACHE.clear()
-
-
 def test_weight_major_sweep_reports_with_the_parameter_outside():
     """The sweep runs weight by weight but returns r outer, weights in fock.weights order."""
     r_values = [GENERIC, Fraction(1, 2), -2, 0, 1]
-    _cold_caches()
+    fock.clear_action_cache()
     expected = [singular_search(lam, r0) for r0 in r_values for lam in weights(10)]
-    _cold_caches()
+    fock.clear_action_cache()
     try:
         assert singular_sweep(r_values, 10) == expected
     finally:
-        _cold_caches()
+        fock.clear_action_cache()
     assert sum(rep.kernel_dim for rep in expected) == 3  # det^nu of size p: (1,1), (1,2), (2,1)
 
 
 def test_sweep_releases_each_weights_matrix_minor_and_top_level_images():
     """Recursion images have lower degree than their parent, so a degree-12 key is top-level."""
-    _cold_caches()
+    fock.clear_action_cache()
     try:
         singular_sweep(range(-3, 4), 12)
-        assert not singular._MATRIX_CACHE
-        assert not [key for key in fock._ACT_CACHE if isinstance(key, tuple) and key[0] == "minor"]
+        assert not [key for key in fock._ACT_CACHE if isinstance(key, tuple) and key[0] == "search"]
         degrees = {monomial_degree(mono) for gen, mono in cached_actions()}
         assert 12 not in degrees
         assert degrees and max(degrees) == 10  # the lower-weight images stay
     finally:
-        _cold_caches()
+        fock.clear_action_cache()
 
 
 # -- the support-driven raising family and the minor certificate ----------
@@ -456,12 +449,12 @@ def test_a_search_without_a_generator_fails_certification(monkeypatch, dropped):
     pruned = singular._search_generators
     monkeypatch.setattr(singular, "_search_generators",
                         lambda support: [gen for gen in pruned(support) if gen != dropped])
-    _cold_caches()
+    fock.clear_action_cache()
     try:
         with pytest.raises(singular.SingularVerificationError):
             singular_sweep(range(-3, 4), 6)
     finally:
-        _cold_caches()
+        fock.clear_action_cache()
 
 
 def test_pruned_is_singular_matches_the_unpruned_reference():
@@ -529,7 +522,7 @@ def test_a_vanishing_minor_falls_back_to_elimination(monkeypatch):
     fock.clear_action_cache()
     assert singular_search(lam, Fraction(1, 2)).kernel_dim == 0
     assert calls == []  # certified by the minor
-    assert fock._ACT_CACHE[("minor", lam)] == Scalar((-24, -16))
+    assert fock._ACT_CACHE[("search", lam)][2] == Scalar((-24, -16))
     report = singular_search(lam, Fraction(-3, 2))
     assert calls == [2]  # the minor vanishes at -3/2, so the matrix is eliminated
     assert (report.basis_dim, report.kernel_dim, report.kernel_vectors) == (2, 0, [])
@@ -567,8 +560,6 @@ def test_the_minor_decodes_coefficients_that_reach_the_bound(ncols):
         det = power(entry)
         assert sum(map(abs, det)) == 7 ** ncols
         assert _generic_minor(diagonal(entry), ncols) == det  # a diagonal needs no swap
-        # halved rows are cleared of their denominators and divided back
-        assert _generic_minor(diagonal(entry / 2), ncols) == det / 2 ** ncols
     # the antidiagonal's last pivot is the determinant up to the swaps' sign
     anti = [[ONE * -7 if col == ncols - 1 - k else ZERO for col in range(ncols)]
             for k in range(ncols)]
@@ -608,35 +599,18 @@ def test_the_minor_is_one_integer_elimination_at_every_weight_to_degree_12(monke
     assert tall > 100
 
 
-def _cleared_rows(rows):
-    """Each row of Scalars times the lcm of its coefficients' denominators."""
-    out = []
-    for row in rows:
-        scale = math.lcm(*(Fraction(c).denominator for entry in row for c in entry))
-        out.append([entry * scale for entry in row])
-    return out
-
-
-def test_fraction_entries_give_the_verdict_of_the_cleared_matrix():
+def test_the_minor_refuses_fraction_coefficients():
+    """A search matrix lies in Z[r]; a matrix with a Fraction coefficient is refused, not cleared."""
     rng = random.Random(12)
-    coeff = lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
-    verdicts = set()
-    for trial in range(60):
-        ncols = rng.randint(3, 4)
-        rows = [[Scalar((coeff(), coeff())) for _ in range(ncols)] for _ in range(ncols + 1)]
-        a, b, c = coeff(), coeff(), coeff()
-        # a combination of the first three rows: telling it apart takes two
-        # exact divisions, which floordiv on Fractions gets wrong
-        rows.insert(3, [a * x + b * y + c * z for x, y, z in zip(*rows[:3])])
-        if trial % 3 == 0:  # ncols rows, the last a multiple of the first
-            rows = rows[:ncols - 1] + [[entry * Fraction(2, 3) for entry in rows[0]]]
-        minor = _generic_minor(rows, ncols)
-        cleared = _generic_minor(_cleared_rows(rows), ncols)
-        assert bool(minor) == bool(cleared) == bool(kernel_basis_poly(rows, ncols) == []), rows
-        if minor:
-            assert poly_exact_div(cleared, minor).is_constant()
-        verdicts.add(bool(minor))
-    assert verdicts == {True, False}
+    for _ in range(20):
+        ncols = rng.randint(1, 4)
+        rows = [[Scalar((rng.randint(-9, 9), rng.randint(-9, 9))) for _ in range(ncols)]
+                for _ in range(ncols + 1)]
+        _generic_minor(rows, ncols)  # integer rows are taken
+        k, col = rng.randrange(ncols + 1), rng.randrange(ncols)
+        rows[k][col] += Fraction(1, rng.choice((2, 3, 7)))
+        with pytest.raises(ValueError, match="integer coefficients"):
+            _generic_minor(rows, ncols)
 
 
 def test_a_singular_vector_at_r0_makes_the_minor_vanish_there():
