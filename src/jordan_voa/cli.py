@@ -42,21 +42,21 @@ from .virops import act_L, vertex_mode
 # --max-degree 20 takes 1.7 s and 27 MB as a process on a 2-vCPU x86-64 host (degree 22: 3.0 s
 # and 44 MB in process).
 DEGREE_GUARD = 20
-# singular-check takes det^nu of degree nu*p*(p+1) up to 56, as --p 7 --nu 1: 8 s and 250 MB
-# on the same host (--p 8: 95 s, 2.3 GB).  verify-det --p 4 takes 1 s, --p 5 over 90 s.
+# singular-check takes det^nu of degree nu*p*(p+1) up to 56, as --p 7 --nu 1: 2.7 s and
+# 126 MB on the same host (--p 8, measured on an older engine: 95 s, 2.3 GB).  verify-det --p 4 takes 1 s, --p 5 over 90 s.
 DET_POWER_DEGREE_BOUND = 56
 # the largest --p whose det alone, of degree p*(p+1), is within the bound
 DET_POWER_MAX_P = max(p for p in range(1, DET_POWER_DEGREE_BOUND + 1)
                       if p * (p + 1) <= DET_POWER_DEGREE_BOUND)
 # The largest --d each command takes, on the same host: virasoro-check --d 4 --max-degree 6
-# takes 13 s and 184 MB (--d 5: 46 s, 509 MB); griess-table --d 8 takes 0.3 s, process start
-# included (the table and its check at d = 12: 0.6 s in process).
+# takes 3.2 s and 100 MB (--d 5, in process: 8.7 s, 277 MB); griess-table --d 8 takes 0.3 s,
+# process start included (the table and its check at d = 12: 0.6 s in process).
 VIRASORO_MAX_D = 4
 GRIESS_MAX_D = 8
 # singular-check reads all d*(d+1)/2 index pairs up to --d, though each --d >= 2 gives the
 # same answer without --strict-mixed.  As a process on a 2-vCPU x86-64 host, --p 7 --nu 1
-# --d 1000 takes 6.4 s and 198 MB (--d 1: 6.5 s; --strict-mixed at --d 1000: 7.7 s and
-# 209 MB, at --d 2: 7.4 s), and --p 1 --nu 1 --d 4000 takes 2.2 s.
+# --d 1000 takes 2.7 s and 126 MB (--d 1: 2.7 s; --strict-mixed at --d 1000: 2.8 s and
+# 136 MB, at --d 2: 2.9 s), and --p 1 --nu 1 --d 4000 took 2.2 s before the bound.
 SINGULAR_CHECK_MAX_D = 1000
 # The largest degree a --state may have: act-L on a degree-1000 state takes at most 0.3 s on
 # the same host (on the degree-200000 v[1,1](-100000,-100000): 2.2 s and 116 MB).  It bounds

@@ -13,7 +13,7 @@ and kills the vacuum, and a positive mode v_k(x) commutes with every mode
 but v_k(-x).  So a generator with a zero mode, or with a positive mode v_k(x)
 that finds no v_k(-x) among the modes of the monomial's factors (both slots
 of each; v[i,i](x,x) needs two), acts as zero.  Every such action returns
-the one shared empty image _EMPTY, uncached; no caller may mutate it.
+the one shared empty image _EMPTY, the empty tuple, uncached.
 
 Degree grades a monomial by minus the sum of its modes.  The finer weight
 grading counts how many times each lowering mode v_k(l) occurs among the
@@ -26,8 +26,8 @@ tail (the other factors) and its census, the count of each mode v_k(l)
 among its factor slots, computed once; a generator gets an id with its
 needs, the census its positive modes ask for.  _act_id runs the head/tail
 recursion on ids: the grading test reads the census, and the insertion of
-a factor and _pair_bracket are memoised on ids.  Its images map monomial
-ids to coefficients in Z[r]: a constant is a plain int, the rest are
+a factor and _pair_bracket are memoised on ids.  Its images pair monomial
+ids with coefficients in Z[r]: a constant is a plain int, the rest are
 degree-1 Scalars with int coefficients.
 
 Operators act on ids too: act_ids applies an operator's id form,
@@ -43,19 +43,21 @@ there.  Ids stay inside this module, virops, check 3's rows (suite)
 and the search matrix (singular); a State keeps tuple keys, and _act_gen is
 the tuple-level entry point to _act_id.
 
-One cache memoises every operator that acts monomial by monomial: under
-the int key gid << 32 | mid, the image of each generator that neither
-lowers (a lowering image is a one-term dict built afresh from the memoised
-insertion) nor is killed by grading; and `memo`'s entries under tuple
-keys: virops' per-monomial id images under (key, mid), where the key names
-the operator, such as ("L", pairs, m), its operator id forms per degree,
-and singular's search systems, one ("search", weight) entry per weight.
-`clear_action_cache` empties it together with the id tables and
-liealg._pair_bracket's memo: nothing the engine computed survives a
-clear, and an id taken before a clear means nothing after it.
-`forget` drops chosen `memo` entries by key, and
-_forget_images the images of chosen generators on chosen monomials.
-Entries are computed from immutable inputs and never mutated afterwards,
+Two kinds of cache memoise every operator that acts monomial by monomial.
+The image of each generator that neither lowers (a lowering image is built
+afresh from the memoised insertion) nor is killed by grading is frozen
+into a tuple of (monomial id, coefficient) pairs, sorted by id, so equal
+images are equal tuples, and filed in its generator's table, _IMAGES[gid]:
+{mid: image}.  `memo` caches everything else under tuple keys in
+_ACT_CACHE: virops' per-monomial id images (dicts) under (key, mid), where
+the key names the operator, such as ("L", pairs, m), its operator id forms
+per degree, and singular's search systems, one ("search", weight) entry
+per weight.  `clear_action_cache` empties both together with the other id
+tables and liealg._pair_bracket's memo: nothing the engine computed
+survives a clear, and an id taken before a clear means nothing after it.
+`forget` drops chosen `memo` entries by key, and _forget_images the images
+of chosen generators on chosen monomials.  Entries are computed from
+immutable inputs and never mutated afterwards (a frozen image cannot be),
 and ids are taken under a lock, so concurrent readers are safe; at worst
 two threads briefly recompute the same value.
 A clear must not overlap an action in another thread.
@@ -128,9 +130,9 @@ def monomial_weight(mono: PBWMonomial) -> "Weight":
 
 
 class Weight(object):
-    """Finitely supported multiplicity map (k, l) -> count, l < 0."""
+    """Finitely supported multiplicity map (k, l) -> count, l < 0; its hash is taken once."""
 
-    __slots__ = ("_pairs",)
+    __slots__ = ("_pairs", "_hash")
 
     def __init__(self, counts: Mapping | None = None):
         pairs = []
@@ -144,6 +146,7 @@ class Weight(object):
                     raise ValueError(f"weight support ({k},{l}) needs k >= 1 and l < 0")
                 pairs.append(((k, l), count))
         self._pairs = tuple(sorted(pairs))
+        self._hash = hash(self._pairs)
 
     @property
     def counts(self) -> dict:
@@ -164,7 +167,7 @@ class Weight(object):
         return self._pairs == other._pairs
 
     def __hash__(self):
-        return hash(self._pairs)
+        return self._hash
 
     def __str__(self):
         if not self._pairs:
@@ -243,10 +246,10 @@ def degree_of(u: State):
 _ACT_CACHE: dict = {}
 
 # The id tables.  A monomial's id indexes its tuple, its head's generator id, its
-# tail's id and its census; a generator's id indexes it, its needs and its
-# insertions (mid -> the id of the monomial times it).  _BRACKETS holds
-# _pair_bracket on ids and _SLOTS each mode's place in a census.
-_ID_BITS = 32  # an action key is gid << _ID_BITS | mid; neither table gets near 2**32 ids
+# tail's id and its census; a generator's id indexes it, its needs, its
+# insertions (mid -> the id of the monomial times it), its cached images (mid ->
+# its frozen image on the monomial) and its brackets (hid -> _pair_bracket with
+# the generator of id hid, on ids).  _SLOTS holds each mode's place in a census.
 _MONO_ID: dict = {}
 _MONOS: list = []
 _HEADS: list = []
@@ -256,10 +259,11 @@ _GEN_ID: dict = {}
 _GENS: list = []
 _NEEDS: list = []
 _INSERTS: list = []
-_BRACKETS: dict = {}
+_IMAGES: list = []
+_BRACKETS: list = []
 _SLOTS: dict = {}
 _ID_TABLES = (_MONO_ID, _MONOS, _HEADS, _TAILS, _CENSUS, _GEN_ID, _GENS, _NEEDS, _INSERTS,
-              _BRACKETS, _SLOTS)
+              _IMAGES, _BRACKETS, _SLOTS)
 _INTERN_LOCK = threading.Lock()
 
 
@@ -269,7 +273,8 @@ _clear_pair_brackets = _pair_bracket.cache_clear
 
 
 def clear_action_cache():
-    """Empty every cache of the engine: this cache, the id tables and the pair-bracket memo.
+    """Empty every cache of the engine: memo's entries, the id tables with the cached images,
+    and the pair-bracket memo.
 
     Ids taken before a clear must not be used after it.
     """
@@ -290,8 +295,9 @@ def _forget_images(gens: Iterable, monos: Iterable):
     mids = [mid for mid in map(_MONO_ID.get, monos) if mid is not None]
     for gid in map(_GEN_ID.get, gens):
         if gid is not None:
+            images = _IMAGES[gid]
             for mid in mids:
-                _ACT_CACHE.pop(gid << _ID_BITS | mid, None)
+                images.pop(mid, None)
 
 
 @contextmanager
@@ -355,6 +361,8 @@ def _gen_id(gen: Generator) -> int:
                 _GENS.append(gen)
                 _NEEDS.append(_needs(gen))
                 _INSERTS.append({})
+                _IMAGES.append({})
+                _BRACKETS.append({})
                 _GEN_ID[gen] = gid
     return gid
 
@@ -392,15 +400,15 @@ def _insert_id(gid: int, mid: int) -> int:
 
 def _bracket_id(gid: int, hid: int):
     """_pair_bracket of two generators on ids: ((generator id, integer) pairs, const)."""
-    key = gid << _ID_BITS | hid
-    found = _BRACKETS.get(key)
+    brackets = _BRACKETS[gid]
+    found = brackets.get(hid)
     if found is None:
         terms, const = _pair_bracket(_GENS[gid], _GENS[hid])
-        found = _BRACKETS[key] = (tuple((_gen_id(g), c) for g, c in terms), const)
+        found = brackets[hid] = (tuple((_gen_id(g), c) for g, c in terms), const)
     return found
 
 
-_EMPTY: dict = {}  # the one image of every action that grading kills; never mutated
+_EMPTY: tuple = ()  # the one image of every action that grading kills
 
 
 def _plain(coeff: Scalar):
@@ -427,62 +435,62 @@ def _add(acc: dict, mid: int, coeff):
         del acc[mid]
 
 
-def _add_scaled(acc: dict, image: dict, coeff):
-    """Add coeff times an id image into acc; under the int coefficient 1 image goes in unscaled."""
+def _add_scaled(acc: dict, terms, coeff):
+    """Add coeff times the (monomial id, coefficient) pairs terms into acc: an id image, or
+    the .items() of an id sum.  Under the int coefficient 1 the terms go in unscaled."""
     if type(coeff) is int and coeff == 1:
-        for m2, s2 in image.items():
+        for m2, s2 in terms:
             _add(acc, m2, s2)
     else:
-        for m2, s2 in image.items():
+        for m2, s2 in terms:
             _add(acc, m2, s2 * coeff)
 
 
-def _act_id(gid: int, mid: int) -> dict:
-    """Action of one generator on one basis monomial, on ids: {monomial id: coefficient}.
+def _act_id(gid: int, mid: int) -> tuple:
+    """Action of one generator on one basis monomial, on ids: ((monomial id, coefficient), ...).
 
-    A lowering generator multiplies in: its image is a new dict {product:
-    1} each call, not cached, as _insert_id already memoises the product.
-    Anything else is commuted past the head factor with the deformed
-    bracket, whose integer form (terms, const) from _pair_bracket adds
-    r*const times the tail, and annihilates the vacuum; that image is
-    memoised.  Every coefficient lies in Z + Z*r.  Before any lookup or
+    An image is a tuple of pairs sorted by monomial id, so two equal images
+    are equal tuples.  A lowering generator multiplies in: its image is a
+    new one-term tuple ((product, 1),) each call, not cached, as _insert_id
+    already memoises the product.  Anything else is commuted past the head
+    factor with the deformed bracket, whose integer form (terms, const)
+    from _pair_bracket adds r*const times the tail, and annihilates the
+    vacuum; the sum is built in a dict, frozen once (sorted if it has two
+    terms or more) and cached in _IMAGES[gid].  Every coefficient lies in Z + Z*r.  Before any lookup or
     recursion, a generator that grading kills gets the shared empty image
     _EMPTY, which is not cached: v_k(0) is central and kills the vacuum, and
     a positive mode v_k(x) commutes past every mode but v_k(-x), so when the
     monomial's census has fewer copies of v_k(-x) than the generator's needs
     ask, it reaches the vacuum and kills it.  The recursion keeps its own
-    vacuum case, so it stays exact with a weaker grading test.  Callers must
-    not mutate a memoised image or _EMPTY; a lowering image is the caller's.
+    vacuum case, so it stays exact with a weaker grading test.
     """
     needs = _NEEDS[gid]
     if needs is None:
         return _EMPTY
     if not needs:
-        return {_insert_id(gid, mid): 1}
+        return ((_insert_id(gid, mid), 1),)
     census = _CENSUS[mid]
     for offset, copies in needs:
         if (census >> offset) & 3 < copies:
             return _EMPTY
-    key = gid << _ID_BITS | mid
-    cached = _ACT_CACHE.get(key)
+    images = _IMAGES[gid]
+    cached = images.get(mid)
     if cached is not None:
         return cached
     rest = _TAILS[mid]
-    if rest is None:
-        result = {}
-    else:
+    result = {}
+    if rest is not None:
         head = _HEADS[mid]
-        result = {}
         terms, const = _bracket_id(gid, head)
         for g2, c2 in terms:
-            for m2, s2 in _act_id(g2, rest).items():
+            for m2, s2 in _act_id(g2, rest):
                 _add(result, m2, s2 * c2)
         if const:
             _add(result, rest, R * const)
-        for m2, s2 in _act_id(gid, rest).items():
+        for m2, s2 in _act_id(gid, rest):
             _add(result, _insert_id(head, m2), s2)
-    _ACT_CACHE[key] = result
-    return result
+    image = images[mid] = tuple(sorted(result.items()) if len(result) > 1 else result.items())
+    return image
 
 
 def _op_ids(x) -> tuple:
@@ -510,13 +518,9 @@ def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:
     """Action of one canonical generator on one basis monomial, as {monomial: Scalar}.
 
     The tuple-level entry point to _act_id: it interns both, and translates
-    the image back to monomials, in a new dict each call; an action that
-    grading kills returns the shared _EMPTY itself.
+    the image back to monomials, in a new dict each call.
     """
-    image = _act_id(_gen_id(gen), _mono_id(mono))
-    if image is _EMPTY:
-        return _EMPTY
-    return _state_of(image).terms
+    return _state_of(dict(_act_id(_gen_id(gen), _mono_id(mono)))).terms
 
 
 def act_ids(ops, vec: dict) -> dict:

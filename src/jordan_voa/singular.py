@@ -353,11 +353,13 @@ def _search_matrix(lam: Weight):
     one subspace, with one reduced-echelon basis.  singular_search still
     re-certifies each kernel vector against the whole family by is_singular.
     The images are read as id images (fock._act_id); each generator's rows
-    are its targets, sorted by monomial.  The entries are kept as the
-    images hold them, ints and Scalars with int coefficients (Z + Z r):
-    _at specialises either, and the elimination over Q[r] takes an int as
-    a constant polynomial.  Nothing is cached here; singular_search memoises
-    the matrix with its minor (_search_system).
+    are its targets, sorted by monomial, and each row is filled straight
+    from the images' (target, coefficient) pairs, one column per basis
+    monomial.  The entries are kept as the images hold them, ints and
+    Scalars with int coefficients (Z + Z r): _at specialises either, and
+    the elimination over Q[r] takes an int as a constant polynomial.
+    Nothing is cached here; singular_search memoises the matrix with its
+    minor (_search_system).
     """
     basis = weight_space_basis(lam, d=1)
     rows = []
@@ -365,9 +367,14 @@ def _search_matrix(lam: Weight):
         mids = [_mono_id(mono) for mono in basis]
         for gen in _search_generators(lam.support()):
             gid = _gen_id(gen)
-            images = [_act_id(gid, mid) for mid in mids]
-            for target in sorted({m for img in images for m in img}, key=_MONOS.__getitem__):
-                rows.append([img.get(target, 0) for img in images])
+            targets: dict = {}  # monomial id -> its row, filled column by column
+            for col, mid in enumerate(mids):
+                for target, c in _act_id(gid, mid):
+                    row = targets.get(target)
+                    if row is None:
+                        row = targets[target] = [0] * len(mids)
+                    row[col] = c
+            rows += [targets[target] for target in sorted(targets, key=_MONOS.__getitem__)]
     return basis, rows
 
 

@@ -348,14 +348,14 @@ def _action_rows(gens: list):
 
     images lists the id image _act_id(g, mid) of each g in gens, by
     position; live is the ascending tuple of the positions whose image is
-    nonempty.  A lowering generator's image is a new one-term dict {product:
-    1} each call, and the rows keep one per product: at the default scale
-    their 42624 lowering images hold 18439 products.
+    nonempty.  A lowering generator's image is a new one-term tuple
+    ((product, 1),) each call, and the rows keep one per product: at the
+    default scale their 42624 lowering images hold 18439 products.
     """
     gids = [_gen_id(g) for g in gens]
     lowering = [p for p, g in enumerate(gens) if g.is_lowering()]
     rows: dict = {}
-    products: dict = {}  # product id -> the one image {product: 1} the rows share
+    products: dict = {}  # product id -> the one image ((product, 1),) the rows share
 
     def row_of(mid):
         row = rows.get(mid)
@@ -363,7 +363,7 @@ def _action_rows(gens: list):
             images = [_act_id(g, mid) for g in gids]
             for p in lowering:
                 image = images[p]
-                images[p] = products.setdefault(next(iter(image)), image)
+                images[p] = products.setdefault(image[0][0], image)
             row = rows[mid] = (images, tuple(p for p, image in enumerate(images) if image))
         return row
 
@@ -458,9 +458,9 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     602946 pairs and states are composed), as check 1 counts the triples it
     does not sum.  Where [x,y] = 0 and x u and y u are each empty or one
     monomial with coefficient 1, the two sides are images in those
-    monomials' rows and are compared as they stand, with no sum built.  An
-    abort reports as checked the place of the failing pair and state in the
-    order of all of them.
+    monomials' rows, tuples sorted by monomial id, so they are compared as
+    they stand, with no sum built.  An abort reports as checked the place
+    of the failing pair and state in the order of all of them.
     """
     failures = []
     degree_bound = min(5, config.max_degree)
@@ -470,7 +470,7 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     table = _int_bracket_table(gens)
     with_const, through = _bracket_pairs(table, count)
     row_of = _action_rows(gens)
-    zero_images = [{}] * count
+    zero_images = [()] * count
     monos = basis_monomials(degree_bound, 2)
     for index, mono in enumerate(monos):
         mid = _mono_id(mono)
@@ -480,10 +480,10 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
         singles = [zero_images] * count  # the images of x u's one monomial, or None
         for a in u_live:
             image = u_row[a]
-            rows = x_rows[a] = [row_of(m2) for m2 in image]
-            terms[a] = [(row[0], c) for row, c in zip(rows, image.values())]
+            rows = x_rows[a] = [row_of(m2) for m2, _ in image]
+            terms[a] = [(row[0], c) for row, (_, c) in zip(rows, image)]
             # an id coefficient equal to 1 is the int 1: a Scalar is a tuple
-            single = len(image) == 1 and next(iter(image.values())) == 1
+            single = len(image) == 1 and image[0][1] == 1
             singles[a] = rows[0][0] if single else None
         for key in _live_pairs(count, u_live, x_rows, with_const, through):
             a, b = divmod(key, count)
@@ -871,12 +871,12 @@ def run_check(check, *args) -> CheckResult:
     """check(*args), timed; a check that raises fails with nothing checked.
 
     Checks are independent, so every engine cache is emptied first by one
-    fock.clear_action_cache: the action cache (fock._ACT_CACHE: the images
-    of the generators that do not lower, check 3's 38442 the most at the
-    default scale, and every memo entry: the mode-sum and recursion images
-    of virops on monomial ids, the operators' id forms and singular's
-    per-weight search systems), fock's id tables and liealg._pair_bracket's
-    memo.  No check's images, ids or brackets outlive the next check.
+    fock.clear_action_cache: fock's id tables, with each generator's frozen
+    images (fock._IMAGES, check 3's 38442 the most at the default scale),
+    every memo entry (fock._ACT_CACHE: the mode-sum and recursion images of
+    virops on monomial ids, the operators' id forms and singular's
+    per-weight search systems) and liealg._pair_bracket's memo.  No check's
+    images, ids or brackets outlive the next check.
 
     The check runs under fock.collector_paused.  That is safe: the caches
     are acyclic and a check makes no cyclic garbage, so reference counting

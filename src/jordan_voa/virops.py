@@ -120,7 +120,7 @@ def _on_ids(key, image, vec: dict, *args) -> dict:
     basis monomials, each memoised under (key, mid); key must name the operator uniquely."""
     acc: dict = {}
     for mid, c in vec.items():
-        _add_scaled(acc, memo((key, mid), image, *args, mid), c)
+        _add_scaled(acc, memo((key, mid), image, *args, mid).items(), c)
     return acc
 
 
@@ -199,7 +199,8 @@ def _recursion_image(i: int, j: int, m: int, n: int, l: int, mid: int) -> dict:
     """U(m, n) = [2 L[i,i](-1), U(m+1, n)] of the oracle on the basis monomial of id mid, m < -1."""
     shift = ((i, i),)  # 2 L[i,i](-1)
     acc = _mode_sum_ids(shift, -1, _recursion_ids(i, j, m + 1, n, l, {mid: 1}))
-    _add_scaled(acc, _recursion_ids(i, j, m + 1, n, l, _mode_sum_ids(shift, -1, {mid: 1})), -1)
+    shifted = _recursion_ids(i, j, m + 1, n, l, _mode_sum_ids(shift, -1, {mid: 1}))
+    _add_scaled(acc, shifted.items(), -1)
     return acc
 
 
@@ -264,9 +265,9 @@ def virasoro_bracket_probe(m: int, n: int, u: State, d: int) -> State:
 
     def probe(vec):
         acc = _mode_sum_ids(pairs, m, _mode_sum_ids(pairs, n, vec))
-        _add_scaled(acc, _mode_sum_ids(pairs, n, _mode_sum_ids(pairs, m, vec)), -1)
+        _add_scaled(acc, _mode_sum_ids(pairs, n, _mode_sum_ids(pairs, m, vec)).items(), -1)
         if m != n:
-            _add_scaled(acc, _mode_sum_ids(pairs, m + n, vec), -2 * (m - n))
+            _add_scaled(acc, _mode_sum_ids(pairs, m + n, vec).items(), -2 * (m - n))
         return acc
 
     return _through_ids(u, probe, 4)

@@ -264,36 +264,38 @@ def cold_cache():
 
 
 def cached_actions() -> dict:
-    """{(gen, mono): cache key} for every single-generator image in fock._ACT_CACHE.
+    """{(gen, mono): (gid, mid)} for every single-generator image in fock._IMAGES.
 
-    The one place the tests read the layout of the cache's int keys; the
-    other keys are memo's tuples: (operator key, monomial id) for virops'
-    per-monomial id images, and tagged tuples such as ("Lop", ...) and
-    ("search", lam) for operator id forms and singular's search systems.
+    The one place the tests read the layout of the per-generator image
+    tables: _IMAGES[gid] maps a monomial id to the generator's frozen image
+    on it.  memo's entries live apart, in fock._ACT_CACHE, under tuple keys:
+    (operator key, monomial id) for virops' per-monomial id images, and
+    tagged tuples such as ("Lop", ...) and ("search", lam) for operator id
+    forms and singular's search systems.
     """
-    width = fock._ID_BITS
     return {
-        (fock._GENS[key >> width], fock._MONOS[key & ((1 << width) - 1)]): key
-        for key in fock._ACT_CACHE
-        if isinstance(key, int)
+        (fock._GENS[gid], fock._MONOS[mid]): (gid, mid)
+        for gid, images in enumerate(fock._IMAGES)
+        for mid in images
     }
 
 
-def on_monomials(image: dict) -> dict:
-    """An id image with its monomial ids translated back to monomials."""
-    return {fock._MONOS[m]: c for m, c in image.items()}
+def on_monomials(image) -> dict:
+    """An id image, or an id sum, with its monomial ids translated back to monomials."""
+    return {fock._MONOS[m]: c for m, c in dict(image).items()}
 
 
 def cached_images() -> dict:
     """{(gen, mono): image} for every cached single-generator image, images on monomials."""
-    return {name: on_monomials(fock._ACT_CACHE[key]) for name, key in cached_actions().items()}
+    return {name: on_monomials(fock._IMAGES[gid][mid])
+            for name, (gid, mid) in cached_actions().items()}
 
 
 def test_check_3_caches_no_constant_action(cold_cache):
     """Constants act as scalars in act; _act_gen, and so its cache, sees generators only."""
     assert suite.check_representation_property(suite.SuiteConfig(max_degree=2)).passed
     names = cached_actions()
-    assert names and len(names) == len(fock._ACT_CACHE)
+    assert names and not fock._ACT_CACHE
     assert all(isinstance(gen, Generator) and gen != UNIT for gen, _ in names)
 
 
@@ -363,7 +365,9 @@ def test_grading_settles_images_the_recursion_computes_as_zero(
     monos = basis_monomials(max_degree, d)
     fast = _images(gens, monos)
     assert len(fast) == pairs
-    killed = [key for key in fast if fast[key] is fock._EMPTY]
+    # grading returns _EMPTY before any lookup, so a killed image is the one not cached
+    cached = cached_actions()
+    killed = [key for key in fast if not key[0].is_lowering() and key not in cached]
     assert len(killed) == settled
     assert killed == [key for key in fast if _reference_kills(*key)]
     assert fast == _reference_images(gens, monos)
@@ -490,12 +494,13 @@ def test_threads_running_mode_sums_and_the_oracle_from_a_cold_cache_agree(cold_c
 
 def _bad_id_coefficients() -> list:
     """Cached id image coefficients that are neither an int nor a degree-1 Scalar with int
-    coefficients.  The id images are the cache's dicts: the single-generator images under
-    int keys, and virops' per-monomial mode-sum and recursion images under (key, mid)."""
-    images = [value for value in fock._ACT_CACHE.values() if isinstance(value, dict)]
+    coefficients.  The id images are the frozen single-generator images of fock._IMAGES,
+    and memo's dicts: virops' per-monomial mode-sum and recursion images under (key, mid)."""
+    images = [value.values() for value in fock._ACT_CACHE.values() if isinstance(value, dict)]
+    images += [[c for _, c in image] for table in fock._IMAGES for image in table.values()]
     assert images
     return [
-        c for image in images for c in image.values()
+        c for image in images for c in image
         if not (type(c) is int
                 or (type(c) is Scalar and len(c) == 2 and all(type(x) is int for x in c)))
     ]

@@ -9,17 +9,18 @@ scale for the faults in AT_DEFAULT_SCALE, which the small battery misses.
 A faulty copy's code runs in the original's module and calls that module's
 names; they are imported here as well, so the copies read as plain code.
 run_check empties the cached brackets and images before each check
-(_pair_bracket's lru_cache, fock's action cache and id tables), so no check
-reads what another cached; the fixture clears them also before and after
-each fault, so none is left to a test that runs outside the battery.
+(_pair_bracket's lru_cache, fock's memo, and its id tables with their
+images), so no check reads what another cached; the fixture clears them
+also before and after each fault, so none is left to a test that runs
+outside the battery.
 """
 
 import pytest
 
 from jordan_voa import fock, liealg, scalar, singular, suite, virops
 from jordan_voa.fock import (
-    _ACT_CACHE, _CENSUS, _EMPTY, _HEADS, _ID_BITS, _MONOS, _NEEDS, _TAILS, _add, _bracket_id,
-    _insert_id, _slot, act_ids, memo, monomial_degree,
+    _CENSUS, _EMPTY, _HEADS, _IMAGES, _MONOS, _NEEDS, _TAILS, _add, _bracket_id, _insert_id,
+    _slot, act_ids, memo, monomial_degree,
 )
 from jordan_voa.liealg import (
     Generator, _contraction, _normal_order, _partner_modes, _validate_index,
@@ -120,29 +121,27 @@ def _act_id_dropping_its_constant(gid, mid):
     if needs is None:
         return _EMPTY
     if not needs:
-        return {_insert_id(gid, mid): 1}
+        return ((_insert_id(gid, mid), 1),)
     census = _CENSUS[mid]
     for offset, copies in needs:
         if (census >> offset) & 3 < copies:
             return _EMPTY
-    key = gid << _ID_BITS | mid
-    cached = _ACT_CACHE.get(key)
+    images = _IMAGES[gid]
+    cached = images.get(mid)
     if cached is not None:
         return cached
     rest = _TAILS[mid]
-    if rest is None:
-        result = {}
-    else:
+    result = {}
+    if rest is not None:
         head = _HEADS[mid]
-        result = {}
         terms, const = _bracket_id(gid, head)
         for g2, c2 in terms:
-            for m2, s2 in _act_id(g2, rest).items():
+            for m2, s2 in _act_id(g2, rest):
                 _add(result, m2, s2 * c2)
-        for m2, s2 in _act_id(gid, rest).items():
+        for m2, s2 in _act_id(gid, rest):
             _add(result, _insert_id(head, m2), s2)
-    _ACT_CACHE[key] = result
-    return result
+    image = images[mid] = tuple(sorted(result.items()) if len(result) > 1 else result.items())
+    return image
 
 
 def _generic_minor_returning_one(rows, ncols):

@@ -461,10 +461,10 @@ def _reference_check_3(config):
                     fock._add_scaled(rhs, u_row[pos], c)
                 if const:
                     fock._add(rhs, mid, R * const)
-                for m2, c in u_row[a].items():
+                for m2, c in u_row[a]:
                     fock._add_scaled(rhs, row_of(m2)[b], c)
                 lhs: dict = {}
-                for m2, c in u_row[b].items():
+                for m2, c in u_row[b]:
                     fock._add_scaled(lhs, row_of(m2)[a], c)
                 if lhs != rhs:
                     u = State.from_monomial(mono)
@@ -501,7 +501,7 @@ def test_representation_sides_match_the_state_action():
         mid = fock._mono_id(mono)
         u_row, u_live = row_of(mid)
         assert u_live == tuple(p for p, g in enumerate(gens) if not act(g, u).is_zero())
-        terms = [[(row_of(m2)[0], c) for m2, c in image.items()] for image in u_row]
+        terms = [[(row_of(m2)[0], c) for m2, c in image] for image in u_row]
         for a, x in enumerate(gens):
             for b in range(a, count):
                 y = gens[b]
@@ -623,18 +623,23 @@ def test_check_3_takes_its_brackets_from_the_table(monkeypatch):
     assert suite.check_representation_property(SMALL).passed
 
 
+def _act_on_ids(gen, mono):
+    return fock._act_id(fock._gen_id(gen), fock._mono_id(mono))
+
+
 def test_the_shared_empty_image_stays_empty_through_the_suite():
-    killed = fock._act_gen(Generator(1, 1, 1, 1), ())
-    assert killed is fock._EMPTY and killed == {}
+    killed = _act_on_ids(Generator(1, 1, 1, 1), ())
+    assert killed is fock._EMPTY and killed == ()
+    assert fock._act_gen(Generator(1, 1, 1, 1), ()) == {}
     assert all(res.passed for res in suite.run_paper_suite(SMALL))
-    assert fock._EMPTY == {}
-    assert fock._act_gen(Generator(1, 2, 0, -1), (Generator(1, 2, -1, -1),)) is fock._EMPTY
+    assert fock._EMPTY == ()
+    assert _act_on_ids(Generator(1, 2, 0, -1), (Generator(1, 2, -1, -1),)) is fock._EMPTY
 
 
 def test_check_3_leaves_every_cached_image_unchanged():
     suite.check_representation_property(SMALL)
     snapshot = cached_images()
-    assert snapshot and len(snapshot) == len(fock._ACT_CACHE)
+    assert snapshot and not fock._ACT_CACHE
     res = suite.check_representation_property(SMALL)
     assert res.passed
     assert cached_images() == snapshot
@@ -644,17 +649,31 @@ def test_check_3_leaves_every_cached_image_unchanged():
         assert fock._act_gen(gen, mono) == image, (gen, mono)
 
 
+def test_every_image_check_3_caches_is_a_tuple_sorted_by_monomial_id():
+    """Equal images are equal tuples: what check 3 needs to compare two images as they stand."""
+    assert suite.check_representation_property(SMALL).passed
+    images = [image for table in fock._IMAGES for image in table.values()]
+    assert fock._EMPTY == () and any(len(image) > 1 for image in images)
+    for image in images:
+        assert type(image) is tuple and all(c for _, c in image), image
+        assert all(m1 < m2 for (m1, _), (m2, _) in zip(image, image[1:])), image
+    as_tuples: dict = {}
+    for image in images:
+        as_tuples.setdefault(frozenset(image), set()).add(image)
+    assert all(len(tuples) == 1 for tuples in as_tuples.values())
+
+
 @pytest.mark.parametrize(
     "wrong",
-    [lambda image: {m: c * 2 for m, c in image.items()}, lambda image: {}],
+    [lambda image: tuple((m, c * 2) for m, c in image), lambda image: ()],
     ids=["doubled", "emptied"],
 )
 def test_check_3_fails_when_one_cached_image_is_wrong(wrong):
     gen = Generator(1, 1, 1, 1)
     mono = (Generator(1, 1, -1, -1),)
     assert fock._act_gen(gen, mono)
-    key = cached_actions()[(gen, mono)]
-    fock._ACT_CACHE[key] = wrong(fock._ACT_CACHE[key])
+    gid, mid = cached_actions()[(gen, mono)]
+    fock._IMAGES[gid][mid] = wrong(fock._IMAGES[gid][mid])
     _assert_only_action_fails_as_the_reference_does(SMALL, aborted=True)
 
 
