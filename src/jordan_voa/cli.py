@@ -39,18 +39,20 @@ from .suite import (MAX_D, MAX_DEGREE, MAX_SAMPLES, MIN_D, MIN_DEGREE, SuiteConf
 from .virops import act_L, vertex_mode
 
 # The largest --max-degree of singular-sweep without --no-degree-guard: --rmin -3 --rmax 3
-# --max-degree 20 takes 1.7 s and 27 MB as a process on a 2-vCPU x86-64 host (degree 22: 3.0 s
-# and 44 MB in process).
+# --max-degree 20 takes 0.75 s and 24 MB as a process on a 2-vCPU x86-64 host (degree 22, with
+# --no-degree-guard: 1.5 s and 30 MB), the median of 5 runs.
 DEGREE_GUARD = 20
 # singular-check takes det^nu of degree nu*p*(p+1) up to 56, as --p 7 --nu 1: 2.7 s and
-# 126 MB on the same host (--p 8, measured on an older engine: 95 s, 2.3 GB).  verify-det --p 4 takes 1 s, --p 5 over 90 s.
+# 126 MB on the same host.  --p 8 (degree 72), run in a child capped at 1 GB of address space,
+# ran out of memory after 42 s.  verify-det --p 4 takes 0.9 s and 28 MB; --p 5, in process,
+# 59 s and 588 MB.
 DET_POWER_DEGREE_BOUND = 56
 # the largest --p whose det alone, of degree p*(p+1), is within the bound
 DET_POWER_MAX_P = max(p for p in range(1, DET_POWER_DEGREE_BOUND + 1)
                       if p * (p + 1) <= DET_POWER_DEGREE_BOUND)
 # The largest --d each command takes, on the same host: virasoro-check --d 4 --max-degree 6
-# takes 3.2 s and 100 MB (--d 5, in process: 8.7 s, 277 MB); griess-table --d 8 takes 0.3 s,
-# process start included (the table and its check at d = 12: 0.6 s in process).
+# takes 3.2 s and 100 MB (--d 5, in process: 8.7 s, 277 MB); griess-table --d 8 takes 0.2 s,
+# process start included (the table and its check at d = 12: 0.4 s in process).
 VIRASORO_MAX_D = 4
 GRIESS_MAX_D = 8
 # singular-check reads all d*(d+1)/2 index pairs up to --d, though each --d >= 2 gives the
@@ -69,8 +71,8 @@ STATE_MAX_DEGREE = 1000
 # at --m -1000 --n -1000 --l -1000: 2.5 s; --m -3000 --n -3000 --l 0: 23.5 s).
 VERTEX_MODE_MAX = 300
 # The largest --rmax - --rmin of singular-sweep, which holds every report until it prints:
-# --rmin -20 --rmax 20 --max-degree 20 takes 3.1 s and 48 MB (--output json: 4.0 s, 116 MB);
-# at --max-degree 18, 1.7 s and 34 MB (--output json: 2.2 s, 75 MB).
+# --rmin -20 --rmax 20 --max-degree 20 takes 1.3 s and 43 MB as a process (--output json:
+# 2.4 s, 102 MB); at --max-degree 18, 0.8 s and 32 MB (--output json: 1.1 s, 68 MB).
 SWEEP_MAX_R_SPAN = 40
 # The longest --r value, a rational like 1/2 or a decimal like 1.5.  Exponent notation is
 # refused: Fraction("1e30000000") alone builds a 30-million-digit power of ten (68 s).
@@ -300,7 +302,7 @@ def _cmd_verify_det(args) -> int:
 def _cmd_griess_table(args) -> int:
     table = build_griess_table(args.d)
     try:
-        verdict = jordan_verify(args.d)
+        verdict = jordan_verify(table)
         ok = True
     except GriessVerificationError as exc:
         verdict = {"error": str(exc)}

@@ -25,10 +25,11 @@ sight, stored with its head (first) factor's generator id, the id of its
 tail (the other factors) and its census, the count of each mode v_k(l)
 among its factor slots, computed once; a generator gets an id with its
 needs, the census its positive modes ask for.  _act_id runs the head/tail
-recursion on ids: the grading test reads the census, and the insertion of
-a factor and _pair_bracket are memoised on ids.  Its images pair monomial
-ids with coefficients in Z[r]: a constant is a plain int, the rest are
-degree-1 Scalars with int coefficients.
+recursion on ids: the grading test reads the census, the insertion of a
+factor is memoised on ids, and each bracket with the head factor is read
+from _pair_bracket's memo.  Its images pair monomial ids with coefficients
+in Z[r]: a constant is a plain int, the rest are degree-1 Scalars with int
+coefficients.
 
 Operators act on ids too: act_ids applies an operator's id form,
 (generator id, coefficient) pairs, to a sum on monomial ids, {mid:
@@ -52,8 +53,12 @@ images are equal tuples, and filed in its generator's table, _IMAGES[gid]:
 _ACT_CACHE: virops' per-monomial id images (dicts) under (key, mid), where
 the key names the operator, such as ("L", pairs, m), its operator id forms
 per degree, and singular's search systems, one ("search", weight) entry
-per weight.  `clear_action_cache` empties both together with the other id
-tables and liealg._pair_bracket's memo: nothing the engine computed
+per weight.  The brackets the recursion needs are cached once, in
+liealg._pair_bracket's memo, which also serves bracket_r and check 1's
+sampled triples; checks 1 and 3 keep their own table of the pairs they
+read, built from the uncached closed form (suite._int_bracket_table).
+`clear_action_cache` empties both caches of this module together with the
+other id tables and _pair_bracket's memo: nothing the engine computed
 survives a clear, and an id taken before a clear means nothing after it.
 `forget` drops chosen `memo` entries by key, and _forget_images the images
 of chosen generators on chosen monomials.  Entries are computed from
@@ -247,9 +252,8 @@ _ACT_CACHE: dict = {}
 
 # The id tables.  A monomial's id indexes its tuple, its head's generator id, its
 # tail's id and its census; a generator's id indexes it, its needs, its
-# insertions (mid -> the id of the monomial times it), its cached images (mid ->
-# its frozen image on the monomial) and its brackets (hid -> _pair_bracket with
-# the generator of id hid, on ids).  _SLOTS holds each mode's place in a census.
+# insertions (mid -> the id of the monomial times it) and its cached images (mid ->
+# its frozen image on the monomial).  _SLOTS holds each mode's place in a census.
 _MONO_ID: dict = {}
 _MONOS: list = []
 _HEADS: list = []
@@ -260,10 +264,9 @@ _GENS: list = []
 _NEEDS: list = []
 _INSERTS: list = []
 _IMAGES: list = []
-_BRACKETS: list = []
 _SLOTS: dict = {}
 _ID_TABLES = (_MONO_ID, _MONOS, _HEADS, _TAILS, _CENSUS, _GEN_ID, _GENS, _NEEDS, _INSERTS,
-              _IMAGES, _BRACKETS, _SLOTS)
+              _IMAGES, _SLOTS)
 _INTERN_LOCK = threading.Lock()
 
 
@@ -362,7 +365,6 @@ def _gen_id(gen: Generator) -> int:
                 _NEEDS.append(_needs(gen))
                 _INSERTS.append({})
                 _IMAGES.append({})
-                _BRACKETS.append({})
                 _GEN_ID[gen] = gid
     return gid
 
@@ -395,16 +397,6 @@ def _insert_id(gid: int, mid: int) -> int:
         mono, gen = _MONOS[mid], _GENS[gid]
         pos = bisect_left(mono, gen)
         found = inserts[mid] = _mono_id(mono[:pos] + (gen,) + mono[pos:])
-    return found
-
-
-def _bracket_id(gid: int, hid: int):
-    """_pair_bracket of two generators on ids: ((generator id, integer) pairs, const)."""
-    brackets = _BRACKETS[gid]
-    found = brackets.get(hid)
-    if found is None:
-        terms, const = _pair_bracket(_GENS[gid], _GENS[hid])
-        found = brackets[hid] = (tuple((_gen_id(g), c) for g, c in terms), const)
     return found
 
 
@@ -453,16 +445,18 @@ def _act_id(gid: int, mid: int) -> tuple:
     are equal tuples.  A lowering generator multiplies in: its image is a
     new one-term tuple ((product, 1),) each call, not cached, as _insert_id
     already memoises the product.  Anything else is commuted past the head
-    factor with the deformed bracket, whose integer form (terms, const)
-    from _pair_bracket adds r*const times the tail, and annihilates the
-    vacuum; the sum is built in a dict, frozen once (sorted if it has two
-    terms or more) and cached in _IMAGES[gid].  Every coefficient lies in Z + Z*r.  Before any lookup or
-    recursion, a generator that grading kills gets the shared empty image
-    _EMPTY, which is not cached: v_k(0) is central and kills the vacuum, and
-    a positive mode v_k(x) commutes past every mode but v_k(-x), so when the
-    monomial's census has fewer copies of v_k(-x) than the generator's needs
-    ask, it reaches the vacuum and kills it.  The recursion keeps its own
-    vacuum case, so it stays exact with a weaker grading test.
+    factor with the deformed bracket and annihilates the vacuum.  The
+    bracket's integer form (terms, const) is read from _pair_bracket's memo,
+    each term's generator taking its id by _gen_id, and const adds r*const
+    times the tail.  The sum is built in a dict, frozen once (sorted if it
+    has two terms or more) and cached in _IMAGES[gid].  Every coefficient
+    lies in Z + Z*r.  Before any lookup or recursion, a generator that
+    grading kills gets the shared empty image _EMPTY, which is not cached:
+    v_k(0) is central and kills the vacuum, and a positive mode v_k(x)
+    commutes past every mode but v_k(-x), so when the monomial's census has
+    fewer copies of v_k(-x) than the generator's needs ask, it reaches the
+    vacuum and kills it.  The recursion keeps its own vacuum case, so it
+    stays exact with a weaker grading test.
     """
     needs = _NEEDS[gid]
     if needs is None:
@@ -481,9 +475,9 @@ def _act_id(gid: int, mid: int) -> tuple:
     result = {}
     if rest is not None:
         head = _HEADS[mid]
-        terms, const = _bracket_id(gid, head)
+        terms, const = _pair_bracket(_GENS[gid], _GENS[head])
         for g2, c2 in terms:
-            for m2, s2 in _act_id(g2, rest):
+            for m2, s2 in _act_id(_gen_id(g2), rest):
                 _add(result, m2, s2 * c2)
         if const:
             _add(result, rest, R * const)

@@ -137,8 +137,8 @@ def _exact_sqrt(q: Fraction):
     return None
 
 
-def jordan_verify(d: int) -> dict:
-    """Verify the degree-2 dimension and the isomorphism onto symmetric matrices.
+def jordan_verify(table: GriessTable) -> dict:
+    """Verify a built table's degree-2 dimension and its isomorphism onto symmetric matrices.
 
     The rescaling w[i,i] -> c_diag E_ii, w[i,j] -> c_off (E_ij + E_ji) with
     c_diag and c_off nonzero is a linear bijection onto Sym_d.  If it maps
@@ -151,7 +151,7 @@ def jordan_verify(d: int) -> dict:
     GriessVerificationError if any structural property fails, since the
     construction guarantees all of them.
     """
-    table = build_griess_table(d)
+    d = table.d
     dim = len(table.basis)
 
     degree_two = len(basis_monomials(2, d)) - 1  # less the vacuum; degree 1 is empty

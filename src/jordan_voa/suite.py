@@ -4,7 +4,10 @@ Each check is exact (tolerance zero): polynomial identities are verified
 symbolically in the parameter r, rational specialisations by exact
 arithmetic.  `run_paper_suite` executes all checks and returns structured
 results; the command-line front end renders them as a pass/fail matrix.
-Checks 1 and 3 sum the deformed bracket as ints, in _pair_bracket's form.
+Checks 1 and 3 sum the deformed bracket as ints, in _pair_bracket's form,
+read from a table of their pairs (_int_bracket_table) that keeps its own
+copy of each; check 1's sampled triples, check 2 and the action read
+_pair_bracket's memo.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .liealg import (
 from .scalar import ONE, R, ZERO, Scalar, poly_exact_div
 from .singular import (
     GENERIC,
-    SingularVerificationError,
     _generic_minor,
     _nullspace,
     _search_matrix,
@@ -51,7 +53,7 @@ from .singular import (
     singular_sweep,
     verify_det_lemmas,
 )
-from .griess import jordan_verify
+from .griess import build_griess_table, jordan_verify
 from .virops import (
     _binomial_rows,
     _int_det,
@@ -170,6 +172,11 @@ def _add_nested_int_bracket(acc: dict, x: Generator, y: Generator, z: Generator)
     return rconst
 
 
+# _pair_bracket's closed form without its memo: the table below is its own cache of its pairs.
+# Bound to the same function object, so a fault planted in its code reaches the table too.
+_closed_pair_bracket = _pair_bracket.__wrapped__
+
+
 def _int_bracket_table(gens: list):
     """_pair_bracket over an indexed generator list, in its integer form.
 
@@ -177,10 +184,12 @@ def _int_bracket_table(gens: list):
     generator in terms given by its index in gens.  Two quadratics can have
     a nonzero bracket only if they contract: a mode v_k(x), x != 0, of one
     meets v_k(-x) in the other; else all four contractions of _pair_bracket's
-    closed form vanish.  So _pair_bracket runs only for the pairs where the
+    closed form vanish.  So the closed form runs only for the pairs where the
     generator at b carries one of _partner_modes(gens[a]); every other
     entry is ((), 0).
-    Checks 1 and 3 both read their brackets from this table.
+    Checks 1 and 3 both read their brackets from this table, which is their
+    one cache of its pairs: it calls the closed form uncached, so no entry
+    is also held in _pair_bracket's memo.
     """
     index = {g: pos for pos, g in enumerate(gens)}
     holders: dict = {}  # mode -> positions of the generators carrying it
@@ -191,7 +200,7 @@ def _int_bracket_table(gens: list):
     table = [((), 0)] * (count * count)
     for a, g in enumerate(gens):
         for b in set().union(*(holders.get(mode, ()) for mode in _partner_modes(g))):
-            terms, const = _pair_bracket(g, gens[b])
+            terms, const = _closed_pair_bracket(g, gens[b])
             table[a * count + b] = (tuple((index[t], c) for t, c in terms), const)
     return table
 
@@ -745,14 +754,12 @@ def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
     one-dimensional kernels exactly at the determinant-power weights, whose
     vectors carry the predicted structure.  Each searched weight's minor
     must agree with its Q[r] determinant (_minor_mismatches).  A kernel
-    vector that fails is_singular's re-certification fails this check by
-    its own name.
+    vector that fails is_singular's re-certification raises
+    SingularVerificationError, which run_check reports under this check's
+    name, as it does for every check that raises.
     """
-    try:
-        reports = singular_sweep((*NON_INTEGER_SWEEP, *INTEGER_SWEEP), config.max_degree)
-        failures = _minor_mismatches(dict.fromkeys(report.weight for report in reports))
-    except SingularVerificationError as exc:
-        return CheckResult("singular-kernel-sweep", 0, "aborted", [str(exc)])
+    reports = singular_sweep((*NON_INTEGER_SWEEP, *INTEGER_SWEEP), config.max_degree)
+    failures = _minor_mismatches(dict.fromkeys(report.weight for report in reports))
     for report in reports:
         lam, r0 = report.weight, report.r0
         pair = expected_singular_pairs(r0, config.max_degree).get(lam)
@@ -839,7 +846,7 @@ def check_griess_jordan(config: SuiteConfig) -> CheckResult:
     reports = []
     for d in range(2, config.d + 1):
         try:
-            report = jordan_verify(d)
+            report = jordan_verify(build_griess_table(d))
             reports.append(
                 f"d={d}: dim {report['dimension']}, scales "
                 f"({report['diagonal_scale']}, {report['off_diagonal_scale']})"
@@ -851,32 +858,49 @@ def check_griess_jordan(config: SuiteConfig) -> CheckResult:
     )
 
 
+def _reports(name: str, check):
+    """check, marked with the name its CheckResult reports, which run_check gives it if it raises.
+
+    An attribute of the function, so functools.wraps carries it to a wrapper.
+    """
+    check.report_name = name
+    return check
+
+
 ALL_CHECKS = (
-    ("1", check_lie_axioms),
-    ("2", check_diagonal_pair_bracket),
-    ("3", check_representation_property),
-    ("4", check_lowering_recursions),
-    ("5", check_vertex_mode_formula),
-    ("6", check_binomial_determinants),
-    ("7", check_diagonal_raising_eigenvalue),
-    ("8", check_determinant_power_singular),
-    ("9", check_singular_kernel_sweep),
-    ("9b", check_determinant_commutation),
-    ("10", check_virasoro_central_charge),
-    ("11", check_griess_jordan),
+    ("1", _reports("bracket-antisymmetry-jacobi", check_lie_axioms)),
+    ("2", _reports("diagonal-pair-bracket-closed-form", check_diagonal_pair_bracket)),
+    ("3", _reports("action-respects-bracket", check_representation_property)),
+    ("4", _reports("lowering-recursions", check_lowering_recursions)),
+    ("5", _reports("vertex-mode-binomial-formula", check_vertex_mode_formula)),
+    ("6", _reports("mode-transfer-determinants", check_binomial_determinants)),
+    ("7", _reports("diagonal-raising-eigenvalue", check_diagonal_raising_eigenvalue)),
+    ("8", _reports("determinant-power-singular", check_determinant_power_singular)),
+    ("9", _reports("singular-kernel-sweep", check_singular_kernel_sweep)),
+    ("9b", _reports("determinant-commutation", check_determinant_commutation)),
+    ("10", _reports("virasoro-central-charge", check_virasoro_central_charge)),
+    ("11", _reports("griess-jordan-isomorphism", check_griess_jordan)),
 )
+# the verify-det and virasoro-check commands run these through run_check as they stand
+_reports("determinant-commutation", determinant_commutation)
+_reports("virasoro-central-charge", virasoro_central_charge)
 
 
 def run_check(check, *args) -> CheckResult:
     """check(*args), timed; a check that raises fails with nothing checked.
 
-    Checks are independent, so every engine cache is emptied first by one
-    fock.clear_action_cache: fock's id tables, with each generator's frozen
-    images (fock._IMAGES, check 3's 38442 the most at the default scale),
-    every memo entry (fock._ACT_CACHE: the mode-sum and recursion images of
-    virops on monomial ids, the operators' id forms and singular's
-    per-weight search systems) and liealg._pair_bracket's memo.  No check's
-    images, ids or brackets outlive the next check.
+    A raising check is reported under its report_name (see _reports), or
+    under its function's name if it has none.  Checks are independent, so
+    every engine cache is emptied first by one fock.clear_action_cache:
+    fock's id tables, with each generator's frozen images (fock._IMAGES,
+    check 3's 38442 the most at the default scale), every memo entry
+    (fock._ACT_CACHE: the mode-sum and recursion images of virops on
+    monomial ids, the operators' id forms and singular's per-weight search
+    systems) and liealg._pair_bracket's memo, the one cache of the brackets
+    that the action, bracket_r and check 1's sampled triples read.  Checks 1
+    and 3 read their other brackets from a table (_int_bracket_table) that
+    lives only while the check runs.  No check's images, ids or brackets
+    outlive the next check.
 
     The check runs under fock.collector_paused.  That is safe: the caches
     are acyclic and a check makes no cyclic garbage, so reference counting
@@ -890,7 +914,8 @@ def run_check(check, *args) -> CheckResult:
         try:
             result = check(*args)
         except Exception as exc:
-            result = CheckResult(check.__name__, 0, f"raised {exc!r}")
+            name = getattr(check, "report_name", check.__name__)
+            result = CheckResult(name, 0, f"raised {exc!r}")
     result.seconds = time.perf_counter() - start
     return result
 

@@ -133,6 +133,20 @@ def test_griess_table_command(capsys):
     assert payload["verdict"]["isomorphic_to_symmetric_matrices"] == "True"
 
 
+def test_griess_table_builds_its_table_once(capsys, monkeypatch):
+    from jordan_voa import griess
+
+    asked = []
+
+    def counted(*args):
+        asked.append(args)
+        return griess_product(*args)
+
+    monkeypatch.setattr(griess, "griess_product", counted)
+    code, _ = run_cli(capsys, "griess-table", "--d", "3")
+    assert code == 0 and len(asked) == 6 * 6  # each ordered pair of the six basis states once
+
+
 def test_griess_table_one_dimensional(capsys):
     code, out = run_cli(capsys, "griess-table", "--d", "1")
     assert code == 0

@@ -65,7 +65,7 @@ def test_degree_two_dimension():
 
 def test_jordan_verify_small_sizes():
     for d in (2, 3):
-        report = jordan_verify(d)
+        report = jordan_verify(build_griess_table(d))
         assert report["commutative"]
         assert report["jordan_identity"]
         assert report["isomorphic_to_symmetric_matrices"]
@@ -75,7 +75,7 @@ def test_jordan_verify_small_sizes():
 
 
 def test_jordan_verify_one_dimensional():
-    report = jordan_verify(1)
+    report = jordan_verify(build_griess_table(1))
     assert report["dimension"] == 1
     assert report["jordan_identity"]
     assert report["isomorphic_to_symmetric_matrices"]
@@ -94,13 +94,13 @@ def test_jordan_verify_rejects_a_perturbed_product(pairs, monkeypatch):
 
     monkeypatch.setattr(griess, "griess_product", product)
     with pytest.raises(GriessVerificationError):
-        jordan_verify(3)
+        jordan_verify(build_griess_table(3))
 
 
 def test_jordan_verify_up_to_d_8(monkeypatch):
     """Check 11 at every griess-table --d beyond 3, and a planted fault at d = 8."""
     for d in range(4, 9):
-        report = jordan_verify(d)
+        report = jordan_verify(build_griess_table(d))
         assert report["dimension"] == d * (d + 1) // 2
         assert (report["diagonal_scale"], report["off_diagonal_scale"]) == (2, 1)
 
@@ -110,4 +110,4 @@ def test_jordan_verify_up_to_d_8(monkeypatch):
 
     monkeypatch.setattr(griess, "griess_product", product)
     with pytest.raises(GriessVerificationError, match=r"the pair \(7, 8\), \(8, 8\)"):
-        jordan_verify(8)
+        jordan_verify(build_griess_table(8))

@@ -3,7 +3,11 @@
 Each fault is a faulty copy of one function of the engine.  Its code is put
 into the original's __code__ (for the lru_cached _pair_bracket, the code of
 the function it wraps), so every module that imported the function by name
-runs the fault too, and the battery runs at a small scale (d = 2,
+runs the fault too.  That reaches both places a pair bracket is cached:
+_pair_bracket's memo, which the action, bracket_r and check 1's sampled
+triples read, and the table of checks 1 and 3 (suite._int_bracket_table),
+which calls the wrapped closed form itself, uncached.  The battery runs at
+a small scale (d = 2,
 max_degree 2, 200 sampled triples: 0.2 to 0.4 s a fault), or at the default
 scale for the faults in AT_DEFAULT_SCALE, which the small battery misses.
 A faulty copy's code runs in the original's module and calls that module's
@@ -19,17 +23,17 @@ import pytest
 
 from jordan_voa import fock, liealg, scalar, singular, suite, virops
 from jordan_voa.fock import (
-    _CENSUS, _EMPTY, _HEADS, _IMAGES, _MONOS, _NEEDS, _TAILS, _add, _bracket_id, _insert_id,
+    _CENSUS, _EMPTY, _GENS, _HEADS, _IMAGES, _MONOS, _NEEDS, _TAILS, _add, _gen_id, _insert_id,
     _slot, act_ids, memo, monomial_degree,
 )
 from jordan_voa.liealg import (
-    Generator, _contraction, _normal_order, _partner_modes, _validate_index,
+    Generator, _contraction, _normal_order, _pair_bracket, _partner_modes, _validate_index,
 )
 from jordan_voa.scalar import ONE, Scalar
 from jordan_voa.suite import SuiteConfig, run_paper_suite
 from jordan_voa.virops import (
     _id_form, _mode_sum_ids, _multiple, _on_ids, _recursion_image, _through_ids,
-    _vertex_operator,
+    _vertex_operator, binom,
 )
 
 SMALL = SuiteConfig(d=2, max_degree=2, samples=200)
@@ -134,9 +138,9 @@ def _act_id_dropping_its_constant(gid, mid):
     result = {}
     if rest is not None:
         head = _HEADS[mid]
-        terms, const = _bracket_id(gid, head)
+        terms, const = _pair_bracket(_GENS[gid], _GENS[head])
         for g2, c2 in terms:
-            for m2, s2 in _act_id(g2, rest):
+            for m2, s2 in _act_id(_gen_id(g2), rest):
                 _add(result, m2, s2 * c2)
         for m2, s2 in _act_id(gid, rest):
             _add(result, _insert_id(head, m2), s2)
@@ -208,6 +212,16 @@ def _vertex_mode_reading_the_degree_one_too_low(i, j, m, n, l, u, d=None):
     return _through_ids(u, image)
 
 
+def _vertex_operator_keeping_its_generators(i, j, m, n, l, depth):
+    center = l + m + n + 1
+    sign = 1 if (m + n) % 2 == 0 else -1
+    return tuple(
+        (_normal_order((i, center - k), (j, k))[0],
+         sign * binom(l + n - k, -m - 1) * binom(k - n - 1, -n - 1))
+        for k in range(center - depth + 1, depth)
+    )
+
+
 FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
     "multiple-drops-its-factor-2": (
         virops._multiple, _multiple_without_its_factor_2,
@@ -261,6 +275,10 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
         {"mode-transfer-determinants"}),
     "vertex-mode-reads-the-degree-one-too-low": (
         virops.vertex_mode, _vertex_mode_reading_the_degree_one_too_low,
+        {"vertex-mode-binomial-formula"}),
+    "vertex-operator-keeps-its-generators": (
+        # act_ids then indexes the id tables with a Generator: check 5 raises, under its own name
+        virops._vertex_operator, _vertex_operator_keeping_its_generators,
         {"vertex-mode-binomial-formula"}),
     "scalar-negation-returns-its-input": (
         Scalar.__neg__, _negation_returning_its_input, {"singular-kernel-sweep"}),

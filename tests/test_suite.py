@@ -13,6 +13,7 @@ bracket_r, and show that each check still fails when one of its inputs is
 wrong, with the report the reference gives.
 """
 
+import functools
 import gc
 import math
 import random
@@ -408,9 +409,23 @@ def test_check_1_asks_only_for_brackets_of_pairs_that_contract(monkeypatch):
         asked.append((g, h))
         return _pair_bracket(g, h)
 
+    # the table asks the uncached closed form, the sampled triples the memo: spy on both
     monkeypatch.setattr(suite, "_pair_bracket", spy)
+    monkeypatch.setattr(suite, "_closed_pair_bracket", spy)
     assert suite.check_lie_axioms(config).summary_line() == expected
     assert asked and all(_modes_contract(g, h) for g, h in asked)
+    with_samples = len(asked)
+    asked.clear()
+    suite.check_lie_axioms(SuiteConfig(d=2, max_degree=2, samples=0))
+    assert 0 < len(asked) < with_samples  # the spy saw both the table's pairs and the samples'
+
+
+def test_the_bracket_table_adds_no_entry_to_the_pair_bracket_memo():
+    """Checks 1 and 3 cache their pairs in the table alone, not also in _pair_bracket's memo."""
+    _pair_bracket.cache_clear()
+    table = suite._int_bracket_table(canonical_generators(2, 2))
+    assert any(terms for terms, _ in table)
+    assert _pair_bracket.cache_info().currsize == 0
 
 
 def _wide_mode_doubled(g, h):
@@ -726,6 +741,34 @@ def test_run_check_restores_the_collector_when_the_check_raises():
     res = suite.run_check(broken, SMALL)
     assert not res.passed and "broken check" in res.details
     assert gc.isenabled()
+
+
+def test_each_check_is_marked_with_the_name_it_reports():
+    results = suite.run_paper_suite(SMALL)
+    assert [res.name for res in results] == [check.report_name for _, check in suite.ALL_CHECKS]
+
+
+def test_a_raising_check_keeps_its_report_name_through_a_wrapper(monkeypatch):
+    def broken(gens):
+        raise RuntimeError("broken table")
+
+    @functools.wraps(suite.check_lie_axioms)
+    def traced(config):
+        return suite.check_lie_axioms(config)
+
+    monkeypatch.setattr(suite, "_int_bracket_table", broken)
+    res = suite.run_check(traced, SMALL)
+    assert res.summary_line() == (
+        "FAIL  bracket-antisymmetry-jacobi: raised RuntimeError('broken table')")
+
+
+def test_a_kernel_vector_that_fails_its_certification_fails_check_9_by_name(monkeypatch):
+    from jordan_voa import singular
+
+    monkeypatch.setattr(singular, "is_singular", lambda *args, **kwargs: (False, ["probe"]))
+    res = suite.run_check(suite.check_singular_kernel_sweep, SMALL)
+    assert res.name == "singular-kernel-sweep" and not res.passed
+    assert res.details.startswith("raised SingularVerificationError('search produced a non-singular")
 
 
 def test_paper_suite_empties_each_checks_cache_with_the_collector_paused(monkeypatch):
