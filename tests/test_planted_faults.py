@@ -7,9 +7,9 @@ runs the fault too.  That reaches both places a pair bracket is cached:
 _pair_bracket's memo, which the action, bracket_r and check 1's sampled
 triples read, and the table of checks 1 and 3 (suite._int_bracket_table),
 which calls the wrapped closed form itself, uncached.  The battery runs at
-a small scale (d = 2,
-max_degree 2, 200 sampled triples: 0.2 to 0.4 s a fault), or at the default
-scale for the faults in AT_DEFAULT_SCALE, which the small battery misses.
+a small scale (d = 2, max_degree 2, 200 sampled triples: 0.2 to 0.4 s a
+fault), or at the default scale for the faults in AT_DEFAULT_SCALE, which
+the small battery misses.
 A faulty copy's code runs in the original's module and calls that module's
 names; they are imported here as well, so the copies read as plain code.
 run_check empties the cached brackets and images before each check
