@@ -39,11 +39,11 @@ from .suite import (MAX_D, MAX_DEGREE, MAX_SAMPLES, MIN_D, MIN_DEGREE, SuiteConf
 from .virops import act_L, vertex_mode
 
 # The largest --max-degree of singular-sweep without --no-degree-guard: --rmin -3 --rmax 3
-# --max-degree 20 takes 0.75 s and 24 MB as a process on a 2-vCPU x86-64 host (degree 22, with
-# --no-degree-guard: 1.5 s and 30 MB), the median of 5 runs.
+# --max-degree 20 takes 0.7 s and 23 MB as a process on a 2-vCPU x86-64 host (degree 22, with
+# --no-degree-guard: 1.5 s and 28 MB), the median of 5 runs.
 DEGREE_GUARD = 20
-# singular-check takes det^nu of degree nu*p*(p+1) up to 56, as --p 7 --nu 1: 2.7 s and
-# 126 MB on the same host.  --p 8 (degree 72), run in a child capped at 1 GB of address space,
+# singular-check takes det^nu of degree nu*p*(p+1) up to 56, as --p 7 --nu 1: 4.1 s and
+# 112 MB on the same host.  --p 8 (degree 72), run in a child capped at 1 GB of address space,
 # ran out of memory after 42 s.  verify-det --p 4 takes 0.9 s and 28 MB; --p 5, in process,
 # 59 s and 588 MB.
 DET_POWER_DEGREE_BOUND = 56
@@ -51,14 +51,14 @@ DET_POWER_DEGREE_BOUND = 56
 DET_POWER_MAX_P = max(p for p in range(1, DET_POWER_DEGREE_BOUND + 1)
                       if p * (p + 1) <= DET_POWER_DEGREE_BOUND)
 # The largest --d each command takes, on the same host: virasoro-check --d 4 --max-degree 6
-# takes 3.2 s and 100 MB (--d 5, in process: 8.7 s, 277 MB); griess-table --d 8 takes 0.2 s,
+# takes 4.0 s and 90 MB (--d 5, in process: 8.7 s, 277 MB); griess-table --d 8 takes 0.2 s,
 # process start included (the table and its check at d = 12: 0.4 s in process).
 VIRASORO_MAX_D = 4
 GRIESS_MAX_D = 8
 # singular-check reads all d*(d+1)/2 index pairs up to --d, though each --d >= 2 gives the
 # same answer without --strict-mixed.  As a process on a 2-vCPU x86-64 host, --p 7 --nu 1
-# --d 1000 takes 2.7 s and 126 MB (--d 1: 2.7 s; --strict-mixed at --d 1000: 2.8 s and
-# 136 MB, at --d 2: 2.9 s), and --p 1 --nu 1 --d 4000 took 2.2 s before the bound.
+# --d 1000 takes 4.5 s and 112 MB (--d 1: 4.1 s; --strict-mixed at --d 1000: 4.9 s and
+# 119 MB, at --d 2: 4.7 s), and --p 1 --nu 1 --d 4000 took 2.2 s before the bound.
 SINGULAR_CHECK_MAX_D = 1000
 # The largest degree a --state may have: act-L on a degree-1000 state takes at most 0.3 s on
 # the same host (on the degree-200000 v[1,1](-100000,-100000): 2.2 s and 116 MB).  It bounds

@@ -20,16 +20,21 @@ grading counts how many times each lowering mode v_k(l) occurs among the
 factors; the commuting operators h[k,l] = -(1/l) v[k,k](l,-l), l < 0, act
 diagonally with those counts as eigenvalues.
 
-The action runs on small int ids.  A basis monomial gets an id at first
-sight, stored with its head (first) factor's generator id, the id of its
-tail (the other factors) and its census, the count of each mode v_k(l)
-among its factor slots, computed once; a generator gets an id with its
-needs, the census its positive modes ask for.  _act_id runs the head/tail
-recursion on ids: the grading test reads the census, the insertion of a
-factor is memoised on ids, and each bracket with the head factor is read
-from _pair_bracket's memo.  Its images pair monomial ids with coefficients
-in Z[r]: a constant is a plain int, the rest are degree-1 Scalars with int
-coefficients.
+The action runs on small int ids.  Monomials are hash-consed: the vacuum
+is id 0, and every other basis monomial is a cell (head, tail), the
+generator id of its first factor and the id of the monomial of the other
+factors, stored with its census, the count of each mode v_k(l) among its
+factor slots, and its degree.  No tuple of factors is stored, and no
+table is keyed by one.  _insert_id, the product of a monomial id with a
+lowering generator id, makes every id but the vacuum's, and its memo,
+_INSERTS[gid][mid], is also the table of cells.  _mono_id inserts a
+monomial's factors into the vacuum, and _monomial reads them back off
+the chain of heads.  A generator gets an id with its needs, the census
+its positive modes ask for.  _act_id runs the head/tail recursion on
+ids: the grading test reads the census, and each bracket with the head
+factor is read from _pair_bracket's memo.  Its images pair monomial ids
+with coefficients in Z[r]: a constant is a plain int, the rest are
+degree-1 Scalars with int coefficients.
 
 Operators act on ids too: act_ids applies an operator's id form,
 (generator id, coefficient) pairs, to a sum on monomial ids, {mid:
@@ -58,13 +63,15 @@ liealg._pair_bracket's memo, which also serves bracket_r and check 1's
 sampled triples; checks 1 and 3 keep their own table of the pairs they
 read, built from the uncached closed form (suite._int_bracket_table).
 `clear_action_cache` empties both caches of this module together with the
-other id tables and _pair_bracket's memo: nothing the engine computed
-survives a clear, and an id taken before a clear means nothing after it.
-`forget` drops chosen `memo` entries by key, and _forget_images the images
-of chosen generators on chosen monomials.  Entries are computed from
+id tables and _pair_bracket's memo: nothing the engine computed survives
+a clear, not even the vacuum's id, and an id taken before a clear means
+nothing after it.  `forget` drops chosen `memo` entries by key, and
+_forget_images the images of chosen generators on chosen monomials,
+looking their ids up without taking any.  Entries are computed from
 immutable inputs and never mutated afterwards (a frozen image cannot be),
-and ids are taken under a lock, so concurrent readers are safe; at worst
-two threads briefly recompute the same value.
+and a cell is consed and filed in _INSERTS under one lock, so concurrent
+readers are safe and a monomial never has two ids; at worst two threads
+briefly recompute the same value.
 A clear must not overlap an action in another thread.
 """
 
@@ -72,11 +79,10 @@ from __future__ import annotations
 
 import gc
 import threading
-from bisect import bisect_left
+from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Mapping
 
 from .liealg import UNIT, Generator, _operator_parts, _pair_bracket
 from .scalar import ONE, R, ZERO, Combination, Scalar, parse_scalar
@@ -250,23 +256,23 @@ def degree_of(u: State):
 
 _ACT_CACHE: dict = {}
 
-# The id tables.  A monomial's id indexes its tuple, its head's generator id, its
-# tail's id and its census; a generator's id indexes it, its needs, its
-# insertions (mid -> the id of the monomial times it) and its cached images (mid ->
-# its frozen image on the monomial).  _SLOTS holds each mode's place in a census.
-_MONO_ID: dict = {}
-_MONOS: list = []
+# The id tables.  A monomial's id indexes its head's generator id, its tail's id, its
+# census and its degree; a generator's id indexes it, its needs, its insertions (mid ->
+# the id of the monomial times it) and its cached images (mid -> its frozen image on
+# the monomial).  The vacuum, id 0, has neither head nor tail.  _SLOTS holds each
+# mode's place in a census.
 _HEADS: list = []
 _TAILS: list = []
 _CENSUS: list = []
+_DEGREES: list = []
 _GEN_ID: dict = {}
 _GENS: list = []
 _NEEDS: list = []
 _INSERTS: list = []
 _IMAGES: list = []
 _SLOTS: dict = {}
-_ID_TABLES = (_MONO_ID, _MONOS, _HEADS, _TAILS, _CENSUS, _GEN_ID, _GENS, _NEEDS, _INSERTS,
-              _IMAGES, _SLOTS)
+_ID_TABLES = (_HEADS, _TAILS, _CENSUS, _DEGREES, _GEN_ID, _GENS, _NEEDS, _INSERTS, _IMAGES,
+              _SLOTS)
 _INTERN_LOCK = threading.Lock()
 
 
@@ -294,8 +300,11 @@ def forget(keys: Iterable):
 
 
 def _forget_images(gens: Iterable, monos: Iterable):
-    """Drop the cached image of each generator on each monomial, translating each once."""
-    mids = [mid for mid in map(_MONO_ID.get, monos) if mid is not None]
+    """Drop the cached image of each generator on each monomial, translating each once.
+
+    A monomial or generator with no id has no cached image, and takes none here.
+    """
+    mids = [mid for mid in map(_known_id, monos) if mid is not None]
     for gid in map(_GEN_ID.get, gens):
         if gid is not None:
             images = _IMAGES[gid]
@@ -370,34 +379,76 @@ def _gen_id(gen: Generator) -> int:
 
 
 def _mono_id(mono: PBWMonomial) -> int:
-    """The id of a basis monomial, taken at first sight with its head, tail and census."""
-    mid = _MONO_ID.get(mono)
-    if mid is None:
-        head = tail = None
-        if mono:
-            head, tail = _gen_id(mono[0]), _mono_id(mono[1:])
-            mono = (_GENS[head],) + _MONOS[tail]  # the interned factors, so equal ones are shared
+    """The id of a basis monomial: the vacuum's, 0, with each factor inserted, the last first.
+
+    Inserting a sorted monomial's factors right to left conses each one onto
+    a tail it does not sort above.  The vacuum takes its id at first sight,
+    so a clear leaves every id table empty.
+    """
+    if not _HEADS:
         with _INTERN_LOCK:
-            mid = _MONO_ID.get(mono)
-            if mid is None:
-                mid = len(_MONOS)
-                _MONOS.append(mono)
-                _HEADS.append(head)
-                _TAILS.append(tail)
-                _CENSUS.append(_census(_CENSUS[tail], mono[0]) if mono else 0)
-                _MONO_ID[mono] = mid
+            if not _HEADS:
+                _TAILS.append(None)
+                _CENSUS.append(0)
+                _DEGREES.append(0)
+                _HEADS.append(None)  # last: a thread that finds _HEADS filled finds the vacuum whole
+    mid = 0
+    for gen in reversed(mono):
+        mid = _insert_id(_gen_id(gen), mid)
+    return mid
+
+
+def _known_id(mono: PBWMonomial):
+    """The id of a basis monomial that has one, else None; it takes no id."""
+    mid = 0 if _HEADS else None
+    for gen in reversed(mono):
+        gid = _GEN_ID.get(gen)
+        if gid is None or mid is None:
+            return None
+        mid = _INSERTS[gid].get(mid)
     return mid
 
 
 def _insert_id(gid: int, mid: int) -> int:
-    """The id of the monomial times the lowering generator, by bisection at first sight."""
+    """The id of the monomial times the lowering generator, consed at first sight.
+
+    A monomial is a cell (head generator id, tail monomial id), its head
+    sorting below no factor of its tail.  If the monomial is the vacuum, or
+    its head does not sort below the generator, the product is the cell (gid,
+    mid), consed at first sight with its census and degree.  Otherwise the
+    generator goes into the tail and the head back on top.  Either way the
+    product's id is memoised in _INSERTS[gid][mid], which for a cell is its
+    one entry, written under the lock that takes the id, so a monomial never
+    takes two ids.  Every monomial id but the vacuum's, 0, is made here.
+    """
     inserts = _INSERTS[gid]
     found = inserts.get(mid)
     if found is None:
-        mono, gen = _MONOS[mid], _GENS[gid]
-        pos = bisect_left(mono, gen)
-        found = inserts[mid] = _mono_id(mono[:pos] + (gen,) + mono[pos:])
+        head, gen = _HEADS[mid], _GENS[gid]
+        if head is not None and _GENS[head] < gen:
+            found = inserts[mid] = _insert_id(head, _insert_id(gid, _TAILS[mid]))
+        else:
+            with _INTERN_LOCK:
+                found = inserts.get(mid)
+                if found is None:
+                    found = len(_HEADS)
+                    _HEADS.append(gid)
+                    _TAILS.append(mid)
+                    _CENSUS.append(_census(_CENSUS[mid], gen))
+                    _DEGREES.append(_DEGREES[mid] - gen.m - gen.n)
+                    inserts[mid] = found
     return found
+
+
+def _monomial(mid: int) -> PBWMonomial:
+    """The basis monomial of an id, read off its chain of heads."""
+    factors = []
+    head = _HEADS[mid]
+    while head is not None:
+        factors.append(_GENS[head])
+        mid = _TAILS[mid]
+        head = _HEADS[mid]
+    return tuple(factors)
 
 
 _EMPTY: tuple = ()  # the one image of every action that grading kills
@@ -500,12 +551,13 @@ def _ids_of(u: State) -> dict:
 def _state_of(vec: dict, divisor: int = 1) -> State:
     """The State of an id sum divided by a nonzero int: the way back, one division per term.
 
-    Every coefficient comes back a Scalar, in its normal form.
+    Each monomial is read off its id's chain of heads (_monomial), and every
+    coefficient comes back a Scalar, in its normal form.
     """
     if divisor != 1:
         vec = {mid: Fraction(c, divisor) if type(c) is int else c / divisor
                for mid, c in vec.items()}
-    return State._from_tidy({_MONOS[mid]: Scalar.of(c) for mid, c in vec.items()})
+    return State._from_tidy({_monomial(mid): Scalar.of(c) for mid, c in vec.items()})
 
 
 def _act_gen(gen: Generator, mono: PBWMonomial) -> dict:

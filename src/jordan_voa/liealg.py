@@ -23,8 +23,8 @@ thread-safe.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .scalar import ONE, R, Combination, add_into
 
@@ -39,13 +39,10 @@ __all__ = [
 ]
 
 
-class Generator(NamedTuple):
+class Generator(namedtuple("Generator", "i j m n")):
     """Canonical quadratic mode pair v[i,j](m,n)."""
 
-    i: int
-    j: int
-    m: int
-    n: int
+    __slots__ = ()
 
     def is_lowering(self) -> bool:
         """Both modes negative: the generator multiplies into the module basis."""

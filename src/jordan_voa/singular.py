@@ -80,18 +80,17 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fock import (
     MIXED,
     State,
     Weight,
-    _MONOS,
     _act_id,
     _forget_images,
     _gen_id,
     _mono_id,
+    _monomial,
     act,
     basis_monomials,
     collector_paused,
@@ -129,15 +128,19 @@ class SingularVerificationError(RuntimeError):
     """A kernel vector found by the search failed its singularity check."""
 
 
-@dataclass
 class KernelReport:
     """Search result for one weight space at one parameter value."""
 
-    weight: Weight
-    r0: object
-    basis_dim: int
-    kernel_dim: int
-    kernel_vectors: list = field(default_factory=list)
+    def __init__(self, weight: Weight, r0, basis_dim: int, kernel_dim: int,
+                 kernel_vectors: list | None = None):
+        self.weight, self.r0, self.basis_dim, self.kernel_dim = weight, r0, basis_dim, kernel_dim
+        self.kernel_vectors = [] if kernel_vectors is None else kernel_vectors
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"KernelReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def det_state(p: int, indices=None) -> State:
@@ -374,7 +377,7 @@ def _search_matrix(lam: Weight):
                     if row is None:
                         row = targets[target] = [0] * len(mids)
                     row[col] = c
-            rows += [targets[target] for target in sorted(targets, key=_MONOS.__getitem__)]
+            rows += [targets[target] for target in sorted(targets, key=_monomial)]
     return basis, rows
 
 

@@ -16,7 +16,6 @@ import math
 import random
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fock import (
@@ -96,16 +95,12 @@ MIN_DEGREE, MAX_DEGREE = 2, 6
 MAX_SAMPLES = 1000000
 
 
-@dataclass
 class SuiteConfig:
     """Scale of the battery; the defaults are the full certification scale."""
 
-    d: int = MAX_D
-    max_degree: int = MAX_DEGREE
-    seed: int = 0
-    samples: int = 10000
-
-    def __post_init__(self):
+    def __init__(self, d: int = MAX_D, max_degree: int = MAX_DEGREE, seed: int = 0,
+                 samples: int = 10000):
+        self.d, self.max_degree, self.seed, self.samples = d, max_degree, seed, samples
         if not MIN_D <= self.d <= MAX_D:
             raise ValueError(f"d must be in {MIN_D}..{MAX_D}, got {self.d}")
         if not MIN_DEGREE <= self.max_degree <= MAX_DEGREE:
@@ -115,16 +110,27 @@ class SuiteConfig:
         if not 0 <= self.samples <= MAX_SAMPLES:
             raise ValueError(f"samples must be in 0..{MAX_SAMPLES}, got {self.samples}")
 
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
-@dataclass
+    def __repr__(self):
+        return f"SuiteConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
 class CheckResult:
     """A check's outcome; it passes if it tested something and nothing failed."""
 
-    name: str
-    checked: int
-    details: str = ""
-    failures: list = field(default_factory=list)
-    seconds: float = 0.0
+    def __init__(self, name: str, checked: int, details: str = "", failures: list | None = None,
+                 seconds: float = 0.0):
+        self.name, self.checked, self.details = name, checked, details
+        self.failures = [] if failures is None else failures
+        self.seconds = seconds
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"CheckResult({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def passed(self) -> bool:

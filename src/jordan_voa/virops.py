@@ -45,7 +45,7 @@ import operator
 from fractions import Fraction
 
 from .fock import (
-    _MONOS,
+    _DEGREES,
     MIXED,
     State,
     _add_scaled,
@@ -55,7 +55,6 @@ from .fock import (
     act_ids,
     degree_of,
     memo,
-    monomial_degree,
 )
 from .liealg import _normal_order, _validate_index
 from .scalar import R, fraction_free_rref
@@ -126,7 +125,7 @@ def _on_ids(key, image, vec: dict, *args) -> dict:
 
 def _mode_sum_image(pairs, m: int, mid: int) -> dict:
     """2 L(m), summed over the index pairs, on the basis monomial of id mid."""
-    depth = monomial_degree(_MONOS[mid])
+    depth = _DEGREES[mid]
     return act_ids(memo(("Lop", pairs, m, depth), _mode_sum, pairs, m, depth), {mid: 1})
 
 
@@ -166,7 +165,7 @@ def vertex_mode(i: int, j: int, m: int, n: int, l: int, u: State, d: int | None 
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
 
     def image(vec):
-        depth = monomial_degree(_MONOS[next(iter(vec))])  # vec is homogeneous
+        depth = _DEGREES[next(iter(vec))]  # vec is homogeneous
         ops = memo(("Vop", i, j, m, n, l, depth), _vertex_operator, i, j, m, n, l, depth)
         return act_ids(ops, vec)
 

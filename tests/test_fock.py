@@ -274,7 +274,7 @@ def cached_actions() -> dict:
     forms and singular's search systems.
     """
     return {
-        (fock._GENS[gid], fock._MONOS[mid]): (gid, mid)
+        (fock._GENS[gid], fock._monomial(mid)): (gid, mid)
         for gid, images in enumerate(fock._IMAGES)
         for mid in images
     }
@@ -282,7 +282,7 @@ def cached_actions() -> dict:
 
 def on_monomials(image) -> dict:
     """An id image, or an id sum, with its monomial ids translated back to monomials."""
-    return {fock._MONOS[m]: c for m, c in dict(image).items()}
+    return {fock._monomial(m): c for m, c in dict(image).items()}
 
 
 def cached_images() -> dict:
@@ -297,6 +297,42 @@ def test_check_3_caches_no_constant_action(cold_cache):
     names = cached_actions()
     assert names and not fock._ACT_CACHE
     assert all(isinstance(gen, Generator) and gen != UNIT for gen, _ in names)
+
+
+def _assert_each_id_names_one_sorted_monomial():
+    """Every id reads back a sorted monomial that no other id names, whose id it is, and
+    whose degree _DEGREES holds; the reading takes no new id."""
+    count = len(fock._HEADS)
+    assert count and all(len(t) == count for t in (fock._TAILS, fock._CENSUS, fock._DEGREES))
+    monos = [fock._monomial(mid) for mid in range(count)]
+    assert all(list(mono) == sorted(mono) for mono in monos)
+    assert len(set(monos)) == count
+    assert all(fock._mono_id(mono) == mid for mid, mono in enumerate(monos))
+    assert all(fock._DEGREES[mid] == monomial_degree(mono) for mid, mono in enumerate(monos))
+    assert len(fock._HEADS) == count
+
+
+def test_after_check_3_each_id_names_one_sorted_monomial(cold_cache):
+    assert suite.check_representation_property(suite.SuiteConfig(d=2, max_degree=2,
+                                                                  samples=0)).passed
+    _assert_each_id_names_one_sorted_monomial()
+
+
+def test_forgetting_images_on_an_unseen_monomial_takes_no_id(cold_cache):
+    """_forget_images looks ids up: an unseen monomial or generator adds to no id table."""
+    g, u = Generator(1, 1, 1, 1), lowering_state((1, 1, -1, -1))
+    fock._forget_images([g], [()])  # on empty tables: not even the vacuum takes an id
+    assert not any(fock._ID_TABLES)
+    act(g, u)
+    [mono] = u.terms
+    sizes = [len(table) for table in fock._ID_TABLES], [len(table) for table in fock._INSERTS]
+    unseen = monomial([Generator(1, 1, -1, -1), Generator(1, 2, -2, -1)])
+    fock._forget_images([g, Generator(2, 2, 3, 1)], [unseen, (Generator(2, 2, -1, -1),)])
+    assert ([len(table) for table in fock._ID_TABLES],
+            [len(table) for table in fock._INSERTS]) == sizes
+    assert (g, mono) in cached_actions()
+    fock._forget_images([g], [unseen, mono])
+    assert (g, mono) not in cached_actions()
 
 
 def _insert(mono, gen):
@@ -465,8 +501,8 @@ def test_threads_acting_from_a_cold_cache_share_one_id_per_monomial(cold_cache):
     expected = [[act(g, u) for g in gens] for u in states]
     clear_action_cache()
     assert _in_six_threads(lambda: [[act(g, u) for g in gens] for u in states]) == [expected] * 6
-    assert len(fock._MONO_ID) == len(fock._MONOS) and len(fock._GEN_ID) == len(fock._GENS)
-    assert all(fock._MONO_ID[mono] == mid for mid, mono in enumerate(fock._MONOS))
+    assert len(fock._GEN_ID) == len(fock._GENS)
+    _assert_each_id_names_one_sorted_monomial()
 
 
 def test_threads_running_mode_sums_and_the_oracle_from_a_cold_cache_agree(cold_cache):

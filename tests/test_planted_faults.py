@@ -23,8 +23,8 @@ import pytest
 
 from jordan_voa import fock, liealg, scalar, singular, suite, virops
 from jordan_voa.fock import (
-    _CENSUS, _EMPTY, _GENS, _HEADS, _IMAGES, _MONOS, _NEEDS, _TAILS, _add, _gen_id, _insert_id,
-    _slot, act_ids, memo, monomial_degree,
+    _CENSUS, _DEGREES, _EMPTY, _GENS, _HEADS, _IMAGES, _INSERTS, _INTERN_LOCK, _NEEDS, _TAILS,
+    _add, _census, _gen_id, _insert_id, _slot, act_ids, memo,
 )
 from jordan_voa.liealg import (
     Generator, _contraction, _normal_order, _pair_bracket, _partner_modes, _validate_index,
@@ -120,6 +120,23 @@ def _census_counting_only_the_first_slot(tail, head):
     return tail
 
 
+def _insert_id_consing_above_the_head(gid, mid):
+    inserts = _INSERTS[gid]
+    found = inserts.get(mid)
+    if found is None:
+        gen = _GENS[gid]
+        with _INTERN_LOCK:
+            found = inserts.get(mid)
+            if found is None:
+                found = len(_HEADS)
+                _HEADS.append(gid)
+                _TAILS.append(mid)
+                _CENSUS.append(_census(_CENSUS[mid], gen))
+                _DEGREES.append(_DEGREES[mid] - gen.m - gen.n)
+                inserts[mid] = found
+    return found
+
+
 def _act_id_dropping_its_constant(gid, mid):
     needs = _NEEDS[gid]
     if needs is None:
@@ -205,7 +222,7 @@ def _vertex_mode_reading_the_degree_one_too_low(i, j, m, n, l, u, d=None):
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
 
     def image(vec):
-        depth = monomial_degree(_MONOS[next(iter(vec))]) - 1
+        depth = _DEGREES[next(iter(vec))] - 1
         ops = memo(("Vop", i, j, m, n, l, depth), _vertex_operator, i, j, m, n, l, depth)
         return act_ids(ops, vec)
 
@@ -262,6 +279,11 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
         fock._act_id, _act_id_dropping_its_constant,
         {"action-respects-bracket", "diagonal-raising-eigenvalue", "determinant-power-singular",
          "singular-kernel-sweep", "determinant-commutation", "virasoro-central-charge"}),
+    "insert-conses-above-the-head": (
+        # one monomial takes an id per order of its factors, read back unsorted
+        fock._insert_id, _insert_id_consing_above_the_head,
+        {"action-respects-bracket", "determinant-power-singular", "determinant-commutation",
+         "virasoro-central-charge"}),
     "generic-minor-returns-one": (
         singular._generic_minor, _generic_minor_returning_one, {"singular-kernel-sweep"}),
     "minor-digits-read-unsigned": (

@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from jordan_voa import fock  # noqa: E402
 from jordan_voa.fock import (  # noqa: E402
     State,
     act,
@@ -150,6 +151,20 @@ def test_act_shifts_degree_and_weight_by_the_generator(g, u):
     for mono in act(g, State.from_monomial(u)).terms:
         assert monomial_degree(mono) == monomial_degree(u) - (g.m + g.n)
         assert expected is not None and monomial_weight(mono) == expected
+
+
+LOWERING = [g for g in canonical_generators(4, 3) if g.is_lowering()]
+
+
+@PROFILE
+@given(st.lists(st.sampled_from(LOWERING), max_size=6).map(lambda fs: tuple(sorted(fs))),
+       st.sampled_from(LOWERING))
+def test_inserting_a_factor_by_id_is_the_sorted_product(mono, gen):
+    """The id product reads back the tuple-level product, and it is that product's one id."""
+    product = tuple(sorted(mono + (gen,)))
+    mid = fock._insert_id(fock._gen_id(gen), fock._mono_id(mono))
+    assert fock._monomial(mid) == product
+    assert fock._mono_id(product) == mid
 
 
 @PROFILE

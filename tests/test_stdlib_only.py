@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +42,13 @@ def test_every_exported_name_resolves():
             if not hasattr(module, name)
         ]
     assert not unresolved
+
+
+def test_importing_the_engine_and_its_cli_loads_no_heavy_stdlib_module():
+    """Start-up is the import: dataclasses would pull in inspect, ast, dis and tokenize."""
+    code = ("import sys, jordan_voa, jordan_voa.cli; "
+            "print(*sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == []
