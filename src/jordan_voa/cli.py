@@ -23,7 +23,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .fock import State, Weight, act_word, monomial, monomial_degree, weight_space_basis
+from .fock import (State, Weight, act_word, collector_paused, monomial, monomial_degree,
+                   weight_space_basis)
 from .griess import GriessVerificationError, build_griess_table, jordan_verify
 from .liealg import UNIT, bracket_r, canonicalize, parse_generator_literal
 from .singular import (
@@ -51,8 +52,9 @@ DET_POWER_DEGREE_BOUND = 56
 DET_POWER_MAX_P = max(p for p in range(1, DET_POWER_DEGREE_BOUND + 1)
                       if p * (p + 1) <= DET_POWER_DEGREE_BOUND)
 # The largest --d each command takes, on the same host: virasoro-check --d 4 --max-degree 6
-# takes 4.0 s and 90 MB (--d 5, in process: 8.7 s, 277 MB); griess-table --d 8 takes 0.2 s,
-# process start included (the table and its check at d = 12: 0.4 s in process).
+# takes 3.8 s and 86 MB (--d 5, its check run by run_check in a process of its own: 10.7 s,
+# 232 MB); griess-table --d 8 takes 0.2 s, process start included (the table and its check
+# at d = 12: 0.4 s in process).
 VIRASORO_MAX_D = 4
 GRIESS_MAX_D = 8
 # singular-check reads all d*(d+1)/2 index pairs up to --d, though each --d >= 2 gives the
@@ -72,7 +74,7 @@ STATE_MAX_DEGREE = 1000
 VERTEX_MODE_MAX = 300
 # The largest --rmax - --rmin of singular-sweep, which holds every report until it prints:
 # --rmin -20 --rmax 20 --max-degree 20 takes 1.3 s and 43 MB as a process (--output json:
-# 2.4 s, 102 MB); at --max-degree 18, 0.8 s and 32 MB (--output json: 1.1 s, 68 MB).
+# 1.9 s, 101 MB); at --max-degree 18, 0.8 s and 32 MB (--output json: 0.8 s, 68 MB).
 SWEEP_MAX_R_SPAN = 40
 # The longest --r value, a rational like 1/2 or a decimal like 1.5.  Exponent notation is
 # refused: Fraction("1e30000000") alone builds a 30-million-digit power of ten (68 s).
@@ -277,16 +279,17 @@ def _cmd_singular_sweep(args) -> int:
     reports = singular_sweep(range(args.rmin, args.rmax + 1), args.max_degree)
     texts = {lam: str(lam).replace(" ", "") for lam in {rep.weight for rep in reports}}
     if args.output == "json":
-        print(json.dumps([
-            {
-                "r": str(rep.r0),
-                "weight": texts[rep.weight],
-                "basis_dim": rep.basis_dim,
-                "kernel_dim": rep.kernel_dim,
-                "vectors": [v.to_json_obj() for v in rep.kernel_vectors],
-            }
-            for rep in reports
-        ]))
+        with collector_paused():  # a dict per report: each collection would rescan every cache
+            print(json.dumps([
+                {
+                    "r": str(rep.r0),
+                    "weight": texts[rep.weight],
+                    "basis_dim": rep.basis_dim,
+                    "kernel_dim": rep.kernel_dim,
+                    "vectors": [v.to_json_obj() for v in rep.kernel_vectors],
+                }
+                for rep in reports
+            ]))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["r0", "weight", "basis_dim", "kernel_dim"])

@@ -12,8 +12,14 @@ Grading settles most such actions before any recursion.  v_k(0) is central
 and kills the vacuum, and a positive mode v_k(x) commutes with every mode
 but v_k(-x).  So a generator with a zero mode, or with a positive mode v_k(x)
 that finds no v_k(-x) among the modes of the monomial's factors (both slots
-of each; v[i,i](x,x) needs two), acts as zero.  Every such action returns
-the one shared empty image _EMPTY, the empty tuple, uncached.
+of each; v[i,i](x,x) needs two), acts as zero.  The test is one mask: a
+monomial's census holds a two-bit thermometer field per mode, 00, 01 or 11
+for none, one or two copies and more, a generator's need sets the bits its
+positive modes ask for (-1 for a zero mode, 0 for a lowering generator),
+and the generator acts as zero unless census & need == need.  Every
+action the test kills returns the one shared empty image _EMPTY, the empty
+tuple, uncached; act_ids and check 3's rows run the test before calling
+_act_id.
 
 Degree grades a monomial by minus the sum of its modes.  The finer weight
 grading counts how many times each lowering mode v_k(l) occurs among the
@@ -24,17 +30,17 @@ The action runs on small int ids.  Monomials are hash-consed: the vacuum
 is id 0, and every other basis monomial is a cell (head, tail), the
 generator id of its first factor and the id of the monomial of the other
 factors, stored with its census, the count of each mode v_k(l) among its
-factor slots, and its degree.  No tuple of factors is stored, and no
+factor slots up to two, and its degree.  No tuple of factors is stored, and no
 table is keyed by one.  _insert_id, the product of a monomial id with a
 lowering generator id, makes every id but the vacuum's, and its memo,
 _INSERTS[gid][mid], is also the table of cells.  _mono_id inserts a
 monomial's factors into the vacuum, and _monomial reads them back off
-the chain of heads.  A generator gets an id with its needs, the census
-its positive modes ask for.  _act_id runs the head/tail recursion on
-ids: the grading test reads the census, and each bracket with the head
-factor is read from _pair_bracket's memo.  Its images pair monomial ids
-with coefficients in Z[r]: a constant is a plain int, the rest are
-degree-1 Scalars with int coefficients.
+the chain of heads.  A generator gets an id with its need, the mask of
+the census its positive modes ask for.  _act_id runs the head/tail
+recursion on ids: the grading test reads the census, and each bracket
+with the head factor is read from _pair_bracket's memo.  Its images pair
+monomial ids with coefficients in Z[r]: a constant is a plain int, the
+rest are degree-1 Scalars with int coefficients.
 
 Operators act on ids too: act_ids applies an operator's id form,
 (generator id, coefficient) pairs, to a sum on monomial ids, {mid:
@@ -45,7 +51,7 @@ act and each virops operator translate into ids once (_ids_of) and back
 once (_state_of), which wraps every coefficient in a Scalar with its
 integral coefficients ints and can divide the sum by one int: virops keeps
 its mode sums doubled and its oracle an integer multiple, and divides
-there.  Ids stay inside this module, virops, check 3's rows (suite)
+there.  Ids stay inside this module, virops, checks 3, 5 and 10 (suite)
 and the search matrix (singular); a State keeps tuple keys, and _act_gen is
 the tuple-level entry point to _act_id.
 
@@ -257,7 +263,7 @@ def degree_of(u: State):
 _ACT_CACHE: dict = {}
 
 # The id tables.  A monomial's id indexes its head's generator id, its tail's id, its
-# census and its degree; a generator's id indexes it, its needs, its insertions (mid ->
+# census and its degree; a generator's id indexes it, its need, its insertions (mid ->
 # the id of the monomial times it) and its cached images (mid -> its frozen image on
 # the monomial).  The vacuum, id 0, has neither head nor tail.  _SLOTS holds each
 # mode's place in a census.
@@ -335,30 +341,32 @@ def _slot(k: int, l: int) -> int:
     return _SLOTS.setdefault((k, l), 2 * len(_SLOTS))
 
 
-def _needs(gen: Generator):
-    """What gen needs of a monomial's census to act nonzero: (offset, copies) pairs, or None.
+def _needs(gen: Generator) -> int:
+    """The mask of what gen needs of a monomial's census to act nonzero.
 
-    None for a zero mode; otherwise one pair per positive mode v_k(x): the
-    offset of v_k(-x) and the copies it must fill, two for v[i,i](x,x).  A
-    lowering gen needs nothing.
+    The monomial passes if census & mask == mask.  A positive mode v_k(x)
+    asks for the field of v_k(-x) to read 01, one copy, or 11 for
+    v[i,i](x,x), which needs two.  A zero mode's mask is -1, which no
+    census holds; a lowering gen's is 0, which every census holds.
     """
     i, j, m, n = gen
     if not (m and n):
-        return None
-    copies = 2 if (i, m) == (j, n) else 1
-    return tuple({_slot(k, -x): copies for k, x in ((i, m), (j, n)) if x > 0}.items())
+        return -1
+    field = 0b11 if (i, m) == (j, n) else 0b01
+    return sum(field << _slot(k, -x) for k, x in dict.fromkeys(((i, m), (j, n))) if x > 0)
 
 
 def _census(tail: int, head: Generator) -> int:
     """The census of head times a monomial whose census is tail.
 
-    A census is an int with one two-bit field per mode v_k(l), at _slot(k,
-    l): how many factor slots hold the mode, both slots of each factor
-    counted, saturating at two, as no generator needs more.
+    A census is an int with one two-bit thermometer field per mode v_k(l),
+    at _slot(k, l): how many factor slots hold the mode, both slots of each
+    factor counted, read 00 for none, 01 for one and 11 for two or more, as
+    no generator needs more.
     """
     for offset in (_slot(head.i, head.m), _slot(head.j, head.n)):
-        if (tail >> offset) & 3 < 2:
-            tail += 1 << offset
+        bit = 1 << offset
+        tail |= bit | (tail & bit) << 1
     return tail
 
 
@@ -502,22 +510,19 @@ def _act_id(gid: int, mid: int) -> tuple:
     times the tail.  The sum is built in a dict, frozen once (sorted if it
     has two terms or more) and cached in _IMAGES[gid].  Every coefficient
     lies in Z + Z*r.  Before any lookup or recursion, a generator that
-    grading kills gets the shared empty image _EMPTY, which is not cached:
-    v_k(0) is central and kills the vacuum, and a positive mode v_k(x)
-    commutes past every mode but v_k(-x), so when the monomial's census has
-    fewer copies of v_k(-x) than the generator's needs ask, it reaches the
-    vacuum and kills it.  The recursion keeps its own vacuum case, so it
-    stays exact with a weaker grading test.
+    grading kills, census & need != need, gets the shared empty image
+    _EMPTY, which is not cached: v_k(0) is central and kills the vacuum,
+    and a positive mode v_k(x) commutes past every mode but v_k(-x), so
+    when the monomial's census has fewer copies of v_k(-x) than the
+    generator's need asks, it reaches the vacuum and kills it.  The
+    recursion keeps its own vacuum case, so it stays exact with a weaker
+    grading test.
     """
-    needs = _NEEDS[gid]
-    if needs is None:
-        return _EMPTY
-    if not needs:
+    need = _NEEDS[gid]
+    if not need:
         return ((_insert_id(gid, mid), 1),)
-    census = _CENSUS[mid]
-    for offset, copies in needs:
-        if (census >> offset) & 3 < copies:
-            return _EMPTY
+    if _CENSUS[mid] & need != need:
+        return _EMPTY
     images = _IMAGES[gid]
     cached = images.get(mid)
     if cached is not None:
@@ -573,11 +578,17 @@ def act_ids(ops, vec: dict) -> dict:
     """An operator in id form (_op_ids) applied to a sum on monomial ids, as a new id sum.
 
     The cached per-monomial images are only read; the UNIT term, whose id is
-    None, acts as a scalar.
+    None, acts as a scalar.  The grading test runs here, once per monomial
+    and generator, so _act_id is called only for the generators that pass
+    it, and no coefficient is multiplied for the others.
     """
     acc: dict = {}
     for mid, cu in vec.items():
+        census = _CENSUS[mid]
         for gid, cg in ops:
+            need = 0 if gid is None else _NEEDS[gid]
+            if census & need != need:
+                continue
             coeff = cu * cg
             if type(coeff) is not int:
                 coeff = _plain(coeff)

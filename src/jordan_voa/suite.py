@@ -7,11 +7,15 @@ results; the command-line front end renders them as a pass/fail matrix.
 Checks 1 and 3 sum the deformed bracket as ints, in _pair_bracket's form,
 read from a table of their pairs (_int_bracket_table) that keeps its own
 copy of each; check 1's sampled triples, check 2 and the action read
-_pair_bracket's memo.
+_pair_bracket's memo.  Checks 3, 5 and 10 compare id sums, fock's
+{monomial id: coefficient} dicts, taking each basis state's id once and
+calling the id functions that fock's action and virops' public operators
+wrap, so no State is built unless a failure prints one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -19,6 +23,9 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .fock import (
+    _CENSUS,
+    _EMPTY,
+    _NEEDS,
     State,
     _act_id,
     _add,
@@ -55,13 +62,14 @@ from .singular import (
 from .griess import build_griess_table, jordan_verify
 from .virops import (
     _binomial_rows,
+    _central,
     _int_det,
+    _multiple,
+    _probe_ids,
+    _recursion_ids,
+    _vertex_ids,
     act_L,
     binomial_matrix_det,
-    vertex_mode,
-    vertex_mode_by_recursion,
-    virasoro_bracket_probe,
-    virasoro_central_term,
 )
 
 __all__ = ["SuiteConfig", "CheckResult", "run_check", "run_paper_suite", "ALL_CHECKS",
@@ -144,14 +152,15 @@ class CheckResult:
         return line
 
 
-def _basis_states(max_degree: int, d: int) -> list:
-    """The states of basis_monomials, each with coefficient one."""
-    return [State.from_monomial(m) for m in basis_monomials(max_degree, d)]
-
-
 def _contract(g: Generator, h: Generator) -> bool:
-    """Whether a mode of h is among _partner_modes(g); else [g, h]_r is zero."""
-    return not {(h.i, h.m), (h.j, h.n)}.isdisjoint(_partner_modes(g))
+    """Whether a mode of h is among _partner_modes(g); else [g, h]_r is zero.
+
+    The four slot pairs are tested one by one: a nonzero mode v_k(x) of g
+    against each mode of h, for v_k(-x).
+    """
+    (i, j, m, n), (k, l, x, y) = g, h
+    return (m != 0 and (m == -x and i == k or m == -y and i == l)
+            or n != 0 and (n == -x and j == k or n == -y and j == l))
 
 
 def _add_nested_int_bracket(acc: dict, x: Generator, y: Generator, z: Generator) -> int:
@@ -363,11 +372,14 @@ def _action_rows(gens: list):
 
     images lists the id image _act_id(g, mid) of each g in gens, by
     position; live is the ascending tuple of the positions whose image is
-    nonempty.  A lowering generator's image is a new one-term tuple
+    nonempty.  The grading test, census & need != need, runs here first, so
+    _act_id is called only for the generators that pass it; the others get
+    the shared _EMPTY.  A lowering generator's image is a new one-term tuple
     ((product, 1),) each call, and the rows keep one per product: at the
     default scale their 42624 lowering images hold 18439 products.
     """
     gids = [_gen_id(g) for g in gens]
+    needs = [_NEEDS[gid] for gid in gids]
     lowering = [p for p, g in enumerate(gens) if g.is_lowering()]
     rows: dict = {}
     products: dict = {}  # product id -> the one image ((product, 1),) the rows share
@@ -375,7 +387,9 @@ def _action_rows(gens: list):
     def row_of(mid):
         row = rows.get(mid)
         if row is None:
-            images = [_act_id(g, mid) for g in gids]
+            census = _CENSUS[mid]
+            images = [_act_id(gid, mid) if census & need == need else _EMPTY
+                      for gid, need in zip(gids, needs)]
             for p in lowering:
                 image = images[p]
                 images[p] = products.setdefault(image[0][0], image)
@@ -463,7 +477,8 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     image of u reaches, so composing y after x u reads row[b] of each term
     of x u, with no lookup per pair.  [x,y] comes from _int_bracket_table,
     the table check 1 proves antisymmetric and Jacobi: its generator part
-    is composed through u's row and its constant r*c adds r*c*u.
+    is composed through u's row and its constant r*c adds r*c*u.  The two
+    sides are id sums, compared as they stand; a failure prints u's State.
 
     Only the pairs _live_pairs keeps are composed, in (x, y) order: x(y u)
     needs x live on a row of y u, y(x u) needs y live on a row of x u, and
@@ -600,31 +615,31 @@ def check_lowering_recursions(config: SuiteConfig) -> CheckResult:
 
 
 def check_vertex_mode_formula(config: SuiteConfig) -> CheckResult:
-    """Closed binomial vertex modes match the recursive commutator oracle."""
+    """Closed binomial vertex modes match the recursive commutator oracle.
+
+    Both sides are compared as id sums, as check 3 compares its sides: each
+    basis state takes its id once, and c(m, n) times the closed mode
+    (virops._vertex_ids) must equal the oracle's integer multiple U = c(m,
+    n) V (virops._recursion_ids).  A failure prints its state.
+    """
     failures = []
     state_degree = min(4, config.max_degree)
-    states = _basis_states(state_degree, 2)
+    states = [(mono, _mono_id(mono)) for mono in basis_monomials(state_degree, 2)]
     lo = -VERTEX_INDEX_DEPTH
     checked = 0
-    for i, j in ((1, 2), (2, 1)):
-        for m in range(lo, 0):
-            for n in range(lo, 0):
-                for l in range(-VERTEX_MODE_BOUND, VERTEX_MODE_BOUND + 1):
-                    for u in states:
-                        checked += 1
-                        direct = vertex_mode(i, j, m, n, l, u)
-                        oracle = vertex_mode_by_recursion(i, j, m, n, l, u)
-                        if direct != oracle:
-                            failures.append(
-                                f"vertex mode mismatch at ({i},{j},{m},{n}), l={l} on {u}"
-                            )
-                            if len(failures) > MAX_REPORTED_FAILURES:
-                                return CheckResult(
-                                    "vertex-mode-binomial-formula",
-                                    checked,
-                                    "aborted early",
-                                    failures,
-                                )
+    for (i, j), m, n in itertools.product(((1, 2), (2, 1)), range(lo, 0), range(lo, 0)):
+        multiple = _multiple(m, n)
+        for l in range(-VERTEX_MODE_BOUND, VERTEX_MODE_BOUND + 1):
+            for mono, mid in states:
+                checked += 1
+                direct = _vertex_ids(i, j, m, n, l, {mid: 1})
+                oracle = _recursion_ids(i, j, m, n, l, {mid: 1})
+                if {key: multiple * c for key, c in direct.items()} != oracle:
+                    failures.append(f"vertex mode mismatch at ({i},{j},{m},{n}), l={l} "
+                                    f"on {State.from_monomial(mono)}")
+                    if len(failures) > MAX_REPORTED_FAILURES:
+                        return CheckResult("vertex-mode-binomial-formula", checked,
+                                           "aborted early", failures)
     details = (
         f"{checked} mode evaluations (modes in [{lo},-1], |l| <= "
         f"{VERTEX_MODE_BOUND}, states of degree <= {state_degree})"
@@ -815,20 +830,27 @@ def virasoro_central_charge(d_levels, state_degree: int) -> CheckResult:
     So the relation at (n, m) is the relation at (m, n) negated, and at
     m = n both sides are zero.  The mirrored and diagonal instances are
     certified without being computed and count in the reported total.
+
+    Both sides are compared as id sums, as check 3 compares its sides: each
+    basis state takes its id once, and 4 times the probe
+    (virops._probe_ids) must equal r times virops._central on it.  A
+    failure prints its state.
     """
     failures = []
     checked = 0
     bound = VIRASORO_INDEX_BOUND
     for d in d_levels:
-        states = _basis_states(state_degree, d)
+        pairs = tuple((i, i) for i in range(1, d + 1))
+        states = [(mono, _mono_id(mono)) for mono in basis_monomials(state_degree, d)]
         checked += (2 * bound + 1) * len(states)  # the diagonal m = n
         for m in range(-bound, bound + 1):
             for n in range(m + 1, bound + 1):
-                for u in states:
+                central = _central(m, n, d)
+                for mono, mid in states:
                     checked += 2  # (m, n) and its mirror (n, m)
-                    probe = virasoro_bracket_probe(m, n, u, d)
-                    if probe != virasoro_central_term(m, n, u, d):
-                        failures.append(f"Virasoro relation fails at ({m},{n}), d={d} on {u}")
+                    if _probe_ids(pairs, m, n, {mid: 1}) != ({mid: R * central} if central else {}):
+                        failures.append(f"Virasoro relation fails at ({m},{n}), d={d} "
+                                        f"on {State.from_monomial(mono)}")
                         if len(failures) > MAX_REPORTED_FAILURES:
                             return CheckResult(
                                 "virasoro-central-charge", checked, "aborted early", failures

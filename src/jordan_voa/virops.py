@@ -31,12 +31,16 @@ key for act_L, the probe and the oracle alike.  The recursion oracle
 carries an integer multiple U = c(m, n) V of the vertex mode V; it calls
 only the mode-sum layer, so it stays independent of the binomial formula.
 
-Every public operator crosses the State boundary once each way, in
-_through_ids: a zero state comes back unchanged, the state must be
-homogeneous, and the id sum is divided once on the way back, by 2 for a
-mode sum, by 4 for the probe and by c(m, n) for the oracle.  No degree
-crosses with it: an operator that needs one reads it off a monomial of its
-own id sum, as _mode_sum_image does per monomial and vertex_mode once.
+Every public operator is a one-line wrapper of its id function
+(_mode_sum_ids, _vertex_ids, _recursion_ids, _probe_ids) that crosses the
+State boundary once each way, in _through_ids: a zero state comes back
+unchanged, the state must be homogeneous, and the id sum is divided once
+on the way back, by 2 for a mode sum, by 4 for the probe and by c(m, n)
+for the oracle.  No degree crosses with it: an operator that needs one
+reads it off a monomial of its own id sum, as _mode_sum_image does per
+monomial and _vertex_ids once.  The battery's checks 5 and 10 call the
+id functions themselves, and _central, the probe's expected value as the
+same multiple, so they never cross the boundary.
 """
 
 from __future__ import annotations
@@ -163,13 +167,14 @@ def vertex_mode(i: int, j: int, m: int, n: int, l: int, u: State, d: int | None 
         raise ValueError("the closed vertex-mode formula needs distinct oscillator indices")
     if m >= 0 or n >= 0:
         raise ValueError("vertex modes are taken of lowering pairs (m, n < 0)")
+    return _through_ids(u, lambda vec: _vertex_ids(i, j, m, n, l, vec))
 
-    def image(vec):
-        depth = _DEGREES[next(iter(vec))]  # vec is homogeneous
-        ops = memo(("Vop", i, j, m, n, l, depth), _vertex_operator, i, j, m, n, l, depth)
-        return act_ids(ops, vec)
 
-    return _through_ids(u, image)
+def _vertex_ids(i: int, j: int, m: int, n: int, l: int, vec: dict) -> dict:
+    """vertex_mode on a nonzero homogeneous sum on monomial ids, of the degree of its first."""
+    depth = _DEGREES[next(iter(vec))]
+    ops = memo(("Vop", i, j, m, n, l, depth), _vertex_operator, i, j, m, n, l, depth)
+    return act_ids(ops, vec)
 
 
 def _vertex_operator(i: int, j: int, m: int, n: int, l: int, depth: int) -> tuple:
@@ -257,23 +262,28 @@ def virasoro_bracket_probe(m: int, n: int, u: State, d: int) -> State:
 
     By the Virasoro relation with central charge d*r this must equal
     delta_{m+n,0} (m^3 - m)/12 * d*r times the input.  The three images
-    are summed on ids as 4 times the probe, from the doubled mode sums, and
-    divided once.
+    are summed on ids as 4 times the probe (_probe_ids), and divided once.
     """
     pairs = tuple((i, i) for i in range(1, d + 1))
+    return _through_ids(u, lambda vec: _probe_ids(pairs, m, n, vec), 4)
 
-    def probe(vec):
-        acc = _mode_sum_ids(pairs, m, _mode_sum_ids(pairs, n, vec))
-        _add_scaled(acc, _mode_sum_ids(pairs, n, _mode_sum_ids(pairs, m, vec)).items(), -1)
-        if m != n:
-            _add_scaled(acc, _mode_sum_ids(pairs, m + n, vec).items(), -2 * (m - n))
-        return acc
 
-    return _through_ids(u, probe, 4)
+def _probe_ids(pairs, m: int, n: int, vec: dict) -> dict:
+    """4 times the probe, summed over the diagonal index pairs, on a homogeneous sum on ids,
+    from the doubled mode sums."""
+    acc = _mode_sum_ids(pairs, m, _mode_sum_ids(pairs, n, vec))
+    _add_scaled(acc, _mode_sum_ids(pairs, n, _mode_sum_ids(pairs, m, vec)).items(), -1)
+    if m != n:
+        _add_scaled(acc, _mode_sum_ids(pairs, m + n, vec).items(), -2 * (m - n))
+    return acc
+
+
+def _central(m: int, n: int, d: int) -> int:
+    """4 times the r-coefficient of the probe's expected value: 4 delta_{m+n,0} d (m^3 - m)/12,
+    an integer, as 6 divides (m - 1) m (m + 1)."""
+    return d * (m**3 - m) // 3 if m + n == 0 else 0
 
 
 def virasoro_central_term(m: int, n: int, u: State, d: int) -> State:
     """Expected probe value: delta_{m+n,0} (m^3 - m)/12 * d*r times the state."""
-    if m + n != 0:
-        return State.zero()
-    return u.scale(R * (d * Fraction(m**3 - m, 12)))
+    return u.scale(R * Fraction(_central(m, n, d), 4))

@@ -409,6 +409,18 @@ def test_grading_settles_images_the_recursion_computes_as_zero(
     assert fast == _reference_images(gens, monos)
 
 
+def test_the_mask_test_agrees_with_a_count_of_the_modes(cold_cache):
+    """census & need != need kills exactly where _reference_kills, counting the monomial's mode
+    slots, does: for every generator with modes in [-4, 4] on every basis monomial of degree
+    <= 6 at d = 2."""
+    gens = canonical_generators(4, 2)
+    needs = [fock._NEEDS[fock._gen_id(g)] for g in gens]
+    for mono in basis_monomials(6, 2):
+        census = fock._CENSUS[fock._mono_id(mono)]
+        got = [census & need != need for need in needs]
+        assert got == [_reference_kills(g, mono) for g in gens], mono
+
+
 def _assert_fails_the_oracle_and_check_3():
     res = suite.check_representation_property(suite.SuiteConfig(d=2, max_degree=2, samples=0))
     assert not res.passed
@@ -419,12 +431,13 @@ def _assert_fails_the_oracle_and_check_3():
 
 
 def _census_counting(slots):
-    """A census builder that counts the slots slots(head) of each head factor."""
+    """A census builder that counts the slots slots(head) of each head factor, in thermometer
+    fields: 01 for one copy, 11 for two or more."""
 
     def census(tail, head):
         for offset in slots(head):
-            if (tail >> offset) & 3 < 2:
-                tail += 1 << offset
+            bit = 1 << offset
+            tail |= bit | (tail & bit) << 1
         return tail
 
     return census

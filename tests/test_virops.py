@@ -19,6 +19,11 @@ from jordan_voa.fock import (
 from jordan_voa.liealg import Generator, LieElement, canonicalize
 from jordan_voa.scalar import R, add_into
 from jordan_voa.virops import (
+    _central,
+    _multiple,
+    _probe_ids,
+    _recursion_ids,
+    _vertex_ids,
     act_L,
     binom,
     binomial_matrix_det,
@@ -351,6 +356,7 @@ def test_recursion_oracle_never_calls_the_closed_form(monkeypatch):
         raise AssertionError("the recursion oracle used the closed vertex-mode formula")
 
     monkeypatch.setattr(virops, "vertex_mode", disabled)
+    monkeypatch.setattr(virops, "_vertex_ids", disabled)
     monkeypatch.setattr(virops, "binom", disabled)
     clear_action_cache()
     for case, value in zip(cases, expected):
@@ -431,6 +437,31 @@ def test_virasoro_probe_and_central_term_are_odd_in_m_and_n(d):
             for n in range(m + 1, 4):
                 assert virasoro_bracket_probe(n, m, u, d) == -virasoro_bracket_probe(m, n, u, d)
                 assert virasoro_central_term(n, m, u, d) == -virasoro_central_term(m, n, u, d)
+
+
+def test_each_public_operator_is_its_id_form_translated_back():
+    """Checks 5 and 10 compare id sums, and no longer cross the State boundary: on their
+    states at d = 2 and degree <= 2, each public operator equals its id function's sum, taken
+    on the state's id and translated back, divided as the battery multiplies."""
+    clear_action_cache()
+    pairs = ((1, 1), (2, 2))
+    for mono in basis_monomials(2, 2):
+        u = State.from_monomial(mono)
+        mid = fock._mono_id(mono)
+        for i, j in ((1, 2), (2, 1)):
+            for m, n in itertools.product(range(-3, 0), repeat=2):
+                for l in range(-4, 5):
+                    assert vertex_mode(i, j, m, n, l, u) == fock._state_of(
+                        _vertex_ids(i, j, m, n, l, {mid: 1}))
+                    assert vertex_mode_by_recursion(i, j, m, n, l, u) == fock._state_of(
+                        _recursion_ids(i, j, m, n, l, {mid: 1}), _multiple(m, n))
+        for m in range(-3, 4):
+            for n in range(m + 1, 4):
+                assert virasoro_bracket_probe(m, n, u, 2) == fock._state_of(
+                    _probe_ids(pairs, m, n, {mid: 1}), 4)
+                central = _central(m, n, 2)
+                assert virasoro_central_term(m, n, u, 2) == fock._state_of(
+                    {mid: R * central} if central else {}, 4)
 
 
 def test_total_mode_zero_measures_degree():
