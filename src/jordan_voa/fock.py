@@ -52,8 +52,8 @@ once (_state_of), which wraps every coefficient in a Scalar with its
 integral coefficients ints and can divide the sum by one int: virops keeps
 its mode sums doubled and its oracle an integer multiple, and divides
 there.  Ids stay inside this module, virops, checks 3, 5 and 10 (suite)
-and the search matrix (singular); a State keeps tuple keys, and _act_gen is
-the tuple-level entry point to _act_id.
+and the search matrix and the sweep's release (singular); a State keeps
+tuple keys, and _act_gen is the tuple-level entry point to _act_id.
 
 Two kinds of cache memoise every operator that acts monomial by monomial.
 The image of each generator that neither lowers (a lowering image is built
@@ -72,8 +72,9 @@ read, built from the uncached closed form (suite._int_bracket_table).
 id tables and _pair_bracket's memo: nothing the engine computed survives
 a clear, not even the vacuum's id, and an id taken before a clear means
 nothing after it.  `forget` drops chosen `memo` entries by key, and
-_forget_images the images of chosen generators on chosen monomials,
-looking their ids up without taking any.  Entries are computed from
+_forget_images every cached image on chosen monomial ids, from every
+generator's table: an eviction, which takes no id and needs no list of
+the generators that filled the tables.  Entries are computed from
 immutable inputs and never mutated afterwards (a frozen image cannot be),
 and a cell is consed and filed in _INSERTS under one lock, so concurrent
 readers are safe and a monomial never has two ids; at worst two threads
@@ -305,17 +306,15 @@ def forget(keys: Iterable):
         _ACT_CACHE.pop(key, None)
 
 
-def _forget_images(gens: Iterable, monos: Iterable):
-    """Drop the cached image of each generator on each monomial, translating each once.
+def _forget_images(mids: list):
+    """Drop every cached image on these monomial ids, from every generator's table.
 
-    A monomial or generator with no id has no cached image, and takes none here.
+    Only the tables that hold an image are walked: most hold none, as a
+    lowering generator's image is never cached.
     """
-    mids = [mid for mid in map(_known_id, monos) if mid is not None]
-    for gid in map(_GEN_ID.get, gens):
-        if gid is not None:
-            images = _IMAGES[gid]
-            for mid in mids:
-                images.pop(mid, None)
+    for images in filter(None, _IMAGES):
+        for mid in mids:
+            images.pop(mid, None)
 
 
 @contextmanager
@@ -403,17 +402,6 @@ def _mono_id(mono: PBWMonomial) -> int:
     mid = 0
     for gen in reversed(mono):
         mid = _insert_id(_gen_id(gen), mid)
-    return mid
-
-
-def _known_id(mono: PBWMonomial):
-    """The id of a basis monomial that has one, else None; it takes no id."""
-    mid = 0 if _HEADS else None
-    for gen in reversed(mono):
-        gid = _GEN_ID.get(gen)
-        if gid is None or mid is None:
-            return None
-        mid = _INSERTS[gid].get(mid)
     return mid
 
 

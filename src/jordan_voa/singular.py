@@ -68,11 +68,13 @@ A weight's basis, matrix and minor are one memo entry of fock, under
 ("search", weight), so fock.clear_action_cache empties them with every
 other cache.  singular_sweep runs singular_search weight by weight.  Each
 weight is searched at every parameter against its one entry; then the
-entry and the weight's top-level action images are released, so a sweep
-keeps no search matrix and its memory grows only with the lower-degree
-images that the recursion shares between weights.  The reports still
-come out with the parameter in the outer loop; the Weight objects of
-fock.weights are passed and reported as they are.
+entry is released, and every action image cached on the weight's basis
+ids is evicted, because only that weight's searches and re-certifications
+can have cached one.  So a sweep keeps no search matrix, and its memory
+grows only with the lower-degree images that the recursion shares between
+weights.  The reports still come out with the parameter in the outer
+loop; the Weight objects of fock.weights are passed and reported as they
+are.
 """
 
 from __future__ import annotations
@@ -510,26 +512,25 @@ def _sweep_weight(lam: Weight, r_values: list) -> list:
 
     The weight's ("search", lam) entry is taken first, and every search
     reads it.  Then that entry, holding the basis, the matrix and the
-    minor, and the weight's top-level images (gen, mono), gen in its
-    raising family and mono in its basis, are dropped: only the recursion
-    of a later weight could read such an image again, and seldom does (the
-    degree-18 sweep over r = -3..3 recomputes 5 % more images).  The family
-    is the whole one, not only the search generators, because is_singular
-    reads the other generators' images when it re-certifies a kernel
-    vector.  The lower-degree images that the recursion made stay cached,
-    because later weights reuse them: dropping those too costs the same
-    sweep about 25 % more time for 2 MB less peak.  fock._forget_images
-    takes each generator's and each monomial's id once, not once per pair;
-    the ids themselves stay until clear_action_cache (the degree-18 sweep
-    takes 2170 monomial ids).  A weight with an empty basis (797 of the
-    degree-18 sweep's 1596) has no image to drop, so its family is not
-    built.
+    minor, is dropped, and so is every action image cached on the basis's
+    monomial ids (fock._forget_images).  Only this weight's searches and
+    re-certifications can have cached one: fock.weights runs by degree, and
+    a weight's recursion caches images only on its own basis and on
+    monomials of lower degree.  Only the recursion of a later weight could
+    read an evicted image again, and seldom does (the degree-18 sweep over
+    r = -3..3 recomputes 5 % more images).  The lower-degree images stay
+    cached, because later weights reuse them: dropping those too costs the
+    same sweep about 25 % more time for 2 MB less peak.  The search took
+    the basis's ids, so _mono_id only looks them up here; the ids stay
+    until clear_action_cache (the degree-18 sweep takes 2170 monomial ids).
+    A weight with an empty basis (797 of the degree-18 sweep's 1596) has
+    no image to drop.
     """
     basis = memo(("search", lam), _search_system, lam)[0]
     reports = [singular_search(lam, r0) for r0 in r_values]
     forget([("search", lam)])
     if basis:
-        _forget_images(_raising_family(lam.support()), basis)
+        _forget_images([_mono_id(mono) for mono in basis])
     return reports
 
 

@@ -318,21 +318,22 @@ def test_after_check_3_each_id_names_one_sorted_monomial(cold_cache):
     _assert_each_id_names_one_sorted_monomial()
 
 
-def test_forgetting_images_on_an_unseen_monomial_takes_no_id(cold_cache):
-    """_forget_images looks ids up: an unseen monomial or generator adds to no id table."""
-    g, u = Generator(1, 1, 1, 1), lowering_state((1, 1, -1, -1))
-    fock._forget_images([g], [()])  # on empty tables: not even the vacuum takes an id
+def test_forgetting_images_evicts_every_image_on_the_ids_and_takes_no_id(cold_cache):
+    """_forget_images(mids) drops every generator's image on the ids, keeps every other image,
+    and adds to no id table."""
+    fock._forget_images([0])  # on empty tables: not even the vacuum takes an id
     assert not any(fock._ID_TABLES)
-    act(g, u)
-    [mono] = u.terms
+    assert suite.check_representation_property(suite.SuiteConfig(d=2, max_degree=2,
+                                                                  samples=0)).passed
+    before = cached_images()
+    mids = sorted({mid for _, mid in cached_actions().values()})[::2]
+    assert len({gen for (gen, mono) in before if fock._mono_id(mono) in mids}) > 1
     sizes = [len(table) for table in fock._ID_TABLES], [len(table) for table in fock._INSERTS]
-    unseen = monomial([Generator(1, 1, -1, -1), Generator(1, 2, -2, -1)])
-    fock._forget_images([g, Generator(2, 2, 3, 1)], [unseen, (Generator(2, 2, -1, -1),)])
+    fock._forget_images(mids)
     assert ([len(table) for table in fock._ID_TABLES],
             [len(table) for table in fock._INSERTS]) == sizes
-    assert (g, mono) in cached_actions()
-    fock._forget_images([g], [unseen, mono])
-    assert (g, mono) not in cached_actions()
+    assert cached_images() == {(gen, mono): image for (gen, mono), image in before.items()
+                               if fock._mono_id(mono) not in mids}
 
 
 def _insert(mono, gen):

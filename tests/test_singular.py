@@ -369,6 +369,17 @@ def test_sweep_releases_each_weights_matrix_minor_and_top_level_images():
         fock.clear_action_cache()
 
 
+def test_sweep_from_a_cold_cache_leaves_its_ids_and_images():
+    """The release takes no id and evicts only the weight's own images: the ids and cached
+    images a degree-12 sweep leaves are pinned."""
+    fock.clear_action_cache()
+    try:
+        singular_sweep(range(-3, 4), 12)
+        assert (len(fock._HEADS), len(fock._GENS), sum(map(len, fock._IMAGES))) == (218, 65, 175)
+    finally:
+        fock.clear_action_cache()
+
+
 # -- the support-driven raising family and the minor certificate ----------
 
 
