@@ -335,7 +335,7 @@ def _cmd_paper_suite(args) -> int:
 
 
 def _report(results, output: str) -> int:
-    """Print CheckResults, their timings to stderr; exit 0 iff every check passed."""
+    """Print CheckResults, their times and peak memory to stderr; exit 0 iff every check passed."""
     if output == "json":
         print(json.dumps([
             {"name": res.name, "passed": res.passed, "checked": res.checked,
@@ -348,7 +348,7 @@ def _report(results, output: str) -> int:
         passed = sum(1 for r in results if r.passed)
         print(f"{passed}/{len(results)} checks passed")
     for res in results:
-        print(f"[{res.seconds:7.2f}s] {res.name}", file=sys.stderr)
+        print(f"[{res.seconds:7.2f}s {res.peak_mb:6.1f} MB] {res.name}", file=sys.stderr)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -74,11 +74,14 @@ a clear, not even the vacuum's id, and an id taken before a clear means
 nothing after it.  `forget` drops chosen `memo` entries by key, and
 _forget_images every cached image on chosen monomial ids, from every
 generator's table: an eviction, which takes no id and needs no list of
-the generators that filled the tables.  Entries are computed from
-immutable inputs and never mutated afterwards (a frozen image cannot be),
-and a cell is consed and filed in _INSERTS under one lock, so concurrent
-readers are safe and a monomial never has two ids; at worst two threads
-briefly recompute the same value.
+the generators that filled the tables.  The sweep evicts each weight's
+basis after its searches, and check 3 each row's monomial after the last
+state that reads the row; an evicted image that a later recursion needs
+is recomputed, the same, as the tables are a pure memo.  Entries are
+computed from immutable inputs and never mutated afterwards (a frozen
+image cannot be), and a cell is consed and filed in _INSERTS under one
+lock, so concurrent readers are safe and a monomial never has two ids; at
+worst two threads briefly recompute the same value.
 A clear must not overlap an action in another thread.
 """
 
@@ -310,7 +313,8 @@ def _forget_images(mids: list):
     """Drop every cached image on these monomial ids, from every generator's table.
 
     Only the tables that hold an image are walked: most hold none, as a
-    lowering generator's image is never cached.
+    lowering generator's image is never cached.  The sweep's release
+    (singular._sweep_weight) and check 3's (suite) call it.
     """
     for images in filter(None, _IMAGES):
         for mid in mids:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import resource
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .fock import (
     _act_id,
     _add,
     _add_scaled,
+    _forget_images,
     _gen_id,
     _mono_id,
     act,
@@ -129,10 +131,10 @@ class CheckResult:
     """A check's outcome; it passes if it tested something and nothing failed."""
 
     def __init__(self, name: str, checked: int, details: str = "", failures: list | None = None,
-                 seconds: float = 0.0):
+                 seconds: float = 0.0, peak_mb: float = 0.0):
         self.name, self.checked, self.details = name, checked, details
         self.failures = [] if failures is None else failures
-        self.seconds = seconds
+        self.seconds, self.peak_mb = seconds, peak_mb
 
     def __eq__(self, other):
         return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
@@ -368,33 +370,24 @@ def check_diagonal_pair_bracket(config: SuiteConfig) -> CheckResult:
 
 
 def _action_rows(gens: list):
-    """Monomial id -> its row (images, live), each row built once.
+    """The row builder: monomial id -> its row (images, live), built afresh at each call.
 
     images lists the id image _act_id(g, mid) of each g in gens, by
     position; live is the ascending tuple of the positions whose image is
     nonempty.  The grading test, census & need != need, runs here first, so
     _act_id is called only for the generators that pass it; the others get
-    the shared _EMPTY.  A lowering generator's image is a new one-term tuple
-    ((product, 1),) each call, and the rows keep one per product: at the
-    default scale their 42624 lowering images hold 18439 products.
+    the shared _EMPTY.  A lowering generator's image is a new one-term
+    tuple, uncached, at each call.  The builder keeps nothing: check 3
+    holds each row only while a state still reads it.
     """
     gids = [_gen_id(g) for g in gens]
     needs = [_NEEDS[gid] for gid in gids]
-    lowering = [p for p, g in enumerate(gens) if g.is_lowering()]
-    rows: dict = {}
-    products: dict = {}  # product id -> the one image ((product, 1),) the rows share
 
     def row_of(mid):
-        row = rows.get(mid)
-        if row is None:
-            census = _CENSUS[mid]
-            images = [_act_id(gid, mid) if census & need == need else _EMPTY
-                      for gid, need in zip(gids, needs)]
-            for p in lowering:
-                image = images[p]
-                images[p] = products.setdefault(image[0][0], image)
-            row = rows[mid] = (images, tuple(p for p, image in enumerate(images) if image))
-        return row
+        census = _CENSUS[mid]
+        images = [_act_id(gid, mid) if census & need == need else _EMPTY
+                  for gid, need in zip(gids, needs)]
+        return images, tuple(p for p, image in enumerate(images) if image)
 
     return row_of
 
@@ -473,12 +466,23 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     monomial with coefficient one, and both sides are composed from rows: a
     monomial's row lists its id image (fock._act_id) under each generator,
     by position in the generator list, and the positions where that image
-    is nonempty.  One row is built for u and for each monomial that some
-    image of u reaches, so composing y after x u reads row[b] of each term
-    of x u, with no lookup per pair.  [x,y] comes from _int_bracket_table,
-    the table check 1 proves antisymmetric and Jacobi: its generator part
-    is composed through u's row and its constant r*c adds r*c*u.  The two
-    sides are id sums, compared as they stand; a failure prints u's State.
+    is nonempty.  u reads its own row and the row of each monomial that
+    some image of u reaches, so composing y after x u reads row[b] of each
+    term of x u, with no lookup per pair.  [x,y] comes from
+    _int_bracket_table, the table check 1 proves antisymmetric and Jacobi:
+    its generator part is composed through u's row and its constant r*c
+    adds r*c*u.  The two sides are id sums, compared as they stand; a
+    failure prints u's State.
+
+    Each row is built once and held only while a state still reads it.  A
+    first pass builds every state's own row and records, for each
+    monomial of a state's rows, the last state that reads its row.  Once
+    that state is done, the row is dropped and the images cached on its
+    monomial are evicted (fock._forget_images); a later recursion that
+    needs one recomputes it, the same.  At the default scale 1184 rows are
+    built, at most 9495 cached images are alive when a state's pairs are
+    chosen and 2089 are left at the end, where all 38442 stayed alive
+    while no row was released.
 
     Only the pairs _live_pairs keeps are composed, in (x, y) order: x(y u)
     needs x live on a row of y u, y(x u) needs y live on a row of x u, and
@@ -502,15 +506,24 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     row_of = _action_rows(gens)
     zero_images = [()] * count
     monos = basis_monomials(degree_bound, 2)
-    for index, mono in enumerate(monos):
-        mid = _mono_id(mono)
-        u_row, u_live = row_of(mid)
+    mids = [_mono_id(mono) for mono in monos]
+    held = {mid: row_of(mid) for mid in mids}
+    last = {}  # monomial id -> the index of the last state that reads its row
+    for index, mid in enumerate(mids):
+        images, live = held[mid]
+        last[mid] = index
+        last.update((m2, index) for a in live for m2, _ in images[a])
+    for index, (mono, mid) in enumerate(zip(monos, mids)):
+        u_row, u_live = held[mid]
         x_rows = [()] * count
         terms = [()] * count
         singles = [zero_images] * count  # the images of x u's one monomial, or None
         for a in u_live:
             image = u_row[a]
-            rows = x_rows[a] = [row_of(m2) for m2, _ in image]
+            for m2, _ in image:
+                if m2 not in held:
+                    held[m2] = row_of(m2)
+            rows = x_rows[a] = [held[m2] for m2, _ in image]
             terms[a] = [(row[0], c) for row, (_, c) in zip(rows, image)]
             # an id coefficient equal to 1 is the int 1: a Scalar is a tuple
             single = len(image) == 1 and image[0][1] == 1
@@ -532,6 +545,10 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
                 # the pairs of the states before u, u's pairs before row a, then (a, a) .. (a, b)
                 checked = index * per_state + a * count - a * (a - 1) // 2 + b - a + 1
                 return CheckResult("action-respects-bracket", checked, "aborted early", failures)
+        done = [m2 for m2 in held if last[m2] == index]
+        for m2 in done:
+            del held[m2]
+        _forget_images(done)
     checked = len(monos) * per_state
     details = (
         f"{checked} generator pairs x states (index bound {REP_INDEX_BOUND}, "
@@ -917,17 +934,22 @@ _reports("virasoro-central-charge", virasoro_central_charge)
 def run_check(check, *args) -> CheckResult:
     """check(*args), timed; a check that raises fails with nothing checked.
 
+    peak_mb is the process's peak resident memory so far, read after the
+    check (ru_maxrss): in a battery, the first check to show the largest
+    figure set the peak.
+
     A raising check is reported under its report_name (see _reports), or
     under its function's name if it has none.  Checks are independent, so
     every engine cache is emptied first by one fock.clear_action_cache:
-    fock's id tables, with each generator's frozen images (fock._IMAGES,
-    check 3's 38442 the most at the default scale), every memo entry
-    (fock._ACT_CACHE: the mode-sum and recursion images of virops on
-    monomial ids, the operators' id forms and singular's per-weight search
-    systems) and liealg._pair_bracket's memo, the one cache of the brackets
-    that the action, bracket_r and check 1's sampled triples read.  Checks 1
-    and 3 read their other brackets from a table (_int_bracket_table) that
-    lives only while the check runs.  No check's images, ids or brackets
+    fock's id tables, with each generator's frozen images (fock._IMAGES;
+    at the default scale check 3 takes the most ids, 18440, and check 5
+    leaves the most images, 7471, as check 3 releases its own), every
+    memo entry (fock._ACT_CACHE: the mode-sum and recursion images of
+    virops on monomial ids, the operators' id forms and singular's
+    per-weight search systems) and liealg._pair_bracket's memo, the one
+    cache of the brackets that the action, bracket_r and check 1's sampled
+    triples read.  Checks 1 and 3 read their other brackets from a table
+    (_int_bracket_table) that lives only while the check runs.  No check's images, ids or brackets
     outlive the next check.
 
     The check runs under fock.collector_paused.  That is safe: the caches
@@ -945,6 +967,7 @@ def run_check(check, *args) -> CheckResult:
             name = getattr(check, "report_name", check.__name__)
             result = CheckResult(name, 0, f"raised {exc!r}")
     result.seconds = time.perf_counter() - start
+    result.peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return result
 
 

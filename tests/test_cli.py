@@ -579,15 +579,16 @@ def test_verifying_subcommands_fail_on_a_planted_fault(argv, fault, planted, mon
     ["verify-det", "--p", "1", "--output", "json"],
 ], ids=lambda argv: argv[0])
 def test_check_reports_count_what_they_tested(argv, capsys):
-    """JSON reports carry "checked"; stderr has one real timing line per check."""
+    """JSON reports carry "checked"; stderr has one real timing and peak memory line per check."""
     code = cli.main(argv)
     captured = capsys.readouterr()
     results = json.loads(captured.out)
     assert code == 0
     assert all(res["passed"] and res["checked"] > 0 for res in results)
-    timings = [re.fullmatch(r"\[ *(\d+\.\d\d)s\] (.+)", line)
+    timings = [re.fullmatch(r"\[ *(\d+\.\d\d)s +(\d+\.\d) MB\] (.+)", line)
                for line in captured.err.splitlines()]
-    assert [m.group(2) for m in timings] == [res["name"] for res in results]
+    assert [m.group(3) for m in timings] == [res["name"] for res in results]
+    assert all(float(m.group(2)) > 0 for m in timings)
 
 
 def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch):
