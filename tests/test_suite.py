@@ -652,7 +652,6 @@ def test_check_3_builds_each_row_once_and_releases_it_after_its_last_state(monke
 
     monkeypatch.setattr(suite, "_action_rows", counted_rows)
     monkeypatch.setattr(suite, "_live_pairs", counted_pairs)
-    clear_action_cache()
     assert suite.check_representation_property(SuiteConfig()).passed
     assert len(built) == len(set(built)) == 1184
     assert len(alive) == 41 and max(alive) <= 9495
@@ -680,25 +679,11 @@ def test_the_shared_empty_image_stays_empty_through_the_suite():
     assert _act_on_ids(Generator(1, 2, 0, -1), (Generator(1, 2, -1, -1),)) is fock._EMPTY
 
 
-def test_check_3_leaves_every_cached_image_unchanged():
-    suite.check_representation_property(SMALL)
-    snapshot = cached_images()
-    assert snapshot and not fock._ACT_CACHE
-    res = suite.check_representation_property(SMALL)
-    assert res.passed
-    assert cached_images() == snapshot
-    # and every image is what a cold cache computes
-    clear_action_cache()
-    for (gen, mono), image in snapshot.items():
-        assert fock._act_gen(gen, mono) == image, (gen, mono)
+def _run_check_3_seeing_its_images(monkeypatch):
+    """Run check 3 at SMALL scale; return it with {(gid, mid): image} for every image it caches.
 
-
-def test_every_image_check_3_caches_is_a_tuple_sorted_by_monomial_id(monkeypatch):
-    """Equal images are equal tuples: what check 3 needs to compare two images as they stand.
-
-    Check 3 releases a state's images after its pairs, and caches images only while it
-    builds rows, before the pairs: so the images cached when each state's pairs are
-    chosen are every image it caches."""
+    Check 3 caches images only while it builds rows, before a state's pairs are chosen, and
+    releases them only after the pairs: so the images cached at each choice are all it caches."""
     cached = {}
     original = suite._live_pairs
 
@@ -708,7 +693,31 @@ def test_every_image_check_3_caches_is_a_tuple_sorted_by_monomial_id(monkeypatch
         return original(*args)
 
     monkeypatch.setattr(suite, "_live_pairs", spy)
-    assert suite.check_representation_property(SMALL).passed
+    res = suite.check_representation_property(SMALL)
+    monkeypatch.setattr(suite, "_live_pairs", original)
+    return res, cached
+
+
+def test_check_3_leaves_every_cached_image_unchanged(monkeypatch):
+    _, cached = _run_check_3_seeing_its_images(monkeypatch)
+    snapshot = cached_images()
+    assert snapshot and not fock._ACT_CACHE
+    res = suite.check_representation_property(SMALL)
+    assert res.passed
+    assert cached_images() == snapshot
+    # and every image it cached, released or left, is what a cold cache computes
+    named = {(fock._GENS[gid], fock._monomial(mid)): on_monomials(image)
+             for (gid, mid), image in cached.items()}
+    assert len(named) > len(snapshot) and named.items() >= snapshot.items()
+    clear_action_cache()
+    for (gen, mono), image in named.items():
+        assert fock._act_gen(gen, mono) == image, (gen, mono)
+
+
+def test_every_image_check_3_caches_is_a_tuple_sorted_by_monomial_id(monkeypatch):
+    """Equal images are equal tuples: what check 3 needs to compare two images as they stand."""
+    res, cached = _run_check_3_seeing_its_images(monkeypatch)
+    assert res.passed
     images = list(cached.values())
     assert fock._EMPTY == () and any(len(image) > 1 for image in images)
     for image in images:
