@@ -25,7 +25,6 @@ from .virops import (
     vertex_mode_by_recursion,
     binomial_matrix_det,
     virasoro_bracket_probe,
-    virasoro_central_term,
 )
 from .singular import (
     KernelReport,

@@ -18,8 +18,9 @@ for none, one or two copies and more, a generator's need sets the bits its
 positive modes ask for (-1 for a zero mode, 0 for a lowering generator),
 and the generator acts as zero unless census & need == need.  Every
 action the test kills returns the one shared empty image _EMPTY, the empty
-tuple, uncached; act_ids and check 3's rows run the test before calling
-_act_id.
+tuple, uncached; act_ids and _action_rows, which builds check 3's rows, run
+the test before calling _act_id.  The census, the needs and _EMPTY are
+read nowhere outside this module.
 
 Degree grades a monomial by minus the sum of its modes.  The finer weight
 grading counts how many times each lowering mode v_k(l) occurs among the
@@ -67,7 +68,8 @@ per degree, and singular's search systems, one ("search", weight) entry
 per weight.  The brackets the recursion needs are cached once, in
 liealg._pair_bracket's memo, which also serves bracket_r and check 1's
 sampled triples; checks 1 and 3 keep their own table of the pairs they
-read, built from the uncached closed form (suite._int_bracket_table).
+read (suite._int_bracket_table), built from the uncached closed form,
+liealg._closed_pair_bracket.
 `clear_action_cache` empties both caches of this module together with the
 id tables and _pair_bracket's memo: nothing the engine computed survives
 a clear, not even the vacuum's id, and an id taken before a clear means
@@ -591,6 +593,30 @@ def act_ids(ops, vec: dict) -> dict:
                 if image:
                     _add_scaled(acc, image, coeff)
     return acc
+
+
+def _action_rows(gens: list):
+    """Check 3's row builder: monomial id -> its row (images, live), built afresh at each call.
+
+    images lists the id image _act_id(g, mid) of each g in gens, by
+    position; live is the ascending tuple of the positions whose image is
+    nonempty.  The grading test, census & need != need, runs here first, as
+    in act_ids, so _act_id is called only for the generators that pass it;
+    the others get the shared _EMPTY.  A lowering generator's image is a
+    new one-term tuple, uncached, at each call.  The builder keeps nothing:
+    check 3 (suite.check_representation_property) holds each row only while
+    a state still reads it.
+    """
+    gids = [_gen_id(g) for g in gens]
+    needs = [_NEEDS[gid] for gid in gids]
+
+    def row_of(mid):
+        census = _CENSUS[mid]
+        images = [_act_id(gid, mid) if census & need == need else _EMPTY
+                  for gid, need in zip(gids, needs)]
+        return images, tuple(p for p, image in enumerate(images) if image)
+
+    return row_of
 
 
 def act(x, u: State) -> State:

@@ -16,6 +16,9 @@ Scaling the constant part of a commutator by the parameter r gives the
 deformed bracket, bracket_r; beneath it _pair_bracket keeps the integer
 form, integer structure constants and the integer coefficient of r, in
 closed form: four mode contractions, each times a normal-ordered product.
+_contract tells whether a pair can have a nonzero bracket at all, and
+_closed_pair_bracket is the closed form without the memo, for a caller
+that caches its own pairs (the table of the battery's checks 1 and 3).
 All values are immutable and all functions are pure, so everything is
 thread-safe.
 """
@@ -133,6 +136,19 @@ def _partner_modes(g: Generator) -> list:
     return [(k, -x) for k, x in ((g.i, g.m), (g.j, g.n)) if x]
 
 
+def _contract(g: Generator, h: Generator) -> bool:
+    """Whether a mode of h is among _partner_modes(g); else [g, h]_r is zero.
+
+    The four slot pairs are tested one by one: a nonzero mode v_k(x) of g
+    against each mode of h, for v_k(-x).  A pair that does not contract has
+    every _contraction of _pair_bracket's closed form zero, so its bracket
+    is ((), 0); check 1's sampled triples skip such pairs by this test.
+    """
+    (i, j, m, n), (k, l, x, y) = g, h
+    return (m != 0 and (m == -x and i == k or m == -y and i == l)
+            or n != 0 and (n == -x and j == k or n == -y and j == l))
+
+
 @lru_cache(maxsize=None)
 def _pair_bracket(g: Generator, h: Generator):
     """Deformed bracket [g, h]_r of canonical generators in closed form.
@@ -158,6 +174,12 @@ def _pair_bracket(g: Generator, h: Generator):
             const += scalar * shift
     terms = tuple((gen, coeff) for gen, coeff in acc.items() if coeff)
     return (terms, const) if terms or const else ((), 0)
+
+
+# _pair_bracket's closed form without its memo, for a caller that keeps its own cache of its
+# pairs (suite._int_bracket_table).  Bound to the same function object, so a fault planted in
+# its code reaches that cache too.
+_closed_pair_bracket = _pair_bracket.__wrapped__
 
 
 def _operator_parts(x):

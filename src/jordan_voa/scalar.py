@@ -6,8 +6,10 @@ parameter and specialised to rational values only when asked.  All
 arithmetic is arbitrary-precision and exact; no floating point is used
 anywhere in the package.  The module also holds the package's one sparse
 linear-combination type, Combination, which states and Lie elements are
-built on, and its one exact eliminator, fraction_free_rref, behind the
-kernels over Q and Q(r) and the transfer determinants.
+built on, its one exact eliminator, fraction_free_rref, behind the
+kernels over Q and Q(r) and the transfer determinants, and Record, the one
+base of the plain records (singular.KernelReport, suite.SuiteConfig and
+suite.CheckResult), here as the lowest module both of theirs import.
 
 Scalar's constructor is the one place that sets the normal form (no
 trailing zeros, an integral coefficient an int); only an int polynomial
@@ -189,6 +191,22 @@ class Scalar(tuple):
 ZERO = Scalar()
 ONE = Scalar((1,))
 R = Scalar((0, 1))
+
+
+class Record:
+    """A plain record of the fields its __init__ sets: a configuration, a result or a report.
+
+    Two records are equal when they are of one class and their fields are
+    equal, and a record prints as Name(field=value, ...).  Defining __eq__
+    leaves __hash__ None, in every subclass too: a record's fields may be
+    changed, so it is not hashable.
+    """
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def add_into(acc: dict, key, coeff: Scalar):

@@ -103,8 +103,9 @@ from .fock import (
     weight_space_basis,
     weights,
 )
-from .liealg import Generator, canonical_generators
-from .scalar import ONE, R, ZERO, Scalar, add_into, fraction_free_rref, poly_exact_div, poly_gcd
+from .liealg import Generator
+from .scalar import (ONE, R, ZERO, Record, Scalar, add_into, fraction_free_rref, poly_exact_div,
+                     poly_gcd)
 
 __all__ = [
     "KernelReport",
@@ -113,7 +114,6 @@ __all__ = [
     "det_power_state",
     "certification_r",
     "multiply_lowering",
-    "raising_generators",
     "is_singular",
     "kernel_basis",
     "kernel_basis_poly",
@@ -130,19 +130,13 @@ class SingularVerificationError(RuntimeError):
     """A kernel vector found by the search failed its singularity check."""
 
 
-class KernelReport:
+class KernelReport(Record):
     """Search result for one weight space at one parameter value."""
 
     def __init__(self, weight: Weight, r0, basis_dim: int, kernel_dim: int,
                  kernel_vectors: list | None = None):
         self.weight, self.r0, self.basis_dim, self.kernel_dim = weight, r0, basis_dim, kernel_dim
         self.kernel_vectors = [] if kernel_vectors is None else kernel_vectors
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self):
-        return f"KernelReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def det_state(p: int, indices=None) -> State:
@@ -190,27 +184,19 @@ def det_power_state(p: int, nu: int) -> State:
     return out
 
 
-def raising_generators(bound: int, d: int = 1, strict: bool = False) -> list:
-    """Canonical generators with positive mode sum and modes within the bound.
-
-    The family runs over every index pair up to d and takes m <= n for
-    every index pair; for i < j that is the annihilation-certifiable slot
-    order (second mode >= 1).  With strict=True the reversed-order mixed
-    generators are included as well.
-    """
-    gens = canonical_generators(bound, d)
-    return [g for g in gens if g.m + g.n > 0 and (strict or g.m <= g.n)]
-
-
 def _raising_family(support, d: int = 1, strict: bool = False) -> list:
     """The raising generators that can act nonzero on states with this support.
 
     support holds the lowering modes (k, l) of the states' monomials.  The
-    result is raising_generators(D, d, strict) for a degree-D state, in the
-    same order, less every generator that acts as zero for grading reasons:
-    one with a zero mode, and one with a positive mode x on an oscillator k
-    where (k, -x) is not in the support.  A kept generator's other mode is
-    positive too, or negative and above -x.
+    whole family for a degree-D state is every canonical generator over d
+    oscillators with positive mode sum and both modes in [-D, D], in the
+    slot order m <= n (strict=True adds the reversed mixed ones, i < j and
+    m > n).  The result is that family, in the same order, less every
+    generator that acts as zero for grading reasons: one with a zero mode,
+    and one with a positive mode x on an oscillator k where (k, -x) is not
+    in the support.  A kept generator's other mode is positive too, or
+    negative and above -x.  The tests keep the whole family as their
+    reference (tests/test_singular.py, raising_generators).
     """
     positive: dict = {}
     for k, l in support:

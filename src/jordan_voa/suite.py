@@ -11,6 +11,12 @@ _pair_bracket's memo.  Checks 3, 5 and 10 compare id sums, fock's
 {monomial id: coefficient} dicts, taking each basis state's id once and
 calling the id functions that fock's action and virops' public operators
 wrap, so no State is built unless a failure prints one.
+
+The engine's rules stay behind the modules that own them, and the checks
+call them by name: which pairs can have a nonzero bracket (liealg._contract,
+liealg._partner_modes) and the uncached closed form
+(liealg._closed_pair_bracket) are liealg's, and the grading that settles
+an action as zero is fock's, which builds check 3's rows (fock._action_rows).
 """
 
 from __future__ import annotations
@@ -24,15 +30,11 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .fock import (
-    _CENSUS,
-    _EMPTY,
-    _NEEDS,
     State,
-    _act_id,
+    _action_rows,
     _add,
     _add_scaled,
     _forget_images,
-    _gen_id,
     _mono_id,
     act,
     basis_monomials,
@@ -42,13 +44,15 @@ from .fock import (
 from .liealg import (
     Generator,
     LieElement,
+    _closed_pair_bracket,
+    _contract,
     _pair_bracket,
     _partner_modes,
     bracket_r,
     canonical_generators,
     canonicalize,
 )
-from .scalar import ONE, R, ZERO, Scalar, poly_exact_div
+from .scalar import ONE, R, ZERO, Record, Scalar, poly_exact_div
 from .singular import (
     GENERIC,
     _generic_minor,
@@ -105,7 +109,7 @@ MIN_DEGREE, MAX_DEGREE = 2, 6
 MAX_SAMPLES = 1000000
 
 
-class SuiteConfig:
+class SuiteConfig(Record):
     """Scale of the battery; the defaults are the full certification scale."""
 
     def __init__(self, d: int = MAX_D, max_degree: int = MAX_DEGREE, seed: int = 0,
@@ -120,14 +124,8 @@ class SuiteConfig:
         if not 0 <= self.samples <= MAX_SAMPLES:
             raise ValueError(f"samples must be in 0..{MAX_SAMPLES}, got {self.samples}")
 
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
-    def __repr__(self):
-        return f"SuiteConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-
-class CheckResult:
+class CheckResult(Record):
     """A check's outcome; it passes if it tested something and nothing failed."""
 
     def __init__(self, name: str, checked: int, details: str = "", failures: list | None = None,
@@ -135,12 +133,6 @@ class CheckResult:
         self.name, self.checked, self.details = name, checked, details
         self.failures = [] if failures is None else failures
         self.seconds, self.peak_mb = seconds, peak_mb
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self):
-        return f"CheckResult({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def passed(self) -> bool:
@@ -154,27 +146,16 @@ class CheckResult:
         return line
 
 
-def _contract(g: Generator, h: Generator) -> bool:
-    """Whether a mode of h is among _partner_modes(g); else [g, h]_r is zero.
-
-    The four slot pairs are tested one by one: a nonzero mode v_k(x) of g
-    against each mode of h, for v_k(-x).
-    """
-    (i, j, m, n), (k, l, x, y) = g, h
-    return (m != 0 and (m == -x and i == k or m == -y and i == l)
-            or n != 0 and (n == -x and j == k or n == -y and j == l))
-
-
 def _add_nested_int_bracket(acc: dict, x: Generator, y: Generator, z: Generator) -> int:
     """Add the generator part of [x, [y, z]]_r into acc; return its coefficient of r.
 
     Summed from _pair_bracket's integer form, the structure constants
     bracket_r scales.  The constant of [y, z] is central, so only its
-    generator part w is bracketed with x.  A pair that does not _contract
-    is skipped before _pair_bracket is asked.  That is the rule
-    _int_bracket_table applies, and it is exact: all four contractions of
-    the closed form vanish for such a pair, so its bracket is ((), 0).
-    Most sampled pairs are such, and none of them is cached.
+    generator part w is bracketed with x.  A pair that does not contract
+    (liealg._contract) is skipped before _pair_bracket is asked.  That is
+    the rule _int_bracket_table applies, and it is exact: all four
+    contractions of the closed form vanish for such a pair, so its bracket
+    is ((), 0).  Most sampled pairs are such, and none of them is cached.
     """
     if not _contract(y, z):
         return 0
@@ -189,11 +170,6 @@ def _add_nested_int_bracket(acc: dict, x: Generator, y: Generator, z: Generator)
     return rconst
 
 
-# _pair_bracket's closed form without its memo: the table below is its own cache of its pairs.
-# Bound to the same function object, so a fault planted in its code reaches the table too.
-_closed_pair_bracket = _pair_bracket.__wrapped__
-
-
 def _int_bracket_table(gens: list):
     """_pair_bracket over an indexed generator list, in its integer form.
 
@@ -205,8 +181,8 @@ def _int_bracket_table(gens: list):
     generator at b carries one of _partner_modes(gens[a]); every other
     entry is ((), 0).
     Checks 1 and 3 both read their brackets from this table, which is their
-    one cache of its pairs: it calls the closed form uncached, so no entry
-    is also held in _pair_bracket's memo.
+    one cache of its pairs: it calls liealg._closed_pair_bracket, the closed
+    form without _pair_bracket's memo, so no entry is held in both.
     """
     index = {g: pos for pos, g in enumerate(gens)}
     holders: dict = {}  # mode -> positions of the generators carrying it
@@ -369,29 +345,6 @@ def check_diagonal_pair_bracket(config: SuiteConfig) -> CheckResult:
     )
 
 
-def _action_rows(gens: list):
-    """The row builder: monomial id -> its row (images, live), built afresh at each call.
-
-    images lists the id image _act_id(g, mid) of each g in gens, by
-    position; live is the ascending tuple of the positions whose image is
-    nonempty.  The grading test, census & need != need, runs here first, so
-    _act_id is called only for the generators that pass it; the others get
-    the shared _EMPTY.  A lowering generator's image is a new one-term
-    tuple, uncached, at each call.  The builder keeps nothing: check 3
-    holds each row only while a state still reads it.
-    """
-    gids = [_gen_id(g) for g in gens]
-    needs = [_NEEDS[gid] for gid in gids]
-
-    def row_of(mid):
-        census = _CENSUS[mid]
-        images = [_act_id(gid, mid) if census & need == need else _EMPTY
-                  for gid, need in zip(gids, needs)]
-        return images, tuple(p for p, image in enumerate(images) if image)
-
-    return row_of
-
-
 def _bracket_pairs(table: list, count: int):
     """The pairs a <= b of table with a piece that acts on every u, as keys a*count + b.
 
@@ -464,9 +417,9 @@ def check_representation_property(config: SuiteConfig) -> CheckResult:
     Exhaustive over canonical generator pairs within the index bound and
     every basis monomial u of bounded degree (d = 2).  Each u is one
     monomial with coefficient one, and both sides are composed from rows: a
-    monomial's row lists its id image (fock._act_id) under each generator,
-    by position in the generator list, and the positions where that image
-    is nonempty.  u reads its own row and the row of each monomial that
+    monomial's row, built by fock._action_rows, lists its id image
+    (fock._act_id) under each generator, by position in the generator list,
+    and the positions where that image is nonempty.  u reads its own row and the row of each monomial that
     some image of u reaches, so composing y after x u reads row[b] of each
     term of x u, with no lookup per pair.  [x,y] comes from
     _int_bracket_table, the table check 1 proves antisymmetric and Jacobi:

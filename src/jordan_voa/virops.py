@@ -61,7 +61,7 @@ from .fock import (
     memo,
 )
 from .liealg import _normal_order, _validate_index
-from .scalar import R, fraction_free_rref
+from .scalar import fraction_free_rref
 
 __all__ = [
     "act_L",
@@ -70,7 +70,6 @@ __all__ = [
     "binom",
     "binomial_matrix_det",
     "virasoro_bracket_probe",
-    "virasoro_central_term",
 ]
 
 
@@ -282,8 +281,3 @@ def _central(m: int, n: int, d: int) -> int:
     """4 times the r-coefficient of the probe's expected value: 4 delta_{m+n,0} d (m^3 - m)/12,
     an integer, as 6 divides (m - 1) m (m + 1)."""
     return d * (m**3 - m) // 3 if m + n == 0 else 0
-
-
-def virasoro_central_term(m: int, n: int, u: State, d: int) -> State:
-    """Expected probe value: delta_{m+n,0} (m^3 - m)/12 * d*r times the state."""
-    return u.scale(R * Fraction(_central(m, n, d), 4))

@@ -6,10 +6,11 @@ the function it wraps), so every module that imported the function by name
 runs the fault too.  That reaches both places a pair bracket is cached:
 _pair_bracket's memo, which the action, bracket_r and check 1's sampled
 triples read, and the table of checks 1 and 3 (suite._int_bracket_table),
-which calls the wrapped closed form itself, uncached.  The battery runs at
-a small scale (d = 2, max_degree 2, 200 sampled triples: 0.2 to 0.4 s a
-fault), or at the default scale for the faults in AT_DEFAULT_SCALE, which
-the small battery misses.
+which calls the wrapped closed form itself, uncached, as
+liealg._closed_pair_bracket.  The battery runs at a small scale (d = 2,
+max_degree 2, 200 sampled triples: 0.2 to 0.4 s a fault), or at the
+default scale for the faults in AT_DEFAULT_SCALE, which the small battery
+misses.
 A faulty copy's code runs in the original's module and calls that module's
 names; they are imported here as well, so the copies read as plain code.
 run_check empties the cached brackets and images before each check
@@ -21,7 +22,7 @@ outside the battery.
 
 import pytest
 
-from jordan_voa import fock, liealg, scalar, singular, suite, virops
+from jordan_voa import fock, liealg, scalar, singular, virops
 from jordan_voa.fock import (
     _CENSUS, _DEGREES, _EMPTY, _GENS, _HEADS, _IMAGES, _INSERTS, _INTERN_LOCK, _NEEDS, _TAILS,
     _add, _census, _gen_id, _insert_id, _slot, act_ids, memo,
@@ -262,8 +263,9 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
          "vertex-mode-binomial-formula", "virasoro-central-charge",
          "griess-jordan-isomorphism"}),
     "contract-reads-only-the-first-slot": (
-        # only check 1's sampled part runs this pre-test; the table finds its pairs by mode
-        suite._contract, _contract_reading_only_the_first_slot,
+        # only check 1's sampled part runs this pre-test; the table finds its pairs by mode.
+        # _contract is liealg's, so the copy runs in liealg's globals and reads its _partner_modes
+        liealg._contract, _contract_reading_only_the_first_slot,
         {"bracket-antisymmetry-jacobi"}),
     "census-counts-only-the-first-slot": (
         fock._census, _census_counting_only_the_first_slot,

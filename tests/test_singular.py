@@ -10,7 +10,7 @@ import pytest
 from jordan_voa import fock, singular
 from jordan_voa.fock import (State, Weight, act, degree_of, monomial, monomial_degree,
                              weight_space_basis, weights)
-from jordan_voa.liealg import Generator, LieElement, bracket_r, canonicalize
+from jordan_voa.liealg import Generator, LieElement, bracket_r, canonical_generators, canonicalize
 from jordan_voa.scalar import ONE, R, ZERO, Scalar, _poly_divmod, poly_exact_div, poly_gcd
 from jordan_voa.singular import (
     GENERIC,
@@ -25,7 +25,6 @@ from jordan_voa.singular import (
     kernel_basis,
     kernel_basis_poly,
     multiply_lowering,
-    raising_generators,
     singular_search,
     singular_sweep,
     verify_det_lemmas,
@@ -37,6 +36,12 @@ VAC = State.vacuum()
 
 def gen_elem(i, j, m, n):
     return canonicalize(i, j, m, n)
+
+
+def raising_generators(bound, d=1, strict=False):
+    """The reference raising family: canonical generators with positive mode sum and both modes
+    in [-bound, bound], in the slot order m <= n unless strict adds the reversed mixed ones."""
+    return [g for g in canonical_generators(bound, d) if g.m + g.n > 0 and (strict or g.m <= g.n)]
 
 
 def lowering_state(*quads):

@@ -30,7 +30,6 @@ from jordan_voa.virops import (
     vertex_mode,
     vertex_mode_by_recursion,
     virasoro_bracket_probe,
-    virasoro_central_term,
 )
 
 VAC = State.vacuum()
@@ -416,6 +415,11 @@ def test_virasoro_probe_vacuum_examples():
         assert virasoro_bracket_probe(1, 1, VAC, d).is_zero()
 
 
+def _paper_central_term(m, n, u, d):
+    """The Virasoro central term from the paper's formula: delta_{m+n,0} d r (m^3 - m)/12 times u."""
+    return u.scale(R * Fraction(d * (m**3 - m), 12)) if m + n == 0 else State.zero()
+
+
 def test_virasoro_relation_on_low_degree_states():
     states = [VAC, lowering_state((1, 1, -1, -1)), lowering_state((1, 2, -2, -1))]
     for d in (2,):
@@ -423,7 +427,16 @@ def test_virasoro_relation_on_low_degree_states():
             for n in range(-2, 3):
                 for u in states:
                     probe = virasoro_bracket_probe(m, n, u, d)
-                    assert probe == virasoro_central_term(m, n, u, d), (m, n, u)
+                    assert probe == _paper_central_term(m, n, u, d), (m, n, u)
+
+
+def test_central_is_four_times_the_papers_central_term():
+    """Check 10 compares 4 times the probe with r * _central: that is 4 times the formula."""
+    for d in (1, 2, 3, 7):
+        for m in range(-6, 7):
+            for n in range(-6, 7):
+                want = 4 * Fraction(d * (m**3 - m), 12) if m + n == 0 else 0
+                assert _central(m, n, d) == want and type(_central(m, n, d)) is int, (m, n, d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -433,10 +446,10 @@ def test_virasoro_probe_and_central_term_are_odd_in_m_and_n(d):
         u = State.from_monomial(mono)
         for m in range(-3, 4):
             assert virasoro_bracket_probe(m, m, u, d).is_zero()
-            assert virasoro_central_term(m, m, u, d).is_zero()
+            assert _central(m, m, d) == 0
             for n in range(m + 1, 4):
                 assert virasoro_bracket_probe(n, m, u, d) == -virasoro_bracket_probe(m, n, u, d)
-                assert virasoro_central_term(n, m, u, d) == -virasoro_central_term(m, n, u, d)
+                assert _central(n, m, d) == -_central(m, n, d)
 
 
 def test_each_public_operator_is_its_id_form_translated_back():
@@ -459,9 +472,6 @@ def test_each_public_operator_is_its_id_form_translated_back():
             for n in range(m + 1, 4):
                 assert virasoro_bracket_probe(m, n, u, 2) == fock._state_of(
                     _probe_ids(pairs, m, n, {mid: 1}), 4)
-                central = _central(m, n, 2)
-                assert virasoro_central_term(m, n, u, 2) == fock._state_of(
-                    {mid: R * central} if central else {}, 4)
 
 
 def test_total_mode_zero_measures_degree():
