@@ -106,7 +106,6 @@ __all__ = [
     "Weight",
     "monomial",
     "monomial_degree",
-    "monomial_weight",
     "act",
     "act_word",
     "memo",
@@ -142,14 +141,6 @@ def monomial(factors: Iterable[Generator], d: int | None = None) -> PBWMonomial:
 
 def monomial_degree(mono: PBWMonomial) -> int:
     return -sum(g.m + g.n for g in mono)
-
-
-def monomial_weight(mono: PBWMonomial) -> "Weight":
-    counts: dict = {}
-    for g in mono:
-        counts[(g.i, g.m)] = counts.get((g.i, g.m), 0) + 1
-        counts[(g.j, g.n)] = counts.get((g.j, g.n), 0) + 1
-    return Weight(counts)
 
 
 class Weight(object):
@@ -482,13 +473,9 @@ def _add(acc: dict, mid: int, coeff):
 
 def _add_scaled(acc: dict, terms, coeff):
     """Add coeff times the (monomial id, coefficient) pairs terms into acc: an id image, or
-    the .items() of an id sum.  Under the int coefficient 1 the terms go in unscaled."""
-    if type(coeff) is int and coeff == 1:
-        for m2, s2 in terms:
-            _add(acc, m2, s2)
-    else:
-        for m2, s2 in terms:
-            _add(acc, m2, s2 * coeff)
+    the .items() of an id sum."""
+    for m2, s2 in terms:
+        _add(acc, m2, s2 * coeff)
 
 
 def _act_id(gid: int, mid: int) -> tuple:
@@ -574,7 +561,8 @@ def act_ids(ops, vec: dict) -> dict:
     The cached per-monomial images are only read; the UNIT term, whose id is
     None, acts as a scalar.  The grading test runs here, once per monomial
     and generator, so _act_id is called only for the generators that pass
-    it, and no coefficient is multiplied for the others.
+    it, and no coefficient is multiplied for the others.  An image that
+    still comes back empty adds nothing.
     """
     acc: dict = {}
     for mid, cu in vec.items():
@@ -589,9 +577,7 @@ def act_ids(ops, vec: dict) -> dict:
             if gid is None:
                 _add(acc, mid, coeff)
             else:
-                image = _act_id(gid, mid)
-                if image:
-                    _add_scaled(acc, image, coeff)
+                _add_scaled(acc, _act_id(gid, mid), coeff)
     return acc
 
 

@@ -358,7 +358,11 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def _poly_divmod(a: Scalar, b: Scalar):
-    """Quotient and remainder of a by a nonzero b in Q[r]."""
+    """Quotient and remainder of a by a nonzero b in Q[r].
+
+    Every step divides in Fraction; Scalar's normal form turns each
+    integral coefficient of the results back into an int.
+    """
     rem = list(a)
     quot = [0] * max(len(a) - len(b) + 1, 0)
     lead = b[-1]
@@ -366,10 +370,7 @@ def _poly_divmod(a: Scalar, b: Scalar):
         top = rem[k + len(b) - 1]
         if not top:
             continue
-        if type(top) is int and type(lead) is int and not top % lead:
-            factor = top // lead
-        else:
-            factor = Fraction(top) / lead
+        factor = Fraction(top) / lead
         quot[k] = factor
         for t, c in enumerate(b):
             rem[k + t] -= factor * c
@@ -404,12 +405,13 @@ def fraction_free_rref(rows, ncols: int, exact_div):
     reduced form: pivoting on column col updates every other row to
     (piv*x - c*y) / prev, where piv is the new pivot, c the row's entry in
     column col, y the pivot row's entry, and prev the previous pivot (1 at
-    the start).  Every entry stays a minor of the input, so exact_div(a, b)
-    only ever divides exactly.  Returns (mat, pivots, sign): every pivot row
-    k holds the same value D, the last pivot, in column pivots[k] and 0 in
-    the other pivot columns; rows beyond len(pivots) are zero; sign is the
-    parity of the row swaps, so a square matrix of full rank has
-    determinant sign * D.
+    the start, where the division is exact too); a row with 0 in column col
+    skips the c*y products.  Every entry stays a minor of the input, so
+    exact_div(a, b) only ever divides exactly.  Returns (mat, pivots, sign):
+    every pivot row k holds the same value D, the last pivot, in column
+    pivots[k] and 0 in the other pivot columns; rows beyond len(pivots) are
+    zero; sign is the parity of the row swaps, so a square matrix of full
+    rank has determinant sign * D.
     """
     mat = [list(row) for row in rows]
     pivots = []
@@ -433,9 +435,7 @@ def fraction_free_rref(rows, ncols: int, exact_div):
                 row = [piv * x - c * y for x, y in zip(row, prow)]
             else:
                 row = [piv * x for x in row]
-            if prev != 1:
-                row = [exact_div(x, prev) if x else x for x in row]
-            mat[r] = row
+            mat[r] = [exact_div(x, prev) if x else x for x in row]
         pivots.append(col)
         prev = piv
     return mat, pivots, sign

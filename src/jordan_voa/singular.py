@@ -99,7 +99,6 @@ from .fock import (
     degree_of,
     forget,
     memo,
-    monomial_weight,
     weight_space_basis,
     weights,
 )
@@ -237,11 +236,13 @@ def is_singular(u: State, r0=GENERIC, d: int = 1, strict: bool = False):
     would leave raising generators unchecked and could certify falsely.
 
     The witness on failure is the first violating generator together with
-    its nonzero image (specialised when r0 is rational).
+    its nonzero image (specialised when r0 is rational).  The family is
+    chosen by the modes (k, l) the factors of u's monomials carry, read off
+    both slots of every factor.
     """
     if degree_of(u) == MIXED:
         raise ValueError("singularity is only defined for homogeneous states")
-    support = set().union(*(monomial_weight(mono).support() for mono in u.terms))
+    support = {kl for mono in u.terms for g in mono for kl in ((g.i, g.m), (g.j, g.n))}
     for gen in _raising_family(support, d, strict):
         image = act(gen, u)
         if r0 != GENERIC:

@@ -21,7 +21,6 @@ from jordan_voa.fock import (
     degree_of,
     monomial,
     monomial_degree,
-    monomial_weight,
     basis_monomials,
     clear_action_cache,
     weight_space_basis,
@@ -196,6 +195,15 @@ def test_diagonal_operators_act_with_weight_eigenvalues():
             for l in range(-6, 0):
                 h_action = act(gen_elem(k, k, l, -l), u).scale(Fraction(-1, l))
                 assert h_action == u.scale(lam.counts.get((k, l), 0)), (mono, k, l)
+
+
+def monomial_weight(mono):
+    """The reference weight of a basis monomial: each factor counts its two slots' modes."""
+    counts: dict = {}
+    for g in mono:
+        counts[(g.i, g.m)] = counts.get((g.i, g.m), 0) + 1
+        counts[(g.j, g.n)] = counts.get((g.j, g.n), 0) + 1
+    return Weight(counts)
 
 
 def _shifted(lam, deltas):

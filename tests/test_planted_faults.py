@@ -25,7 +25,7 @@ import pytest
 from jordan_voa import fock, liealg, scalar, singular, virops
 from jordan_voa.fock import (
     _CENSUS, _DEGREES, _EMPTY, _GENS, _HEADS, _IMAGES, _INSERTS, _INTERN_LOCK, _NEEDS, _TAILS,
-    _add, _census, _gen_id, _insert_id, _slot, act_ids, memo,
+    Weight, _add, _census, _gen_id, _insert_id, _slot, act_ids, memo,
 )
 from jordan_voa.liealg import (
     Generator, _contraction, _normal_order, _pair_bracket, _partner_modes,
@@ -188,6 +188,18 @@ def _search_generators_dropping_v11_11(support):
     return sorted(Generator(1, 1, l + 1, -l) for k, l in support if k == 1 and l < -1)
 
 
+def _expected_singular_pairs_ignoring_r(r0, max_degree):
+    out = {}
+    for p in range(1, max_degree + 1):
+        for nu in range(1, max_degree + 1):
+            degree = nu * p * (p + 1)
+            if degree > max_degree:
+                continue
+            lam = Weight({(1, -q): 2 * nu for q in range(1, p + 1)})
+            out[lam] = (p, nu)
+    return out
+
+
 def _rref_ignoring_its_row_swaps_in_the_sign(rows, ncols, exact_div):
     mat = [list(row) for row in rows]
     pivots = []
@@ -211,9 +223,7 @@ def _rref_ignoring_its_row_swaps_in_the_sign(rows, ncols, exact_div):
                 row = [piv * x - c * y for x, y in zip(row, prow)]
             else:
                 row = [piv * x for x in row]
-            if prev != 1:
-                row = [exact_div(x, prev) if x else x for x in row]
-            mat[r] = row
+            mat[r] = [exact_div(x, prev) if x else x for x in row]
         pivots.append(col)
         prev = piv
     return mat, pivots, sign
@@ -291,6 +301,10 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
         singular._balanced_digits, _balanced_digits_read_unsigned, {"singular-kernel-sweep"}),
     "search-generators-drop-v11-11": (
         singular._search_generators, _search_generators_dropping_v11_11,
+        {"singular-kernel-sweep"}),
+    "expected-pairs-ignore-r": (
+        # check 9 then expects a kernel at every r; its dimension test fails where none is found
+        singular.expected_singular_pairs, _expected_singular_pairs_ignoring_r,
         {"singular-kernel-sweep"}),
     "rref-ignores-its-row-swaps-in-the-sign": (
         # only the transfer determinants read the sign; the kernels use the rows alone

@@ -17,7 +17,6 @@ from jordan_voa.fock import (  # noqa: E402
     basis_monomials,
     clear_action_cache,
     monomial_degree,
-    monomial_weight,
     weights,
 )
 from jordan_voa.liealg import UNIT, LieElement, bracket_r, canonical_generators  # noqa: E402
@@ -26,7 +25,7 @@ from jordan_voa.scalar import (  # noqa: E402
 )
 from jordan_voa.singular import GENERIC, _generic_minor, singular_search  # noqa: E402
 from jordan_voa.virops import act_L, vertex_mode, vertex_mode_by_recursion  # noqa: E402
-from test_fock import _shifted  # noqa: E402
+from test_fock import _shifted, monomial_weight  # noqa: E402
 from test_virops import _wide_mode_sum  # noqa: E402
 
 # derandomized and without an example database, so every run checks the same cases
