@@ -23,8 +23,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .fock import (State, Weight, act_word, collector_paused, monomial, monomial_degree,
-                   weight_space_basis)
+from .fock import State, Weight, act_word, monomial, monomial_degree, weight_space_basis
 from .griess import GriessVerificationError, build_griess_table, jordan_verify
 from .liealg import UNIT, bracket_r, canonicalize, parse_generator_literal
 from .singular import (
@@ -33,15 +32,15 @@ from .singular import (
     certification_r,
     det_power_state,
     is_singular,
-    singular_sweep,
+    sweep_rows,
 )
 from .suite import (MAX_D, MAX_DEGREE, MAX_SAMPLES, MIN_D, MIN_DEGREE, SuiteConfig,
                     determinant_commutation, run_check, run_paper_suite, virasoro_central_charge)
 from .virops import act_L, vertex_mode
 
 # The largest --max-degree of singular-sweep without --no-degree-guard: --rmin -3 --rmax 3
-# --max-degree 20 takes 0.7 s and 23 MB as a process on a 2-vCPU x86-64 host (degree 22, with
-# --no-degree-guard: 1.5 s and 28 MB), the median of 5 runs.
+# --max-degree 20 takes 0.4 s and 20 MB as a process on a 2-vCPU x86-64 host (degree 22, with
+# --no-degree-guard: 0.7 s and 22 MB), the median of 5 runs.
 DEGREE_GUARD = 20
 # singular-check takes det^nu of degree nu*p*(p+1) up to 56, as --p 7 --nu 1: 4.1 s and
 # 112 MB on the same host.  --p 8 (degree 72), run in a child capped at 1 GB of address space,
@@ -72,9 +71,11 @@ STATE_MAX_DEGREE = 1000
 # the vacuum and at most 0.6 s on a degree-1000 state, in process on the same host (the vacuum
 # at --m -1000 --n -1000 --l -1000: 2.5 s; --m -3000 --n -3000 --l 0: 23.5 s).
 VERTEX_MODE_MAX = 300
-# The largest --rmax - --rmin of singular-sweep, which holds every report until it prints:
-# --rmin -20 --rmax 20 --max-degree 20 takes 1.3 s and 43 MB as a process (--output json:
-# 1.9 s, 101 MB); at --max-degree 18, 0.8 s and 32 MB (--output json: 0.8 s, 68 MB).
+# The largest --rmax - --rmin of singular-sweep, a bound on what it prints.  Its memory does not
+# grow with the span (a row per weight, with a report only where a kernel is nonzero):
+# --rmin -20 --rmax 20 --max-degree 20 takes 0.55 s and 20 MB as a process on the same host, as
+# much memory as --rmin -3 --rmax 3, and prints 111233 rows, 4.7 MB of CSV (--output json:
+# 0.8 s, 20 MB, 11.9 MB printed).
 SWEEP_MAX_R_SPAN = 40
 # The longest --r value, a rational like 1/2 or a decimal like 1.5.  Exponent notation is
 # refused: Fraction("1e30000000") alone builds a 30-million-digit power of ten (68 s).
@@ -276,25 +277,29 @@ def _cmd_singular_sweep(args) -> int:
         raise ValueError(f"--rmax - --rmin is {args.rmax - args.rmin}, above {SWEEP_MAX_R_SPAN}")
     if args.max_degree < 1:
         raise ValueError(f"no weight to search: --max-degree {args.max_degree} is below 1")
-    reports = singular_sweep(range(args.rmin, args.rmax + 1), args.max_degree)
-    texts = {lam: str(lam).replace(" ", "") for lam in {rep.weight for rep in reports}}
-    if args.output == "json":
-        with collector_paused():  # a dict per report: each collection would rescan every cache
-            print(json.dumps([
-                {
-                    "r": str(rep.r0),
-                    "weight": texts[rep.weight],
-                    "basis_dim": rep.basis_dim,
-                    "kernel_dim": rep.kernel_dim,
-                    "vectors": [v.to_json_obj() for v in rep.kernel_vectors],
-                }
-                for rep in reports
-            ]))
+    r_values = range(args.rmin, args.rmax + 1)
+    rows = sweep_rows(r_values, args.max_degree)
+    texts = [str(row.weight).replace(" ", "") for row in rows]
+    # r outside, weights inside, as singular_sweep lists them; rep is None for a zero kernel
+    cells = ((r0, text, row.basis_dim, row.kernels.get(pos))
+             for pos, r0 in enumerate(r_values) for row, text in zip(rows, texts))
+    if args.output == "json":  # json.dumps of the whole list, one item at a time
+        sep = "["
+        for r0, text, basis_dim, rep in cells:
+            sys.stdout.write(sep + json.dumps({
+                "r": str(r0),
+                "weight": text,
+                "basis_dim": basis_dim,
+                "kernel_dim": rep.kernel_dim if rep else 0,
+                "vectors": [v.to_json_obj() for v in rep.kernel_vectors] if rep else [],
+            }))
+            sep = ", "
+        sys.stdout.write("]\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["r0", "weight", "basis_dim", "kernel_dim"])
-        for rep in reports:
-            writer.writerow([rep.r0, texts[rep.weight], rep.basis_dim, rep.kernel_dim])
+        writer.writerows((r0, text, basis_dim, rep.kernel_dim if rep else 0)
+                         for r0, text, basis_dim, rep in cells)
     return 0
 
 

@@ -641,29 +641,31 @@ def act_word(xs: Iterable, u: State) -> State:
 def weights(max_degree: int, d: int = 1) -> list:
     """Every nonzero weight over oscillators 1..d of total degree <= max_degree.
 
-    Ordered by total degree, then by text.
+    Ordered by total degree, then by text.  The enumeration recurses only
+    over nonzero counts: one call per weight, each adding a mode beyond
+    the last one it counted.
     """
-    modes = [(k, level) for k in range(1, d + 1) for level in range(1, max_degree + 1)]
+    modes = [(k, level) for level in range(1, max_degree + 1) for k in range(1, d + 1)]
     out = []
     _collect_weights(modes, 0, {}, max_degree, out)
     return sorted(out, key=lambda w: (w.total_degree(), str(w)))
 
 
 def _collect_weights(modes: list, pos: int, counts: dict, budget: int, out: list):
-    """Append to out each nonzero weight that extends counts by modes[pos:] within budget.
+    """Append to out each weight that extends counts by nonzero counts of modes[pos:] within budget.
 
+    modes ascend by level, so the first one above budget ends the call.
     Module-level, as a self-calling closure would be a reference cycle.
     """
-    if pos == len(modes):
-        if counts:
-            out.append(Weight(counts))
-        return
-    k, level = modes[pos]
-    for count in range(budget // level + 1):
-        if count:
+    for nxt in range(pos, len(modes)):
+        k, level = modes[nxt]
+        if level > budget:
+            return
+        for count in range(1, budget // level + 1):
             counts[(k, -level)] = count
-        _collect_weights(modes, pos + 1, counts, budget - level * count, out)
-        counts.pop((k, -level), None)
+            out.append(Weight(counts))
+            _collect_weights(modes, nxt + 1, counts, budget - level * count, out)
+        del counts[(k, -level)]
 
 
 def _pairings(kinds: list, counts: list, pairs: list, low: int = 0, high: int = 0):

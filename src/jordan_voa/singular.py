@@ -66,15 +66,18 @@ whole family's matrix too.
 
 A weight's basis, matrix and minor are one memo entry of fock, under
 ("search", weight), so fock.clear_action_cache empties them with every
-other cache.  singular_sweep runs singular_search weight by weight.  Each
-weight is searched at every parameter against its one entry; then the
-entry is released, and every action image cached on the weight's basis
-ids is evicted, because only that weight's searches and re-certifications
-can have cached one.  So a sweep keeps no search matrix, and its memory
-grows only with the lower-degree images that the recursion shares between
-weights.  The reports still come out with the parameter in the outer
-loop; the Weight objects of fock.weights are passed and reported as they
-are.
+other cache.  sweep_rows runs singular_search weight by weight.  Each
+weight with a nonempty basis is searched at every parameter against its
+one entry; then the entry is released, and every action image cached on
+the weight's basis ids is evicted, because only that weight's searches and
+re-certifications can have cached one.  A weight yields one SweepRow: its
+basis dimension, and a KernelReport only at the parameters where the
+kernel is nonzero.  So a sweep keeps no search matrix and no report of a
+zero kernel, and its memory grows only with the lower-degree images that
+the recursion shares between weights, not with the number of parameters.
+singular_sweep builds the parameter-major list of reports from the rows,
+and the command line writes its CSV and JSON straight from them; the
+Weight objects of fock.weights are passed and reported as they are.
 """
 
 from __future__ import annotations
@@ -108,6 +111,7 @@ from .scalar import (ONE, R, ZERO, Record, Scalar, add_into, fraction_free_rref,
 
 __all__ = [
     "KernelReport",
+    "SweepRow",
     "SingularVerificationError",
     "det_state",
     "det_power_state",
@@ -119,6 +123,7 @@ __all__ = [
     "singular_search",
     "expected_singular_pairs",
     "singular_sweep",
+    "sweep_rows",
     "verify_det_lemmas",
 ]
 
@@ -494,50 +499,81 @@ def expected_singular_pairs(r0, max_degree: int) -> dict:
     return out
 
 
-def _sweep_weight(lam: Weight, r_values: list) -> list:
+class SweepRow(Record):
+    """One weight of a sweep: its basis dimension, and its nonzero kernels by parameter position.
+
+    kernels maps the position of a parameter in the sweep's list to the
+    KernelReport of the search there; every other position found a zero
+    kernel.
+    """
+
+    def __init__(self, weight: Weight, basis_dim: int, kernels: dict):
+        self.weight, self.basis_dim, self.kernels = weight, basis_dim, kernels
+
+
+def _sweep_weight(lam: Weight, r_values: list) -> SweepRow:
     """singular_search on one weight at each parameter, then release the weight's entries.
 
     The weight's ("search", lam) entry is taken first, and every search
-    reads it.  Then that entry, holding the basis, the matrix and the
-    minor, is dropped, and so is every action image cached on the basis's
-    monomial ids (fock._forget_images).  Only this weight's searches and
-    re-certifications can have cached one: fock.weights runs by degree, and
-    a weight's recursion caches images only on its own basis and on
-    monomials of lower degree.  Only the recursion of a later weight could
-    read an evicted image again, and seldom does (the degree-18 sweep over
-    r = -3..3 recomputes 5 % more images).  The lower-degree images stay
-    cached, because later weights reuse them: dropping those too costs the
-    same sweep about 25 % more time for 2 MB less peak.  The search took
-    the basis's ids, so _mono_id only looks them up here; the ids stay
-    until clear_action_cache (the degree-18 sweep takes 2170 monomial ids).
-    A weight with an empty basis (797 of the degree-18 sweep's 1596) has
-    no image to drop.
+    reads it.  A weight with an empty basis (797 of the degree-18 sweep's
+    1596) has an empty kernel everywhere and runs no search.  The row keeps
+    only the reports of nonzero kernels.  Then the entry, holding the
+    basis, the matrix and the minor, is dropped, and so is every action
+    image cached on the basis's monomial ids (fock._forget_images).  Only
+    this weight's searches and re-certifications can have cached one:
+    fock.weights runs by degree, and a weight's recursion caches images
+    only on its own basis and on monomials of lower degree.  Only the
+    recursion of a later weight could read an evicted image again, and
+    seldom does (the degree-18 sweep over r = -3..3 recomputes 5 % more
+    images).  The lower-degree images stay cached, because later weights
+    reuse them: dropping those too costs the same sweep about 25 % more
+    time for 2 MB less peak.  The search took the basis's ids, so _mono_id
+    only looks them up here; the ids stay until clear_action_cache (the
+    degree-18 sweep takes 2170 monomial ids).
     """
     basis = memo(("search", lam), _search_system, lam)[0]
-    reports = [singular_search(lam, r0) for r0 in r_values]
-    forget([("search", lam)])
+    kernels = {}
     if basis:
+        for pos, r0 in enumerate(r_values):
+            report = singular_search(lam, r0)
+            if report.kernel_dim:
+                kernels[pos] = report
         _forget_images([_mono_id(mono) for mono in basis])
-    return reports
+    forget([("search", lam)])
+    return SweepRow(lam, len(basis), kernels)
 
 
-def singular_sweep(r_values, max_degree: int) -> list:
-    """Run the kernel search over every first-oscillator weight for each parameter.
+def sweep_rows(r_values: list, max_degree: int) -> list:
+    """One SweepRow per first-oscillator weight of fock.weights, searched at every parameter.
 
-    The sweep is weight-major: each weight of fock.weights is one
-    _sweep_weight call, which releases the weight's entries before the next
-    weight.  The reports are returned parameter first: r in the given order
-    outside, weights in fock.weights order inside.
+    The loop is weight-major: each weight is one _sweep_weight call, which
+    releases the weight's entries before the next weight, so r_values is
+    read once per weight and must be a sequence.  A row's kernels are keyed
+    by position in r_values.  A row holds a report only where the kernel is
+    nonzero, so the rows' size does not grow with the number of parameters
+    beyond those kernels.
 
     The search runs under fock.collector_paused.  That is safe: fock's
     caches are acyclic and a search makes no cyclic garbage, so the
     collector's rescans of every cached entry would free nothing.
     Concurrent callers can only lose that saving.
     """
-    r_values = list(r_values)
     with collector_paused():
-        by_weight = [_sweep_weight(lam, r_values) for lam in weights(max_degree)]
-    return [report for per_r in zip(*by_weight) for report in per_r]
+        return [_sweep_weight(lam, r_values) for lam in weights(max_degree)]
+
+
+def singular_sweep(r_values, max_degree: int) -> list:
+    """Run the kernel search over every first-oscillator weight for each parameter.
+
+    The reports are built from sweep_rows and returned parameter first: r
+    in the given order outside, weights in fock.weights order inside.  A
+    zero kernel's report is made here, equal to the one singular_search
+    returns; the Weight objects of fock.weights are reported as they are.
+    """
+    r_values = list(r_values)
+    rows = sweep_rows(r_values, max_degree)
+    return [row.kernels.get(pos) or KernelReport(row.weight, r0, row.basis_dim, 0, [])
+            for pos, r0 in enumerate(r_values) for row in rows]
 
 
 # -- determinant commutation identities -----------------------------------

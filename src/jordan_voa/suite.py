@@ -742,7 +742,8 @@ def _minor_mismatches(lams) -> list:
 def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
     """Kernel dimensions across all first-oscillator weights and parameter values.
 
-    One singular_sweep runs every search.  Non-integer and generic
+    One singular_sweep runs every search, and expected_singular_pairs
+    builds one map per parameter.  Non-integer and generic
     parameters must give empty kernels everywhere; integer parameters give
     one-dimensional kernels exactly at the determinant-power weights, whose
     vectors carry the predicted structure.  Each searched weight's minor
@@ -751,11 +752,13 @@ def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
     SingularVerificationError, which run_check reports under this check's
     name, as it does for every check that raises.
     """
-    reports = singular_sweep((*NON_INTEGER_SWEEP, *INTEGER_SWEEP), config.max_degree)
+    r_values = (*NON_INTEGER_SWEEP, *INTEGER_SWEEP)
+    reports = singular_sweep(r_values, config.max_degree)
+    expected = {r0: expected_singular_pairs(r0, config.max_degree) for r0 in r_values}
     failures = _minor_mismatches(dict.fromkeys(report.weight for report in reports))
     for report in reports:
         lam, r0 = report.weight, report.r0
-        pair = expected_singular_pairs(r0, config.max_degree).get(lam)
+        pair = expected[r0].get(lam)
         if pair is None:
             if report.kernel_dim:
                 failures.append(f"unexpected kernel at weight {lam}, r={r0}")

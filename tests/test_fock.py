@@ -671,6 +671,26 @@ def test_weight_validation():
         Weight({(1, -1): -2})
 
 
+def _weights_by_adding_parts(max_degree, d):
+    """weights(max_degree, d) built degree by degree: each weight of degree n is one of
+    degree n - level with one more mode (k, -level)."""
+    by_degree = [{()}]  # degree -> the sorted tuples of modes, one entry per copy
+    for n in range(1, max_degree + 1):
+        by_degree.append({tuple(sorted(parts + ((k, -level),)))
+                          for level in range(1, n + 1) for k in range(1, d + 1)
+                          for parts in by_degree[n - level]})
+    found = [Weight({kl: parts.count(kl) for kl in parts})
+             for layer in by_degree[1:] for parts in layer]
+    return sorted(found, key=lambda w: (w.total_degree(), str(w)))
+
+
+@pytest.mark.parametrize("max_degree, d", [(18, 1), (6, 3), (5, 2)])
+def test_weights_match_the_degree_by_degree_reference(max_degree, d):
+    got = weights(max_degree, d)
+    assert got == _weights_by_adding_parts(max_degree, d)
+    assert len(set(got)) == len(got)
+
+
 # -- the cyclic garbage collector ----------------------------------------
 
 

@@ -336,10 +336,11 @@ def test_singular_sweep_rows():
 
 def test_serial_sweep_searches_with_the_collector_paused(monkeypatch):
     seen = []
+    real = singular.singular_search
 
     def search(lam, r0):
         seen.append(gc.isenabled())
-        return (lam, r0)
+        return real(lam, r0)
 
     monkeypatch.setattr(singular, "singular_search", search)
     assert gc.isenabled()

@@ -822,6 +822,21 @@ def test_a_kernel_vector_that_fails_its_certification_fails_check_9_by_name(monk
     assert res.details.startswith("raised SingularVerificationError('search produced a non-singular")
 
 
+def test_check_9_builds_one_expected_map_per_parameter(monkeypatch):
+    """Ten parameters, ten maps, where each report used to build its own."""
+    seen = []
+    real = suite.expected_singular_pairs
+
+    def spy(r0, max_degree):
+        seen.append(r0)
+        return real(r0, max_degree)
+
+    monkeypatch.setattr(suite, "expected_singular_pairs", spy)
+    res = suite.run_check(suite.check_singular_kernel_sweep, SuiteConfig(max_degree=6))
+    assert res.passed
+    assert seen == [*suite.NON_INTEGER_SWEEP, *suite.INTEGER_SWEEP]
+
+
 def test_paper_suite_empties_each_checks_cache_with_the_collector_paused(monkeypatch):
     seen = []
 

@@ -9,6 +9,10 @@ out.  The lines are:
     sweep-18 csv          singular-sweep --rmin -3 --rmax 3 --max-degree 18
     sweep-20 csv          the same at degree 20
     sweep-22 csv          the same at degree 22, with --no-degree-guard
+    sweep-12 json         singular-sweep --rmin -3 --rmax 3 --max-degree 12
+                          --output json
+    sweep-18 span-40 json singular-sweep --rmin -20 --rmax 20 --max-degree 18
+                          --output json, the widest span the command takes
     readme examples       one hash over each README example's command,
                           exit code and stdout: the jordan-voa lines of its
                           sh blocks and its python blocks
@@ -36,6 +40,9 @@ OUTPUTS = [
     ("sweep-18 csv", SWEEP + ["18"]),
     ("sweep-20 csv", SWEEP + ["20"]),
     ("sweep-22 csv", SWEEP + ["22", "--no-degree-guard"]),
+    ("sweep-12 json", SWEEP + ["12", "--output", "json"]),
+    ("sweep-18 span-40 json", ["singular-sweep", "--rmin", "-20", "--rmax", "20",
+                               "--max-degree", "18", "--output", "json"]),
 ]
 
 
