@@ -8,8 +8,10 @@ anywhere in the package.  The module also holds the package's one sparse
 linear-combination type, Combination, which states and Lie elements are
 built on, its one exact eliminator, fraction_free_rref, behind the
 kernels over Q and Q(r) and the transfer determinants, and Record, the one
-base of the plain records (singular.KernelReport, suite.SuiteConfig and
+base of the plain records (singular.KernelReport, SuiteConfig and
 suite.CheckResult), here as the lowest module both of theirs import.
+SuiteConfig, the battery's scale, and its bounds live beside Record, not in
+suite: the command-line parser reads them without loading the battery.
 
 Scalar's constructor is the one place that sets the normal form (no
 trailing zeros, an integral coefficient an int); only an int polynomial
@@ -207,6 +209,31 @@ class Record:
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+# The certification scale; smaller d and max_degree only scale the battery down.
+# Below degree 2 the kernel sweep would have no basis state to search.
+MIN_D, MAX_D = 2, 3
+MIN_DEGREE, MAX_DEGREE = 2, 6
+# Check 1 sums about 12 us per sampled triple: with 10**6 samples it takes 12 s in process on a
+# 2-vCPU x86-64 host (10**5: 2.0 s), and paper-suite 15 s as a process; 10**9 would take hours.
+MAX_SAMPLES = 1000000
+
+
+class SuiteConfig(Record):
+    """Scale of the battery; the defaults are the full certification scale."""
+
+    def __init__(self, d: int = MAX_D, max_degree: int = MAX_DEGREE, seed: int = 0,
+                 samples: int = 10000):
+        self.d, self.max_degree, self.seed, self.samples = d, max_degree, seed, samples
+        if not MIN_D <= self.d <= MAX_D:
+            raise ValueError(f"d must be in {MIN_D}..{MAX_D}, got {self.d}")
+        if not MIN_DEGREE <= self.max_degree <= MAX_DEGREE:
+            raise ValueError(
+                f"max_degree must be in {MIN_DEGREE}..{MAX_DEGREE}, got {self.max_degree}"
+            )
+        if not 0 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be in 0..{MAX_SAMPLES}, got {self.samples}")
 
 
 def add_into(acc: dict, key, coeff: Scalar):

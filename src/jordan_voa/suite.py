@@ -17,6 +17,10 @@ call them by name: which pairs can have a nonzero bracket (liealg._contract,
 liealg._partner_modes) and the uncached closed form
 (liealg._closed_pair_bracket) are liealg's, and the grading that settles
 an action as zero is fock's, which builds check 3's rows (fock._action_rows).
+
+The battery's scale, SuiteConfig, and its bounds (MIN_D, MAX_D, MIN_DEGREE,
+MAX_DEGREE, MAX_SAMPLES) live in scalar, beside Record, so the front end's
+parser reads them without loading this module.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .liealg import (
     canonical_generators,
     canonicalize,
 )
-from .scalar import ONE, R, ZERO, Record, Scalar, poly_exact_div
+from .scalar import ONE, R, ZERO, Record, Scalar, SuiteConfig, poly_exact_div
 from .singular import (
     GENERIC,
     _generic_minor,
@@ -99,30 +103,6 @@ VIRASORO_INDEX_BOUND = 3
 CERTIFICATION_CASES = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
 NON_INTEGER_SWEEP = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), GENERIC)
 INTEGER_SWEEP = (-2, -1, 0, 1, 2, 3)
-
-# The certification scale; smaller d and max_degree only scale the battery down.
-# Below degree 2 the kernel sweep would have no basis state to search.
-MIN_D, MAX_D = 2, 3
-MIN_DEGREE, MAX_DEGREE = 2, 6
-# Check 1 sums about 12 us per sampled triple: with 10**6 samples it takes 12 s in process on a
-# 2-vCPU x86-64 host (10**5: 2.0 s), and paper-suite 15 s as a process; 10**9 would take hours.
-MAX_SAMPLES = 1000000
-
-
-class SuiteConfig(Record):
-    """Scale of the battery; the defaults are the full certification scale."""
-
-    def __init__(self, d: int = MAX_D, max_degree: int = MAX_DEGREE, seed: int = 0,
-                 samples: int = 10000):
-        self.d, self.max_degree, self.seed, self.samples = d, max_degree, seed, samples
-        if not MIN_D <= self.d <= MAX_D:
-            raise ValueError(f"d must be in {MIN_D}..{MAX_D}, got {self.d}")
-        if not MIN_DEGREE <= self.max_degree <= MAX_DEGREE:
-            raise ValueError(
-                f"max_degree must be in {MIN_DEGREE}..{MAX_DEGREE}, got {self.max_degree}"
-            )
-        if not 0 <= self.samples <= MAX_SAMPLES:
-            raise ValueError(f"samples must be in 0..{MAX_SAMPLES}, got {self.samples}")
 
 
 class CheckResult(Record):

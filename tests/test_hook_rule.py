@@ -9,10 +9,19 @@ even.  The alpha weight space of S_mu(U) has dimension K_{mu,alpha}, the
 Kostka number: the semistandard tableaux of shape mu and content alpha.
 So dim V_lam = sum of K_{mu,alpha} over even mu.
 
+The hook rule reads the radical of the contravariant form the same way.  At
+an integer r0 take its minimal realisation by b bosons and f symplectic
+fermion pairs, r0 = b - 2f: b = r0, f = 0 for r0 >= 0; b = 0, f = -r0/2 for
+even r0 < 0; b = 1, f = (1 - r0)/2 for odd r0 < 0.  Then the radical at r0
+has dimension the sum of K_{mu,alpha} over the even mu outside the (b|2f)
+hook, those with mu_{b+1} > 2f, and that is r0's multiplicity as a root of
+the Gram determinant at lam.
+
 Kostka numbers are counted by horizontal strips, one strip per entry of
 the content, and depend on the content only as a multiset.  Stdlib only.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -87,3 +96,51 @@ def test_weight_space_dimensions_match_the_even_shape_kostka_sum(d, max_degree, 
         if len(weight_space_basis(lam, d)) != expected:
             mismatches.append(str(lam))
     assert not mismatches
+
+
+def minimal_realisation(r0: int) -> tuple:
+    """(b, f), the fewest bosons b and fermion pairs f with b - 2f = r0."""
+    if r0 >= 0:
+        return r0, 0
+    return (0, -r0 // 2) if r0 % 2 == 0 else (1, (1 - r0) // 2)
+
+
+def hook_root_table(d: int, max_degree: int) -> dict:
+    """r0 -> the hook counts at r0 summed over the weights up to max_degree, where nonzero.
+
+    A content of n slots has no even mu outside any hook but for r0 in -n..n.
+    """
+    contents = Counter(tuple(sorted(lam.counts.values())) for lam in weights(max_degree, d))
+    table = Counter()
+    for content, count in contents.items():
+        total = sum(content)
+        if total % 2:
+            continue
+        shapes = [(mu, k) for mu in (tuple(2 * part for part in half)
+                                     for half in _partitions(total // 2))
+                  if (k := kostka(mu, content))]
+        for r0 in range(-total, total + 1):
+            b, f = minimal_realisation(r0)
+            table[r0] += count * sum(k for mu, k in shapes if len(mu) > b and mu[b] > 2 * f)
+    return {r0: total for r0, total in sorted(table.items()) if total}
+
+
+ROOT_TABLES = {  # (d, max_degree) -> {r0: its multiplicity as a root, summed over weights}
+    (1, 14): {-12: 1, -10: 5, -8: 18, -6: 56, -4: 155, -2: 346, -1: 6, 0: 480, 1: 226, 2: 6},
+    (2, 8): {-6: 9, -4: 60, -2: 222, -1: 1, 0: 375, 1: 156, 2: 3},
+    (3, 6): {-4: 28, -2: 166, 0: 338, 1: 127, 2: 1},
+    (2, 12): {-10: 13, -8: 100, -6: 494, -4: 1739, -3: 1, -2: 3990, -1: 230, 0: 4993,
+              1: 3422, 2: 380, 3: 1},
+}
+
+
+def test_minimal_realisations():
+    assert [minimal_realisation(r0) for r0 in range(-4, 4)] == [
+        (0, 2), (1, 2), (0, 1), (1, 1), (0, 0), (1, 0), (2, 0), (3, 0)]
+    assert all(b - 2 * f == r0 for r0 in range(-20, 20) for b, f in [minimal_realisation(r0)])
+
+
+@pytest.mark.parametrize("d, max_degree", list(ROOT_TABLES))
+def test_hook_rule_root_tables(d, max_degree):
+    """The root multiplicities of the Gram determinants, summed over weights, from the rule."""
+    assert hook_root_table(d, max_degree) == ROOT_TABLES[(d, max_degree)]
