@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 # module -> the names the package root exports from it
 _EXPORTS = {
-    "scalar": ("Scalar", "ZERO", "ONE", "R", "parse_scalar"),
+    "scalar": ("Scalar", "ZERO", "ONE", "R", "parse_scalar", "SuiteConfig"),
     "liealg": ("Generator", "LieElement", "canonicalize", "bracket_r"),
     "fock": ("MIXED", "State", "Weight", "act", "act_word", "degree_of", "weight_space_basis"),
     "virops": ("act_L", "vertex_mode", "vertex_mode_by_recursion", "binomial_matrix_det",
@@ -30,7 +30,7 @@ _EXPORTS = {
                  "is_singular", "kernel_basis", "kernel_basis_poly", "singular_search",
                  "singular_sweep", "verify_det_lemmas"),
     "griess": ("build_griess_table", "griess_product", "jordan_verify", "omega"),
-    "suite": ("SuiteConfig", "run_paper_suite"),
+    "suite": ("run_paper_suite",),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_OWNER)

@@ -317,7 +317,7 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     (["paper-suite", "--max-degree", "0"], "--max-degree"),
     (["paper-suite", "--max-degree", "1"], "--max-degree"),
     (["singular-sweep", "--rmin", "0", "--rmax", "0", "--max-degree", "-1"], "--max-degree"),
-    # one beyond suite.MAX_SAMPLES, and an input that would run for hours
+    # one beyond scalar.MAX_SAMPLES, and an input that would run for hours
     (["paper-suite", "--samples", "1000001"], "--samples"),
     (["paper-suite", "--samples", "1000000000"], "--samples"),
     (["virasoro-check", "--max-degree", "7"], "--max-degree"),

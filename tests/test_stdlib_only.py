@@ -77,6 +77,8 @@ def test_importing_the_package_root_loads_none_of_its_modules():
     assert engine <= set(_loaded_after("import jordan_voa", unrun=True))
     present = _loaded_after("import jordan_voa; jordan_voa.suite.__name__")
     assert {"jordan_voa.suite", "jordan_voa.griess", "random"} <= set(present)
+    config = _loaded_after("import jordan_voa; jordan_voa.SuiteConfig")
+    assert "jordan_voa.scalar" in config and "jordan_voa.suite" not in config
 
 
 def _readme_root_names() -> list:
