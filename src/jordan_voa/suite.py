@@ -2,8 +2,10 @@
 
 Each check is exact (tolerance zero): polynomial identities are verified
 symbolically in the parameter r, rational specialisations by exact
-arithmetic.  `run_paper_suite` executes all checks and returns structured
-results; the command-line front end renders them as a pass/fail matrix.
+arithmetic.  `run_paper_suite` executes all checks, at once on forked
+worker processes where more than one CPU is usable, and returns structured
+results in criterion order; the command-line front end renders them as a
+pass/fail matrix.
 Checks 1 and 3 sum the deformed bracket as ints, in _pair_bracket's form,
 read from a table of their pairs (_int_bracket_table) that keeps its own
 copy of each; check 1's sampled triples, check 2 and the action read
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import resource
 import time
@@ -872,9 +875,11 @@ _reports("virasoro-central-charge", virasoro_central_charge)
 def run_check(check, *args) -> CheckResult:
     """check(*args), timed; a check that raises fails with nothing checked.
 
-    peak_mb is the process's peak resident memory so far, read after the
-    check (ru_maxrss): in a battery, the first check to show the largest
-    figure set the peak.
+    peak_mb is the peak resident memory so far of the process that ran the
+    check, read after it (ru_maxrss).  In a battery run in one process, the
+    first check to show the largest figure set the peak; on a pool, each
+    figure is its worker's, which includes the checks that worker ran
+    before and the memory it was forked with.
 
     A raising check is reported under its report_name (see _reports), or
     under its function's name if it has none.  Checks are independent, so
@@ -909,13 +914,46 @@ def run_check(check, *args) -> CheckResult:
     return result
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_numbered(index: int, config: SuiteConfig) -> CheckResult:
+    """run_check on ALL_CHECKS[index]: a pool worker is sent the index, never the function."""
+    return run_check(ALL_CHECKS[index][1], config)
+
+
 def run_paper_suite(config: SuiteConfig | None = None) -> list:
     """Run every check; returns the list of CheckResults in criterion order.
 
-    The whole battery runs in one collector pause, so each run_check empties
-    the action cache before the collector resumes; resuming after every
-    check would scan that check's whole cache once more.
+    The checks share nothing (run_check empties every cache first), so they
+    run at once on min(usable CPUs, len(ALL_CHECKS)) processes forked from
+    this one, each sent only a check's index: a worker runs ALL_CHECKS as
+    this process holds it, replaced checks included, and its CheckResult
+    comes back in order.  The pool is shut down, every worker reaped, before
+    this returns; a worker that dies raises BrokenProcessPool.  With one
+    usable CPU, or no fork start method, the checks run here, one by one.
+
+    The whole battery runs in one collector pause, which forked workers
+    inherit, so each run_check empties the action cache before the collector
+    resumes; resuming after every check would scan that check's whole cache
+    once more.
     """
     config = config or SuiteConfig()
+    workers = min(_usable_cpus(), len(ALL_CHECKS))
     with collector_paused():
+        if workers > 1:
+            import multiprocessing
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                from concurrent.futures import ProcessPoolExecutor
+
+                context = multiprocessing.get_context("fork")
+                with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                    return list(pool.map(_run_numbered, range(len(ALL_CHECKS)),
+                                         itertools.repeat(config)))
         return [run_check(check, config) for _, check in ALL_CHECKS]

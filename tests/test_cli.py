@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -651,25 +652,27 @@ def test_check_reports_count_what_they_tested(argv, capsys):
     assert all(float(m.group(2)) > 0 for m in timings)
 
 
-def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch, cpus):
+    """Each probe reports what it saw in its own process: a forked worker's lists stay there."""
     from jordan_voa import fock, suite
     from jordan_voa.liealg import Generator
 
-    seen = []
     # a raising image is cached; a lowering one, or one that grading kills, leaves no entry
     raising, state = Generator(1, 1, 1, 1), fock.State.from_monomial((Generator(1, 1, -1, -1),))
 
     def probe(config):
-        seen.append(len(fock._ACT_CACHE) + sum(map(len, fock._IMAGES)))
+        seen = len(fock._ACT_CACHE) + sum(map(len, fock._IMAGES))
         fock.act(raising, state)
-        return suite.CheckResult("probe", 1)
+        return suite.CheckResult("probe", 1, f"seen={seen} filled={any(fock._IMAGES)}")
 
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(suite, "ALL_CHECKS", (("a", probe), ("b", probe), ("c", probe)))
     fock.act(raising, state)
     results = suite.run_paper_suite(suite.SuiteConfig(d=2, max_degree=2, samples=0))
     assert [res.passed for res in results] == [True] * 3
-    assert seen == [0, 0, 0]
-    assert any(fock._IMAGES)  # the probes did fill the cache, so the zeros come from clearing it
+    # seen=0 each time, and the probes did fill the cache, so the zeros come from clearing it
+    assert [res.details for res in results] == ["seen=0 filled=True"] * 3
 
 
 def test_a_check_that_tests_nothing_or_raises_fails(monkeypatch):
@@ -687,6 +690,24 @@ def test_a_check_that_tests_nothing_or_raises_fails(monkeypatch):
         ("empty", 0, False), ("broken", 0, False)
     ]
     assert results[1].summary_line() == "FAIL  broken: raised RuntimeError('boom')"
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the battery forks its workers; without fork it runs in process")
+def test_a_suite_worker_that_dies_is_exit_one(monkeypatch, capsys):
+    """A check that kills its worker is an error line and exit 1, not a hang or a traceback."""
+    from jordan_voa import suite
+
+    def fatal(config):
+        os._exit(3)
+
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(suite, "ALL_CHECKS", (("a", suite.ALL_CHECKS[1][1]), ("b", fatal)))
+    code = cli.main(["paper-suite", "--d", "2", "--max-degree", "2", "--samples", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert multiprocessing.active_children() == []
 
 
 def _readme_flag_table():

@@ -15,7 +15,10 @@ fermion pairs, r0 = b - 2f: b = r0, f = 0 for r0 >= 0; b = 0, f = -r0/2 for
 even r0 < 0; b = 1, f = (1 - r0)/2 for odd r0 < 0.  Then the radical at r0
 has dimension the sum of K_{mu,alpha} over the even mu outside the (b|2f)
 hook, those with mu_{b+1} > 2f, and that is r0's multiplicity as a root of
-the Gram determinant at lam.
+the Gram determinant at lam.  It is also the corank of the Gram matrix at
+r0, which the engine's own action gives: the form's entry at monomials a and
+b is the vacuum coefficient of sigma(a) b, sigma sending v[i,i](m,n) to
+v[i,i](-n,-m) and v[i,j](m,n), i < j, to v[i,j](-m,-n).
 
 Kostka numbers are counted by horizontal strips, one strip per entry of
 the content, and depend on the content only as a multiset.  Stdlib only.
@@ -26,7 +29,11 @@ from functools import lru_cache
 
 import pytest
 
-from jordan_voa.fock import weight_space_basis, weights
+from jordan_voa import fock
+from jordan_voa.fock import State, act_word, weight_space_basis, weights
+from jordan_voa.liealg import Generator
+from jordan_voa.singular import kernel_basis
+from test_planted_faults import FAULTS, plant  # noqa: F401  (plant is a fixture)
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -105,6 +112,17 @@ def minimal_realisation(r0: int) -> tuple:
     return (0, -r0 // 2) if r0 % 2 == 0 else (1, (1 - r0) // 2)
 
 
+def hook_count(content: tuple, r0: int) -> int:
+    """The sum of K_{mu,content} over the even mu outside the (b|2f) hook of r0's realisation."""
+    total = sum(content)
+    if total % 2:
+        return 0
+    b, f = minimal_realisation(r0)
+    return sum(kostka(mu, content) for mu in (tuple(2 * part for part in half)
+                                              for half in _partitions(total // 2))
+               if len(mu) > b and mu[b] > 2 * f)
+
+
 def hook_root_table(d: int, max_degree: int) -> dict:
     """r0 -> the hook counts at r0 summed over the weights up to max_degree, where nonzero.
 
@@ -113,15 +131,8 @@ def hook_root_table(d: int, max_degree: int) -> dict:
     contents = Counter(tuple(sorted(lam.counts.values())) for lam in weights(max_degree, d))
     table = Counter()
     for content, count in contents.items():
-        total = sum(content)
-        if total % 2:
-            continue
-        shapes = [(mu, k) for mu in (tuple(2 * part for part in half)
-                                     for half in _partitions(total // 2))
-                  if (k := kostka(mu, content))]
-        for r0 in range(-total, total + 1):
-            b, f = minimal_realisation(r0)
-            table[r0] += count * sum(k for mu, k in shapes if len(mu) > b and mu[b] > 2 * f)
+        for r0 in range(-sum(content), sum(content) + 1):
+            table[r0] += count * hook_count(content, r0)
     return {r0: total for r0, total in sorted(table.items()) if total}
 
 
@@ -144,3 +155,69 @@ def test_minimal_realisations():
 def test_hook_rule_root_tables(d, max_degree):
     """The root multiplicities of the Gram determinants, summed over weights, from the rule."""
     assert hook_root_table(d, max_degree) == ROOT_TABLES[(d, max_degree)]
+
+
+def _sigma(gen: Generator) -> Generator:
+    """The raising generator the form pairs with a lowering one: both modes negated."""
+    if gen.i == gen.j:
+        return Generator(gen.i, gen.j, -gen.n, -gen.m)
+    return Generator(gen.i, gen.j, -gen.m, -gen.n)
+
+
+def gram_matrix(basis: list) -> list:
+    """Entry (a, b): the vacuum coefficient of sigma(a) b, by fock.act_word, in Q[r]."""
+    states = [State.from_monomial(mono) for mono in basis]
+    return [[act_word(map(_sigma, a), u).coefficient(()) for u in states] for a in basis]
+
+
+CORANK_R0 = {  # (d, max_degree) -> the r0 at which each weight's corank is compared
+    (1, 12): (-12, -10, -8, -6, *range(-5, 4)),
+    (2, 8): tuple(range(-6, 4)),
+    (3, 6): tuple(range(-4, 4)),
+}
+
+
+def corank_mismatches(d: int, max_degree: int) -> tuple:
+    """(the (weight, r0) pairs compared, those whose Gram corank is not the hook count).
+
+    The corank is the dimension of singular.kernel_basis of the Gram matrix at r0.
+    """
+    pairs, mismatches = 0, []
+    try:
+        for lam in weights(max_degree, d):
+            basis = weight_space_basis(lam, d)
+            if not basis:
+                continue
+            gram = gram_matrix(basis)
+            content = tuple(sorted(lam.counts.values()))
+            for r0 in CORANK_R0[(d, max_degree)]:
+                at_r0 = [[entry.evaluate(r0) for entry in row] for row in gram]
+                corank = len(kernel_basis(at_r0, len(basis)))
+                pairs += 1
+                if corank != hook_count(content, r0):
+                    mismatches.append((str(lam), r0, corank))
+    finally:
+        fock.clear_action_cache()
+    return pairs, mismatches
+
+
+@pytest.mark.parametrize("d, max_degree, pairs", [(1, 12, 1768), (2, 8, 2190), (3, 6, 1688)])
+def test_gram_corank_is_the_hook_count_at_every_weight_and_r0(d, max_degree, pairs):
+    """The radical at r0 has the hook rule's dimension, weight by weight.
+
+    Of the planted-fault catalogue this comparison catches, at some scale:
+    normal-order-negates-its-constant, pair-bracket-negates-its-constant,
+    pair-bracket-negates-its-constant-at-a-wide-mode (2, 8 and 0 pairs at
+    the three scales), contraction-ignores-the-index (not at d = 1),
+    census-counts-only-the-first-slot and act-id-drops-its-constant.  It
+    misses the other 14.
+    """
+    assert corank_mismatches(d, max_degree) == (pairs, [])
+
+
+def test_gram_corank_catches_the_wide_mode_constant_fault(plant):
+    """Check 2 alone catches this fault in the small battery; the corank test sees it at d = 2."""
+    function, faulty, _ = FAULTS["pair-bracket-negates-its-constant-at-a-wide-mode"]
+    plant(function, faulty)
+    pairs, mismatches = corank_mismatches(2, 8)
+    assert pairs == 2190 and len(mismatches) == 8

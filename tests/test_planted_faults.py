@@ -20,9 +20,11 @@ also before and after each fault, so none is left to a test that runs
 outside the battery.
 """
 
+import multiprocessing
+
 import pytest
 
-from jordan_voa import fock, liealg, scalar, singular, virops
+from jordan_voa import fock, liealg, scalar, singular, suite, virops
 from jordan_voa.fock import (
     _CENSUS, _DEGREES, _EMPTY, _GENS, _HEADS, _IMAGES, _INSERTS, _INTERN_LOCK, _NEEDS, _TAILS,
     Weight, _add, _census, _gen_id, _insert_id, _slot, act_ids, memo,
@@ -364,3 +366,24 @@ def test_default_scale_faults_pass_the_small_battery(name, plant):
 def test_the_battery_passes_once_the_faults_are_removed():
     """Runs after the catalogue: no fault, cached bracket or image is left behind."""
     assert _failing_checks() == set()
+
+
+def _reported(results) -> list:
+    return [(res.summary_line(), res.checked, res.failures) for res in results]
+
+
+@pytest.mark.parametrize("fault", [None, "contraction-ignores-the-index"], ids=["clean", "planted"])
+def test_the_pool_reports_what_the_in_process_battery_reports(fault, plant, monkeypatch):
+    """Forked workers see the planted code, and their results come back in criterion order."""
+    if fault:
+        function, faulty, _ = FAULTS[fault]
+        plant(function, faulty)
+    config = SuiteConfig(d=2, max_degree=2, samples=0)
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 1)
+    in_process = run_paper_suite(config)
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    pooled = run_paper_suite(config)
+    assert _reported(pooled) == _reported(in_process)
+    assert [res.name for res in pooled] == [check.report_name for _, check in suite.ALL_CHECKS]
+    assert sum(not res.passed for res in pooled) == (len(FAULTS[fault][2]) if fault else 0)
+    assert multiprocessing.active_children() == []  # every worker was reaped

@@ -62,11 +62,19 @@ def test_importing_the_engine_and_its_cli_loads_no_heavy_stdlib_module():
     """Start-up is the import: dataclasses would pull in inspect, ast, dis and tokenize.
 
     The battery (suite), the Griess table and random load only for the
-    subcommands that run them.
+    subcommands that run them, and the battery's process pool only when it runs.
     """
-    heavy = {"dataclasses", "typing", "inspect", "jordan_voa.suite", "jordan_voa.griess", "random"}
+    heavy = {"dataclasses", "typing", "inspect", "jordan_voa.suite", "jordan_voa.griess", "random",
+             "multiprocessing", "concurrent.futures"}
     loaded = _loaded_after("import jordan_voa, jordan_voa.cli")
     assert "jordan_voa.cli" in loaded and heavy & set(loaded) == set()
+
+
+def test_the_battery_module_loads_no_process_pool():
+    """verify-det and virasoro-check import suite too; only run_paper_suite loads the pool."""
+    loaded = set(_loaded_after("import jordan_voa; jordan_voa.suite.__name__"))
+    assert "jordan_voa.suite" in loaded
+    assert {"multiprocessing", "concurrent.futures"} & loaded == set()
 
 
 def test_importing_the_package_root_loads_none_of_its_modules():

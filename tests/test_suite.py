@@ -837,15 +837,24 @@ def test_check_9_builds_one_expected_map_per_parameter(monkeypatch):
     assert seen == [*suite.NON_INTEGER_SWEEP, *suite.INTEGER_SWEEP]
 
 
-def test_paper_suite_empties_each_checks_cache_with_the_collector_paused(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+def test_paper_suite_empties_each_checks_cache_with_the_collector_paused(monkeypatch, cpus):
+    """Each probe reports the clears it saw in its own process: a forked worker's list stays there."""
     seen = []
 
     def clear():
         seen.append(gc.isenabled())
 
+    def probe(config):
+        cleared = list(seen)
+        seen.clear()
+        return suite.CheckResult("probe", 1, repr(cleared))
+
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(suite, "clear_action_cache", clear)
-    monkeypatch.setattr(suite, "ALL_CHECKS", [(n, lambda config: suite.CheckResult("probe", 1))
-                                              for n in range(3)])
-    assert all(res.passed for res in suite.run_paper_suite(SMALL))
-    assert seen == [False] * 3
+    monkeypatch.setattr(suite, "ALL_CHECKS", [(n, probe) for n in range(3)])
+    results = suite.run_paper_suite(SMALL)
+    assert all(res.passed for res in results)
+    # one clear before each check, with the collector off
+    assert [res.details for res in results] == [repr([False])] * 3
     assert gc.isenabled()
