@@ -652,9 +652,10 @@ def test_check_reports_count_what_they_tested(argv, capsys):
     assert all(float(m.group(2)) > 0 for m in timings)
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
-def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch, cpus):
-    """Each probe reports what it saw in its own process: a forked worker's lists stay there."""
+def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch):
+    """Each probe reports what it saw in its own process: a forked worker's lists stay there.
+
+    Run in process (one usable CPU) and on a pool of two workers."""
     from jordan_voa import fock, suite
     from jordan_voa.liealg import Generator
 
@@ -666,13 +667,14 @@ def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch, cpus):
         fock.act(raising, state)
         return suite.CheckResult("probe", 1, f"seen={seen} filled={any(fock._IMAGES)}")
 
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(suite, "ALL_CHECKS", (("a", probe), ("b", probe), ("c", probe)))
-    fock.act(raising, state)
-    results = suite.run_paper_suite(suite.SuiteConfig(d=2, max_degree=2, samples=0))
-    assert [res.passed for res in results] == [True] * 3
-    # seen=0 each time, and the probes did fill the cache, so the zeros come from clearing it
-    assert [res.details for res in results] == ["seen=0 filled=True"] * 3
+    for cpus in (1, 2):
+        monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
+        fock.act(raising, state)
+        results = suite.run_paper_suite(suite.SuiteConfig(d=2, max_degree=2, samples=0))
+        assert [res.passed for res in results] == [True] * 3
+        # seen=0 each time, and the probes did fill the cache, so the zeros come from clearing it
+        assert [res.details for res in results] == ["seen=0 filled=True"] * 3
 
 
 def test_a_check_that_tests_nothing_or_raises_fails(monkeypatch):
@@ -701,6 +703,7 @@ def test_a_suite_worker_that_dies_is_exit_one(monkeypatch, capsys):
     def fatal(config):
         os._exit(3)
 
+    # two checks, so two workers: a battery of one check would run it here, in the test's process
     monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(suite, "ALL_CHECKS", (("a", suite.ALL_CHECKS[1][1]), ("b", fatal)))
     code = cli.main(["paper-suite", "--d", "2", "--max-degree", "2", "--samples", "0"])

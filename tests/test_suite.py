@@ -837,9 +837,10 @@ def test_check_9_builds_one_expected_map_per_parameter(monkeypatch):
     assert seen == [*suite.NON_INTEGER_SWEEP, *suite.INTEGER_SWEEP]
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
-def test_paper_suite_empties_each_checks_cache_with_the_collector_paused(monkeypatch, cpus):
-    """Each probe reports the clears it saw in its own process: a forked worker's list stays there."""
+def test_paper_suite_empties_each_checks_cache_with_the_collector_paused(monkeypatch):
+    """Each probe reports the clears it saw in its own process: a forked worker's list stays there.
+
+    Run in process (one usable CPU) and on a pool of two workers."""
     seen = []
 
     def clear():
@@ -850,11 +851,12 @@ def test_paper_suite_empties_each_checks_cache_with_the_collector_paused(monkeyp
         seen.clear()
         return suite.CheckResult("probe", 1, repr(cleared))
 
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(suite, "clear_action_cache", clear)
     monkeypatch.setattr(suite, "ALL_CHECKS", [(n, probe) for n in range(3)])
-    results = suite.run_paper_suite(SMALL)
-    assert all(res.passed for res in results)
-    # one clear before each check, with the collector off
-    assert [res.details for res in results] == [repr([False])] * 3
-    assert gc.isenabled()
+    for cpus in (1, 2):
+        monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
+        results = suite.run_paper_suite(SMALL)
+        assert all(res.passed for res in results)
+        # one clear before each check, with the collector off
+        assert [res.details for res in results] == [repr([False])] * 3
+        assert gc.isenabled()
