@@ -345,15 +345,13 @@ def _cmd_virasoro_check(args) -> int:
 
 
 def _cmd_paper_suite(args) -> int:
-    from concurrent.futures.process import BrokenProcessPool
-
     from .suite import run_paper_suite
 
     config = SuiteConfig(d=args.d, max_degree=args.max_degree,
                          seed=args.seed, samples=args.samples)
     try:
         results = run_paper_suite(config)
-    except BrokenProcessPool as exc:  # a worker died before its check could report
+    except ChildProcessError as exc:  # a worker died before its checks could report
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return _report(results, args.output)

@@ -713,6 +713,26 @@ def test_a_suite_worker_that_dies_is_exit_one(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the battery forks its workers; without fork it runs in process")
+def test_a_dead_workers_error_line_names_the_check_it_lost(monkeypatch, capsys):
+    """The one error line gives the dead worker's exit code and the id of each check with no result."""
+    from jordan_voa import suite
+
+    def fatal(config):
+        os._exit(3)
+
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(suite, "ALL_CHECKS", (("a", suite.ALL_CHECKS[1][1]), ("lost", fatal)))
+    code = cli.main(["paper-suite", "--d", "2", "--max-degree", "2", "--samples", "0"])
+    err = capsys.readouterr().err
+    codes, lost = re.fullmatch(r"error: battery workers exited with codes \[(.*)\]; "
+                               r"no result for checks: (.*)\n", err).groups()
+    assert code == 1
+    # the worker that ran "a" may also have taken "lost", so "a" can be lost beside it
+    assert "3" in codes.split(", ") and "lost" in lost.split(", ")
+
+
 def _readme_flag_table():
     """subcommand -> the flags README's table lists for it."""
     table = {}

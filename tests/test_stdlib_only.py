@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import jordan_voa
 
 PACKAGE_DIR = Path(jordan_voa.__file__).parent
@@ -75,6 +77,18 @@ def test_the_battery_module_loads_no_process_pool():
     loaded = set(_loaded_after("import jordan_voa; jordan_voa.suite.__name__"))
     assert "jordan_voa.suite" in loaded
     assert {"multiprocessing", "concurrent.futures"} & loaded == set()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the battery forks its workers")
+def test_the_pooled_paper_suite_loads_no_executor_machinery():
+    """Two forked workers run the battery; no queue, logging or executor module is loaded."""
+    loaded = set(_loaded_after(
+        "from jordan_voa import cli, suite; suite._usable_cpus = lambda: 2; sys.stdout = sys.stderr; "
+        "code = cli.main(['paper-suite', '--d', '2', '--max-degree', '2', '--samples', '0']); "
+        "sys.stdout = sys.__stdout__; assert code == 0"))
+    assert "multiprocessing.popen_fork" in loaded  # the workers were forked
+    pool = {"concurrent.futures", "multiprocessing.connection", "multiprocessing.queues", "logging"}
+    assert pool & loaded == set()
 
 
 def test_importing_the_package_root_loads_none_of_its_modules():

@@ -16,7 +16,12 @@ wrong, with the report the reference gives.
 import functools
 import gc
 import math
+import multiprocessing
+import os
+import pickle
 import random
+import signal
+import time
 from bisect import bisect_left, bisect_right
 from itertools import combinations
 
@@ -797,6 +802,80 @@ def test_run_check_restores_the_collector_when_the_check_raises():
 def test_each_check_is_marked_with_the_name_it_reports():
     results = suite.run_paper_suite(SMALL)
     assert [res.name for res in results] == [check.report_name for _, check in suite.ALL_CHECKS]
+
+
+def test_the_pool_feeds_the_longest_checks_first():
+    ids = [check_id for check_id, _ in suite.ALL_CHECKS]
+    longest = suite.LONGEST_CHECKS
+    assert len(set(longest)) == len(longest) and set(longest) <= set(ids)
+    rest = [check_id for check_id in ids if check_id not in longest]
+    assert [ids[i] for i in suite._feed_order()] == [*longest, *rest]
+
+
+def test_checks_outside_the_longest_are_fed_and_returned_in_criterion_order(monkeypatch):
+    """Each probe reports the ids its own process ran, up to itself: a worker pulls in feed order.
+
+    Run in process (one usable CPU) and on a pool of two workers."""
+    ran = []
+
+    def probe(check_id):
+        def check(config):
+            ran.append(check_id)
+            return suite.CheckResult(f"probe-{check_id}", 1, " ".join(ran))
+        return check
+
+    ids = [f"x{k}" for k in range(6)]
+    monkeypatch.setattr(suite, "ALL_CHECKS", [(check_id, probe(check_id)) for check_id in ids])
+    assert suite._feed_order() == list(range(len(ids)))
+    for cpus in (1, 2):
+        monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
+        ran.clear()
+        results = suite.run_paper_suite(SMALL)
+        assert [res.name for res in results] == [f"probe-{check_id}" for check_id in ids]
+        for check_id, res in zip(ids, results):
+            seen = res.details.split()
+            assert seen[-1] == check_id and seen == sorted(seen)
+
+
+def _open_fds():
+    """How many file descriptors this process holds, or None without /proc."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the battery forks its workers; without fork it runs in process")
+def test_the_pool_returns_results_larger_than_a_pipe_and_closes_its_pipes(monkeypatch):
+    """A worker's results can fill its pipe while the parent still reads another worker's.
+
+    Each result pipe is made just before its worker starts, so the slow
+    check's worker, read first, is the only holder of its write end.  A
+    signal turns a hang into a failure."""
+    failures = [f"{k:05d}".ljust(100, "-") for k in range(20000)]  # over 64 KiB pickled
+
+    def slow(config):
+        time.sleep(0.2)
+        return suite.CheckResult("slow", 1)
+
+    def large(config):
+        return suite.CheckResult("large", 1, failures=list(failures))
+
+    def hang(signum, frame):
+        raise TimeoutError("the pool did not return")
+
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(suite, "ALL_CHECKS", (("slow", slow), ("large", large)))
+    fds = _open_fds()
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        results = suite.run_paper_suite(SMALL)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [(res.name, res.failures) for res in results] == [("slow", []), ("large", failures)]
+    assert not results[1].passed and len(pickle.dumps(results[1])) > 65536
+    assert _open_fds() == fds
+    assert multiprocessing.active_children() == []
 
 
 def test_a_raising_check_keeps_its_report_name_through_a_wrapper(monkeypatch):
