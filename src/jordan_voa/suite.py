@@ -2,10 +2,10 @@
 
 Each check is exact (tolerance zero): polynomial identities are verified
 symbolically in the parameter r, rational specialisations by exact
-arithmetic.  `run_paper_suite` executes all checks, at once on forked
-multiprocessing workers where more than one CPU is usable, which pull the
-checks longest first from one pipe and send their results back on pipes of
-their own, and returns structured results in criterion order; the
+arithmetic.  `run_paper_suite` executes all checks at once on forked
+multiprocessing workers, one per usable CPU and at least one, which pull
+the checks longest first from one pipe and send their results back on
+pipes of their own, and returns structured results in criterion order; the
 command-line front end renders them as a pass/fail matrix.
 Checks 1 and 3 sum the deformed bracket as ints, in _pair_bracket's form,
 read from a table of their pairs (_int_bracket_table) that keeps its own
@@ -33,6 +33,7 @@ import math
 import os
 import random
 import resource
+import sys
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -730,7 +731,8 @@ def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
     builds one map per parameter.  Non-integer and generic
     parameters must give empty kernels everywhere; integer parameters give
     one-dimensional kernels exactly at the determinant-power weights, whose
-    vectors carry the predicted structure.  Each searched weight's minor
+    vectors carry the predicted structure; a sweep that never searched one
+    of those weights at its parameter fails.  Each searched weight's minor
     must agree with its Q[r] determinant (_minor_mismatches).  A kernel
     vector that fails is_singular's re-certification raises
     SingularVerificationError, which run_check reports under this check's
@@ -742,7 +744,7 @@ def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
     failures = _minor_mismatches(dict.fromkeys(report.weight for report in reports))
     for report in reports:
         lam, r0 = report.weight, report.r0
-        pair = expected[r0].get(lam)
+        pair = expected[r0].pop(lam, None)
         if pair is None:
             if report.kernel_dim:
                 failures.append(f"unexpected kernel at weight {lam}, r={r0}")
@@ -752,6 +754,9 @@ def check_singular_kernel_sweep(config: SuiteConfig) -> CheckResult:
             )
         else:
             _structure_checks(report.kernel_vectors[0], *pair, failures)
+    # each expected pair left was never searched, so its kernel went unchecked
+    failures += [f"no search at weight {lam}, r={r0}, where a kernel is expected"
+                 for r0, pairs in expected.items() for lam in pairs]
     details = (
         f"{len(reports)} weight-space searches over {len({rep.weight for rep in reports})} "
         f"weights (degree <= {config.max_degree})"
@@ -881,12 +886,12 @@ def run_check(check, *args) -> CheckResult:
     """check(*args), timed; a check that raises fails with nothing checked.
 
     peak_mb is the peak resident memory so far of the process that ran the
-    check, read after it (ru_maxrss).  In a battery run in one process, the
-    first check to show the largest figure set the peak; on a pool, each
-    figure is its worker's, which includes the memory it was forked with
-    and the checks that worker ran before.  Workers pull checks as they
-    become free, so which checks share a worker, and so these figures, can
-    differ from run to run.
+    check, read after it (ru_maxrss, which Linux gives in KiB and macOS in
+    bytes).  verify-det and virasoro-check call run_check in their own
+    process.  In a battery each figure is its worker's, which includes the
+    memory it was forked with and the checks that worker ran before.
+    Workers pull checks as they become free, so which checks share a
+    worker, and so these figures, can differ from run to run.
 
     A raising check is reported under its report_name (see _reports), or
     under its function's name if it has none.  Checks are independent, so
@@ -917,7 +922,8 @@ def run_check(check, *args) -> CheckResult:
             name = getattr(check, "report_name", check.__name__)
             result = CheckResult(name, 0, f"raised {exc!r}")
     result.seconds = time.perf_counter() - start
-    result.peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KiB elsewhere
+    result.peak_mb = peak / (2**20 if sys.platform == "darwin" else 1024)
     return result
 
 
@@ -949,58 +955,13 @@ def _pool_worker(tasks: int, out: int, config: SuiteConfig) -> None:
         pickle.dump(results, pipe)
 
 
-def _run_pooled(workers: int, config: SuiteConfig) -> list:
-    """The battery on workers forked processes, which pull its indices from one pipe."""
-    import multiprocessing
-    import pickle
-
-    context = multiprocessing.get_context("fork")
-    tasks, feed = os.pipe()
-    processes, pipes = [], []
-    try:
-        with open(feed, "wb") as pipe:  # every index is queued, and the feed closed, before a fork
-            pipe.write(bytes(_feed_order()))
-        for _ in range(workers):
-            # each result pipe is made just before its worker, and the parent's write end
-            # closed at once, so no later worker holds it open and its EOF comes
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
-            try:
-                process = context.Process(target=_pool_worker, args=(tasks, write, config))
-                process.start()
-                processes.append(process)
-            finally:
-                os.close(write)
-        sent = [pipe.read() for pipe in pipes]
-    except BaseException:
-        # a worker can block on a full pipe whose read end it inherited, so none is waited for
-        for process in processes:
-            process.terminate()
-        raise
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        os.close(tasks)
-        for process in processes:
-            process.join()
-    codes = [process.exitcode for process in processes]
-    reported = {}
-    for code, data in zip(codes, sent):
-        if code == 0 and data:
-            reported.update(pickle.loads(data))
-    lost = [str(check_id) for i, (check_id, _) in enumerate(ALL_CHECKS) if i not in reported]
-    if lost or any(codes):
-        raise ChildProcessError(f"battery workers exited with codes {codes}; "
-                                f"no result for checks: {', '.join(lost) or 'none'}")
-    return [reported[i] for i in range(len(ALL_CHECKS))]
-
-
 def run_paper_suite(config: SuiteConfig | None = None) -> list:
     """Run every check; returns the list of CheckResults in criterion order.
 
     The checks share nothing (run_check empties every cache first), so they
     run at once on min(usable CPUs, len(ALL_CHECKS)) multiprocessing
-    processes forked from this one.  Before any worker starts, every check's
+    processes forked from this one: one usable CPU is one worker, and no
+    check runs in this process.  Before any worker starts, every check's
     ALL_CHECKS index is written to one pipe, LONGEST_CHECKS first and the
     rest in criterion order, and the pipe's write end is closed; each
     worker reads one index at a time until EOF, so the longest checks start
@@ -1010,20 +971,53 @@ def run_paper_suite(config: SuiteConfig | None = None) -> list:
     order.  Every started worker is joined before this returns, also when
     it raises.  A worker that exits nonzero, or a check that never reports,
     raises ChildProcessError naming the exit codes and the ids of the
-    checks with no result.  With one usable CPU, or no fork start method,
-    the checks run here, one by one.
+    checks with no result, so a check that kills its process costs its
+    worker only.
 
     The whole battery runs in one collector pause, which forked workers
     inherit, so each run_check empties the action cache before the collector
     resumes; resuming after every check would scan that check's whole cache
     once more.
     """
-    config = config or SuiteConfig()
-    workers = min(_usable_cpus(), len(ALL_CHECKS))
-    with collector_paused():
-        if workers > 1:
-            import multiprocessing
+    import multiprocessing
+    import pickle
 
-            if "fork" in multiprocessing.get_all_start_methods():
-                return _run_pooled(workers, config)
-        return [run_check(check, config) for _, check in ALL_CHECKS]
+    config = config or SuiteConfig()
+    context = multiprocessing.get_context("fork")
+    tasks, feed = os.pipe()
+    processes, pipes = [], []
+    with collector_paused():
+        try:
+            with open(feed, "wb") as pipe:  # all indices queued, and the feed closed, before a fork
+                pipe.write(bytes(_feed_order()))
+            for _ in range(min(_usable_cpus(), len(ALL_CHECKS))):
+                # each result pipe is made just before its worker, and the parent's write end
+                # closed at once, so no later worker holds it open and its EOF comes
+                read, write = os.pipe()
+                pipes.append(open(read, "rb"))
+                try:
+                    process = context.Process(target=_pool_worker, args=(tasks, write, config))
+                    process.start()
+                    processes.append(process)
+                finally:
+                    os.close(write)
+            sent = [pipe.read() for pipe in pipes]
+        except BaseException:
+            # a worker can block on a full pipe whose read end it inherited, so none is waited for
+            for process in processes:
+                process.terminate()
+            raise
+        finally:
+            for pipe in pipes:
+                pipe.close()
+            os.close(tasks)
+            for process in processes:
+                process.join()
+        codes = [process.exitcode for process in processes]
+        reported = dict(item for code, data in zip(codes, sent) if code == 0 and data
+                        for item in pickle.loads(data))
+    lost = [str(check_id) for i, (check_id, _) in enumerate(ALL_CHECKS) if i not in reported]
+    if lost or any(codes):
+        raise ChildProcessError(f"battery workers exited with codes {codes}; "
+                                f"no result for checks: {', '.join(lost) or 'none'}")
+    return [reported[i] for i in range(len(ALL_CHECKS))]

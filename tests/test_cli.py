@@ -11,6 +11,8 @@ import multiprocessing
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -655,7 +657,7 @@ def test_check_reports_count_what_they_tested(argv, capsys):
 def test_each_suite_check_starts_with_an_empty_action_cache(monkeypatch):
     """Each probe reports what it saw in its own process: a forked worker's lists stay there.
 
-    Run in process (one usable CPU) and on a pool of two workers."""
+    Run on pools of one and two workers."""
     from jordan_voa import fock, suite
     from jordan_voa.liealg import Generator
 
@@ -694,8 +696,6 @@ def test_a_check_that_tests_nothing_or_raises_fails(monkeypatch):
     assert results[1].summary_line() == "FAIL  broken: raised RuntimeError('boom')"
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the battery forks its workers; without fork it runs in process")
 def test_a_suite_worker_that_dies_is_exit_one(monkeypatch, capsys):
     """A check that kills its worker is an error line and exit 1, not a hang or a traceback."""
     from jordan_voa import suite
@@ -713,8 +713,28 @@ def test_a_suite_worker_that_dies_is_exit_one(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the battery forks its workers; without fork it runs in process")
+def test_on_one_usable_cpu_a_check_that_kills_its_process_is_exit_one():
+    """One usable CPU is one forked worker, so the check kills that worker, not the command.
+
+    Run in a subprocess: a check run in the command's own process would end it."""
+    script = (
+        "import os, sys\n"
+        "from jordan_voa import cli, suite\n"
+        "def fatal(config):\n"
+        "    os._exit(3)\n"
+        "suite._usable_cpus = lambda: 1\n"
+        "suite.ALL_CHECKS = (('2', suite.ALL_CHECKS[1][1]), ('fatal', fatal))\n"
+        "sys.exit(cli.main(['paper-suite', '--d', '2', '--max-degree', '2', '--samples', '0']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: battery workers exited with codes [3]; ")
+    assert "fatal" in line.rsplit("no result for checks: ", 1)[1].split(", ")
+
+
 def test_a_dead_workers_error_line_names_the_check_it_lost(monkeypatch, capsys):
     """The one error line gives the dead worker's exit code and the id of each check with no result."""
     from jordan_voa import suite

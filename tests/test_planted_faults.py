@@ -27,12 +27,13 @@ import pytest
 from jordan_voa import fock, liealg, scalar, singular, suite, virops
 from jordan_voa.fock import (
     _CENSUS, _DEGREES, _EMPTY, _GENS, _HEADS, _IMAGES, _INSERTS, _INTERN_LOCK, _NEEDS, _TAILS,
-    Weight, _add, _census, _gen_id, _insert_id, _slot, act_ids, memo,
+    Weight, _add, _census, _gen_id, _insert_id, _slot, act_ids, collector_paused, memo, weights,
 )
 from jordan_voa.liealg import (
     Generator, _contraction, _normal_order, _pair_bracket, _partner_modes,
 )
 from jordan_voa.scalar import ONE, Scalar
+from jordan_voa.singular import _sweep_weight
 from jordan_voa.suite import SuiteConfig, run_paper_suite
 from jordan_voa.virops import (
     _id_form, _mode_sum_ids, _multiple, _on_ids, _recursion_image,
@@ -202,6 +203,11 @@ def _expected_singular_pairs_ignoring_r(r0, max_degree):
     return out
 
 
+def _sweep_rows_stopping_one_degree_short(r_values, max_degree):
+    with collector_paused():
+        return [_sweep_weight(lam, r_values) for lam in weights(max_degree - 1)]
+
+
 def _rref_ignoring_its_row_swaps_in_the_sign(rows, ncols, exact_div):
     mat = [list(row) for row in rows]
     pivots = []
@@ -308,6 +314,9 @@ FAULTS = {  # name -> (the function, its faulty copy, the checks that must fail)
         # check 9 then expects a kernel at every r; its dimension test fails where none is found
         singular.expected_singular_pairs, _expected_singular_pairs_ignoring_r,
         {"singular-kernel-sweep"}),
+    "sweep-stops-one-degree-short": (
+        # each report it returns is right; check 9 fails the expected kernels it never searched
+        singular.sweep_rows, _sweep_rows_stopping_one_degree_short, {"singular-kernel-sweep"}),
     "rref-ignores-its-row-swaps-in-the-sign": (
         # only the transfer determinants read the sign; the kernels use the rows alone
         scalar.fraction_free_rref, _rref_ignoring_its_row_swaps_in_the_sign,
@@ -374,16 +383,18 @@ def _reported(results) -> list:
 
 @pytest.mark.parametrize("fault", [None, "contraction-ignores-the-index"], ids=["clean", "planted"])
 def test_the_pool_reports_what_the_in_process_battery_reports(fault, plant, monkeypatch):
-    """Forked workers see the planted code, and their results come back in criterion order."""
+    """Forked workers see the planted code, and their results come back in criterion order.
+
+    The reference runs each check here, through run_check; pools of one and two workers match it."""
     if fault:
         function, faulty, _ = FAULTS[fault]
         plant(function, faulty)
     config = SuiteConfig(d=2, max_degree=2, samples=0)
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: 1)
-    in_process = run_paper_suite(config)
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
-    pooled = run_paper_suite(config)
-    assert _reported(pooled) == _reported(in_process)
-    assert [res.name for res in pooled] == [check.report_name for _, check in suite.ALL_CHECKS]
-    assert sum(not res.passed for res in pooled) == (len(FAULTS[fault][2]) if fault else 0)
-    assert multiprocessing.active_children() == []  # every worker was reaped
+    in_process = [suite.run_check(check, config) for _, check in suite.ALL_CHECKS]
+    for cpus in (1, 2):
+        monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
+        pooled = run_paper_suite(config)
+        assert _reported(pooled) == _reported(in_process)
+        assert [res.name for res in pooled] == [check.report_name for _, check in suite.ALL_CHECKS]
+        assert sum(not res.passed for res in pooled) == (len(FAULTS[fault][2]) if fault else 0)
+        assert multiprocessing.active_children() == []  # every worker was reaped

@@ -21,7 +21,9 @@ import os
 import pickle
 import random
 import signal
+import sys
 import time
+import types
 from bisect import bisect_left, bisect_right
 from itertools import combinations
 
@@ -815,7 +817,7 @@ def test_the_pool_feeds_the_longest_checks_first():
 def test_checks_outside_the_longest_are_fed_and_returned_in_criterion_order(monkeypatch):
     """Each probe reports the ids its own process ran, up to itself: a worker pulls in feed order.
 
-    Run in process (one usable CPU) and on a pool of two workers."""
+    Run on pools of one and two workers."""
     ran = []
 
     def probe(check_id):
@@ -842,8 +844,6 @@ def _open_fds():
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the battery forks its workers; without fork it runs in process")
 def test_the_pool_returns_results_larger_than_a_pipe_and_closes_its_pipes(monkeypatch):
     """A worker's results can fill its pipe while the parent still reads another worker's.
 
@@ -876,6 +876,15 @@ def test_the_pool_returns_results_larger_than_a_pipe_and_closes_its_pipes(monkey
     assert not results[1].passed and len(pickle.dumps(results[1])) > 65536
     assert _open_fds() == fds
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("platform, maxrss", [("linux", 5 * 1024), ("darwin", 5 * 2**20)])
+def test_peak_mb_reads_ru_maxrss_in_the_platforms_unit(platform, maxrss, monkeypatch):
+    """ru_maxrss is in KiB on Linux and in bytes on macOS: either way 5 MB reads 5.0."""
+    usage = types.SimpleNamespace(ru_maxrss=maxrss)
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(suite.resource, "getrusage", lambda who: usage)
+    assert suite.run_check(lambda config: suite.CheckResult("probe", 1), SMALL).peak_mb == 5.0
 
 
 def test_a_raising_check_keeps_its_report_name_through_a_wrapper(monkeypatch):
@@ -919,7 +928,7 @@ def test_check_9_builds_one_expected_map_per_parameter(monkeypatch):
 def test_paper_suite_empties_each_checks_cache_with_the_collector_paused(monkeypatch):
     """Each probe reports the clears it saw in its own process: a forked worker's list stays there.
 
-    Run in process (one usable CPU) and on a pool of two workers."""
+    Run on pools of one and two workers."""
     seen = []
 
     def clear():
