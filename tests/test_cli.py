@@ -703,7 +703,6 @@ def test_a_suite_worker_that_dies_is_exit_one(monkeypatch, capsys):
     def fatal(config):
         os._exit(3)
 
-    # two checks, so two workers: a battery of one check would run it here, in the test's process
     monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(suite, "ALL_CHECKS", (("a", suite.ALL_CHECKS[1][1]), ("b", fatal)))
     code = cli.main(["paper-suite", "--d", "2", "--max-degree", "2", "--samples", "0"])
