@@ -105,7 +105,7 @@ from .fock import (
     weight_space_basis,
     weights,
 )
-from .liealg import Generator
+from .liealg import Generator, _validate_index
 from .scalar import (ONE, R, ZERO, Record, Scalar, add_into, fraction_free_rref, poly_exact_div,
                      poly_gcd)
 
@@ -243,11 +243,14 @@ def is_singular(u: State, r0=GENERIC, d: int = 1, strict: bool = False):
     The witness on failure is the first violating generator together with
     its nonzero image (specialised when r0 is rational).  The family is
     chosen by the modes (k, l) the factors of u's monomials carry, read off
-    both slots of every factor.
+    both slots of every factor.  A state with an oscillator beyond d is
+    refused: the family over d oscillators would leave its modes unchecked.
     """
     if degree_of(u) == MIXED:
         raise ValueError("singularity is only defined for homogeneous states")
     support = {kl for mono in u.terms for g in mono for kl in ((g.i, g.m), (g.j, g.n))}
+    for k, _ in support:
+        _validate_index(k, d)
     for gen in _raising_family(support, d, strict):
         image = act(gen, u)
         if r0 != GENERIC:

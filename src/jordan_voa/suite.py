@@ -647,7 +647,7 @@ def check_diagonal_raising_eigenvalue(config: SuiteConfig) -> CheckResult:
 
 
 def check_determinant_power_singular(config: SuiteConfig) -> CheckResult:
-    """Determinant powers are singular at r = 1 - 2 nu + p, full index range."""
+    """Determinant powers are singular at r = 1 - 2 nu + p, full index range; not at generic r."""
     failures = []
     checked = 0
     for p, nu in CERTIFICATION_CASES:
@@ -659,6 +659,8 @@ def check_determinant_power_singular(config: SuiteConfig) -> CheckResult:
             failures.append(
                 f"(p={p}, nu={nu}) fails at r={r0}: witness {witness[0]}"
             )
+        if is_singular(state, d=2)[0]:
+            failures.append(f"(p={p}, nu={nu}) passes at generic r")
     details = f"{checked} determinant powers {CERTIFICATION_CASES}"
     return CheckResult("determinant-power-singular", checked, details, failures)
 

@@ -208,16 +208,18 @@ def test_gram_corank_is_the_hook_count_at_every_weight_and_r0(d, max_degree, pai
     Of the planted-fault catalogue this comparison catches, at some scale:
     normal-order-negates-its-constant, pair-bracket-negates-its-constant,
     pair-bracket-negates-its-constant-at-a-wide-mode (2, 8 and 0 pairs at
-    the three scales), contraction-ignores-the-index (not at d = 1),
+    the three scales), the battery's escape
+    pair-bracket-negates-its-constant-for-a-mixed-pair-at-a-wide-mode (0, 4
+    and 0 pairs), contraction-ignores-the-index (not at d = 1),
     census-counts-only-the-first-slot and act-id-drops-its-constant.  It
-    misses the other 14.
+    misses the other 15.
     """
     assert corank_mismatches(d, max_degree) == (pairs, [])
 
 
 def test_gram_corank_catches_the_wide_mode_constant_fault(plant):
     """Check 2 alone catches this fault in the small battery; the corank test sees it at d = 2."""
-    function, faulty, _ = FAULTS["pair-bracket-negates-its-constant-at-a-wide-mode"]
-    plant(function, faulty)
+    function, edits, _ = FAULTS["pair-bracket-negates-its-constant-at-a-wide-mode"]
+    plant(function, edits)
     pairs, mismatches = corank_mismatches(2, 8)
     assert pairs == 2190 and len(mismatches) == 8

@@ -124,6 +124,15 @@ def test_is_singular_rejects_inhomogeneous_input():
         is_singular(VAC + lowering_state((1, 1, -1, -1)), r0=Fraction(0))
 
 
+def test_is_singular_refuses_an_oscillator_beyond_d():
+    """Over d = 1 the family has no generator of oscillator 2, which used to certify this."""
+    u = State.from_monomial((Generator(2, 2, -1, -1),))
+    with pytest.raises(ValueError, match="oscillator index 2 out of range 1..1"):
+        is_singular(u, r0=1, d=1)
+    ok, witness = is_singular(u, r0=1, d=2)
+    assert not ok and witness == (Generator(2, 2, 1, 1), VAC.scale(2))
+
+
 def test_reversed_mixed_generators_break_strict_certification():
     """The reversed-slot mixed generator v[1,2](2,-1) does not annihilate the
     size-2 determinant vector; the strict family therefore fails for p >= 2
