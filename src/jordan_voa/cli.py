@@ -474,6 +474,9 @@ def main(argv=None) -> int:
     except SingularVerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -880,7 +880,9 @@ _reports("determinant-commutation", determinant_commutation)
 _reports("virasoro-central-charge", virasoro_central_charge)
 
 # The ids of the battery's longest checks, longest first, which a pool starts
-# before the others: 0.32, 0.29, 0.17 and 0.06 s at the default scale.
+# before the others: 0.51, 0.32, 0.16 and 0.09 s at the default scale (medians
+# of 12 runs on a busy 2-vCPU x86-64 host; a quiet one gave 0.33, 0.20, 0.12
+# and 0.06 s).
 LONGEST_CHECKS = ("3", "1", "5", "10")
 
 
@@ -943,13 +945,24 @@ def _feed_order() -> list:
     return sorted(range(len(ALL_CHECKS)), key=lambda i: rank.get(ALL_CHECKS[i][0], len(rank)))
 
 
-def _pool_worker(tasks: int, out: int, config: SuiteConfig) -> None:
+def _pool_worker(tasks: int, out: int, lifeline: tuple, config: SuiteConfig) -> None:
     """Run each ALL_CHECKS index read, one byte at a time, from tasks until EOF.
 
     At the end the worker pickles its [(index, CheckResult)] to out, its own pipe.
+    The worker ignores SIGINT, which its parent answers for it, and dies with
+    the parent: it closes its copy of the lifeline's write end, and a daemon
+    thread exits the process at EOF on the read end, which comes once no
+    process holds the write end, the parent's closed on every return or death.
+    The thread needs the GIL to act, so a check inside one long C call (a
+    huge int product) dies when that call returns.
     """
     import pickle
+    import signal
+    import threading
 
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.close(lifeline[1])
+    threading.Thread(target=lambda: os.read(lifeline[0], 1) or os._exit(1), daemon=True).start()
     results = []
     while index := os.read(tasks, 1):
         results.append((index[0], run_check(ALL_CHECKS[index[0]][1], config)))
@@ -971,7 +984,11 @@ def run_paper_suite(config: SuiteConfig | None = None) -> list:
     as this process holds it, replaced checks included, and at the end
     pickles its results to a pipe of its own; they come back in criterion
     order.  Every started worker is joined before this returns, also when
-    it raises.  A worker that exits nonzero, or a check that never reports,
+    it raises, or is interrupted (SIGINT terminates the workers, which ignore
+    it); only then does this process close its end of their lifeline pipe,
+    so when it dies some other way, by SIGKILL included, its workers exit
+    at once rather than when their checks are done.  A worker that exits
+    nonzero, or a check that never reports,
     raises ChildProcessError naming the exit codes and the ids of the
     checks with no result, so a check that kills its process costs its
     worker only.
@@ -987,6 +1004,7 @@ def run_paper_suite(config: SuiteConfig | None = None) -> list:
     config = config or SuiteConfig()
     context = multiprocessing.get_context("fork")
     tasks, feed = os.pipe()
+    lifeline = os.pipe()
     processes, pipes = [], []
     with collector_paused():
         try:
@@ -998,7 +1016,8 @@ def run_paper_suite(config: SuiteConfig | None = None) -> list:
                 read, write = os.pipe()
                 pipes.append(open(read, "rb"))
                 try:
-                    process = context.Process(target=_pool_worker, args=(tasks, write, config))
+                    process = context.Process(target=_pool_worker,
+                                              args=(tasks, write, lifeline, config))
                     process.start()
                     processes.append(process)
                 finally:
@@ -1015,6 +1034,8 @@ def run_paper_suite(config: SuiteConfig | None = None) -> list:
             os.close(tasks)
             for process in processes:
                 process.join()
+            for end in lifeline:  # the write end outlives every worker, or one exits at its EOF
+                os.close(end)
         codes = [process.exitcode for process in processes]
         reported = dict(item for code, data in zip(codes, sent) if code == 0 and data
                         for item in pickle.loads(data))

@@ -4,15 +4,16 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import importlib
 import io
 import json
 import multiprocessing
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -20,11 +21,8 @@ from pathlib import Path
 import pytest
 
 from jordan_voa import cli, fock
-from jordan_voa.griess import griess_product, omega
-from jordan_voa.liealg import _pair_bracket
-from jordan_voa.scalar import ONE, R
+from jordan_voa.griess import griess_product
 from jordan_voa.singular import singular_sweep
-from jordan_voa.virops import _probe_ids, act_L
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -258,7 +256,6 @@ def _sweep_peak_bytes(rmin, rmax, output):
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            fock.clear_action_cache()
 
 
 @pytest.mark.parametrize("output", ["csv", "json"])
@@ -558,82 +555,43 @@ def test_paper_suite_small(capsys):
     assert "checks passed" in out
 
 
-def test_failed_sweep_verification_exits_one(monkeypatch, capsys):
+def test_failed_sweep_verification_exits_one(plant, capsys):
     """A kernel vector that fails its singularity check is exit 1, not a traceback."""
-    from jordan_voa import singular
-
-    monkeypatch.setattr(singular, "is_singular", lambda *args, **kwargs: (False, ["probe"]))
+    plant("singularity-is-never-certified")
     code = cli.main(["singular-sweep", "--rmin", "0", "--rmax", "0", "--max-degree", "2"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: search produced a non-singular vector")
-    assert "witness probe" in err
+    assert "witness v[1,1](1,1)" in err
 
 
-def _constant_shifted_bracket(g, h):
-    """The pair bracket with one added to its coefficient of r: a wrong central term.
-
-    It shows only where r != 0, so its row runs at r = 1 (p = 2, nu = 1).
-    """
-    terms, const = _pair_bracket(g, h)
-    return terms, const + 1
-
-
-def _griess_product_shifted(pairs):
-    """griess_product with w[2,2]/3 added to the product of each (left, right) in pairs."""
-    def product(i, j, k, l, d):
-        out = griess_product(i, j, k, l, d)
-        return out + omega(2, 2).scale(Fraction(1, 3)) if ((i, j), (k, l)) in pairs else out
-    return product
-
-
-def _vacuum_probe_dropped(pairs, m, n, vec):
-    """The id probe with the vacuum's central term at (2, -2) and (-2, 2) lost.
-
-    A fault of the engine shows in both orientations; check 10 probes only
-    m < n, and tests/test_virops.py checks the oddness that certifies the mirror.
-    """
-    if (m, n) in ((2, -2), (-2, 2)) and list(vec) == [fock._mono_id(())]:
-        return {}
-    return _probe_ids(pairs, m, n, vec)
-
-
-# test id -> (argv at the smallest scale, one fault in the code it runs: (module, attribute, fake))
+# test id -> (argv at the smallest scale, a fault of faults.FAULTS in the code it runs)
 PLANTED_FAULTS = {
     "virasoro-check": (["virasoro-check", "--d", "1", "--max-degree", "0"],
-                       ("suite", "_central", lambda m, n, d: 0)),
+                       "central-charge-reads-zero"),
     "virasoro-check-vacuum": (["virasoro-check", "--d", "2", "--max-degree", "0"],
-                              ("suite", "_probe_ids", _vacuum_probe_dropped)),
-    "verify-det": (["verify-det", "--p", "1"], ("singular", "R", R + ONE)),
+                              "probe-drops-the-vacuums-central-term"),
+    "verify-det": (["verify-det", "--p", "1"], "eigenvalue-identity-expects-a-shifted-r"),
+    # a wrong central term shows only where r != 0, so this row runs at r = 1 (p = 2, nu = 1)
     "singular-check": (["singular-check", "--p", "2", "--nu", "1"],
-                       ("fock", "_pair_bracket", _constant_shifted_bracket)),
-    "griess-table": (["griess-table", "--d", "1"],
-                     ("griess", "act_L", lambda *args, **kwargs: act_L(*args, **kwargs).scale(R))),
-    # one ordered product wrong: a non-commutative table
-    "griess-table-one-order": (["griess-table", "--d", "2"],
-                               ("griess", "griess_product",
-                                _griess_product_shifted({((1, 1), (1, 2))}))),
-    # both orders wrong alike: a commutative table that is not Sym_2
+                       "pair-bracket-adds-one-to-its-constant"),
+    # at d = 1 a product shifted by a multiple of w[1,1] is a rescale, which check 11 passes
+    "griess-table": (["griess-table", "--d", "1"], "griess-product-is-zero"),
+    "griess-table-one-order": (["griess-table", "--d", "2"], "griess-product-shifted-in-one-order"),
     "griess-table-both-orders": (["griess-table", "--d", "2"],
-                                 ("griess", "griess_product",
-                                  _griess_product_shifted({((1, 1), (1, 2)), ((1, 2), (1, 1))}))),
+                                 "griess-product-shifted-in-both-orders"),
     "paper-suite": (["paper-suite", "--d", "2", "--max-degree", "2", "--samples", "0"],
-                    ("suite", "binomial_matrix_det", lambda shift, size: 0)),
+                    "binomial-determinant-reads-zero"),
 }
 
 
 @pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
 @pytest.mark.parametrize("argv, fault", PLANTED_FAULTS.values(), ids=PLANTED_FAULTS.keys())
-def test_verifying_subcommands_fail_on_a_planted_fault(argv, fault, planted, monkeypatch, capsys):
+def test_verifying_subcommands_fail_on_a_planted_fault(argv, fault, planted, plant, capsys):
     """Each verifying subcommand tests something at its smallest scale: a fault is exit 1."""
     if planted:
-        module, attr, fake = fault
-        monkeypatch.setattr(importlib.import_module(f"jordan_voa.{module}"), attr, fake)
-    fock.clear_action_cache()
-    try:
-        code, _ = run_cli(capsys, *argv)
-    finally:
-        fock.clear_action_cache()
+        plant(fault)
+    code, _ = run_cli(capsys, *argv)
     assert code == (1 if planted else 0)
 
 
@@ -732,6 +690,90 @@ def test_on_one_usable_cpu_a_check_that_kills_its_process_is_exit_one():
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: battery workers exited with codes [3]; ")
     assert "fatal" in line.rsplit("no result for checks: ", 1)[1].split(", ")
+
+
+# paper-suite with one more check, which writes its worker's pid to the marker file sys.argv[1]
+# and never returns
+_ENDLESS_BATTERY = (
+    "import os, sys, time\n"
+    "from jordan_voa import cli, suite\n"
+    "def endless(config):\n"
+    "    with open(sys.argv[1], 'a') as marker:\n"
+    "        marker.write(f'{os.getpid()}\\n')\n"
+    "    while True:\n"
+    "        time.sleep(0.01)\n"
+    "suite.ALL_CHECKS = (*suite.ALL_CHECKS, ('endless', endless))\n"
+    "sys.exit(cli.main(['paper-suite', '--d', '2', '--max-degree', '2', '--samples', '0']))\n"
+)
+
+
+def _started(argv: list, **kwargs) -> subprocess.Popen:
+    """argv run with this checkout's package, in a process group of its own."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    return subprocess.Popen([sys.executable, *argv], env=env, start_new_session=True, text=True,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+def _worker_pid(proc: subprocess.Popen, marker: Path) -> int:
+    """The pid the endless check writes to marker, once it is running."""
+    while not (marker.exists() and marker.read_text().endswith("\n")):
+        assert proc.poll() is None, proc.stderr.read()
+        time.sleep(0.01)
+    return int(marker.read_text())
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a live process: a zombie, killed and not yet reaped, is not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+def test_a_killed_battery_takes_its_workers_with_it(tmp_path):
+    """SIGKILL of paper-suite ends a worker whose check never returns within 2 s."""
+    marker = tmp_path / "pid"
+    proc = _started(["-c", _ENDLESS_BATTERY, str(marker)])
+    worker = None
+    try:
+        worker = _worker_pid(proc, marker)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 2
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(worker)
+    finally:  # the worker first: it holds the stderr pipe that communicate reads to its end
+        if worker and _running(worker):
+            os.kill(worker, signal.SIGKILL)
+        proc.kill()
+        proc.communicate()
+
+
+@pytest.mark.parametrize("command", ["paper-suite", "singular-sweep"])
+def test_an_interrupted_command_is_exit_130_and_one_line(command, tmp_path):
+    """SIGINT to the command's process group, as Ctrl-C sends it: the workers ignore it, and the
+    command stops them, prints "interrupted" and exits 130, with no traceback.
+
+    paper-suite is interrupted once its endless check runs, the sweep once it has written a line."""
+    marker = tmp_path / "pid"
+    if command == "paper-suite":
+        proc = _started(["-c", _ENDLESS_BATTERY, str(marker)])
+        worker = _worker_pid(proc, marker)
+    else:
+        proc = _started(["-u", "-m", "jordan_voa.cli", "singular-sweep", "--rmin", "-3", "--rmax",
+                         "3", "--max-degree", "22", "--no-degree-guard"], stdout=subprocess.PIPE)
+        assert proc.stdout.readline()
+    try:
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130 and err == "interrupted\n"
+    if command == "paper-suite":
+        assert not _running(worker)
 
 
 def test_a_dead_workers_error_line_names_the_check_it_lost(monkeypatch, capsys):

@@ -263,14 +263,6 @@ def test_representation_property_small_exhaustive():
             assert act(direct, u) == act(x, act(y, u)) - act(y, act(x, u))
 
 
-@pytest.fixture
-def cold_cache():
-    """An empty action cache before and after the test, so no image leaks either way."""
-    clear_action_cache()
-    yield
-    clear_action_cache()
-
-
 def cached_actions() -> dict:
     """{(gen, mono): (gid, mid)} for every single-generator image in fock._IMAGES.
 
@@ -299,7 +291,7 @@ def cached_images() -> dict:
             for name, (gid, mid) in cached_actions().items()}
 
 
-def test_check_3_caches_no_constant_action(cold_cache):
+def test_check_3_caches_no_constant_action():
     """Constants act as scalars in act; _act_gen, and so its cache, sees generators only."""
     assert suite.check_representation_property(suite.SuiteConfig(max_degree=2)).passed
     names = cached_actions()
@@ -320,13 +312,13 @@ def _assert_each_id_names_one_sorted_monomial():
     assert len(fock._HEADS) == count
 
 
-def test_after_check_3_each_id_names_one_sorted_monomial(cold_cache):
+def test_after_check_3_each_id_names_one_sorted_monomial():
     assert suite.check_representation_property(suite.SuiteConfig(d=2, max_degree=2,
                                                                   samples=0)).passed
     _assert_each_id_names_one_sorted_monomial()
 
 
-def test_forgetting_images_evicts_every_image_on_the_ids_and_takes_no_id(cold_cache):
+def test_forgetting_images_evicts_every_image_on_the_ids_and_takes_no_id():
     """_forget_images(mids) drops every generator's image on the ids, keeps every other image,
     and adds to no id table."""
     fock._forget_images([0])  # on empty tables: not even the vacuum takes an id
@@ -403,9 +395,7 @@ def _reference_images(gens, monos):
     "bound, max_degree, d, pairs, settled",
     [(4, 6, 2, 15903, 10736), (3, 4, 3, 12012, 8694)],
 )
-def test_grading_settles_images_the_recursion_computes_as_zero(
-    cold_cache, bound, max_degree, d, pairs, settled
-):
+def test_grading_settles_images_the_recursion_computes_as_zero(bound, max_degree, d, pairs, settled):
     gens = canonical_generators(bound, d)
     monos = basis_monomials(max_degree, d)
     fast = _images(gens, monos)
@@ -418,7 +408,7 @@ def test_grading_settles_images_the_recursion_computes_as_zero(
     assert fast == _reference_images(gens, monos)
 
 
-def test_the_mask_test_agrees_with_a_count_of_the_modes(cold_cache):
+def test_the_mask_test_agrees_with_a_count_of_the_modes():
     """census & need != need kills exactly where _reference_kills, counting the monomial's mode
     slots, does: for every generator with modes in [-4, 4] on every basis monomial of degree
     <= 6 at d = 2."""
@@ -439,36 +429,19 @@ def _assert_fails_the_oracle_and_check_3():
     assert _images(gens, monos) != _reference_images(gens, monos)
 
 
-def _census_counting(slots):
-    """A census builder that counts the slots slots(head) of each head factor, in thermometer
-    fields: 01 for one copy, 11 for two or more."""
-
-    def census(tail, head):
-        for offset in slots(head):
-            bit = 1 << offset
-            tail |= bit | (tail & bit) << 1
-        return tail
-
-    return census
-
-
-def test_a_grading_test_on_first_slots_fails_the_oracle_and_check_3(monkeypatch, cold_cache):
-    monkeypatch.setattr(fock, "_census", _census_counting(lambda g: [fock._slot(g.i, g.m)]))
+def test_a_grading_test_on_first_slots_fails_the_oracle_and_check_3(plant):
+    plant("census-counts-only-the-first-slot")
     _assert_fails_the_oracle_and_check_3()
 
 
-def test_a_census_with_one_copy_of_a_diagonal_factor_fails_the_oracle_and_check_3(
-    monkeypatch, cold_cache
-):
+def test_a_census_with_one_copy_of_a_diagonal_factor_fails_the_oracle_and_check_3(plant):
     """A census that counts a factor's slots as a set holds one copy of v_i(-x) for
     v[i,i](-x,-x), so it kills v[i,i](x,x), which needs two."""
-    monkeypatch.setattr(
-        fock, "_census", _census_counting(lambda g: {fock._slot(g.i, g.m), fock._slot(g.j, g.n)})
-    )
+    plant("census-counts-a-factors-slots-as-a-set")
     _assert_fails_the_oracle_and_check_3()
 
 
-def test_a_state_built_before_a_clear_acts_alike_after_it(cold_cache):
+def test_a_state_built_before_a_clear_acts_alike_after_it():
     """Clearing empties the id tables; a State keeps monomials, so new ids serve it."""
     u = lowering_state((1, 1, -1, -1), (1, 2, -1, -2)) + lowering_state((2, 2, -3, -1)).scale(R)
     x = gen_elem(1, 1, 1, 1) + gen_elem(1, 2, 1, 2).scale(R) + gen_elem(2, 2, -1, -1)
@@ -482,7 +455,7 @@ def test_a_state_built_before_a_clear_acts_alike_after_it(cold_cache):
     assert {mono: fock._mono_id(mono) for mono in u.terms} != ids
 
 
-def test_one_clear_empties_every_engine_cache(cold_cache):
+def test_one_clear_empties_every_engine_cache():
     """After an action, a bracket and a search, one clear leaves no cache holding anything."""
     lam = Weight({(1, -1): 2})
     act(gen_elem(1, 1, 1, 1), lowering_state((1, 1, -1, -1)))
@@ -516,7 +489,7 @@ def _in_six_threads(run) -> list:
     return [results[k] for k in range(6)]
 
 
-def test_threads_acting_from_a_cold_cache_share_one_id_per_monomial(cold_cache):
+def test_threads_acting_from_a_cold_cache_share_one_id_per_monomial():
     """Taking an id is check-then-act on the shared tables, so it runs under a lock."""
     gens = canonical_generators(2, 2)
     states = [State.from_monomial(m) for m in basis_monomials(5, 2)]
@@ -527,7 +500,7 @@ def test_threads_acting_from_a_cold_cache_share_one_id_per_monomial(cold_cache):
     _assert_each_id_names_one_sorted_monomial()
 
 
-def test_threads_running_mode_sums_and_the_oracle_from_a_cold_cache_agree(cold_cache):
+def test_threads_running_mode_sums_and_the_oracle_from_a_cold_cache_agree():
     """The per-monomial memo entries and the operators' id forms are filled concurrently."""
     states = [State.from_monomial(m) for m in basis_monomials(4, 2)]
 
@@ -596,27 +569,20 @@ def _boundary_values() -> list:
     suite.check_vertex_mode_formula,
     suite.check_virasoro_central_charge,
 ])
-def test_checks_cache_id_images_in_z_r(cold_cache, check):
+def test_checks_cache_id_images_in_z_r(check):
     """Checks 3, 5 and 10 at max_degree 2 leave every cached coefficient an int or in Z*r + Z."""
     assert check(suite.SuiteConfig(max_degree=2)).passed
     assert _bad_id_coefficients() == []
 
 
-def test_every_returned_coefficient_is_a_scalar_with_int_integral_coefficients(cold_cache):
+def test_every_returned_coefficient_is_a_scalar_with_int_integral_coefficients():
     assert _bad_returned_coefficients(_boundary_values()) == []
     assert _bad_id_coefficients() == []
 
 
-def test_a_translation_back_that_skips_the_wrap_is_seen(monkeypatch, cold_cache):
-    """A _state_of that leaves each constant bare: the values are equal, the types are not."""
-    wrapped = fock._state_of
-
-    def unwrapped(vec, divisor=1):
-        terms = wrapped(vec, divisor).terms
-        return State._from_tidy({mono: c[0] if len(c) == 1 else c for mono, c in terms.items()})
-
-    monkeypatch.setattr(fock, "_state_of", unwrapped)
-    monkeypatch.setattr(virops, "_state_of", unwrapped)
+def test_a_translation_back_that_skips_the_wrap_is_seen(plant):
+    """A _state_of that leaves each coefficient bare: the values are equal, the types are not."""
+    plant("state-of-leaves-its-coefficients-bare")
     assert _bad_returned_coefficients(_boundary_values())
 
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from jordan_voa.fock import Weight, weight_space_basis
-from jordan_voa import griess
 from jordan_voa.griess import (
     GriessVerificationError,
     build_griess_table,
@@ -83,31 +82,23 @@ def test_jordan_verify_one_dimensional():
     assert report["off_diagonal_scale"] is None
 
 
-@pytest.mark.parametrize("pairs", [
-    {((1, 1), (1, 2))},  # one ordered product wrong: a non-commutative table
-    {((1, 1), (1, 2)), ((1, 2), (1, 1))},  # both orders wrong alike: commutative, not Sym_3
+@pytest.mark.parametrize("fault", [
+    "griess-product-shifted-in-one-order",  # a non-commutative table
+    "griess-product-shifted-in-both-orders",  # commutative, not Sym_3
 ], ids=["one-order", "both-orders"])
-def test_jordan_verify_rejects_a_perturbed_product(pairs, monkeypatch):
-    def product(i, j, k, l, d):
-        out = griess_product(i, j, k, l, d)
-        return out + omega(2, 2).scale(Fraction(1, 3)) if ((i, j), (k, l)) in pairs else out
-
-    monkeypatch.setattr(griess, "griess_product", product)
+def test_jordan_verify_rejects_a_perturbed_product(fault, plant):
+    plant(fault)
     with pytest.raises(GriessVerificationError):
         jordan_verify(build_griess_table(3))
 
 
-def test_jordan_verify_up_to_d_8(monkeypatch):
+def test_jordan_verify_up_to_d_8(plant):
     """Check 11 at every griess-table --d beyond 3, and a planted fault at d = 8."""
     for d in range(4, 9):
         report = jordan_verify(build_griess_table(d))
         assert report["dimension"] == d * (d + 1) // 2
         assert (report["diagonal_scale"], report["off_diagonal_scale"]) == (2, 1)
 
-    def product(i, j, k, l, d):
-        out = griess_product(i, j, k, l, d)
-        return out + omega(1, 5).scale(Fraction(1, 3)) if (i, j, k, l) == (7, 8, 8, 8) else out
-
-    monkeypatch.setattr(griess, "griess_product", product)
+    plant("griess-product-shifted-at-d-8")
     with pytest.raises(GriessVerificationError, match=r"the pair \(7, 8\), \(8, 8\)"):
         jordan_verify(build_griess_table(8))

@@ -29,11 +29,9 @@ from functools import lru_cache
 
 import pytest
 
-from jordan_voa import fock
 from jordan_voa.fock import State, act_word, weight_space_basis, weights
 from jordan_voa.liealg import Generator
 from jordan_voa.singular import kernel_basis
-from test_planted_faults import FAULTS, plant  # noqa: F401  (plant is a fixture)
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -183,21 +181,18 @@ def corank_mismatches(d: int, max_degree: int) -> tuple:
     The corank is the dimension of singular.kernel_basis of the Gram matrix at r0.
     """
     pairs, mismatches = 0, []
-    try:
-        for lam in weights(max_degree, d):
-            basis = weight_space_basis(lam, d)
-            if not basis:
-                continue
-            gram = gram_matrix(basis)
-            content = tuple(sorted(lam.counts.values()))
-            for r0 in CORANK_R0[(d, max_degree)]:
-                at_r0 = [[entry.evaluate(r0) for entry in row] for row in gram]
-                corank = len(kernel_basis(at_r0, len(basis)))
-                pairs += 1
-                if corank != hook_count(content, r0):
-                    mismatches.append((str(lam), r0, corank))
-    finally:
-        fock.clear_action_cache()
+    for lam in weights(max_degree, d):
+        basis = weight_space_basis(lam, d)
+        if not basis:
+            continue
+        gram = gram_matrix(basis)
+        content = tuple(sorted(lam.counts.values()))
+        for r0 in CORANK_R0[(d, max_degree)]:
+            at_r0 = [[entry.evaluate(r0) for entry in row] for row in gram]
+            corank = len(kernel_basis(at_r0, len(basis)))
+            pairs += 1
+            if corank != hook_count(content, r0):
+                mismatches.append((str(lam), r0, corank))
     return pairs, mismatches
 
 
@@ -205,21 +200,23 @@ def corank_mismatches(d: int, max_degree: int) -> tuple:
 def test_gram_corank_is_the_hook_count_at_every_weight_and_r0(d, max_degree, pairs):
     """The radical at r0 has the hook rule's dimension, weight by weight.
 
-    Of the planted-fault catalogue this comparison catches, at some scale:
-    normal-order-negates-its-constant, pair-bracket-negates-its-constant,
+    Of the planted-fault catalogue (faults.FAULTS) this comparison catches,
+    at some scale: normal-order-negates-its-constant,
+    pair-bracket-negates-its-constant, pair-bracket-adds-one-to-its-constant,
+    pair-bracket-doubles-its-terms-from-mode-4 (not at d = 3),
     pair-bracket-negates-its-constant-at-a-wide-mode (2, 8 and 0 pairs at
     the three scales), the battery's escape
     pair-bracket-negates-its-constant-for-a-mixed-pair-at-a-wide-mode (0, 4
     and 0 pairs), contraction-ignores-the-index (not at d = 1),
-    census-counts-only-the-first-slot and act-id-drops-its-constant.  It
-    misses the other 15.
+    census-counts-only-the-first-slot, census-counts-a-factors-slots-as-a-set,
+    act-id-drops-its-constant, and state-of-leaves-its-coefficients-bare, on
+    which it raises.  It misses every other entry.
     """
     assert corank_mismatches(d, max_degree) == (pairs, [])
 
 
 def test_gram_corank_catches_the_wide_mode_constant_fault(plant):
     """Check 2 alone catches this fault in the small battery; the corank test sees it at d = 2."""
-    function, edits, _ = FAULTS["pair-bracket-negates-its-constant-at-a-wide-mode"]
-    plant(function, edits)
+    plant("pair-bracket-negates-its-constant-at-a-wide-mode")
     pairs, mismatches = corank_mismatches(2, 8)
     assert pairs == 2190 and len(mismatches) == 8

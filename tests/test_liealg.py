@@ -42,14 +42,14 @@ def _straighten(word, coeff, out):
     out[word] = out.get(word, 0) + coeff
 
 
-def _contracts(g, h, partner_modes=_partner_modes):
-    """Whether a mode of h is one of partner_modes(g).
+def _contracts(g, h):
+    """Whether a mode of h is one of liealg._partner_modes(g).
 
-    With liealg._partner_modes, every other pair of modes commutes, so
-    [g, h] = 0 when this is false; the relation is symmetric.
+    Every other pair of modes commutes, so [g, h] = 0 when this is false;
+    the relation is symmetric.
     """
     h_modes = ((h.i, h.m), (h.j, h.n))
-    return any(mode in h_modes for mode in partner_modes(g))
+    return any(mode in h_modes for mode in _partner_modes(g))
 
 
 def gen_elem(i, j, m, n):
@@ -319,24 +319,20 @@ def _straightened_commutator(g, h):
     return {word: c for word, c in out.items() if c}
 
 
-def _shortcut_misses(partner_modes, gens):
-    """The ordered pairs a partner-mode rule skips although their commutator is nonzero."""
-    return [
-        (g, h) for g in gens for h in gens
-        if not _contracts(g, h, partner_modes) and _straightened_commutator(g, h)
-    ]
+def _shortcut_misses(gens):
+    """The ordered pairs _partner_modes skips although their commutator is nonzero."""
+    return [(g, h) for g in gens for h in gens
+            if not _contracts(g, h) and _straightened_commutator(g, h)]
 
 
-def test_pairs_that_do_not_contract_commute():
+def test_pairs_that_do_not_contract_commute(plant):
     """_partner_modes, the rule suite._int_bracket_table skips pairs by, skips only zero brackets."""
     gens = canonical_generators(3, 3)
-    assert _shortcut_misses(_partner_modes, gens) == []
+    assert _shortcut_misses(gens) == []
 
     # a rule on the first slots alone misses brackets, v[i,i](-x,x) ones among them
-    def first_slots_only(g):
-        return [(g.i, -g.m)] if g.m else []
-
-    missed = _shortcut_misses(first_slots_only, gens)
+    plant("partner-modes-read-only-the-first-slot")
+    missed = _shortcut_misses(gens)
     assert missed
     assert any(g.i == g.j and g.m == -g.n != 0 for g, _ in missed)
 

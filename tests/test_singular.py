@@ -361,38 +361,26 @@ def test_serial_sweep_searches_with_the_collector_paused(monkeypatch):
 def test_weight_major_sweep_reports_with_the_parameter_outside():
     """The sweep runs weight by weight but returns r outer, weights in fock.weights order."""
     r_values = [GENERIC, Fraction(1, 2), -2, 0, 1]
-    fock.clear_action_cache()
     expected = [singular_search(lam, r0) for r0 in r_values for lam in weights(10)]
     fock.clear_action_cache()
-    try:
-        assert singular_sweep(r_values, 10) == expected
-    finally:
-        fock.clear_action_cache()
+    assert singular_sweep(r_values, 10) == expected
     assert sum(rep.kernel_dim for rep in expected) == 3  # det^nu of size p: (1,1), (1,2), (2,1)
 
 
 def test_sweep_releases_each_weights_matrix_minor_and_top_level_images():
     """Recursion images have lower degree than their parent, so a degree-12 key is top-level."""
-    fock.clear_action_cache()
-    try:
-        singular_sweep(range(-3, 4), 12)
-        assert not [key for key in fock._ACT_CACHE if key[0] == "search"]
-        degrees = {monomial_degree(mono) for gen, mono in cached_actions()}
-        assert 12 not in degrees
-        assert degrees and max(degrees) == 10  # the lower-weight images stay
-    finally:
-        fock.clear_action_cache()
+    singular_sweep(range(-3, 4), 12)
+    assert not [key for key in fock._ACT_CACHE if key[0] == "search"]
+    degrees = {monomial_degree(mono) for gen, mono in cached_actions()}
+    assert 12 not in degrees
+    assert degrees and max(degrees) == 10  # the lower-weight images stay
 
 
 def test_sweep_from_a_cold_cache_leaves_its_ids_and_images():
     """The release takes no id and evicts only the weight's own images: the ids and cached
     images a degree-12 sweep leaves are pinned."""
-    fock.clear_action_cache()
-    try:
-        singular_sweep(range(-3, 4), 12)
-        assert (len(fock._HEADS), len(fock._GENS), sum(map(len, fock._IMAGES))) == (218, 65, 175)
-    finally:
-        fock.clear_action_cache()
+    singular_sweep(range(-3, 4), 12)
+    assert (len(fock._HEADS), len(fock._GENS), sum(map(len, fock._IMAGES))) == (218, 65, 175)
 
 
 # -- the support-driven raising family and the minor certificate ----------
@@ -468,19 +456,13 @@ def test_search_generators_generate_the_raising_algebra():
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("dropped", [Generator(1, 1, 1, 1), Generator(1, 1, -1, 2)],
+@pytest.mark.parametrize("fault", ["search-generators-drop-v11-11", "search-generators-drop-v11-m1-2"],
                          ids=["v(1,1)", "v(-1,2)"])
-def test_a_search_without_a_generator_fails_certification(monkeypatch, dropped):
+def test_a_search_without_a_generator_fails_certification(plant, fault):
     """Without v(1,1) or v(-1,2) the search finds vectors that is_singular refutes."""
-    pruned = singular._search_generators
-    monkeypatch.setattr(singular, "_search_generators",
-                        lambda support: [gen for gen in pruned(support) if gen != dropped])
-    fock.clear_action_cache()
-    try:
-        with pytest.raises(singular.SingularVerificationError):
-            singular_sweep(range(-3, 4), 6)
-    finally:
-        fock.clear_action_cache()
+    plant(fault)
+    with pytest.raises(singular.SingularVerificationError):
+        singular_sweep(range(-3, 4), 6)
 
 
 def test_pruned_is_singular_matches_the_unpruned_reference():
@@ -701,7 +683,6 @@ def test_only_integer_parameters_have_singular_vectors_to_degree_12():
 def test_a_zero_minor_falls_back_to_elimination_at_every_parameter(monkeypatch):
     """With every minor forced to zero, the eliminations alone give the same reports."""
     cases = [(lam, r0) for lam in weights(6) for r0 in (GENERIC, Fraction(0))]
-    fock.clear_action_cache()
     expected = [singular_search(lam, r0) for lam, r0 in cases]
     calls = []
 
@@ -715,10 +696,7 @@ def test_a_zero_minor_falls_back_to_elimination_at_every_parameter(monkeypatch):
     monkeypatch.setattr(singular, "kernel_basis", counting(kernel_basis))
     monkeypatch.setattr(singular, "kernel_basis_poly", counting(kernel_basis_poly))
     fock.clear_action_cache()
-    try:
-        assert [singular_search(lam, r0) for lam, r0 in cases] == expected
-    finally:
-        fock.clear_action_cache()
+    assert [singular_search(lam, r0) for lam, r0 in cases] == expected
     searched = sum(1 for rep in expected if rep.basis_dim) // 2
     assert calls.count("kernel_basis_poly") == calls.count("kernel_basis") == searched > 0
     assert [rep.kernel_dim for rep in expected if rep.r0 == 0].count(1) == 1

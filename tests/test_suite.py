@@ -46,13 +46,6 @@ from test_fock import cached_actions, cached_images, on_monomials
 SMALL = SuiteConfig(d=2, max_degree=2, samples=0)
 
 
-@pytest.fixture(autouse=True)
-def empty_action_cache():
-    clear_action_cache()
-    yield
-    clear_action_cache()
-
-
 # -- check 1 ---------------------------------------------------------------
 
 
@@ -213,19 +206,14 @@ def _assert_only_action_fails(res):
     assert res.failures and all(f.startswith("action disagrees") for f in res.failures)
 
 
-def _first_mode_partners_only(monkeypatch):
-    """Make the table look for partners of each generator's first mode only."""
-    monkeypatch.setattr(suite, "_partner_modes", lambda g: [(g.i, -g.m)] if g.m else [])
-
-
-def test_a_partner_filter_on_first_modes_misses_brackets(monkeypatch, dense_table):
-    _first_mode_partners_only(monkeypatch)
+def test_a_partner_filter_on_first_modes_misses_brackets(plant, dense_table):
+    plant("partner-modes-read-only-the-first-slot")
     gens, table = dense_table
     assert suite._int_bracket_table(gens) != table
 
 
-def test_a_partner_filter_on_first_modes_fails_check_3(monkeypatch):
-    _first_mode_partners_only(monkeypatch)
+def test_a_partner_filter_on_first_modes_fails_check_3(plant):
+    plant("partner-modes-read-only-the-first-slot")
     _assert_only_action_fails(suite.check_representation_property(SMALL))
 
 
@@ -429,22 +417,14 @@ def test_check_1_asks_only_for_brackets_of_pairs_that_contract(monkeypatch):
 
 def test_the_bracket_table_adds_no_entry_to_the_pair_bracket_memo():
     """Checks 1 and 3 cache their pairs in the table alone, not also in _pair_bracket's memo."""
-    _pair_bracket.cache_clear()
     table = suite._int_bracket_table(canonical_generators(2, 2))
     assert any(terms for terms, _ in table)
     assert _pair_bracket.cache_info().currsize == 0
 
 
-def _wide_mode_doubled(g, h):
-    """_pair_bracket with its generator part doubled when g or h has a mode of magnitude 4 to 6."""
-    terms, const = bracket = _pair_bracket(g, h)
-    if max(abs(g.m), abs(g.n), abs(h.m), abs(h.n)) < 4:
-        return bracket
-    return tuple((key, 2 * c) for key, c in terms), const
-
-
-def test_only_the_samples_see_a_fault_beyond_the_exhaustive_bound(monkeypatch):
-    monkeypatch.setattr(suite, "_pair_bracket", _wide_mode_doubled)
+def test_only_the_samples_see_a_fault_beyond_the_exhaustive_bound(plant):
+    """Check 1's table stops at |m| = 3, its sampled triples at 6."""
+    plant("pair-bracket-doubles-its-terms-from-mode-4")
     assert suite.check_lie_axioms(SMALL).passed
     res = suite.check_lie_axioms(SuiteConfig(d=2, max_degree=2))
     assert not res.passed
@@ -782,7 +762,6 @@ def test_each_check_starts_with_empty_id_tables():
 
 def test_each_check_starts_with_an_empty_pair_bracket_cache():
     config = SuiteConfig()
-    _pair_bracket.cache_clear()
     suite.check_diagonal_pair_bracket(config)
     own = _pair_bracket.cache_info().currsize
     suite.run_check(suite.check_lie_axioms, config)
@@ -887,24 +866,19 @@ def test_peak_mb_reads_ru_maxrss_in_the_platforms_unit(platform, maxrss, monkeyp
     assert suite.run_check(lambda config: suite.CheckResult("probe", 1), SMALL).peak_mb == 5.0
 
 
-def test_a_raising_check_keeps_its_report_name_through_a_wrapper(monkeypatch):
-    def broken(gens):
-        raise RuntimeError("broken table")
-
+def test_a_raising_check_keeps_its_report_name_through_a_wrapper(plant):
     @functools.wraps(suite.check_lie_axioms)
     def traced(config):
         return suite.check_lie_axioms(config)
 
-    monkeypatch.setattr(suite, "_int_bracket_table", broken)
+    plant("bracket-table-raises")
     res = suite.run_check(traced, SMALL)
     assert res.summary_line() == (
         "FAIL  bracket-antisymmetry-jacobi: raised RuntimeError('broken table')")
 
 
-def test_a_kernel_vector_that_fails_its_certification_fails_check_9_by_name(monkeypatch):
-    from jordan_voa import singular
-
-    monkeypatch.setattr(singular, "is_singular", lambda *args, **kwargs: (False, ["probe"]))
+def test_a_kernel_vector_that_fails_its_certification_fails_check_9_by_name(plant):
+    plant("singularity-is-never-certified")
     res = suite.run_check(suite.check_singular_kernel_sweep, SMALL)
     assert res.name == "singular-kernel-sweep" and not res.passed
     assert res.details.startswith("raised SingularVerificationError('search produced a non-singular")

@@ -170,19 +170,15 @@ def test_the_battery_builds_each_operator_as_the_general_route_does(check):
     """Every mode sum and vertex operator that checks 4, 5, 10 and 11 build at the default scale
     equals its canonicalize-and-sum reference, and neither has a UNIT term: no summand has a
     normal-ordering constant."""
-    clear_action_cache()
-    try:
-        assert check(suite.SuiteConfig()).passed
-        built = {key: ops for key, ops in fock._ACT_CACHE.items()
-                 if isinstance(key, tuple) and key[0] in ("Lop", "Vop")}
-        assert built
-        for (tag, *args), ops in built.items():
-            reference = _reference_mode_sum if tag == "Lop" else _reference_vertex_operator
-            want = reference(*args)
-            assert None not in want and all(type(c) is int for c in want.values()), (tag, args)
-            assert dict(ops) == want and len(ops) == len(want), (tag, args)
-    finally:
-        clear_action_cache()
+    assert check(suite.SuiteConfig()).passed
+    built = {key: ops for key, ops in fock._ACT_CACHE.items()
+             if isinstance(key, tuple) and key[0] in ("Lop", "Vop")}
+    assert built
+    for (tag, *args), ops in built.items():
+        reference = _reference_mode_sum if tag == "Lop" else _reference_vertex_operator
+        want = reference(*args)
+        assert None not in want and all(type(c) is int for c in want.values()), (tag, args)
+        assert dict(ops) == want and len(ops) == len(want), (tag, args)
 
 
 def test_mode_operators_check_indices_against_d():
@@ -456,7 +452,6 @@ def test_each_public_operator_is_its_id_form_translated_back():
     """Checks 5 and 10 compare id sums, and no longer cross the State boundary: on their
     states at d = 2 and degree <= 2, each public operator equals its id function's sum, taken
     on the state's id and translated back, divided as the battery multiplies."""
-    clear_action_cache()
     pairs = ((1, 1), (2, 2))
     for mono in basis_monomials(2, 2):
         u = State.from_monomial(mono)
