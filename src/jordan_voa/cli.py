@@ -7,9 +7,11 @@ battery.  Reports are deterministic for a fixed configuration and seed;
 timings go to stderr so stdout stays byte-stable.
 
 Each subcommand accepts only the flags it reads, and every setting is a
-flag; nothing is read from the environment.  --d alone decides which
-oscillators a basis or a singularity check covers: --d 1 is the module on
-the first oscillator.
+flag; nothing is read from the environment.  --d is a flag only where it
+sets the size of the work (griess-table, virasoro-check, paper-suite);
+every other command reads its oscillators off its input, and
+singular-check certifies against the raising generators over the
+oscillators of its state (singular._raising_family).
 
 The battery (suite) and the degree-2 table (griess) are imported inside the
 handlers that run them, so no other subcommand compiles them.
@@ -57,11 +59,6 @@ DET_POWER_MAX_P = max(p for p in range(1, DET_POWER_DEGREE_BOUND + 1)
 # at d = 12: 0.4 s in process).
 VIRASORO_MAX_D = 4
 GRIESS_MAX_D = 8
-# singular-check reads all d*(d+1)/2 index pairs up to --d, though each --d >= 2 gives the
-# same answer without --strict-mixed.  As a process on a 2-vCPU x86-64 host, --p 7 --nu 1
-# --d 1000 takes 4.5 s and 112 MB (--d 1: 4.1 s; --strict-mixed at --d 1000: 4.9 s and
-# 119 MB, at --d 2: 4.7 s), and --p 1 --nu 1 --d 4000 took 2.2 s before the bound.
-SINGULAR_CHECK_MAX_D = 1000
 # The largest degree a --state may have: act-L on a degree-1000 state takes at most 0.3 s on
 # the same host (on the degree-200000 v[1,1](-100000,-100000): 2.2 s and 116 MB).  It bounds
 # each state act passes through, what act-L returns (act-L --m -200000 on the vacuum took 9 s
@@ -116,20 +113,20 @@ def _parse_weight(text: str) -> Weight:
     return Weight(counts)
 
 
-def _parse_state(text: str, d: int | None) -> State:
+def _parse_state(text: str) -> State:
     squeezed = text.strip()
     if squeezed == "1":
         return State.vacuum()
     if squeezed.startswith("["):
-        state = State.from_json_obj(json.loads(squeezed), d=d)
+        state = State.from_json_obj(json.loads(squeezed))
     else:
         factors = [parse_generator_literal(part) for part in squeezed.split("*")]
-        elems = [canonicalize(*quad, d=d) for quad in factors]
+        elems = [canonicalize(*quad) for quad in factors]
         for elem in elems:
             if len(elem.terms) != 1:
                 raise ValueError(f"state literal {text!r} must be a product of lowering generators")
         gens = [next(iter(e.terms)) for e in elems]
-        state = State.from_monomial(monomial(gens, d=d))
+        state = State.from_monomial(monomial(gens))
     degree = max(map(monomial_degree, state.terms), default=0)
     if degree > STATE_MAX_DEGREE:
         raise ValueError(f"state degree {degree} is above {STATE_MAX_DEGREE}")
@@ -186,8 +183,8 @@ def _specialized(result, r):
 
 
 def _cmd_bracket(args) -> int:
-    left = canonicalize(*parse_generator_literal(args.left), d=args.d)
-    right = canonicalize(*parse_generator_literal(args.right), d=args.d)
+    left = canonicalize(*parse_generator_literal(args.left))
+    right = canonicalize(*parse_generator_literal(args.right))
     result = _specialized(bracket_r(left, right), args.r)
     if args.output == "json":
         print(json.dumps({
@@ -201,9 +198,9 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    state = _parse_state(args.state, args.d)
+    state = _parse_state(args.state)
     quads = [parse_generator_literal(text) for text in args.element]
-    word = [canonicalize(*quad, d=args.d) for quad in quads]
+    word = [canonicalize(*quad) for quad in quads]
     degree = max(map(monomial_degree, state.terms), default=0)
     for _, _, m, n in reversed(quads):  # the action is graded: each factor adds -(m + n)
         degree -= m + n
@@ -215,19 +212,19 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_act_l(args) -> int:
-    state = _parse_state(args.state, args.d)
+    state = _parse_state(args.state)
     degree = max(map(monomial_degree, state.terms), default=0) - args.m
     if degree > STATE_MAX_DEGREE:  # L(m) takes degree D to D - m
         raise ValueError(f"--m {args.m} takes the state to degree {degree}, "
                          f"above {STATE_MAX_DEGREE}")
-    result = act_L(args.i, args.j, args.m, state, d=args.d)
+    result = act_L(args.i, args.j, args.m, state)
     _emit_state(_specialized(result, args.r), args.output)
     return 0
 
 
 def _cmd_vertex_mode(args) -> int:
-    state = _parse_state(args.state, args.d)
-    result = vertex_mode(args.i, args.j, args.m, args.n, args.l, state, d=args.d)
+    state = _parse_state(args.state)
+    result = vertex_mode(args.i, args.j, args.m, args.n, args.l, state)
     _emit_state(_specialized(result, args.r), args.output)
     return 0
 
@@ -236,7 +233,7 @@ def _cmd_weight_basis(args) -> int:
     lam = _parse_weight(args.weight)
     if lam.total_degree() > STATE_MAX_DEGREE:
         raise ValueError(f"weight degree {lam.total_degree()} is above {STATE_MAX_DEGREE}")
-    basis = weight_space_basis(lam, d=args.d)
+    basis = weight_space_basis(lam)
     if args.output == "json":
         print(json.dumps([[list(g) for g in mono] for mono in basis]))
     else:
@@ -247,14 +244,12 @@ def _cmd_weight_basis(args) -> int:
 
 
 def _cmd_singular_check(args) -> int:
-    if args.strict_mixed and args.d == 1:
-        raise ValueError("--strict-mixed needs --d 2 or more: d = 1 has no mixed index pairs")
     if args.nu * args.p * (args.p + 1) > DET_POWER_DEGREE_BOUND:
         raise ValueError(f"det^{args.nu} of size {args.p} has degree nu*p*(p+1) "
                          f"beyond {DET_POWER_DEGREE_BOUND}")
     r0 = certification_r(args.p, args.nu) if args.r is None else args.r
     state = det_power_state(args.p, args.nu)
-    ok, witness = is_singular(state, r0=r0, d=args.d, strict=args.strict_mixed)
+    ok, witness = is_singular(state, r0=r0, strict=args.strict_mixed)
     if args.output == "json":
         payload = {"p": args.p, "nu": args.nu, "r": str(r0), "singular": ok}
         if witness:
@@ -386,19 +381,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bracket", help="deformed bracket of two generators")
     p.add_argument("left")
     p.add_argument("right")
-    _flags(p, "d", "r")
+    _flags(p, "r")
     p.set_defaults(func=_cmd_bracket)
 
     p = sub.add_parser("act", help="act by a word of generators on a state")
     p.add_argument("element", nargs="+", help='generator literals "v[i,j](m,n)"')
-    _flags(p, "state", "d", "r")
+    _flags(p, "state", "r")
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser("act-L", help="apply a mode-sum operator L[i,j](m)")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _flags(p, "state", "d", "r")
+    _flags(p, "state", "r")
     p.set_defaults(func=_cmd_act_l)
 
     p = sub.add_parser("vertex-mode", help="apply a closed-form vertex mode")
@@ -408,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=mode, required=True)
     p.add_argument("--n", type=mode, required=True)
     p.add_argument("--l", type=mode, required=True)
-    _flags(p, "state", "d", "r")
+    _flags(p, "state", "r")
     p.set_defaults(func=_cmd_vertex_mode)
 
     p = sub.add_parser("weight-basis", help="enumerate a weight-space basis")
     p.add_argument("--weight", required=True, help='e.g. "2*Lam[1,-1] + 2*Lam[1,-2]"')
-    _flags(p, "d")
+    _flags(p)
     p.set_defaults(func=_cmd_weight_basis)
 
     p = sub.add_parser("singular-check", help="certify a determinant power")
@@ -421,12 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=_int_in(1, DET_POWER_DEGREE_BOUND // 2), required=True,
                    help=f"power, with nu*p*(p+1) at most {DET_POWER_DEGREE_BOUND}")
     p.add_argument("--strict-mixed", action="store_true",
-                   help="include reversed-order mixed generators (needs --d 2 or more; "
-                        "fails for p >= 2)")
+                   help="include reversed-order mixed generators (fails for p >= 2)")
     p.add_argument("--r", type=_parse_r, default=None,
                    help="parameter value (default: the certification value 1-2*nu+p)")
-    _flags(p, "d", ranges={"d": (1, SINGULAR_CHECK_MAX_D)})
-    p.set_defaults(func=_cmd_singular_check, d=1)
+    _flags(p)
+    p.set_defaults(func=_cmd_singular_check)
 
     p = sub.add_parser("singular-sweep", help="kernel search over all weights")
     p.add_argument("--rmin", type=int, required=True)

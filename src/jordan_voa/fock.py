@@ -123,7 +123,7 @@ MIXED = "mixed"
 PBWMonomial = tuple  # tuple of lowering Generators, sorted ascending
 
 
-def monomial(factors: Iterable[Generator], d: int | None = None) -> PBWMonomial:
+def monomial(factors: Iterable[Generator]) -> PBWMonomial:
     """Build a basis monomial from commuting lowering factors."""
     out = []
     for gen in factors:
@@ -133,8 +133,6 @@ def monomial(factors: Iterable[Generator], d: int | None = None) -> PBWMonomial:
             raise ValueError(f"{gen} is not a lowering generator")
         if gen.i < 1:
             raise ValueError(f"{gen} uses an oscillator index below 1")
-        if d is not None and gen.j > d:
-            raise ValueError(f"{gen} uses an oscillator index beyond d={d}")
         out.append(gen)
     return tuple(sorted(out))
 
@@ -226,7 +224,7 @@ class State(Combination):
         ]
 
     @classmethod
-    def from_json_obj(cls, obj: list, d: int | None = None) -> "State":
+    def from_json_obj(cls, obj: list) -> "State":
         """Read the to_json_obj form back; a malformed entry is a ValueError."""
         terms = {}
         for entry in obj:
@@ -235,7 +233,7 @@ class State(Combination):
                     f"state entry {entry!r} is not "
                     '{"monomial": [[i, j, m, n], ...], "coeff": "<polynomial>"}'
                 )
-            mono = monomial([Generator(*item) for item in entry["monomial"]], d=d)
+            mono = monomial([Generator(*item) for item in entry["monomial"]])
             coeff = parse_scalar(entry["coeff"])
             terms[mono] = terms.get(mono, ZERO) + coeff
         return cls(terms)
@@ -279,11 +277,6 @@ _ID_TABLES = (_HEADS, _TAILS, _CENSUS, _DEGREES, _GEN_ID, _GENS, _NEEDS, _INSERT
 _INTERN_LOCK = threading.Lock()
 
 
-# Bound at import, so a clear empties the memo even while a caller has rebound
-# this module's name _pair_bracket.
-_clear_pair_brackets = _pair_bracket.cache_clear
-
-
 def clear_action_cache():
     """Empty every cache of the engine: memo's entries, the id tables with the cached images,
     and the pair-bracket memo.
@@ -293,7 +286,7 @@ def clear_action_cache():
     _ACT_CACHE.clear()
     for table in _ID_TABLES:
         table.clear()
-    _clear_pair_brackets()
+    _pair_bracket.cache_clear()
 
 
 def forget(keys: Iterable):
@@ -700,19 +693,17 @@ def _pairings(kinds: list, counts: list, pairs: list, low: int = 0, high: int = 
 MAX_BASIS_FACTORS = 100000
 
 
-def weight_space_basis(lam: Weight, d: int | None = None) -> list:
+def weight_space_basis(lam: Weight) -> list:
     """All basis monomials of weight exactly lam.
 
     Pairs the required multiset of lowering modes v_k(l) into quadratic
     factors in every possible way, each way once.  The factors use the
-    oscillators of the weight, so d = 1 gives the basis of the
-    first-oscillator module.  A weight with an index beyond d, or whose
-    basis holds more than MAX_BASIS_FACTORS factors in all, is a ValueError.
+    oscillators of the weight alone, so a weight on the first oscillator
+    gives the basis of the first-oscillator module.  A weight whose basis
+    holds more than MAX_BASIS_FACTORS factors in all is a ValueError.
     """
     kinds, counts = [], []
     for (k, l), count in sorted(lam.counts.items()):
-        if d is not None and k > d:
-            raise ValueError(f"weight uses oscillator index {k} beyond d={d}")
         kinds.append((k, l))
         counts.append(count)
     if sum(counts) % 2:
@@ -730,4 +721,4 @@ def weight_space_basis(lam: Weight, d: int | None = None) -> list:
 
 def basis_monomials(max_degree: int, d: int) -> list:
     """The vacuum and every basis monomial of degree <= max_degree over d oscillators."""
-    return [()] + [m for lam in weights(max_degree, d) for m in weight_space_basis(lam, d=d)]
+    return [()] + [m for lam in weights(max_degree, d) for m in weight_space_basis(lam)]

@@ -52,7 +52,7 @@ def griess_product(i: int, j: int, k: int, l: int, d: int) -> State:
     """The degree-2 product w[i,j] . w[k,l] (zero mode of the first factor)."""
     for idx in (i, j, k, l):
         _validate_index(idx, d)
-    return act_L(i, j, 0, omega(k, l), d=d)
+    return act_L(i, j, 0, omega(k, l))
 
 
 class GriessTable:

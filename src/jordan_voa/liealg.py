@@ -71,7 +71,7 @@ def canonical_generators(bound: int, d: int) -> list:
     return sorted(out)
 
 
-def _validate_index(value: int, d: int | None):
+def _validate_index(value: int, d: int | None = None):
     if not isinstance(value, int) or value < 1 or (d is not None and value > d):
         top = d if d is not None else "d"
         raise ValueError(f"oscillator index {value} out of range 1..{top}")
@@ -123,10 +123,10 @@ class LieElement(Combination):
         )
 
 
-def canonicalize(i: int, j: int, m: int, n: int, d: int | None = None) -> LieElement:
+def canonicalize(i: int, j: int, m: int, n: int) -> LieElement:
     """Rewrite a raw quadruple v[i,j](m,n) into the canonical basis by _normal_order."""
-    _validate_index(i, d)
-    _validate_index(j, d)
+    _validate_index(i)
+    _validate_index(j)
     gen, const = _normal_order((i, m), (j, n))
     return LieElement({gen: 1, UNIT: const} if const else {gen: 1})
 

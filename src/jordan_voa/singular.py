@@ -8,14 +8,16 @@ parameter value r = 1 - 2*nu + p.
 A homogeneous state u of degree D is certified singular when every raising
 generator (mode sum positive) with both modes in [-D, D] annihilates it.
 Raising generators with a mode beyond D annihilate any degree-D state for
-weight reasons, so the finite check is complete.  The number of
-oscillators d decides the family: d = 1 is the first-oscillator module of
-the paper, where the two slot orders name the same generator; for d >= 2
-the mixed index pairs i < j join it in the slot order m <= n (equivalently
-a nonnegative second mode, the order that provably kills states built on
-the first oscillator).  The reversed-order mixed generators v[i,j](m,n)
-with m > n > -m generally do NOT annihilate determinant vectors of size
-p >= 2; strict=True adds them (d >= 2) to observe the failure.
+weight reasons, so the finite check is complete.  The family runs over
+the index pairs i <= j in the slot order m <= n (equivalently, for i < j,
+a positive second mode, the order that provably kills states built on the
+first oscillator), and the state alone decides which oscillators it
+needs: a generator with a positive mode on an oscillator the state lacks
+acts on it as zero, so oscillators beyond the state's largest add
+nothing.  The reversed-order mixed generators v[i,j](m,n) with i < j and
+m > n > -m generally do NOT annihilate determinant vectors of size
+p >= 2; strict=True adds them to observe the failure, over one oscillator
+more than the state has, which stands for every oscillator it lacks.
 
 Kernel search runs over one weight space at a time: stack the actions of
 the generators of the raising algebra on the weight-space basis into an
@@ -105,7 +107,7 @@ from .fock import (
     weight_space_basis,
     weights,
 )
-from .liealg import Generator, _validate_index
+from .liealg import Generator
 from .scalar import (ONE, R, ZERO, Record, Scalar, add_into, fraction_free_rref, poly_exact_div,
                      poly_gcd)
 
@@ -188,26 +190,36 @@ def det_power_state(p: int, nu: int) -> State:
     return out
 
 
-def _raising_family(support, d: int = 1, strict: bool = False) -> list:
+def _raising_family(support, strict: bool = False) -> list:
     """The raising generators that can act nonzero on states with this support.
 
-    support holds the lowering modes (k, l) of the states' monomials.  The
-    whole family for a degree-D state is every canonical generator over d
-    oscillators with positive mode sum and both modes in [-D, D], in the
-    slot order m <= n (strict=True adds the reversed mixed ones, i < j and
-    m > n).  The result is that family, in the same order, less every
-    generator that acts as zero for grading reasons: one with a zero mode,
-    and one with a positive mode x on an oscillator k where (k, -x) is not
-    in the support.  A kept generator's other mode is positive too, or
-    negative and above -x.  The tests keep the whole family as their
-    reference (tests/test_singular.py, raising_generators).
+    support holds the lowering modes (k, l) of the states' monomials, and
+    K is its largest oscillator (0 for the vacuum's empty support).  The
+    whole family for a degree-D state is every canonical generator with
+    positive mode sum and both modes in [-D, D], in the slot order m <= n
+    (strict=True adds the reversed mixed ones, i < j and m > n), over
+    oscillators 1..K, or 1..K+1 when strict.  The result is that family, in
+    the same order, less every generator that acts as zero for grading
+    reasons: one with a zero mode, and one with a positive mode x on an
+    oscillator k where (k, -x) is not in the support.  A kept generator's
+    other mode is positive too, or negative and above -x.
+
+    No oscillator beyond those is needed.  Every generator of the slot
+    order m <= n off 1..K has a positive mode there, so it acts as zero.  A
+    reversed one v[i,j](m,n), with m > n > -m and j > K, acts alike for
+    every such j, up to renaming oscillators that the state lacks, and
+    j = K+1 sorts first; so the verdict and the first witness are those of
+    the family over any number of oscillators above K.  The tests keep the
+    whole family as their reference (tests/test_singular.py,
+    raising_generators).
     """
     positive: dict = {}
     for k, l in support:
         positive.setdefault(k, []).append(-l)
+    top = max(positive, default=0) + (1 if strict else 0)
     out = []
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
+    for i in range(1, top + 1):
+        for j in range(i, top + 1):
             reversed_ok = strict and i < j
             for m in positive.get(i, ()):
                 out.extend(Generator(i, j, m, n) for n in positive.get(j, ())
@@ -234,7 +246,7 @@ def _search_generators(support) -> list:
     return sorted(out)
 
 
-def is_singular(u: State, r0=GENERIC, d: int = 1, strict: bool = False):
+def is_singular(u: State, r0=GENERIC, strict: bool = False):
     """Certify annihilation by the raising generators; returns (ok, witness).
 
     The modes range over [-D, D] for the state's degree D: a smaller bound
@@ -243,15 +255,13 @@ def is_singular(u: State, r0=GENERIC, d: int = 1, strict: bool = False):
     The witness on failure is the first violating generator together with
     its nonzero image (specialised when r0 is rational).  The family is
     chosen by the modes (k, l) the factors of u's monomials carry, read off
-    both slots of every factor.  A state with an oscillator beyond d is
-    refused: the family over d oscillators would leave its modes unchecked.
+    both slots of every factor, so it covers every oscillator of u
+    (_raising_family).
     """
     if degree_of(u) == MIXED:
         raise ValueError("singularity is only defined for homogeneous states")
     support = {kl for mono in u.terms for g in mono for kl in ((g.i, g.m), (g.j, g.n))}
-    for k, _ in support:
-        _validate_index(k, d)
-    for gen in _raising_family(support, d, strict):
+    for gen in _raising_family(support, strict):
         image = act(gen, u)
         if r0 != GENERIC:
             image = image.specialize(r0)
@@ -359,9 +369,14 @@ def _search_matrix(lam: Weight):
     Scalars with int coefficients (Z + Z r): _at specialises either, and
     the elimination over Q[r] takes an int as a constant polynomial.
     Nothing is cached here; singular_search memoises the matrix with its
-    minor (_search_system).
+    minor (_search_system).  A weight off the first oscillator is a
+    ValueError: these generators are the d = 1 raising algebra's.
     """
-    basis = weight_space_basis(lam, d=1)
+    beyond = [k for k, _ in lam.support() if k > 1]
+    if beyond:
+        raise ValueError(f"weight uses oscillator index {beyond[0]}: the search runs on the "
+                         "first oscillator alone")
+    basis = weight_space_basis(lam)
     rows = []
     if basis:
         mids = [_mono_id(mono) for mono in basis]
@@ -445,7 +460,7 @@ def singular_search(lam: Weight, r0) -> KernelReport:
 
     r0 is an int, a Fraction or GENERIC, and the report carries it as
     given.  The weight must be nonzero and supported on the first
-    oscillator (weight_space_basis raises ValueError otherwise).  The
+    oscillator (_search_matrix raises ValueError otherwise).  The
     kernel is zero, with no elimination at r0, wherever the weight's
     generic maximal minor does not vanish at r0, or as a polynomial for
     generic r.  The basis, matrix and minor are one memo entry per weight,
@@ -474,7 +489,7 @@ def singular_search(lam: Weight, r0) -> KernelReport:
         vec = [Scalar.of(entry) for entry in vec]
         lead = next(c for c in vec if c)[-1]
         state = State({mono: entry / lead for mono, entry in zip(basis, vec)})
-        ok, witness = is_singular(state, r0=r0, d=1)
+        ok, witness = is_singular(state, r0=r0)
         if not ok:
             raise SingularVerificationError(
                 f"search produced a non-singular vector at weight {lam}: witness {witness[0]}"

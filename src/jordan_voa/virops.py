@@ -137,10 +137,10 @@ def _mode_sum_ids(pairs, m: int, vec: dict) -> dict:
     return _on_ids(("L", pairs, m), _mode_sum_image, vec, pairs, m)
 
 
-def act_L(i: int, j: int, m: int, u: State, d: int | None = None) -> State:
+def act_L(i: int, j: int, m: int, u: State) -> State:
     """Apply the mode-sum operator L[i,j](m) to a homogeneous state."""
-    _validate_index(i, d)
-    _validate_index(j, d)
+    _validate_index(i)
+    _validate_index(j)
     return _through_ids(u, lambda vec: _mode_sum_ids(((i, j),), m, vec), 2)
 
 
@@ -154,14 +154,14 @@ def binom(a: int, k: int) -> int:
     return out
 
 
-def vertex_mode(i: int, j: int, m: int, n: int, l: int, u: State, d: int | None = None) -> State:
+def vertex_mode(i: int, j: int, m: int, n: int, l: int, u: State) -> State:
     """The weight-l vertex mode of v[i,j](m,n) applied to a homogeneous state.
 
     Uses the closed binomial formula, which holds for distinct oscillator
     indices and a lowering pair; other inputs are rejected.
     """
-    _validate_index(i, d)
-    _validate_index(j, d)
+    _validate_index(i)
+    _validate_index(j)
     if i == j:
         raise ValueError("the closed vertex-mode formula needs distinct oscillator indices")
     if m >= 0 or n >= 0:

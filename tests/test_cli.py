@@ -20,9 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from jordan_voa import cli, fock
+from jordan_voa import cli, fock, singular
+from jordan_voa.fock import State
 from jordan_voa.griess import griess_product
 from jordan_voa.singular import singular_sweep
+from jordan_voa.virops import act_L
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,8 +76,7 @@ def test_vertex_mode_command(capsys):
 
 def test_weight_basis_command(capsys):
     code, out = run_cli(
-        capsys, "weight-basis", "--weight", "2*Lam[1,-1] + 2*Lam[1,-2]",
-        "--d", "1", "--output", "json",
+        capsys, "weight-basis", "--weight", "2*Lam[1,-1] + 2*Lam[1,-2]", "--output", "json",
     )
     assert code == 0
     basis = json.loads(out)
@@ -90,24 +91,54 @@ def test_singular_check_exit_codes(capsys):
     # default parameter is the certification value 1 - 2 nu + p
     code, out = run_cli(capsys, "singular-check", "--p", "1", "--nu", "2")
     assert code == 0 and "SINGULAR: true" in out
-    # --d 2 adds the certifiable mixed-index generators, which also annihilate
-    code, out = run_cli(capsys, "singular-check", "--p", "2", "--nu", "1", "--d", "2")
+    code, out = run_cli(capsys, "singular-check", "--p", "2", "--nu", "1")
     assert code == 0 and out == "SINGULAR: true\n"
 
 
 def test_singular_check_covers_the_first_oscillator_by_default():
+    """Without --strict-mixed a determinant power, on the first oscillator, is checked there."""
     args = cli.build_parser().parse_args(["singular-check", "--p", "2", "--nu", "1"])
-    assert args.d == 1
+    assert not args.strict_mixed and "d" not in vars(args)
+    state = cli.det_power_state(2, 1)
+    support = {kl for mono in state.terms for g in mono for kl in ((g.i, g.m), (g.j, g.n))}
+    family = singular._raising_family(support)
+    assert family and {(g.i, g.j) for g in family} == {(1, 1)}
+    assert {(g.i, g.j) for g in singular._raising_family(support, strict=True)} == {
+        (1, 1), (1, 2)}
 
 
 def test_singular_check_strict_mixed(capsys):
     """The example in README's notes on the singular condition."""
-    argv = ["singular-check", "--p", "2", "--nu", "1", "--d", "2", "--strict-mixed"]
+    argv = ["singular-check", "--p", "2", "--nu", "1", "--strict-mixed"]
     assert f"`{shlex.join(argv)}`" in README.read_text()
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert out.splitlines()[0] == "SINGULAR: false"
     assert out.splitlines()[1].startswith("witness: v[1,2](2,-1) -> ")
+
+
+def test_an_index_no_flag_bounds_is_answered(capsys):
+    """Oscillator 3 needs no --d: act-L prints what the API's act_L returns."""
+    code, out = run_cli(capsys, "act-L", "--i", "3", "--j", "3", "--m", "-2")
+    assert code == 0 and out == f"{act_L(3, 3, -2, State.vacuum())}\n"
+    assert out == "1/2*v[3,3](-1,-1)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["singular-check", "--p", "2", "--nu", "1"],
+    ["bracket", "v[1,1](1,2)", "v[1,1](-2,-1)"],
+    ["act", "v[1,1](1,1)"],
+    ["act-L", "--i", "1", "--j", "1", "--m", "0"],
+    ["vertex-mode", "--i", "1", "--j", "2", "--m", "-1", "--n", "-1", "--l", "-1"],
+    ["weight-basis", "--weight", "2*Lam[1,-1]"],
+], ids=lambda argv: argv[0])
+def test_d_is_a_flag_only_where_it_sizes_the_work(argv, capsys):
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--d", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d 2" in capsys.readouterr().err
 
 
 def test_sweep_csv_output_and_determinism(capsys):
@@ -272,14 +303,15 @@ def test_environment_sets_no_default(monkeypatch, capsys):
     monkeypatch.setenv("JORDAN_VOA_OUTPUT", "json")
     code, out = run_cli(capsys, "bracket", "v[1,1](1,2)", "v[1,1](-2,-1)")
     assert code == 0 and out == "2*v[1,1](-1,1) + v[1,1](-2,2) + 2*r\n"
-    assert cli.main(["weight-basis", "--weight", "2*Lam[3,-1]"]) == 2  # default d=2
+    code, out = run_cli(capsys, "griess-table")
+    assert code == 0 and out.splitlines()[-1].startswith("verdict: {'d': 2,")  # default d=2
 
 
 @pytest.mark.parametrize("argv", [
     ["virasoro-check", "--d", "0"],
-    ["singular-check", "--p", "2", "--nu", "1", "--d", "0"],
+    ["griess-table", "--d", "0"],
     ["paper-suite", "--d", "1"],
-    ["weight-basis", "--weight", "2*Lam[1,-1]", "--d", "two"],
+    ["virasoro-check", "--d", "two"],
     ["paper-suite", "--d", "4"],
 ])
 def test_bad_d_is_a_usage_error(argv, capsys):
@@ -336,9 +368,9 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     (["vertex-mode", "--i", "1", "--j", "2", "--m", "-1", "--n", "-1", "--l", "-301"], "--l"),
     (["vertex-mode", "--i", "1", "--j", "2", "--m", "-1", "--n", "-1", "--l", "301"], "--l"),
     (["vertex-mode", "--i", "1", "--j", "2", "--m", "-3000", "--n", "-3000", "--l", "0"], "--m"),
-    # one beyond cli.SINGULAR_CHECK_MAX_D, and the 29.7 s input that motivated the bound
-    (["singular-check", "--p", "1", "--nu", "1", "--d", "1001"], "--d"),
-    (["singular-check", "--p", "1", "--nu", "1", "--d", "16000"], "--d"),
+    # one beyond each end of scalar's MIN_D..MAX_D
+    (["paper-suite", "--d", "4"], "--d"),
+    (["paper-suite", "--d", "1"], "--d"),
 ])
 def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
     # parse only: nothing runs, so no suite and no sweep can start
@@ -346,12 +378,6 @@ def test_paper_suite_out_of_range_is_a_usage_error(argv, flag, capsys):
         cli.build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
-
-
-def test_singular_check_d_at_the_bound_parses():
-    # parse only, as above: the check at the bound is not run here
-    args = cli.build_parser().parse_args(["singular-check", "--p", "1", "--nu", "1", "--d", "1000"])
-    assert args.d == 1000 and cli.SINGULAR_CHECK_MAX_D == 1000
 
 
 def test_paper_suite_samples_at_the_bound_parse():
@@ -379,14 +405,15 @@ def test_suite_config_rejects_out_of_range_scale(kwargs):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["act-L", "--i", "1", "--j", "7", "--m", "3", "--d", "2"], "oscillator index 7"),
-    (["vertex-mode", "--i", "1", "--j", "5", "--m", "-1", "--n", "-1", "--l", "10",
-      "--d", "2"], "oscillator index 5"),
+    # an index below 1, the one index bound the commands without --d keep
+    (["act-L", "--i", "0", "--j", "1", "--m", "3"], "oscillator index 0 out of range"),
+    (["vertex-mode", "--i", "1", "--j", "-5", "--m", "-1", "--n", "-1", "--l", "10"],
+     "oscillator index -5 out of range"),
     (["singular-sweep", "--rmin", "3", "--rmax", "0"], "empty parameter range"),
     (["singular-sweep", "--rmin", "0", "--rmax", "0", "--max-degree", "0"],
      "no weight to search"),
-    (["singular-check", "--p", "2", "--nu", "1", "--strict-mixed"], "no mixed index pairs"),
-    (["weight-basis", "--weight", "2*Lam[2,-1]", "--d", "1"], "oscillator index 2 beyond d=1"),
+    (["bracket", "v[0,1](1,1)", "v[1,1](-1,-1)"], "oscillator index 0 out of range"),
+    (["act", "v[1,1](1,1)", "--state", "v[1,0](-1,-1)"], "oscillator index 0 out of range"),
     (["weight-basis", "--weight", "2*Lam[1]"], "cannot parse weight term '2*Lam[1]'"),
     (["weight-basis", "--weight", "Lam[1,-1,2]"], "cannot parse weight term 'Lam[1,-1,2]'"),
     (["weight-basis", "--weight", "x*Lam[1,-1]"], "cannot parse weight term 'x*Lam[1,-1]'"),
@@ -397,22 +424,22 @@ def test_suite_config_rejects_out_of_range_scale(kwargs):
     # one above cli.SWEEP_MAX_R_SPAN
     (["singular-sweep", "--rmin", "-20", "--rmax", "21"], "--rmax - --rmin is 41, above 40"),
     # weights above cli.STATE_MAX_DEGREE, and bases above fock.MAX_BASIS_FACTORS factors
-    (["weight-basis", "--weight", "4000*Lam[1,-1]", "--d", "1"], "weight degree 4000 is above 1000"),
-    (["weight-basis", "--weight", "1001*Lam[1,-1]", "--d", "1"], "weight degree 1001 is above 1000"),
-    (["weight-basis", "--weight", "+".join(f"Lam[1,-{k}]" for k in range(1, 19)), "--d", "1"],
+    (["weight-basis", "--weight", "4000*Lam[1,-1]"], "weight degree 4000 is above 1000"),
+    (["weight-basis", "--weight", "1001*Lam[1,-1]"], "weight degree 1001 is above 1000"),
+    (["weight-basis", "--weight", "+".join(f"Lam[1,-{k}]" for k in range(1, 19))],
      "more than 11111 basis monomials, above 100000 factors in all"),
-    (["weight-basis", "--weight", "900*Lam[1,-1]+" + "+".join(f"Lam[1,-{k}]" for k in range(2, 14)),
-      "--d", "1"], "more than 219 basis monomials, above 100000 factors in all"),
+    (["weight-basis", "--weight", "900*Lam[1,-1]+" + "+".join(f"Lam[1,-{k}]" for k in range(2, 14))],
+     "more than 219 basis monomials, above 100000 factors in all"),
     # a word whose first factor to act takes the vacuum to degree 1201, above cli.STATE_MAX_DEGREE
-    (["act", *(f"v[1,1](-{k},-1)" for k in range(1, 1201)), "--d", "1"],
+    (["act", *(f"v[1,1](-{k},-1)" for k in range(1, 1201))],
      "the word takes the state to degree 1201, above 1000"),
     # every suffix counts: the result, of degree 999, is reached through degree 1001
-    (["act", "v[1,1](1,1)", "v[1,1](-500,-501)", "--d", "1"],
+    (["act", "v[1,1](1,1)", "v[1,1](-500,-501)"],
      "the word takes the state to degree 1001, above 1000"),
-    (["act", "v[1,1](-1,-1)", "--state", "v[1,1](-500,-499)", "--d", "1"],
+    (["act", "v[1,1](-1,-1)", "--state", "v[1,1](-500,-499)"],
      "the word takes the state to degree 1001, above 1000"),
     # act-L's result has the state's degree minus --m
-    (["act-L", "--i", "1", "--j", "1", "--m", "-200000", "--d", "1"],
+    (["act-L", "--i", "1", "--j", "1", "--m", "-200000"],
      "--m -200000 takes the state to degree 200000, above 1000"),
     (["act-L", "--i", "1", "--j", "2", "--m", "-1", "--state", "v[1,1](-500,-500)"],
      "--m -1 takes the state to degree 1001, above 1000"),
@@ -488,10 +515,10 @@ def test_act_l_refuses_a_result_above_the_degree_bound_before_acting(monkeypatch
 
 
 @pytest.mark.parametrize("argv", [
-    ["weight-basis", "--weight", "1000*Lam[1,-1]", "--d", "1"],
-    ["act", "v[1,1](-1,-1)", "--state", "v[1,1](-500,-498)", "--d", "1"],
-    ["act", "v[1,1](1,1)", "v[1,1](-500,-500)", "--d", "1"],
-    ["act-L", "--i", "1", "--j", "1", "--m", "-1000", "--d", "1"],
+    ["weight-basis", "--weight", "1000*Lam[1,-1]"],
+    ["act", "v[1,1](-1,-1)", "--state", "v[1,1](-500,-498)"],
+    ["act", "v[1,1](1,1)", "v[1,1](-500,-500)"],
+    ["act-L", "--i", "1", "--j", "1", "--m", "-1000"],
     ["act-L", "--i", "1", "--j", "2", "--m", "-1", "--state", "v[1,1](-500,-499)"],
 ])
 def test_weights_and_words_at_the_degree_bound_are_accepted(argv, capsys):

@@ -60,7 +60,6 @@ AT_THE_BOUND = [
     ["vertex-mode", "--i", "1", "--j", "2", "--m", "-300", "--n", "-300", "--l", "-300"],
     ["vertex-mode", "--i", "1", "--j", "2", "--m", "-300", "--n", "-300", "--l", "300"],
     ["griess-table", "--d", str(cli.GRIESS_MAX_D)],
-    ["singular-check", "--p", "1", "--nu", "1", "--d", str(cli.SINGULAR_CHECK_MAX_D)],
     ["virasoro-check", "--d", str(cli.VIRASORO_MAX_D), "--max-degree", "0"],
     ["verify-det", "--p", "4"],
 ]

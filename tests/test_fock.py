@@ -95,9 +95,9 @@ def test_degree_examples():
 
 
 def test_weight_space_basis_frozen_examples():
-    basis = weight_space_basis(Weight({(1, -1): 2}), d=1)
+    basis = weight_space_basis(Weight({(1, -1): 2}))
     assert basis == [monomial([Generator(1, 1, -1, -1)])]
-    basis = weight_space_basis(Weight({(1, -1): 2, (1, -2): 2}), d=1)
+    basis = weight_space_basis(Weight({(1, -1): 2, (1, -2): 2}))
     assert sorted(basis) == sorted(
         [
             monomial([Generator(1, 1, -1, -1), Generator(1, 1, -2, -2)]),
@@ -106,7 +106,7 @@ def test_weight_space_basis_frozen_examples():
     )
     assert weight_space_basis(Weight()) == [()]
     # k mixed factors v(-2,-1) leave (28 - k)/2 of each diagonal square: 15 monomials
-    basis = weight_space_basis(Weight({(1, -1): 28, (1, -2): 28}), d=1)
+    basis = weight_space_basis(Weight({(1, -1): 28, (1, -2): 28}))
     assert basis == sorted(
         monomial([Generator(1, 1, -2, -1)] * k
                  + [Generator(1, 1, -1, -1), Generator(1, 1, -2, -2)] * ((28 - k) // 2))
@@ -119,7 +119,7 @@ def test_each_pairing_is_yielded_once():
     for lam in weights(18, 1):
         kinds, counts = sorted(lam.counts), [lam.counts[kl] for kl in sorted(lam.counts)]
         pairings = sum(1 for _ in fock._pairings(kinds, counts, [])) if sum(counts) % 2 == 0 else 0
-        assert pairings == len(weight_space_basis(lam, d=1)), lam
+        assert pairings == len(weight_space_basis(lam)), lam
 
 
 def test_weight_space_basis_odd_multiplicity_is_empty():
@@ -128,8 +128,15 @@ def test_weight_space_basis_odd_multiplicity_is_empty():
 
 
 def test_restricted_basis_rejects_other_oscillators():
-    with pytest.raises(ValueError, match="oscillator index 2 beyond d=1"):
-        weight_space_basis(Weight({(2, -1): 2}), d=1)
+    """The kernel search's basis is the first-oscillator module's: a weight on oscillator 2 is
+    refused there, though weight_space_basis, bound by no oscillator count, answers it."""
+    lam = Weight({(2, -1): 2})
+    assert weight_space_basis(lam) == [monomial([Generator(2, 2, -1, -1)])]
+    refusal = "weight uses oscillator index 2: the search runs on the first oscillator alone"
+    with pytest.raises(ValueError, match=refusal):
+        singular._search_matrix(lam)
+    with pytest.raises(ValueError, match=refusal):
+        singular_search(lam, 0)
 
 
 def _lowering_generators(max_degree, d):
@@ -172,17 +179,7 @@ def test_weight_space_basis_against_enumeration_oracle():
     for mono in monomials:
         by_weight.setdefault(monomial_weight(mono), set()).add(mono)
     for lam, expected in by_weight.items():
-        assert set(weight_space_basis(lam, d=d)) == expected
-    # the first-oscillator module (d = 1) against the same oracle
-    for lam, expected in by_weight.items():
-        restricted = {
-            m for m in expected if all(g.i == 1 and g.j == 1 for g in m)
-        }
-        if all(k == 1 for (k, _) in lam.support()):
-            assert set(weight_space_basis(lam, d=1)) == restricted
-        else:
-            with pytest.raises(ValueError):
-                weight_space_basis(lam, d=1)
+        assert set(weight_space_basis(lam)) == expected
 
 
 def test_diagonal_operators_act_with_weight_eigenvalues():
@@ -608,7 +605,7 @@ def test_module_bottom_dimensions():
     assert weight_space_basis(Weight()) == [()]
     for d in (2, 3):
         degree_one = [
-            weight_space_basis(Weight({(k, -1): 1}), d=d) for k in range(1, d + 1)
+            weight_space_basis(Weight({(k, -1): 1})) for k in range(1, d + 1)
         ]
         assert all(basis == [] for basis in degree_one)
 
@@ -625,7 +622,7 @@ def test_monomial_validation():
     with pytest.raises(ValueError):
         monomial([Generator(2, 1, -1, -1)])  # not canonical
     with pytest.raises(ValueError):
-        monomial([Generator(1, 3, -1, -1)], d=2)  # index beyond d
+        monomial([Generator(0, 1, -1, -1)])  # index below 1
 
 
 def test_weight_validation():

@@ -58,7 +58,7 @@ def test_degree_two_dimension():
         for i in range(1, d + 1):
             for j in range(i, d + 1):
                 lam = Weight({(i, -1): 2}) if i == j else Weight({(i, -1): 1, (j, -1): 1})
-                count += len(weight_space_basis(lam, d=d))
+                count += len(weight_space_basis(lam))
         assert count == d * (d + 1) // 2
 
 

@@ -98,7 +98,7 @@ def test_weight_space_dimensions_match_the_even_shape_kostka_sum(d, max_degree, 
     mismatches = []
     for lam in lams:
         expected = even_shape_count(tuple(lam.counts.values()))
-        if len(weight_space_basis(lam, d)) != expected:
+        if len(weight_space_basis(lam)) != expected:
             mismatches.append(str(lam))
     assert not mismatches
 
@@ -182,7 +182,7 @@ def corank_mismatches(d: int, max_degree: int) -> tuple:
     """
     pairs, mismatches = 0, []
     for lam in weights(max_degree, d):
-        basis = weight_space_basis(lam, d)
+        basis = weight_space_basis(lam)
         if not basis:
             continue
         gram = gram_matrix(basis)

@@ -91,8 +91,8 @@ def test_canonicalize_index_validation():
     with pytest.raises(ValueError):
         canonicalize(0, 1, 1, 1)
     with pytest.raises(ValueError):
-        canonicalize(1, 3, 1, 1, d=2)
-    canonicalize(1, 3, 1, 1, d=3)
+        canonicalize(1, -3, 1, 1)
+    canonicalize(1, 3, 1, 1)  # no oscillator count bounds an index from above
 
 
 def test_bracket_diagonal_pair_example():

@@ -1,6 +1,7 @@
 """Determinant vectors, kernel search, and singularity certification."""
 
 import gc
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from jordan_voa import fock, singular
-from jordan_voa.fock import (State, Weight, act, degree_of, monomial, monomial_degree,
-                             weight_space_basis, weights)
+from jordan_voa.fock import (State, Weight, act, basis_monomials, degree_of, monomial,
+                             monomial_degree, weight_space_basis, weights)
 from jordan_voa.liealg import Generator, LieElement, bracket_r, canonical_generators, canonicalize
 from jordan_voa.scalar import ONE, R, ZERO, Scalar, _poly_divmod, poly_exact_div, poly_gcd
 from jordan_voa.singular import (
@@ -92,7 +93,7 @@ def test_certification_r():
 
 
 def test_is_singular_certification_example():
-    ok, witness = is_singular(det_state(2), r0=Fraction(1), d=2)
+    ok, witness = is_singular(det_state(2), r0=Fraction(1))
     assert ok and witness is None
 
 
@@ -124,13 +125,13 @@ def test_is_singular_rejects_inhomogeneous_input():
         is_singular(VAC + lowering_state((1, 1, -1, -1)), r0=Fraction(0))
 
 
-def test_is_singular_refuses_an_oscillator_beyond_d():
-    """Over d = 1 the family has no generator of oscillator 2, which used to certify this."""
+def test_is_singular_reads_its_oscillators_off_the_state():
+    """A family over oscillator 1 alone would certify this vacuously; the state's own
+    oscillator 2 gives the witness."""
     u = State.from_monomial((Generator(2, 2, -1, -1),))
-    with pytest.raises(ValueError, match="oscillator index 2 out of range 1..1"):
-        is_singular(u, r0=1, d=1)
-    ok, witness = is_singular(u, r0=1, d=2)
+    ok, witness = is_singular(u, r0=1)
     assert not ok and witness == (Generator(2, 2, 1, 1), VAC.scale(2))
+    assert is_singular(u, r0=0) == (True, None)
 
 
 def test_reversed_mixed_generators_break_strict_certification():
@@ -138,7 +139,7 @@ def test_reversed_mixed_generators_break_strict_certification():
     size-2 determinant vector; the strict family therefore fails for p >= 2
     while the certifiable family passes.  Pins the engine-measured boundary."""
     u = det_state(2)
-    ok, witness = is_singular(u, r0=Fraction(1), d=2, strict=True)
+    ok, witness = is_singular(u, r0=Fraction(1), strict=True)
     assert not ok
     assert witness[0] == Generator(1, 2, 2, -1)
     image = act(Generator(1, 2, 2, -1), u)
@@ -147,7 +148,7 @@ def test_reversed_mixed_generators_break_strict_certification():
     ).scale(4)
     assert image == expected
     # size-1 determinant powers pass even the strict family
-    ok, _ = is_singular(det_power_state(1, 2), r0=Fraction(-2), d=2, strict=True)
+    ok, _ = is_singular(det_power_state(1, 2), r0=Fraction(-2), strict=True)
     assert ok
 
 
@@ -327,7 +328,7 @@ def test_certification_fails_off_relation():
         good = 1 - 2 * nu + p
         state = det_power_state(p, nu)
         for r0 in range(-3, 4):
-            ok, _ = is_singular(state, r0=Fraction(r0), d=1)
+            ok, _ = is_singular(state, r0=Fraction(r0))
             assert ok == (r0 == good), (p, nu, r0)
 
 
@@ -392,7 +393,7 @@ def _is_search_generator(gen):
 
 def _unpruned_search_matrix(lam, keep=lambda gen: True):
     """The matrix built over every raising generator up to the degree that keep selects."""
-    basis = weight_space_basis(lam, d=1)
+    basis = weight_space_basis(lam)
     rows = []
     if basis:
         for gen in filter(keep, raising_generators(lam.total_degree())):
@@ -466,27 +467,31 @@ def test_a_search_without_a_generator_fails_certification(plant, fault):
 
 
 def test_pruned_is_singular_matches_the_unpruned_reference():
+    """is_singular, over the oscillators it reads off the state, against the whole family over
+    d = K..K+2 oscillators (strict: K+1..K+3), K the state's largest: the same verdict and
+    witness at each d.  The cases are the determinant powers with p <= 4 and nu <= 2 but
+    (4, 2), at r = 1 - 2 nu + p, one above and generic, every basis monomial of degree <= 4
+    on 3 oscillators at r in {generic, 1, -1}, and a state with a mixed factor.  (det^2 of
+    size 4, of degree 40, takes the reference 7.5 s at one r; it agrees too.)"""
     cases = []
-    for p, nu in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2)):
+    for p, nu in itertools.product(range(1, 5), (1, 2)):
         r_cert = certification_r(p, nu)
-        for r0 in (Fraction(r_cert), Fraction(r_cert + 1), GENERIC):
-            cases.append((det_power_state(p, nu), r0, {}))
-    for lam in (Weight({(1, -1): 2, (1, -2): 2}), Weight({(1, -1): 1, (1, -3): 1}),
-                Weight({(1, -2): 2, (1, -3): 2})):
-        for mono in weight_space_basis(lam, d=1):
-            cases.append((State.from_monomial(mono), Fraction(0), {}))
+        if (p, nu) != (4, 2):
+            cases += [(det_power_state(p, nu), r0) for r0 in (r_cert, r_cert + 1, GENERIC)]
+    cases += [(State.from_monomial(mono), r0)
+              for mono in basis_monomials(4, 3) for r0 in (GENERIC, 1, -1)]
     mixed = lowering_state((1, 1, -1, -1), (1, 2, -2, -1)) + lowering_state((1, 2, -4, -1))
-    for u, r0 in ((det_state(2), Fraction(1)), (mixed, Fraction(1, 2)), (mixed, GENERIC)):
-        for strict in (True, False):
-            for d in (2, 3):
-                cases.append((u, r0, {"d": d, "strict": strict}))
-    outcomes = set()
-    for u, r0, flags in cases:
-        got = is_singular(u, r0=r0, **flags)
-        assert got == _unpruned_is_singular(u, r0=r0, **flags), (u, r0, flags)
-        outcomes.add(got[0])
-    assert outcomes == {True, False}
-    ok, witness = is_singular(det_state(2), r0=Fraction(1), d=2, strict=True)
+    cases += [(mixed, Fraction(1, 2)), (mixed, GENERIC)]
+    outcomes = {True: 0, False: 0}
+    for u, r0 in cases:
+        top = max((k for mono in u.terms for g in mono for k in (g.i, g.j)), default=0)
+        for strict in (False, True):
+            got = is_singular(u, r0=r0, strict=strict)
+            for d in range(top + strict, top + strict + 3):
+                assert got == _unpruned_is_singular(u, r0, d, strict), (u, r0, d, strict)
+            outcomes[got[0]] += 1
+    assert outcomes == {True: 15, False: 343}
+    ok, witness = is_singular(det_state(2), r0=Fraction(1), strict=True)
     assert not ok and witness[0] == Generator(1, 2, 2, -1)
 
 

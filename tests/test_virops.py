@@ -113,7 +113,7 @@ def test_window_ends_act_as_zero():
     [m - D + 1, D - 1].  The closed vertex-mode sum has the same form with
     centre l + m + n + 1 and i != j, so the off-diagonal cases cover it.
     """
-    monos = [()] + [mono for lam in weights(5, 2) for mono in weight_space_basis(lam, d=2)]
+    monos = [()] + [mono for lam in weights(5, 2) for mono in weight_space_basis(lam)]
     for mono in monos:
         u = State.from_monomial(mono)
         depth = degree_of(u)
@@ -181,12 +181,15 @@ def test_the_battery_builds_each_operator_as_the_general_route_does(check):
         assert dict(ops) == want and len(ops) == len(want), (tag, args)
 
 
-def test_mode_operators_check_indices_against_d():
-    """An index beyond d is rejected even when the truncation window is empty."""
-    with pytest.raises(ValueError, match="oscillator index 7"):
-        act_L(1, 7, 3, VAC, d=2)
-    with pytest.raises(ValueError, match="oscillator index 5"):
-        vertex_mode(1, 5, -1, -1, 10, VAC, d=2)
+def test_mode_operators_refuse_an_index_below_1():
+    """An index below 1 is rejected even when the truncation window is empty; no oscillator
+    count bounds an index from above."""
+    with pytest.raises(ValueError, match="oscillator index 0"):
+        act_L(1, 0, 3, VAC)
+    with pytest.raises(ValueError, match="oscillator index -5"):
+        vertex_mode(1, -5, -1, -1, 10, VAC)
+    assert act_L(1, 7, 3, VAC).is_zero()
+    assert vertex_mode(1, 5, -1, -1, 10, VAC).is_zero()
 
 
 def test_first_slot_recursion_small():
@@ -494,8 +497,8 @@ def test_memoised_operators_still_check_their_input():
         act_L(1, 1, 0, mixed) + act_L(2, 2, 0, mixed)
     with pytest.raises(ValueError, match="homogeneous"):
         vertex_mode_by_recursion(1, 2, -2, -1, 0, mixed)
-    with pytest.raises(ValueError, match="oscillator index 2"):
-        act_L(1, 2, -1, low, d=1)
+    with pytest.raises(ValueError, match="oscillator index 0"):
+        act_L(1, 0, -1, low)
 
 
 def test_one_term_states_skip_the_support_scan(monkeypatch):
